@@ -182,8 +182,11 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
             from .matherlp import build_polytope, solve_mather_lp
             poly = lp_polytope if lp_polytope is not None else build_polytope(
                 model, grid, vset, dt)
-            _, opt, _ = solve_mather_lp(model, poly)
-            values["lp"] = -opt
+            # a polytope built with its critical LP already holds -optimum
+            if poly.critical_measure is None:
+                values["lp"] = -solve_mather_lp(model, poly)[1]
+            else:
+                values["lp"] = poly.c
         elif meth == "discount":
             disc = discounted_wrapper(model)
             entries = lambda_sweep(disc, sorted(discount_schedule, reverse=True),

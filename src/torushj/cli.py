@@ -24,7 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment config")
     run.add_argument("config")
     run.add_argument("--output", default=None, help="artifact directory (default runs/<name>)")
-    run.add_argument("--threads", type=int, default=1, help="worker cap for per-node programs")
     run.add_argument("--strict", action="store_true", help="treat warnings as failures")
 
     val = sub.add_parser("validate", help="schema-validate a config without computing")
@@ -70,11 +69,7 @@ def main(argv=None) -> int:
         return 0 if not diffs else 1
 
     if args.command == "run":
-        if args.threads < 1:
-            print("--threads must be >= 1")
-            return 1
-        result = run_experiment(args.config, output=args.output,
-                                threads=args.threads, strict=args.strict)
+        result = run_experiment(args.config, output=args.output, strict=args.strict)
         for s in result.stages:
             mark = "PASS" if s.ok else "FAIL"
             extra = f"  ({s.error})" if s.error else ""

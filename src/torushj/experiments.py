@@ -52,7 +52,6 @@ from .matherlp import (
     DiscreteMeasure,
     build_polytope,
     closedness_operator,
-    solve_mather_lp,
 )
 from .models import BUILTIN_MODEL_NAMES, builtin_model, velocity_set
 from .selection import (
@@ -343,11 +342,17 @@ def _threshold(cfg: ExperimentConfig, key: str, default: float) -> float:
     return float(cfg.thresholds.get(key, default))
 
 
+def _face_details(sel: SelectionResult) -> dict:
+    """How the limit formula was evaluated on the Mather face."""
+    return {"path": sel.path, "critical_arcs": sel.critical_arcs,
+            "vertices": sel.vertices}
+
+
 # ---------------------------------------------------------------------------
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, threads: int):
+def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
     """Diophantine-rotation reproduction: the selected limit is the mean of
     the target potential; the sweep error against that constant must close
     below the threshold and decay monotonically (within a factor)."""
@@ -374,12 +379,13 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, threads: int):
                               warnings=list(h.warnings)))
 
     V0 = GridField.from_function(grid, model.V0)
-    sel = limit_solution_formula(model, V0, h, poly, threads=threads)
+    sel = limit_solution_formula(model, V0, h, poly)
     artifacts["limit_solution"] = sel
     target_mean = float(np.mean(target(grid.node_coords())))
     formula_err = float(np.max(np.abs(sel.field.values - target_mean)))
     stages.append(StageRecord("limit_formula", True, {
-        "target_mean": target_mean, "sup_error_vs_mean": formula_err}))
+        "target_mean": target_mean, "sup_error_vs_mean": formula_err,
+        **_face_details(sel)}))
 
     uhat = GridField.constant(grid, 0.0)
     bracket = compute_bracket(model, uhat)
@@ -398,7 +404,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, threads: int):
     return stages
 
 
-def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, threads: int):
+def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
     """Classical discounted limit against the limit-solution formula, plus
     the unique-measure closed form (barrier column minus the potential at the
     minimizing point)."""
@@ -418,13 +424,14 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, threads: int
                               warnings=list(h.warnings)))
 
     V0 = GridField.from_function(grid, model.V0)
-    sel = limit_solution_formula(model, V0, h, poly, threads=threads)
+    sel = limit_solution_formula(model, V0, h, poly)
     artifacts["limit_solution"] = sel
     xstar = int(np.argmin(h.diagonal()))
     closed_form = GridField(grid, h.values[xstar, :] - V0.values[xstar])
     stages.append(StageRecord("limit_formula", True, {
         "aubry_node": xstar,
-        "formula_vs_closed_form": float(np.max(np.abs(sel.field.values - closed_form.values)))}))
+        "formula_vs_closed_form": float(np.max(np.abs(sel.field.values - closed_form.values))),
+        **_face_details(sel)}))
 
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     entries = lambda_sweep(model, cfg.lambdas, grid, vs, dt=dt, tol=cfg.tol,
@@ -442,7 +449,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, threads: int
     return stages
 
 
-def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, threads: int):
+def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict):
     """Nonexistence certificate across discounts, plus solver behavior on
     both sides of the existence threshold."""
     stages = []
@@ -487,7 +494,7 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, threads: int):
     return stages
 
 
-def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
+def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     """Nonexpansiveness, image-solves, fixed-point, and idempotence checks of
     the selection operator at scale."""
     stages = []
@@ -508,7 +515,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     for i in range(pairs):
         f1, f2 = _smooth_random_fields(grid, rng, 2)
         lhs, rhs, passed = check_operator_lipschitz(model, sigma1, f1, f2, h, poly,
-                                                    slack=slack, threads=threads)
+                                                    slack=slack)
         lip_rows.append((i, lhs, rhs, passed))
         lip_ok &= passed
     stages.append(StageRecord("lipschitz", lip_ok,
@@ -519,7 +526,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     img_ok = True
     img_residuals = []
     for f in _smooth_random_fields(grid, rng, 3):
-        img = apply_selection_operator(model, sigma1, f, h, poly, threads=threads).field
+        img = apply_selection_operator(model, sigma1, f, h, poly).field
         r = residual(model, 0.0, img, vs, dt)
         img_residuals.append(r)
         img_ok &= r <= image_C * grid.h
@@ -533,7 +540,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     for y in np.linspace(0, grid.size, 4, endpoint=False).astype(int):
         col = solution_from_barrier(h, int(y))
         passed, diff = check_fixed_point(model, sigma1, col, h, poly,
-                                         tol=3 * grid_err, threads=threads)
+                                         tol=3 * grid_err)
         fp_rows.append((int(y), diff, passed))
         fp_ok &= passed
     stages.append(StageRecord("fixed_point", fp_ok, {
@@ -541,8 +548,8 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
 
     idem_tol = 2 * 3 * grid_err
     phi = _smooth_random_fields(grid, rng, 1)[0]
-    p1 = apply_selection_operator(model, sigma1, phi, h, poly, threads=threads).field
-    p2 = apply_selection_operator(model, sigma1, p1, h, poly, threads=threads).field
+    p1 = apply_selection_operator(model, sigma1, phi, h, poly).field
+    p2 = apply_selection_operator(model, sigma1, p1, h, poly).field
     idiff = float(np.max(np.abs(p2.values - p1.values)))
     stages.append(StageRecord("idempotence", idiff <= idem_tol,
                               {"diff": idiff, "tol": idem_tol}))
@@ -550,7 +557,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     return stages
 
 
-def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
+def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
     """Occupation-measure identities along a discount sweep: mass identity
     and its dt-order, closedness-defect scaling, and TV approach to the
     minimizing measure."""
@@ -563,7 +570,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     h = peierls_barrier(model, poly.c, grid, vs, Tmax=cfg.tmax)
     xstar = int(np.argmin(h.diagonal()))
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
-    lp_mu, _, _ = solve_mather_lp(model, poly)
+    lp_mu = poly.critical_measure
 
     start = grid.node_coords()[int(cfg.extras.get("start_node", grid.size // 3))]
     lams = cfg.lambdas or (0.2, 0.1, 0.05)
@@ -616,7 +623,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     return stages
 
 
-def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
+def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
     """Three-route critical values on the standard models plus barrier
     structure diagnostics (triangle inequality, column residuals)."""
     stages = []
@@ -632,12 +639,15 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, threads: int):
     stages.append(StageRecord("critical_mechanical", ok1, {
         "per_method": cd.per_method, "spread": cd.spread, "analytic": 1.0}))
 
-    alpha = float(cfg.extras.get("alpha", (np.sqrt(5.0) - 1.0) / 2.0))
+    alpha = np.array(_floats(cfg.extras.get("alpha", "")) or ((np.sqrt(5.0) - 1.0) / 2.0,))
+    if alpha.size not in (1, cfg.d):
+        raise ConfigurationError(f"extras.alpha needs 1 or {cfg.d} components")
+    alpha = np.broadcast_to(alpha, (cfg.d,))
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
     vs = cfg.vset()
     cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs, Tmax=cfg.tmax)
     tol_sq = _threshold(cfg, "critical_tol_shifted", 0.02)
-    half_a2 = 0.5 * alpha**2
+    half_a2 = float(0.5 * np.sum(alpha**2))
     ok2 = all(abs(v - half_a2) <= tol_sq for v in cd2.per_method.values())
     stages.append(StageRecord("critical_shifted_quadratic", ok2, {
         "per_method": cd2.per_method, "spread": cd2.spread, "analytic": half_a2}))
@@ -673,7 +683,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config, output: Optional[str] = None, threads: int = 1,
+def run_experiment(config, output: Optional[str] = None,
                    strict: bool = False) -> RunResult:
     """Run one experiment pipeline and write its artifact directory.
 
@@ -692,7 +702,7 @@ def run_experiment(config, output: Optional[str] = None, threads: int = 1,
     t0 = time.time()
     failing_stage = None
     try:
-        stages = _RUNNERS[cfg.kind](cfg, artifacts, threads)
+        stages = _RUNNERS[cfg.kind](cfg, artifacts)
     except Exception as exc:  # noqa: BLE001 - partial artifacts are kept on purpose
         stages = [StageRecord("fatal", False, error=f"{type(exc).__name__}: {exc}")]
         failing_stage = stages[-1].name

@@ -1,21 +1,33 @@
 """Mather measures as linear programs over a discrete closed-measure polytope.
 
-A measure is a nonnegative weight per (node, velocity) pair.  Closedness is
-imposed through the same semi-Lagrangian transition kernel the solver uses:
-the pushforward of (x, v) is the multilinear binning of x + v*dt, and a
-closed measure is one whose per-node inflow equals its outflow.  Minimizing
-the u = 0 action over that polytope yields the discrete critical value and
-its minimizing measures; adding the optimal-action face as a constraint
-exposes the Mather subpolytope for downstream linear and linear-fractional
-objectives (the selection operator and the limit-solution formula run one
-such fractional program per target node via the Charnes-Cooper transform).
+A measure is a nonnegative weight per (node, velocity) pair, an "arc" from
+the node to the foot of its velocity hop.  Closedness is imposed through the
+same semi-Lagrangian transition kernel the solver uses: the pushforward of
+(x, v) is the multilinear binning of x + v*dt, and a closed measure is one
+whose per-node inflow equals its outflow.  Minimizing the u = 0 action over
+that polytope yields the discrete critical value and its minimizing
+measures.
 
-Linear programs are solved with HiGHS dual simplex (deterministic pivoting,
-vertex solutions).  Multiplicity of optimizers is decided by a second LP
-that maximizes the mass movable off the support of the returned vertex while
-staying on the optimal face; reduced-cost inspection alone cannot tell a
-degenerate vertex from a genuine alternative optimum since our optima are
-typically sparse and thus heavily degenerate.
+The Mather face is exact and finite.  `build_polytope` keeps the reduced
+costs of one optimal dual of that critical LP (HiGHS returns the dual with
+the solve); by complementary slackness every Mather measure lives on the
+critical arcs, those of zero reduced cost, and conversely every closed
+probability measure on them is minimizing.  With integer hops the vertices
+of that face are the uniform measures on simple cycles of the critical
+subgraph, which `mather_vertices` lists when the cycles are disjoint.  The
+selection layer evaluates its linear-fractional objectives on those
+vertices (Charnes-Cooper 1962: the minimum sits at a vertex), and otherwise
+solves `fractional_minimize` restricted to the critical arcs.
+
+The full-polytope programs, which impose minimality as an action row with
+slack tol_min, remain as `minimize_linear_over_mather` and
+`fractional_minimize` without a support; they serve the comparison checks
+and the tests as an oracle.  Linear programs are solved with HiGHS dual
+simplex (deterministic pivoting, vertex solutions).  Their multiplicity flag
+comes from a second LP that maximizes the mass movable off the support of
+the returned vertex while staying on the optimal face; reduced-cost
+inspection alone cannot tell a degenerate vertex from a genuine alternative
+optimum since those optima are typically sparse and thus heavily degenerate.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ __all__ = [
     "solve_mather_lp",
     "minimize_linear_over_mather",
     "fractional_minimize",
+    "mather_vertices",
     "projected_measure",
     "graph_check",
     "GraphReport",
@@ -81,6 +94,20 @@ class DiscreteMeasure:
         return (w[:, None] * V).sum(axis=0) / max(w.sum(), 1e-300)
 
 
+def _lattice_successors(grid: PeriodicGrid, vset: VelocitySet,
+                       dt: float) -> Optional[np.ndarray]:
+    """(N, K) foot node of every arc when each hop v*dt/h is an integer,
+    else None (the hops then land between nodes)."""
+    hops = vset.velocities * (dt / grid.h)
+    rounded = np.rint(hops)
+    if np.max(np.abs(hops - rounded)) >= 1e-9:
+        return None
+    multi = np.stack(
+        np.meshgrid(*[np.arange(grid.n)] * grid.d, indexing="ij"), axis=-1
+    ).reshape(-1, grid.d)
+    return grid.flat_index(multi[:, None, :] + rounded.astype(np.int64)[None, :, :])
+
+
 def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> sparse.csr_matrix:
     """Sparse (N x N*K) operator whose rows vanish exactly on closed measures.
 
@@ -88,38 +115,21 @@ def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> spa
     minus sum_v w(y, v).  Rows and columns each sum to zero.
     """
     N, K = grid.size, vset.count
-    nodes = grid.node_coords()
-    hops = vset.velocities * (dt / grid.h)
-    rounded = np.rint(hops)
-    rows, cols, vals = [], [], []
-    if np.max(np.abs(hops - rounded)) < 1e-9:
-        multi = np.stack(
-            np.meshgrid(*[np.arange(grid.n)] * grid.d, indexing="ij"), axis=-1
-        ).reshape(-1, grid.d)
-        for k in range(K):
-            dest = grid.flat_index(multi + rounded[k].astype(np.int64))
-            col = np.arange(N) * K + k
-            rows.append(dest)
-            cols.append(col)
-            vals.append(np.ones(N))
-            rows.append(np.arange(N))
-            cols.append(col)
-            vals.append(-np.ones(N))
+    cols = np.arange(N * K)
+    succ = _lattice_successors(grid, vset, dt)
+    if succ is not None:
+        rows, vals = succ.ravel(), np.ones(N * K)
     else:
-        fwd = nodes[None, :, :] + vset.velocities[:, None, :] * dt
+        fwd = grid.node_coords()[None, :, :] + vset.velocities[:, None, :] * dt
         idx, w = interpolation_stencil(grid, fwd)           # (K, N, S)
         S = idx.shape[2]
-        for k in range(K):
-            col = np.arange(N) * K + k
-            for s in range(S):
-                rows.append(idx[k, :, s])
-                cols.append(col)
-                vals.append(w[k, :, s])
-            rows.append(np.arange(N))
-            cols.append(col)
-            vals.append(-np.ones(N))
+        rows = idx.transpose(1, 0, 2).ravel()
+        vals = w.transpose(1, 0, 2).ravel()
+        cols = np.repeat(cols, S)
     C = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([vals, -np.ones(N * K)]),
+         (np.concatenate([rows, np.repeat(np.arange(N), K)]),
+          np.concatenate([cols, np.arange(N * K)]))),
         shape=(N, N * K),
     ).tocsr()
     C.sum_duplicates()
@@ -128,7 +138,7 @@ def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> spa
 
 @dataclass
 class MatherPolytope:
-    """Closedness operator, action row, and minimality data for the LPs."""
+    """Closedness operator, action row, and the critical LP's solution."""
 
     grid: PeriodicGrid
     vset: VelocitySet
@@ -137,17 +147,28 @@ class MatherPolytope:
     action: np.ndarray           # L0 per (node, velocity), flat
     c: Optional[float] = None    # critical value; -c is the LP optimum
     tol_min: float = 1e-9
+    critical_measure: Optional[DiscreteMeasure] = None   # the critical LP's optimizer
+    reduced_cost: Optional[np.ndarray] = None            # of one optimal dual, flat
 
     @property
     def num_vars(self) -> int:
         return self.grid.size * self.vset.count
 
+    def critical_arcs(self) -> np.ndarray:
+        """Flat indices of the arcs whose reduced cost is zero (up to a
+        scale-relative 1e-9): the support of every Mather measure."""
+        if self.reduced_cost is None:
+            raise ConfigurationError("polytope has no critical dual; build it "
+                                     "with with_critical=True")
+        scale = max(1.0, float(np.max(np.abs(self.action))))
+        return np.flatnonzero(self.reduced_cost <= 1e-9 * scale)
+
 
 def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
                    dt: Optional[float] = None, with_critical: bool = True,
                    tol_min: float = 1e-9) -> MatherPolytope:
-    """Assemble the polytope; by default also solve for its critical value,
-    so the minimality face is exactly the LP-optimal face (zero-gap)."""
+    """Assemble the polytope; by default also solve its critical LP once and
+    keep the critical value, the optimizer and the reduced costs of the dual."""
     if dt is None:
         dt = default_dt(grid, vset)
     X = grid.node_coords()
@@ -160,8 +181,11 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
                           C=closedness_operator(grid, vset, dt),
                           action=action, tol_min=tol_min)
     if with_critical:
-        _, opt, _ = solve_mather_lp(model, poly)
+        mu, opt, info = solve_mather_lp(model, poly)
         poly.c = -opt
+        poly.critical_measure = mu
+        # A_eq = [C; 1], so A_eq^T y = C^T y[:N] + y[N]
+        poly.reduced_cost = action - poly.C.T @ info.duals[:-1] - info.duals[-1]
     return poly
 
 
@@ -171,6 +195,7 @@ class LPInfo:
     message: str
     multiplicity: Optional[bool] = None
     movable_mass: float = 0.0
+    duals: Optional[np.ndarray] = None     # equality-row marginals
 
 
 def _run_lp(cvec, A_eq, b_eq, A_ub=None, b_ub=None):
@@ -190,8 +215,9 @@ def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
     """Minimize the u = 0 action over closed probability measures.
 
     Returns (measure, optimal value, info); the critical value is minus the
-    optimum.  Unboundedness cannot occur (mass constraint) and is surfaced as
-    an internal error.
+    optimum and info.duals holds the optimal dual of the equality rows.
+    Unboundedness cannot occur (mass constraint) and is surfaced as an
+    internal error.
     """
     N, K = polytope.grid.size, polytope.vset.count
     A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(np.ones((1, N * K)))])
@@ -199,7 +225,8 @@ def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
     b_eq[-1] = 1.0
     res = _run_lp(polytope.action, A_eq, b_eq)
     mu = DiscreteMeasure(polytope.grid, polytope.vset, res.x)
-    return mu, float(res.fun), LPInfo(status=res.status, message=res.message)
+    return mu, float(res.fun), LPInfo(status=res.status, message=res.message,
+                                      duals=np.asarray(res.eqlin.marginals))
 
 
 def _mather_constraints(polytope: MatherPolytope):
@@ -253,7 +280,8 @@ def minimize_linear_over_mather(polytope: MatherPolytope, cost: np.ndarray,
 
 def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
                         denominator: np.ndarray, sign: str,
-                        check_multiplicity: bool = False):
+                        check_multiplicity: bool = False,
+                        support: Optional[np.ndarray] = None):
     """Minimize (sum w*a)/(sum w*b) over the Mather subpolytope.
 
     The denominator must be strictly one-signed on the variables (sign is
@@ -261,6 +289,10 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
     homogenizes the feasible set: closedness rows stay zero, the minimality
     constraint becomes  nu.(L0 + c - tol_min) <= 0, and nu.|b| = 1 replaces
     the mass constraint; the probability measure is recovered as nu/sum(nu).
+
+    With `support` (flat arc indices, normally `polytope.critical_arcs()`)
+    the program runs on those arcs only and drops the minimality row: closed
+    measures on the critical arcs are exactly the Mather measures.
     """
     a = np.asarray(numerator, dtype=float).ravel()
     b = np.asarray(denominator, dtype=float).ravel()
@@ -278,15 +310,22 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
         raise ConfigurationError("sign must be 'positive' or 'negative'")
     if polytope.c is None:
         raise ConfigurationError("polytope.c unset")
-    N, K = polytope.grid.size, polytope.vset.count
-    A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(beq_row[None, :])])
+    N = polytope.grid.size
+    if support is None:
+        cols = np.arange(polytope.num_vars)
+        homog = polytope.action + (polytope.c - polytope.tol_min)
+        ub_rows, b_ub = [sparse.csr_matrix(homog[None, :])], [0.0]
+    else:
+        cols = np.asarray(support, dtype=np.int64)
+        ub_rows, b_ub = [], []
+    obj = obj[cols]
+    A_eq = sparse.vstack([polytope.C[:, cols], sparse.csr_matrix(beq_row[None, cols])])
     b_eq = np.zeros(N + 1)
     b_eq[-1] = 1.0
-    homog = polytope.action + (polytope.c - polytope.tol_min)
-    A_ub = sparse.csr_matrix(homog[None, :])
-    b_ub = np.array([0.0])
-    res = _run_lp(obj, A_eq, b_eq, A_ub, b_ub)
-    nu = res.x
+    A_ub = sparse.vstack(ub_rows) if ub_rows else None
+    res = _run_lp(obj, A_eq, b_eq, A_ub, np.array(b_ub) if ub_rows else None)
+    nu = np.zeros(polytope.num_vars)
+    nu[cols] = res.x
     total = nu.sum()
     if total <= 0:
         raise MatherLPError("degenerate Charnes-Cooper solution with zero mass")
@@ -295,13 +334,50 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
     info = LPInfo(status=res.status, message=res.message)
     if check_multiplicity:
         scale = max(1.0, float(np.max(np.abs(obj))))
-        off = (nu <= 1e-9 * max(total, 1.0)).astype(float)
-        A_ub2 = sparse.vstack([A_ub, sparse.csr_matrix(obj[None, :])])
-        b_ub2 = np.concatenate([b_ub, [res.fun + 1e-9 * scale]])
+        off = (res.x <= 1e-9 * max(total, 1.0)).astype(float)
+        A_ub2 = sparse.vstack(ub_rows + [sparse.csr_matrix(obj[None, :])])
+        b_ub2 = np.array(b_ub + [res.fun + 1e-9 * scale])
         res2 = _run_lp(-off, A_eq, b_eq, A_ub2, b_ub2)
         info.movable_mass = float(-res2.fun / max(res2.x.sum(), 1e-300))
         info.multiplicity = info.movable_mass > 0.01
     return mu, value, info
+
+
+def mather_vertices(polytope: MatherPolytope) -> Optional[list]:
+    """The vertices of the Mather face as disjoint cycles of critical arcs.
+
+    With integer hops a closed measure on the critical arcs is a circulation,
+    so the face's vertices are the uniform measures on simple cycles of the
+    critical subgraph.  When every node has at most one critical arc the
+    successor walk below finds all of them in O(N); each cycle is returned
+    as an array of flat arc indices.  Returns None when the hops are off the
+    lattice or a node has two or more critical arcs.
+    """
+    succ = _lattice_successors(polytope.grid, polytope.vset, polytope.dt)
+    if succ is None:
+        return None
+    N, K = polytope.grid.size, polytope.vset.count
+    arcs = polytope.critical_arcs()
+    src = arcs // K
+    if np.any(np.bincount(src, minlength=N) > 1):
+        return None
+    nxt = np.full(N, -1)
+    nxt[src] = succ.ravel()[arcs]
+    arc_of = np.full(N, -1)
+    arc_of[src] = arcs
+    state = np.zeros(N, dtype=np.int8)        # 0 new, 1 on this walk, 2 done
+    cycles = []
+    for start in range(N):
+        path = []
+        x = start
+        while x >= 0 and state[x] == 0:
+            state[x] = 1
+            path.append(x)
+            x = nxt[x]
+        if x >= 0 and state[x] == 1:
+            cycles.append(arc_of[path[path.index(x):]])
+        state[path] = 2
+    return cycles
 
 
 def projected_measure(mu: DiscreteMeasure) -> np.ndarray:

@@ -6,12 +6,19 @@ measures M(L_G), the operator
     (P phi)(x) = inf over mu in M(L_G) of
                  [ int sigma (h_G(., x) + phi) dmu ] / [ int sigma dmu ]
 
-is evaluated per target node as one linear-fractional program over the
-discrete Mather subpolytope.  Its fixed points are the discrete solutions of
-the critical equation; the checks below exercise the Lipschitz-1 bound,
-idempotence, the measure-integral comparison principle, the largest-
-subsolution characterization of the vanishing-discount limit, and the
-equilibrium measures attaining the infimum.
+is a linear-fractional program over the discrete Mather face, so its infimum
+is attained at a vertex (Charnes-Cooper 1962).  When the critical subgraph
+is a set of disjoint cycles (`matherlp.mather_vertices`), those vertices are
+the uniform measures on the cycles, and P phi at every target is one
+(cycles x N) @ h product followed by a column-wise minimum of ratios; a
+target has several equilibrium measures when two or more vertices attain
+the minimum.  Otherwise (a branched critical graph, or hops off the node
+lattice) each target node solves one `fractional_minimize` restricted to the
+critical arcs.  Its fixed points are the discrete solutions of the critical
+equation; the checks below exercise the Lipschitz-1 bound, idempotence, the
+measure-integral comparison principle, the largest-subsolution
+characterization of the vanishing-discount limit, and the equilibrium
+measures attaining the infimum.
 
 The limit-solution formula for a discounted family with u-derivative
 dL/du(.,.,0) < 0 is the sign-flipped variant
@@ -19,23 +26,25 @@ dL/du(.,.,0) < 0 is the sign-flipped variant
     u0(x) = inf over mu of
             [ int h(y, x) dL/du(y,v,0) dmu + int V0 dmu ] / [ int dL/du dmu ],
 
-computed through the same fractional program with a negative denominator.
+evaluated on the same vertices with a negative denominator.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .barrier import BarrierMatrix
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, MatherLPError
 from .grids import GridField
 from .matherlp import (
+    DiscreteMeasure,
     MatherPolytope,
     fractional_minimize,
+    mather_vertices,
     minimize_linear_over_mather,
 )
 from .models import ControlModel, VelocitySet
@@ -57,10 +66,13 @@ __all__ = [
 
 @dataclass
 class SelectionResult:
-    field: GridField
+    field: Optional[GridField]       # None for a subset of target nodes
     per_x_value: np.ndarray
     per_x_optimizer: Optional[dict] = None
     multiplicity: Optional[dict] = None
+    path: str = "vertex"             # "vertex" or "fallback" (restricted LPs)
+    critical_arcs: int = 0
+    vertices: Optional[int] = None   # cycle count on the vertex path
 
 
 def _lift(node_values: np.ndarray, K: int) -> np.ndarray:
@@ -77,35 +89,64 @@ def _dl_flat(model: ControlModel, polytope: MatherPolytope) -> np.ndarray:
     return dl.T.ravel()
 
 
-def _per_node_fractional(polytope, a_of_x, b_flat, sign, nodes, keep_measures,
-                         check_multiplicity, threads):
-    values = np.empty(len(nodes))
+def _minimize_on_face(polytope: MatherPolytope, h: np.ndarray, beta: np.ndarray,
+                      offset: np.ndarray, targets: Optional[np.ndarray],
+                      keep_measures: bool, check_multiplicity: bool):
+    """Per target x (every node when targets is None), the minimum over
+    Mather measures mu of
+
+        int (beta * h(., x) + offset) dmu / int beta dmu
+
+    with beta and offset given per flat arc and beta strictly one-signed.
+    Returns a SelectionResult without its field.
+    """
+    K = polytope.vset.count
+    arcs = polytope.critical_arcs()
     measures = {} if keep_measures else None
     mult = {} if check_multiplicity else None
+    cycles = mather_vertices(polytope)
+    cols = h if targets is None else h[:, targets]
+    if targets is None:
+        targets = np.arange(polytope.grid.size)
+    if cycles is None:
+        sign = "positive" if beta.min() > 0 else "negative"
+        values = np.empty(len(targets))
+        for i, x in enumerate(targets):
+            try:
+                mu, values[i], info = fractional_minimize(
+                    polytope, beta * np.repeat(cols[:, i], K) + offset, beta, sign,
+                    check_multiplicity=check_multiplicity, support=arcs)
+            except Exception as exc:  # noqa: BLE001 - typed cause kept on the chain
+                raise MatherLPError(f"fractional program failed at node {x}: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+            if measures is not None:
+                measures[int(x)] = mu
+            if mult is not None:
+                mult[int(x)] = bool(info.multiplicity)
+        return SelectionResult(None, values, measures, mult, "fallback", len(arcs))
 
-    def work(i_x):
-        i, x = i_x
-        mu, val, info = fractional_minimize(
-            polytope, a_of_x(x), b_flat, sign,
-            check_multiplicity=check_multiplicity,
-        )
-        return i, x, mu, val, info
-
-    try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(work, enumerate(nodes)))
-        else:
-            results = [work(ix) for ix in enumerate(nodes)]
-    except Exception as exc:  # noqa: BLE001 - attach the node index on the way out
-        raise type(exc)(f"{exc} (during per-node fractional program)") from exc
-    for i, x, mu, val, info in results:
-        values[i] = val
-        if measures is not None:
-            measures[x] = mu
-        if mult is not None:
-            mult[x] = bool(info.multiplicity)
-    return values, measures, mult
+    lengths = np.array([len(cyc) for cyc in cycles])
+    on = np.concatenate(cycles)
+    row = np.repeat(np.arange(len(cycles)), lengths)
+    W = sparse.csr_matrix((beta[on], (row, on // K)),
+                          shape=(len(cycles), polytope.grid.size))
+    num = W @ cols + np.bincount(row, offset[on])[:, None]
+    ratio = num / np.bincount(row, beta[on])[:, None]         # (cycles, targets)
+    best = np.argmin(ratio, axis=0)
+    values = ratio[best, np.arange(len(targets))]
+    if measures is not None:
+        witness = {}
+        for x, z in zip(targets, best):
+            if z not in witness:
+                w = np.zeros(polytope.num_vars)
+                w[cycles[z]] = 1.0 / lengths[z]
+                witness[z] = DiscreteMeasure(polytope.grid, polytope.vset, w)
+            measures[int(x)] = witness[z]
+    if mult is not None:
+        ties = ratio <= values + 1e-9 * np.maximum(1.0, np.abs(values))
+        for x, count in zip(targets, ties.sum(axis=0)):
+            mult[int(x)] = bool(count >= 2)
+    return SelectionResult(None, values, measures, mult, "vertex", len(arcs), len(cycles))
 
 
 def apply_selection_operator(model_G: ControlModel, sigma: GridField,
@@ -113,9 +154,8 @@ def apply_selection_operator(model_G: ControlModel, sigma: GridField,
                              polytope: MatherPolytope,
                              nodes: Optional[Sequence[int]] = None,
                              keep_measures: bool = False,
-                             check_multiplicity: bool = False,
-                             threads: int = 1) -> SelectionResult:
-    """Evaluate (P^sigma phi) at every node (or a subset) via fractional LPs."""
+                             check_multiplicity: bool = False) -> SelectionResult:
+    """Evaluate (P^sigma phi) at every node (or a subset) on the Mather face."""
     grid = polytope.grid
     K = polytope.vset.count
     sig = sigma.values
@@ -123,26 +163,18 @@ def apply_selection_operator(model_G: ControlModel, sigma: GridField,
         raise DomainError("sigma must be strictly positive nodewise")
     if barrier.kind != "peierls":
         raise ConfigurationError("selection operator needs a peierls barrier")
-    b_flat = _lift(sig, K)
-    h = barrier.values
-    phiv = phi.values
-    target = np.arange(grid.size) if nodes is None else np.asarray(list(nodes), dtype=int)
-
-    def a_of_x(x):
-        return _lift(sig * (h[:, x] + phiv), K)
-
-    values, measures, mult = _per_node_fractional(
-        polytope, a_of_x, b_flat, "positive", target,
-        keep_measures, check_multiplicity, threads)
-    fld = GridField(grid, values) if nodes is None else None
-    return SelectionResult(field=fld, per_x_value=values,
-                           per_x_optimizer=measures, multiplicity=mult)
+    target = None if nodes is None else np.asarray(list(nodes), dtype=int)
+    res = _minimize_on_face(polytope, barrier.values, _lift(sig, K),
+                            _lift(sig * phi.values, K), target, keep_measures,
+                            check_multiplicity)
+    if nodes is None:
+        res.field = GridField(grid, res.per_x_value)
+    return res
 
 
 def limit_solution_formula(model: ControlModel, V0: GridField,
                            barrier: BarrierMatrix, polytope: MatherPolytope,
-                           keep_measures: bool = False,
-                           threads: int = 1) -> SelectionResult:
+                           keep_measures: bool = False) -> SelectionResult:
     """The vanishing-discount limit selected by the potential V0.
 
     Per node x the numerator weights are h(y, x)*dL/du(y,v,0) + V0(y) and the
@@ -152,31 +184,24 @@ def limit_solution_formula(model: ControlModel, V0: GridField,
     """
     if barrier.kind != "peierls":
         raise ConfigurationError("limit formula needs a peierls barrier")
-    K = polytope.vset.count
     dl = _dl_flat(model, polytope)
     if dl.max() >= 0:
         raise ConfigurationError(
             "dL/du(x,v,0) must be strictly negative; model violates the "
             "u-derivative hypothesis"
         )
-    h = barrier.values
-    v0 = _lift(V0.values, K)
-    target = np.arange(polytope.grid.size)
-
-    def a_of_x(x):
-        return _lift(h[:, x], K) * dl + v0
-
-    values, measures, _ = _per_node_fractional(
-        polytope, a_of_x, dl, "negative", target, keep_measures, False, threads)
-    return SelectionResult(field=GridField(polytope.grid, values),
-                           per_x_value=values, per_x_optimizer=measures)
+    res = _minimize_on_face(polytope, barrier.values, dl,
+                            _lift(V0.values, polytope.vset.count), None,
+                            keep_measures, False)
+    res.field = GridField(polytope.grid, res.per_x_value)
+    return res
 
 
 def check_fixed_point(model_G: ControlModel, sigma: GridField, u: GridField,
                       barrier: BarrierMatrix, polytope: MatherPolytope,
-                      tol: float, threads: int = 1):
+                      tol: float):
     """True iff ||P^sigma u - u||_inf <= tol; returns (flag, sup difference)."""
-    res = apply_selection_operator(model_G, sigma, u, barrier, polytope, threads=threads)
+    res = apply_selection_operator(model_G, sigma, u, barrier, polytope)
     diff = float(np.max(np.abs(res.field.values - u.values)))
     return diff <= tol, diff
 
@@ -184,10 +209,10 @@ def check_fixed_point(model_G: ControlModel, sigma: GridField, u: GridField,
 def check_operator_lipschitz(model_G: ControlModel, sigma: GridField,
                              phi1: GridField, phi2: GridField,
                              barrier: BarrierMatrix, polytope: MatherPolytope,
-                             slack: float = 1e-7, threads: int = 1):
+                             slack: float = 1e-7):
     """Nonexpansiveness in the sup norm: returns (lhs, rhs, pass)."""
-    r1 = apply_selection_operator(model_G, sigma, phi1, barrier, polytope, threads=threads)
-    r2 = apply_selection_operator(model_G, sigma, phi2, barrier, polytope, threads=threads)
+    r1 = apply_selection_operator(model_G, sigma, phi1, barrier, polytope)
+    r2 = apply_selection_operator(model_G, sigma, phi2, barrier, polytope)
     lhs = float(np.max(np.abs(r1.field.values - r2.field.values)))
     rhs = float(np.max(np.abs(phi1.values - phi2.values)))
     return lhs, rhs, lhs <= rhs + slack
@@ -288,14 +313,12 @@ def equilibrium_measures(model_G: ControlModel, phi: GridField, x: int,
                          barrier: BarrierMatrix, polytope: MatherPolytope):
     """A Mather measure attaining (P phi)(x) for sigma = 1, with multiplicity.
 
-    Returns (witness, value, multiplicity); multiplicity is True iff the
-    argmin face has dimension >= 1 (mass is movable off the witness's support
-    at optimal cost).
+    Returns (witness, value, multiplicity); multiplicity is True iff two or
+    more vertices of the Mather face attain the minimum (on the fallback
+    path: mass is movable off the witness's support at optimal cost).
     """
-    if barrier.kind != "peierls":
-        raise ConfigurationError("equilibrium measures need a peierls barrier")
-    K = polytope.vset.count
-    cost = _lift(barrier.values[:, int(x)] + phi.values, K)
-    mu, value, info = minimize_linear_over_mather(polytope, cost,
-                                                  check_multiplicity=True)
-    return mu, value, bool(info.multiplicity)
+    x = int(x)
+    res = apply_selection_operator(model_G, GridField.constant(polytope.grid, 1.0),
+                                   phi, barrier, polytope, nodes=[x],
+                                   keep_measures=True, check_multiplicity=True)
+    return res.per_x_optimizer[x], float(res.per_x_value[0]), res.multiplicity[x]

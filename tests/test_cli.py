@@ -80,9 +80,3 @@ def test_run_failure_exit_code(tmp_path):
                                     "certificate_true = 0.5"))
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
 
-
-def test_threads_flag(tiny_cfg, tmp_path):
-    assert main(["run", tiny_cfg, "--output", str(tmp_path / "t2"),
-                 "--threads", "2"]) == 0
-    assert main(["run", tiny_cfg, "--output", str(tmp_path / "t0"),
-                 "--threads", "0"]) == 1

@@ -87,6 +87,24 @@ def test_small_example_pipeline(tmp_path):
     assert (tmp_path / "out" / "convergence.csv").exists()
     assert (tmp_path / "out" / "limit_solution.csv").exists()
     assert (tmp_path / "out" / "limit_solution_values.csv").exists()
+    face = next(s for s in res.stages if s.name == "limit_formula").details
+    assert face["path"] == "vertex"
+    assert face["vertices"] >= 1 and face["critical_arcs"] >= face["vertices"]
+
+
+def test_barrier_suite_runs_in_two_dimensions(tmp_path):
+    cfg = ExperimentConfig(
+        kind="barrier_suite", name="barrier_2d", model_name="mechanical",
+        model_params={}, d=2, n=8, vmax=2.0, m=7, tmax=8.0,
+        extras={"m_critical": "7", "alpha": "0.3, 0.5"},
+    )
+    res = run_experiment(cfg, output=str(tmp_path / "out"))
+    names = [s.name for s in res.stages]
+    assert names == ["critical_mechanical", "critical_shifted_quadratic",
+                     "barrier_structure"]
+    shifted = res.stages[1].details
+    assert shifted["analytic"] == pytest.approx(0.5 * (0.3**2 + 0.5**2))
+    assert set(shifted["per_method"]) == {"lp", "discount", "longtime"}
 
 
 def test_failing_stage_recorded(tmp_path):

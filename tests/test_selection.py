@@ -119,15 +119,6 @@ def test_operator_multiplicity_map_double_well():
     assert res.multiplicity[0] is False         # its own well strictly wins
 
 
-def test_operator_thread_count_invariance(cos_setup):
-    # results must be bit-identical regardless of the worker cap
-    model, grid, vset, poly, h = cos_setup
-    phi = GridField.from_function(grid, lambda X: 0.4 * np.sin(2 * np.pi * X[..., 0]))
-    r1 = apply_selection_operator(model, ones(grid), phi, h, poly, threads=1)
-    r3 = apply_selection_operator(model, ones(grid), phi, h, poly, threads=3)
-    np.testing.assert_array_equal(r1.field.values, r3.field.values)
-
-
 def test_limit_formula_unique_measure(cos_setup):
     model, grid, vset, poly, h = cos_setup
     V0 = GridField.from_function(grid, lambda X: 0.25 * np.cos(2 * np.pi * X[..., 0]) + 0.1)
