@@ -29,7 +29,7 @@ __all__ = [
     "read_barrier_binary",
     "write_barrier_csv",
     "write_measure_csv",
-    "write_projected_csv",
+    "write_node_csv",
     "write_trace_csv",
     "write_convergence_csv",
     "write_manifest",
@@ -111,12 +111,12 @@ def write_measure_csv(mu: DiscreteMeasure, path: str) -> None:
                     f.write(f"{i},{k},{fmt17(W[i, k])}\n")
 
 
-def write_projected_csv(mu: DiscreteMeasure, path: str) -> None:
-    proj = mu.projected()
+def write_node_csv(values, path: str, column: str = "weight") -> None:
+    """One value per node, e.g. a projected measure or per-node operator values."""
     with open(path, "w", newline="\n") as f:
-        f.write("# node,weight\n")
-        for i, w in enumerate(proj):
-            f.write(f"{i},{fmt17(w)}\n")
+        f.write(f"# node,{column}\n")
+        for i, v in enumerate(values):
+            f.write(f"{i},{fmt17(v)}\n")
 
 
 def write_trace_csv(trace, path: str) -> None:

@@ -6,12 +6,13 @@ y in time t) evolves by the Bellman step
     h_{t+dt}(x, y) = min_v [ h_t(x, y - v*dt) + dt * L0(y, v) ],
 
 with L0 evaluated at the arrival point so the step is the lam = 0 member of
-the same update family the discounted solver iterates; barrier columns are
-then exact vanishing-discount limits of the solver rather than merely
-O(dt)-consistent ones.  The default dt aligns every velocity hop with the
-node lattice (dt = h / velocity step), which keeps the +BIG unreachability
-sentinel exact: off-lattice foot points would otherwise never leave the
-diagonal seed.
+the same update family the discounted solver iterates, over the arcs of the
+same kernel (`solver.Transition`); barrier columns are then exact
+vanishing-discount limits of the solver rather than merely O(dt)-consistent
+ones.  The default dt aligns every velocity hop with the node lattice
+(dt = h / velocity step), which keeps the +BIG unreachability sentinel
+exact: off-lattice foot points would otherwise never leave the diagonal
+seed.
 
 The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is approximated by
 the minimum over a sampled tail window of [Tmax/2, Tmax]; a drift detector
@@ -28,9 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grids import GridField, PeriodicGrid, interpolation_stencil
+from .grids import GridField, PeriodicGrid
 from .models import ControlModel, VelocitySet, discounted_wrapper
-from .solver import default_dt, lambda_sweep
+from .solver import Transition, default_dt, lambda_sweep, on_arcs
 
 __all__ = [
     "BIG",
@@ -94,39 +95,24 @@ class _ActionKernel:
 
     def __init__(self, model: ControlModel, grid: PeriodicGrid,
                  vset: VelocitySet, dt: float):
-        self.grid, self.vset, self.dt = grid, vset, dt
-        X = grid.node_coords()
-        K = vset.count
-        XK = np.broadcast_to(X[None, :, :], (K,) + X.shape)
-        VK = np.broadcast_to(vset.velocities[:, None, :], (K,) + X.shape)
-        self.cost = dt * np.asarray(model.L(XK, VK, 0.0), dtype=float)   # (K, N)
-        hops = vset.velocities * (dt / grid.h)
-        rounded = np.rint(hops)
-        self.integer_hops = bool(np.max(np.abs(hops - rounded)) < 1e-9)
-        if self.integer_hops:
-            multi = np.stack(
-                np.meshgrid(*[np.arange(grid.n)] * grid.d, indexing="ij"), axis=-1
-            ).reshape(-1, grid.d)
-            foot = multi[None, :, :] - rounded.astype(np.int64)[:, None, :]
-            self.src = grid.flat_index(foot)                             # (K, N)
-        else:
-            foot = X[None, :, :] - vset.velocities[:, None, :] * dt
-            self.idx, self.w = interpolation_stencil(grid, foot)         # (K, N, S)
+        self.arcs = Transition(grid, vset, dt)
+        self.cost = dt * on_arcs(grid, vset, model.L, 0.0)             # (K, N)
 
     def step(self, A: np.ndarray) -> np.ndarray:
         K, N = self.cost.shape
+        take, w = self.arcs.take, self.arcs.w
         out = np.full_like(A, BIG)
-        if self.integer_hops:
+        if w is None:
             for k in range(K):
-                cand = A[:, self.src[k]] + self.cost[k][None, :]
+                cand = A[:, take[k]] + self.cost[k][None, :]
                 np.minimum(out, cand, out=out)
             return np.minimum(out, BIG)
         for k in range(K):
             vals = np.zeros_like(A)
             finite = np.ones(A.shape, dtype=bool)
-            for s in range(self.idx.shape[2]):
-                wj = self.w[k, :, s]
-                Aj = A[:, self.idx[k, :, s]]
+            for s in range(take.shape[2]):
+                wj = w[k, :, s]
+                Aj = A[:, take[k, :, s]]
                 active = wj > 1e-12
                 bad = (Aj > BIG / 2) & active[None, :]
                 finite &= ~bad

@@ -1,11 +1,13 @@
 """Backward calibrated curves and discounted occupation measures.
 
 A backward discrete characteristic from x repeatedly takes the argmin branch
-of the same Bellman update the solver iterates, so on a converged field each
-step realizes the dynamic-programming equality up to the solver defect (when
-foot points are grid nodes) plus the one-cell interpolation kink scale (when
-they are not; the threshold self-calibrates from the field's second
-differences since off-lattice steps cannot do better than that).
+of the same Bellman update the solver iterates, over the arcs of the same
+transition kernel (`solver.Transition`, which also decides whether the hops
+are whole cells), so on a converged field each step realizes the
+dynamic-programming equality up to the solver defect (when foot points are
+grid nodes) plus the one-cell interpolation kink scale (when they are not;
+the threshold self-calibrates from the field's second differences since
+off-lattice steps cannot do better than that).
 
 The discounted occupation measure weights step k by
 
@@ -29,7 +31,7 @@ from .errors import CalibrationError, ConfigurationError, TailMassError
 from .grids import GridField, PeriodicGrid, interpolate, interpolation_stencil, wrap_points
 from .matherlp import DiscreteMeasure
 from .models import ControlModel, VelocitySet
-from .solver import Bracket
+from .solver import Bracket, Transition, on_arcs
 
 __all__ = [
     "CurveTrace",
@@ -106,8 +108,7 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     steps = int(np.floor(Tmax / dt + 1e-12))
     vels = vset.velocities                      # (K, d)
     K = vset.count
-    hops = vels * (dt / grid.h)
-    lattice_steps = bool(np.max(np.abs(hops - np.rint(hops))) < 1e-9)
+    lattice_steps = Transition(grid, vset, dt).integer_hops
     y = wrap_points(np.asarray(x, dtype=float), grid.d)
     start_on_node = bool(
         np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
@@ -259,13 +260,9 @@ def speed_bound_check(trace: CurveTrace, model: ControlModel,
     saturates the velocity lattice: a truncated lattice invalidates the
     argmin itself.
     """
-    X = grid.node_coords()
-    K = vset.count
-    XK = np.broadcast_to(X[None, :, :], (K,) + X.shape)
-    VK = np.broadcast_to(vset.velocities[:, None, :], (K,) + X.shape)
     D0 = bracket.T
-    speeds = np.sqrt(np.sum(VK**2, axis=-1))
-    C0 = float(np.max((D0 + 1.0) * speeds - model.L(XK, VK, bracket.lambda0 * D0)))
+    L = on_arcs(grid, vset, model.L, bracket.lambda0 * D0)          # (K, N)
+    C0 = float(np.max((D0 + 1.0) * vset.speeds()[:, None] - L))
     bound = C0 + bracket.lambda0 * (bracket.kappa - 1.0) - (model.c0 or 0.0)
     if trace.steps == 0:
         return SpeedReport(True, 0.0, vset.vmax, bound, False)

@@ -32,6 +32,7 @@ from .artifacts import (
     write_field_csv,
     write_manifest,
     write_measure_csv,
+    write_node_csv,
     write_trace_csv,
 )
 from .barrier import (
@@ -41,6 +42,7 @@ from .barrier import (
     solution_from_barrier,
 )
 from .curves import (
+    CurveTrace,
     backward_calibrated_curve,
     check_mass_identity,
     closedness_defect,
@@ -271,23 +273,16 @@ def export_all(results: dict, outdir: str) -> list:
             write_measure_csv(obj, os.path.join(outdir, fn))
         elif isinstance(obj, np.ndarray):      # projected / per-node weight vectors
             fn = f"{key}.csv"
-            with open(os.path.join(outdir, fn), "w", newline="\n") as f:
-                f.write("# node,weight\n")
-                from .artifacts import fmt17
-                for i, w in enumerate(obj):
-                    f.write(f"{i},{fmt17(w)}\n")
+            write_node_csv(obj, os.path.join(outdir, fn))
         elif isinstance(obj, SelectionResult):
-            from .artifacts import fmt17
             fn = f"{key}.csv"
             if obj.field is not None:
                 write_field_csv(obj.field, os.path.join(outdir, fn))
             else:
                 with open(os.path.join(outdir, fn), "w", newline="\n") as f:
                     f.write("# partial evaluation; see the value file\n")
-            with open(os.path.join(outdir, f"{key}_values.csv"), "w", newline="\n") as f:
-                f.write("# node,value\n")
-                for i, v in enumerate(obj.per_x_value):
-                    f.write(f"{i},{fmt17(v)}\n")
+            write_node_csv(obj.per_x_value, os.path.join(outdir, f"{key}_values.csv"),
+                           "value")
             written.append(f"{key}_values.csv")
             for node, witness in sorted((obj.per_x_optimizer or {}).items()):
                 wfn = f"{key}_witness_{node}.csv"
@@ -299,7 +294,7 @@ def export_all(results: dict, outdir: str) -> list:
         elif isinstance(obj, dict):
             fn = f"{key}.json"
             write_manifest(obj, os.path.join(outdir, fn))
-        elif hasattr(obj, "vel_indices"):       # CurveTrace without an import cycle
+        elif isinstance(obj, CurveTrace):
             fn = f"{key}.csv"
             write_trace_csv(obj, os.path.join(outdir, fn))
         else:

@@ -1,12 +1,11 @@
 """Mather measures as linear programs over a discrete closed-measure polytope.
 
-A measure is a nonnegative weight per (node, velocity) pair, an "arc" from
-the node to the foot of its velocity hop.  Closedness is imposed through the
-same semi-Lagrangian transition kernel the solver uses: the pushforward of
-(x, v) is the multilinear binning of x + v*dt, and a closed measure is one
-whose per-node inflow equals its outflow.  Minimizing the u = 0 action over
-that polytope yields the discrete critical value and its minimizing
-measures.
+A measure is a nonnegative weight per (node, velocity) pair, an "arc" of
+the transition kernel the solver uses (`solver.Transition`).  Closedness is
+imposed through that kernel: the pushforward of (x, v) is the arc's head,
+the multilinear binning of x + v*dt, and a closed measure is one whose
+per-node inflow equals its outflow.  Minimizing the u = 0 action over that
+polytope yields the discrete critical value and its minimizing measures.
 
 The Mather face is exact and finite.  `build_polytope` keeps the reduced
 costs of one optimal dual of that critical LP (HiGHS returns the dual with
@@ -21,13 +20,13 @@ solves `fractional_minimize` restricted to the critical arcs.
 
 The full-polytope programs, which impose minimality as an action row with
 slack tol_min, remain as `minimize_linear_over_mather` and
-`fractional_minimize` without a support; they serve the comparison checks
-and the tests as an oracle.  Linear programs are solved with HiGHS dual
-simplex (deterministic pivoting, vertex solutions).  Their multiplicity flag
-comes from a second LP that maximizes the mass movable off the support of
-the returned vertex while staying on the optimal face; reduced-cost
-inspection alone cannot tell a degenerate vertex from a genuine alternative
-optimum since those optima are typically sparse and thus heavily degenerate.
+`fractional_minimize` without a support; they serve the tests as an
+oracle.  Linear programs are solved with HiGHS dual simplex (deterministic
+pivoting, vertex solutions).  Their multiplicity flag comes from a second LP
+that maximizes the mass movable off the support of the returned vertex while
+staying on the optimal face; reduced-cost inspection alone cannot tell a
+degenerate vertex from a genuine alternative optimum since those optima are
+typically sparse and thus heavily degenerate.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import ConfigurationError, DomainError, MatherLPError
-from .grids import PeriodicGrid, interpolation_stencil
+from .grids import PeriodicGrid
 from .models import ControlModel, VelocitySet
-from .solver import default_dt
+from .solver import Transition, default_dt, on_arcs
 
 __all__ = [
     "DiscreteMeasure",
@@ -94,20 +93,6 @@ class DiscreteMeasure:
         return (w[:, None] * V).sum(axis=0) / max(w.sum(), 1e-300)
 
 
-def _lattice_successors(grid: PeriodicGrid, vset: VelocitySet,
-                       dt: float) -> Optional[np.ndarray]:
-    """(N, K) foot node of every arc when each hop v*dt/h is an integer,
-    else None (the hops then land between nodes)."""
-    hops = vset.velocities * (dt / grid.h)
-    rounded = np.rint(hops)
-    if np.max(np.abs(hops - rounded)) >= 1e-9:
-        return None
-    multi = np.stack(
-        np.meshgrid(*[np.arange(grid.n)] * grid.d, indexing="ij"), axis=-1
-    ).reshape(-1, grid.d)
-    return grid.flat_index(multi[:, None, :] + rounded.astype(np.int64)[None, :, :])
-
-
 def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> sparse.csr_matrix:
     """Sparse (N x N*K) operator whose rows vanish exactly on closed measures.
 
@@ -116,12 +101,10 @@ def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> spa
     """
     N, K = grid.size, vset.count
     cols = np.arange(N * K)
-    succ = _lattice_successors(grid, vset, dt)
-    if succ is not None:
-        rows, vals = succ.ravel(), np.ones(N * K)
+    idx, w = Transition(grid, vset, dt).stencil(+1)        # heads x + v*dt
+    if w is None:
+        rows, vals = idx.T.ravel(), np.ones(N * K)
     else:
-        fwd = grid.node_coords()[None, :, :] + vset.velocities[:, None, :] * dt
-        idx, w = interpolation_stencil(grid, fwd)           # (K, N, S)
         S = idx.shape[2]
         rows = idx.transpose(1, 0, 2).ravel()
         vals = w.transpose(1, 0, 2).ravel()
@@ -171,12 +154,7 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     keep the critical value, the optimizer and the reduced costs of the dual."""
     if dt is None:
         dt = default_dt(grid, vset)
-    X = grid.node_coords()
-    K = vset.count
-    XK = np.broadcast_to(X[None, :, :], (K,) + X.shape)
-    VK = np.broadcast_to(vset.velocities[:, None, :], (K,) + X.shape)
-    L0 = np.asarray(model.L(XK, VK, 0.0), dtype=float)      # (K, N)
-    action = L0.T.ravel()                                   # flat (x, k)
+    action = on_arcs(grid, vset, model.L, 0.0).T.ravel()    # flat (x, k)
     poly = MatherPolytope(grid=grid, vset=vset, dt=dt,
                           C=closedness_operator(grid, vset, dt),
                           action=action, tol_min=tol_min)
@@ -353,8 +331,8 @@ def mather_vertices(polytope: MatherPolytope) -> Optional[list]:
     as an array of flat arc indices.  Returns None when the hops are off the
     lattice or a node has two or more critical arcs.
     """
-    succ = _lattice_successors(polytope.grid, polytope.vset, polytope.dt)
-    if succ is None:
+    head, w = Transition(polytope.grid, polytope.vset, polytope.dt).stencil(+1)
+    if w is not None:
         return None
     N, K = polytope.grid.size, polytope.vset.count
     arcs = polytope.critical_arcs()
@@ -362,7 +340,7 @@ def mather_vertices(polytope: MatherPolytope) -> Optional[list]:
     if np.any(np.bincount(src, minlength=N) > 1):
         return None
     nxt = np.full(N, -1)
-    nxt[src] = succ.ravel()[arcs]
+    nxt[src] = head[arcs % K, src]
     arc_of = np.full(N, -1)
     arc_of[src] = arcs
     state = np.zeros(N, dtype=np.int8)        # 0 new, 1 on this walk, 2 done

@@ -18,7 +18,9 @@ critical arcs.  Its fixed points are the discrete solutions of the critical
 equation; the checks below exercise the Lipschitz-1 bound, idempotence, the
 measure-integral comparison principle, the largest-subsolution
 characterization of the vanishing-discount limit, and the equilibrium
-measures attaining the infimum.
+measures attaining the infimum.  The comparison and largest-subsolution
+checks minimize linear functionals, the denominator-one case of the same
+evaluation.
 
 The limit-solution formula for a discounted family with u-derivative
 dL/du(.,.,0) < 0 is the sign-flipped variant
@@ -45,10 +47,9 @@ from .matherlp import (
     MatherPolytope,
     fractional_minimize,
     mather_vertices,
-    minimize_linear_over_mather,
 )
 from .models import ControlModel, VelocitySet
-from .solver import one_sided_subsolution_defect
+from .solver import on_arcs, one_sided_subsolution_defect
 
 __all__ = [
     "SelectionResult",
@@ -81,12 +82,7 @@ def _lift(node_values: np.ndarray, K: int) -> np.ndarray:
 
 
 def _dl_flat(model: ControlModel, polytope: MatherPolytope) -> np.ndarray:
-    X = polytope.grid.node_coords()
-    K = polytope.vset.count
-    XK = np.broadcast_to(X[None, :, :], (K,) + X.shape)
-    VK = np.broadcast_to(polytope.vset.velocities[:, None, :], (K,) + X.shape)
-    dl = np.asarray(model.dLdu0(XK, VK), dtype=float)        # (K, N)
-    return dl.T.ravel()
+    return on_arcs(polytope.grid, polytope.vset, model.dLdu0).T.ravel()
 
 
 def _minimize_on_face(polytope: MatherPolytope, h: np.ndarray, beta: np.ndarray,
@@ -147,6 +143,15 @@ def _minimize_on_face(polytope: MatherPolytope, h: np.ndarray, beta: np.ndarray,
         for x, count in zip(targets, ties.sum(axis=0)):
             mult[int(x)] = bool(count >= 2)
     return SelectionResult(None, values, measures, mult, "vertex", len(arcs), len(cycles))
+
+
+def _face_minimum(polytope: MatherPolytope, cost: np.ndarray) -> float:
+    """min over Mather measures mu of the linear functional int cost dmu,
+    the beta = 1 case of `_minimize_on_face` with a zero barrier column."""
+    res = _minimize_on_face(polytope, np.zeros((polytope.grid.size, 1)),
+                            np.ones(polytope.num_vars), cost, np.array([0]),
+                            False, False)
+    return float(res.per_x_value[0])
 
 
 def apply_selection_operator(model_G: ControlModel, sigma: GridField,
@@ -234,13 +239,12 @@ def measure_comparison(u1: GridField, u2: GridField, sigma: GridField,
     """Measure-integral comparison: if int sigma u1 dmu <= int sigma u2 dmu
     for every Mather measure, then u1 <= u2 everywhere (for solutions).
 
-    The hypothesis is decided by one LP: min over the Mather subpolytope of
-    int sigma (u2 - u1) dmu >= -tol.  The verdict records both sides and
-    whether the implication held.
+    The hypothesis is decided on the vertices of the Mather face: min over
+    Mather measures of int sigma (u2 - u1) dmu >= -tol.  The verdict records
+    both sides and whether the implication held.
     """
     K = polytope.vset.count
-    cost = _lift(sigma.values * (u2.values - u1.values), K)
-    _, gap, _ = minimize_linear_over_mather(polytope, cost)
+    gap = _face_minimum(polytope, _lift(sigma.values * (u2.values - u1.values), K))
     hyp = gap >= -tol_hypothesis
     maxgap = float(np.max(u1.values - u2.values))
     con = maxgap <= tol_conclusion
@@ -295,8 +299,7 @@ def check_largest_subsolution(u0: GridField, V0: GridField,
         entry = SubsolutionEntry(index=i, is_subsolution=defect <= sub_tol,
                                  subsolution_defect=defect)
         if entry.is_subsolution:
-            cost = _lift(w.values, K) * dl - v0
-            _, gap, _ = minimize_linear_over_mather(polytope, cost)
+            gap = _face_minimum(polytope, _lift(w.values, K) * dl - v0)
             entry.member = gap >= -member_tol
             entry.membership_gap = float(gap)
             if entry.member:

@@ -15,7 +15,10 @@ By default dt = h / (velocity lattice step), which makes every foot point a
 grid node: characteristics then live on the lattice exactly, the scheme has
 no interpolation bias, and the dynamic-programming branch along backward
 curves is exact.  Any other dt (including much smaller ones) is supported
-through interpolation.
+through interpolation.  `Transition` holds these arcs once for the whole
+package: the action DP (barrier), the closedness operator (matherlp) and
+backward curves use the same kernel, and `on_arcs` evaluates a function of
+(x, v) on all of its arcs.
 
 Convergence at small lam is dominated by the constant mode, whose effective
 contraction factor is 1 - lam*dt*sigma.  Each sweep therefore applies the
@@ -33,15 +36,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, SolveError
+from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid, interpolation_stencil
 from .models import ControlModel, VelocitySet
 
 __all__ = [
     "SolveReport",
     "Bracket",
-    "TransitionStencil",
-    "transition_stencil",
+    "Transition",
+    "on_arcs",
     "default_dt",
     "bellman_apply",
     "compute_bracket",
@@ -93,45 +96,53 @@ class Bracket:
         return GridField(self.lower.grid, 0.5 * (self.lower.values + self.upper.values))
 
 
-@dataclass
-class TransitionStencil:
-    """Precomputed foot-point data for one (grid, velocity set, dt) triple."""
+class Transition:
+    """The one transition kernel of a (grid, velocity set, dt) triple.
 
-    grid: PeriodicGrid
-    vset: VelocitySet
-    dt: float
-    integer_hops: bool
-    take: Optional[np.ndarray] = None   # (K, N) node indices, integer-hop path
-    idx: Optional[np.ndarray] = None    # (K, N, S) stencil indices
-    w: Optional[np.ndarray] = None      # (K, N, S) convex weights
+    Arc (k, x) leaves node x with velocity v_k for one time step.  The
+    Bellman update, the action DP and backward curves read values at its
+    foot x - v*dt; the closedness operator pushes mass to its head x + v*dt.
+    With integer hops (v*dt/h whole for every velocity) both ends are nodes;
+    otherwise they are periodic multilinear stencils.  `take` and `w` hold
+    the foot stencil in (K, N) C order.
+    """
+
+    def __init__(self, grid: PeriodicGrid, vset: VelocitySet, dt: float):
+        if vset.d != grid.d:
+            raise ConfigurationError("velocity set and grid dimensions differ")
+        self.grid, self.vset, self.dt = grid, vset, float(dt)
+        hops = vset.velocities * (self.dt / grid.h)     # (K, d), in cells
+        self.integer_hops = bool(np.max(np.abs(hops - np.rint(hops))) < 1e-9)
+        self.take, self.w = self.stencil(-1)
+
+    def stencil(self, sign: int):
+        """Arc ends x + sign*v*dt: (K, N) node indices and None with integer
+        hops, else (K, N, S) stencil indices and convex weights."""
+        ends = (self.grid.node_coords()[None, :, :]
+                + sign * self.vset.velocities[:, None, :] * self.dt)
+        if self.integer_hops:
+            return self.grid.nearest_node(ends), None
+        return interpolation_stencil(self.grid, ends)
 
     def foot_values(self, values: np.ndarray) -> np.ndarray:
         """Field values at all foot points, shape (K, N)."""
-        if self.integer_hops:
+        if self.w is None:
             return values[self.take]
-        return np.sum(values[self.idx] * self.w, axis=-1)
+        return np.sum(values[self.take] * self.w, axis=-1)
+
+
+def on_arcs(grid: PeriodicGrid, vset: VelocitySet, fn, *args) -> np.ndarray:
+    """fn(x, v, *args) at every arc (velocity k, node x), shape (K, N)."""
+    X = grid.node_coords()
+    shape = (vset.count,) + X.shape
+    XK = np.broadcast_to(X[None, :, :], shape)
+    VK = np.broadcast_to(vset.velocities[:, None, :], shape)
+    return np.asarray(fn(XK, VK, *args), dtype=float)
 
 
 def default_dt(grid: PeriodicGrid, vset: VelocitySet) -> float:
     """Time step aligning every velocity hop with the node lattice."""
     return grid.h / vset.spacing
-
-
-def transition_stencil(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> TransitionStencil:
-    if vset.d != grid.d:
-        raise ConfigurationError("velocity set and grid dimensions differ")
-    hops = vset.velocities * (dt / grid.h)          # (K, d), in cells
-    rounded = np.rint(hops)
-    if np.max(np.abs(hops - rounded)) < 1e-9:
-        nodes_multi = np.stack(
-            np.meshgrid(*[np.arange(grid.n)] * grid.d, indexing="ij"), axis=-1
-        ).reshape(-1, grid.d)                        # (N, d)
-        foot_multi = nodes_multi[None, :, :] - rounded.astype(np.int64)[:, None, :]
-        take = grid.flat_index(foot_multi)
-        return TransitionStencil(grid, vset, dt, True, take=take)
-    foot = grid.node_coords()[None, :, :] - vset.velocities[:, None, :] * dt
-    idx, w = interpolation_stencil(grid, foot)
-    return TransitionStencil(grid, vset, dt, False, idx=idx, w=w)
 
 
 class _Kernel:
@@ -148,41 +159,23 @@ class _Kernel:
         self.model = model
         self.lam = float(lam)
         self.dt = float(dt)
-        self.stencil = transition_stencil(grid, vset, dt)
-        X = grid.node_coords()
-        self.X = X
-        K = vset.count
-        XK = np.broadcast_to(X[None, :, :], (K, X.shape[0], X.shape[1]))
-        VK = np.broadcast_to(vset.velocities[:, None, :], (K, X.shape[0], X.shape[1]))
-        L0 = np.asarray(model.L(XK, VK, 0.0), dtype=float)
-        Vlam = np.asarray(model.V(X, lam), dtype=float) if lam != 0.0 else 0.0
+        self.arcs = Transition(grid, vset, dt)
+        self.X = grid.node_coords()
+        L0 = on_arcs(grid, vset, model.L, 0.0)
+        Vlam = np.asarray(model.V(self.X, lam), dtype=float) if lam != 0.0 else 0.0
         self.base = dt * (L0 - lam * Vlam + c0)      # (K, N)
-        self._generic_XK = XK if model.L_u_part is None else None
-        self._generic_VK = VK if model.L_u_part is None else None
         self._L0 = L0 if model.L_u_part is None else None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        fv = self.stencil.foot_values(values)        # (K, N)
+        fv = self.arcs.foot_values(values)           # (K, N)
         if self.lam == 0.0:
             cand = self.base + fv
         elif self.model.L_u_part is not None:
             cand = self.base + self.dt * self.model.L_u_part(self.X, self.lam * fv) + fv
         else:
-            Lfull = self.model.L(self._generic_XK, self._generic_VK, self.lam * fv)
+            Lfull = on_arcs(self.arcs.grid, self.arcs.vset, self.model.L, self.lam * fv)
             cand = self.base + self.dt * (Lfull - self._L0) + fv
         return cand.min(axis=0)
-
-    def apply_with_argmin(self, values: np.ndarray):
-        fv = self.stencil.foot_values(values)
-        if self.lam == 0.0:
-            cand = self.base + fv
-        elif self.model.L_u_part is not None:
-            cand = self.base + self.dt * self.model.L_u_part(self.X, self.lam * fv) + fv
-        else:
-            Lfull = self.model.L(self._generic_XK, self._generic_VK, self.lam * fv)
-            cand = self.base + self.dt * (Lfull - self._L0) + fv
-        amin = cand.argmin(axis=0)
-        return cand.min(axis=0), amin
 
 
 def bellman_apply(model: ControlModel, lam: float, u: GridField,
@@ -414,7 +407,9 @@ def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
                  vset: VelocitySet, **solver_kwargs) -> list[SweepEntry]:
     """Solve a strictly descending discount schedule with warm starts.
 
-    Per-entry failures are recorded, not raised, and do not abort the sweep.
+    The typed failures of one solve (SolveError, ConfigurationError, and
+    DomainError from a non-finite field) are recorded in its entry and do not
+    abort the sweep; any other exception propagates.
     """
     lams = [float(x) for x in lambdas]
     if any(b >= a for a, b in zip(lams, lams[1:])):
@@ -426,6 +421,6 @@ def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
             fld, rep = solve_perturbed(model, lam, grid, vset, init=warm, **solver_kwargs)
             out.append(SweepEntry(lam, fld, rep))
             warm = fld
-        except Exception as exc:  # noqa: BLE001 - sweep must survive per-entry faults
+        except (SolveError, ConfigurationError, DomainError) as exc:
             out.append(SweepEntry(lam, None, None, error=str(exc)))
     return out

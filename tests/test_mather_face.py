@@ -22,8 +22,10 @@ from torushj.matherlp import (
 from torushj.models import builtin_model, velocity_set
 from torushj.selection import (
     apply_selection_operator,
+    check_largest_subsolution,
     equilibrium_measures,
     limit_solution_formula,
+    measure_comparison,
 )
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
@@ -216,3 +218,68 @@ def test_fallback_failure_chains_a_typed_error(monkeypatch):
         apply_selection_operator(model, GridField.constant(grid, 1.0),
                                  GridField.constant(grid, 0.0), h, poly)
     assert isinstance(err.value.__cause__, TwoArgumentError)
+
+
+def test_comparison_checks_decide_on_the_exact_face():
+    """Rotation n = 32 with seeded random costs: the full-polytope LP, with
+    its tol_min = 1e-9 action slack, undercuts the exact face minimum (the
+    best cycle mean) by ~1e-6, above both checks' tolerances."""
+    grid = build_grid(1, 32)
+    vset = velocity_set(3.0, 25)
+    model = MODELS["rotation"]()
+    poly = build_polytope(model, grid, vset)
+    model = model.with_c0(poly.c)
+    oracle = dataclasses.replace(poly, tol_min=1e-12)
+    cycles = mather_vertices(poly)
+    K = vset.count
+    zero = GridField.constant(grid, 0.0)
+    for seed in range(5):
+        g = np.random.default_rng(seed).normal(size=grid.size)
+        means = [float(np.mean(g[cyc // K])) for cyc in cycles]
+        # the vertices are the uniform measures on the cycles, so
+        # int (g - min(means)) dmu has exact face minimum 0
+        u2 = GridField(grid, g - min(means))
+        v = measure_comparison(zero, u2, GridField.constant(grid, 1.0), poly)
+        assert v.hypothesis
+        assert v.min_weighted_gap == pytest.approx(0.0, abs=1e-12)
+        want = minimize_linear_over_mather(oracle, np.repeat(u2.values, K))[1]
+        assert v.min_weighted_gap == pytest.approx(want, abs=ORACLE_TOL)
+        # dL/du = -1: w = -max(means) has membership gap
+        # min over mu of int (-w - g) dmu = max(means) - max(means) = 0
+        V0 = GridField(grid, g)
+        w = GridField.constant(grid, -max(means))
+        rep = check_largest_subsolution(w, V0, poly, [w], model, vset, poly.dt)
+        entry = rep.entries[0]
+        assert entry.is_subsolution and entry.member and entry.dominated
+        assert entry.membership_gap == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_comparison_checks_on_a_branched_critical_graph(seed):
+    """alpha = half a velocity step ties v = 0 and v = one step, so every node
+    has two critical arcs and the checks take the restricted-LP fallback."""
+    grid = build_grid(1, 16)
+    vset = velocity_set(3.0, 25)
+    model = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)
+    poly = build_polytope(model, grid, vset)
+    model = model.with_c0(poly.c)
+    assert mather_vertices(poly) is None
+    assert len(poly.critical_arcs()) == 2 * grid.size
+    oracle = dataclasses.replace(poly, tol_min=1e-12)
+    K = vset.count
+    rng = np.random.default_rng(seed)
+    u1, u2 = random_field(grid, seed), random_field(grid, seed + 1)
+    sigma = GridField(grid, rng.uniform(0.2, 2.0, size=grid.size))
+    v = measure_comparison(u1, u2, sigma, poly)
+    cost = sigma.values * (u2.values - u1.values)
+    want = minimize_linear_over_mather(oracle, np.repeat(cost, K))[1]
+    assert v.min_weighted_gap == pytest.approx(want, abs=ORACLE_TOL)
+    # every rest measure is a Mather measure here, so the minimum is nodal
+    assert v.min_weighted_gap == pytest.approx(cost.min(), abs=1e-12)
+    V0 = random_field(grid, seed + 2)
+    w = GridField.constant(grid, -float(V0.values.max()) - 0.1)
+    rep = check_largest_subsolution(w, V0, poly, [w], model, vset, poly.dt)
+    want = minimize_linear_over_mather(oracle, np.repeat(-w.values - V0.values, K))[1]
+    assert rep.entries[0].member
+    assert rep.entries[0].membership_gap == pytest.approx(want, abs=ORACLE_TOL)

@@ -209,6 +209,26 @@ def test_sweep_warm_start_and_edge_cases(small_setup):
         lambda_sweep(model, [0.05, 0.1], grid, vset)
 
 
+def test_sweep_records_typed_failures_and_raises_others(small_setup):
+    import dataclasses
+    grid, vset, dt = small_setup
+    model = builtin_model("mechanical", U=COS).with_c0(1.0)
+    # dt*lam*sigma >= 1 at lam = 10 is a ConfigurationError of that entry only
+    entries = lambda_sweep(model, [10.0, 0.5], grid, vset, dt=dt, tol=1e-6)
+    assert entries[0].field is None and "monotonicity" in entries[0].error
+    assert entries[1].field is not None and entries[1].report.converged
+    # a non-finite field is a DomainError of that entry
+    nan_V = dataclasses.replace(model, V=lambda x, lam: np.full(x.shape[:-1], np.nan))
+    entries = lambda_sweep(nan_V, [0.5], grid, vset, dt=dt, max_iter=3)
+    assert entries[0].field is None and "finite" in entries[0].error
+
+    def broken_L(x, v, u):
+        raise TypeError("programming error")
+
+    with pytest.raises(TypeError, match="programming error"):
+        lambda_sweep(dataclasses.replace(model, L=broken_L), [0.5], grid, vset, dt=dt)
+
+
 def test_generic_model_without_separable_coupling(small_setup):
     # user-style model lacking the L_u_part shortcut must match the builtin
     import dataclasses

@@ -1,0 +1,140 @@
+"""The one transition kernel, `solver.Transition`, checked against
+`grids.interpolate` as an oracle, and the closedness operator built on it."""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from torushj.errors import ConfigurationError
+from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
+from torushj.matherlp import closedness_operator
+from torushj.models import velocity_set
+from torushj.solver import Transition, default_dt, on_arcs
+
+# (d, n, vmax, m, dt) with dt None for the default h / (velocity step)
+GRIDS = [
+    (1, 16, 2.0, 9, None),
+    (1, 32, 2.0, 17, None),
+    (1, 64, 3.0, 33, None),
+    (1, 64, 3.0, 49, None),
+    (1, 32, 2.0, 17, 0.0101),
+    (2, 8, 1.0, 5, None),
+]
+KERNELS = GRIDS + [
+    (1, 16, 2.0, 9, "double"),          # two cells per velocity step
+    (2, 8, 1.0, 5, 0.0101),
+]
+
+
+def make(d, n, vmax, m, dt):
+    grid = build_grid(d, n)
+    vset = velocity_set(vmax, m, d)
+    base = default_dt(grid, vset)
+    dt = base if dt is None else 2.0 * base if dt == "double" else dt
+    return grid, vset, dt
+
+
+def random_field(grid, seed):
+    return GridField(grid, np.random.default_rng(seed).normal(size=grid.size))
+
+
+def arc_points(grid, vset, dt, sign):
+    """x + sign*v*dt for every arc, shape (K, N, d)."""
+    return grid.node_coords()[None, :, :] + sign * vset.velocities[:, None, :] * dt
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_integer_hops_decided_from_dt(case):
+    grid, vset, dt = make(*case)
+    assert Transition(grid, vset, dt).integer_hops == (case[4] != 0.0101)
+
+
+@pytest.mark.parametrize("case", KERNELS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_foot_values_match_interpolation(case, seed):
+    grid, vset, dt = make(*case)
+    arcs = Transition(grid, vset, dt)
+    u = random_field(grid, seed)
+    fv = arcs.foot_values(u.values)
+    assert fv.shape == (vset.count, grid.size)
+    np.testing.assert_allclose(fv, interpolate(u, arc_points(grid, vset, dt, -1)),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", KERNELS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_heads_bin_the_forward_points(case, seed):
+    grid, vset, dt = make(*case)
+    arcs = Transition(grid, vset, dt)
+    idx, w = arcs.stencil(+1)
+    u = random_field(grid, seed)
+    if arcs.integer_hops:
+        assert w is None and idx.shape == (vset.count, grid.size)
+        heads = u.values[idx]
+    else:
+        assert idx.shape == w.shape == (vset.count, grid.size, 2**grid.d)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        heads = np.sum(u.values[idx] * w, axis=-1)
+    np.testing.assert_allclose(heads, interpolate(u, arc_points(grid, vset, dt, +1)),
+                               rtol=0, atol=1e-12)
+
+
+def test_dimension_mismatch_is_a_configuration_error():
+    with pytest.raises(ConfigurationError):
+        Transition(build_grid(2, 8), velocity_set(1.0, 5, 1), 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_on_arcs_evaluates_every_arc(d):
+    grid, vset, _ = make(d, 8, 1.0, 5, None)
+    X = grid.node_coords()
+
+    def fn(x, v, scale):
+        return scale * (np.sum(x * v, axis=-1) + np.sum(v**2, axis=-1))
+
+    got = on_arcs(grid, vset, fn, 3.0)
+    want = np.array([[fn(X[i], vset.velocities[k], 3.0) for i in range(grid.size)]
+                     for k in range(vset.count)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def reference_closedness(grid, vset, dt):
+    """The closedness operator assembled independently of `Transition`:
+    integer hops from lattice successors, otherwise from the multilinear
+    stencil of x + v*dt, in the flat (node, velocity) column order."""
+    N, K = grid.size, vset.count
+    cols = np.arange(N * K)
+    hops = vset.velocities * (dt / grid.h)
+    rounded = np.rint(hops)
+    if np.max(np.abs(hops - rounded)) < 1e-9:
+        multi = np.stack(
+            np.meshgrid(*[np.arange(grid.n)] * grid.d, indexing="ij"), axis=-1
+        ).reshape(-1, grid.d)
+        succ = grid.flat_index(multi[:, None, :] + rounded.astype(np.int64)[None, :, :])
+        rows, vals = succ.ravel(), np.ones(N * K)
+    else:
+        idx, w = interpolation_stencil(grid, arc_points(grid, vset, dt, +1))
+        S = idx.shape[2]
+        rows = idx.transpose(1, 0, 2).ravel()
+        vals = w.transpose(1, 0, 2).ravel()
+        cols = np.repeat(cols, S)
+    C = sparse.coo_matrix(
+        (np.concatenate([vals, -np.ones(N * K)]),
+         (np.concatenate([rows, np.repeat(np.arange(N), K)]),
+          np.concatenate([cols, np.arange(N * K)]))),
+        shape=(N, N * K),
+    ).tocsr()
+    C.sum_duplicates()
+    return C
+
+
+@pytest.mark.parametrize("case", GRIDS)
+def test_closedness_operator_matches_reference(case):
+    grid, vset, dt = make(*case)
+    C = closedness_operator(grid, vset, dt)
+    dense = C.toarray()
+    np.testing.assert_allclose(dense.sum(axis=0), 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense.sum(axis=1), 0.0, rtol=0, atol=1e-12)
+    ref = reference_closedness(grid, vset, dt)
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(C, attr), getattr(ref, attr))
