@@ -1,4 +1,4 @@
-"""Minimal-action dynamic programming, Peierls barriers, and critical values.
+"""Minimal-action dynamic programming, exact Peierls barriers, critical values.
 
 The finite-time action matrix h_t(x, y) (cost of moving from node x to node
 y in time t) evolves by the Bellman step
@@ -9,27 +9,32 @@ with L0 evaluated at the arrival point so the step is the lam = 0 member of
 the same update family the discounted solver iterates, over the arcs of the
 same kernel (`solver.Transition`); barrier columns are then exact
 vanishing-discount limits of the solver rather than merely O(dt)-consistent
-ones.  The default dt aligns every velocity hop with the node lattice
-(dt = h / velocity step), which keeps the +BIG unreachability sentinel
-exact: off-lattice foot points would otherwise never leave the diagonal
-seed.
+ones.  Both the DP and the barrier need the integer hops that the default
+dt = h / velocity step gives.
 
-The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is approximated by
-the minimum over a sampled tail window of [Tmax/2, Tmax]; a drift detector
-flags matrices whose window minimum is still systematically improving at
-Tmax.
+The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
+lattice graph, whose arc (k, y) runs from its foot to y with weight
+dt * (L0(y, v_k) + c): h(x, y) = min over z in A of [Phi(x, z) + Phi(z, y)],
+Phi the shortest-path (Mane) potential and A the Aubry set, the nodes on
+zero-weight cycles (Contreras-Iturriaga).  Johnson's (1977) reweighting by
+psi = dt * (y + L0(., 0)), y the critical LP's node dual, makes every arc
+weight nonnegative; the L0(., 0) shift moves the LP's departure-point
+charge to the arrival point and is exact for every L0 = K(v) + W(x).
+Dijkstra then runs forward and backward from A only.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError
 from .grids import GridField, PeriodicGrid
+from .matherlp import MatherPolytope, build_polytope, solve_mather_lp
 from .models import ControlModel, VelocitySet, discounted_wrapper
 from .solver import Transition, default_dt, lambda_sweep, on_arcs
 
@@ -58,6 +63,7 @@ class BarrierMatrix:
     t: Optional[float]              # accumulated time for h_t, None for peierls
     values: np.ndarray              # (N, N)
     warnings: list = dc_field(default_factory=list)
+    aubry: Optional[np.ndarray] = None   # set by peierls_barrier, ascending
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -95,30 +101,18 @@ class _ActionKernel:
 
     def __init__(self, model: ControlModel, grid: PeriodicGrid,
                  vset: VelocitySet, dt: float):
-        self.arcs = Transition(grid, vset, dt)
+        arcs = Transition(grid, vset, dt)
+        if not arcs.integer_hops:
+            raise ConfigurationError(
+                f"dt = {dt:g} moves velocities off the node lattice; the action "
+                "DP and the barrier need whole-cell hops (dt = h / velocity step)")
+        self.take = arcs.take                                          # (K, N)
         self.cost = dt * on_arcs(grid, vset, model.L, 0.0)             # (K, N)
 
     def step(self, A: np.ndarray) -> np.ndarray:
-        K, N = self.cost.shape
-        take, w = self.arcs.take, self.arcs.w
         out = np.full_like(A, BIG)
-        if w is None:
-            for k in range(K):
-                cand = A[:, take[k]] + self.cost[k][None, :]
-                np.minimum(out, cand, out=out)
-            return np.minimum(out, BIG)
-        for k in range(K):
-            vals = np.zeros_like(A)
-            finite = np.ones(A.shape, dtype=bool)
-            for s in range(take.shape[2]):
-                wj = w[k, :, s]
-                Aj = A[:, take[k, :, s]]
-                active = wj > 1e-12
-                bad = (Aj > BIG / 2) & active[None, :]
-                finite &= ~bad
-                vals += np.where(bad, 0.0, Aj) * np.where(active, wj, 0.0)[None, :]
-            cand = np.where(finite, vals + self.cost[k][None, :], BIG)
-            np.minimum(out, cand, out=out)
+        for take, cost in zip(self.take, self.cost):
+            np.minimum(out, A[:, take] + cost[None, :], out=out)
         return np.minimum(out, BIG)
 
 
@@ -165,7 +159,6 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     values: dict[str, float] = {}
     for meth in methods:
         if meth == "lp":
-            from .matherlp import build_polytope, solve_mather_lp
             poly = lp_polytope if lp_polytope is not None else build_polytope(
                 model, grid, vset, dt)
             # a polytope built with its critical LP already holds -optimum
@@ -195,67 +188,59 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                         spread=spread, per_method=values)
 
 
-def peierls_barrier(model: ControlModel, c: float, grid: PeriodicGrid,
-                    vset: VelocitySet, Tmax: float = 24.0,
-                    window: Optional[tuple] = None,
-                    dt: Optional[float] = None,
-                    drift_tol: float = 1e-3) -> BarrierMatrix:
-    """Peierls barrier surrogate: min over a tail window of [h_t + c*t].
+def peierls_barrier(model: ControlModel, polytope: MatherPolytope) -> BarrierMatrix:
+    """The discrete Peierls barrier at the polytope's critical value, exactly.
 
-    The window defaults to [Tmax/2, Tmax], sampled at every DP step.  When
-    the window minimum is still improving by more than drift_tol between the
-    window's three-quarter point and Tmax on most pairs, an "increase Tmax"
-    warning is attached (non-settled liminf).
+    The polytope gives dt, c and the dual.  Raises ConfigurationError for
+    off-lattice hops, for an empty Aubry set and for a reweighted arc below
+    -dt * zero_tol: that check certifies the potential for this L0, and only
+    roundoff that passes it is clamped.  Pairs the lattice graph cannot join
+    keep the BIG sentinel and a warning.
     """
-    if dt is None:
-        dt = default_dt(grid, vset)
-    if window is None:
-        window = (Tmax / 2.0, Tmax)
-    lo, hi = window
-    if not (0 < lo < hi <= Tmax + 1e-12):
-        raise ConfigurationError("window must sit inside (0, Tmax]")
-    if Tmax < 8:
-        raise ConfigurationError("Tmax must be at least 8 time units")
+    if polytope.potential is None:
+        raise ConfigurationError("peierls_barrier needs a polytope built with "
+                                 "its critical LP (with_critical=True)")
+    grid, vset, dt, N = polytope.grid, polytope.vset, polytope.dt, polytope.grid.size
     kern = _ActionKernel(model, grid, vset, dt)
-    A = initial_action_matrix(grid).values
-    steps = int(round(Tmax / dt))
-    runmin = np.full_like(A, BIG)
-    snap34 = None
-    t34 = lo + 0.75 * (hi - lo)
-    for k in range(1, steps + 1):
-        A = kern.step(A)
-        t = k * dt
-        if t >= lo - 1e-12:
-            np.minimum(runmin, A + c * t, out=runmin)
-            if snap34 is None and t >= t34 - 1e-12:
-                snap34 = runmin.copy()
+    foot, head = kern.take.ravel(), np.tile(np.arange(N), vset.count)
+    psi = dt * polytope.potential + kern.cost[vset.zero_index]
+    reduced = kern.cost.ravel() + dt * polytope.c + psi[foot] - psi[head]
+    tol = dt * polytope.zero_tol
+    if reduced.min() < -tol:
+        raise ConfigurationError(f"reduced arc weight {reduced.min():.3g} < 0: the "
+                                 "critical LP's dual does not certify this Lagrangian")
+    reduced = np.maximum(reduced, 0.0)
+    # the cheapest arc per (foot, head) pair; zero weights stay explicit edges
+    key = foot * N + head
+    order = np.lexsort((reduced, key))
+    arc = order[np.r_[True, np.diff(key[order]) != 0]]
+    G = sparse.csr_matrix((reduced[arc], (foot[arc], head[arc])), shape=(N, N))
+    zero = arc[reduced[arc] <= tol]
+    Z = sparse.csr_matrix((np.ones(zero.size), (foot[zero], head[zero])), shape=(N, N))
+    label = csgraph.connected_components(Z, connection="strong")[1]
+    aubry = np.unique(foot[zero[label[foot[zero]] == label[head[zero]]]])
+    if aubry.size == 0:
+        raise ConfigurationError("no zero-weight cycle: the Aubry set is empty")
+    h = np.full((N, N), np.inf)
+    for to_z, from_z in zip(csgraph.dijkstra(G.T, indices=aubry),
+                            csgraph.dijkstra(G, indices=aubry)):
+        np.minimum(h, to_z[:, None] + from_z[None, :], out=h)
+    h = h - psi[:, None] + psi[None, :]
     warns = []
-    if snap34 is not None:
-        settled = snap34 < BIG / 2
-        improving = (snap34 - runmin > drift_tol) & settled
-        frac = float(np.mean(improving[settled])) if settled.any() else 1.0
-        if frac > 0.5:
-            warns.append(
-                f"window minimum still drifting on {frac:.0%} of pairs: increase Tmax"
-            )
-    if np.any(runmin > BIG / 2):
-        warns.append("some node pairs unreachable within the window; increase Tmax")
-    return BarrierMatrix(grid, "peierls", None, runmin, warnings=warns)
+    if not np.all(np.isfinite(h)):
+        h[~np.isfinite(h)] = BIG
+        warns.append("some node pairs are unreachable on the lattice graph")
+    return BarrierMatrix(grid, "peierls", None, h, warnings=warns, aubry=aubry)
 
 
-def aubry_set(h: BarrierMatrix, tol: float = 0.03) -> np.ndarray:
-    """Node indices with h(x, x) <= tol (nonempty: falls back to the argmin)."""
+def aubry_set(h: BarrierMatrix) -> np.ndarray:
+    """The Aubry set the barrier computed: node indices on zero-weight cycles."""
     if h.kind != "peierls":
         raise ConfigurationError("aubry_set needs a peierls matrix")
-    diag = h.diagonal()
-    nodes = np.nonzero(diag <= tol)[0]
-    if nodes.size == 0:
-        _warnings.warn(
-            f"no diagonal entry within {tol}; returning argmin nodes instead",
-            stacklevel=2,
-        )
-        nodes = np.nonzero(diag <= diag.min() + 1e-12)[0]
-    return nodes
+    if h.aubry is None:
+        raise ConfigurationError("this peierls matrix carries no Aubry set; "
+                                 "recompute it with peierls_barrier")
+    return h.aubry
 
 
 def solution_from_barrier(h: BarrierMatrix, y: int) -> GridField:

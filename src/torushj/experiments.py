@@ -37,6 +37,7 @@ from .artifacts import (
 )
 from .barrier import (
     BarrierMatrix,
+    aubry_set,
     critical_value,
     peierls_barrier,
     solution_from_barrier,
@@ -367,10 +368,11 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("critical_value", True, {
         "c_lp": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
 
-    h = peierls_barrier(model, poly.c, grid, vs, Tmax=cfg.tmax, dt=dt)
+    h = peierls_barrier(model, poly)
     artifacts["barrier_peierls"] = h
     stages.append(StageRecord("peierls_barrier", True,
-                              {"max_abs": float(np.max(np.abs(h.values)))},
+                              {"max_abs": float(np.max(np.abs(h.values))),
+                               "aubry_nodes": int(aubry_set(h).size)},
                               warnings=list(h.warnings)))
 
     V0 = GridField.from_function(grid, model.V0)
@@ -412,16 +414,17 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
     model = model.with_c0(poly.c)
     stages.append(StageRecord("critical_value", True, {"c_lp": poly.c}))
 
-    h = peierls_barrier(model, poly.c, grid, vs, Tmax=cfg.tmax, dt=dt)
+    h = peierls_barrier(model, poly)
     artifacts["barrier_peierls"] = h
     stages.append(StageRecord("peierls_barrier", True,
-                              {"min_diag": float(np.min(h.diagonal()))},
+                              {"min_diag": float(np.min(h.diagonal())),
+                               "aubry_nodes": int(aubry_set(h).size)},
                               warnings=list(h.warnings)))
 
     V0 = GridField.from_function(grid, model.V0)
     sel = limit_solution_formula(model, V0, h, poly)
     artifacts["limit_solution"] = sel
-    xstar = int(np.argmin(h.diagonal()))
+    xstar = int(aubry_set(h)[0])
     closed_form = GridField(grid, h.values[xstar, :] - V0.values[xstar])
     stages.append(StageRecord("limit_formula", True, {
         "aubry_node": xstar,
@@ -498,7 +501,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly.c, grid, vs, Tmax=cfg.tmax, dt=dt)
+    h = peierls_barrier(model, poly)
     artifacts["barrier_peierls"] = h
     sigma1 = GridField.constant(grid, 1.0)
     rng = np.random.default_rng(cfg.seed)
@@ -539,7 +542,8 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
         fp_rows.append((int(y), diff, passed))
         fp_ok &= passed
     stages.append(StageRecord("fixed_point", fp_ok, {
-        "tol": 3 * grid_err, "rows": [(y, float(dv), bool(p)) for y, dv, p in fp_rows]}))
+        "aubry_nodes": int(aubry_set(h).size), "tol": 3 * grid_err,
+        "rows": [(y, float(dv), bool(p)) for y, dv, p in fp_rows]}))
 
     idem_tol = 2 * 3 * grid_err
     phi = _smooth_random_fields(grid, rng, 1)[0]
@@ -562,8 +566,8 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, default_dt(grid, vs))
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly.c, grid, vs, Tmax=cfg.tmax)
-    xstar = int(np.argmin(h.diagonal()))
+    h = peierls_barrier(model, poly)
+    xstar = int(aubry_set(h)[0])
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     lp_mu = poly.critical_measure
 
@@ -648,8 +652,8 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
         "per_method": cd2.per_method, "spread": cd2.spread, "analytic": half_a2}))
 
     mech = mech.with_c0(cd.per_method["lp"])
-    vs49 = cfg.vset()
-    h = peierls_barrier(mech, mech.c0, grid, vs49, Tmax=cfg.tmax)
+    poly49 = build_polytope(mech, grid, cfg.vset())
+    h = peierls_barrier(mech, poly49)
     artifacts["barrier_mechanical"] = h
     tol_tri = _threshold(cfg, "tol_tri", 5e-3)
     trips = rng.integers(0, grid.size, size=(1000, 3))
@@ -657,14 +661,14 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
     for x, y, z in trips:
         viol = max(viol, h.values[x, z] - h.values[x, y] - h.values[y, z])
     ok3 = viol <= 3 * tol_tri
-    dt = default_dt(grid, vs49)
-    col = solution_from_barrier(h, int(np.argmin(h.diagonal())))
-    col_res = residual(mech, 0.0, col, vs49, dt)
+    col = solution_from_barrier(h, int(aubry_set(h)[0]))
+    col_res = residual(mech, 0.0, col, poly49.vset, poly49.dt)
     Ccol = _threshold(cfg, "column_residual_C", 25.0)
     ok4 = col_res <= Ccol * grid.h
     stages.append(StageRecord("barrier_structure", ok3 and ok4, {
         "max_triangle_violation": float(viol), "triangle_bound": 3 * tol_tri,
-        "column_residual": col_res, "column_bound": Ccol * grid.h}))
+        "column_residual": col_res, "column_bound": Ccol * grid.h,
+        "aubry_nodes": int(aubry_set(h).size)}))
     return stages
 
 

@@ -13,10 +13,11 @@ the solve); by complementary slackness every Mather measure lives on the
 critical arcs, those of zero reduced cost, and conversely every closed
 probability measure on them is minimizing.  With integer hops the vertices
 of that face are the uniform measures on simple cycles of the critical
-subgraph, which `mather_vertices` lists when the cycles are disjoint.  The
-selection layer evaluates its linear-fractional objectives on those
-vertices (Charnes-Cooper 1962: the minimum sits at a vertex), and otherwise
-solves `fractional_minimize` restricted to the critical arcs.
+subgraph, which `mather_vertices` lists when the cycles are disjoint and
+`build_polytope` keeps.  The selection layer evaluates its
+linear-fractional objectives on those vertices (Charnes-Cooper 1962: the
+minimum sits at a vertex), and otherwise solves `fractional_minimize`
+restricted to the critical arcs.
 
 The full-polytope programs, which impose minimality as an action row with
 slack tol_min, remain as `minimize_linear_over_mather` and
@@ -132,26 +133,33 @@ class MatherPolytope:
     tol_min: float = 1e-9
     critical_measure: Optional[DiscreteMeasure] = None   # the critical LP's optimizer
     reduced_cost: Optional[np.ndarray] = None            # of one optimal dual, flat
+    potential: Optional[np.ndarray] = None               # that dual's node part
+    vertices: Optional[list] = None                      # `mather_vertices` of it
 
     @property
     def num_vars(self) -> int:
         return self.grid.size * self.vset.count
 
+    @property
+    def zero_tol(self) -> float:
+        """Reduced costs at or below this scale-relative 1e-9 count as zero."""
+        return 1e-9 * max(1.0, float(np.max(np.abs(self.action))))
+
     def critical_arcs(self) -> np.ndarray:
-        """Flat indices of the arcs whose reduced cost is zero (up to a
-        scale-relative 1e-9): the support of every Mather measure."""
+        """Flat indices of the arcs whose reduced cost is zero (up to
+        `zero_tol`): the support of every Mather measure."""
         if self.reduced_cost is None:
             raise ConfigurationError("polytope has no critical dual; build it "
                                      "with with_critical=True")
-        scale = max(1.0, float(np.max(np.abs(self.action))))
-        return np.flatnonzero(self.reduced_cost <= 1e-9 * scale)
+        return np.flatnonzero(self.reduced_cost <= self.zero_tol)
 
 
 def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
                    dt: Optional[float] = None, with_critical: bool = True,
                    tol_min: float = 1e-9) -> MatherPolytope:
     """Assemble the polytope; by default also solve its critical LP once and
-    keep the critical value, the optimizer and the reduced costs of the dual."""
+    keep the critical value, the optimizer, one optimal dual (its node part
+    and the reduced costs) and the vertices of the Mather face."""
     if dt is None:
         dt = default_dt(grid, vset)
     action = on_arcs(grid, vset, model.L, 0.0).T.ravel()    # flat (x, k)
@@ -163,7 +171,9 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
         poly.c = -opt
         poly.critical_measure = mu
         # A_eq = [C; 1], so A_eq^T y = C^T y[:N] + y[N]
-        poly.reduced_cost = action - poly.C.T @ info.duals[:-1] - info.duals[-1]
+        poly.potential = info.duals[:-1]
+        poly.reduced_cost = action - poly.C.T @ poly.potential - info.duals[-1]
+        poly.vertices = mather_vertices(poly)
     return poly
 
 

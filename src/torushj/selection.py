@@ -8,7 +8,7 @@ measures M(L_G), the operator
 
 is a linear-fractional program over the discrete Mather face, so its infimum
 is attained at a vertex (Charnes-Cooper 1962).  When the critical subgraph
-is a set of disjoint cycles (`matherlp.mather_vertices`), those vertices are
+is a set of disjoint cycles (`MatherPolytope.vertices`), those vertices are
 the uniform measures on the cycles, and P phi at every target is one
 (cycles x N) @ h product followed by a column-wise minimum of ratios; a
 target has several equilibrium measures when two or more vertices attain
@@ -46,7 +46,6 @@ from .matherlp import (
     DiscreteMeasure,
     MatherPolytope,
     fractional_minimize,
-    mather_vertices,
 )
 from .models import ControlModel, VelocitySet
 from .solver import on_arcs, one_sided_subsolution_defect
@@ -100,7 +99,7 @@ def _minimize_on_face(polytope: MatherPolytope, h: np.ndarray, beta: np.ndarray,
     arcs = polytope.critical_arcs()
     measures = {} if keep_measures else None
     mult = {} if check_multiplicity else None
-    cycles = mather_vertices(polytope)
+    cycles = polytope.vertices
     cols = h if targets is None else h[:, targets]
     if targets is None:
         targets = np.arange(polytope.grid.size)

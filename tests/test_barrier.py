@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torushj.artifacts import read_barrier_binary, write_barrier_binary
 from torushj.barrier import (
     BIG,
     aubry_set,
@@ -13,6 +14,7 @@ from torushj.barrier import (
 )
 from torushj.errors import ConfigurationError
 from torushj.grids import build_grid
+from torushj.matherlp import build_polytope
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import default_dt, residual
 
@@ -126,7 +128,7 @@ def peierls_cos(mech_cos):
     grid = build_grid(1, 64)
     vset = velocity_set(3.0, 49)
     model = mech_cos.with_c0(critical_value(mech_cos, "lp", grid, vset).c)
-    h = peierls_barrier(model, model.c0, grid, vset, Tmax=16.0)
+    h = peierls_barrier(model, build_polytope(model, grid, vset))
     return model, grid, vset, h
 
 
@@ -136,12 +138,12 @@ def test_peierls_examples(peierls_cos):
     assert not h.warnings
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(free, 0.0, grid, velocity_set(1.5, 49), Tmax=16.0)
+    hfree = peierls_barrier(free, build_polytope(free, grid, velocity_set(1.5, 49)))
     assert np.max(np.abs(hfree.values)) <= 0.02
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
     sq = sq.with_c0(critical_value(sq, "lp", grid, vset).c)
-    hsq = peierls_barrier(sq, sq.c0, grid, vset, Tmax=16.0)
+    hsq = peierls_barrier(sq, build_polytope(sq, grid, vset))
     assert np.max(np.abs(hsq.values)) <= 0.05
 
 
@@ -154,22 +156,28 @@ def test_peierls_triangle_inequality(peierls_cos):
         assert h.values[x, z] <= h.values[x, y] + h.values[y, z] + 3 * tol_tri
 
 
-def test_aubry_sets(peierls_cos):
+def test_aubry_sets(peierls_cos, tmp_path):
+    # the barrier's own exact set: the nodes on zero-weight cycles
     model, grid, vset, h = peierls_cos
-    nodes = aubry_set(h, tol=0.03)
-    coords = grid.axis_coords()[nodes]
-    dist = np.minimum(coords, 1 - coords)
-    assert nodes.size > 0
-    assert np.all(dist <= 0.07)                   # clustered near the max of U
+    np.testing.assert_array_equal(aubry_set(h), [0])      # the max of U
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(free, 0.0, grid, velocity_set(1.5, 49), Tmax=16.0)
-    assert aubry_set(hfree, tol=0.03).size == grid.size
+    hfree = peierls_barrier(free, build_polytope(free, grid, velocity_set(1.5, 49)))
+    np.testing.assert_array_equal(aubry_set(hfree), np.arange(grid.size))
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
     sq = sq.with_c0(critical_value(sq, "lp", grid, vset).c)
-    hsq = peierls_barrier(sq, sq.c0, grid, vset, Tmax=16.0)
-    assert aubry_set(hsq, tol=0.03).size == grid.size
+    hsq = peierls_barrier(sq, build_polytope(sq, grid, vset))
+    np.testing.assert_array_equal(aubry_set(hsq), np.arange(grid.size))
+
+    # h(z, z) is exactly 0 on the set and positive off it
+    diag = h.diagonal()
+    assert np.all(diag[aubry_set(h)] == 0.0) and np.all(np.delete(diag, 0) > 0)
+
+    # a matrix read back from disk carries no set
+    write_barrier_binary(h, str(tmp_path / "h.pbar"))
+    with pytest.raises(ConfigurationError):
+        aubry_set(read_barrier_binary(str(tmp_path / "h.pbar")))
 
 
 def test_solution_from_barrier(peierls_cos):
@@ -182,7 +190,7 @@ def test_solution_from_barrier(peierls_cos):
     assert residual(model, 0.0, col, vset, dt) <= 25.0 * grid.h
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(free, 0.0, grid, velocity_set(1.5, 49), Tmax=16.0)
+    hfree = peierls_barrier(free, build_polytope(free, grid, velocity_set(1.5, 49)))
     colf = solution_from_barrier(hfree, 5)
     np.testing.assert_allclose(colf.values, 0.0, atol=0.02)
 
@@ -198,11 +206,14 @@ def test_subsolution_domination(peierls_cos):
 
 
 def test_offlattice_dt_warns_unreachable(mech_cos):
-    # generic dt leaves the sentinel frozen on the diagonal: the window stays
-    # unreachable and the matrix carries a warning
+    # generic dt moves the hops off the node lattice, where the BIG sentinel
+    # of the action DP would never leave the diagonal: both routes refuse it
     grid = build_grid(1, 16)
     vset = velocity_set(2.0, 9)
-    model = mech_cos.with_c0(1.0)
-    h = peierls_barrier(model, 1.0, grid, vset, Tmax=8.0, window=(4.0, 8.0),
-                        dt=0.0101)
-    assert any("unreachable" in w for w in h.warnings)
+    poly = build_polytope(mech_cos, grid, vset, dt=0.0101)
+    with pytest.raises(ConfigurationError, match="off the node lattice"):
+        peierls_barrier(mech_cos, poly)
+    with pytest.raises(ConfigurationError, match="off the node lattice"):
+        evolve_action(mech_cos, grid, vset, T=1.0, dt=0.0101)
+    with pytest.raises(ConfigurationError, match="off the node lattice"):
+        critical_value(mech_cos, "longtime", grid, vset, dt=0.03)

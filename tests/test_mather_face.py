@@ -54,7 +54,7 @@ def setup(name, n, dt=None):
     # it small so that they agree with the exact face to ORACLE_TOL
     poly.tol_min = 1e-12
     if dt is None:
-        h = peierls_barrier(model, poly.c, grid, vset, Tmax=16.0)
+        h = peierls_barrier(model, poly)
     else:
         # off-lattice hops leave the barrier DP unreachable; any matrix
         # exercises the operator, so borrow the on-lattice barrier

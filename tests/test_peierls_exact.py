@@ -1,0 +1,179 @@
+"""The exact Peierls barrier (reweighted Dijkstra from the Aubry set) against
+two oracles: Floyd-Warshall on the raw arrival-point arc weights, and the
+windowed minimum of the action DP it replaced."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torushj.barrier import (
+    BIG,
+    aubry_set,
+    evolve_action,
+    min_action_step,
+    peierls_barrier,
+)
+from torushj.errors import ConfigurationError
+from torushj.grids import build_grid
+from torushj.matherlp import build_polytope
+from torushj.models import builtin_model, velocity_set
+from torushj.solver import Transition, on_arcs
+
+ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def with_lagrangian(L0, d=1):
+    """A model whose u = 0 Lagrangian is L0(x, v)."""
+    return dataclasses.replace(builtin_model("mechanical", d=d),
+                               L=lambda x, v, u: L0(x, v) - np.asarray(u))
+
+
+def magnetic_well(U, b):
+    """L0 = |v|^2/2 - b.v - U(x): of the form K(v) + W(x), K not even."""
+    b = np.asarray(b, dtype=float)
+    return with_lagrangian(lambda x, v: 0.5 * np.sum(v * v, axis=-1) - v @ b - U(x),
+                           d=b.size)
+
+
+def smooth_potential(seed, d):
+    """Seeded random trigonometric polynomial, modes 1..3 with 1/k^2 decay."""
+    coef = np.random.default_rng(seed).normal(size=(3, d, 2))
+
+    def U(x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape[:-1])
+        for k in range(1, 4):
+            ang = 2 * np.pi * k * x
+            out += np.sum(coef[k - 1, :, 0] * np.cos(ang)
+                          + coef[k - 1, :, 1] * np.sin(ang), axis=-1) / k**2
+        return out
+    return U
+
+
+def floyd_warshall_barrier(model, poly):
+    """Peierls barrier from all-pairs shortest walks on the raw weights
+    dt * (L0(y, v) + c) of the arcs foot -> y; no dual, no Dijkstra.  A node
+    z is an Aubry node when its cheapest nonempty closed walk costs 0."""
+    grid, vset, dt = poly.grid, poly.vset, poly.dt
+    N = grid.size
+    cost = dt * (on_arcs(grid, vset, model.L, 0.0) + poly.c)
+    W = np.full((N, N), np.inf)
+    np.minimum.at(W, (Transition(grid, vset, dt).take.ravel(),
+                      np.tile(np.arange(N), vset.count)), cost.ravel())
+    D = np.minimum(W, np.where(np.eye(N, dtype=bool), 0.0, np.inf))
+    for k in range(N):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    closed = np.min(W + D.T, axis=1)          # cheapest nonempty walk z -> z
+    A = np.flatnonzero(np.abs(closed) <= 1e-9)
+    h = np.min(D[:, A, None] + D[None, A, :], axis=1)
+    return np.where(np.isfinite(h), h, BIG), A
+
+
+def assert_matches_oracle(model, poly):
+    h = peierls_barrier(model, poly)
+    want, A = floyd_warshall_barrier(model, poly)
+    np.testing.assert_array_equal(aubry_set(h), A)
+    np.testing.assert_allclose(h.values, want, rtol=0, atol=1e-10)
+    return h
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(8, 32),
+       m=st.sampled_from([9, 17, 25]), magnetic=st.booleans())
+def test_matches_floyd_warshall_1d(seed, n, m, magnetic):
+    U = smooth_potential(seed, 1)
+    model = magnetic_well(U, [0.3]) if magnetic else builtin_model("mechanical", U=U)
+    grid, vset = build_grid(1, n), velocity_set(3.0, m)
+    assert_matches_oracle(model, build_polytope(model, grid, vset))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(4, 8),
+       m=st.sampled_from([3, 5, 9]), magnetic=st.booleans())
+def test_matches_floyd_warshall_2d(seed, n, m, magnetic):
+    U = smooth_potential(seed, 2)
+    model = (magnetic_well(U, [0.3, -0.2]) if magnetic
+             else builtin_model("mechanical", d=2, U=U))
+    grid, vset = build_grid(2, n), velocity_set(2.0, m, d=2)
+    assert_matches_oracle(model, build_polytope(model, grid, vset))
+
+
+def test_duplicate_arcs_keep_the_cheaper():
+    # n = 32, m = 49: hops reach 24 cells, and +24 cells is -8 cells, so
+    # distinct velocities join the same node pairs with different costs
+    grid, vset = build_grid(1, 32), velocity_set(3.0, 49)
+    model = magnetic_well(lambda x: 0.5 * np.cos(2 * np.pi * x[..., 0]), [0.3])
+    poly = build_polytope(model, grid, vset)
+    foot = Transition(grid, vset, poly.dt).take
+    pairs = foot.ravel() * grid.size + np.tile(np.arange(grid.size), vset.count)
+    assert np.unique(pairs).size < pairs.size
+    assert_matches_oracle(model, poly)
+
+
+def window_dp_barrier(model, poly, Tmax=24.0):
+    """min over t in [Tmax/2, Tmax] of h_t + c t, by the action DP."""
+    grid, vset, dt = poly.grid, poly.vset, poly.dt
+    A = evolve_action(model, grid, vset, Tmax / 2, dt)
+    runmin = A.values + poly.c * A.t
+    for _ in range(int(round(Tmax / 2 / dt))):
+        A = min_action_step(model, A, dt, vset)
+        np.minimum(runmin, A.values + poly.c * A.t, out=runmin)
+    return runmin
+
+
+@pytest.mark.parametrize("model", [
+    builtin_model("mechanical", U=lambda x: np.cos(2 * np.pi * x[..., 0])),
+    builtin_model("mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0])),
+    builtin_model("shifted_quadratic", alpha=ALPHA,
+                  potential=lambda x: -np.sin(2 * np.pi * x[..., 0]) - 0.3),
+], ids=["cosine_well", "double_well", "rotation"])
+def test_matches_window_dp(model):
+    poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, 25))
+    h = peierls_barrier(model, poly)
+    np.testing.assert_allclose(h.values, window_dp_barrier(model, poly),
+                               rtol=0, atol=1e-12)
+
+
+def test_arrival_point_shift_is_necessary():
+    # psi = dt * y (the bare node dual) prices L0 at the departure node; on
+    # the magnetic well that leaves arcs with clearly negative reduced weight
+    grid, vset = build_grid(1, 128), velocity_set(3.0, 49)
+    model = magnetic_well(lambda x: 0.5 * np.cos(2 * np.pi * x[..., 0]), [0.3])
+    poly = build_polytope(model, grid, vset)
+    assert not assert_matches_oracle(model, poly).warnings
+    rest = on_arcs(grid, vset, model.L, 0.0)[vset.zero_index]
+    bare = dataclasses.replace(poly, potential=poly.potential - rest)
+    with pytest.raises(ConfigurationError, match="reduced arc weight"):
+        peierls_barrier(model, bare)
+
+
+@pytest.mark.parametrize("m", [17, 49])
+def test_lagrangian_outside_the_certified_form_is_refused(m):
+    # L0 = |v|^2/2 - 0.3 cos(2 pi x) v is not K(v) + W(x)
+    model = with_lagrangian(lambda x, v: 0.5 * v[..., 0] ** 2
+                            - 0.3 * np.cos(2 * np.pi * x[..., 0]) * v[..., 0])
+    poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, m))
+    with pytest.raises(ConfigurationError, match="reduced arc weight"):
+        peierls_barrier(model, poly)
+
+
+def test_unreachable_pairs_keep_the_sentinel():
+    # doubled dt on even n: every hop is an even number of cells, so the
+    # odd nodes never meet the Aubry set at node 0
+    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    model = builtin_model("mechanical", U=lambda x: np.cos(2 * np.pi * x[..., 0]))
+    poly = build_polytope(model, grid, vset, dt=2 * grid.h / vset.spacing)
+    h = peierls_barrier(model, poly)
+    assert any("unreachable" in w for w in h.warnings)
+    even = np.arange(grid.size) % 2 == 0
+    assert np.all(h.values[np.ix_(even, even)] < BIG / 2)
+    assert np.all(h.values[~even, :] == BIG) and np.all(h.values[:, ~even] == BIG)
+
+
+def test_needs_the_critical_dual():
+    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    model = builtin_model("mechanical")
+    with pytest.raises(ConfigurationError):
+        peierls_barrier(model, build_polytope(model, grid, vset, with_critical=False))
