@@ -10,7 +10,12 @@ the same update family the discounted solver iterates, over the arcs of the
 same kernel (`solver.Transition`); barrier columns are then exact
 vanishing-discount limits of the solver rather than merely O(dt)-consistent
 ones.  Both the DP and the barrier need the integer hops that the default
-dt = h / velocity step gives.
+dt = h / velocity step gives.  `evolve_action` runs that step T/dt times.
+
+The step is a min-plus product with the one-step matrix h_dt, so h_T is the
+(T/dt)-th min-plus power of h_dt.  The long-time critical value
+-min_x h_T(x, x)/T takes it by binary powering: O(log(T/dt)) products of
+N^3 work each, in place of T/dt steps of K N^2.
 
 The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
 lattice graph, whose arc (k, y) runs from its foot to y with weight
@@ -106,6 +111,7 @@ class _ActionKernel:
             raise ConfigurationError(
                 f"dt = {dt:g} moves velocities off the node lattice; the action "
                 "DP and the barrier need whole-cell hops (dt = h / velocity step)")
+        self.grid = grid
         self.take = arcs.take                                          # (K, N)
         self.cost = dt * on_arcs(grid, vset, model.L, 0.0)             # (K, N)
 
@@ -114,6 +120,32 @@ class _ActionKernel:
         for take, cost in zip(self.take, self.cost):
             np.minimum(out, A[:, take] + cost[None, :], out=out)
         return np.minimum(out, BIG)
+
+    def power(self, steps: int) -> np.ndarray:
+        """h_{steps*dt} as the steps-th min-plus power of h_dt (steps >= 1)."""
+        base = self.step(initial_action_matrix(self.grid).values)
+        out = None
+        while True:
+            if steps & 1:
+                out = base if out is None else _min_plus(out, base)
+            steps >>= 1
+            if not steps:
+                return out
+            base = _min_plus(base, base)
+
+
+def _min_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C[i, j] = min_k A[i, k] + B[k, j], clamped at BIG like the step.
+
+    Rows go in blocks whose (rows, N, N) temporary stays near 1 MB, and never
+    above one N x N matrix.
+    """
+    N = A.shape[0]
+    C = np.empty_like(A)
+    rows = max(1, (1 << 17) // (N * N))
+    for i in range(0, N, rows):
+        np.min(A[i:i + rows, :, None] + B[None], axis=1, out=C[i:i + rows])
+    return np.minimum(C, BIG, out=C)
 
 
 def min_action_step(model: ControlModel, A: BarrierMatrix, dt: float,
@@ -151,7 +183,10 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     taken from the first.  The lp route solves the closed-measure linear
     program, discount solves lam*w + H^0(x, dw) = 0 and reads off
     -mean(lam*w) at the smallest scheduled lam, longtime uses
-    -min_x h_T(x, x)/T.
+    -min_x h_T(x, x)/T with T = round(Tmax/dt) * dt.  It takes h_T as a
+    min-plus power of the one-step matrix, O(log(T/dt)) products of N^3 work,
+    and equals the stepwise DP of `evolve_action` up to roundoff.  A Tmax that
+    rounds to no step raises ConfigurationError.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if dt is None:
@@ -175,11 +210,14 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                 raise ConfigurationError(f"discount route failed: {last.error}")
             values["discount"] = -last.lam * float(np.mean(last.field.values))
         elif meth == "longtime":
-            hT = evolve_action(model, grid, vset, Tmax, dt)
-            diag = hT.diagonal()
+            steps = int(round(Tmax / dt))
+            if steps < 1:
+                raise ConfigurationError(f"Tmax = {Tmax:g} rounds to no step of "
+                                         f"dt = {dt:g}: the long-time route needs one")
+            diag = np.diag(_ActionKernel(model, grid, vset, dt).power(steps))
             if np.all(diag > BIG / 2):
                 raise ConfigurationError("no node returns to itself by Tmax")
-            values["longtime"] = -float(np.min(diag)) / (hT.t or Tmax)
+            values["longtime"] = -float(np.min(diag)) / (steps * dt)
         else:
             raise ConfigurationError(f"unknown critical-value method {meth!r}")
     vals = list(values.values())

@@ -151,6 +151,8 @@ class ExperimentConfig:
             raise ConfigurationError("grid needs n >= 4")
         if self.m % 2 == 0 or self.m < 3:
             raise ConfigurationError("velocity count must be odd and >= 3")
+        if not self.tmax > 0:
+            raise ConfigurationError("barrier tmax must be positive")
         lams = list(self.lambdas)
         if lams and any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigurationError("lambda schedule must be strictly descending")
@@ -656,10 +658,9 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
     h = peierls_barrier(mech, poly49)
     artifacts["barrier_mechanical"] = h
     tol_tri = _threshold(cfg, "tol_tri", 5e-3)
-    trips = rng.integers(0, grid.size, size=(1000, 3))
-    viol = 0.0
-    for x, y, z in trips:
-        viol = max(viol, h.values[x, z] - h.values[x, y] - h.values[y, z])
+    x, y, z = rng.integers(0, grid.size, size=(1000, 3)).T
+    H = h.values
+    viol = max(0.0, float(np.max(H[x, z] - H[x, y] - H[y, z])))
     ok3 = viol <= 3 * tol_tri
     col = solution_from_barrier(h, int(aubry_set(h)[0]))
     col_res = residual(mech, 0.0, col, poly49.vset, poly49.dt)

@@ -217,3 +217,11 @@ def test_offlattice_dt_warns_unreachable(mech_cos):
         evolve_action(mech_cos, grid, vset, T=1.0, dt=0.0101)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
         critical_value(mech_cos, "longtime", grid, vset, dt=0.03)
+
+
+@pytest.mark.parametrize("Tmax", [0.01, -5.0])
+def test_longtime_needs_one_step(mech_cos, Tmax):
+    # round(Tmax / dt) = 0 would divide h_0's zero diagonal and report c = 0
+    grid = build_grid(1, 16)
+    with pytest.raises(ConfigurationError, match="no step"):
+        critical_value(mech_cos, "longtime", grid, velocity_set(2.0, 9), Tmax=Tmax)

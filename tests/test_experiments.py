@@ -70,6 +70,14 @@ def test_export_all_dispatch(tmp_path):
         export_all({"weird": object()}, str(tmp_path))
 
 
+@pytest.mark.parametrize("tmax", [0.0, -5.0, float("nan")])
+def test_config_rejects_nonpositive_tmax(tmax):
+    cfg = ExperimentConfig(kind="barrier_suite", name="b", model_name="mechanical",
+                           model_params={}, tmax=tmax)
+    with pytest.raises(ConfigurationError, match="tmax"):
+        cfg.validate()
+
+
 def test_small_example_pipeline(tmp_path):
     cfg = ExperimentConfig(
         kind="example_6_1", name="e61_small",
