@@ -160,10 +160,13 @@ def min_action_step(model: ControlModel, A: BarrierMatrix, dt: float,
 
 def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
                   T: float, dt: Optional[float] = None) -> BarrierMatrix:
-    """h_T from the diagonal seed by repeated Bellman steps."""
+    """h_T from the diagonal seed by repeated Bellman steps; a T that rounds
+    to a negative step count raises ConfigurationError."""
     if dt is None:
         dt = default_dt(grid, vset)
     steps = int(round(T / dt))
+    if steps < 0:
+        raise ConfigurationError(f"T = {T:g} is a negative horizon")
     kern = _ActionKernel(model, grid, vset, dt)
     A = initial_action_matrix(grid).values
     for _ in range(steps):

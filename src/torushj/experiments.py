@@ -171,6 +171,14 @@ def _floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _alpha(text: str, d: int, key: str) -> np.ndarray:
+    """A rotation vector given by 1 (shared by every axis) or d components."""
+    alpha = np.array(_floats(text))
+    if alpha.size not in (1, d):
+        raise ConfigurationError(f"{key} needs 1 or {d} components")
+    return np.broadcast_to(alpha, (d,)).copy()
+
+
 def parse_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -188,10 +196,9 @@ def parse_config(path: str) -> ExperimentConfig:
     for key in ("U", "potential", "phi", "sigma", "target"):
         if key in msec:
             model_params[key] = parse_potential(msec[key])
-    if "alpha" in msec:
-        model_params["alpha"] = float(msec["alpha"])
-
     g = cp["grid"] if cp.has_section("grid") else {}
+    if "alpha" in msec:
+        model_params["alpha"] = _alpha(msec["alpha"], int(g.get("d", 1)), "[model] alpha")
     v = cp["velocities"] if cp.has_section("velocities") else {}
     s = cp["solver"] if cp.has_section("solver") else {}
     thresholds = {k: float(val) for k, val in (cp["thresholds"].items() if cp.has_section("thresholds") else [])}
@@ -640,10 +647,8 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("critical_mechanical", ok1, {
         "per_method": cd.per_method, "spread": cd.spread, "analytic": 1.0}))
 
-    alpha = np.array(_floats(cfg.extras.get("alpha", "")) or ((np.sqrt(5.0) - 1.0) / 2.0,))
-    if alpha.size not in (1, cfg.d):
-        raise ConfigurationError(f"extras.alpha needs 1 or {cfg.d} components")
-    alpha = np.broadcast_to(alpha, (cfg.d,))
+    alpha = _alpha(cfg.extras.get("alpha") or str((np.sqrt(5.0) - 1.0) / 2.0), cfg.d,
+                   "extras.alpha")
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
     vs = cfg.vset()
     cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs, Tmax=cfg.tmax)

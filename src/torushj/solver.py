@@ -5,11 +5,11 @@ The discrete update at node x is
     T[u](x) = min_v  dt * ( L(x, v, lam*u~) - lam*V(x, lam) + c0 ) + u~,
     u~ = periodic multilinear interpolation of u at the foot point x - v*dt,
 
-iterated to a fixed point.  The u-argument of L is the foot value u~, which
+solved for its fixed point.  The u-argument of L is the foot value u~, which
 makes w |-> w + dt*L(x, v, lam*w) strictly increasing whenever
 dt*lam*max(sigma) < 1, so T is exactly monotone and commutes with constants
-up to the discount factor.  Solutions are clamped to the sub/supersolution
-bracket and iterated from its midpoint.
+up to the discount factor.  Iterates start from the midpoint of the
+sub/supersolution bracket and are clamped to it.
 
 By default dt = h / (velocity lattice step), which makes every foot point a
 grid node: characteristics then live on the lattice exactly, the scheme has
@@ -20,12 +20,14 @@ package: the action DP (barrier), the closedness operator (matherlp) and
 backward curves use the same kernel, and `on_arcs` evaluates a function of
 (x, v) on all of its arcs.
 
-Convergence at small lam is dominated by the constant mode, whose effective
-contraction factor is 1 - lam*dt*sigma.  Each sweep therefore applies the
-standard midpoint extrapolation u <- T[u] + g/(1-g) * mid(T[u]-u) (g the
-constant-mode factor), which eliminates that mode without disturbing the
-fixed point; the remaining error decays at the mixing rate of the
-characteristic transport.
+Each solver step is one Howard policy evaluation.  The argmin arcs of T[u]
+form a policy pi, and u <- u + (I - diag(a) P_pi)^-1 (T[u] - u) with
+a = 1 - lam*dt*sigma, sigma = -dL/du(x, 0) and P_pi the foot stencil of the
+chosen arcs.  For couplings affine in u this is exactly Howard's policy
+iteration (Bokanowski-Maroso-Zidani, SIAM J. Numer. Anal. 47, 2009), which
+ends in finitely many evaluations; otherwise it is a chord iteration that
+is exact on the constant mode.  A step that the bracket clamp leaves
+unchanged ends the solve as stalled.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid, interpolation_stencil
@@ -64,7 +68,6 @@ class SolveReport:
     converged: bool
     lambda_above_lambda0: bool = False
     stalled: bool = False
-    residual_history: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.converged and self.final_residual > self._tol_used:
@@ -130,6 +133,16 @@ class Transition:
             return values[self.take]
         return np.sum(values[self.take] * self.w, axis=-1)
 
+    def policy_matrix(self, pol: np.ndarray) -> sparse.csr_matrix:
+        """P_pi as an (N, N) CSR matrix: row x is the foot stencil of arc
+        (pol[x], x), so P_pi @ v == foot_values(v)[pol, arange(N)]."""
+        rows = np.arange(self.grid.size)
+        cols = self.take[pol, rows].reshape(rows.size, -1)
+        vals = np.ones(cols.shape) if self.w is None else self.w[pol, rows]
+        return sparse.csr_matrix((vals.ravel(), cols.ravel(),
+                                  np.arange(0, cols.size + 1, cols.shape[1])),
+                                 shape=(rows.size, rows.size))
+
 
 def on_arcs(grid: PeriodicGrid, vset: VelocitySet, fn, *args) -> np.ndarray:
     """fn(x, v, *args) at every arc (velocity k, node x), shape (K, N)."""
@@ -166,16 +179,18 @@ class _Kernel:
         self.base = dt * (L0 - lam * Vlam + c0)      # (K, N)
         self._L0 = L0 if model.L_u_part is None else None
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        fv = self.arcs.foot_values(values)           # (K, N)
+    def candidates(self, values: np.ndarray) -> np.ndarray:
+        """The Bellman candidate of every arc, shape (K, N)."""
+        fv = self.arcs.foot_values(values)
         if self.lam == 0.0:
-            cand = self.base + fv
-        elif self.model.L_u_part is not None:
-            cand = self.base + self.dt * self.model.L_u_part(self.X, self.lam * fv) + fv
-        else:
-            Lfull = on_arcs(self.arcs.grid, self.arcs.vset, self.model.L, self.lam * fv)
-            cand = self.base + self.dt * (Lfull - self._L0) + fv
-        return cand.min(axis=0)
+            return self.base + fv
+        if self.model.L_u_part is not None:
+            return self.base + self.dt * self.model.L_u_part(self.X, self.lam * fv) + fv
+        Lfull = on_arcs(self.arcs.grid, self.arcs.vset, self.model.L, self.lam * fv)
+        return self.base + self.dt * (Lfull - self._L0) + fv
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.candidates(values).min(axis=0)
 
 
 def bellman_apply(model: ControlModel, lam: float, u: GridField,
@@ -278,30 +293,32 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
                     vset: VelocitySet, dt: Optional[float] = None,
                     tol: float = 1e-8, max_iter: int = 200000,
                     bracket: Optional[Bracket] = None,
-                    init: Optional[GridField] = None,
-                    accelerate: bool = True,
-                    record_history: bool = False,
-                    stall_window: int = 3000):
+                    init: Optional[GridField] = None):
     """Fixed point of the discounted Bellman update; returns (field, report).
 
-    Converged means the sup-norm defect per unit time fell below tol.  When
-    lam exceeds the bracket's lambda0 the solve proceeds anyway (the
-    nonexistence probe relies on this) with a warning flag on the report.
-    Non-convergence (max_iter or a detected stall) still returns the field.
+    Converged means the sup-norm defect per unit time fell below tol; the
+    report counts policy evaluations.  When lam exceeds the bracket's lambda0
+    the solve proceeds anyway (the nonexistence probe relies on this) with a
+    warning flag on the report.  Non-convergence (max_iter, or a step that
+    the bracket clamp leaves unchanged: stalled) still returns the field.
     """
     if lam <= 0:
         raise ConfigurationError("discount lam must be positive")
     if dt is None:
         dt = default_dt(grid, vset)
     kernel = _Kernel(model, lam, grid, vset, dt)
-    X = kernel.X
+    X, nodes = kernel.X, np.arange(grid.size)
+    sigma_nodes = -np.asarray(model.dLdu0(X, np.zeros_like(X)), dtype=float)
+    if lam * dt * float(sigma_nodes.max()) >= 1.0:
+        raise ConfigurationError(
+            "dt*lam*max(sigma) >= 1 breaks monotonicity of the update; shrink dt"
+        )
+    decay = 1.0 - lam * dt * sigma_nodes
+    eye = sparse.identity(grid.size, format="csr")
 
-    above = bool(bracket is not None and lam > bracket.lambda0)
+    lo = hi = None
     if bracket is not None:
         lo, hi = bracket.lower.values, bracket.upper.values
-    else:
-        lo = hi = None
-
     if init is not None:
         u = init.values.copy()
     elif bracket is not None:
@@ -309,66 +326,38 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
     else:
         u = np.zeros(grid.size)
 
-    sigma_nodes = -np.asarray(model.dLdu0(X, np.zeros_like(X)), dtype=float)
-    if lam * dt * float(sigma_nodes.max()) >= 1.0:
-        raise ConfigurationError(
-            "dt*lam*max(sigma) >= 1 breaks monotonicity of the update; shrink dt"
-        )
-    gfac = 1.0 - lam * dt * float(sigma_nodes.min())
-    if not 0.0 < gfac < 1.0:
-        accelerate = False
-
-    history = [] if record_history else None
-    checkpoint = np.inf
-    res = np.inf
+    it = clamp_active = 0
     stalled = False
-    clamp_active = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        Tu = kernel.apply(u)
-        dvec = Tu - u
-        res = float(np.max(np.abs(dvec)) / dt)
-        if history is not None:
-            history.append(res)
-        if res <= tol:
+    while True:
+        cand = kernel.candidates(u)
+        pol = cand.argmin(axis=0)
+        Tu = cand[pol, nodes]
+        res = float(np.max(np.abs(Tu - u)) / dt)
+        if res <= tol or stalled or it == max_iter:
             break
-        if it % stall_window == 0:
-            if res > 0.995 * checkpoint:
-                stalled = True
-                break
-            checkpoint = res
-        if accelerate:
-            shift = (gfac / (1.0 - gfac)) * 0.5 * (dvec.min() + dvec.max())
-            if lo is not None:
-                # Cap the constant nudge by the bracket headroom: an uncapped
-                # shift can pin the iterate to a bracket face, where clamping
-                # erases the contraction and the sweep cycles.
-                up = float(np.min(hi - Tu))
-                dn = float(np.max(lo - Tu))
-                shift = min(max(shift, dn), up) if dn <= up else 0.0
-            u = Tu + shift
-        else:
-            u = Tu
+        it += 1
+        A = kernel.arcs.policy_matrix(pol)
+        A.data *= np.repeat(-decay, np.diff(A.indptr))      # -diag(decay) P_pi
+        new = u + spsolve(A + eye, Tu - u)
+        if not np.all(np.isfinite(new)):
+            raise DomainError("policy evaluation left the field values non-finite")
         if lo is not None:
-            clamp_active = int(np.sum((u < lo) | (u > hi)))
-            np.clip(u, lo, hi, out=u)
+            clamp_active = int(np.sum((new < lo) | (new > hi)))
+            np.clip(new, lo, hi, out=new)
+        stalled = bool(np.array_equal(new, u))
+        u = new
 
     converged = res <= tol
-    violations = 0
-    if lo is not None:
-        if converged:
-            # The clamp must be inactive at convergence: the raw update of the
-            # returned field has to sit inside the bracket on its own.
-            Tu_final = kernel.apply(u)
-            violations = int(np.sum((Tu_final < lo - 1e-9) | (Tu_final > hi + 1e-9)))
-        else:
-            violations = clamp_active
+    violations = clamp_active
+    if lo is not None and converged:
+        # The clamp must be inactive at convergence: the raw update of the
+        # returned field has to sit inside the bracket on its own.
+        violations = int(np.sum((Tu < lo - 1e-9) | (Tu > hi + 1e-9)))
     report = SolveReport(
         lam=lam, iterations=it, final_residual=res,
         bracket_violations=violations, converged=converged,
-        lambda_above_lambda0=above, stalled=stalled,
-        residual_history=np.asarray(history) if history is not None else None,
-        _tol_used=tol,
+        lambda_above_lambda0=bool(bracket is not None and lam > bracket.lambda0),
+        stalled=stalled, _tol_used=tol,
     )
     return GridField(grid, u), report
 

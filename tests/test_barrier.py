@@ -225,3 +225,11 @@ def test_longtime_needs_one_step(mech_cos, Tmax):
     grid = build_grid(1, 16)
     with pytest.raises(ConfigurationError, match="no step"):
         critical_value(mech_cos, "longtime", grid, velocity_set(2.0, 9), Tmax=Tmax)
+
+
+def test_evolve_action_refuses_a_negative_horizon(mech_cos):
+    # round(T / dt) < 0 would return h_0 labelled with the negative time
+    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    with pytest.raises(ConfigurationError, match="negative horizon"):
+        evolve_action(mech_cos, grid, vset, T=-5.0)
+    assert evolve_action(mech_cos, grid, vset, T=0.0).t == 0.0

@@ -6,6 +6,7 @@ from torushj.experiments import (
     ExperimentConfig,
     convergence_report,
     export_all,
+    parse_config,
     parse_potential,
     run_experiment,
 )
@@ -113,6 +114,50 @@ def test_barrier_suite_runs_in_two_dimensions(tmp_path):
     shifted = res.stages[1].details
     assert shifted["analytic"] == pytest.approx(0.5 * (0.3**2 + 0.5**2))
     assert set(shifted["per_method"]) == {"lp", "discount", "longtime"}
+
+
+EXAMPLE_6_1_2D = """
+[experiment]
+kind = example_6_1
+
+[model]
+name = shifted_quadratic
+alpha = {alpha}
+target = sin:freq=1,offset=0.3
+
+[grid]
+d = 2
+n = 16
+
+[velocities]
+vmax = 2.0
+m = 9
+
+[schedule]
+lambdas = 0.1, 0.03, 0.01
+"""
+
+
+def test_example_6_1_config_in_two_dimensions(tmp_path):
+    path = tmp_path / "e61_2d.cfg"
+    path.write_text(EXAMPLE_6_1_2D.format(alpha="0.618034, 0.414214"))
+    cfg = parse_config(str(path))
+    np.testing.assert_array_equal(cfg.model_params["alpha"], [0.618034, 0.414214])
+    res = run_experiment(cfg, output=str(tmp_path / "out"))
+    assert res.passed
+    sweep = next(s for s in res.stages if s.name == "lambda_sweep").details
+    assert sweep["final_error"] <= 0.05
+
+
+@pytest.mark.parametrize("alpha, want", [("0.3", [0.3, 0.3]), ("0.1 0.2 0.3", None)])
+def test_model_alpha_takes_one_or_d_components(tmp_path, alpha, want):
+    path = tmp_path / "alpha.cfg"
+    path.write_text(EXAMPLE_6_1_2D.format(alpha=alpha))
+    if want is None:
+        with pytest.raises(ConfigurationError, match="1 or 2 components"):
+            parse_config(str(path))
+    else:
+        np.testing.assert_array_equal(parse_config(str(path)).model_params["alpha"], want)
 
 
 def test_failing_stage_recorded(tmp_path):

@@ -173,21 +173,17 @@ def test_equi_lipschitz_over_sweep(small_setup):
     assert max(lips) <= 2.0 * lips[0]
 
 
-def test_contraction_rate_plain_iteration(small_setup):
+def test_clamped_nonexistence_stalls_within_ten_steps(small_setup):
+    # No solution exists at lam = 2 (criterion 5): the bracket clamp pins the
+    # iterate, so a step leaves it bit-unchanged and the solve stops stalled.
     grid, vset, dt = small_setup
-    model = builtin_model("mechanical", U=COS)
-    from torushj.matherlp import build_polytope
-    model = model.with_c0(build_polytope(model, grid, vset, dt).c)
-    lam = 0.4
-    fld, rep = solve_perturbed(model, lam, grid, vset, dt=dt, tol=1e-12,
-                               accelerate=False, record_history=True)
-    hist = rep.residual_history
-    tail = hist[-40:]
-    tail = tail[tail > 0]              # drop exact zeros at the float floor
-    rates = tail[1:] / tail[:-1]
-    fitted = float(np.exp(np.mean(np.log(rates))))
-    bound = 1.0 - lam * dt * 1.0       # min sigma = 1
-    assert fitted <= bound * 1.2
+    model = builtin_model("arctan_discount").with_c0(0.0)
+    br = compute_bracket(model, GridField.constant(grid, 0.0))
+    fld, rep = solve_perturbed(model, 2.0, grid, vset, dt=dt, tol=1e-8, bracket=br)
+    assert rep.stalled and not rep.converged
+    assert rep.iterations <= 10
+    assert rep.bracket_violations > 0
+    assert np.all(fld.values >= br.lower.values) and np.all(fld.values <= br.upper.values)
 
 
 def test_sweep_warm_start_and_edge_cases(small_setup):

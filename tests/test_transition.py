@@ -79,6 +79,21 @@ def test_heads_bin_the_forward_points(case, seed):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("case", KERNELS + [(2, 8, 1.0, 5, "double")])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_policy_matrix_is_the_chosen_foot_stencil(case, seed):
+    grid, vset, dt = make(*case)
+    arcs = Transition(grid, vset, dt)
+    rng = np.random.default_rng(seed)
+    pol = rng.integers(0, vset.count, size=grid.size)
+    P = arcs.policy_matrix(pol)
+    assert P.shape == (grid.size, grid.size)
+    np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-12)
+    v = rng.normal(size=grid.size)
+    np.testing.assert_allclose(P @ v, arcs.foot_values(v)[pol, np.arange(grid.size)],
+                               rtol=0, atol=1e-12)
+
+
 def test_dimension_mismatch_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         Transition(build_grid(2, 8), velocity_set(1.0, 5, 1), 0.1)
