@@ -9,6 +9,17 @@ grid nodes) plus the one-cell interpolation kink scale (when they are not;
 the threshold self-calibrates from the field's second differences since
 off-lattice steps cannot do better than that).
 
+Each step of the trace does only what its argmin needs: one stencil for the
+K feet y - v*dt (`Transition.foot_sampler`), one call of L at the point
+with all K velocities and foot values, and the argmin of
+dt*(L + c0) + u(foot).  The term -lam*dt*V(y) is the same for every
+velocity, so it is left out of the argmin.  The loop keeps the chosen
+index, L there and u at the chosen foot, which is u at the next point of
+the trace.  After the loop, one vectorized expression each gives the
+actions dt*(L - lam*V + c0), the defects |u(y_k) - (action_k + u(y_{k+1}))|,
+dL/du(y_k, v_k, 0) and the weights below; the results equal those of
+evaluating every term inside the loop, bit for bit.
+
 The discounted occupation measure weights step k by
 
     W_k = exp( lam * sum_{j<k} dL/du(xi_j, v_j, 0) * dt ),   W_0 = 1,
@@ -44,6 +55,10 @@ __all__ = [
     "speed_bound_check",
     "SpeedReport",
 ]
+
+# A trace whose share of steps above the defect tolerance exceeds this
+# raises CalibrationError.
+DEFECT_FRACTION = 0.05
 
 
 @dataclass
@@ -92,27 +107,29 @@ def _kink_scale(u: GridField) -> float:
 def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
                               x, Tmax: float, dt: float, vset: VelocitySet,
                               solver_tol: float = 1e-8,
-                              defect_tol: Optional[float] = None,
-                              defect_fraction: float = 0.05) -> CurveTrace:
+                              defect_tol: Optional[float] = None) -> CurveTrace:
     """Follow the argmin branch of the Bellman update backward from x.
 
     Raises CalibrationError ("field not converged") when more than
-    defect_fraction of the steps exceed the defect tolerance.  The tolerance
+    DEFECT_FRACTION of the steps exceed the defect tolerance.  The tolerance
     defaults to 10*solver_tol*dt for on-lattice traces and adds the
     interpolation kink scale otherwise.
     """
     if model.c0 is None:
         raise ConfigurationError("model.c0 must be set")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"trace time step must be positive, got dt={dt}")
+    if not (np.isfinite(Tmax) and Tmax >= 0):
+        raise ConfigurationError(f"trace horizon must be nonnegative, got Tmax={Tmax}")
     grid = u.grid
-    lam = float(lam)
+    lam, dt, c0 = float(lam), float(dt), model.c0
     steps = int(np.floor(Tmax / dt + 1e-12))
     vels = vset.velocities                      # (K, d)
-    K = vset.count
-    lattice_steps = Transition(grid, vset, dt).integer_hops
+    arcs = Transition(grid, vset, dt)
     y = wrap_points(np.asarray(x, dtype=float), grid.d)
     start_on_node = bool(
         np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
-    on_lattice = lattice_steps and start_on_node
+    on_lattice = arcs.integer_hops and start_on_node
     if on_lattice:
         y = np.rint(y * grid.n) / grid.n        # snap away float fuzz
 
@@ -122,41 +139,31 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
             defect_tol += 10.0 * (_kink_scale(u) + dt * grid.h)
 
     pts = np.empty((steps + 1, grid.d))
-    vel = np.empty((steps, grid.d))
     vidx = np.empty(steps, dtype=int)
-    W = np.empty(steps + 1)
-    defects = np.empty(steps)
-    actions = np.empty(steps)
-    dl0 = np.empty(steps)
+    Lj = np.empty(steps)                        # L at the chosen arc
+    uj = np.empty(steps)                        # u at the chosen foot = u(pts[k+1])
     pts[0] = y
-    W[0] = 1.0
-    yk = np.empty((K, grid.d))
+    # -lam*dt*V(y) is the same for every velocity, so the argmin omits it.
+    feet_at = arcs.foot_sampler(u.values, snap=on_lattice)
     for k in range(steps):
-        yk[:] = y
-        feet = wrap_points(y[None, :] - vels * dt, grid.d)
-        idx, w = interpolation_stencil(grid, feet)
-        fv = np.sum(u.values[idx] * w, axis=-1)                  # (K,)
-        Lv = np.asarray(model.L(yk, vels, lam * fv), dtype=float)
-        Vy = float(model.V(y[None, :], lam)[0]) if lam != 0.0 else 0.0
-        cand = dt * (Lv - lam * Vy + model.c0) + fv
-        j = int(np.argmin(cand))
-        uy = interpolate(u, y)
-        defects[k] = abs(uy - cand[j])
-        actions[k] = dt * (float(Lv[j]) - lam * Vy + model.c0)
-        dl0[k] = float(np.asarray(model.dLdu0(y[None, :], vels[j][None, :]))[0])
-        vel[k] = vels[j]
-        vidx[k] = j
-        W[k + 1] = W[k] * np.exp(lam * dl0[k] * dt)
-        y = feet[j]
-        if on_lattice:
-            # keep long traces exactly on nodes when h is not a binary fraction
-            y = np.rint(y * grid.n) / grid.n
-            y[y >= 1.0] = 0.0
-        pts[k + 1] = y
+        feet, fv = feet_at(y)
+        Lv = model.L(y[None, :], vels, lam * fv)
+        j = int((dt * (Lv + c0) + fv).argmin())
+        vidx[k], Lj[k], uj[k] = j, Lv[j], fv[j]
+        y = pts[k + 1] = feet[j]
+
+    X, vel = pts[:-1], vels[vidx]
+    Vx = np.asarray(model.V(X, lam), dtype=float) if lam != 0.0 else 0.0
+    actions = dt * (Lj - lam * Vx + c0)
+    u_here = np.concatenate(([interpolate(u, pts[0])], uj[:-1])) if steps else uj
+    defects = np.abs(u_here - (actions + uj))
+    dl0 = np.asarray(model.dLdu0(X, vel), dtype=float)
+    W = np.ones(steps + 1)
+    np.cumprod(np.exp(lam * dl0 * dt), out=W[1:])
 
     if steps > 0:
         frac = float(np.mean(defects > defect_tol))
-        if frac > defect_fraction:
+        if frac > DEFECT_FRACTION:
             raise CalibrationError(
                 f"field not converged: {frac:.1%} of steps exceed the "
                 f"calibration defect tolerance {defect_tol:.3e}"
@@ -200,6 +207,8 @@ def occupation_measure(trace: CurveTrace, lam: float, grid: PeriodicGrid,
     """
     if trace.steps == 0:
         raise ConfigurationError("cannot bin an empty trace")
+    if not lam > 0:
+        raise ConfigurationError(f"discount lam must be positive, got {lam}")
     dt = trace.dt
     Wd = trace.weights[:-1] * dt                 # (S,)
     total = float(Wd.sum())
@@ -228,6 +237,8 @@ def check_mass_identity(trace: CurveTrace, lam: float) -> float:
     """
     if trace.steps == 0:
         raise ConfigurationError("empty trace")
+    if not lam > 0:
+        raise ConfigurationError(f"discount lam must be positive, got {lam}")
     Wd = trace.weights[:-1] * trace.dt
     lhs = float((trace.dl0 * Wd).sum() / Wd.sum())
     rhs = -1.0 / (lam * float(Wd.sum()))

@@ -275,7 +275,7 @@ def export_all(results: dict, outdir: str) -> list:
         elif isinstance(obj, BarrierMatrix):
             fn = f"{key}.pbar"
             write_barrier_binary(obj, os.path.join(outdir, fn))
-            if obj.grid.n <= 32:
+            if obj.grid.size <= 32:
                 write_barrier_csv(obj, os.path.join(outdir, f"{key}.csv"))
                 written.append(f"{key}.csv")
         elif isinstance(obj, DiscreteMeasure):

@@ -176,7 +176,7 @@ def _as_potential(U, d: int) -> Callable:
 
 def _sq_norm(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    return np.sum(a * a, axis=-1)
+    return (a * a).sum(axis=-1)
 
 
 def builtin_model(name: str, d: int = 1, **params) -> ControlModel:

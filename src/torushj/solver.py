@@ -133,6 +133,38 @@ class Transition:
             return values[self.take]
         return np.sum(values[self.take] * self.w, axis=-1)
 
+    def foot_sampler(self, values: np.ndarray, snap: bool = False):
+        """A function y -> (feet, fv) for the backward-trace loop: the K feet
+        y - v*dt of one point y (d,), wrapped into [0, 1)^d, and the field's
+        values there, arrays (K, d) and (K,).  With snap, each foot is first
+        rounded to its nearest node.  The arithmetic is that of `wrap_points`
+        and `interpolation_stencil`, done per axis on a copy of the field
+        padded by two nodes per axis, so that no stencil index wraps."""
+        n, d = self.grid.n, self.grid.d
+        vdt = self.vset.velocities * self.dt
+        if d == 1:
+            vdt = vdt[:, 0]
+        pad = np.pad(values.reshape((n,) * d), (0, 2), mode="wrap").ravel()
+        row = n + 2
+
+        def feet_at(y):
+            feet = np.mod(y - vdt, 1.0)             # (K,) for d = 1, else (K, 2)
+            feet[feet >= 1.0] = 0.0
+            if snap:
+                feet = np.rint(feet * n) / n
+                feet[feet >= 1.0] = 0.0
+            s = feet * n
+            i = s.astype(np.intp)                   # the floor, as s >= 0
+            t = s - i
+            if d == 1:
+                return feet[:, None], pad[i] * (1.0 - t) + pad[i + 1] * t
+            a = i[:, 0] * row + i[:, 1]
+            s, t = t[:, 0], t[:, 1]
+            return feet, (pad[a] * ((1 - s) * (1 - t)) + pad[a + 1] * ((1 - s) * t)
+                          + pad[a + row] * (s * (1 - t)) + pad[a + row + 1] * (s * t))
+
+        return feet_at
+
     def policy_matrix(self, pol: np.ndarray) -> sparse.csr_matrix:
         """P_pi as an (N, N) CSR matrix: row x is the foot stencil of arc
         (pol[x], x), so P_pi @ v == foot_values(v)[pol, arange(N)]."""

@@ -9,7 +9,7 @@ from torushj.curves import (
     occupation_measure,
     speed_bound_check,
 )
-from torushj.errors import CalibrationError, TailMassError
+from torushj.errors import CalibrationError, ConfigurationError, TailMassError
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import build_polytope, closedness_operator, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
@@ -100,6 +100,27 @@ def test_zero_length_trace_vacuous():
     assert tr.steps == 0
     rep = check_calibration(tr, fld, model, 0.1)
     assert rep.max_defect_rate == 0.0 and rep.telescoped_error == 0.0
+
+
+def test_bad_horizon_or_time_step_is_refused():
+    model, grid, vset, dt, _, fld = solved("mechanical", U=None)
+    x0 = grid.node_coords()[3]
+    with pytest.raises(ConfigurationError):
+        backward_calibrated_curve(model, 0.1, fld, x0, Tmax=-1.0, dt=dt, vset=vset)
+    for bad_dt in (0.0, -dt):
+        with pytest.raises(ConfigurationError):
+            backward_calibrated_curve(model, 0.1, fld, x0, Tmax=5.0, dt=bad_dt, vset=vset)
+
+
+def test_occupation_and_mass_identity_refuse_a_nonpositive_discount():
+    model, grid, vset, dt, _, fld = solved("mechanical", U=COS, lam=0.2)
+    tr = backward_calibrated_curve(model, 0.2, fld, grid.node_coords()[6],
+                                   Tmax=80.0, dt=dt, vset=vset)
+    for lam in (0.0, -0.2):
+        with pytest.raises(ConfigurationError):
+            occupation_measure(tr, lam, grid, vset)
+        with pytest.raises(ConfigurationError):
+            check_mass_identity(tr, lam)
 
 
 def test_weights_monotone_and_envelope():

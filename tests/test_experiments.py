@@ -147,6 +147,10 @@ def test_example_6_1_config_in_two_dimensions(tmp_path):
     assert res.passed
     sweep = next(s for s in res.stages if s.name == "lambda_sweep").details
     assert sweep["final_error"] <= 0.05
+    # the barrier's CSV twin is kept for N <= 32 nodes only; N = 256 here
+    out = tmp_path / "out"
+    assert (out / "barrier_peierls.pbar").exists()
+    assert not (out / "barrier_peierls.csv").exists()
 
 
 @pytest.mark.parametrize("alpha, want", [("0.3", [0.3, 0.3]), ("0.1 0.2 0.3", None)])
