@@ -120,13 +120,17 @@ def write_node_csv(values, path: str, column: str = "weight") -> None:
 
 
 def write_trace_csv(trace, path: str) -> None:
+    """One row per step: k, time -k*dt, point k, velocity k, weight k and
+    defect k, each number formatted like `fmt17`."""
+    S, d = trace.steps, trace.points.shape[1]
+    xs = ";".join(["{:.17g}"] * d)
+    row = f"{{}},{{:.17g}},{xs},{xs},{{:.17g}},{{:.17g}}\n"
+    cols = [range(S), (-np.arange(S) * float(trace.dt)).tolist(),
+            *trace.points[:S].T.tolist(), *trace.velocities.T.tolist(),
+            trace.weights[:S].tolist(), trace.defects.tolist()]
     with open(path, "w", newline="\n") as f:
         f.write("# step,time,coords,velocity,weight,defect\n")
-        for k in range(trace.steps):
-            cs = ";".join(fmt17(c) for c in trace.points[k])
-            vs = ";".join(fmt17(v) for v in trace.velocities[k])
-            f.write(f"{k},{fmt17(-k * trace.dt)},{cs},{vs},"
-                    f"{fmt17(trace.weights[k])},{fmt17(trace.defects[k])}\n")
+        f.write("".join(map(row.format, *cols)))
 
 
 def write_convergence_csv(rows: Iterable, path: str) -> None:

@@ -22,10 +22,10 @@ lattice graph, whose arc (k, y) runs from its foot to y with weight
 dt * (L0(y, v_k) + c): h(x, y) = min over z in A of [Phi(x, z) + Phi(z, y)],
 Phi the shortest-path (Mane) potential and A the Aubry set, the nodes on
 zero-weight cycles (Contreras-Iturriaga).  Johnson's (1977) reweighting by
-psi = dt * (y + L0(., 0)), y the critical LP's node dual, makes every arc
-weight nonnegative; the L0(., 0) shift moves the LP's departure-point
-charge to the arrival point and is exact for every L0 = K(v) + W(x).
-Dijkstra then runs forward and backward from A only.
+psi = dt * potential, the polytope's Howard bias (`matherlp.build_polytope`),
+which charges L0 at the arrival point like this graph, makes every arc
+weight nonnegative for every Lagrangian.  Dijkstra then runs forward and
+backward from A only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError
 from .grids import GridField, PeriodicGrid
-from .matherlp import MatherPolytope, build_polytope, solve_mather_lp
+from .matherlp import MatherPolytope, build_polytope, cycle_arcs, solve_mather_lp
 from .models import ControlModel, VelocitySet, discounted_wrapper
 from .solver import Transition, default_dt, lambda_sweep, on_arcs
 
@@ -177,16 +177,18 @@ def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
 def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                    vset: VelocitySet, dt: Optional[float] = None,
                    Tmax: float = 24.0,
-                   discount_schedule: Sequence[float] = (0.1, 0.05, 0.02, 0.01),
-                   lp_polytope=None) -> CriticalData:
+                   discount_schedule: Sequence[float] = (0.1, 0.05, 0.02, 0.01)
+                   ) -> CriticalData:
     """Critical value of H(., ., 0) by one or several routes.
 
     method is "lp", "discount", "longtime", or a sequence of those; with two
     or more methods the spread records their maximum disagreement and c is
-    taken from the first.  The lp route solves the closed-measure linear
-    program, discount solves lam*w + H^0(x, dw) = 0 and reads off
-    -mean(lam*w) at the smallest scheduled lam, longtime uses
-    -min_x h_T(x, x)/T with T = round(Tmax/dt) * dt.  It takes h_T as a
+    taken from the first.  The lp route always solves the closed-measure
+    linear program, with L0 charged at the arc's head as `build_polytope`'s
+    policy iteration and the action DP charge it; discount solves
+    lam*w + H^0(x, dw) = 0 and reads off -mean(lam*w) at the smallest
+    scheduled lam, longtime uses -min_x h_T(x, x)/T with
+    T = round(Tmax/dt) * dt.  It takes h_T as a
     min-plus power of the one-step matrix, O(log(T/dt)) products of N^3 work,
     and equals the stepwise DP of `evolve_action` up to roundoff.  A Tmax that
     rounds to no step raises ConfigurationError.
@@ -197,13 +199,8 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     values: dict[str, float] = {}
     for meth in methods:
         if meth == "lp":
-            poly = lp_polytope if lp_polytope is not None else build_polytope(
-                model, grid, vset, dt)
-            # a polytope built with its critical LP already holds -optimum
-            if poly.critical_measure is None:
-                values["lp"] = -solve_mather_lp(model, poly)[1]
-            else:
-                values["lp"] = poly.c
+            poly = build_polytope(model, grid, vset, dt, with_critical=False)
+            values["lp"] = -solve_mather_lp(model, poly)[1]
         elif meth == "discount":
             disc = discounted_wrapper(model)
             entries = lambda_sweep(disc, sorted(discount_schedule, reverse=True),
@@ -232,24 +229,24 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
 def peierls_barrier(model: ControlModel, polytope: MatherPolytope) -> BarrierMatrix:
     """The discrete Peierls barrier at the polytope's critical value, exactly.
 
-    The polytope gives dt, c and the dual.  Raises ConfigurationError for
-    off-lattice hops, for an empty Aubry set and for a reweighted arc below
-    -dt * zero_tol: that check certifies the potential for this L0, and only
-    roundoff that passes it is clamped.  Pairs the lattice graph cannot join
-    keep the BIG sentinel and a warning.
+    The polytope gives dt, c and the potential.  Raises ConfigurationError
+    for off-lattice hops, for an empty Aubry set and for a reweighted arc
+    below -dt * zero_tol: that check certifies the potential for this L0,
+    and only roundoff that passes it is clamped.  Pairs the lattice graph
+    cannot join keep the BIG sentinel and a warning.
     """
     if polytope.potential is None:
         raise ConfigurationError("peierls_barrier needs a polytope built with "
-                                 "its critical LP (with_critical=True)")
+                                 "its critical solution (with_critical=True)")
     grid, vset, dt, N = polytope.grid, polytope.vset, polytope.dt, polytope.grid.size
     kern = _ActionKernel(model, grid, vset, dt)
     foot, head = kern.take.ravel(), np.tile(np.arange(N), vset.count)
-    psi = dt * polytope.potential + kern.cost[vset.zero_index]
+    psi = dt * polytope.potential
     reduced = kern.cost.ravel() + dt * polytope.c + psi[foot] - psi[head]
     tol = dt * polytope.zero_tol
     if reduced.min() < -tol:
         raise ConfigurationError(f"reduced arc weight {reduced.min():.3g} < 0: the "
-                                 "critical LP's dual does not certify this Lagrangian")
+                                 "potential does not certify this Lagrangian")
     reduced = np.maximum(reduced, 0.0)
     # the cheapest arc per (foot, head) pair; zero weights stay explicit edges
     key = foot * N + head
@@ -257,9 +254,7 @@ def peierls_barrier(model: ControlModel, polytope: MatherPolytope) -> BarrierMat
     arc = order[np.r_[True, np.diff(key[order]) != 0]]
     G = sparse.csr_matrix((reduced[arc], (foot[arc], head[arc])), shape=(N, N))
     zero = arc[reduced[arc] <= tol]
-    Z = sparse.csr_matrix((np.ones(zero.size), (foot[zero], head[zero])), shape=(N, N))
-    label = csgraph.connected_components(Z, connection="strong")[1]
-    aubry = np.unique(foot[zero[label[foot[zero]] == label[head[zero]]]])
+    aubry = np.unique(foot[zero[cycle_arcs(foot[zero], head[zero], N)]])
     if aubry.size == 0:
         raise ConfigurationError("no zero-weight cycle: the Aubry set is empty")
     h = np.full((N, N), np.inf)

@@ -131,7 +131,7 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
         np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
     on_lattice = arcs.integer_hops and start_on_node
     if on_lattice:
-        y = np.rint(y * grid.n) / grid.n        # snap away float fuzz
+        y = np.rint(y * grid.n) % grid.n / grid.n   # snap away float fuzz, 1 -> 0
 
     if defect_tol is None:
         defect_tol = 10.0 * solver_tol * dt

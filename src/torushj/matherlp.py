@@ -1,33 +1,48 @@
-"""Mather measures as linear programs over a discrete closed-measure polytope.
+"""Mather measures on the lattice graph: the critical value by Howard's
+min-plus policy iteration, and linear programs over the closed-measure
+polytope.
 
 A measure is a nonnegative weight per (node, velocity) pair, an "arc" of
 the transition kernel the solver uses (`solver.Transition`).  Closedness is
 imposed through that kernel: the pushforward of (x, v) is the arc's head,
 the multilinear binning of x + v*dt, and a closed measure is one whose
-per-node inflow equals its outflow.  Minimizing the u = 0 action over that
-polytope yields the discrete critical value and its minimizing measures.
+per-node inflow equals its outflow.  The arc's action is L0 charged at its
+head, through the same stencil (with integer hops L0(x + v*dt, v)), as the
+solver, the action DP and the barrier charge it.  Minimizing that action
+over the polytope yields the discrete critical value and its minimizing
+measures.
 
-The Mather face is exact and finite.  `build_polytope` keeps the reduced
-costs of one optimal dual of that critical LP (HiGHS returns the dual with
-the solve); by complementary slackness every Mather measure lives on the
-critical arcs, those of zero reduced cost, and conversely every closed
-probability measure on them is minimizing.  With integer hops the vertices
-of that face are the uniform measures on simple cycles of the critical
-subgraph, which `mather_vertices` lists when the cycles are disjoint and
-`build_polytope` keeps.  The selection layer evaluates its
+With integer hops the critical value is the min-plus eigenvalue of the
+one-step operator: eta + u(y) = min_k dt*L0(y, v_k) + u(y - v_k*dt), with
+c = -eta/dt and eta the minimal cycle mean of the lattice graph.
+`build_polytope` computes eta, the bias u and the critical arcs by Howard's
+policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat,
+"Numerical computation of spectral elements in max-plus algebra", IFAC
+1998), with no linear program.  Its reduced costs certify u: they are
+nonnegative up to roundoff, and zero on every arc of a min-mean cycle.
+The critical arcs are the zero-cost arcs inside strongly connected
+components of the zero-cost graph (`cycle_arcs`); the closed probability
+measures on them are exactly the Mather measures, whatever the potential.
+The vertices of that face are the uniform measures on simple cycles of the
+critical subgraph, which `mather_vertices` lists when the cycles are
+disjoint and `build_polytope` keeps.  The selection layer evaluates its
 linear-fractional objectives on those vertices (Charnes-Cooper 1962: the
 minimum sits at a vertex), and otherwise solves `fractional_minimize`
 restricted to the critical arcs.
 
-The full-polytope programs, which impose minimality as an action row with
-slack tol_min, remain as `minimize_linear_over_mather` and
-`fractional_minimize` without a support; they serve the tests as an
-oracle.  Linear programs are solved with HiGHS dual simplex (deterministic
-pivoting, vertex solutions).  Their multiplicity flag comes from a second LP
-that maximizes the mass movable off the support of the returned vertex while
-staying on the optimal face; reduced-cost inspection alone cannot tell a
-degenerate vertex from a genuine alternative optimum since those optima are
-typically sparse and thus heavily degenerate.
+Off the node lattice the polytope takes c, the reduced costs and the
+critical measure from the critical LP (`solve_mather_lp`), which HiGHS
+solves with its dual.  That LP is also the independent "lp" route of
+`barrier.critical_value`.  The full-polytope programs, which impose
+minimality as an action row with slack tol_min, remain as
+`minimize_linear_over_mather` and `fractional_minimize` without a support;
+they serve the tests as an oracle.  Linear programs are solved with HiGHS
+dual simplex (deterministic pivoting, vertex solutions).  Their
+multiplicity flag comes from a second LP that maximizes the mass movable
+off the support of the returned vertex while staying on the optimal face;
+reduced-cost inspection alone cannot tell a degenerate vertex from a
+genuine alternative optimum since those optima are typically sparse and
+thus heavily degenerate.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError, MatherLPError
 from .grids import PeriodicGrid
@@ -49,6 +65,7 @@ __all__ = [
     "MatherPolytope",
     "closedness_operator",
     "build_polytope",
+    "cycle_arcs",
     "solve_mather_lp",
     "minimize_linear_over_mather",
     "fractional_minimize",
@@ -122,7 +139,13 @@ def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> spa
 
 @dataclass
 class MatherPolytope:
-    """Closedness operator, action row, and the critical LP's solution."""
+    """Closedness operator, action row, and the critical problem's solution.
+
+    `potential` and `reduced_cost` are per unit time, like `action`: with
+    integer hops they are Howard's bias u / dt and the reduced arc weights
+    (dt*L0 - eta + u[foot] - u[head]) / dt; off the lattice, the critical
+    LP's node dual and reduced costs.
+    """
 
     grid: PeriodicGrid
     vset: VelocitySet
@@ -131,9 +154,10 @@ class MatherPolytope:
     action: np.ndarray           # L0 per (node, velocity), flat
     c: Optional[float] = None    # critical value; -c is the LP optimum
     tol_min: float = 1e-9
-    critical_measure: Optional[DiscreteMeasure] = None   # the critical LP's optimizer
-    reduced_cost: Optional[np.ndarray] = None            # of one optimal dual, flat
-    potential: Optional[np.ndarray] = None               # that dual's node part
+    critical_measure: Optional[DiscreteMeasure] = None   # one minimizing measure
+    reduced_cost: Optional[np.ndarray] = None            # >= -zero_tol, flat
+    potential: Optional[np.ndarray] = None               # certified by reduced_cost
+    critical: Optional[np.ndarray] = None                # `critical_arcs()`
     vertices: Optional[list] = None                      # `mather_vertices` of it
 
     @property
@@ -147,34 +171,160 @@ class MatherPolytope:
 
     def critical_arcs(self) -> np.ndarray:
         """Flat indices of the arcs whose reduced cost is zero (up to
-        `zero_tol`): the support of every Mather measure."""
-        if self.reduced_cost is None:
-            raise ConfigurationError("polytope has no critical dual; build it "
-                                     "with with_critical=True")
-        return np.flatnonzero(self.reduced_cost <= self.zero_tol)
+        `zero_tol`) and, with integer hops, that lie on a cycle of such
+        arcs: the support of every Mather measure."""
+        if self.critical is None:
+            raise ConfigurationError("polytope has no critical solution; build "
+                                     "it with with_critical=True")
+        return self.critical
+
+
+def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int) -> np.ndarray:
+    """Mask of the arcs foot -> head that lie on a cycle of the graph they
+    form on N nodes: those whose ends share a strongly connected component."""
+    G = sparse.csr_matrix((np.ones(foot.size), (foot, head)), shape=(N, N))
+    label = csgraph.connected_components(G, connection="strong")[1]
+    return label[foot] == label[head]
 
 
 def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
                    dt: Optional[float] = None, with_critical: bool = True,
                    tol_min: float = 1e-9) -> MatherPolytope:
-    """Assemble the polytope; by default also solve its critical LP once and
-    keep the critical value, the optimizer, one optimal dual (its node part
-    and the reduced costs) and the vertices of the Mather face."""
+    """Assemble the polytope; by default also solve its critical problem once
+    and keep the critical value, one minimizing measure, a potential with its
+    reduced costs, the critical arcs and the vertices of the Mather face.
+
+    With integer hops that is Howard's policy iteration (`_howard`), whose
+    potential must pass the certificate reduced_cost >= -zero_tol
+    (MatherLPError otherwise); off the lattice it is the critical LP."""
     if dt is None:
         dt = default_dt(grid, vset)
-    action = on_arcs(grid, vset, model.L, 0.0).T.ravel()    # flat (x, k)
+    arcs = Transition(grid, vset, dt)
+    L0 = on_arcs(grid, vset, model.L, 0.0)                     # (K, N), at the nodes
+    N, K = grid.size, vset.count
+    kk = np.arange(K)[:, None]
+    # L0 is charged at the arc's head, binned like the mass closedness pushes
+    # there.  With integer hops, arc (k, y) runs from its foot take[k, y] to
+    # y; in the flat (x, k) order of the polytope it is x * K + k, x the foot.
+    if arcs.integer_hops:
+        flat = arcs.take * K + kk                              # (K, N)
+        action = np.empty(N * K)
+        action[flat] = L0
+    else:
+        head, w = arcs.stencil(+1)
+        action = np.sum(L0[kk[..., None], head] * w, axis=-1).T.ravel()
     poly = MatherPolytope(grid=grid, vset=vset, dt=dt,
                           C=closedness_operator(grid, vset, dt),
                           action=action, tol_min=tol_min)
-    if with_critical:
+    if not with_critical:
+        return poly
+    if not arcs.integer_hops:
         mu, opt, info = solve_mather_lp(model, poly)
         poly.c = -opt
         poly.critical_measure = mu
         # A_eq = [C; 1], so A_eq^T y = C^T y[:N] + y[N]
         poly.potential = info.duals[:-1]
         poly.reduced_cost = action - poly.C.T @ poly.potential - info.duals[-1]
+        poly.critical = np.flatnonzero(poly.reduced_cost <= poly.zero_tol)
         poly.vertices = mather_vertices(poly)
+        return poly
+    foot = arcs.take
+    W = dt * L0
+    eta, u, pol, _ = _howard(foot, W)
+    star = float(eta.min())
+    poly.c = -star / dt
+    poly.potential = u / dt
+    reduced = (W - star + u[foot] - u[None, :]) / dt              # (K, N)
+    poly.reduced_cost = np.empty(N * K)
+    poly.reduced_cost[flat] = reduced
+    if poly.reduced_cost.min() < -poly.zero_tol:
+        raise MatherLPError(f"reduced cost {poly.reduced_cost.min():.3g} < 0: the "
+                            "policy-iteration potential does not certify c")
+    k, y = np.nonzero(reduced <= poly.zero_tol)
+    on = cycle_arcs(foot[k, y], y, N)
+    poly.critical = np.sort(flat[k[on], y[on]])
+    # the policy's cycle through a node of minimal mean: N steps back along
+    # the policy from any node land on its cycle
+    pred = foot[pol, np.arange(N)]
+    y = int(np.argmin(eta))
+    for _ in range(N):
+        y = pred[y]
+    cycle = [y]
+    while pred[cycle[-1]] != y:
+        cycle.append(pred[cycle[-1]])
+    weights = np.zeros(N * K)
+    weights[flat[pol[cycle], cycle]] = 1.0 / len(cycle)
+    poly.critical_measure = DiscreteMeasure(grid, vset, weights)
+    poly.vertices = mather_vertices(poly)
     return poly
+
+
+def _howard(take: np.ndarray, W: np.ndarray):
+    """Howard's policy iteration for the min-plus spectral problem
+
+        eta(y) + u(y) = min_k W[k, y] + u(take[k, y])
+
+    on a graph whose arc (k, y) runs from take[k, y] to y with weight W[k, y],
+    both (K, N).  A policy picks one arc per node, so its graph has one
+    predecessor per node: value determination walks its cycles and the trees
+    that hang from them (`_policy_values`).  Improvement first lowers eta,
+    then the bias u, switching a node only on a decrease larger than a
+    roundoff tolerance, so that the (eta, u) pairs strictly decrease and the
+    loop ends.  Returns per-node cycle means eta, the bias u, the policy and
+    the number of value determinations.
+    """
+    K, N = W.shape
+    cols = np.arange(N)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(W))))
+    pol = np.argmin(W, axis=0)
+    u = np.zeros(N)
+    for it in range(1, N * K + 1):
+        eta, u = _policy_values(take[pol, cols], W[pol, cols], u)
+        feet = eta[take]
+        lower = feet.min(axis=0) < eta - tol
+        if lower.any():
+            pol = np.where(lower, np.argmin(feet, axis=0), pol)
+            continue
+        cand = np.where(feet <= eta + tol, W - eta + u[take], np.inf)
+        better = cand.min(axis=0) < u - tol
+        if not better.any():
+            return eta, u, pol, it
+        pol = np.where(better, np.argmin(cand, axis=0), pol)
+    raise MatherLPError(f"policy iteration did not settle in {N * K} steps")
+
+
+def _policy_values(pred: np.ndarray, w: np.ndarray, u_old: np.ndarray):
+    """Cycle mean eta and bias u of the policy graph y <- pred[y] (arc weight
+    w[y]): eta(y) + u(y) = w[y] + u(pred[y]), with eta constant on each
+    basin.  Each cycle keeps u_old at its smallest node, so that a cycle
+    the improvement left alone keeps its values bit for bit."""
+    N = pred.size
+    pred, w, old = pred.tolist(), w.tolist(), u_old.tolist()
+    eta, u = [0.0] * N, [0.0] * N
+    state = [0] * N                   # 0 new, 1 on this walk, 2 done
+    for start in range(N):
+        path, y = [], start
+        while state[y] == 0:
+            state[y] = 1
+            path.append(y)
+            y = pred[y]
+        closed = state[y] == 1        # the walk closed a new cycle at y
+        for z in path:
+            state[z] = 2
+        if closed:
+            i = path.index(y)
+            cyc = path[i:]
+            j = cyc.index(min(cyc))
+            cyc = cyc[j:] + cyc[:j]   # pred(cyc[t]) = cyc[t + 1], pred(cyc[-1]) = cyc[0]
+            mean = sum(w[z] for z in cyc) / len(cyc)
+            eta[cyc[0]], u[cyc[0]] = mean, old[cyc[0]]
+            for z in reversed(cyc[1:]):
+                eta[z], u[z] = mean, (w[z] - mean) + u[pred[z]]
+            del path[i:]
+        for z in reversed(path):
+            p = pred[z]
+            eta[z], u[z] = eta[p], (w[z] - eta[p]) + u[p]
+    return np.array(eta), np.array(u)
 
 
 @dataclass
@@ -341,18 +491,20 @@ def mather_vertices(polytope: MatherPolytope) -> Optional[list]:
     as an array of flat arc indices.  Returns None when the hops are off the
     lattice or a node has two or more critical arcs.
     """
-    head, w = Transition(polytope.grid, polytope.vset, polytope.dt).stencil(+1)
-    if w is not None:
+    arcs = Transition(polytope.grid, polytope.vset, polytope.dt)
+    if not arcs.integer_hops:
         return None
     N, K = polytope.grid.size, polytope.vset.count
-    arcs = polytope.critical_arcs()
-    src = arcs // K
+    head = np.empty_like(arcs.take)            # inverts each foot map
+    head[np.arange(K)[:, None], arcs.take] = np.arange(N)
+    crit = polytope.critical_arcs()
+    src = crit // K
     if np.any(np.bincount(src, minlength=N) > 1):
         return None
     nxt = np.full(N, -1)
-    nxt[src] = head[arcs % K, src]
+    nxt[src] = head[crit % K, src]
     arc_of = np.full(N, -1)
-    arc_of[src] = arcs
+    arc_of[src] = crit
     state = np.zeros(N, dtype=np.int8)        # 0 new, 1 on this walk, 2 done
     cycles = []
     for start in range(N):

@@ -6,14 +6,17 @@ import pytest
 
 from torushj.artifacts import (
     diff_artifacts,
+    fmt17,
     hash_directory,
     read_barrier_binary,
     read_field_csv,
     write_barrier_binary,
     write_field_csv,
     write_measure_csv,
+    write_trace_csv,
 )
 from torushj.barrier import BarrierMatrix, peierls_barrier
+from torushj.curves import CurveTrace
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import DiscreteMeasure
 from torushj.models import builtin_model, velocity_set
@@ -30,6 +33,35 @@ def test_field_csv_roundtrip_and_header(tmp_path):
     assert lines[1].startswith("0,0,0,")
     back = read_field_csv(str(path))
     np.testing.assert_array_equal(back.values, f.values)   # 17 digits: exact
+
+
+def reference_write_trace_csv(trace, path):
+    """The row-at-a-time trace writer that `write_trace_csv` replaced."""
+    with open(path, "w", newline="\n") as f:
+        f.write("# step,time,coords,velocity,weight,defect\n")
+        for k in range(trace.steps):
+            cs = ";".join(fmt17(c) for c in trace.points[k])
+            vs = ";".join(fmt17(v) for v in trace.velocities[k])
+            f.write(f"{k},{fmt17(-k * trace.dt)},{cs},{vs},"
+                    f"{fmt17(trace.weights[k])},{fmt17(trace.defects[k])}\n")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("steps", [0, 1, 257])
+def test_trace_csv_bytes_match_the_row_writer(tmp_path, d, steps):
+    rng = np.random.default_rng(10 * d + steps)
+    dt = float(rng.uniform(1e-4, 0.1))
+    tr = CurveTrace(lam=0.5, dt=dt, horizon=steps * dt,
+                    points=rng.uniform(size=(steps + 1, d)),
+                    velocities=rng.integers(-6, 7, size=(steps, d)) * 0.375,
+                    vel_indices=rng.integers(0, 13, size=steps),
+                    weights=np.exp(-0.5 * dt * np.arange(steps + 1)),
+                    defects=rng.normal(size=steps) * 10.0 ** rng.integers(-17, 1, size=steps),
+                    actions=np.zeros(steps), dl0=-np.ones(steps),
+                    on_lattice=False, defect_tol=1e-9)
+    write_trace_csv(tr, str(tmp_path / "fast.csv"))
+    reference_write_trace_csv(tr, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_barrier_binary_roundtrip(tmp_path):

@@ -1,0 +1,179 @@
+"""The critical value, potential and Mather face from Howard's min-plus policy
+iteration (`build_polytope` with integer hops) against three references:
+the arrival-charged critical LP, Karp's minimum-mean-cycle algorithm and
+the long-time route.  Lagrangians include non-separable ones and random
+(node, velocity) tables, at d = 1 and 2 and at default and doubled dt."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torushj.barrier import critical_value
+from torushj.grids import build_grid
+from torushj.matherlp import build_polytope, mather_vertices, solve_mather_lp
+from torushj.models import builtin_model, velocity_set
+from torushj.solver import Transition, default_dt, on_arcs
+
+
+def with_lagrangian(L0, d=1):
+    """A model whose u = 0 Lagrangian is L0(x, v)."""
+    return dataclasses.replace(builtin_model("mechanical", d=d),
+                               L=lambda x, v, u: L0(x, v) - np.asarray(u))
+
+
+def trig(rng, d):
+    """Seeded random trigonometric polynomial on the d-torus, modes 1..3
+    with 1/k^2 decay."""
+    coef = rng.normal(size=(3, d, 2))
+    k = np.arange(1, 4)[:, None]
+
+    def f(x):
+        ang = 2 * np.pi * k * np.asarray(x)[..., None, :]          # (..., 3, d)
+        return np.sum((coef[..., 0] * np.cos(ang) + coef[..., 1] * np.sin(ang))
+                      / k**2, axis=(-2, -1))
+    return f
+
+
+def smooth_lagrangian(seed, d, kind):
+    """Convex, superlinear L0 of four kinds; only "mechanical" is K(v) + W(x)."""
+    rng = np.random.default_rng(seed)
+    U = trig(rng, d)
+    kinetic = lambda v: 0.5 * np.sum(v * v, axis=-1)
+    if kind == "mechanical":
+        return with_lagrangian(lambda x, v: kinetic(v) - U(x), d)
+    if kind == "magnetic":
+        A = [trig(rng, d) for _ in range(d)]
+        return with_lagrangian(lambda x, v: kinetic(v) - U(x) - sum(
+            A[a](x) * v[..., a] for a in range(d)), d)
+    if kind == "cos_drift":          # v^2/2 - 0.3 cos(2 pi x) v on every axis
+        return with_lagrangian(lambda x, v: kinetic(v) - 0.3 * np.sum(
+            np.cos(2 * np.pi * np.asarray(x)) * v, axis=-1), d)
+    mass = trig(rng, d)              # "mass": a position-dependent kinetic factor
+    return with_lagrangian(lambda x, v: (1.0 + 0.2 * np.tanh(mass(x))) * kinetic(v)
+                           - U(x), d)
+
+
+def table_lagrangian(grid, vset, table):
+    """L0(x, v) = table[node of x, index of v], for on-node x and lattice v."""
+    m = vset.m_per_axis
+
+    def L0(x, v):
+        per_axis = np.rint((np.asarray(v) + vset.vmax) / vset.spacing).astype(int)
+        k = np.ravel_multi_index(tuple(np.moveaxis(per_axis, -1, 0)), (m,) * grid.d)
+        return table[grid.nearest_node(x), k]
+    return with_lagrangian(L0, grid.d)
+
+
+def lattice_case(d, n, m, doubled):
+    grid = build_grid(d, n)
+    vset = velocity_set(2.0 if d == 2 else 3.0, m, d)
+    dt = default_dt(grid, vset) * (2 if doubled else 1)
+    return grid, vset, dt
+
+
+def karp_min_mean(take, W):
+    """Karp (1978): min over cycles of the mean arc weight, from the minimal
+    weights D_k(y) of k-arc walks ending at y (any start, D_0 = 0)."""
+    K, N = W.shape
+    D = np.zeros((N + 1, N))
+    for k in range(1, N + 1):
+        D[k] = np.min(D[k - 1][take] + W, axis=0)
+    ks = np.arange(N)[:, None]
+    return float(np.min(np.max((D[N][None, :] - D[:N]) / (N - ks), axis=0)))
+
+
+def check_against_lp(model, grid, vset, dt):
+    """Howard's polytope against the arrival-charged LP and its own
+    certificate; returns the polytope."""
+    poly = build_polytope(model, grid, vset, dt)
+    lp = build_polytope(model, grid, vset, dt, with_critical=False)
+    np.testing.assert_array_equal(lp.action, poly.action)
+    mu, opt, _ = solve_mather_lp(model, lp)
+    assert poly.c == pytest.approx(-opt, abs=1e-12)
+    crit = poly.critical_arcs()
+    assert np.isin(np.flatnonzero(mu.flat() > 1e-9), crit).all()
+    # the potential certifies c: reduced costs >= -zero_tol, zero on the face
+    assert poly.reduced_cost.min() >= -poly.zero_tol
+    assert np.all(poly.reduced_cost[crit] <= poly.zero_tol)
+    # the stored Mather measure is a uniform measure on a critical cycle
+    w = poly.critical_measure.flat()
+    on = np.flatnonzero(w)
+    assert np.isin(on, crit).all()
+    np.testing.assert_allclose(w[on], 1.0 / on.size, rtol=0, atol=1e-15)
+    assert np.max(np.abs(poly.C @ w)) <= 1e-15
+    assert float(poly.action @ w) == pytest.approx(-poly.c, abs=1e-12)
+    return poly
+
+
+KINDS = ["mechanical", "magnetic", "cos_drift", "mass"]
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(6, 32),
+       m=st.sampled_from([5, 9, 17]), kind=st.sampled_from(KINDS),
+       doubled=st.booleans())
+def test_smooth_lagrangians_1d(seed, n, m, kind, doubled):
+    grid, vset, dt = lattice_case(1, n, m, doubled)
+    check_against_lp(smooth_lagrangian(seed, 1, kind), grid, vset, dt)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(4, 7),
+       m=st.sampled_from([3, 5]), kind=st.sampled_from(KINDS),
+       doubled=st.booleans())
+def test_smooth_lagrangians_2d(seed, n, m, kind, doubled):
+    grid, vset, dt = lattice_case(2, n, m, doubled)
+    check_against_lp(smooth_lagrangian(seed, 2, kind), grid, vset, dt)
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from([1, 2]),
+       doubled=st.booleans(), data=st.data())
+def test_random_tables_against_lp_and_karp(seed, d, doubled, data):
+    n = data.draw(st.integers(4, 24) if d == 1 else st.integers(4, 6), label="n")
+    m = data.draw(st.sampled_from([3, 5, 9] if d == 1 else [3, 5]), label="m")
+    grid, vset, dt = lattice_case(d, n, m, doubled)
+    table = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(grid.size, vset.count))
+    model = table_lagrangian(grid, vset, table)
+    L0 = on_arcs(grid, vset, model.L, 0.0)
+    np.testing.assert_array_equal(L0, table.T)
+    poly = check_against_lp(model, grid, vset, dt)
+    eta = karp_min_mean(Transition(grid, vset, dt).take, dt * L0)
+    assert poly.c == pytest.approx(-eta / dt, abs=1e-12)
+    # a random table has one min-mean cycle: the face is one vertex
+    assert len(mather_vertices(poly)) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from([1, 2]),
+       kind=st.sampled_from(KINDS + ["table"]), doubled=st.booleans(),
+       Tmax=st.sampled_from([6.0, 12.0]))
+def test_longtime_route_within_its_gap(seed, d, kind, doubled, Tmax):
+    # closed walks of s arcs cost >= s * eta (the reduced weights are >= 0),
+    # and s arcs around a min-mean cycle of length l plus (s mod l) rest
+    # arcs cost <= s * eta + (l - 1) * dt * (max L0 + c): so
+    # 0 <= c - c_T <= (N - 1) * dt * (max L0 + c) / T
+    grid, vset, dt = lattice_case(d, 16 if d == 1 else 5, 9 if d == 1 else 3, doubled)
+    if kind == "table":
+        rng = np.random.default_rng(seed)
+        model = table_lagrangian(grid, vset, rng.uniform(-1, 1, (grid.size, vset.count)))
+    else:
+        model = smooth_lagrangian(seed, d, kind)
+    poly = build_polytope(model, grid, vset, dt)
+    cd = critical_value(model, "longtime", grid, vset, dt=dt, Tmax=Tmax)
+    T = round(Tmax / dt) * dt
+    gap = (grid.size - 1) * dt * (float(np.max(poly.action)) + poly.c) / T
+    assert -1e-12 <= poly.c - cd.c <= gap + 1e-12
+
+
+def test_rest_ties_and_branches_settle():
+    # every node's rest arc is a min-mean cycle (free particle), and a
+    # branched face (alpha at half a velocity step) ties two arcs per node
+    grid, vset = build_grid(1, 16), velocity_set(3.0, 25)
+    free = build_polytope(builtin_model("mechanical", U=None), grid, vset)
+    assert free.c == 0.0 and len(free.critical_arcs()) == grid.size
+    half = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)
+    poly = check_against_lp(half, grid, vset, default_dt(grid, vset))
+    assert len(poly.critical_arcs()) == 2 * grid.size

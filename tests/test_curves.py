@@ -112,6 +112,19 @@ def test_bad_horizon_or_time_step_is_refused():
             backward_calibrated_curve(model, 0.1, fld, x0, Tmax=5.0, dt=bad_dt, vset=vset)
 
 
+def test_on_lattice_start_just_below_one_folds_to_zero():
+    # the start snaps to its nearest node; the node at 1.0 is node 0
+    model, grid, vset, dt, _, fld = solved("mechanical", n=16, m=9, U=COS)
+    tr = backward_calibrated_curve(model, 0.1, fld, np.array([1.0 - 1e-12]),
+                                   Tmax=2.0, dt=dt, vset=vset)
+    assert tr.on_lattice
+    assert tr.points[0, 0] == 0.0
+    assert np.all((tr.points >= 0.0) & (tr.points < 1.0))
+    ref = backward_calibrated_curve(model, 0.1, fld, np.array([0.0]),
+                                    Tmax=2.0, dt=dt, vset=vset)
+    np.testing.assert_array_equal(tr.points, ref.points)
+
+
 def test_occupation_and_mass_identity_refuse_a_nonpositive_discount():
     model, grid, vset, dt, _, fld = solved("mechanical", U=COS, lam=0.2)
     tr = backward_calibrated_curve(model, 0.2, fld, grid.node_coords()[6],

@@ -84,14 +84,17 @@ def test_reduced_costs_certify_the_critical_measure():
 
 
 def test_stored_critical_solution_is_the_lp_solution():
-    # the polytope keeps the critical LP's result instead of solving it again;
-    # the same HiGHS call must give the same bits
-    model, grid, poly, _ = setup("rotation", 32)
-    mu, opt, _ = solve_mather_lp(model, poly)
-    np.testing.assert_array_equal(mu.weights, poly.critical_measure.weights)
-    assert poly.c == -opt
-    cd = critical_value(model, "lp", grid, poly.vset)
-    assert cd.c == -opt
+    # the polytope's critical value comes from policy iteration; the
+    # arrival-charged LP (the "lp" route) must give the same number, and its
+    # optimizer must live on the polytope's critical arcs
+    for name, n in CASES:
+        model, grid, poly, _ = setup(name, n)
+        mu, opt, _ = solve_mather_lp(model, poly)
+        assert poly.c == pytest.approx(-opt, abs=1e-12)
+        support = np.flatnonzero(mu.flat() > 1e-12)
+        assert np.isin(support, poly.critical_arcs()).all()
+        cd = critical_value(model, "lp", grid, poly.vset)
+        assert cd.c == -opt
 
 
 def test_mather_vertices_known_models():

@@ -136,27 +136,34 @@ def test_matches_window_dp(model):
                                rtol=0, atol=1e-12)
 
 
-def test_arrival_point_shift_is_necessary():
-    # psi = dt * y (the bare node dual) prices L0 at the departure node; on
-    # the magnetic well that leaves arcs with clearly negative reduced weight
+def test_stored_potential_certifies_the_magnetic_well():
+    # the polytope's potential is already in the arrival-point convention of
+    # the lattice graph: psi = dt * potential reweights every arc of the
+    # magnetic well to >= 0 with no shift, and the check in the barrier has
+    # teeth (psi without the dt factor is refused)
     grid, vset = build_grid(1, 128), velocity_set(3.0, 49)
     model = magnetic_well(lambda x: 0.5 * np.cos(2 * np.pi * x[..., 0]), [0.3])
     poly = build_polytope(model, grid, vset)
     assert not assert_matches_oracle(model, poly).warnings
-    rest = on_arcs(grid, vset, model.L, 0.0)[vset.zero_index]
-    bare = dataclasses.replace(poly, potential=poly.potential - rest)
+    dt = poly.dt
+    psi = dt * poly.potential
+    weight = dt * (on_arcs(grid, vset, model.L, 0.0) + poly.c)
+    foot = Transition(grid, vset, dt).take
+    reduced = weight + psi[foot] - psi[None, :]
+    assert reduced.min() >= -dt * poly.zero_tol
+    wrong = dataclasses.replace(poly, potential=poly.potential / dt)
     with pytest.raises(ConfigurationError, match="reduced arc weight"):
-        peierls_barrier(model, bare)
+        peierls_barrier(model, wrong)
 
 
 @pytest.mark.parametrize("m", [17, 49])
-def test_lagrangian_outside_the_certified_form_is_refused(m):
+def test_lagrangian_outside_the_separable_form_matches_the_oracle(m):
     # L0 = |v|^2/2 - 0.3 cos(2 pi x) v is not K(v) + W(x)
     model = with_lagrangian(lambda x, v: 0.5 * v[..., 0] ** 2
                             - 0.3 * np.cos(2 * np.pi * x[..., 0]) * v[..., 0])
-    poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, m))
-    with pytest.raises(ConfigurationError, match="reduced arc weight"):
-        peierls_barrier(model, poly)
+    h = assert_matches_oracle(model, build_polytope(model, build_grid(1, 32),
+                                                    velocity_set(3.0, m)))
+    assert not h.warnings
 
 
 def test_unreachable_pairs_keep_the_sentinel():
