@@ -34,7 +34,7 @@ from torushj.experiments import parse_potential                # noqa: E402
 from torushj.grids import build_grid                           # noqa: E402
 from torushj.matherlp import _howard, build_polytope, solve_mather_lp  # noqa: E402
 from torushj.models import builtin_model, velocity_set          # noqa: E402
-from torushj.solver import Transition, on_arcs                  # noqa: E402
+from torushj.solver import on_arcs                              # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHA = 0.6180339887498949
@@ -95,9 +95,8 @@ def main() -> int:
     for name, model, grid, vset in cases():
         lp = build_polytope(model, grid, vset, with_critical=False)
         lp_s, (_, opt, _) = best(lambda: solve_mather_lp(model, lp), args.repeat)
-        arcs = Transition(grid, vset, lp.dt)
         W = lp.dt * on_arcs(grid, vset, model.L, 0.0)
-        howard_s, (_, _, _, iters) = best(lambda: _howard(arcs.take, W), args.repeat)
+        howard_s, (_, _, _, iters) = best(lambda: _howard(lp.arcs.take, W), args.repeat)
         build_s, poly = best(lambda: build_polytope(model, grid, vset), args.repeat)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
                "lp_vars": lp.num_vars, "lp_s": lp_s, "howard_s": howard_s,

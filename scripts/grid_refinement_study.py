@@ -36,7 +36,7 @@ def main() -> int:
     target = lambda x: np.sin(2 * np.pi * x[..., 0]) + 0.3
     lams = [lam for lam in (0.1, 0.03, 0.01, 0.003, 0.001) if lam >= args.lam_min]
 
-    print(f"{'n':>5s} {'dt':>10s} {'c_lp':>12s} {'sup|u-0.3|':>12s} {'secs':>7s}")
+    print(f"{'n':>5s} {'dt':>10s} {'c':>12s} {'sup|u-0.3|':>12s} {'secs':>7s}")
     for n in sizes:
         grid = build_grid(1, n)
         vset = velocity_set(3.0, args.m)

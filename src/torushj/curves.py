@@ -9,16 +9,25 @@ grid nodes) plus the one-cell interpolation kink scale (when they are not;
 the threshold self-calibrates from the field's second differences since
 off-lattice steps cannot do better than that).
 
-Each step of the trace does only what its argmin needs: one stencil for the
-K feet y - v*dt (`Transition.foot_sampler`), one call of L at the point
-with all K velocities and foot values, and the argmin of
-dt*(L + c0) + u(foot).  The term -lam*dt*V(y) is the same for every
-velocity, so it is left out of the argmin.  The loop keeps the chosen
-index, L there and u at the chosen foot, which is u at the next point of
-the trace.  After the loop, one vectorized expression each gives the
-actions dt*(L - lam*V + c0), the defects |u(y_k) - (action_k + u(y_{k+1}))|,
-dL/du(y_k, v_k, 0) and the weights below; the results equal those of
-evaluating every term inside the loop, bit for bit.
+A step of the trace needs only its argmin: the K feet y - v*dt and u there
+(`Transition.foot_sampler`), L at the point with all K velocities and foot
+values, and the argmin of dt*(L + c0) + u(foot).  The term -lam*dt*V(y) is
+the same for every velocity, so it is left out of the argmin.  The chosen
+velocity seldom changes, so the loop checks steps in speculative blocks.
+It guesses that the last chosen velocity j holds for the next S steps,
+computes the S points that guess gives, and evaluates the feet, L and the
+argmin at all of them in one numpy pass.  A row is a true step when every
+row before it chose j and its foot under j is, bit for bit, the next
+guessed point; the first row that breaks the guess still is a true step,
+with its own argmin and foot, so a block advances at least one step.  S
+doubles after a block that held, up to BLOCK_CAP, drops to 1 after a switch
+of velocity and otherwise stays.  Every float is computed as a per-step
+loop would compute it, so the trace is the same bit for bit; the guess only
+decides how many rows a pass checks.  The loop keeps the chosen index, L
+there and u at the chosen foot, which is u at the next point of the trace.
+After the loop, one vectorized expression each gives the actions
+dt*(L - lam*V + c0), the defects |u(y_k) - (action_k + u(y_{k+1}))|,
+dL/du(y_k, v_k, 0) and the weights below.
 
 The discounted occupation measure weights step k by
 
@@ -59,6 +68,9 @@ __all__ = [
 # A trace whose share of steps above the defect tolerance exceeds this
 # raises CalibrationError.
 DEFECT_FRACTION = 0.05
+
+# Most trace steps one speculative block checks in one numpy pass.
+BLOCK_CAP = 256
 
 
 @dataclass
@@ -143,14 +155,39 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     Lj = np.empty(steps)                        # L at the chosen arc
     uj = np.empty(steps)                        # u at the chosen foot = u(pts[k+1])
     pts[0] = y
-    # -lam*dt*V(y) is the same for every velocity, so the argmin omits it.
     feet_at = arcs.foot_sampler(u.values, snap=on_lattice)
-    for k in range(steps):
-        feet, fv = feet_at(y)
-        Lv = model.L(y[None, :], vels, lam * fv)
-        j = int((dt * (Lv + c0) + fv).argmin())
-        vidx[k], Lj[k], uj[k] = j, Lv[j], fv[j]
-        y = pts[k + 1] = feet[j]
+    n, vdt = grid.n, vels * dt
+    k, j, size = 0, 0, 1                        # a block of one row checks no guess
+    while k < steps:
+        # Guess: velocity j holds for the whole block.  The guessed points
+        # are exact up to the first wrap of the torus; the check below
+        # catches any that are not.
+        size = min(size, steps - k)
+        Y = np.empty((size, grid.d))
+        Y[0], Y[1:] = pts[k], -vdt[j]
+        Y = np.add.accumulate(Y, axis=0)
+        Y[1:] = np.mod(Y[1:], 1.0)
+        Y[Y >= 1.0] = 0.0
+        if on_lattice:
+            Y[1:] = np.rint(Y[1:] * n) / n
+            Y[Y >= 1.0] = 0.0
+        feet, fv = feet_at(Y)                   # (size, K, d), (size, K)
+        Lv = model.L(Y[:, None, :], vels, lam * fv)
+        # -lam*dt*V(y) is the same for every velocity, so the argmin omits it.
+        arg = (dt * (Lv + c0) + fv).argmin(axis=1)
+        # Row i is a true step when each row before it chose j and its foot
+        # under j is, bit for bit, the guessed point after it.  So the rows
+        # up to the first one that breaks the guess are true steps.
+        hit = (arg[:-1] == j) & (feet[:-1, j] == Y[1:]).all(axis=1)
+        take = size if hit.all() else int(hit.argmin()) + 1
+        rows, a = np.arange(take), arg[:take]
+        vidx[k:k + take], Lj[k:k + take], uj[k:k + take] = a, Lv[rows, a], fv[rows, a]
+        pts[k + 1:k + take + 1] = feet[rows, a]
+        if a[-1] != j:
+            size, j = 1, int(a[-1])
+        elif take == size:
+            size = min(2 * size, BLOCK_CAP)
+        k += take
 
     X, vel = pts[:-1], vels[vidx]
     Vx = np.asarray(model.V(X, lam), dtype=float) if lam != 0.0 else 0.0

@@ -65,6 +65,7 @@ from .selection import (
     limit_solution_formula,
 )
 from .solver import (
+    Transition,
     compute_bracket,
     default_dt,
     lambda_sweep,
@@ -375,7 +376,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
     model = model.with_c0(poly.c)
     alpha = model.params.get("alpha", np.array([0.0]))
     stages.append(StageRecord("critical_value", True, {
-        "c_lp": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
+        "c": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
 
     h = peierls_barrier(model, poly)
     artifacts["barrier_peierls"] = h
@@ -421,7 +422,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
 
     poly = build_polytope(model, grid, vs, dt)
     model = model.with_c0(poly.c)
-    stages.append(StageRecord("critical_value", True, {"c_lp": poly.c}))
+    stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
     h = peierls_barrier(model, poly)
     artifacts["barrier_peierls"] = h
@@ -465,7 +466,7 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, dt)
     model = model.with_c0(poly.c)
-    stages.append(StageRecord("critical_value", True, {"c_lp": poly.c}))
+    stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
     cert_true = _floats(cfg.extras.get("certificate_true", "1.5 2 4"))
     cert_false = _floats(cfg.extras.get("certificate_false", "0.1 0.5"))
@@ -584,7 +585,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
     lams = cfg.lambdas or (0.2, 0.1, 0.05)
     # the defect diagnostic needs the transition kernel at the *trace* dt:
     # occupation bins telescope only under the kernel the curve stepped with
-    Cop = closedness_operator(grid, vs, dt)
+    Cop = closedness_operator(Transition(grid, vs, dt))
     tv_seq, defect_seq = [], []
     warm = None
     for lam in lams:

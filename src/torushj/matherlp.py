@@ -111,15 +111,16 @@ class DiscreteMeasure:
         return (w[:, None] * V).sum(axis=0) / max(w.sum(), 1e-300)
 
 
-def closedness_operator(grid: PeriodicGrid, vset: VelocitySet, dt: float) -> sparse.csr_matrix:
+def closedness_operator(arcs: Transition) -> sparse.csr_matrix:
     """Sparse (N x N*K) operator whose rows vanish exactly on closed measures.
 
     Row y evaluates sum_{(x,v)} w(x,v) * [binning weight of x + v*dt at y]
-    minus sum_v w(y, v).  Rows and columns each sum to zero.
+    minus sum_v w(y, v), with the heads of the kernel `arcs`.  Rows and
+    columns each sum to zero.
     """
-    N, K = grid.size, vset.count
+    N, K = arcs.grid.size, arcs.vset.count
     cols = np.arange(N * K)
-    idx, w = Transition(grid, vset, dt).stencil(+1)        # heads x + v*dt
+    idx, w = arcs.heads
     if w is None:
         rows, vals = idx.T.ravel(), np.ones(N * K)
     else:
@@ -147,9 +148,7 @@ class MatherPolytope:
     LP's node dual and reduced costs.
     """
 
-    grid: PeriodicGrid
-    vset: VelocitySet
-    dt: float
+    arcs: Transition             # the one transition kernel of (grid, vset, dt)
     C: sparse.csr_matrix
     action: np.ndarray           # L0 per (node, velocity), flat
     c: Optional[float] = None    # critical value; -c is the LP optimum
@@ -159,6 +158,18 @@ class MatherPolytope:
     potential: Optional[np.ndarray] = None               # certified by reduced_cost
     critical: Optional[np.ndarray] = None                # `critical_arcs()`
     vertices: Optional[list] = None                      # `mather_vertices` of it
+
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.arcs.grid
+
+    @property
+    def vset(self) -> VelocitySet:
+        return self.arcs.vset
+
+    @property
+    def dt(self) -> float:
+        return self.arcs.dt
 
     @property
     def num_vars(self) -> int:
@@ -211,11 +222,10 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
         action = np.empty(N * K)
         action[flat] = L0
     else:
-        head, w = arcs.stencil(+1)
+        head, w = arcs.heads
         action = np.sum(L0[kk[..., None], head] * w, axis=-1).T.ravel()
-    poly = MatherPolytope(grid=grid, vset=vset, dt=dt,
-                          C=closedness_operator(grid, vset, dt),
-                          action=action, tol_min=tol_min)
+    poly = MatherPolytope(arcs=arcs, C=closedness_operator(arcs), action=action,
+                          tol_min=tol_min)
     if not with_critical:
         return poly
     if not arcs.integer_hops:
@@ -491,12 +501,10 @@ def mather_vertices(polytope: MatherPolytope) -> Optional[list]:
     as an array of flat arc indices.  Returns None when the hops are off the
     lattice or a node has two or more critical arcs.
     """
-    arcs = Transition(polytope.grid, polytope.vset, polytope.dt)
-    if not arcs.integer_hops:
+    if not polytope.arcs.integer_hops:
         return None
     N, K = polytope.grid.size, polytope.vset.count
-    head = np.empty_like(arcs.take)            # inverts each foot map
-    head[np.arange(K)[:, None], arcs.take] = np.arange(N)
+    head = polytope.arcs.heads[0]
     crit = polytope.critical_arcs()
     src = crit // K
     if np.any(np.bincount(src, minlength=N) > 1):

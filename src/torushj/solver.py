@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -107,7 +108,7 @@ class Transition:
     foot x - v*dt; the closedness operator pushes mass to its head x + v*dt.
     With integer hops (v*dt/h whole for every velocity) both ends are nodes;
     otherwise they are periodic multilinear stencils.  `take` and `w` hold
-    the foot stencil in (K, N) C order.
+    the foot stencil in (K, N) C order, `heads` the head stencil.
     """
 
     def __init__(self, grid: PeriodicGrid, vset: VelocitySet, dt: float):
@@ -127,6 +128,18 @@ class Transition:
             return self.grid.nearest_node(ends), None
         return interpolation_stencil(self.grid, ends)
 
+    @cached_property
+    def heads(self):
+        """Arc heads x + v*dt, computed once: with integer hops the (K, N)
+        node indices that invert each foot map `take`, and None; else
+        `stencil(+1)`."""
+        if self.w is not None:
+            return self.stencil(+1)
+        K, N = self.take.shape
+        head = np.empty_like(self.take)
+        head[np.arange(K)[:, None], self.take] = np.arange(N)
+        return head, None
+
     def foot_values(self, values: np.ndarray) -> np.ndarray:
         """Field values at all foot points, shape (K, N)."""
         if self.w is None:
@@ -134,21 +147,20 @@ class Transition:
         return np.sum(values[self.take] * self.w, axis=-1)
 
     def foot_sampler(self, values: np.ndarray, snap: bool = False):
-        """A function y -> (feet, fv) for the backward-trace loop: the K feet
-        y - v*dt of one point y (d,), wrapped into [0, 1)^d, and the field's
-        values there, arrays (K, d) and (K,).  With snap, each foot is first
-        rounded to its nearest node.  The arithmetic is that of `wrap_points`
-        and `interpolation_stencil`, done per axis on a copy of the field
-        padded by two nodes per axis, so that no stencil index wraps."""
+        """A function Y -> (feet, fv) for the backward-trace loop: the K feet
+        y - v*dt of each of S points Y (S, d), wrapped into [0, 1)^d, and the
+        field's values there, arrays (S, K, d) and (S, K).  With snap, each
+        foot is first rounded to its nearest node.  The arithmetic is that of
+        `wrap_points` and `interpolation_stencil`, done per axis on a copy of
+        the field padded by two nodes per axis, so that no stencil index
+        wraps; every entry is the same float whatever S is."""
         n, d = self.grid.n, self.grid.d
         vdt = self.vset.velocities * self.dt
-        if d == 1:
-            vdt = vdt[:, 0]
         pad = np.pad(values.reshape((n,) * d), (0, 2), mode="wrap").ravel()
         row = n + 2
 
-        def feet_at(y):
-            feet = np.mod(y - vdt, 1.0)             # (K,) for d = 1, else (K, 2)
+        def feet_at(Y):
+            feet = np.mod(Y[:, None, :] - vdt, 1.0)      # (S, K, d)
             feet[feet >= 1.0] = 0.0
             if snap:
                 feet = np.rint(feet * n) / n
@@ -157,9 +169,10 @@ class Transition:
             i = s.astype(np.intp)                   # the floor, as s >= 0
             t = s - i
             if d == 1:
-                return feet[:, None], pad[i] * (1.0 - t) + pad[i + 1] * t
-            a = i[:, 0] * row + i[:, 1]
-            s, t = t[:, 0], t[:, 1]
+                i, t = i[..., 0], t[..., 0]
+                return feet, pad[i] * (1.0 - t) + pad[i + 1] * t
+            a = i[..., 0] * row + i[..., 1]
+            s, t = t[..., 0], t[..., 1]
             return feet, (pad[a] * ((1 - s) * (1 - t)) + pad[a + 1] * ((1 - s) * t)
                           + pad[a + row] * (s * (1 - t)) + pad[a + row + 1] * (s * t))
 

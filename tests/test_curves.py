@@ -13,7 +13,7 @@ from torushj.errors import CalibrationError, ConfigurationError, TailMassError
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import build_polytope, closedness_operator, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
-from torushj.solver import compute_bracket, default_dt, solve_perturbed
+from torushj.solver import Transition, compute_bracket, default_dt, solve_perturbed
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
@@ -198,7 +198,7 @@ def test_mass_identity_dt_halving():
 def test_closedness_defect_examples():
     lam = 0.1
     model, grid, vset, dt, poly, fld = solved("mechanical", U=COS, lam=lam)
-    C = closedness_operator(grid, vset, dt)
+    C = closedness_operator(Transition(grid, vset, dt))
     mu_lp, _, _ = solve_mather_lp(model, poly)
     assert closedness_defect(mu_lp, poly.C) <= 1e-9
     # moving Dirac: defect equals its mass

@@ -16,7 +16,7 @@ from torushj.matherlp import (
     solve_mather_lp,
 )
 from torushj.models import builtin_model, velocity_set
-from torushj.solver import default_dt
+from torushj.solver import Transition, default_dt
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
@@ -34,7 +34,7 @@ def setup32():
     grid = build_grid(1, 32)
     vset = velocity_set(2.0, 17)
     dt = default_dt(grid, vset)
-    return grid, vset, dt, closedness_operator(grid, vset, dt)
+    return grid, vset, dt, closedness_operator(Transition(grid, vset, dt))
 
 
 def test_closedness_rows_and_columns_sum_zero(setup32):

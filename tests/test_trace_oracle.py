@@ -1,21 +1,29 @@
-"""`backward_calibrated_curve` against the per-step loop it replaced, kept
-here as its oracle: the same velocity path, the same points, weights,
-defects, actions and dL/du within 1e-12, and CalibrationError on the same
-inputs, for random smooth fields and potentials at d = 1 and 2, integer-hop
-and off-lattice time steps, starts on and off nodes, and lam = 0 and > 0."""
+"""`backward_calibrated_curve` against the loops it replaced, kept here as
+its oracles, for random smooth fields and potentials at d = 1 and 2,
+integer-hop and off-lattice time steps, starts on and off nodes, and lam = 0
+and > 0.
+
+Against the retired per-step loop: the same velocity path, the same points,
+weights, defects, actions and dL/du within 1e-12, and CalibrationError on the
+same inputs.  Against the lean loop (one foot stencil and one L call per
+step), which the speculative block loop replaced: every CurveTrace field bit
+for bit, on traces of up to 2,000 steps with velocity runs longer than the
+block cap, switches inside blocks and wraps of the torus inside blocks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_peierls_exact import smooth_potential
-from torushj.curves import CurveTrace, _kink_scale, backward_calibrated_curve
+from torushj.curves import BLOCK_CAP, CurveTrace, _kink_scale, backward_calibrated_curve
 from torushj.errors import CalibrationError
 from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil, wrap_points
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, solve_perturbed
 
 FIELDS = ("points", "weights", "defects", "actions", "dl0")
+ALL_FIELDS = FIELDS + ("velocities", "vel_indices", "lam", "dt", "horizon",
+                       "on_lattice", "defect_tol")
 
 
 def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
@@ -76,6 +84,89 @@ def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
                       on_lattice=on_lattice, defect_tol=defect_tol)
 
 
+def point_sampler(arcs, values, snap):
+    """The lean loop's foot stencil of one point y (d,): feet (K, d) and
+    values (K,), with the arithmetic of `Transition.foot_sampler`."""
+    n, d = arcs.grid.n, arcs.grid.d
+    vdt = arcs.vset.velocities * arcs.dt
+    if d == 1:
+        vdt = vdt[:, 0]
+    pad = np.pad(values.reshape((n,) * d), (0, 2), mode="wrap").ravel()
+    row = n + 2
+
+    def feet_at(y):
+        feet = np.mod(y - vdt, 1.0)
+        feet[feet >= 1.0] = 0.0
+        if snap:
+            feet = np.rint(feet * n) / n
+            feet[feet >= 1.0] = 0.0
+        s = feet * n
+        i = s.astype(np.intp)
+        t = s - i
+        if d == 1:
+            return feet[:, None], pad[i] * (1.0 - t) + pad[i + 1] * t
+        a = i[:, 0] * row + i[:, 1]
+        s, t = t[:, 0], t[:, 1]
+        return feet, (pad[a] * ((1 - s) * (1 - t)) + pad[a + 1] * ((1 - s) * t)
+                      + pad[a + row] * (s * (1 - t)) + pad[a + row + 1] * (s * t))
+
+    return feet_at
+
+
+def lean_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
+                                   solver_tol=1e-8, defect_tol=None):
+    """The retired lean loop: per step one foot stencil, one call of L with
+    all K velocities and an argmin; everything else after the loop."""
+    grid = u.grid
+    lam, dt, c0 = float(lam), float(dt), model.c0
+    steps = int(np.floor(Tmax / dt + 1e-12))
+    vels = vset.velocities
+    arcs = Transition(grid, vset, dt)
+    y = wrap_points(np.asarray(x, dtype=float), grid.d)
+    start_on_node = bool(np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
+    on_lattice = arcs.integer_hops and start_on_node
+    if on_lattice:
+        y = np.rint(y * grid.n) % grid.n / grid.n
+    if defect_tol is None:
+        defect_tol = 10.0 * solver_tol * dt
+        if not on_lattice:
+            defect_tol += 10.0 * (_kink_scale(u) + dt * grid.h)
+
+    pts = np.empty((steps + 1, grid.d))
+    vidx = np.empty(steps, dtype=int)
+    Lj, uj = np.empty(steps), np.empty(steps)
+    pts[0] = y
+    feet_at = point_sampler(arcs, u.values, on_lattice)
+    for k in range(steps):
+        feet, fv = feet_at(y)
+        Lv = model.L(y[None, :], vels, lam * fv)
+        j = int((dt * (Lv + c0) + fv).argmin())
+        vidx[k], Lj[k], uj[k] = j, Lv[j], fv[j]
+        y = pts[k + 1] = feet[j]
+
+    X, vel = pts[:-1], vels[vidx]
+    Vx = np.asarray(model.V(X, lam), dtype=float) if lam != 0.0 else 0.0
+    actions = dt * (Lj - lam * Vx + c0)
+    u_here = np.concatenate(([interpolate(u, pts[0])], uj[:-1])) if steps else uj
+    defects = np.abs(u_here - (actions + uj))
+    dl0 = np.asarray(model.dLdu0(X, vel), dtype=float)
+    W = np.ones(steps + 1)
+    np.cumprod(np.exp(lam * dl0 * dt), out=W[1:])
+    if steps > 0 and float(np.mean(defects > defect_tol)) > 0.05:
+        raise CalibrationError("field not converged")
+    return CurveTrace(lam=lam, dt=dt, horizon=steps * dt, points=pts,
+                      velocities=vel, vel_indices=vidx, weights=W,
+                      defects=defects, actions=actions, dl0=dl0,
+                      on_lattice=on_lattice, defect_tol=defect_tol)
+
+
+def assert_bit_identical(new, ref):
+    for f in ALL_FIELDS:
+        a, b = getattr(new, f), getattr(ref, f)
+        assert np.shape(a) == np.shape(b), f
+        assert np.array_equal(a, b), f
+
+
 def random_model(name, d, seed):
     """A built-in model with smooth random potentials; V is nonzero for all
     but arctan_discount, whose V is the constant pi/2."""
@@ -101,6 +192,21 @@ def trace_or_none(fn, *args, **kwargs):
         return None
 
 
+def trace_case(d, name, seed, dt_mode, on_node, amp, start):
+    """Model, field, start and time step of one random trace.  The field is
+    amp times a smooth random function; amp = 0 makes the argmin the same at
+    every point, so velocity runs last the whole trace."""
+    n, m = (24, 9) if d == 1 else (10, 5)
+    grid, vset = build_grid(d, n), velocity_set(2.0, m, d)
+    dt = default_dt(grid, vset) * {"default": 1.0, "doubled": 2.0, "off_lattice": 0.77,
+                                   "small": 0.013}[dt_mode]
+    model = random_model(name, d, seed)
+    u = GridField.from_function(grid, lambda X: amp * smooth_potential(seed + 3, d)(X))
+    cell, frac = np.divmod(np.asarray(start[:d]) * n, 1.0)
+    x = (cell if on_node else cell + 0.05 + 0.9 * frac) / n
+    return model, u, x, dt, vset
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([1, 2]),
        name=st.sampled_from(["mechanical", "sigma_discounted", "shifted_quadratic",
@@ -114,15 +220,8 @@ def trace_or_none(fn, *args, **kwargs):
        cut=st.floats(0.0, 1.0))
 def test_trace_matches_the_retired_loop(d, name, seed, dt_mode, on_node, lam, steps,
                                         start, cut):
-    n, m = (24, 9) if d == 1 else (10, 5)
-    grid, vset = build_grid(d, n), velocity_set(2.0, m, d)
-    dt = default_dt(grid, vset) * {"default": 1.0, "doubled": 2.0, "off_lattice": 0.77}[dt_mode]
-    model = random_model(name, d, seed)
-    u = GridField.from_function(grid, lambda X: 0.3 * smooth_potential(seed + 3, d)(X))
-    cell, frac = np.divmod(np.asarray(start[:d]) * n, 1.0)
-    x = (cell if on_node else cell + 0.05 + 0.9 * frac) / n
-    Tmax = (steps + 0.5) * dt
-    args = (model, lam, u, x, Tmax, dt, vset)
+    model, u, x, dt, vset = trace_case(d, name, seed, dt_mode, on_node, 0.3, start)
+    args = (model, lam, u, x, (steps + 0.5) * dt, dt, vset)
 
     ref = reference_backward_calibrated_curve(*args, defect_tol=np.inf)
     new = backward_calibrated_curve(*args, defect_tol=np.inf)
@@ -163,3 +262,96 @@ def test_solved_field_trace_matches_the_retired_loop(d):
         assert np.array_equal(new.vel_indices, ref.vel_indices)
         for f in FIELDS:
             assert np.max(np.abs(getattr(new, f) - getattr(ref, f))) <= 1e-12, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]),
+       name=st.sampled_from(["mechanical", "sigma_discounted", "shifted_quadratic",
+                             "arctan_discount"]),
+       seed=st.integers(0, 10**6),
+       dt_mode=st.sampled_from(["default", "doubled", "off_lattice", "small"]),
+       on_node=st.booleans(),
+       amp=st.sampled_from([0.0, 0.003, 0.3]),
+       lam=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
+       steps=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2000)),
+       start=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
+def test_block_loop_matches_the_lean_loop_bit_for_bit(d, name, seed, dt_mode, on_node,
+                                                       amp, lam, steps, start):
+    model, u, x, dt, vset = trace_case(d, name, seed, dt_mode, on_node, amp, start)
+    args = (model, lam, u, x, (steps + 0.5) * dt, dt, vset)
+    ref = lean_backward_calibrated_curve(*args, defect_tol=np.inf)
+    assert ref.steps == steps
+    assert_bit_identical(backward_calibrated_curve(*args, defect_tol=np.inf), ref)
+    ref = trace_or_none(lean_backward_calibrated_curve, *args)
+    new = trace_or_none(backward_calibrated_curve, *args)
+    assert (new is None) == (ref is None)
+    if ref is not None:
+        assert_bit_identical(new, ref)
+
+
+def recorded_blocks(monkeypatch, *args):
+    """The trace and its blocks as (first step, rows guessed, rows taken).
+    The guessed points of each block are recorded from the foot sampler; a
+    block takes the rows up to the first guessed point the trace leaves."""
+    calls = []
+    sampler = Transition.foot_sampler
+
+    def recording(self, values, snap=False):
+        feet_at = sampler(self, values, snap)
+        return lambda Y: calls.append(Y.copy()) or feet_at(Y)
+
+    monkeypatch.setattr(Transition, "foot_sampler", recording)
+    trace = backward_calibrated_curve(*args, defect_tol=np.inf)
+    monkeypatch.undo()
+    k, blocks = 0, []
+    for Y in calls:
+        assert np.array_equal(Y[0], trace.points[k])
+        m = 1
+        while m < len(Y) and np.array_equal(Y[m], trace.points[k + m]):
+            m += 1
+        blocks.append((k, len(Y), m))
+        k += m
+    assert k == trace.steps
+    return trace, blocks
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_block_schedule_covers_long_runs_switches_and_wraps(monkeypatch, d):
+    """Nearly flat fields, on and off the lattice: velocity runs longer than
+    BLOCK_CAP, switches after the first row of a block, and wraps of the
+    torus with the block going on past them, all bit for bit equal to the
+    lean loop."""
+    seen = {"long run": False, "switch inside a block": False,
+            "wrap inside a block": False, "on lattice": False, "off lattice": False}
+    for dt_mode in ("default", "off_lattice", "small"):
+        for seed in range(6):
+            model, u, x, dt, vset = trace_case(d, "shifted_quadratic", seed, dt_mode,
+                                               dt_mode != "small", 0.03, (0.31, 0.77))
+            args = (model, 0.5, u, x, 2000.5 * dt, dt, vset)
+            trace, blocks = recorded_blocks(monkeypatch, *args)
+            assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
+                                                                       defect_tol=np.inf))
+            seen["on lattice" if trace.on_lattice else "off lattice"] = True
+            switch = np.flatnonzero(np.diff(trace.vel_indices)) + 1
+            runs = np.diff(np.concatenate(([0], switch, [trace.steps])))
+            seen["long run"] |= bool(runs.max() > BLOCK_CAP
+                                     and max(b[1] for b in blocks) == BLOCK_CAP)
+            wraps = np.flatnonzero(np.abs(np.diff(trace.points, axis=0)).max(axis=1) > 0.5)
+            for k, size, take in blocks:
+                seen["switch inside a block"] |= 1 < take < size and (k + take - 1) in switch
+                seen["wrap inside a block"] |= bool(np.any((wraps >= k) & (wraps < k + take - 1)))
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("steps", [0, 1])
+def test_zero_and_one_step_traces_match_the_lean_loop(d, steps):
+    for dt_mode, on_node in (("default", True), ("off_lattice", False)):
+        model, u, x, dt, vset = trace_case(d, "mechanical", 3, dt_mode, on_node, 0.3,
+                                           (0.4, 0.6))
+        args = (model, 0.7, u, x, (steps + 0.5) * dt, dt, vset)
+        new = backward_calibrated_curve(*args, defect_tol=np.inf)
+        assert new.steps == steps
+        assert_bit_identical(new, lean_backward_calibrated_curve(*args, defect_tol=np.inf))
+        assert ((trace_or_none(backward_calibrated_curve, *args) is None)
+                == (trace_or_none(lean_backward_calibrated_curve, *args) is None))

@@ -7,8 +7,10 @@ from scipy import sparse
 
 from torushj.errors import ConfigurationError
 from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
-from torushj.matherlp import closedness_operator
-from torushj.models import velocity_set
+import torushj.matherlp as matherlp
+from torushj.experiments import parse_potential
+from torushj.matherlp import build_polytope, closedness_operator
+from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, on_arcs
 
 # (d, n, vmax, m, dt) with dt None for the default h / (velocity step)
@@ -66,7 +68,10 @@ def test_foot_values_match_interpolation(case, seed):
 def test_heads_bin_the_forward_points(case, seed):
     grid, vset, dt = make(*case)
     arcs = Transition(grid, vset, dt)
-    idx, w = arcs.stencil(+1)
+    idx, w = arcs.heads
+    ref_idx, ref_w = arcs.stencil(+1)
+    assert np.array_equal(idx, ref_idx) and (w is None) == (ref_w is None)
+    assert w is None or np.array_equal(w, ref_w)
     u = random_field(grid, seed)
     if arcs.integer_hops:
         assert w is None and idx.shape == (vset.count, grid.size)
@@ -146,10 +151,67 @@ def reference_closedness(grid, vset, dt):
 @pytest.mark.parametrize("case", GRIDS)
 def test_closedness_operator_matches_reference(case):
     grid, vset, dt = make(*case)
-    C = closedness_operator(grid, vset, dt)
+    C = closedness_operator(Transition(grid, vset, dt))
     dense = C.toarray()
     np.testing.assert_allclose(dense.sum(axis=0), 0.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dense.sum(axis=1), 0.0, rtol=0, atol=1e-12)
     ref = reference_closedness(grid, vset, dt)
     for attr in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(C, attr), getattr(ref, attr))
+
+
+def reference_vertices(poly):
+    """The Mather vertices by the successor walk, with a kernel of its own."""
+    arcs = Transition(poly.grid, poly.vset, poly.dt)
+    if not arcs.integer_hops:
+        return None
+    N, K = poly.grid.size, poly.vset.count
+    head = np.empty_like(arcs.take)
+    head[np.arange(K)[:, None], arcs.take] = np.arange(N)
+    crit = poly.critical_arcs()
+    src = crit // K
+    if np.any(np.bincount(src, minlength=N) > 1):
+        return None
+    nxt, arc_of = np.full(N, -1), np.full(N, -1)
+    nxt[src], arc_of[src] = head[crit % K, src], crit
+    done, cycles = np.zeros(N, dtype=bool), []
+    for start in range(N):
+        path, x = [], start
+        while x >= 0 and not done[x] and x not in path:
+            path.append(x)
+            x = nxt[x]
+        if x >= 0 and x in path:
+            cycles.append(arc_of[path[path.index(x):]])
+        done[path] = True
+    return cycles
+
+
+@pytest.mark.parametrize("case", [(1, 32, 3.0, 25, None, "cos:amp=1,freq=1"),
+                                  (1, 32, 3.0, 25, "double", "cos:amp=1,freq=2"),
+                                  (1, 16, 2.0, 9, 0.0101, "cos:amp=1,freq=1"),
+                                  (2, 8, 1.0, 5, None, "cos_sum:amp=1,freq=1")])
+def test_build_polytope_uses_one_transition(monkeypatch, case):
+    """One kernel per polytope; its closedness operator has the CSR arrays
+    of the independent reference and its vertices those of a walk with a
+    kernel of its own."""
+    grid, vset, dt = make(*case[:5])
+    model = builtin_model("mechanical", d=grid.d, U=parse_potential(case[5]))
+    built = []
+
+    class Counted(Transition):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(matherlp, "Transition", Counted)
+    poly = build_polytope(model, grid, vset, dt)
+    monkeypatch.undo()
+    assert len(built) == 1 and poly.arcs.dt == dt
+    ref = reference_closedness(grid, vset, dt)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(poly.C, attr), getattr(ref, attr))
+    want = reference_vertices(poly)
+    assert (poly.vertices is None) == (want is None) == (case[4] == 0.0101)
+    if want is not None:
+        assert len(poly.vertices) == len(want) >= 1
+        assert all(np.array_equal(a, b) for a, b in zip(poly.vertices, want))
