@@ -10,7 +10,7 @@ n = 40 (vmax 2, m = 9 per axis, K = 81).  Per case it reports the best of
     lp_s        `solve_mather_lp` on the assembled polytope (the "lp" route),
     howard_s    `matherlp._howard` alone, with its iteration count,
     build_s     `build_polytope` end to end (assembly, Howard, critical
-                arcs, Mather vertices),
+                arcs, static classes),
 plus |c_lp - c_howard| and the smallest reduced cost, and writes all of it
 with the machine facts to BENCH_critical.json.
 
@@ -96,7 +96,7 @@ def main() -> int:
         lp = build_polytope(model, grid, vset, with_critical=False)
         lp_s, (_, opt, _) = best(lambda: solve_mather_lp(model, lp), args.repeat)
         W = lp.dt * on_arcs(grid, vset, model.L, 0.0)
-        howard_s, (_, _, _, iters) = best(lambda: _howard(lp.arcs.take, W), args.repeat)
+        howard_s, (_, _, _, iters) = best(lambda: _howard(lp.arcs.take, W, np.ones_like(W)), args.repeat)
         build_s, poly = best(lambda: build_polytope(model, grid, vset), args.repeat)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
                "lp_vars": lp.num_vars, "lp_s": lp_s, "howard_s": howard_s,

@@ -21,11 +21,14 @@ The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
 lattice graph, whose arc (k, y) runs from its foot to y with weight
 dt * (L0(y, v_k) + c): h(x, y) = min over z in A of [Phi(x, z) + Phi(z, y)],
 Phi the shortest-path (Mane) potential and A the Aubry set, the nodes on
-zero-weight cycles (Contreras-Iturriaga).  Johnson's (1977) reweighting by
-psi = dt * potential, the polytope's Howard bias (`matherlp.build_polytope`),
-which charges L0 at the arrival point like this graph, makes every arc
-weight nonnegative for every Lagrangian.  Dijkstra then runs forward and
-backward from A only.
+zero-weight cycles (Contreras-Iturriaga).  The polytope holds all of it:
+its kernel, L0 on its arcs, and its Howard bias (`matherlp.build_polytope`),
+which charges L0 at the arrival point like this graph, so that Johnson's
+(1977) reweighting by psi = dt * potential makes every arc weight
+nonnegative for every Lagrangian.  A is the union of the polytope's static
+classes, and two nodes of one class are joined both ways at zero cost, so
+Phi(x, z) + Phi(z, y) is the same for every z of a class: Dijkstra runs
+forward and backward from one representative per class.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError
 from .grids import GridField, PeriodicGrid
-from .matherlp import MatherPolytope, build_polytope, cycle_arcs, solve_mather_lp
+from .matherlp import MatherPolytope, build_polytope, solve_mather_lp
 from .models import ControlModel, VelocitySet, discounted_wrapper
 from .solver import Transition, default_dt, lambda_sweep, on_arcs
 
@@ -226,23 +229,22 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                         spread=spread, per_method=values)
 
 
-def peierls_barrier(model: ControlModel, polytope: MatherPolytope) -> BarrierMatrix:
+def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
     """The discrete Peierls barrier at the polytope's critical value, exactly.
 
-    The polytope gives dt, c and the potential.  Raises ConfigurationError
-    for off-lattice hops, for an empty Aubry set and for a reweighted arc
-    below -dt * zero_tol: that check certifies the potential for this L0,
-    and only roundoff that passes it is clamped.  Pairs the lattice graph
-    cannot join keep the BIG sentinel and a warning.
+    The polytope gives dt, the arcs and their L0, c, the potential and the
+    static classes.  Raises ConfigurationError for a polytope without
+    classes (built without its critical solution, or with off-lattice hops)
+    and for a reweighted arc below -dt * zero_tol: that check certifies the
+    potential, and only roundoff that passes it is clamped.  Pairs the
+    lattice graph cannot join keep the BIG sentinel and a warning.
     """
-    if polytope.potential is None:
-        raise ConfigurationError("peierls_barrier needs a polytope built with "
-                                 "its critical solution (with_critical=True)")
-    grid, vset, dt, N = polytope.grid, polytope.vset, polytope.dt, polytope.grid.size
-    kern = _ActionKernel(model, grid, vset, dt)
-    foot, head = kern.take.ravel(), np.tile(np.arange(N), vset.count)
+    aubry, _, reps = polytope.static_classes()
+    dt, N, K = polytope.dt, polytope.grid.size, polytope.vset.count
+    foot, head = polytope.arcs.take.ravel(), np.tile(np.arange(N), K)
     psi = dt * polytope.potential
-    reduced = kern.cost.ravel() + dt * polytope.c + psi[foot] - psi[head]
+    cost = dt * polytope.action[foot * K + np.repeat(np.arange(K), N)]
+    reduced = cost + dt * polytope.c + psi[foot] - psi[head]
     tol = dt * polytope.zero_tol
     if reduced.min() < -tol:
         raise ConfigurationError(f"reduced arc weight {reduced.min():.3g} < 0: the "
@@ -253,20 +255,16 @@ def peierls_barrier(model: ControlModel, polytope: MatherPolytope) -> BarrierMat
     order = np.lexsort((reduced, key))
     arc = order[np.r_[True, np.diff(key[order]) != 0]]
     G = sparse.csr_matrix((reduced[arc], (foot[arc], head[arc])), shape=(N, N))
-    zero = arc[reduced[arc] <= tol]
-    aubry = np.unique(foot[zero[cycle_arcs(foot[zero], head[zero], N)]])
-    if aubry.size == 0:
-        raise ConfigurationError("no zero-weight cycle: the Aubry set is empty")
     h = np.full((N, N), np.inf)
-    for to_z, from_z in zip(csgraph.dijkstra(G.T, indices=aubry),
-                            csgraph.dijkstra(G, indices=aubry)):
+    for to_z, from_z in zip(csgraph.dijkstra(G.T, indices=reps),
+                            csgraph.dijkstra(G, indices=reps)):
         np.minimum(h, to_z[:, None] + from_z[None, :], out=h)
     h = h - psi[:, None] + psi[None, :]
     warns = []
     if not np.all(np.isfinite(h)):
         h[~np.isfinite(h)] = BIG
         warns.append("some node pairs are unreachable on the lattice graph")
-    return BarrierMatrix(grid, "peierls", None, h, warnings=warns, aubry=aubry)
+    return BarrierMatrix(polytope.grid, "peierls", None, h, warnings=warns, aubry=aubry)
 
 
 def aubry_set(h: BarrierMatrix) -> np.ndarray:

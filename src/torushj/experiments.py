@@ -350,8 +350,7 @@ def _threshold(cfg: ExperimentConfig, key: str, default: float) -> float:
 
 def _face_details(sel: SelectionResult) -> dict:
     """How the limit formula was evaluated on the Mather face."""
-    return {"path": sel.path, "critical_arcs": sel.critical_arcs,
-            "vertices": sel.vertices}
+    return {"critical_arcs": sel.critical_arcs, "classes": sel.classes}
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("critical_value", True, {
         "c": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
 
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     artifacts["barrier_peierls"] = h
     stages.append(StageRecord("peierls_barrier", True,
                               {"max_abs": float(np.max(np.abs(h.values))),
@@ -424,7 +423,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
     model = model.with_c0(poly.c)
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     artifacts["barrier_peierls"] = h
     stages.append(StageRecord("peierls_barrier", True,
                               {"min_diag": float(np.min(h.diagonal())),
@@ -511,7 +510,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     artifacts["barrier_peierls"] = h
     sigma1 = GridField.constant(grid, 1.0)
     rng = np.random.default_rng(cfg.seed)
@@ -576,7 +575,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, default_dt(grid, vs))
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     xstar = int(aubry_set(h)[0])
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     lp_mu = poly.critical_measure
@@ -661,7 +660,7 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
 
     mech = mech.with_c0(cd.per_method["lp"])
     poly49 = build_polytope(mech, grid, cfg.vset())
-    h = peierls_barrier(mech, poly49)
+    h = peierls_barrier(poly49)
     artifacts["barrier_mechanical"] = h
     tol_tri = _threshold(cfg, "tol_tri", 5e-3)
     x, y, z = rng.integers(0, grid.size, size=(1000, 3)).T

@@ -1,6 +1,6 @@
 """Mather measures on the lattice graph: the critical value by Howard's
-min-plus policy iteration, and linear programs over the closed-measure
-polytope.
+min-plus policy iteration, its static classes, and linear programs over the
+closed-measure polytope.
 
 A measure is a nonnegative weight per (node, velocity) pair, an "arc" of
 the transition kernel the solver uses (`solver.Transition`).  Closedness is
@@ -23,26 +23,26 @@ nonnegative up to roundoff, and zero on every arc of a min-mean cycle.
 The critical arcs are the zero-cost arcs inside strongly connected
 components of the zero-cost graph (`cycle_arcs`); the closed probability
 measures on them are exactly the Mather measures, whatever the potential.
-The vertices of that face are the uniform measures on simple cycles of the
-critical subgraph, which `mather_vertices` lists when the cycles are
-disjoint and `build_polytope` keeps.  The selection layer evaluates its
-linear-fractional objectives on those vertices (Charnes-Cooper 1962: the
-minimum sits at a vertex), and otherwise solves `fractional_minimize`
-restricted to the critical arcs.
+Those components are the static classes, which the polytope keeps as one
+label per Aubry node (`MatherPolytope.classes`): every simple cycle of
+critical arcs, hence every vertex of the Mather face, lies in one class,
+and the Peierls barrier is additive through any node of a class.  The
+selection layer minimizes its linear-fractional objectives class by class
+with the ratio form of the same policy iteration (`_howard` with per-arc
+denominators).
 
 Off the node lattice the polytope takes c, the reduced costs and the
 critical measure from the critical LP (`solve_mather_lp`), which HiGHS
-solves with its dual.  That LP is also the independent "lp" route of
-`barrier.critical_value`.  The full-polytope programs, which impose
-minimality as an action row with slack tol_min, remain as
-`minimize_linear_over_mather` and `fractional_minimize` without a support;
-they serve the tests as an oracle.  Linear programs are solved with HiGHS
-dual simplex (deterministic pivoting, vertex solutions).  Their
-multiplicity flag comes from a second LP that maximizes the mass movable
-off the support of the returned vertex while staying on the optimal face;
-reduced-cost inspection alone cannot tell a degenerate vertex from a
-genuine alternative optimum since those optima are typically sparse and
-thus heavily degenerate.
+solves with its dual, and has no classes.  That LP is also the independent
+"lp" route of `barrier.critical_value`.  The full-polytope programs, which
+impose minimality as an action row with slack tol_min, remain as
+`minimize_linear_over_mather` and `fractional_minimize`; they serve the
+tests as an oracle.  Linear programs are solved with HiGHS dual simplex
+(deterministic pivoting, vertex solutions).  Their multiplicity flag comes
+from a second LP that maximizes the mass movable off the support of the
+returned vertex while staying on the optimal face; reduced-cost inspection
+alone cannot tell a degenerate vertex from a genuine alternative optimum
+since those optima are typically sparse and thus heavily degenerate.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "solve_mather_lp",
     "minimize_linear_over_mather",
     "fractional_minimize",
-    "mather_vertices",
     "projected_measure",
     "graph_check",
     "GraphReport",
@@ -157,7 +156,7 @@ class MatherPolytope:
     reduced_cost: Optional[np.ndarray] = None            # >= -zero_tol, flat
     potential: Optional[np.ndarray] = None               # certified by reduced_cost
     critical: Optional[np.ndarray] = None                # `critical_arcs()`
-    vertices: Optional[list] = None                      # `mather_vertices` of it
+    classes: Optional[np.ndarray] = None                 # static class per node, -1 off A
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -189,21 +188,35 @@ class MatherPolytope:
                                      "it with with_critical=True")
         return self.critical
 
+    def static_classes(self):
+        """The Aubry set A (ascending), the class of each node of A, and one
+        representative per class, its smallest node; classes are numbered
+        in the order of their representatives."""
+        if self.classes is None:
+            raise ConfigurationError("the polytope has no static classes: they need "
+                                     "its critical solution (with_critical=True), and "
+                                     "off the node lattice there are none")
+        aubry = np.flatnonzero(self.classes >= 0)
+        label = self.classes[aubry]
+        return aubry, label, aubry[np.unique(label, return_index=True)[1]]
 
-def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int) -> np.ndarray:
+
+def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int):
     """Mask of the arcs foot -> head that lie on a cycle of the graph they
-    form on N nodes: those whose ends share a strongly connected component."""
+    form on N nodes, those whose ends share a strongly connected component,
+    and the component label of each node."""
     G = sparse.csr_matrix((np.ones(foot.size), (foot, head)), shape=(N, N))
     label = csgraph.connected_components(G, connection="strong")[1]
-    return label[foot] == label[head]
+    return label[foot] == label[head], label
 
 
 def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
-                   dt: Optional[float] = None, with_critical: bool = True,
-                   tol_min: float = 1e-9) -> MatherPolytope:
+                   dt: Optional[float] = None,
+                   with_critical: bool = True) -> MatherPolytope:
     """Assemble the polytope; by default also solve its critical problem once
     and keep the critical value, one minimizing measure, a potential with its
-    reduced costs, the critical arcs and the vertices of the Mather face.
+    reduced costs, the critical arcs and, with integer hops, their static
+    classes.
 
     With integer hops that is Howard's policy iteration (`_howard`), whose
     potential must pass the certificate reduced_cost >= -zero_tol
@@ -224,8 +237,7 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     else:
         head, w = arcs.heads
         action = np.sum(L0[kk[..., None], head] * w, axis=-1).T.ravel()
-    poly = MatherPolytope(arcs=arcs, C=closedness_operator(arcs), action=action,
-                          tol_min=tol_min)
+    poly = MatherPolytope(arcs=arcs, C=closedness_operator(arcs), action=action)
     if not with_critical:
         return poly
     if not arcs.integer_hops:
@@ -236,11 +248,10 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
         poly.potential = info.duals[:-1]
         poly.reduced_cost = action - poly.C.T @ poly.potential - info.duals[-1]
         poly.critical = np.flatnonzero(poly.reduced_cost <= poly.zero_tol)
-        poly.vertices = mather_vertices(poly)
         return poly
     foot = arcs.take
     W = dt * L0
-    eta, u, pol, _ = _howard(foot, W)
+    eta, u, pol, _ = _howard(foot, W, np.ones_like(W))
     star = float(eta.min())
     poly.c = -star / dt
     poly.potential = u / dt
@@ -251,8 +262,13 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
         raise MatherLPError(f"reduced cost {poly.reduced_cost.min():.3g} < 0: the "
                             "policy-iteration potential does not certify c")
     k, y = np.nonzero(reduced <= poly.zero_tol)
-    on = cycle_arcs(foot[k, y], y, N)
+    on, label = cycle_arcs(foot[k, y], y, N)
     poly.critical = np.sort(flat[k[on], y[on]])
+    # the static classes, numbered in the order of their smallest node
+    aubry = np.unique(y[on])
+    _, first, cls = np.unique(label[aubry], return_index=True, return_inverse=True)
+    poly.classes = np.full(N, -1)
+    poly.classes[aubry] = np.argsort(np.argsort(first))[cls]
     # the policy's cycle through a node of minimal mean: N steps back along
     # the policy from any node land on its cycle
     pred = foot[pol, np.arange(N)]
@@ -265,37 +281,42 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     weights = np.zeros(N * K)
     weights[flat[pol[cycle], cycle]] = 1.0 / len(cycle)
     poly.critical_measure = DiscreteMeasure(grid, vset, weights)
-    poly.vertices = mather_vertices(poly)
     return poly
 
 
-def _howard(take: np.ndarray, W: np.ndarray):
-    """Howard's policy iteration for the min-plus spectral problem
+def _howard(take: np.ndarray, W: np.ndarray, D: np.ndarray):
+    """Howard's policy iteration for the min-plus spectral problem with
+    per-arc denominators D > 0
 
-        eta(y) + u(y) = min_k W[k, y] + u(take[k, y])
+        u(y) = min_k W[k, y] - eta(y) * D[k, y] + u(take[k, y])
 
     on a graph whose arc (k, y) runs from take[k, y] to y with weight W[k, y],
-    both (K, N).  A policy picks one arc per node, so its graph has one
-    predecessor per node: value determination walks its cycles and the trees
-    that hang from them (`_policy_values`).  Improvement first lowers eta,
-    then the bias u, switching a node only on a decrease larger than a
-    roundoff tolerance, so that the (eta, u) pairs strictly decrease and the
-    loop ends.  Returns per-node cycle means eta, the bias u, the policy and
-    the number of value determinations.
+    all three (K, N); an arc with W = +inf is absent, and every node needs a
+    present one.  eta(y) is the minimum of sum W / sum D over the cycles
+    upstream of y: with D = 1 the minimal cycle mean, otherwise the minimal
+    cycle ratio (Cochet-Terrasson et al., IFAC 1998, give both).  A policy
+    picks one arc per node, so its graph has one predecessor per node: value
+    determination walks its cycles and the trees that hang from them
+    (`_policy_values`).  Improvement first lowers eta, then the bias u,
+    switching a node only on a decrease larger than a roundoff tolerance, so
+    that the (eta, u) pairs strictly decrease and the loop ends.  Returns
+    per-node eta, the bias u, the policy and the number of value
+    determinations.
     """
     K, N = W.shape
     cols = np.arange(N)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(W))))
+    present = np.isfinite(W)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(W[present]))))
     pol = np.argmin(W, axis=0)
     u = np.zeros(N)
     for it in range(1, N * K + 1):
-        eta, u = _policy_values(take[pol, cols], W[pol, cols], u)
-        feet = eta[take]
+        eta, u = _policy_values(take[pol, cols], W[pol, cols], D[pol, cols], u)
+        feet = np.where(present, eta[take], np.inf)
         lower = feet.min(axis=0) < eta - tol
         if lower.any():
             pol = np.where(lower, np.argmin(feet, axis=0), pol)
             continue
-        cand = np.where(feet <= eta + tol, W - eta + u[take], np.inf)
+        cand = np.where(feet <= eta + tol, W - eta * D + u[take], np.inf)
         better = cand.min(axis=0) < u - tol
         if not better.any():
             return eta, u, pol, it
@@ -303,13 +324,15 @@ def _howard(take: np.ndarray, W: np.ndarray):
     raise MatherLPError(f"policy iteration did not settle in {N * K} steps")
 
 
-def _policy_values(pred: np.ndarray, w: np.ndarray, u_old: np.ndarray):
-    """Cycle mean eta and bias u of the policy graph y <- pred[y] (arc weight
-    w[y]): eta(y) + u(y) = w[y] + u(pred[y]), with eta constant on each
-    basin.  Each cycle keeps u_old at its smallest node, so that a cycle
-    the improvement left alone keeps its values bit for bit."""
+def _policy_values(pred: np.ndarray, w: np.ndarray, d: np.ndarray,
+                   u_old: np.ndarray):
+    """Cycle ratio eta and bias u of the policy graph y <- pred[y] (arc
+    weight w[y], denominator d[y]): u(y) = w[y] - eta(y) d[y] + u(pred[y]),
+    with eta constant on each basin.  Each cycle keeps u_old at its smallest
+    node, so that a cycle the improvement left alone keeps its values bit
+    for bit."""
     N = pred.size
-    pred, w, old = pred.tolist(), w.tolist(), u_old.tolist()
+    pred, w, d, old = pred.tolist(), w.tolist(), d.tolist(), u_old.tolist()
     eta, u = [0.0] * N, [0.0] * N
     state = [0] * N                   # 0 new, 1 on this walk, 2 done
     for start in range(N):
@@ -326,14 +349,14 @@ def _policy_values(pred: np.ndarray, w: np.ndarray, u_old: np.ndarray):
             cyc = path[i:]
             j = cyc.index(min(cyc))
             cyc = cyc[j:] + cyc[:j]   # pred(cyc[t]) = cyc[t + 1], pred(cyc[-1]) = cyc[0]
-            mean = sum(w[z] for z in cyc) / len(cyc)
-            eta[cyc[0]], u[cyc[0]] = mean, old[cyc[0]]
+            ratio = sum(w[z] for z in cyc) / sum(d[z] for z in cyc)
+            eta[cyc[0]], u[cyc[0]] = ratio, old[cyc[0]]
             for z in reversed(cyc[1:]):
-                eta[z], u[z] = mean, (w[z] - mean) + u[pred[z]]
+                eta[z], u[z] = ratio, (w[z] - ratio * d[z]) + u[pred[z]]
             del path[i:]
         for z in reversed(path):
             p = pred[z]
-            eta[z], u[z] = eta[p], (w[z] - eta[p]) + u[p]
+            eta[z], u[z] = eta[p], (w[z] - eta[p] * d[z]) + u[p]
     return np.array(eta), np.array(u)
 
 
@@ -428,8 +451,7 @@ def minimize_linear_over_mather(polytope: MatherPolytope, cost: np.ndarray,
 
 def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
                         denominator: np.ndarray, sign: str,
-                        check_multiplicity: bool = False,
-                        support: Optional[np.ndarray] = None):
+                        check_multiplicity: bool = False):
     """Minimize (sum w*a)/(sum w*b) over the Mather subpolytope.
 
     The denominator must be strictly one-signed on the variables (sign is
@@ -437,10 +459,6 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
     homogenizes the feasible set: closedness rows stay zero, the minimality
     constraint becomes  nu.(L0 + c - tol_min) <= 0, and nu.|b| = 1 replaces
     the mass constraint; the probability measure is recovered as nu/sum(nu).
-
-    With `support` (flat arc indices, normally `polytope.critical_arcs()`)
-    the program runs on those arcs only and drops the minimality row: closed
-    measures on the critical arcs are exactly the Mather measures.
     """
     a = np.asarray(numerator, dtype=float).ravel()
     b = np.asarray(denominator, dtype=float).ravel()
@@ -459,21 +477,13 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
     if polytope.c is None:
         raise ConfigurationError("polytope.c unset")
     N = polytope.grid.size
-    if support is None:
-        cols = np.arange(polytope.num_vars)
-        homog = polytope.action + (polytope.c - polytope.tol_min)
-        ub_rows, b_ub = [sparse.csr_matrix(homog[None, :])], [0.0]
-    else:
-        cols = np.asarray(support, dtype=np.int64)
-        ub_rows, b_ub = [], []
-    obj = obj[cols]
-    A_eq = sparse.vstack([polytope.C[:, cols], sparse.csr_matrix(beq_row[None, cols])])
+    homog = polytope.action + (polytope.c - polytope.tol_min)
+    A_ub = sparse.csr_matrix(homog[None, :])
+    A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(beq_row[None, :])])
     b_eq = np.zeros(N + 1)
     b_eq[-1] = 1.0
-    A_ub = sparse.vstack(ub_rows) if ub_rows else None
-    res = _run_lp(obj, A_eq, b_eq, A_ub, np.array(b_ub) if ub_rows else None)
-    nu = np.zeros(polytope.num_vars)
-    nu[cols] = res.x
+    res = _run_lp(obj, A_eq, b_eq, A_ub, np.zeros(1))
+    nu = res.x
     total = nu.sum()
     if total <= 0:
         raise MatherLPError("degenerate Charnes-Cooper solution with zero mass")
@@ -483,49 +493,12 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
     if check_multiplicity:
         scale = max(1.0, float(np.max(np.abs(obj))))
         off = (res.x <= 1e-9 * max(total, 1.0)).astype(float)
-        A_ub2 = sparse.vstack(ub_rows + [sparse.csr_matrix(obj[None, :])])
-        b_ub2 = np.array(b_ub + [res.fun + 1e-9 * scale])
+        A_ub2 = sparse.vstack([A_ub, sparse.csr_matrix(obj[None, :])])
+        b_ub2 = np.array([0.0, res.fun + 1e-9 * scale])
         res2 = _run_lp(-off, A_eq, b_eq, A_ub2, b_ub2)
         info.movable_mass = float(-res2.fun / max(res2.x.sum(), 1e-300))
         info.multiplicity = info.movable_mass > 0.01
     return mu, value, info
-
-
-def mather_vertices(polytope: MatherPolytope) -> Optional[list]:
-    """The vertices of the Mather face as disjoint cycles of critical arcs.
-
-    With integer hops a closed measure on the critical arcs is a circulation,
-    so the face's vertices are the uniform measures on simple cycles of the
-    critical subgraph.  When every node has at most one critical arc the
-    successor walk below finds all of them in O(N); each cycle is returned
-    as an array of flat arc indices.  Returns None when the hops are off the
-    lattice or a node has two or more critical arcs.
-    """
-    if not polytope.arcs.integer_hops:
-        return None
-    N, K = polytope.grid.size, polytope.vset.count
-    head = polytope.arcs.heads[0]
-    crit = polytope.critical_arcs()
-    src = crit // K
-    if np.any(np.bincount(src, minlength=N) > 1):
-        return None
-    nxt = np.full(N, -1)
-    nxt[src] = head[crit % K, src]
-    arc_of = np.full(N, -1)
-    arc_of[src] = crit
-    state = np.zeros(N, dtype=np.int8)        # 0 new, 1 on this walk, 2 done
-    cycles = []
-    for start in range(N):
-        path = []
-        x = start
-        while x >= 0 and state[x] == 0:
-            state[x] = 1
-            path.append(x)
-            x = nxt[x]
-        if x >= 0 and state[x] == 1:
-            cycles.append(arc_of[path[path.index(x):]])
-        state[path] = 2
-    return cycles
 
 
 def projected_measure(mu: DiscreteMeasure) -> np.ndarray:

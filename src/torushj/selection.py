@@ -7,20 +7,27 @@ measures M(L_G), the operator
                  [ int sigma (h_G(., x) + phi) dmu ] / [ int sigma dmu ]
 
 is a linear-fractional program over the discrete Mather face, so its infimum
-is attained at a vertex (Charnes-Cooper 1962).  When the critical subgraph
-is a set of disjoint cycles (`MatherPolytope.vertices`), those vertices are
-the uniform measures on the cycles, and P phi at every target is one
-(cycles x N) @ h product followed by a column-wise minimum of ratios; a
-target has several equilibrium measures when two or more vertices attain
-the minimum.  Otherwise (a branched critical graph, or hops off the node
-lattice) each target node solves one `fractional_minimize` restricted to the
-critical arcs.  Its fixed points are the discrete solutions of the critical
-equation; the checks below exercise the Lipschitz-1 bound, idempotence, the
+is attained at a vertex (Charnes-Cooper 1962): the uniform measure on a
+simple cycle of critical arcs.  Every such cycle lies in one static class S
+of the polytope (`MatherPolytope.classes`), and inside S the barrier is
+additive through the class representative z_S, h(y, x) = h(y, z_S) +
+h(z_S, x) (Contreras-Iturriaga).  So each class gives one target-free
+minimum-ratio cycle problem, rho_S, solved for all classes at once by the
+ratio form of Howard's policy iteration (`matherlp._howard`, Cochet-
+Terrasson et al. 1998), and P phi at every target is the (classes x
+targets) minimum of rho_S + h(z_S, x).  A target has several equilibrium
+measures when two or more cycles attain it: a tie across classes, or a
+class with more than one optimal cycle.  The class split holds for the
+polytope's own barrier only, so both evaluations refuse any other, and
+off-lattice polytopes, which have no classes, with ConfigurationError.
+
+Its fixed points are the discrete solutions of the critical equation; the
+checks below exercise the Lipschitz-1 bound, idempotence, the
 measure-integral comparison principle, the largest-subsolution
 characterization of the vanishing-discount limit, and the equilibrium
 measures attaining the infimum.  The comparison and largest-subsolution
 checks minimize linear functionals, the denominator-one case of the same
-evaluation.
+evaluation with a zero barrier.
 
 The limit-solution formula for a discounted family with u-derivative
 dL/du(.,.,0) < 0 is the sign-flipped variant
@@ -28,7 +35,7 @@ dL/du(.,.,0) < 0 is the sign-flipped variant
     u0(x) = inf over mu of
             [ int h(y, x) dL/du(y,v,0) dmu + int V0 dmu ] / [ int dL/du dmu ],
 
-evaluated on the same vertices with a negative denominator.
+evaluated the same way with a negative denominator.
 """
 
 from __future__ import annotations
@@ -37,16 +44,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .barrier import BarrierMatrix
-from .errors import ConfigurationError, DomainError, MatherLPError
+from .errors import ConfigurationError, DomainError
 from .grids import GridField
-from .matherlp import (
-    DiscreteMeasure,
-    MatherPolytope,
-    fractional_minimize,
-)
+from .matherlp import DiscreteMeasure, MatherPolytope, _howard, cycle_arcs
 from .models import ControlModel, VelocitySet
 from .solver import on_arcs, one_sided_subsolution_defect
 
@@ -70,9 +72,8 @@ class SelectionResult:
     per_x_value: np.ndarray
     per_x_optimizer: Optional[dict] = None
     multiplicity: Optional[dict] = None
-    path: str = "vertex"             # "vertex" or "fallback" (restricted LPs)
     critical_arcs: int = 0
-    vertices: Optional[int] = None   # cycle count on the vertex path
+    classes: int = 0                 # static classes of the Mather face
 
 
 def _lift(node_values: np.ndarray, K: int) -> np.ndarray:
@@ -84,72 +85,100 @@ def _dl_flat(model: ControlModel, polytope: MatherPolytope) -> np.ndarray:
     return on_arcs(polytope.grid, polytope.vset, model.dLdu0).T.ravel()
 
 
-def _minimize_on_face(polytope: MatherPolytope, h: np.ndarray, beta: np.ndarray,
-                      offset: np.ndarray, targets: Optional[np.ndarray],
-                      keep_measures: bool, check_multiplicity: bool):
+def _own_barrier(barrier: BarrierMatrix, polytope: MatherPolytope, what: str):
+    """Refuse a barrier that is not the polytope's own: the class split of
+    `_minimize_on_face` holds for the barrier whose Aubry set is the
+    polytope's static classes."""
+    if barrier.kind != "peierls":
+        raise ConfigurationError(f"{what} needs a peierls barrier")
+    aubry = polytope.static_classes()[0]
+    if barrier.aubry is None or not np.array_equal(barrier.aubry, aubry):
+        raise ConfigurationError(f"{what} needs the polytope's own barrier: its "
+                                 "Aubry set is not the polytope's static classes")
+
+
+def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
+                      beta: np.ndarray, offset: np.ndarray,
+                      targets: Optional[np.ndarray], keep_measures: bool,
+                      check_multiplicity: bool):
     """Per target x (every node when targets is None), the minimum over
     Mather measures mu of
 
         int (beta * h(., x) + offset) dmu / int beta dmu
 
-    with beta and offset given per flat arc and beta strictly one-signed.
+    with beta and offset given per flat arc and beta strictly one-signed; h
+    is the polytope's own barrier matrix, or None for a zero barrier.
+
+    The minimum sits on a simple cycle of critical arcs, which lies in one
+    static class S.  Inside S the barrier is additive through the class
+    representative z_S, h(y, x) = h(y, z_S) + h(z_S, x), so the value is
+    min over S of rho_S + h(z_S, x), with rho_S the minimum ratio of
+    beta * h(., z_S) + offset over beta on the cycles of S.  One run of
+    `_howard` on the critical arcs solves every class, and its policy cycle
+    is the witness.  Multiplicity means two or more optimal cycles: a tie
+    across classes, or a second optimal cycle inside the winning class.
     Returns a SelectionResult without its field.
     """
-    K = polytope.vset.count
-    arcs = polytope.critical_arcs()
-    measures = {} if keep_measures else None
-    mult = {} if check_multiplicity else None
-    cycles = polytope.vertices
-    cols = h if targets is None else h[:, targets]
-    if targets is None:
-        targets = np.arange(polytope.grid.size)
-    if cycles is None:
-        sign = "positive" if beta.min() > 0 else "negative"
-        values = np.empty(len(targets))
-        for i, x in enumerate(targets):
-            try:
-                mu, values[i], info = fractional_minimize(
-                    polytope, beta * np.repeat(cols[:, i], K) + offset, beta, sign,
-                    check_multiplicity=check_multiplicity, support=arcs)
-            except Exception as exc:  # noqa: BLE001 - typed cause kept on the chain
-                raise MatherLPError(f"fractional program failed at node {x}: "
-                                    f"{type(exc).__name__}: {exc}") from exc
-            if measures is not None:
-                measures[int(x)] = mu
-            if mult is not None:
-                mult[int(x)] = bool(info.multiplicity)
-        return SelectionResult(None, values, measures, mult, "fallback", len(arcs))
+    N, K = polytope.grid.size, polytope.vset.count
+    aubry, label, reps = polytope.static_classes()
+    crit = polytope.critical_arcs()
+    A, S = aubry.size, reps.size
+    local = np.full(N, -1)
+    local[aubry] = np.arange(A)
+    foot, k = crit // K, crit % K
+    head = local[polytope.arcs.heads[0][k, foot]]
+    num = offset[crit]
+    if h is not None:
+        num = num + beta[crit] * h[foot, reps[polytope.classes[foot]]]
+    # the ratio with a positive denominator; arcs off the face are absent
+    sign = 1.0 if beta[crit].min() > 0 else -1.0
+    take, W, D = np.zeros((K, A), dtype=np.int64), np.full((K, A), np.inf), np.ones((K, A))
+    take[k, head], W[k, head], D[k, head] = local[foot], sign * num, sign * beta[crit]
+    eta, u, pol, _ = _howard(take, W, D)
+    rho = eta[local[reps]]
 
-    lengths = np.array([len(cyc) for cyc in cycles])
-    on = np.concatenate(cycles)
-    row = np.repeat(np.arange(len(cycles)), lengths)
-    W = sparse.csr_matrix((beta[on], (row, on // K)),
-                          shape=(len(cycles), polytope.grid.size))
-    num = W @ cols + np.bincount(row, offset[on])[:, None]
-    ratio = num / np.bincount(row, beta[on])[:, None]         # (cycles, targets)
-    best = np.argmin(ratio, axis=0)
-    values = ratio[best, np.arange(len(targets))]
-    if measures is not None:
+    if targets is None:
+        targets = np.arange(N)
+    shift = np.zeros((S, len(targets))) if h is None else h[np.ix_(reps, targets)]
+    value = rho[:, None] + shift                              # (classes, targets)
+    best = np.argmin(value, axis=0)
+    values = value[best, np.arange(len(targets))]
+    cycles = {}                 # the policy's cycle in each winning class
+    if keep_measures or check_multiplicity:
+        pred = take[pol, np.arange(A)]
+        for c in np.unique(best):
+            # |S| steps back along the policy from z_S land on its cycle
+            y = local[reps[c]]
+            for _ in range(np.count_nonzero(label == c)):
+                y = pred[y]
+            cycles[c] = [y]
+            while pred[cycles[c][-1]] != y:
+                cycles[c].append(pred[cycles[c][-1]])
+    measures = mult = None
+    if keep_measures:
         witness = {}
-        for x, z in zip(targets, best):
-            if z not in witness:
-                w = np.zeros(polytope.num_vars)
-                w[cycles[z]] = 1.0 / lengths[z]
-                witness[z] = DiscreteMeasure(polytope.grid, polytope.vset, w)
-            measures[int(x)] = witness[z]
-    if mult is not None:
-        ties = ratio <= values + 1e-9 * np.maximum(1.0, np.abs(values))
-        for x, count in zip(targets, ties.sum(axis=0)):
-            mult[int(x)] = bool(count >= 2)
-    return SelectionResult(None, values, measures, mult, "vertex", len(arcs), len(cycles))
+        for c, cyc in cycles.items():
+            w = np.zeros(polytope.num_vars)
+            w[aubry[pred[cyc]] * K + pol[cyc]] = 1.0 / len(cyc)
+            witness[c] = DiscreteMeasure(polytope.grid, polytope.vset, w)
+        measures = {int(x): witness[c] for x, c in zip(targets, best)}
+    if check_multiplicity:
+        # the optimal cycles of a class are the cycles of its arcs tight at
+        # rho_S; they are one simple cycle iff those arcs are the policy's
+        reduced = W - eta * D + u[take] - u
+        tk, ty = np.nonzero(reduced <= 1e-9 * np.maximum(1.0, np.abs(eta)) * D)
+        tight = np.bincount(label[ty[cycle_arcs(take[tk, ty], ty, A)[0]]], minlength=S)
+        ties = (value <= values + 1e-9 * np.maximum(1.0, np.abs(values))).sum(axis=0)
+        mult = {int(x): bool(n >= 2 or tight[c] > len(cycles[c]))
+                for x, n, c in zip(targets, ties, best)}
+    return SelectionResult(None, values, measures, mult, len(crit), S)
 
 
 def _face_minimum(polytope: MatherPolytope, cost: np.ndarray) -> float:
     """min over Mather measures mu of the linear functional int cost dmu,
-    the beta = 1 case of `_minimize_on_face` with a zero barrier column."""
-    res = _minimize_on_face(polytope, np.zeros((polytope.grid.size, 1)),
-                            np.ones(polytope.num_vars), cost, np.array([0]),
-                            False, False)
+    the beta = 1 case of `_minimize_on_face` with a zero barrier."""
+    res = _minimize_on_face(polytope, None, np.ones(polytope.num_vars), cost,
+                            np.array([0]), False, False)
     return float(res.per_x_value[0])
 
 
@@ -165,8 +194,7 @@ def apply_selection_operator(model_G: ControlModel, sigma: GridField,
     sig = sigma.values
     if sig.min() <= 0:
         raise DomainError("sigma must be strictly positive nodewise")
-    if barrier.kind != "peierls":
-        raise ConfigurationError("selection operator needs a peierls barrier")
+    _own_barrier(barrier, polytope, "the selection operator")
     target = None if nodes is None else np.asarray(list(nodes), dtype=int)
     res = _minimize_on_face(polytope, barrier.values, _lift(sig, K),
                             _lift(sig * phi.values, K), target, keep_measures,
@@ -186,8 +214,7 @@ def limit_solution_formula(model: ControlModel, V0: GridField,
     subpolytope is compact.  Raises when dL/du(.,.,0) is not strictly
     negative (the monotone-derivative hypothesis fails).
     """
-    if barrier.kind != "peierls":
-        raise ConfigurationError("limit formula needs a peierls barrier")
+    _own_barrier(barrier, polytope, "the limit formula")
     dl = _dl_flat(model, polytope)
     if dl.max() >= 0:
         raise ConfigurationError(
@@ -238,8 +265,8 @@ def measure_comparison(u1: GridField, u2: GridField, sigma: GridField,
     """Measure-integral comparison: if int sigma u1 dmu <= int sigma u2 dmu
     for every Mather measure, then u1 <= u2 everywhere (for solutions).
 
-    The hypothesis is decided on the vertices of the Mather face: min over
-    Mather measures of int sigma (u2 - u1) dmu >= -tol.  The verdict records
+    The hypothesis is decided exactly on the Mather face: min over Mather
+    measures of int sigma (u2 - u1) dmu >= -tol.  The verdict records
     both sides and whether the implication held.
     """
     K = polytope.vset.count
@@ -316,8 +343,8 @@ def equilibrium_measures(model_G: ControlModel, phi: GridField, x: int,
     """A Mather measure attaining (P phi)(x) for sigma = 1, with multiplicity.
 
     Returns (witness, value, multiplicity); multiplicity is True iff two or
-    more vertices of the Mather face attain the minimum (on the fallback
-    path: mass is movable off the witness's support at optimal cost).
+    more vertices of the Mather face (uniform measures on simple critical
+    cycles) attain the minimum.
     """
     x = int(x)
     res = apply_selection_operator(model_G, GridField.constant(polytope.grid, 1.0),

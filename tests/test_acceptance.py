@@ -50,7 +50,7 @@ def mech128():
     model = builtin_model("mechanical", U=COS)
     poly = build_polytope(model, grid, vset, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     return model, grid, vset, dt, poly, h
 
 
@@ -267,7 +267,7 @@ def test_criterion_9_equilibrium_multiplicity():
     model = builtin_model("mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0]))
     poly = build_polytope(model, grid, vset, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     x_sym = grid.n // 4                         # x = 0.25, equidistant
 
     _, _, mult_sym = equilibrium_measures(model, GridField.constant(grid, 0.0),

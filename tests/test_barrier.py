@@ -128,7 +128,7 @@ def peierls_cos(mech_cos):
     grid = build_grid(1, 64)
     vset = velocity_set(3.0, 49)
     model = mech_cos.with_c0(critical_value(mech_cos, "lp", grid, vset).c)
-    h = peierls_barrier(model, build_polytope(model, grid, vset))
+    h = peierls_barrier(build_polytope(model, grid, vset))
     return model, grid, vset, h
 
 
@@ -138,12 +138,12 @@ def test_peierls_examples(peierls_cos):
     assert not h.warnings
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(free, build_polytope(free, grid, velocity_set(1.5, 49)))
+    hfree = peierls_barrier(build_polytope(free, grid, velocity_set(1.5, 49)))
     assert np.max(np.abs(hfree.values)) <= 0.02
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
     sq = sq.with_c0(critical_value(sq, "lp", grid, vset).c)
-    hsq = peierls_barrier(sq, build_polytope(sq, grid, vset))
+    hsq = peierls_barrier(build_polytope(sq, grid, vset))
     assert np.max(np.abs(hsq.values)) <= 0.05
 
 
@@ -162,12 +162,12 @@ def test_aubry_sets(peierls_cos, tmp_path):
     np.testing.assert_array_equal(aubry_set(h), [0])      # the max of U
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(free, build_polytope(free, grid, velocity_set(1.5, 49)))
+    hfree = peierls_barrier(build_polytope(free, grid, velocity_set(1.5, 49)))
     np.testing.assert_array_equal(aubry_set(hfree), np.arange(grid.size))
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
     sq = sq.with_c0(critical_value(sq, "lp", grid, vset).c)
-    hsq = peierls_barrier(sq, build_polytope(sq, grid, vset))
+    hsq = peierls_barrier(build_polytope(sq, grid, vset))
     np.testing.assert_array_equal(aubry_set(hsq), np.arange(grid.size))
 
     # h(z, z) is exactly 0 on the set and positive off it
@@ -190,7 +190,7 @@ def test_solution_from_barrier(peierls_cos):
     assert residual(model, 0.0, col, vset, dt) <= 25.0 * grid.h
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(free, build_polytope(free, grid, velocity_set(1.5, 49)))
+    hfree = peierls_barrier(build_polytope(free, grid, velocity_set(1.5, 49)))
     colf = solution_from_barrier(hfree, 5)
     np.testing.assert_allclose(colf.values, 0.0, atol=0.02)
 
@@ -212,7 +212,7 @@ def test_offlattice_dt_warns_unreachable(mech_cos):
     vset = velocity_set(2.0, 9)
     poly = build_polytope(mech_cos, grid, vset, dt=0.0101)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
-        peierls_barrier(mech_cos, poly)
+        peierls_barrier(poly)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
         evolve_action(mech_cos, grid, vset, T=1.0, dt=0.0101)
     with pytest.raises(ConfigurationError, match="off the node lattice"):

@@ -2,7 +2,9 @@
 iteration (`build_polytope` with integer hops) against three references:
 the arrival-charged critical LP, Karp's minimum-mean-cycle algorithm and
 the long-time route.  Lagrangians include non-separable ones and random
-(node, velocity) tables, at d = 1 and 2 and at default and doubled dt."""
+(node, velocity) tables, at d = 1 and 2 and at default and doubled dt.
+The ratio form that the selection layer runs (per-arc denominators, absent
+arcs) is checked against an enumeration of simple cycles."""
 
 import dataclasses
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from torushj.barrier import critical_value
 from torushj.grids import build_grid
-from torushj.matherlp import build_polytope, mather_vertices, solve_mather_lp
+from torushj.matherlp import _howard, build_polytope, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, on_arcs
 
@@ -142,8 +144,10 @@ def test_random_tables_against_lp_and_karp(seed, d, doubled, data):
     poly = check_against_lp(model, grid, vset, dt)
     eta = karp_min_mean(Transition(grid, vset, dt).take, dt * L0)
     assert poly.c == pytest.approx(-eta / dt, abs=1e-12)
-    # a random table has one min-mean cycle: the face is one vertex
-    assert len(mather_vertices(poly)) == 1
+    # a random table has one min-mean cycle: the face is one vertex, one
+    # class whose critical arcs are a simple cycle (one arc per node)
+    aubry, _, reps = poly.static_classes()
+    assert reps.size == 1 and len(poly.critical_arcs()) == aubry.size
 
 
 @settings(max_examples=10, deadline=None)
@@ -177,3 +181,42 @@ def test_rest_ties_and_branches_settle():
     half = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)
     poly = check_against_lp(half, grid, vset, default_dt(grid, vset))
     assert len(poly.critical_arcs()) == 2 * grid.size
+
+
+def brute_min_ratio(take, W, D):
+    """min of sum W / sum D over the simple cycles of the graph whose arc
+    (k, y) runs from take[k, y] to y (absent where W is inf), enumerated
+    backwards from each cycle's smallest node."""
+    K, N = W.shape
+    into = [[(take[k, y], k) for k in range(K) if np.isfinite(W[k, y])] for y in range(N)]
+    best = np.inf
+
+    def extend(y, s, seen, w, d):
+        nonlocal best
+        for x, k in into[y]:
+            if x == s:
+                best = min(best, (w + W[k, y]) / (d + D[k, y]))
+            elif x > s and x not in seen:
+                extend(x, s, seen | {x}, w + W[k, y], d + D[k, y])
+
+    for s in range(N):
+        extend(s, s, {s}, 0.0, 0.0)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), N=st.integers(1, 6), K=st.integers(1, 3))
+def test_ratio_form_matches_cycle_enumeration(seed, N, K):
+    # arc 0 of node y comes from y - 1, so the graph is strongly connected
+    # and eta is one number; the other arcs are random, a third absent
+    rng = np.random.default_rng(seed)
+    take = rng.integers(0, N, size=(K, N))
+    take[0] = (np.arange(N) - 1) % N
+    W = rng.uniform(-1.0, 1.0, size=(K, N))
+    W[1:][rng.random(size=(K - 1, N)) < 1 / 3] = np.inf
+    D = rng.uniform(0.1, 2.0, size=(K, N))
+    eta, u, pol, _ = _howard(take, W, D)
+    np.testing.assert_allclose(eta, brute_min_ratio(take, W, D), rtol=0, atol=1e-12)
+    # the bias certifies it, and the policy uses present arcs only
+    reduced = W - eta * D + u[take] - u
+    assert reduced.min() >= -1e-12 and np.isfinite(W[pol, np.arange(N)]).all()

@@ -97,8 +97,8 @@ def test_small_example_pipeline(tmp_path):
     assert (tmp_path / "out" / "limit_solution.csv").exists()
     assert (tmp_path / "out" / "limit_solution_values.csv").exists()
     face = next(s for s in res.stages if s.name == "limit_formula").details
-    assert face["path"] == "vertex"
-    assert face["vertices"] >= 1 and face["critical_arcs"] >= face["vertices"]
+    assert set(face) == {"target_mean", "sup_error_vs_mean", "critical_arcs", "classes"}
+    assert face["classes"] >= 1 and face["critical_arcs"] >= face["classes"]
 
 
 def test_barrier_suite_runs_in_two_dimensions(tmp_path):

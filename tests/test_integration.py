@@ -46,7 +46,7 @@ def test_sigma_discounted_family_converges_to_operator_value():
     model = builtin_model("sigma_discounted", U=COS, sigma=sig, phi=phi)
     poly = build_polytope(model, grid, vset, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     sel = apply_selection_operator(model, GridField.from_function(grid, sig),
                                    GridField.from_function(grid, phi), h, poly)
 
@@ -82,7 +82,7 @@ def test_2d_critical_value_and_measure(setup_2d):
 
 def test_2d_solve_and_trace(setup_2d):
     model, grid, vset, dt, poly = setup_2d
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     bracket = compute_bracket(model, GridField(grid, h.values[0, :].copy()))
     lam = 0.05
     fld, rep = solve_perturbed(model, lam, grid, vset, dt=dt, tol=1e-9,
@@ -101,7 +101,7 @@ def test_2d_solve_and_trace(setup_2d):
 
 def test_2d_barrier_column(setup_2d):
     model, grid, vset, dt, poly = setup_2d
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     assert abs(h.values[0, 0]) <= 0.05
     col = h.values[0, :]
     assert int(np.argmin(col)) == 0

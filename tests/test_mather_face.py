@@ -1,5 +1,8 @@
-"""The Mather face: critical arcs, its vertices, and the selection operator
-evaluated on them, checked against the full-polytope programs as an oracle."""
+"""The Mather face: critical arcs, its static classes, and the selection
+operator evaluated class by class, checked against two oracles: the
+full-polytope programs and the vertex evaluation on disjoint critical
+cycles that the class path replaced (kept here with the restricted-LP
+evaluation it fell back to on branched faces)."""
 
 import dataclasses
 from functools import lru_cache
@@ -7,15 +10,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import torushj.selection as selection
-from torushj.barrier import critical_value, peierls_barrier
-from torushj.errors import MatherLPError
+from torushj.barrier import BarrierMatrix, critical_value, peierls_barrier
+from torushj.errors import ConfigurationError
+from torushj.experiments import parse_potential
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import (
+    _run_lp,
     build_polytope,
     fractional_minimize,
-    mather_vertices,
     minimize_linear_over_mather,
     solve_mather_lp,
 )
@@ -29,24 +34,36 @@ from torushj.selection import (
 )
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
+HALF_STEP = velocity_set(3.0, 25).spacing / 2
+SINE = lambda x: -np.sin(2 * np.pi * x[..., 0]) - 0.3
 MODELS = {
     "cosine_well": lambda: builtin_model(
         "mechanical", U=lambda x: np.cos(2 * np.pi * x[..., 0])),
     "double_well": lambda: builtin_model(
         "mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0])),
-    "rotation": lambda: builtin_model(
-        "shifted_quadratic", alpha=ALPHA,
-        potential=lambda x: -np.sin(2 * np.pi * x[..., 0]) - 0.3),
+    "rotation": lambda: builtin_model("shifted_quadratic", alpha=ALPHA, potential=SINE),
+    # alpha at half a velocity step ties v = 0 and v = one step: one class
+    # holding every node, two critical arcs per node
+    "half_step": lambda: builtin_model("shifted_quadratic", alpha=HALF_STEP),
+    "half_step_potential": lambda: builtin_model("shifted_quadratic", alpha=HALF_STEP,
+                                                 potential=SINE),
+    # one class per row of the 16 x 16 torus
+    "rotation_2d": lambda: builtin_model("shifted_quadratic", d=2,
+                                         alpha=[ALPHA, np.sqrt(2.0) - 1.0]),
+    "cos_sum_2d": lambda: builtin_model("mechanical", d=2,
+                                        U=parse_potential("cos_sum:amp=1,freq=1")),
 }
-CASES = [(name, n) for name in MODELS for n in (16, 32)]
+CASES = ([(name, n) for name in ("cosine_well", "double_well", "rotation",
+                                 "half_step", "half_step_potential") for n in (16, 32)]
+         + [("rotation_2d", 16), ("cos_sum_2d", 8)])
 ORACLE_TOL = 1e-6
 
 
 @lru_cache(maxsize=None)
 def setup(name, n, dt=None):
-    grid = build_grid(1, n)
-    vset = velocity_set(3.0, 25)
     model = MODELS[name]()
+    grid = build_grid(model.d, n)
+    vset = velocity_set(3.0, 25) if model.d == 1 else velocity_set(2.0, 5, d=2)
     poly = build_polytope(model, grid, vset, dt)
     model = model.with_c0(poly.c)
     # the oracle programs' minimality row admits action slack tol_min, which
@@ -54,12 +71,77 @@ def setup(name, n, dt=None):
     # it small so that they agree with the exact face to ORACLE_TOL
     poly.tol_min = 1e-12
     if dt is None:
-        h = peierls_barrier(model, poly)
+        h = peierls_barrier(poly)
     else:
-        # off-lattice hops leave the barrier DP unreachable; any matrix
-        # exercises the operator, so borrow the on-lattice barrier
+        # off-lattice hops leave the barrier unreachable; borrow the
+        # on-lattice one for the refusal checks
         h = setup(name, n)[3]
     return model, grid, poly, h
+
+
+def mather_vertices(poly):
+    """The retired vertex list: with at most one critical arc per node the
+    critical subgraph is disjoint cycles, and the Mather face's vertices
+    are the uniform measures on them.  Each cycle is an array of flat arc
+    indices; None when a node has two or more critical arcs."""
+    N, K = poly.grid.size, poly.vset.count
+    head = poly.arcs.heads[0]
+    crit = poly.critical_arcs()
+    src = crit // K
+    if np.any(np.bincount(src, minlength=N) > 1):
+        return None
+    nxt, arc_of = np.full(N, -1), np.full(N, -1)
+    nxt[src], arc_of[src] = head[crit % K, src], crit
+    state = np.zeros(N, dtype=np.int8)        # 0 new, 1 on this walk, 2 done
+    cycles = []
+    for start in range(N):
+        path, x = [], start
+        while x >= 0 and state[x] == 0:
+            state[x] = 1
+            path.append(x)
+            x = nxt[x]
+        if x >= 0 and state[x] == 1:
+            cycles.append(arc_of[path[path.index(x):]])
+        state[path] = 2
+    return cycles
+
+
+def vertex_minimize(poly, cycles, h, beta, offset):
+    """The retired vertex evaluation: per target column of h, the best
+    ratio over the cycles (`mather_vertices`), as one (cycles x N) product
+    and a column-wise minimum.  Returns the values, the witness cycle per
+    target and the multiplicity (two or more cycles within 1e-9)."""
+    K = poly.vset.count
+    lengths = np.array([len(cyc) for cyc in cycles])
+    on = np.concatenate(cycles)
+    row = np.repeat(np.arange(len(cycles)), lengths)
+    W = sparse.csr_matrix((beta[on], (row, on // K)), shape=(len(cycles), poly.grid.size))
+    ratio = (W @ h + np.bincount(row, offset[on])[:, None]) / np.bincount(row, beta[on])[:, None]
+    best = np.argmin(ratio, axis=0)
+    values = ratio[best, np.arange(h.shape[1])]
+    ties = ratio <= values + 1e-9 * np.maximum(1.0, np.abs(values))
+    return values, [cycles[b] for b in best], ties.sum(axis=0) >= 2
+
+
+def restricted_lp(poly, numerator, denominator, check_multiplicity=False):
+    """The retired fallback: the Charnes-Cooper program on the critical
+    arcs only, with no minimality row (the closed measures on those arcs are
+    the Mather measures), for a denominator > 0.  Returns the value and,
+    when asked, whether over 1% of the mass moves off the returned support
+    at optimal cost."""
+    cols = poly.critical_arcs()
+    obj = numerator[cols]
+    A_eq = sparse.vstack([poly.C[:, cols], sparse.csr_matrix(denominator[None, cols])])
+    b_eq = np.zeros(poly.grid.size + 1)
+    b_eq[-1] = 1.0
+    res = _run_lp(obj, A_eq, b_eq)
+    if not check_multiplicity:
+        return float(res.fun), None
+    scale = max(1.0, float(np.max(np.abs(obj))))
+    off = (res.x <= 1e-9 * max(res.x.sum(), 1.0)).astype(float)
+    res2 = _run_lp(-off, A_eq, b_eq, sparse.csr_matrix(obj[None, :]),
+                   np.array([res.fun + 1e-9 * scale]))
+    return float(res.fun), bool(-res2.fun / max(res2.x.sum(), 1e-300) > 0.01)
 
 
 def random_field(grid, seed, scale=0.5, shift=0.0):
@@ -97,20 +179,37 @@ def test_stored_critical_solution_is_the_lp_solution():
         assert cd.c == -opt
 
 
-def test_mather_vertices_known_models():
+def class_nodes(poly):
+    aubry, label, reps = poly.static_classes()
+    return [list(aubry[label == c]) for c in range(reps.size)]
+
+
+def test_static_classes_known_models():
     for n in (16, 32):
-        K = 25
-        cos = mather_vertices(setup("cosine_well", n)[2])
-        assert [list(c // K) for c in cos] == [[0]]
-        dbl = mather_vertices(setup("double_well", n)[2])
-        assert [list(c // K) for c in dbl] == [[0], [n // 2]]
-        rot = mather_vertices(setup("rotation", n)[2])
-        # the rotation's critical cycles (one or several) cover the circle
-        assert sorted(np.concatenate(rot) // K) == list(range(n))
+        assert class_nodes(setup("cosine_well", n)[2]) == [[0]]
+        assert class_nodes(setup("double_well", n)[2]) == [[0], [n // 2]]
+        # the rotation's critical cycles cover the circle
+        assert sorted(sum(class_nodes(setup("rotation", n)[2]), [])) == list(range(n))
+        assert class_nodes(setup("half_step", n)[2]) == [list(range(n))]
+    rot2 = class_nodes(setup("rotation_2d", 16)[2])
+    assert len(rot2) == 16 and sorted(sum(rot2, [])) == list(range(256))
     free = build_polytope(builtin_model("mechanical", U=None), build_grid(1, 12),
                           velocity_set(1.5, 7))
-    assert len(mather_vertices(free)) == 12          # every rest measure
-    assert mather_vertices(setup("cosine_well", 16, dt=0.0101)[2]) is None
+    assert class_nodes(free) == [[x] for x in range(12)]   # every rest measure
+    for name, n in CASES:
+        poly = setup(name, n)[2]
+        aubry, label, reps = poly.static_classes()
+        # classes are numbered by their smallest node, the representative;
+        # with disjoint critical cycles each class is one of the vertices
+        assert list(reps) == [min(nodes) for nodes in class_nodes(poly)]
+        assert np.all(np.diff(reps) > 0)
+        cycles = mather_vertices(poly)
+        if cycles is not None:
+            assert sorted(sorted(c // poly.vset.count) for c in cycles) == class_nodes(poly)
+    off = setup("cosine_well", 16, dt=0.0101)[2]
+    assert off.classes is None
+    with pytest.raises(ConfigurationError, match="static classes"):
+        off.static_classes()
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -122,10 +221,17 @@ def test_operator_vertex_path_matches_full_polytope(name, n, seed):
     phi = random_field(grid, seed)
     sigma = GridField(grid, rng.uniform(0.2, 2.0, size=grid.size))
     res = apply_selection_operator(model, sigma, phi, h, poly)
-    assert res.path == "vertex"
-    for x in rng.choice(grid.size, size=4, replace=False):
+    K = poly.vset.count
+    beta = np.repeat(sigma.values, K)
+    offset = np.repeat(sigma.values * phi.values, K)
+    if mather_vertices(poly) is not None:
+        want = vertex_minimize(poly, mather_vertices(poly), h.values, beta, offset)[0]
+        np.testing.assert_allclose(res.per_x_value, want, rtol=0, atol=1e-12)
+    for x in rng.choice(grid.size, size=3, replace=False):
         _, want, _ = oracle_operator(poly, h, sigma, phi, int(x))
         assert res.per_x_value[x] == pytest.approx(want, abs=ORACLE_TOL)
+        exact, _ = restricted_lp(poly, beta * np.repeat(h.values[:, x], K) + offset, beta)
+        assert res.per_x_value[x] == pytest.approx(exact, abs=1e-9)
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -135,19 +241,27 @@ def test_limit_formula_vertex_path_matches_full_polytope(name, n, seed):
     model, grid, poly, h = setup(name, n)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5, size=2)
-    # a velocity-dependent dL/du: the vertex weights then differ per arc
+    # a velocity-dependent dL/du: the cycle weights then differ per arc
     model = dataclasses.replace(
         model, dLdu0=lambda x, v: -(a[0] + 0.3 * np.cos(2 * np.pi * x[..., 0])
                                      + a[1] * v[..., 0] ** 2))
-    V0 = random_field(grid, seed)
+    V0 = (GridField.from_function(grid, model.V0) if name == "half_step_potential"
+          else random_field(grid, seed))
     res = limit_solution_formula(model, V0, h, poly)
-    assert res.path == "vertex" and res.vertices >= 1
+    assert res.classes == poly.static_classes()[2].size
+    assert res.critical_arcs == len(poly.critical_arcs())
     K = poly.vset.count
     dl = selection._dl_flat(model, poly)
-    for x in rng.choice(grid.size, size=4, replace=False):
-        num = np.repeat(h.values[:, x], K) * dl + np.repeat(V0.values, K)
+    offset = np.repeat(V0.values, K)
+    if mather_vertices(poly) is not None:
+        want = vertex_minimize(poly, mather_vertices(poly), h.values, dl, offset)[0]
+        np.testing.assert_allclose(res.field.values, want, rtol=0, atol=1e-12)
+    for x in rng.choice(grid.size, size=3, replace=False):
+        num = np.repeat(h.values[:, x], K) * dl + offset
         _, want, _ = fractional_minimize(poly, num, dl, "negative")
         assert res.field.values[x] == pytest.approx(want, abs=ORACLE_TOL)
+        exact, _ = restricted_lp(poly, -num, -dl)
+        assert res.field.values[x] == pytest.approx(exact, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", (16, 32))
@@ -167,6 +281,32 @@ def test_multiplicity_map_double_well_matches_oracle(n):
 
 
 @pytest.mark.parametrize("name,n", CASES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), flat=st.booleans())
+def test_multiplicity_maps_match_the_oracles(name, n, seed, flat):
+    """A flat phi ties cycles inside a class (every node of the half-step
+    class has barrier 0 to every other) or across symmetric classes; a
+    random one breaks the ties."""
+    model, grid, poly, h = setup(name, n)
+    rng = np.random.default_rng(seed)
+    phi = GridField.constant(grid, 0.0) if flat else random_field(grid, seed)
+    sigma = GridField.constant(grid, 1.0) if flat else GridField(
+        grid, rng.uniform(0.2, 2.0, size=grid.size))
+    res = apply_selection_operator(model, sigma, phi, h, poly, check_multiplicity=True)
+    K = poly.vset.count
+    beta = np.repeat(sigma.values, K)
+    offset = np.repeat(sigma.values * phi.values, K)
+    if mather_vertices(poly) is not None:
+        want = vertex_minimize(poly, mather_vertices(poly), h.values, beta, offset)[2]
+        assert [res.multiplicity[x] for x in range(grid.size)] == list(want)
+    for x in rng.choice(grid.size, size=3, replace=False):
+        info = oracle_operator(poly, h, sigma, phi, int(x))[2]
+        assert res.multiplicity[int(x)] == info.multiplicity
+        num = beta * np.repeat(h.values[:, x], K) + offset
+        assert res.multiplicity[int(x)] == restricted_lp(poly, num, beta, True)[1]
+
+
+@pytest.mark.parametrize("name,n", CASES)
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_equilibrium_measures_match_linear_oracle(name, n, seed):
@@ -177,50 +317,57 @@ def test_equilibrium_measures_match_linear_oracle(name, n, seed):
     cost = np.repeat(h.values[:, x] + phi.values, poly.vset.count)
     _, want, info = minimize_linear_over_mather(poly, cost, check_multiplicity=True)
     assert value == pytest.approx(want, abs=ORACLE_TOL)
+    # the witness is a Mather measure: a uniform measure on a closed cycle
+    # of critical arcs, attaining the value
+    support = np.flatnonzero(mu.flat() > 0)
+    assert np.isin(support, poly.critical_arcs()).all()
+    np.testing.assert_allclose(poly.C @ mu.flat(), 0.0, atol=1e-12)
+    np.testing.assert_allclose(mu.flat()[support], 1.0 / support.size, rtol=1e-14)
     assert float(cost @ mu.flat()) == pytest.approx(value, abs=1e-12)
     assert mult == info.multiplicity
+    if mather_vertices(poly) is not None:
+        offset = np.repeat(phi.values, poly.vset.count)
+        _, cycles, _ = vertex_minimize(poly, mather_vertices(poly), h.values[:, [x]],
+                                       np.ones(poly.num_vars), offset)
+        if not mult:
+            assert np.array_equal(np.sort(cycles[0]), support)
 
 
-@settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_offlattice_fallback_matches_full_polytope(seed):
+def test_offlattice_polytope_is_refused():
+    # off the lattice the polytope has no static classes; no pipeline builds
+    # one, and every evaluation on the face refuses it
     model, grid, poly, h = setup("cosine_well", 16, dt=0.0101)
-    rng = np.random.default_rng(seed)
-    phi = random_field(grid, seed)
-    sigma = GridField(grid, rng.uniform(0.2, 2.0, size=grid.size))
-    res = apply_selection_operator(model, sigma, phi, h, poly,
-                                   check_multiplicity=True)
-    assert res.path == "fallback" and res.vertices is None
-    V0 = random_field(grid, seed + 1)
-    lim = limit_solution_formula(model, V0, h, poly)
-    assert lim.path == "fallback"
-    K = poly.vset.count
-    for x in rng.choice(grid.size, size=4, replace=False):
-        _, want, info = oracle_operator(poly, h, sigma, phi, int(x))
-        assert res.per_x_value[x] == pytest.approx(want, abs=ORACLE_TOL)
-        assert res.multiplicity[int(x)] == info.multiplicity
-        _, want_lim, _ = fractional_minimize(
-            poly, np.repeat(-h.values[:, x] + V0.values, K), -np.ones(poly.num_vars),
-            "negative")
-        assert lim.field.values[x] == pytest.approx(want_lim, abs=ORACLE_TOL)
+    one, zero = GridField.constant(grid, 1.0), GridField.constant(grid, 0.0)
+    with pytest.raises(ConfigurationError, match="static classes"):
+        apply_selection_operator(model, one, zero, h, poly)
+    with pytest.raises(ConfigurationError, match="static classes"):
+        limit_solution_formula(model, zero, h, poly)
+    with pytest.raises(ConfigurationError, match="static classes"):
+        measure_comparison(zero, one, one, poly)
+    with pytest.raises(ConfigurationError, match="static classes"):
+        check_largest_subsolution(zero, zero, poly, [zero], model, poly.vset, poly.dt)
 
 
-class TwoArgumentError(RuntimeError):
-    def __init__(self, code, detail):
-        super().__init__(f"{code}: {detail}")
-
-
-def test_fallback_failure_chains_a_typed_error(monkeypatch):
-    model, grid, poly, h = setup("cosine_well", 16, dt=0.0101)
-
-    def broken(*args, **kwargs):
-        raise TwoArgumentError(7, "solver gave up")
-
-    monkeypatch.setattr(selection, "fractional_minimize", broken)
-    with pytest.raises(MatherLPError, match="node 0") as err:
-        apply_selection_operator(model, GridField.constant(grid, 1.0),
-                                 GridField.constant(grid, 0.0), h, poly)
-    assert isinstance(err.value.__cause__, TwoArgumentError)
+def test_only_the_polytopes_own_barrier_is_accepted():
+    """The class split needs h(y, x) = h(y, z_S) + h(z_S, x) inside each
+    class, which holds for the barrier whose Aubry set is the polytope's
+    classes: another polytope's barrier, or one that carries no Aubry set,
+    is refused."""
+    model, grid, poly, h = setup("cosine_well", 16)
+    other = setup("double_well", 16)[3]
+    bare = BarrierMatrix(grid, "peierls", None, h.values)
+    one, zero = GridField.constant(grid, 1.0), GridField.constant(grid, 0.0)
+    for wrong in (other, bare):
+        with pytest.raises(ConfigurationError, match="own barrier"):
+            apply_selection_operator(model, one, zero, wrong, poly)
+        with pytest.raises(ConfigurationError, match="own barrier"):
+            limit_solution_formula(model, zero, wrong, poly)
+    h_t = BarrierMatrix(grid, "h_t", 1.0, h.values)
+    with pytest.raises(ConfigurationError, match="peierls"):
+        apply_selection_operator(model, one, zero, h_t, poly)
+    # the same matrix with its own Aubry set is accepted
+    ok = dataclasses.replace(bare, aubry=h.aubry)
+    assert apply_selection_operator(model, one, zero, ok, poly).field is not None
 
 
 def test_comparison_checks_decide_on_the_exact_face():
@@ -261,7 +408,8 @@ def test_comparison_checks_decide_on_the_exact_face():
 @given(seed=st.integers(0, 2**31 - 1))
 def test_comparison_checks_on_a_branched_critical_graph(seed):
     """alpha = half a velocity step ties v = 0 and v = one step, so every node
-    has two critical arcs and the checks take the restricted-LP fallback."""
+    has two critical arcs: one class, whose optimal cycle the ratio policy
+    iteration finds among n + 1 simple cycles."""
     grid = build_grid(1, 16)
     vset = velocity_set(3.0, 25)
     model = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)

@@ -1,12 +1,15 @@
-"""The exact Peierls barrier (reweighted Dijkstra from the Aubry set) against
-two oracles: Floyd-Warshall on the raw arrival-point arc weights, and the
-windowed minimum of the action DP it replaced."""
+"""The exact Peierls barrier (reweighted Dijkstra from one representative
+per static class) against three oracles: Floyd-Warshall on the raw
+arrival-point arc weights, the Dijkstra loop from every Aubry node that it
+replaced, and the windowed minimum of the action DP before that."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from torushj.barrier import (
     BIG,
@@ -17,7 +20,7 @@ from torushj.barrier import (
 )
 from torushj.errors import ConfigurationError
 from torushj.grids import build_grid
-from torushj.matherlp import build_polytope
+from torushj.matherlp import build_polytope, cycle_arcs
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, on_arcs
 
@@ -71,11 +74,38 @@ def floyd_warshall_barrier(model, poly):
     return np.where(np.isfinite(h), h, BIG), A
 
 
+def all_sources_barrier(model, poly):
+    """The retired barrier loop: its own kernel and L0, the Aubry set from
+    the zero-weight cycles of the reweighted graph, and Dijkstra forward and
+    backward from every Aubry node."""
+    grid, vset, dt, N = poly.grid, poly.vset, poly.dt, poly.grid.size
+    foot = Transition(grid, vset, dt).take.ravel()
+    head = np.tile(np.arange(N), vset.count)
+    psi = dt * poly.potential
+    reduced = np.maximum(dt * on_arcs(grid, vset, model.L, 0.0).ravel()
+                         + dt * poly.c + psi[foot] - psi[head], 0.0)
+    key = foot * N + head
+    order = np.lexsort((reduced, key))
+    arc = order[np.r_[True, np.diff(key[order]) != 0]]
+    G = sparse.csr_matrix((reduced[arc], (foot[arc], head[arc])), shape=(N, N))
+    zero = arc[reduced[arc] <= dt * poly.zero_tol]
+    aubry = np.unique(foot[zero[cycle_arcs(foot[zero], head[zero], N)[0]]])
+    h = np.full((N, N), np.inf)
+    for to_z, from_z in zip(csgraph.dijkstra(G.T, indices=aubry),
+                            csgraph.dijkstra(G, indices=aubry)):
+        np.minimum(h, to_z[:, None] + from_z[None, :], out=h)
+    h = h - psi[:, None] + psi[None, :]
+    return np.where(np.isfinite(h), h, BIG), aubry
+
+
 def assert_matches_oracle(model, poly):
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     want, A = floyd_warshall_barrier(model, poly)
     np.testing.assert_array_equal(aubry_set(h), A)
-    np.testing.assert_allclose(h.values, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(h.values, want, rtol=0, atol=1e-12)
+    want, A = all_sources_barrier(model, poly)
+    np.testing.assert_array_equal(aubry_set(h), A)
+    np.testing.assert_allclose(h.values, want, rtol=0, atol=1e-12)
     return h
 
 
@@ -98,6 +128,18 @@ def test_matches_floyd_warshall_2d(seed, n, m, magnetic):
              else builtin_model("mechanical", d=2, U=U))
     grid, vset = build_grid(2, n), velocity_set(2.0, m, d=2)
     assert_matches_oracle(model, build_polytope(model, grid, vset))
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 16)])
+def test_rotation_classes_match_the_oracles(d, n):
+    # the rotation's critical cycles fall into several static classes (n of
+    # them at d = 2), each searched from one representative
+    alpha = [ALPHA, np.sqrt(2.0) - 1.0][:d]
+    model = builtin_model("shifted_quadratic", d=d, alpha=alpha)
+    vset = velocity_set(3.0, 25) if d == 1 else velocity_set(2.0, 5, d=2)
+    poly = build_polytope(model, build_grid(d, n), vset)
+    assert poly.static_classes()[2].size == (2 if d == 1 else n)
+    assert not assert_matches_oracle(model, poly).warnings
 
 
 def test_duplicate_arcs_keep_the_cheaper():
@@ -131,7 +173,7 @@ def window_dp_barrier(model, poly, Tmax=24.0):
 ], ids=["cosine_well", "double_well", "rotation"])
 def test_matches_window_dp(model):
     poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, 25))
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     np.testing.assert_allclose(h.values, window_dp_barrier(model, poly),
                                rtol=0, atol=1e-12)
 
@@ -153,7 +195,7 @@ def test_stored_potential_certifies_the_magnetic_well():
     assert reduced.min() >= -dt * poly.zero_tol
     wrong = dataclasses.replace(poly, potential=poly.potential / dt)
     with pytest.raises(ConfigurationError, match="reduced arc weight"):
-        peierls_barrier(model, wrong)
+        peierls_barrier(wrong)
 
 
 @pytest.mark.parametrize("m", [17, 49])
@@ -172,7 +214,7 @@ def test_unreachable_pairs_keep_the_sentinel():
     grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
     model = builtin_model("mechanical", U=lambda x: np.cos(2 * np.pi * x[..., 0]))
     poly = build_polytope(model, grid, vset, dt=2 * grid.h / vset.spacing)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     assert any("unreachable" in w for w in h.warnings)
     even = np.arange(grid.size) % 2 == 0
     assert np.all(h.values[np.ix_(even, even)] < BIG / 2)
@@ -183,4 +225,4 @@ def test_needs_the_critical_dual():
     grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
     model = builtin_model("mechanical")
     with pytest.raises(ConfigurationError):
-        peierls_barrier(model, build_polytope(model, grid, vset, with_critical=False))
+        peierls_barrier(build_polytope(model, grid, vset, with_critical=False))

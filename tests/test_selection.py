@@ -26,7 +26,7 @@ def make_setup(U, n=48, vmax=3.0, m=33):
     model = builtin_model("mechanical", U=U)
     poly = build_polytope(model, grid, vset)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     return model, grid, vset, poly, h
 
 
@@ -135,7 +135,7 @@ def test_limit_formula_rotation_selects_mean():
                           potential=lambda x: -target(x))
     poly = build_polytope(model, grid, vset)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(model, poly)
+    h = peierls_barrier(poly)
     V0 = GridField.from_function(grid, model.V0)
     res = limit_solution_formula(model, V0, h, poly)
     np.testing.assert_allclose(res.field.values, 0.3, atol=0.05)

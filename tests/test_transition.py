@@ -160,8 +160,9 @@ def test_closedness_operator_matches_reference(case):
         np.testing.assert_array_equal(getattr(C, attr), getattr(ref, attr))
 
 
-def reference_vertices(poly):
-    """The Mather vertices by the successor walk, with a kernel of its own."""
+def reference_classes(poly):
+    """The static classes as sets of nodes: strongly connected components
+    of the critical arcs, walked with a kernel of its own."""
     arcs = Transition(poly.grid, poly.vset, poly.dt)
     if not arcs.integer_hops:
         return None
@@ -169,21 +170,24 @@ def reference_vertices(poly):
     head = np.empty_like(arcs.take)
     head[np.arange(K)[:, None], arcs.take] = np.arange(N)
     crit = poly.critical_arcs()
-    src = crit // K
-    if np.any(np.bincount(src, minlength=N) > 1):
-        return None
-    nxt, arc_of = np.full(N, -1), np.full(N, -1)
-    nxt[src], arc_of[src] = head[crit % K, src], crit
-    done, cycles = np.zeros(N, dtype=bool), []
-    for start in range(N):
-        path, x = [], start
-        while x >= 0 and not done[x] and x not in path:
-            path.append(x)
-            x = nxt[x]
-        if x >= 0 and x in path:
-            cycles.append(arc_of[path[path.index(x):]])
-        done[path] = True
-    return cycles
+    succ = {x: set() for x in range(N)}
+    for a in crit:
+        succ[a // K].add(int(head[a % K, a // K]))
+
+    def reach(x):
+        seen, todo = set(), [x]
+        while todo:
+            for y in succ[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        return seen
+
+    reached = {x: reach(x) for x in range(N)}
+    classes = []
+    for x in range(N):
+        if x in reached[x] and not any(x in c for c in classes):
+            classes.append(sorted(y for y in reached[x] if x in reached[y]))
+    return classes
 
 
 @pytest.mark.parametrize("case", [(1, 32, 3.0, 25, None, "cos:amp=1,freq=1"),
@@ -192,8 +196,8 @@ def reference_vertices(poly):
                                   (2, 8, 1.0, 5, None, "cos_sum:amp=1,freq=1")])
 def test_build_polytope_uses_one_transition(monkeypatch, case):
     """One kernel per polytope; its closedness operator has the CSR arrays
-    of the independent reference and its vertices those of a walk with a
-    kernel of its own."""
+    of the independent reference and its static classes those of a walk
+    with a kernel of its own."""
     grid, vset, dt = make(*case[:5])
     model = builtin_model("mechanical", d=grid.d, U=parse_potential(case[5]))
     built = []
@@ -210,8 +214,9 @@ def test_build_polytope_uses_one_transition(monkeypatch, case):
     ref = reference_closedness(grid, vset, dt)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(poly.C, attr), getattr(ref, attr))
-    want = reference_vertices(poly)
-    assert (poly.vertices is None) == (want is None) == (case[4] == 0.0101)
+    want = reference_classes(poly)
+    assert (poly.classes is None) == (want is None) == (case[4] == 0.0101)
     if want is not None:
-        assert len(poly.vertices) == len(want) >= 1
-        assert all(np.array_equal(a, b) for a, b in zip(poly.vertices, want))
+        aubry, label, reps = poly.static_classes()
+        assert len(want) == reps.size >= 1
+        assert [list(aubry[label == c]) for c in range(reps.size)] == want
