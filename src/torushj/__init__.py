@@ -1,10 +1,11 @@
 """Numerical laboratory for discounted Hamilton-Jacobi equations on flat tori.
 
 Solves the sigma-weighted discounted equation by a monotone semi-Lagrangian
-scheme, computes minimal-action/Peierls barriers by dynamic programming,
-builds Mather measures as linear programs over a discrete closed-measure
-polytope, and evaluates the barrier/measure selection operator together with
-its fixed-point, comparison, and occupation-measure diagnostics.
+scheme, computes minimal-action matrices by min-plus dynamic programming and
+Peierls barriers by shortest paths, finds the critical value and the Mather
+face of a discrete closed-measure polytope by min-plus policy iteration, and
+evaluates the barrier/measure selection operator together with its
+fixed-point, comparison, and occupation-measure diagnostics.
 """
 
 from .grids import PeriodicGrid, GridField, build_grid, interpolate, wrap_points

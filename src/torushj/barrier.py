@@ -12,10 +12,16 @@ vanishing-discount limits of the solver rather than merely O(dt)-consistent
 ones.  Both the DP and the barrier need the integer hops that the default
 dt = h / velocity step gives.  `evolve_action` runs that step T/dt times.
 
-The step is a min-plus product with the one-step matrix h_dt, so h_T is the
-(T/dt)-th min-plus power of h_dt.  The long-time critical value
--min_x h_T(x, x)/T takes it by binary powering: O(log(T/dt)) products of
-N^3 work each, in place of T/dt steps of K N^2.
+The step is a min-plus product with the one-step matrix h_dt, which has K
+finite entries per row, so it costs K N^2, and h_T is the s-th min-plus
+power of h_dt for s = T/dt.  Left-to-right square-and-multiply takes that
+power with one dense N^3 squaring per bit of s after the leading one and
+one step per set bit.  The long-time critical value -min_x h_T(x, x)/T
+needs only the diagonal, the cheapest closed walks: with P the power
+s // 2 and Q = P (even s) or one step of P (odd s), h_T(x, x) =
+min_y P(x, y) + Q(y, x), an N^2 reduction.  That leaves floor(log2 s) - 1
+dense products in place of T/dt steps (Baccelli, Cohen, Olsder and
+Quadrat, Synchronization and Linearity, 1992).
 
 The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
 lattice graph, whose arc (k, y) runs from its foot to y with weight
@@ -118,23 +124,50 @@ class _ActionKernel:
         self.take = arcs.take                                          # (K, N)
         self.cost = dt * on_arcs(grid, vset, model.L, 0.0)             # (K, N)
 
+    def one_step(self) -> np.ndarray:
+        """h_dt: entry (foot, head) is the cheapest arc between the two, BIG
+        where no arc joins them."""
+        N = self.grid.size
+        h = np.full((N, N), BIG)
+        np.minimum.at(h, (self.take, np.broadcast_to(np.arange(N), self.take.shape)),
+                      self.cost)
+        return h
+
     def step(self, A: np.ndarray) -> np.ndarray:
-        out = np.full_like(A, BIG)
+        """h_t -> h_{t+dt}, the min-plus product A h_dt by its K arcs per node:
+        out[i, j] = min_k A[i, take[k, j]] + cost[k, j].  It gathers whole
+        rows of A.T and returns a C-contiguous array, so that the products
+        after it stay row-major."""
+        AT = np.ascontiguousarray(A.T)
+        out = np.full_like(AT, BIG)
         for take, cost in zip(self.take, self.cost):
-            np.minimum(out, A[:, take] + cost[None, :], out=out)
-        return np.minimum(out, BIG)
+            np.minimum(out, AT[take] + cost[:, None], out=out)
+        return np.ascontiguousarray(out.T)
 
     def power(self, steps: int) -> np.ndarray:
-        """h_{steps*dt} as the steps-th min-plus power of h_dt (steps >= 1)."""
-        base = self.step(initial_action_matrix(self.grid).values)
-        out = None
-        while True:
-            if steps & 1:
-                out = base if out is None else _min_plus(out, base)
-            steps >>= 1
-            if not steps:
-                return out
-            base = _min_plus(base, base)
+        """h_{steps*dt}, the steps-th min-plus power of h_dt (h_0 for 0 steps).
+
+        Left-to-right square-and-multiply: one dense squaring per bit after
+        the leading one, then one sparse `step` per set bit.
+        """
+        if steps == 0:
+            return initial_action_matrix(self.grid).values
+        out = self.one_step()
+        for bit in bin(steps)[3:]:
+            out = _min_plus(out, out)
+            if bit == "1":
+                out = self.step(out)
+        return out
+
+    def closed_walks(self, steps: int) -> np.ndarray:
+        """diag h_{steps*dt}, the cheapest closed walk of `steps` steps (>= 1)
+        through each node: min_j P[i, j] + Q[j, i] with P = h_{(steps//2)*dt}
+        and Q = P for even steps, one `step` of P for odd ones.  That takes
+        one dense squaring fewer than `power(steps)` and no product at the end.
+        """
+        P = self.power(steps // 2)
+        Q = self.step(P) if steps & 1 else P
+        return np.minimum(np.min(P + Q.T, axis=1), BIG)
 
 
 def _min_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -191,10 +224,11 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     policy iteration and the action DP charge it; discount solves
     lam*w + H^0(x, dw) = 0 and reads off -mean(lam*w) at the smallest
     scheduled lam, longtime uses -min_x h_T(x, x)/T with
-    T = round(Tmax/dt) * dt.  It takes h_T as a
-    min-plus power of the one-step matrix, O(log(T/dt)) products of N^3 work,
-    and equals the stepwise DP of `evolve_action` up to roundoff.  A Tmax that
-    rounds to no step raises ConfigurationError.
+    T = round(Tmax/dt) * dt.  It takes diag h_T from the min-plus power of
+    the one-step matrix to half the horizon (`_ActionKernel.closed_walks`),
+    floor(log2(T/dt)) - 1 products of N^3 work, and equals the stepwise DP of
+    `evolve_action` up to roundoff.  A Tmax that rounds to no step raises
+    ConfigurationError.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if dt is None:
@@ -217,7 +251,7 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
             if steps < 1:
                 raise ConfigurationError(f"Tmax = {Tmax:g} rounds to no step of "
                                          f"dt = {dt:g}: the long-time route needs one")
-            diag = np.diag(_ActionKernel(model, grid, vset, dt).power(steps))
+            diag = _ActionKernel(model, grid, vset, dt).closed_walks(steps)
             if np.all(diag > BIG / 2):
                 raise ConfigurationError("no node returns to itself by Tmax")
             values["longtime"] = -float(np.min(diag)) / (steps * dt)

@@ -370,8 +370,10 @@ class LPInfo:
 
 
 def _run_lp(cvec, A_eq, b_eq, A_ub=None, b_ub=None):
+    # dual simplex without presolve: on these closedness programs HiGHS's
+    # presolve took more than half of the solve and removed little
     res = linprog(c=cvec, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-                  bounds=(0, None), method="highs-ds")
+                  bounds=(0, None), method="highs-ds", options={"presolve": False})
     if res.status == 2:
         raise MatherLPError(
             "LP infeasible: closedness operator rank defect or minimality slack "

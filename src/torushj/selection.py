@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barrier import BarrierMatrix
+from .barrier import BIG, BarrierMatrix
 from .errors import ConfigurationError, DomainError
 from .grids import GridField
 from .matherlp import DiscreteMeasure, MatherPolytope, _howard, cycle_arcs
@@ -117,6 +117,8 @@ def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
     `_howard` on the critical arcs solves every class, and its policy cycle
     is the witness.  Multiplicity means two or more optimal cycles: a tie
     across classes, or a second optimal cycle inside the winning class.
+    A target that no class reaches, its barrier column at the BIG sentinel
+    for every representative, has no value and raises DomainError.
     Returns a SelectionResult without its field.
     """
     N, K = polytope.grid.size, polytope.vset.count
@@ -140,6 +142,10 @@ def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
     if targets is None:
         targets = np.arange(N)
     shift = np.zeros((S, len(targets))) if h is None else h[np.ix_(reps, targets)]
+    unreached = targets[np.all(shift >= BIG / 2, axis=0)]
+    if unreached.size:
+        raise DomainError(f"no static class reaches node(s) {unreached[:8].tolist()} "
+                          "on the lattice graph: the barrier is BIG there")
     value = rho[:, None] + shift                              # (classes, targets)
     best = np.argmin(value, axis=0)
     values = value[best, np.arange(len(targets))]
@@ -188,7 +194,8 @@ def apply_selection_operator(model_G: ControlModel, sigma: GridField,
                              nodes: Optional[Sequence[int]] = None,
                              keep_measures: bool = False,
                              check_multiplicity: bool = False) -> SelectionResult:
-    """Evaluate (P^sigma phi) at every node (or a subset) on the Mather face."""
+    """Evaluate (P^sigma phi) at every node (or a subset) on the Mather face;
+    a node that no static class reaches raises DomainError."""
     grid = polytope.grid
     K = polytope.vset.count
     sig = sigma.values

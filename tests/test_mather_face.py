@@ -14,7 +14,7 @@ from scipy import sparse
 
 import torushj.selection as selection
 from torushj.barrier import BarrierMatrix, critical_value, peierls_barrier
-from torushj.errors import ConfigurationError
+from torushj.errors import ConfigurationError, DomainError
 from torushj.experiments import parse_potential
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import (
@@ -32,6 +32,7 @@ from torushj.selection import (
     limit_solution_formula,
     measure_comparison,
 )
+from torushj.solver import default_dt
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 HALF_STEP = velocity_set(3.0, 25).spacing / 2
@@ -278,6 +279,36 @@ def test_multiplicity_map_double_well_matches_oracle(n):
                                          h, poly, check_multiplicity=True)
     assert symmetric.multiplicity[n // 4] and symmetric.multiplicity[3 * n // 4]
     assert not symmetric.multiplicity[0]
+
+
+def test_unreached_targets_are_refused():
+    """With doubled dt every hop of the double well at n = 16 is an even
+    number of cells, so its classes {0} and {8} reach the even nodes only:
+    the barrier is BIG at every odd target, which has no value and is
+    refused, while the even targets keep the vertex evaluation's values and
+    multiplicity."""
+    model = MODELS["double_well"]()
+    grid, vset = build_grid(1, 16), velocity_set(3.0, 25)
+    poly = build_polytope(model, grid, vset, 2 * default_dt(grid, vset))
+    model = model.with_c0(poly.c)
+    h = peierls_barrier(poly)
+    assert h.aubry.tolist() == [0, 8] and h.warnings
+    sigma, phi = GridField.constant(grid, 1.0), random_field(grid, 3)
+    with pytest.raises(DomainError, match="no static class reaches"):
+        apply_selection_operator(model, sigma, phi, h, poly)
+    with pytest.raises(DomainError, match="no static class reaches"):
+        limit_solution_formula(model, GridField.constant(grid, 0.0), h, poly)
+    with pytest.raises(DomainError, match=r"reaches node\(s\) \[3\]"):
+        apply_selection_operator(model, sigma, phi, h, poly, nodes=[2, 3])
+    even = np.arange(0, 16, 2)
+    for phi in (GridField.constant(grid, 0.0), phi):
+        res = apply_selection_operator(model, sigma, phi, h, poly, nodes=even,
+                                       check_multiplicity=True)
+        K = poly.vset.count
+        values, _, mult = vertex_minimize(poly, mather_vertices(poly), h.values,
+                                          np.ones(poly.num_vars), np.repeat(phi.values, K))
+        np.testing.assert_allclose(res.per_x_value, values[even], rtol=0, atol=1e-12)
+        assert [res.multiplicity[int(x)] for x in even] == list(mult[even])
 
 
 @pytest.mark.parametrize("name,n", CASES)

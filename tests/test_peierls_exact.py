@@ -13,9 +13,9 @@ from scipy.sparse import csgraph
 
 from torushj.barrier import (
     BIG,
+    _ActionKernel,
     aubry_set,
     evolve_action,
-    min_action_step,
     peierls_barrier,
 )
 from torushj.errors import ConfigurationError
@@ -157,11 +157,13 @@ def test_duplicate_arcs_keep_the_cheaper():
 def window_dp_barrier(model, poly, Tmax=24.0):
     """min over t in [Tmax/2, Tmax] of h_t + c t, by the action DP."""
     grid, vset, dt = poly.grid, poly.vset, poly.dt
+    kern = _ActionKernel(model, grid, vset, dt)
     A = evolve_action(model, grid, vset, Tmax / 2, dt)
-    runmin = A.values + poly.c * A.t
+    t, A = A.t, A.values
+    runmin = A + poly.c * t
     for _ in range(int(round(Tmax / 2 / dt))):
-        A = min_action_step(model, A, dt, vset)
-        np.minimum(runmin, A.values + poly.c * A.t, out=runmin)
+        A, t = kern.step(A), t + dt
+        np.minimum(runmin, A + poly.c * t, out=runmin)
     return runmin
 
 
