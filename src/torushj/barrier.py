@@ -48,7 +48,7 @@ from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError
 from .grids import GridField, PeriodicGrid
-from .matherlp import MatherPolytope, build_polytope, solve_mather_lp
+from .matherlp import MatherPolytope, build_polytope
 from .models import ControlModel, VelocitySet, discounted_wrapper
 from .solver import Transition, default_dt, lambda_sweep, on_arcs
 
@@ -219,9 +219,9 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
 
     method is "lp", "discount", "longtime", or a sequence of those; with two
     or more methods the spread records their maximum disagreement and c is
-    taken from the first.  The lp route always solves the closed-measure
-    linear program, with L0 charged at the arc's head as `build_polytope`'s
-    policy iteration and the action DP charge it; discount solves
+    taken from the first.  The lp route is `build_polytope`'s c, the optimum
+    of the closed-measure LP: certified policy iteration with integer hops,
+    HiGHS off the lattice; discount solves
     lam*w + H^0(x, dw) = 0 and reads off -mean(lam*w) at the smallest
     scheduled lam, longtime uses -min_x h_T(x, x)/T with
     T = round(Tmax/dt) * dt.  It takes diag h_T from the min-plus power of
@@ -236,8 +236,7 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     values: dict[str, float] = {}
     for meth in methods:
         if meth == "lp":
-            poly = build_polytope(model, grid, vset, dt, with_critical=False)
-            values["lp"] = -solve_mather_lp(model, poly)[1]
+            values["lp"] = build_polytope(model, grid, vset, dt).c
         elif meth == "discount":
             disc = discounted_wrapper(model)
             entries = lambda_sweep(disc, sorted(discount_schedule, reverse=True),

@@ -159,15 +159,23 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     n, vdt = grid.n, vels * dt
     k, j, size = 0, 0, 1                        # a block of one row checks no guess
     while k < steps:
-        # Guess: velocity j holds for the whole block.  The guessed points
-        # are exact up to the first wrap of the torus; the check below
-        # catches any that are not.
+        # Guess: velocity j holds for the whole block.  The accumulation
+        # restarts at each wrap of the torus from the point wrapped as the
+        # feet are, so that off the lattice too the guessed points are the
+        # feet bit for bit; the check below catches any that are not.
         size = min(size, steps - k)
         Y = np.empty((size, grid.d))
         Y[0], Y[1:] = pts[k], -vdt[j]
         Y = np.add.accumulate(Y, axis=0)
-        Y[1:] = np.mod(Y[1:], 1.0)
-        Y[Y >= 1.0] = 0.0
+        # Each run of rows from Y[i], in [0, 1)^d, is monotone per axis, so
+        # it leaves [0, 1)^d if and only if its last point does.
+        i = 0
+        while not all(0.0 <= c < 1.0 for c in Y[-1].tolist()):
+            i += int(((Y[i:] < 0.0) | (Y[i:] >= 1.0)).any(axis=1).argmax())
+            Y[i] = np.mod(Y[i], 1.0)
+            Y[i, Y[i] >= 1.0] = 0.0
+            Y[i + 1:] = -vdt[j]
+            Y[i:] = np.add.accumulate(Y[i:], axis=0)
         if on_lattice:
             Y[1:] = np.rint(Y[1:] * n) / n
             Y[Y >= 1.0] = 0.0

@@ -33,8 +33,9 @@ denominators).
 
 Off the node lattice the polytope takes c, the reduced costs and the
 critical measure from the critical LP (`solve_mather_lp`), which HiGHS
-solves with its dual, and has no classes.  That LP is also the independent
-"lp" route of `barrier.critical_value`.  The full-polytope programs, which
+solves with its dual, and has no classes; so does the "lp" route of
+`barrier.critical_value`, which with integer hops returns the certified
+policy-iteration c.  The full-polytope programs, which
 impose minimality as an action row with slack tol_min, remain as
 `minimize_linear_over_mather` and `fractional_minimize`; they serve the
 tests as an oracle.  Linear programs are solved with HiGHS dual simplex
@@ -52,7 +53,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError, MatherLPError
@@ -370,6 +370,7 @@ class LPInfo:
 
 
 def _run_lp(cvec, A_eq, b_eq, A_ub=None, b_ub=None):
+    from scipy.optimize import linprog   # HiGHS loads on the first LP only
     # dual simplex without presolve: on these closedness programs HiGHS's
     # presolve took more than half of the solve and removed little
     res = linprog(c=cvec, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,

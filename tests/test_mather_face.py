@@ -168,16 +168,22 @@ def test_reduced_costs_certify_the_critical_measure():
 
 def test_stored_critical_solution_is_the_lp_solution():
     # the polytope's critical value comes from policy iteration; the
-    # arrival-charged LP (the "lp" route) must give the same number, and its
-    # optimizer must live on the polytope's critical arcs
+    # arrival-charged LP must give the same number, and its optimizer must
+    # live on the polytope's critical arcs.  On the lattice the "lp" route is
+    # that certified policy-iteration optimum; off it, the route is HiGHS
     for name, n in CASES:
         model, grid, poly, _ = setup(name, n)
         mu, opt, _ = solve_mather_lp(model, poly)
         assert poly.c == pytest.approx(-opt, abs=1e-12)
         support = np.flatnonzero(mu.flat() > 1e-12)
         assert np.isin(support, poly.critical_arcs()).all()
-        cd = critical_value(model, "lp", grid, poly.vset)
-        assert cd.c == -opt
+        assert critical_value(model, "lp", grid, poly.vset).c == poly.c
+    for name in ("cosine_well", "rotation"):
+        model, grid, vset = MODELS[name](), build_grid(1, 16), velocity_set(3.0, 25)
+        off = build_polytope(model, grid, vset, dt=0.0101, with_critical=False)
+        assert not off.arcs.integer_hops
+        cd = critical_value(model, "lp", grid, vset, dt=0.0101)
+        assert cd.c == -solve_mather_lp(model, off)[1]
 
 
 def class_nodes(poly):

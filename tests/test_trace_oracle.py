@@ -355,3 +355,22 @@ def test_zero_and_one_step_traces_match_the_lean_loop(d, steps):
         assert_bit_identical(new, lean_backward_calibrated_curve(*args, defect_tol=np.inf))
         assert ((trace_or_none(backward_calibrated_curve, *args) is None)
                 == (trace_or_none(lean_backward_calibrated_curve, *args) is None))
+
+
+@pytest.mark.parametrize("alpha", [1.0, -2.5])
+def test_wraps_off_the_lattice_do_not_stop_a_block(monkeypatch, alpha):
+    """A velocity that holds for 2,000 steps takes the same 16 blocks on and
+    off the lattice: the guessed points after each wrap of the torus are the
+    feet bit for bit, so every block after the first takes all its rows."""
+    grid, vset = build_grid(1, 24), velocity_set(3.0, 13)
+    model = builtin_model("shifted_quadratic", alpha=alpha).with_c0(0.0)
+    u = GridField.from_function(grid, lambda X: 1e-3 * np.cos(2 * np.pi * X[..., 0]))
+    for dt, x in ((default_dt(grid, vset), [0.5]), (0.064, [0.5]), (0.064, [0.123])):
+        args = (model, 0.01, u, x, 2000.5 * dt, dt, vset)
+        trace, blocks = recorded_blocks(monkeypatch, *args)
+        assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
+                                                                   defect_tol=np.inf))
+        assert trace.steps == 2000 and np.unique(trace.vel_indices).size == 1
+        assert trace.on_lattice == (dt != 0.064)
+        assert all(take == size for _, size, take in blocks[1:])
+        assert len(blocks) == 16
