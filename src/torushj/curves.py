@@ -105,15 +105,9 @@ class CurveTrace:
 def _kink_scale(u: GridField) -> float:
     """Largest second difference of the field: the off-lattice one-step
     interpolation error floor (chord-vs-kink within one cell)."""
-    g = u.grid
-    if g.d == 1:
-        v = u.values
-        dd = np.abs(np.roll(v, -1) - 2 * v + np.roll(v, 1))
-        return float(dd.max()) / 4.0
     a = u.as_array()
-    ddi = np.abs(np.roll(a, -1, 0) - 2 * a + np.roll(a, 1, 0))
-    ddj = np.abs(np.roll(a, -1, 1) - 2 * a + np.roll(a, 1, 1))
-    return float(max(ddi.max(), ddj.max())) / 4.0
+    dd = (np.abs(np.roll(a, -1, i) - 2 * a + np.roll(a, 1, i)).max() for i in range(a.ndim))
+    return float(max(dd)) / 4.0
 
 
 def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,

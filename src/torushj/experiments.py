@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .artifacts import (
@@ -332,14 +333,16 @@ class RunResult:
 
 
 def _smooth_random_fields(grid: PeriodicGrid, rng, count: int, scale: float = 0.5):
-    """Seeded low-frequency random fields (Fourier modes k = 1..4, 1/k^2 decay)."""
-    X = grid.node_coords()[:, 0]
+    """Seeded low-frequency random fields: Fourier modes k = 1..4 along each
+    axis, 1/k^2 decay, one (cos, sin) amplitude pair drawn per mode and axis."""
+    X = grid.node_coords()
     fields = []
     for _ in range(count):
         vals = np.zeros(grid.size)
         for k in range(1, 5):
-            a, b = rng.normal(size=2) * scale / k**2
-            vals += a * np.cos(2 * np.pi * k * X) + b * np.sin(2 * np.pi * k * X)
+            for x in X.T:
+                a, b = rng.normal(size=2) * scale / k**2
+                vals += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
         fields.append(GridField(grid, vals))
     return fields
 
@@ -719,14 +722,12 @@ def run_experiment(config, output: Optional[str] = None,
     if strict and warnings_all:
         passed = False
 
-    import numpy as _np
-    import scipy as _scipy
     manifest = {
         "config": cfg.raw or _config_echo(cfg),
         "kind": cfg.kind,
         "name": cfg.name,
-        "versions": {"torushj": __version__, "numpy": _np.__version__,
-                     "scipy": _scipy.__version__},
+        "versions": {"torushj": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "seed": cfg.seed,
         "parameters": _config_echo(cfg),
         "stages": [{

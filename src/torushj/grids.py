@@ -25,7 +25,15 @@ __all__ = [
     "build_grid",
     "interpolate",
     "interpolation_stencil",
+    "product_lattice",
 ]
+
+
+def product_lattice(axis, d: int) -> np.ndarray:
+    """The points of axis^d, shape (len(axis)**d, d), in lexicographic order
+    (the last coordinate varies fastest)."""
+    axis = np.asarray(axis)
+    return axis[np.indices((axis.size,) * d).reshape(d, -1).T]
 
 
 def wrap_points(x, d: int | None = None) -> np.ndarray:
@@ -71,18 +79,15 @@ class PeriodicGrid:
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (size, d), lexicographic order."""
-        ax = self.axis_coords()
-        if self.d == 1:
-            return ax[:, None]
-        ii, jj = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([ii.ravel(), jj.ravel()])
+        return product_lattice(self.axis_coords(), self.d)
 
     def flat_index(self, multi: np.ndarray) -> np.ndarray:
         """Flat index of integer node coordinates (..., d), wrapped mod n."""
         m = np.mod(np.asarray(multi, dtype=np.int64), self.n)
-        if self.d == 1:
-            return m[..., 0]
-        return m[..., 0] * self.n + m[..., 1]
+        idx = m[..., 0]
+        for a in range(1, self.d):
+            idx = idx * self.n + m[..., a]
+        return idx
 
     def nearest_node(self, points: np.ndarray) -> np.ndarray:
         p = wrap_points(points, self.d)
@@ -117,26 +122,16 @@ class GridField:
         return cls(grid, np.full(grid.size, float(value)))
 
     def as_array(self) -> np.ndarray:
-        if self.grid.d == 1:
-            return self.values
-        return self.values.reshape(self.grid.n, self.grid.n)
+        return self.values.reshape((self.grid.n,) * self.grid.d)
 
     def shifted(self, delta: float) -> "GridField":
         return GridField(self.grid, self.values + delta)
 
-    def sup_distance(self, other: "GridField") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
-
     def lipschitz_constant(self) -> float:
         """Max forward difference quotient over adjacent nodes (periodic)."""
-        g = self.grid
-        if g.d == 1:
-            diffs = np.abs(np.roll(self.values, -1) - self.values)
-            return float(diffs.max() / g.h)
         a = self.as_array()
-        di = np.abs(np.roll(a, -1, axis=0) - a)
-        dj = np.abs(np.roll(a, -1, axis=1) - a)
-        return float(max(di.max(), dj.max()) / g.h)
+        diffs = (np.abs(np.roll(a, -1, axis=i) - a).max() for i in range(a.ndim))
+        return float(max(diffs) / self.grid.h)
 
 
 def build_grid(d: int, n: int) -> PeriodicGrid:
@@ -149,6 +144,9 @@ def interpolation_stencil(grid: PeriodicGrid, points: np.ndarray):
 
     Returns (idx, w) with shapes (..., 2^d); sum of weights is 1 exactly in
     each row up to roundoff.  Reusable across many fields on the same grid.
+    The 2^d cell corners come in lexicographic order (the last axis flips
+    fastest), and each corner's weight is its product, axis by axis, of
+    1 - frac or frac.
     """
     p = wrap_points(points, grid.d)
     scaled = p * grid.n
@@ -158,23 +156,16 @@ def interpolation_stencil(grid: PeriodicGrid, points: np.ndarray):
     over = base >= grid.n
     base[over] -= 1
     frac[over] = 1.0
-    if grid.d == 1:
-        i0 = np.mod(base[..., 0], grid.n)
-        i1 = np.mod(i0 + 1, grid.n)
-        t = frac[..., 0]
-        idx = np.stack([i0, i1], axis=-1)
-        w = np.stack([1.0 - t, t], axis=-1)
-        return idx, w
-    i0 = np.mod(base[..., 0], grid.n)
-    j0 = np.mod(base[..., 1], grid.n)
-    i1 = np.mod(i0 + 1, grid.n)
-    j1 = np.mod(j0 + 1, grid.n)
-    s = frac[..., 0]
-    t = frac[..., 1]
-    idx = np.stack([i0 * grid.n + j0, i0 * grid.n + j1,
-                    i1 * grid.n + j0, i1 * grid.n + j1], axis=-1)
-    w = np.stack([(1 - s) * (1 - t), (1 - s) * t, s * (1 - t), s * t], axis=-1)
-    return idx, w
+    ends, sides = [], []
+    for a in range(grid.d):
+        lo = np.mod(base[..., a], grid.n)
+        ends.append((lo, np.mod(lo + 1, grid.n)))
+        sides.append((1.0 - frac[..., a], frac[..., a]))
+    idx, w = list(ends[0]), list(sides[0])
+    for a in range(1, grid.d):
+        idx = [i * grid.n + e for i in idx for e in ends[a]]
+        w = [x * s for x in w for s in sides[a]]
+    return np.stack(idx, axis=-1), np.stack(w, axis=-1)
 
 
 def interpolate(field: GridField, points: np.ndarray):

@@ -104,11 +104,6 @@ class DiscreteMeasure:
     def projected(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    def mean_velocity(self) -> np.ndarray:
-        w = self.flat()
-        V = np.tile(self.vset.velocities, (self.grid.size, 1))
-        return (w[:, None] * V).sum(axis=0) / max(w.sum(), 1e-300)
-
 
 def closedness_operator(arcs: Transition) -> sparse.csr_matrix:
     """Sparse (N x N*K) operator whose rows vanish exactly on closed measures.
@@ -271,17 +266,24 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     poly.classes[aubry] = np.argsort(np.argsort(first))[cls]
     # the policy's cycle through a node of minimal mean: N steps back along
     # the policy from any node land on its cycle
-    pred = foot[pol, np.arange(N)]
-    y = int(np.argmin(eta))
-    for _ in range(N):
-        y = pred[y]
-    cycle = [y]
-    while pred[cycle[-1]] != y:
-        cycle.append(pred[cycle[-1]])
+    cycle = _policy_cycle(foot[pol, np.arange(N)], int(np.argmin(eta)), N)
     weights = np.zeros(N * K)
     weights[flat[pol[cycle], cycle]] = 1.0 / len(cycle)
     poly.critical_measure = DiscreteMeasure(grid, vset, weights)
     return poly
+
+
+def _policy_cycle(pred: np.ndarray, start: int, steps: int) -> list:
+    """The cycle that walking steps back from start along the policy
+    y -> pred[y] lands on, listed from the node it lands on, in the walk's
+    direction.  steps must be at least the walk's length to the cycle."""
+    y = start
+    for _ in range(steps):
+        y = pred[y]
+    cycle = [y]
+    while pred[cycle[-1]] != y:
+        cycle.append(pred[cycle[-1]])
+    return cycle
 
 
 def _howard(take: np.ndarray, W: np.ndarray, D: np.ndarray):

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, FenchelBoxError
+from .grids import product_lattice
 
 __all__ = [
     "ControlModel",
@@ -125,12 +126,7 @@ def velocity_set(vmax: float, m_per_axis: int, d: int = 1) -> VelocitySet:
         raise ConfigurationError("need at least 3 velocities per axis")
     if d not in (1, 2):
         raise ConfigurationError("velocity sets support d in {1, 2}")
-    axis = np.linspace(-vmax, vmax, m_per_axis)
-    if d == 1:
-        vel = axis[:, None]
-    else:
-        aa, bb = np.meshgrid(axis, axis, indexing="ij")
-        vel = np.column_stack([aa.ravel(), bb.ravel()])
+    vel = product_lattice(np.linspace(-vmax, vmax, m_per_axis), d)
     return VelocitySet(velocities=vel, vmax=float(vmax), m_per_axis=m_per_axis)
 
 
@@ -145,13 +141,7 @@ def fenchel_lagrangian(model: ControlModel, x, v, u: float, m: int = 129) -> flo
         raise ConfigurationError("need at least 33 momentum samples per axis")
     x = np.asarray(x, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
-    d = model.d
-    axis = np.linspace(-model.p_box, model.p_box, m)
-    if d == 1:
-        P = axis[:, None]
-    else:
-        aa, bb = np.meshgrid(axis, axis, indexing="ij")
-        P = np.column_stack([aa.ravel(), bb.ravel()])
+    P = product_lattice(np.linspace(-model.p_box, model.p_box, m), model.d)
     X = np.broadcast_to(x, P.shape).copy()
     vals = P @ v - model.H(X, P, u)
     k = int(np.argmax(vals))
@@ -172,6 +162,12 @@ def _as_potential(U, d: int) -> Callable:
         c = float(U)
         return lambda x: np.full(np.asarray(x).shape[:-1], c)
     return U
+
+
+def _arc_ones(x, y) -> np.ndarray:
+    """Ones in the broadcast shape of points x (..., d) and velocities or
+    momenta y (..., d), without their last axis."""
+    return np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(y)[..., 0]).shape)
 
 
 def _sq_norm(a) -> np.ndarray:
@@ -210,8 +206,8 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
 
         return ControlModel(
             name=name, d=d, H=H, L=L,
-            dLdu0=lambda x, v: -np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(v)[..., 0]).shape),
-            dHdu0=lambda x, p: np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(p)[..., 0]).shape),
+            dLdu0=lambda x, v: -_arc_ones(x, v),
+            dHdu0=lambda x, p: _arc_ones(x, p),
             sigma=lambda x: np.ones(np.asarray(x).shape[:-1]),
             V=lambda x, lam: Vfun(x),
             V0=Vfun,
@@ -230,8 +226,8 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
 
         return ControlModel(
             name=name, d=d, H=H, L=L,
-            dLdu0=lambda x, v: -np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(v)[..., 0]).shape),
-            dHdu0=lambda x, p: np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(p)[..., 0]).shape),
+            dLdu0=lambda x, v: -_arc_ones(x, v),
+            dHdu0=lambda x, p: _arc_ones(x, p),
             sigma=lambda x: np.ones(np.asarray(x).shape[:-1]),
             V=lambda x, lam: np.full(np.asarray(x).shape[:-1], np.pi / 2),
             V0=lambda x: np.full(np.asarray(x).shape[:-1], np.pi / 2),
@@ -259,8 +255,8 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
 
     return ControlModel(
         name=name, d=d, H=H, L=L,
-        dLdu0=lambda x, v: -sigfun(x) * np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(v)[..., 0]).shape),
-        dHdu0=lambda x, p: sigfun(x) * np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(p)[..., 0]).shape),
+        dLdu0=lambda x, v: -sigfun(x) * _arc_ones(x, v),
+        dHdu0=lambda x, p: sigfun(x) * _arc_ones(x, p),
         sigma=sigfun,
         V=lambda x, lam: Vfun(x),
         V0=Vfun,
@@ -283,8 +279,8 @@ def discounted_wrapper(model: ControlModel) -> ControlModel:
         name=f"discounted({model.name})", d=model.d,
         H=lambda x, p, u, _H=base_H: np.asarray(u) + _H(x, p, 0.0),
         L=lambda x, v, u, _L=base_L: _L(x, v, 0.0) - np.asarray(u),
-        dLdu0=lambda x, v: -np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(v)[..., 0]).shape),
-        dHdu0=lambda x, p: np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(p)[..., 0]).shape),
+        dLdu0=lambda x, v: -_arc_ones(x, v),
+        dHdu0=lambda x, p: _arc_ones(x, p),
         sigma=lambda x: np.ones(np.asarray(x).shape[:-1]),
         V=lambda x, lam: np.zeros(np.asarray(x).shape[:-1]),
         V0=lambda x: np.zeros(np.asarray(x).shape[:-1]),

@@ -48,7 +48,7 @@ import numpy as np
 from .barrier import BIG, BarrierMatrix
 from .errors import ConfigurationError, DomainError
 from .grids import GridField
-from .matherlp import DiscreteMeasure, MatherPolytope, _howard, cycle_arcs
+from .matherlp import DiscreteMeasure, MatherPolytope, _howard, _policy_cycle, cycle_arcs
 from .models import ControlModel, VelocitySet
 from .solver import on_arcs, one_sided_subsolution_defect
 
@@ -154,12 +154,7 @@ def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
         pred = take[pol, np.arange(A)]
         for c in np.unique(best):
             # |S| steps back along the policy from z_S land on its cycle
-            y = local[reps[c]]
-            for _ in range(np.count_nonzero(label == c)):
-                y = pred[y]
-            cycles[c] = [y]
-            while pred[cycles[c][-1]] != y:
-                cycles[c].append(pred[cycles[c][-1]])
+            cycles[c] = _policy_cycle(pred, local[reps[c]], np.count_nonzero(label == c))
     measures = mult = None
     if keep_measures:
         witness = {}

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, mul
 from typing import Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import ConfigurationError, DomainError, SolveError
-from .grids import GridField, PeriodicGrid, interpolation_stencil
+from .grids import GridField, PeriodicGrid, interpolation_stencil, product_lattice
 from .models import ControlModel, VelocitySet
 
 __all__ = [
@@ -157,7 +158,11 @@ class Transition:
         n, d = self.grid.n, self.grid.d
         vdt = self.vset.velocities * self.dt
         pad = np.pad(values.reshape((n,) * d), (0, 2), mode="wrap").ravel()
-        row = n + 2
+        # the 2^d cell corners in the stencil's order, each as the padded
+        # field shifted by its flat offset, so that a corner is one gather
+        corners = product_lattice((0, 1), d)
+        offsets = corners @ (n + 2) ** np.arange(d - 1, -1, -1)
+        stencil = [(c, pad[off:]) for c, off in zip(corners.tolist(), offsets)]
 
         def feet_at(Y):
             feet = np.mod(Y[:, None, :] - vdt, 1.0)      # (S, K, d)
@@ -168,13 +173,19 @@ class Transition:
             s = feet * n
             i = s.astype(np.intp)                   # the floor, as s >= 0
             t = s - i
-            if d == 1:
-                i, t = i[..., 0], t[..., 0]
-                return feet, pad[i] * (1.0 - t) + pad[i + 1] * t
-            a = i[..., 0] * row + i[..., 1]
-            s, t = t[..., 0], t[..., 1]
-            return feet, (pad[a] * ((1 - s) * (1 - t)) + pad[a + 1] * ((1 - s) * t)
-                          + pad[a + row] * (s * (1 - t)) + pad[a + row + 1] * (s * t))
+            base = i[..., 0]
+            for a in range(1, d):
+                base = base * (n + 2) + i[..., a]
+            sides = [(1.0 - t[..., a], t[..., a]) for a in range(d)]
+            # each corner's weight is built as its term is, and the terms are
+            # summed in place: holding all 2^d weights or terms at once made
+            # the sampler slower
+            terms = (shifted[base] * reduce(mul, map(getitem, sides, corner))
+                     for corner, shifted in stencil)
+            fv = next(terms)
+            for term in terms:
+                fv += term
+            return feet, fv
 
         return feet_at
 
@@ -280,13 +291,8 @@ def compute_bracket(model: ControlModel, critical_solution: GridField,
     d = grid.d
 
     # K0 = sup{|p| : H(x,p,0) <= c0} sampled on a momentum lattice.
-    if d == 1:
-        paxis = np.linspace(-model.p_box, model.p_box, 513)
-        P = paxis[:, None]
-    else:
-        paxis = np.linspace(-model.p_box, model.p_box, 65)
-        aa, bb = np.meshgrid(paxis, paxis, indexing="ij")
-        P = np.column_stack([aa.ravel(), bb.ravel()])
+    paxis = np.linspace(-model.p_box, model.p_box, 513 if d == 1 else 65)
+    P = product_lattice(paxis, d)
     Hv = model.H(X[None, :, :], P[:, None, :], 0.0)   # (P, N)
     sub = np.any(Hv <= model.c0 + 1e-9, axis=1)
     pnorm = np.sqrt(np.sum(P**2, axis=1))
@@ -316,12 +322,7 @@ def compute_bracket(model: ControlModel, critical_solution: GridField,
     upper = GridField(grid, uhat - uhat.min() + kappa / delta)
 
     # Sampled second-order u-remainder of L on a coarse (x, v, u) lattice.
-    vprobe = np.linspace(-3.0, 3.0, 13)
-    if d == 1:
-        Vp = vprobe[:, None]
-    else:
-        aa, bb = np.meshgrid(vprobe, vprobe, indexing="ij")
-        Vp = np.column_stack([aa.ravel(), bb.ravel()])
+    Vp = product_lattice(np.linspace(-3.0, 3.0, 13), d)
     base_L = model.L(X[None, :, :], Vp[:, None, :], 0.0)
     slope = model.dLdu0(X[None, :, :], Vp[:, None, :])
     C2 = 0.0
