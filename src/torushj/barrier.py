@@ -40,7 +40,7 @@ forward and backward from one representative per class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 BIG = 1e18
+DISCOUNT_SCHEDULE = (0.1, 0.05, 0.02, 0.01)     # critical_value's "discount" route
 
 
 @dataclass
@@ -212,9 +213,7 @@ def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
 
 def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                    vset: VelocitySet, dt: Optional[float] = None,
-                   Tmax: float = 24.0,
-                   discount_schedule: Sequence[float] = (0.1, 0.05, 0.02, 0.01)
-                   ) -> CriticalData:
+                   Tmax: float = 24.0) -> CriticalData:
     """Critical value of H(., ., 0) by one or several routes.
 
     method is "lp", "discount", "longtime", or a sequence of those; with two
@@ -223,7 +222,7 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     of the closed-measure LP: certified policy iteration with integer hops,
     HiGHS off the lattice; discount solves
     lam*w + H^0(x, dw) = 0 and reads off -mean(lam*w) at the smallest
-    scheduled lam, longtime uses -min_x h_T(x, x)/T with
+    lam of DISCOUNT_SCHEDULE, longtime uses -min_x h_T(x, x)/T with
     T = round(Tmax/dt) * dt.  It takes diag h_T from the min-plus power of
     the one-step matrix to half the horizon (`_ActionKernel.closed_walks`),
     floor(log2(T/dt)) - 1 products of N^3 work, and equals the stepwise DP of
@@ -239,7 +238,7 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
             values["lp"] = build_polytope(model, grid, vset, dt).c
         elif meth == "discount":
             disc = discounted_wrapper(model)
-            entries = lambda_sweep(disc, sorted(discount_schedule, reverse=True),
+            entries = lambda_sweep(disc, DISCOUNT_SCHEDULE,
                                    grid, vset, dt=dt, tol=1e-9)
             last = entries[-1]
             if last.field is None:
@@ -270,7 +269,8 @@ def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
     classes (built without its critical solution, or with off-lattice hops)
     and for a reweighted arc below -dt * zero_tol: that check certifies the
     potential, and only roundoff that passes it is clamped.  Pairs the
-    lattice graph cannot join keep the BIG sentinel and a warning.
+    lattice graph cannot join keep the BIG sentinel and a warning.  The
+    values are read-only: `MatherPolytope.barrier` shares them.
     """
     aubry, _, reps = polytope.static_classes()
     dt, N, K = polytope.dt, polytope.grid.size, polytope.vset.count
@@ -297,6 +297,7 @@ def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
     if not np.all(np.isfinite(h)):
         h[~np.isfinite(h)] = BIG
         warns.append("some node pairs are unreachable on the lattice graph")
+    h.flags.writeable = False           # the polytope shares it (`.barrier`)
     return BarrierMatrix(polytope.grid, "peierls", None, h, warnings=warns, aubry=aubry)
 
 

@@ -72,6 +72,8 @@ DEFECT_FRACTION = 0.05
 # Most trace steps one speculative block checks in one numpy pass.
 BLOCK_CAP = 256
 
+TAIL_TOL = 1e-4     # occupation_measure's bound on the discarded tail's mass share
+
 
 @dataclass
 class CurveTrace:
@@ -220,8 +222,7 @@ class CalibrationReport:
     defect_tol: float
 
 
-def check_calibration(trace: CurveTrace, u: GridField, model: ControlModel,
-                      lam: float) -> CalibrationReport:
+def check_calibration(trace: CurveTrace, u: GridField) -> CalibrationReport:
     """Per-step and telescoped calibration defects of a recorded trace."""
     if trace.steps == 0:
         return CalibrationReport(0.0, 0.0, trace.defect_tol)
@@ -236,13 +237,13 @@ def check_calibration(trace: CurveTrace, u: GridField, model: ControlModel,
 
 
 def occupation_measure(trace: CurveTrace, lam: float, grid: PeriodicGrid,
-                       vset: VelocitySet, tail_tol: float = 1e-4) -> DiscreteMeasure:
+                       vset: VelocitySet) -> DiscreteMeasure:
     """Discount-weighted occupation measure of a backward trace.
 
     Step k deposits W_k*dt at (departure point, chosen velocity); positions
     bin by interpolation weights, velocities exactly.  Raises TailMassError
     when the discarded tail beyond the horizon would carry more than
-    tail_tol of the total mass (estimated from the weight decay rate).
+    TAIL_TOL of the total mass (estimated from the weight decay rate).
     """
     if trace.steps == 0:
         raise ConfigurationError("cannot bin an empty trace")
@@ -253,10 +254,10 @@ def occupation_measure(trace: CurveTrace, lam: float, grid: PeriodicGrid,
     total = float(Wd.sum())
     decay = max(-float(np.mean(trace.dl0[-max(10, trace.steps // 10):])), 1e-12)
     tail = float(trace.weights[-1]) / (lam * decay)
-    if tail / (total + tail) > tail_tol:
+    if tail / (total + tail) > TAIL_TOL:
         raise TailMassError(
             f"discarded tail mass fraction {tail / (total + tail):.2e} exceeds "
-            f"{tail_tol:.0e}: extend Tmax"
+            f"{TAIL_TOL:.0e}: extend Tmax"
         )
     idx, w = interpolation_stencil(grid, trace.points[1:])      # (S, 2^d)
     K = vset.count

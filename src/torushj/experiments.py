@@ -40,7 +40,6 @@ from .barrier import (
     BarrierMatrix,
     aubry_set,
     critical_value,
-    peierls_barrier,
     solution_from_barrier,
 )
 from .curves import (
@@ -60,6 +59,7 @@ from .matherlp import (
 from .models import BUILTIN_MODEL_NAMES, builtin_model, velocity_set
 from .selection import (
     SelectionResult,
+    _dl_flat,
     apply_selection_operator,
     check_fixed_point,
     check_operator_lipschitz,
@@ -380,7 +380,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("critical_value", True, {
         "c": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
 
-    h = peierls_barrier(poly)
+    h = poly.barrier
     artifacts["barrier_peierls"] = h
     stages.append(StageRecord("peierls_barrier", True,
                               {"max_abs": float(np.max(np.abs(h.values))),
@@ -388,7 +388,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
                               warnings=list(h.warnings)))
 
     V0 = GridField.from_function(grid, model.V0)
-    sel = limit_solution_formula(model, V0, h, poly)
+    sel = limit_solution_formula(model, V0, poly)
     artifacts["limit_solution"] = sel
     target_mean = float(np.mean(target(grid.node_coords())))
     formula_err = float(np.max(np.abs(sel.field.values - target_mean)))
@@ -415,8 +415,10 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
 
 def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
     """Classical discounted limit against the limit-solution formula, plus
-    the unique-measure closed form (barrier column minus the potential at the
-    minimizing point)."""
+    its closed form when every static class is one node z_S: the Mather
+    measures are then mixtures of Diracs at the critical arcs (z_S, v), so
+    u0 = min over those arcs of h(z_S, .) - V0(z_S) / sigma(z_S, v), with
+    sigma = -dL/du(z_S, v, 0).  Larger classes raise ConfigurationError."""
     stages = []
     grid, vs = cfg.grid(), cfg.vset()
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, vs)
@@ -426,7 +428,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
     model = model.with_c0(poly.c)
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
-    h = peierls_barrier(poly)
+    h = poly.barrier
     artifacts["barrier_peierls"] = h
     stages.append(StageRecord("peierls_barrier", True,
                               {"min_diag": float(np.min(h.diagonal())),
@@ -434,10 +436,17 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
                               warnings=list(h.warnings)))
 
     V0 = GridField.from_function(grid, model.V0)
-    sel = limit_solution_formula(model, V0, h, poly)
+    sel = limit_solution_formula(model, V0, poly)
     artifacts["limit_solution"] = sel
     xstar = int(aubry_set(h)[0])
-    closed_form = GridField(grid, h.values[xstar, :] - V0.values[xstar])
+    sizes = np.bincount(poly.static_classes()[1])
+    if sizes.max() > 1:
+        raise ConfigurationError("the closed form needs one-node static classes "
+                                 f"(Dirac Mather measures); class sizes: {sizes.tolist()}")
+    crit = poly.critical_arcs()                 # one Dirac per arc (z_S, v)
+    foot, sigma = crit // vs.count, -_dl_flat(model, poly)[crit]
+    closed_form = GridField(grid, np.min(h.values[foot] - (V0.values[foot] / sigma)[:, None],
+                                         axis=0))
     stages.append(StageRecord("limit_formula", True, {
         "aubry_node": xstar,
         "formula_vs_closed_form": float(np.max(np.abs(sel.field.values - closed_form.values))),
@@ -513,7 +522,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(poly)
+    h = poly.barrier
     artifacts["barrier_peierls"] = h
     sigma1 = GridField.constant(grid, 1.0)
     rng = np.random.default_rng(cfg.seed)
@@ -524,8 +533,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     lip_rows = []
     for i in range(pairs):
         f1, f2 = _smooth_random_fields(grid, rng, 2)
-        lhs, rhs, passed = check_operator_lipschitz(model, sigma1, f1, f2, h, poly,
-                                                    slack=slack)
+        lhs, rhs, passed = check_operator_lipschitz(sigma1, f1, f2, poly, slack=slack)
         lip_rows.append((i, lhs, rhs, passed))
         lip_ok &= passed
     stages.append(StageRecord("lipschitz", lip_ok,
@@ -536,7 +544,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     img_ok = True
     img_residuals = []
     for f in _smooth_random_fields(grid, rng, 3):
-        img = apply_selection_operator(model, sigma1, f, h, poly).field
+        img = apply_selection_operator(sigma1, f, poly).field
         r = residual(model, 0.0, img, vs, dt)
         img_residuals.append(r)
         img_ok &= r <= image_C * grid.h
@@ -549,8 +557,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     fp_rows = []
     for y in np.linspace(0, grid.size, 4, endpoint=False).astype(int):
         col = solution_from_barrier(h, int(y))
-        passed, diff = check_fixed_point(model, sigma1, col, h, poly,
-                                         tol=3 * grid_err)
+        passed, diff = check_fixed_point(sigma1, col, poly, tol=3 * grid_err)
         fp_rows.append((int(y), diff, passed))
         fp_ok &= passed
     stages.append(StageRecord("fixed_point", fp_ok, {
@@ -559,8 +566,8 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
 
     idem_tol = 2 * 3 * grid_err
     phi = _smooth_random_fields(grid, rng, 1)[0]
-    p1 = apply_selection_operator(model, sigma1, phi, h, poly).field
-    p2 = apply_selection_operator(model, sigma1, p1, h, poly).field
+    p1 = apply_selection_operator(sigma1, phi, poly).field
+    p2 = apply_selection_operator(sigma1, p1, poly).field
     idiff = float(np.max(np.abs(p2.values - p1.values)))
     stages.append(StageRecord("idempotence", idiff <= idem_tol,
                               {"diff": idiff, "tol": idem_tol}))
@@ -578,7 +585,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
     model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     poly = build_polytope(model, grid, vs, default_dt(grid, vs))
     model = model.with_c0(poly.c)
-    h = peierls_barrier(poly)
+    h = poly.barrier
     xstar = int(aubry_set(h)[0])
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     lp_mu = poly.critical_measure
@@ -596,7 +603,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
         warm = fld
         tr = backward_calibrated_curve(model, lam, fld, start, Tmax=10.0 / lam,
                                        dt=dt, vset=vs, solver_tol=cfg.tol)
-        mu = occupation_measure(tr, lam, grid, vs, tail_tol=1e-4)
+        mu = occupation_measure(tr, lam, grid, vs)
         tv = 0.5 * float(np.abs(mu.projected() - lp_mu.projected()).sum())
         dfct = closedness_defect(mu, Cop)
         tv_seq.append(tv)
@@ -663,7 +670,7 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
 
     mech = mech.with_c0(cd.per_method["lp"])
     poly49 = build_polytope(mech, grid, cfg.vset())
-    h = peierls_barrier(poly49)
+    h = poly49.barrier
     artifacts["barrier_mechanical"] = h
     tol_tri = _threshold(cfg, "tol_tri", 5e-3)
     x, y, z = rng.integers(0, grid.size, size=(1000, 3)).T

@@ -27,9 +27,10 @@ Those components are the static classes, which the polytope keeps as one
 label per Aubry node (`MatherPolytope.classes`): every simple cycle of
 critical arcs, hence every vertex of the Mather face, lies in one class,
 and the Peierls barrier is additive through any node of a class.  The
-selection layer minimizes its linear-fractional objectives class by class
-with the ratio form of the same policy iteration (`_howard` with per-arc
-denominators).
+polytope owns that barrier (`MatherPolytope.barrier`), so the selection
+layer reads h_G and M(L_G) off one critical problem; it minimizes its
+linear-fractional objectives class by class with the ratio form of the
+same policy iteration (`_howard` with per-arc denominators).
 
 Off the node lattice the polytope takes c, the reduced costs and the
 critical measure from the critical LP (`solve_mather_lp`), which HiGHS
@@ -49,6 +50,7 @@ since those optima are typically sparse and thus heavily degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -194,6 +196,12 @@ class MatherPolytope:
         aubry = np.flatnonzero(self.classes >= 0)
         label = self.classes[aubry]
         return aubry, label, aubry[np.unique(label, return_index=True)[1]]
+
+    @cached_property
+    def barrier(self):
+        """`barrier.peierls_barrier(self)`, computed once; read-only values."""
+        from .barrier import peierls_barrier      # barrier imports this module
+        return peierls_barrier(self)
 
 
 def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int):

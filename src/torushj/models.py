@@ -154,7 +154,7 @@ def fenchel_lagrangian(model: ControlModel, x, v, u: float, m: int = 129) -> flo
     return float(vals[k])
 
 
-def _as_potential(U, d: int) -> Callable:
+def _as_potential(U) -> Callable:
     """Normalize a potential spec (None, scalar, or callable on (...,d))."""
     if U is None:
         return lambda x: np.zeros(np.asarray(x).shape[:-1])
@@ -195,7 +195,7 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
         alpha = np.atleast_1d(np.asarray(params.get("alpha", (np.sqrt(5.0) - 1.0) / 2.0), dtype=float))
         if alpha.size != d:
             raise ConfigurationError(f"alpha must have {d} components")
-        Vfun = _as_potential(params.get("potential"), d)
+        Vfun = _as_potential(params.get("potential"))
 
         def H(x, p, u):
             return u + 0.5 * _sq_norm(np.asarray(p) + alpha)
@@ -238,14 +238,13 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
         )
 
     # mechanical and sigma_discounted share the dissipative mechanical form.
-    Ufun = _as_potential(params.get("U"), d)
-    sig = params.get("sigma", 1.0)
-    sigfun = _as_potential(sig, d) if not np.isscalar(sig) else (lambda x, _s=float(sig): np.full(np.asarray(x).shape[:-1], _s))
+    Ufun = _as_potential(params.get("U"))
+    sigfun = _as_potential(params.get("sigma", 1.0))
     if name == "sigma_discounted":
-        phifun = _as_potential(params.get("phi"), d)
+        phifun = _as_potential(params.get("phi"))
         Vfun = lambda x: -sigfun(x) * phifun(x)
     else:
-        Vfun = _as_potential(params.get("potential"), d)
+        Vfun = _as_potential(params.get("potential"))
 
     def H(x, p, u):
         return sigfun(x) * np.asarray(u) + 0.5 * _sq_norm(p) + Ufun(x)

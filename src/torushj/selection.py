@@ -17,9 +17,9 @@ ratio form of Howard's policy iteration (`matherlp._howard`, Cochet-
 Terrasson et al. 1998), and P phi at every target is the (classes x
 targets) minimum of rho_S + h(z_S, x).  A target has several equilibrium
 measures when two or more cycles attain it: a tie across classes, or a
-class with more than one optimal cycle.  The class split holds for the
-polytope's own barrier only, so both evaluations refuse any other, and
-off-lattice polytopes, which have no classes, with ConfigurationError.
+class with more than one optimal cycle.  Both h_G and M(L_G) are read off
+the polytope (`MatherPolytope.barrier`), so every evaluation takes it
+alone; off-lattice polytopes, which have no classes, raise ConfigurationError.
 
 Its fixed points are the discrete solutions of the critical equation; the
 checks below exercise the Lipschitz-1 bound, idempotence, the
@@ -45,11 +45,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barrier import BIG, BarrierMatrix
+from .barrier import BIG
 from .errors import ConfigurationError, DomainError
 from .grids import GridField
 from .matherlp import DiscreteMeasure, MatherPolytope, _howard, _policy_cycle, cycle_arcs
-from .models import ControlModel, VelocitySet
+from .models import ControlModel
 from .solver import on_arcs, one_sided_subsolution_defect
 
 __all__ = [
@@ -64,6 +64,8 @@ __all__ = [
     "SubsolutionReport",
     "equilibrium_measures",
 ]
+
+TOL_HYPOTHESIS = 1e-9     # the comparison hypothesis admits this face-minimum deficit
 
 
 @dataclass
@@ -85,19 +87,7 @@ def _dl_flat(model: ControlModel, polytope: MatherPolytope) -> np.ndarray:
     return on_arcs(polytope.grid, polytope.vset, model.dLdu0).T.ravel()
 
 
-def _own_barrier(barrier: BarrierMatrix, polytope: MatherPolytope, what: str):
-    """Refuse a barrier that is not the polytope's own: the class split of
-    `_minimize_on_face` holds for the barrier whose Aubry set is the
-    polytope's static classes."""
-    if barrier.kind != "peierls":
-        raise ConfigurationError(f"{what} needs a peierls barrier")
-    aubry = polytope.static_classes()[0]
-    if barrier.aubry is None or not np.array_equal(barrier.aubry, aubry):
-        raise ConfigurationError(f"{what} needs the polytope's own barrier: its "
-                                 "Aubry set is not the polytope's static classes")
-
-
-def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
+def _minimize_on_face(polytope: MatherPolytope, barrier: bool,
                       beta: np.ndarray, offset: np.ndarray,
                       targets: Optional[np.ndarray], keep_measures: bool,
                       check_multiplicity: bool):
@@ -107,7 +97,7 @@ def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
         int (beta * h(., x) + offset) dmu / int beta dmu
 
     with beta and offset given per flat arc and beta strictly one-signed; h
-    is the polytope's own barrier matrix, or None for a zero barrier.
+    is the polytope's own barrier when `barrier` is set, zero otherwise.
 
     The minimum sits on a simple cycle of critical arcs, which lies in one
     static class S.  Inside S the barrier is additive through the class
@@ -124,6 +114,7 @@ def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
     N, K = polytope.grid.size, polytope.vset.count
     aubry, label, reps = polytope.static_classes()
     crit = polytope.critical_arcs()
+    h = polytope.barrier.values if barrier else None
     A, S = aubry.size, reps.size
     local = np.full(N, -1)
     local[aubry] = np.arange(A)
@@ -178,36 +169,32 @@ def _minimize_on_face(polytope: MatherPolytope, h: Optional[np.ndarray],
 def _face_minimum(polytope: MatherPolytope, cost: np.ndarray) -> float:
     """min over Mather measures mu of the linear functional int cost dmu,
     the beta = 1 case of `_minimize_on_face` with a zero barrier."""
-    res = _minimize_on_face(polytope, None, np.ones(polytope.num_vars), cost,
+    res = _minimize_on_face(polytope, False, np.ones(polytope.num_vars), cost,
                             np.array([0]), False, False)
     return float(res.per_x_value[0])
 
 
-def apply_selection_operator(model_G: ControlModel, sigma: GridField,
-                             phi: GridField, barrier: BarrierMatrix,
+def apply_selection_operator(sigma: GridField, phi: GridField,
                              polytope: MatherPolytope,
                              nodes: Optional[Sequence[int]] = None,
                              keep_measures: bool = False,
                              check_multiplicity: bool = False) -> SelectionResult:
     """Evaluate (P^sigma phi) at every node (or a subset) on the Mather face;
     a node that no static class reaches raises DomainError."""
-    grid = polytope.grid
     K = polytope.vset.count
     sig = sigma.values
     if sig.min() <= 0:
         raise DomainError("sigma must be strictly positive nodewise")
-    _own_barrier(barrier, polytope, "the selection operator")
     target = None if nodes is None else np.asarray(list(nodes), dtype=int)
-    res = _minimize_on_face(polytope, barrier.values, _lift(sig, K),
+    res = _minimize_on_face(polytope, True, _lift(sig, K),
                             _lift(sig * phi.values, K), target, keep_measures,
                             check_multiplicity)
     if nodes is None:
-        res.field = GridField(grid, res.per_x_value)
+        res.field = GridField(polytope.grid, res.per_x_value)
     return res
 
 
-def limit_solution_formula(model: ControlModel, V0: GridField,
-                           barrier: BarrierMatrix, polytope: MatherPolytope,
+def limit_solution_formula(model: ControlModel, V0: GridField, polytope: MatherPolytope,
                            keep_measures: bool = False) -> SelectionResult:
     """The vanishing-discount limit selected by the potential V0.
 
@@ -216,36 +203,32 @@ def limit_solution_formula(model: ControlModel, V0: GridField,
     subpolytope is compact.  Raises when dL/du(.,.,0) is not strictly
     negative (the monotone-derivative hypothesis fails).
     """
-    _own_barrier(barrier, polytope, "the limit formula")
     dl = _dl_flat(model, polytope)
     if dl.max() >= 0:
         raise ConfigurationError(
             "dL/du(x,v,0) must be strictly negative; model violates the "
             "u-derivative hypothesis"
         )
-    res = _minimize_on_face(polytope, barrier.values, dl,
+    res = _minimize_on_face(polytope, True, dl,
                             _lift(V0.values, polytope.vset.count), None,
                             keep_measures, False)
     res.field = GridField(polytope.grid, res.per_x_value)
     return res
 
 
-def check_fixed_point(model_G: ControlModel, sigma: GridField, u: GridField,
-                      barrier: BarrierMatrix, polytope: MatherPolytope,
+def check_fixed_point(sigma: GridField, u: GridField, polytope: MatherPolytope,
                       tol: float):
     """True iff ||P^sigma u - u||_inf <= tol; returns (flag, sup difference)."""
-    res = apply_selection_operator(model_G, sigma, u, barrier, polytope)
+    res = apply_selection_operator(sigma, u, polytope)
     diff = float(np.max(np.abs(res.field.values - u.values)))
     return diff <= tol, diff
 
 
-def check_operator_lipschitz(model_G: ControlModel, sigma: GridField,
-                             phi1: GridField, phi2: GridField,
-                             barrier: BarrierMatrix, polytope: MatherPolytope,
-                             slack: float = 1e-7):
+def check_operator_lipschitz(sigma: GridField, phi1: GridField, phi2: GridField,
+                             polytope: MatherPolytope, slack: float = 1e-7):
     """Nonexpansiveness in the sup norm: returns (lhs, rhs, pass)."""
-    r1 = apply_selection_operator(model_G, sigma, phi1, barrier, polytope)
-    r2 = apply_selection_operator(model_G, sigma, phi2, barrier, polytope)
+    r1 = apply_selection_operator(sigma, phi1, polytope)
+    r2 = apply_selection_operator(sigma, phi2, polytope)
     lhs = float(np.max(np.abs(r1.field.values - r2.field.values)))
     rhs = float(np.max(np.abs(phi1.values - phi2.values)))
     return lhs, rhs, lhs <= rhs + slack
@@ -262,18 +245,17 @@ class ComparisonVerdict:
 
 def measure_comparison(u1: GridField, u2: GridField, sigma: GridField,
                        polytope: MatherPolytope,
-                       tol_hypothesis: float = 1e-9,
                        tol_conclusion: float = 1e-6) -> ComparisonVerdict:
     """Measure-integral comparison: if int sigma u1 dmu <= int sigma u2 dmu
     for every Mather measure, then u1 <= u2 everywhere (for solutions).
 
     The hypothesis is decided exactly on the Mather face: min over Mather
-    measures of int sigma (u2 - u1) dmu >= -tol.  The verdict records
-    both sides and whether the implication held.
+    measures of int sigma (u2 - u1) dmu >= -TOL_HYPOTHESIS.  The verdict
+    records both sides and whether the implication held.
     """
     K = polytope.vset.count
     gap = _face_minimum(polytope, _lift(sigma.values * (u2.values - u1.values), K))
-    hyp = gap >= -tol_hypothesis
+    hyp = gap >= -TOL_HYPOTHESIS
     maxgap = float(np.max(u1.values - u2.values))
     con = maxgap <= tol_conclusion
     return ComparisonVerdict(hypothesis=hyp, conclusion=con,
@@ -306,8 +288,7 @@ class SubsolutionReport:
 def check_largest_subsolution(u0: GridField, V0: GridField,
                               polytope: MatherPolytope,
                               candidates: Sequence[GridField],
-                              model: ControlModel, vset: VelocitySet, dt: float,
-                              sub_tol: float = 1e-6,
+                              model: ControlModel, sub_tol: float = 1e-6,
                               member_tol: float = 1e-7,
                               dom_tol: float = 1e-6) -> SubsolutionReport:
     """Verify that u0 dominates every critical subsolution w satisfying the
@@ -315,7 +296,7 @@ def check_largest_subsolution(u0: GridField, V0: GridField,
 
     Candidates failing the one-sided subsolution residual are rejected with
     diagnostics (not an error); members that exceed u0 beyond dom_tol are
-    recorded as violations.
+    recorded as violations.  The residual runs on the polytope's vset and dt.
     """
     K = polytope.vset.count
     dl = _dl_flat(model, polytope)
@@ -323,7 +304,7 @@ def check_largest_subsolution(u0: GridField, V0: GridField,
     entries = []
     violations = []
     for i, w in enumerate(candidates):
-        defect = one_sided_subsolution_defect(model, w, vset, dt)
+        defect = one_sided_subsolution_defect(model, w, polytope.vset, polytope.dt)
         entry = SubsolutionEntry(index=i, is_subsolution=defect <= sub_tol,
                                  subsolution_defect=defect)
         if entry.is_subsolution:
@@ -340,8 +321,7 @@ def check_largest_subsolution(u0: GridField, V0: GridField,
     return SubsolutionReport(entries=entries, violations=violations)
 
 
-def equilibrium_measures(model_G: ControlModel, phi: GridField, x: int,
-                         barrier: BarrierMatrix, polytope: MatherPolytope):
+def equilibrium_measures(phi: GridField, x: int, polytope: MatherPolytope):
     """A Mather measure attaining (P phi)(x) for sigma = 1, with multiplicity.
 
     Returns (witness, value, multiplicity); multiplicity is True iff two or
@@ -349,7 +329,6 @@ def equilibrium_measures(model_G: ControlModel, phi: GridField, x: int,
     cycles) attain the minimum.
     """
     x = int(x)
-    res = apply_selection_operator(model_G, GridField.constant(polytope.grid, 1.0),
-                                   phi, barrier, polytope, nodes=[x],
-                                   keep_measures=True, check_multiplicity=True)
+    res = apply_selection_operator(GridField.constant(polytope.grid, 1.0), phi, polytope,
+                                   nodes=[x], keep_measures=True, check_multiplicity=True)
     return res.per_x_optimizer[x], float(res.per_x_value[0]), res.multiplicity[x]

@@ -60,6 +60,9 @@ __all__ = [
     "lambda_sweep",
 ]
 
+LAMBDA_PROBES = (0.1, 0.01, 0.001)    # compute_bracket bounds |V(., lam)| at these
+CERTIFICATE_MARGIN = 1e-9             # nonexistence_certificate's margin above c0
+
 
 @dataclass
 class SolveReport:
@@ -273,8 +276,7 @@ def one_sided_subsolution_defect(model: ControlModel, w: GridField,
     return float(np.max(w.values - k.apply(w.values)) / dt)
 
 
-def compute_bracket(model: ControlModel, critical_solution: GridField,
-                    lambda_probes=(0.1, 0.01, 0.001)) -> Bracket:
+def compute_bracket(model: ControlModel, critical_solution: GridField) -> Bracket:
     """Sub/supersolution bracket around a solution of the critical equation.
 
     delta is the sampled minimum of dH/du(x, p, 0) over momenta up to the
@@ -311,7 +313,7 @@ def compute_bracket(model: ControlModel, critical_solution: GridField,
         )
 
     kappa = 1.0
-    for lam in lambda_probes:
+    for lam in LAMBDA_PROBES:
         kappa = max(kappa, 1.0 + float(np.max(np.abs(model.V(X, lam)))))
 
     diam = 0.5 * math.sqrt(d)
@@ -408,11 +410,10 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
     return GridField(grid, u), report
 
 
-def nonexistence_certificate(model: ControlModel, lam: float, grid: PeriodicGrid,
-                             margin: float = 1e-9) -> bool:
+def nonexistence_certificate(model: ControlModel, lam: float, grid: PeriodicGrid) -> bool:
     """Certify that the discounted equation has no (sub)solution at this lam.
 
-    True iff  min_x [ inf_u H(x, 0, u) + lam*V(x, lam) ] > c0 + margin, which
+    True iff  min_x [ inf_u H(x, 0, u) + lam*V(x, lam) ] > c0 + CERTIFICATE_MARGIN, which
     contradicts the subsolution inequality at an interior maximum.  False is
     not a proof of existence.
     """
@@ -427,7 +428,7 @@ def nonexistence_certificate(model: ControlModel, lam: float, grid: PeriodicGrid
         for uu in np.concatenate([[-1e8, -1e4, 1e4, 1e8], np.linspace(-50, 50, 201)]):
             infH = np.minimum(infH, np.asarray(model.H(X, P0, uu), dtype=float))
     crit = float(np.min(infH + lam * np.asarray(model.V(X, lam), dtype=float)))
-    return crit > model.c0 + margin
+    return crit > model.c0 + CERTIFICATE_MARGIN
 
 
 @dataclass

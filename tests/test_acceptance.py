@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torushj.barrier import critical_value, peierls_barrier, solution_from_barrier
+from torushj.barrier import critical_value, solution_from_barrier
 from torushj.experiments import parse_config, run_experiment
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import (
@@ -50,8 +50,7 @@ def mech128():
     model = builtin_model("mechanical", U=COS)
     poly = build_polytope(model, grid, vset, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(poly)
-    return model, grid, vset, dt, poly, h
+    return model, grid, vset, dt, poly, poly.barrier
 
 
 def test_criterion_1_example_6_1_reproduction(tmp_path):
@@ -137,15 +136,15 @@ def test_criterion_4_operator_suite(mech128):
 
     lip_ok = True
     for _ in range(20):
-        _, _, passed = check_operator_lipschitz(model, sigma1, smooth(), smooth(),
-                                                h, poly, slack=1e-7)
+        _, _, passed = check_operator_lipschitz(sigma1, smooth(), smooth(), poly,
+                                                slack=1e-7)
         lip_ok &= passed
 
     image_ok = True
     max_img_res = 0.0
     images = []
     for _ in range(3):
-        img = apply_selection_operator(model, sigma1, smooth(), h, poly).field
+        img = apply_selection_operator(sigma1, smooth(), poly).field
         images.append(img)
         r = residual(model, 0.0, img, vset, dt)
         max_img_res = max(max_img_res, r)
@@ -155,12 +154,12 @@ def test_criterion_4_operator_suite(mech128):
     fp_tol = 3 * grid_err
     fp_ok = True
     for y in (0, 31, 64, 100):
-        passed, _ = check_fixed_point(model, sigma1, solution_from_barrier(h, y),
-                                      h, poly, tol=fp_tol)
+        passed, _ = check_fixed_point(sigma1, solution_from_barrier(h, y), poly,
+                                      tol=fp_tol)
         fp_ok &= passed
 
     idem_ok = True
-    img2 = apply_selection_operator(model, sigma1, images[0], h, poly).field
+    img2 = apply_selection_operator(sigma1, images[0], poly).field
     idiff = float(np.max(np.abs(img2.values - images[0].values)))
     idem_ok = idiff <= 2 * fp_tol
 
@@ -266,17 +265,13 @@ def test_criterion_9_equilibrium_multiplicity():
     dt = default_dt(grid, vset)
     model = builtin_model("mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0]))
     poly = build_polytope(model, grid, vset, dt)
-    model = model.with_c0(poly.c)
-    h = peierls_barrier(poly)
     x_sym = grid.n // 4                         # x = 0.25, equidistant
 
-    _, _, mult_sym = equilibrium_measures(model, GridField.constant(grid, 0.0),
-                                          x_sym, h, poly)
+    _, _, mult_sym = equilibrium_measures(GridField.constant(grid, 0.0), x_sym, poly)
 
     bump = np.zeros(grid.size)
     bump[0] = -0.1
-    mu, _, mult_bumped = equilibrium_measures(model, GridField(grid, bump),
-                                              x_sym, h, poly)
+    mu, _, mult_bumped = equilibrium_measures(GridField(grid, bump), x_sym, poly)
     proj = projected_measure(mu)
     near0 = np.minimum(np.arange(grid.size), grid.size - np.arange(grid.size)) <= 2
     conc = float(proj[near0].sum())

@@ -147,6 +147,25 @@ def test_peierls_examples(peierls_cos):
     assert np.max(np.abs(hsq.values)) <= 0.05
 
 
+def test_polytope_barrier_is_the_peierls_barrier_computed_once(mech_cos):
+    """`MatherPolytope.barrier` is `peierls_barrier` of the polytope, bit
+    for bit, cached per instance and read-only; a replaced polytope starts
+    with an empty cache."""
+    import dataclasses
+    for model, m in ((mech_cos, 49), (builtin_model("shifted_quadratic", alpha=ALPHA), 25)):
+        poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, m))
+        h, want = poly.barrier, peierls_barrier(poly)
+        assert poly.barrier is h
+        assert np.array_equal(h.values, want.values)
+        assert np.array_equal(h.aubry, want.aubry) and h.warnings == want.warnings
+        assert not h.values.flags.writeable and not want.values.flags.writeable
+        with pytest.raises(ValueError):
+            h.values[0, 0] = 1.0
+        fresh = dataclasses.replace(poly, tol_min=1e-12)
+        assert fresh.barrier is not h
+        assert np.array_equal(fresh.barrier.values, h.values)
+
+
 def test_peierls_triangle_inequality(peierls_cos):
     _, grid, _, h = peierls_cos
     rng = np.random.default_rng(1)

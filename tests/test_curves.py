@@ -65,7 +65,7 @@ def test_calibration_on_lattice_machine_tight():
     tr = backward_calibrated_curve(model, 0.1, fld, x0, Tmax=8.0, dt=dt,
                                    vset=vset, solver_tol=1e-10)
     assert tr.on_lattice
-    rep = check_calibration(tr, fld, model, 0.1)
+    rep = check_calibration(tr, fld)
     assert rep.max_defect_rate <= 1e-10 / dt * 10
     assert rep.telescoped_error <= tr.defects.sum() + 1e-12
 
@@ -98,7 +98,7 @@ def test_zero_length_trace_vacuous():
     tr = backward_calibrated_curve(model, 0.1, fld, grid.node_coords()[3],
                                    Tmax=dt / 2, dt=dt, vset=vset)
     assert tr.steps == 0
-    rep = check_calibration(tr, fld, model, 0.1)
+    rep = check_calibration(tr, fld)
     assert rep.max_defect_rate == 0.0 and rep.telescoped_error == 0.0
 
 
@@ -163,7 +163,7 @@ def test_occupation_tail_guard():
     tr = backward_calibrated_curve(model, 0.2, fld, grid.node_coords()[6],
                                    Tmax=5.0, dt=dt, vset=vset)
     with pytest.raises(TailMassError):
-        occupation_measure(tr, 0.2, grid, vset, tail_tol=1e-4)
+        occupation_measure(tr, 0.2, grid, vset)
 
 
 def test_mass_identity_geometric_sum():

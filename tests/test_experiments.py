@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import torushj.barrier as barrier
 from torushj.errors import ConfigurationError
 from torushj.experiments import (
     ExperimentConfig,
@@ -11,6 +12,7 @@ from torushj.experiments import (
     run_experiment,
 )
 from torushj.grids import GridField, build_grid
+from torushj.models import velocity_set
 from torushj.solver import SweepEntry, SolveReport
 
 
@@ -175,3 +177,82 @@ def test_failing_stage_recorded(tmp_path):
     res = run_experiment(cfg, output=str(tmp_path / "out"))
     assert not res.passed
     assert res.manifest["failing_stage"] == "lambda_sweep"
+
+
+@pytest.mark.parametrize("kind, params, extras", [
+    ("operator_suite", {"U": parse_potential("cos:amp=1,freq=1")},
+     {"lipschitz_pairs": "3"}),
+    ("example_6_1", {"alpha": (np.sqrt(5) - 1) / 2,
+                     "target": parse_potential("sin:freq=1,offset=0.3")}, {}),
+])
+def test_pipelines_build_the_barrier_once_per_polytope(tmp_path, monkeypatch,
+                                                       kind, params, extras):
+    # the operator suite evaluates fifteen selections on its one polytope
+    seen = []
+    compute = barrier.peierls_barrier
+
+    def counted(poly):
+        seen.append(poly)
+        return compute(poly)
+
+    monkeypatch.setattr(barrier, "peierls_barrier", counted)
+    model = "mechanical" if kind == "operator_suite" else "shifted_quadratic"
+    cfg = ExperimentConfig(kind=kind, name=kind, model_name=model, model_params=params,
+                           n=24, vmax=2.0, m=17, lambdas=(0.1, 0.03), extras=extras,
+                           thresholds={"final_sup_error": 0.5})
+    res = run_experiment(cfg, output=str(tmp_path / "out"))
+    assert res.passed
+    assert len(seen) == 1
+
+
+VANISHING_DISCOUNT_2D = """
+[experiment]
+kind = vanishing_discount
+
+[model]
+name = mechanical
+U = cos:amp=1,freq=1
+potential = zero
+
+[grid]
+d = 2
+n = 12
+
+[velocities]
+vmax = 3.0
+m = 9
+
+[schedule]
+lambdas = 0.1, 0.03, 0.01, 0.003, 0.001
+"""
+
+
+def test_vanishing_discount_closed_form_over_static_classes(tmp_path):
+    """U = cos on the first axis: the Aubry set is the line x0 = 0, twelve
+    one-node classes.  The closed form is the minimum over them, which the
+    limit formula must equal and the sweep must meet; the first Aubry
+    node's column alone misses it by 0.19."""
+    path = tmp_path / "vd_2d.cfg"
+    path.write_text(VANISHING_DISCOUNT_2D)
+    res = run_experiment(str(path), output=str(tmp_path / "out"))
+    assert res.passed
+    face = next(s for s in res.stages if s.name == "limit_formula").details
+    assert face["classes"] == 12 and face["aubry_node"] == 0
+    assert face["formula_vs_closed_form"] <= 1e-12
+    sweep = next(s for s in res.stages if s.name == "lambda_sweep").details
+    assert sweep["final_error_vs_closed_form"] <= 1e-3
+
+
+def test_vanishing_discount_refuses_a_class_of_several_nodes(tmp_path):
+    # alpha at half a velocity step: one class holding all 16 nodes, whose
+    # Mather measures are not Diracs
+    cfg = ExperimentConfig(kind="vanishing_discount", name="vd_branched",
+                           model_name="shifted_quadratic",
+                           model_params={"alpha": velocity_set(3.0, 25).spacing / 2},
+                           n=16, m=25, lambdas=(0.1,))
+    res = run_experiment(cfg, output=str(tmp_path / "out"))
+    assert not res.passed
+    assert res.stages[-1].name == "fatal"
+    assert res.stages[-1].error == (
+        "ConfigurationError: the closed form needs one-node static classes "
+        "(Dirac Mather measures); class sizes: [16]")

@@ -46,9 +46,9 @@ def test_sigma_discounted_family_converges_to_operator_value():
     model = builtin_model("sigma_discounted", U=COS, sigma=sig, phi=phi)
     poly = build_polytope(model, grid, vset, dt)
     model = model.with_c0(poly.c)
-    h = peierls_barrier(poly)
-    sel = apply_selection_operator(model, GridField.from_function(grid, sig),
-                                   GridField.from_function(grid, phi), h, poly)
+    h = poly.barrier
+    sel = apply_selection_operator(GridField.from_function(grid, sig),
+                                   GridField.from_function(grid, phi), poly)
 
     bracket = compute_bracket(model, GridField(grid, h.values[0, :].copy()))
     entries = lambda_sweep(model, (0.1, 0.03, 0.01, 0.003), grid, vset, dt=dt,

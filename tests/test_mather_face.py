@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import torushj.selection as selection
-from torushj.barrier import BarrierMatrix, critical_value, peierls_barrier
+from torushj.barrier import critical_value
 from torushj.errors import ConfigurationError, DomainError
 from torushj.experiments import parse_potential
 from torushj.grids import GridField, build_grid
@@ -70,14 +70,9 @@ def setup(name, n, dt=None):
     # the oracle programs' minimality row admits action slack tol_min, which
     # lets them move ~tol_min/(reduced cost gap) of mass off the face; keep
     # it small so that they agree with the exact face to ORACLE_TOL
-    poly.tol_min = 1e-12
-    if dt is None:
-        h = peierls_barrier(poly)
-    else:
-        # off-lattice hops leave the barrier unreachable; borrow the
-        # on-lattice one for the refusal checks
-        h = setup(name, n)[3]
-    return model, grid, poly, h
+    poly = dataclasses.replace(poly, tol_min=1e-12)
+    # off-lattice hops give no static classes, hence no barrier
+    return model, grid, poly, poly.barrier if dt is None else None
 
 
 def mather_vertices(poly):
@@ -227,7 +222,7 @@ def test_operator_vertex_path_matches_full_polytope(name, n, seed):
     rng = np.random.default_rng(seed)
     phi = random_field(grid, seed)
     sigma = GridField(grid, rng.uniform(0.2, 2.0, size=grid.size))
-    res = apply_selection_operator(model, sigma, phi, h, poly)
+    res = apply_selection_operator(sigma, phi, poly)
     K = poly.vset.count
     beta = np.repeat(sigma.values, K)
     offset = np.repeat(sigma.values * phi.values, K)
@@ -254,7 +249,7 @@ def test_limit_formula_vertex_path_matches_full_polytope(name, n, seed):
                                      + a[1] * v[..., 0] ** 2))
     V0 = (GridField.from_function(grid, model.V0) if name == "half_step_potential"
           else random_field(grid, seed))
-    res = limit_solution_formula(model, V0, h, poly)
+    res = limit_solution_formula(model, V0, poly)
     assert res.classes == poly.static_classes()[2].size
     assert res.critical_arcs == len(poly.critical_arcs())
     K = poly.vset.count
@@ -276,13 +271,13 @@ def test_multiplicity_map_double_well_matches_oracle(n):
     model, grid, poly, h = setup("double_well", n)
     sigma = GridField.constant(grid, 1.0)
     for phi in (GridField.constant(grid, 0.0), random_field(grid, n)):
-        res = apply_selection_operator(model, sigma, phi, h, poly,
+        res = apply_selection_operator(sigma, phi, poly,
                                        check_multiplicity=True)
         want = {x: bool(oracle_operator(poly, h, sigma, phi, x)[2].multiplicity)
                 for x in range(grid.size)}
         assert res.multiplicity == want
-    symmetric = apply_selection_operator(model, sigma, GridField.constant(grid, 0.0),
-                                         h, poly, check_multiplicity=True)
+    symmetric = apply_selection_operator(sigma, GridField.constant(grid, 0.0), poly,
+                                         check_multiplicity=True)
     assert symmetric.multiplicity[n // 4] and symmetric.multiplicity[3 * n // 4]
     assert not symmetric.multiplicity[0]
 
@@ -296,19 +291,18 @@ def test_unreached_targets_are_refused():
     model = MODELS["double_well"]()
     grid, vset = build_grid(1, 16), velocity_set(3.0, 25)
     poly = build_polytope(model, grid, vset, 2 * default_dt(grid, vset))
-    model = model.with_c0(poly.c)
-    h = peierls_barrier(poly)
+    h = poly.barrier
     assert h.aubry.tolist() == [0, 8] and h.warnings
     sigma, phi = GridField.constant(grid, 1.0), random_field(grid, 3)
     with pytest.raises(DomainError, match="no static class reaches"):
-        apply_selection_operator(model, sigma, phi, h, poly)
+        apply_selection_operator(sigma, phi, poly)
     with pytest.raises(DomainError, match="no static class reaches"):
-        limit_solution_formula(model, GridField.constant(grid, 0.0), h, poly)
+        limit_solution_formula(model, GridField.constant(grid, 0.0), poly)
     with pytest.raises(DomainError, match=r"reaches node\(s\) \[3\]"):
-        apply_selection_operator(model, sigma, phi, h, poly, nodes=[2, 3])
+        apply_selection_operator(sigma, phi, poly, nodes=[2, 3])
     even = np.arange(0, 16, 2)
     for phi in (GridField.constant(grid, 0.0), phi):
-        res = apply_selection_operator(model, sigma, phi, h, poly, nodes=even,
+        res = apply_selection_operator(sigma, phi, poly, nodes=even,
                                        check_multiplicity=True)
         K = poly.vset.count
         values, _, mult = vertex_minimize(poly, mather_vertices(poly), h.values,
@@ -329,7 +323,7 @@ def test_multiplicity_maps_match_the_oracles(name, n, seed, flat):
     phi = GridField.constant(grid, 0.0) if flat else random_field(grid, seed)
     sigma = GridField.constant(grid, 1.0) if flat else GridField(
         grid, rng.uniform(0.2, 2.0, size=grid.size))
-    res = apply_selection_operator(model, sigma, phi, h, poly, check_multiplicity=True)
+    res = apply_selection_operator(sigma, phi, poly, check_multiplicity=True)
     K = poly.vset.count
     beta = np.repeat(sigma.values, K)
     offset = np.repeat(sigma.values * phi.values, K)
@@ -350,7 +344,7 @@ def test_equilibrium_measures_match_linear_oracle(name, n, seed):
     model, grid, poly, h = setup(name, n)
     phi = random_field(grid, seed)
     x = int(np.random.default_rng(seed).integers(grid.size))
-    mu, value, mult = equilibrium_measures(model, phi, x, h, poly)
+    mu, value, mult = equilibrium_measures(phi, x, poly)
     cost = np.repeat(h.values[:, x] + phi.values, poly.vset.count)
     _, want, info = minimize_linear_over_mather(poly, cost, check_multiplicity=True)
     assert value == pytest.approx(want, abs=ORACLE_TOL)
@@ -376,35 +370,13 @@ def test_offlattice_polytope_is_refused():
     model, grid, poly, h = setup("cosine_well", 16, dt=0.0101)
     one, zero = GridField.constant(grid, 1.0), GridField.constant(grid, 0.0)
     with pytest.raises(ConfigurationError, match="static classes"):
-        apply_selection_operator(model, one, zero, h, poly)
+        apply_selection_operator(one, zero, poly)
     with pytest.raises(ConfigurationError, match="static classes"):
-        limit_solution_formula(model, zero, h, poly)
+        limit_solution_formula(model, zero, poly)
     with pytest.raises(ConfigurationError, match="static classes"):
         measure_comparison(zero, one, one, poly)
     with pytest.raises(ConfigurationError, match="static classes"):
-        check_largest_subsolution(zero, zero, poly, [zero], model, poly.vset, poly.dt)
-
-
-def test_only_the_polytopes_own_barrier_is_accepted():
-    """The class split needs h(y, x) = h(y, z_S) + h(z_S, x) inside each
-    class, which holds for the barrier whose Aubry set is the polytope's
-    classes: another polytope's barrier, or one that carries no Aubry set,
-    is refused."""
-    model, grid, poly, h = setup("cosine_well", 16)
-    other = setup("double_well", 16)[3]
-    bare = BarrierMatrix(grid, "peierls", None, h.values)
-    one, zero = GridField.constant(grid, 1.0), GridField.constant(grid, 0.0)
-    for wrong in (other, bare):
-        with pytest.raises(ConfigurationError, match="own barrier"):
-            apply_selection_operator(model, one, zero, wrong, poly)
-        with pytest.raises(ConfigurationError, match="own barrier"):
-            limit_solution_formula(model, zero, wrong, poly)
-    h_t = BarrierMatrix(grid, "h_t", 1.0, h.values)
-    with pytest.raises(ConfigurationError, match="peierls"):
-        apply_selection_operator(model, one, zero, h_t, poly)
-    # the same matrix with its own Aubry set is accepted
-    ok = dataclasses.replace(bare, aubry=h.aubry)
-    assert apply_selection_operator(model, one, zero, ok, poly).field is not None
+        check_largest_subsolution(zero, zero, poly, [zero], model)
 
 
 def test_comparison_checks_decide_on_the_exact_face():
@@ -435,7 +407,7 @@ def test_comparison_checks_decide_on_the_exact_face():
         # min over mu of int (-w - g) dmu = max(means) - max(means) = 0
         V0 = GridField(grid, g)
         w = GridField.constant(grid, -max(means))
-        rep = check_largest_subsolution(w, V0, poly, [w], model, vset, poly.dt)
+        rep = check_largest_subsolution(w, V0, poly, [w], model)
         entry = rep.entries[0]
         assert entry.is_subsolution and entry.member and entry.dominated
         assert entry.membership_gap == pytest.approx(0.0, abs=1e-12)
@@ -467,7 +439,7 @@ def test_comparison_checks_on_a_branched_critical_graph(seed):
     assert v.min_weighted_gap == pytest.approx(cost.min(), abs=1e-12)
     V0 = random_field(grid, seed + 2)
     w = GridField.constant(grid, -float(V0.values.max()) - 0.1)
-    rep = check_largest_subsolution(w, V0, poly, [w], model, vset, poly.dt)
+    rep = check_largest_subsolution(w, V0, poly, [w], model)
     want = minimize_linear_over_mather(oracle, np.repeat(-w.values - V0.values, K))[1]
     assert rep.entries[0].member
     assert rep.entries[0].membership_gap == pytest.approx(want, abs=ORACLE_TOL)
