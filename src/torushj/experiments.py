@@ -1,11 +1,17 @@
 """Config-driven experiment pipelines with deterministic artifacts.
 
 Configs are flat INI files (section headers plus key = value lines; see
-README for the grammar).  Each experiment kind wires the solver, barrier,
-measure, and selection modules into one reproducible pipeline, writes CSV or
-binary artifacts plus a JSON manifest, and evaluates its pass/fail
-thresholds.  Stage failures keep partial artifacts and are recorded in the
-manifest rather than erasing the run.
+README for the grammar).  One table maps each (section, key) to its
+ExperimentConfig field; an absent key keeps the field's default.
+
+Each experiment kind wires the solver, barrier, measure and selection
+modules into one reproducible pipeline that starts from the critical problem
+(`_critical_problem`: the polytope, which owns c and the Peierls barrier, and
+the model with c0 = c) and evaluates its pass/fail thresholds.  Runners add
+stage records and artifacts to a list and a dict that `run_experiment` owns,
+which writes CSV or binary artifacts plus a JSON manifest.  A stage that
+raises adds a `fatal` record after the ones before it; the partial artifacts
+are kept.
 
 Potential specs use a tiny grammar:  zero | const:value=V |
 cos:amp=A,freq=K,offset=B | sin:amp=A,freq=K,offset=B | cos_sum:amp=A,freq=K
@@ -17,7 +23,7 @@ from __future__ import annotations
 import configparser
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +62,7 @@ from .matherlp import (
     build_polytope,
     closedness_operator,
 )
-from .models import BUILTIN_MODEL_NAMES, builtin_model, velocity_set
+from .models import builtin_model, velocity_set
 from .selection import (
     SelectionResult,
     _dl_flat,
@@ -68,7 +74,6 @@ from .selection import (
 from .solver import (
     Transition,
     compute_bracket,
-    default_dt,
     lambda_sweep,
     nonexistence_certificate,
     residual,
@@ -85,16 +90,6 @@ __all__ = [
     "export_all",
     "EXPERIMENT_KINDS",
 ]
-
-EXPERIMENT_KINDS = (
-    "vanishing_discount",
-    "example_6_1",
-    "nonexistence_3_4",
-    "operator_suite",
-    "occupation_suite",
-    "barrier_suite",
-)
-
 
 def parse_potential(spec: str) -> Callable:
     """Parse the potential grammar into a callable on (..., d) coordinates."""
@@ -124,10 +119,14 @@ def parse_potential(spec: str) -> Callable:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment.  Each default is also that of an absent INI key; an
+    empty name is the kind's.  `validate` builds the grid, velocity set and
+    model, so their own rules refuse a config at parse time."""
+
     kind: str
-    name: str
-    model_name: str
-    model_params: dict
+    name: str = ""
+    model_name: str = "mechanical"
+    model_params: dict = dc_field(default_factory=dict)
     d: int = 1
     n: int = 128
     vmax: float = 3.0
@@ -142,22 +141,18 @@ class ExperimentConfig:
     extras: dict = dc_field(default_factory=dict)
     raw: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        self.name = self.name or self.kind
+
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
-        if self.model_name not in BUILTIN_MODEL_NAMES:
-            raise ConfigurationError(f"unknown model {self.model_name!r}")
-        if self.d not in (1, 2):
-            raise ConfigurationError("grid dimension must be 1 or 2")
-        if self.n < 4:
-            raise ConfigurationError("grid needs n >= 4")
-        if self.m % 2 == 0 or self.m < 3:
-            raise ConfigurationError("velocity count must be odd and >= 3")
         if not self.tmax > 0:
             raise ConfigurationError("barrier tmax must be positive")
         lams = list(self.lambdas)
         if lams and any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigurationError("lambda schedule must be strictly descending")
+        self.grid(), self.vset(), self.model()      # each applies its own rules
 
     def grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.d, self.n)
@@ -181,50 +176,50 @@ def _alpha(text: str, d: int, key: str) -> np.ndarray:
     return np.broadcast_to(alpha, (d,)).copy()
 
 
+# INI (section, key) -> (ExperimentConfig field, parser).  Keys are read
+# case-blind, as configparser folds them to lower case.
+_CONFIG_KEYS = {
+    ("experiment", "kind"): ("kind", str.strip),
+    ("experiment", "name"): ("name", str.strip),
+    ("experiment", "seed"): ("seed", int),
+    ("model", "name"): ("model_name", str.strip),
+    ("grid", "d"): ("d", int),
+    ("grid", "n"): ("n", int),
+    ("velocities", "vmax"): ("vmax", float),
+    ("velocities", "m"): ("m", int),
+    ("solver", "dt"): ("dt", float),
+    ("solver", "tol"): ("tol", float),
+    ("solver", "max_iter"): ("max_iter", int),
+    ("schedule", "lambdas"): ("lambdas", _floats),
+    ("barrier", "tmax"): ("tmax", float),
+}
+# [model] potentials, looked up through the section, which folds `U` too
+_POTENTIAL_KEYS = ("U", "potential", "phi", "sigma", "target")
+
+
 def parse_config(path: str) -> ExperimentConfig:
+    """Read an INI config; an absent key keeps its ExperimentConfig default."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigurationError(f"cannot read config {path}")
-    raw = {s: dict(cp[s]) for s in cp.sections()}
+    if not cp.has_option("experiment", "kind"):
+        raise ConfigurationError(f"config {path} names no [experiment] kind")
 
-    exp = cp["experiment"]
-    kind = exp.get("kind", "").strip()
-    name = exp.get("name", kind).strip()
+    def section(name):
+        return cp[name] if cp.has_section(name) else {}
 
-    msec = cp["model"] if cp.has_section("model") else {}
-    model_name = msec.get("name", "mechanical").strip()
-    model_params: dict = {}
-    for key in ("U", "potential", "phi", "sigma", "target"):
-        if key in msec:
-            model_params[key] = parse_potential(msec[key])
-    g = cp["grid"] if cp.has_section("grid") else {}
-    if "alpha" in msec:
-        model_params["alpha"] = _alpha(msec["alpha"], int(g.get("d", 1)), "[model] alpha")
-    v = cp["velocities"] if cp.has_section("velocities") else {}
-    s = cp["solver"] if cp.has_section("solver") else {}
-    thresholds = {k: float(val) for k, val in (cp["thresholds"].items() if cp.has_section("thresholds") else [])}
-    extras = dict(cp["extras"]) if cp.has_section("extras") else {}
-
+    model = section("model")
     cfg = ExperimentConfig(
-        kind=kind,
-        name=name,
-        model_name=model_name,
-        model_params=model_params,
-        d=int(g.get("d", 1)),
-        n=int(g.get("n", 128)),
-        vmax=float(v.get("vmax", 3.0)),
-        m=int(v.get("m", 49)),
-        dt=float(s["dt"]) if "dt" in s else None,
-        tol=float(s.get("tol", 1e-8)),
-        max_iter=int(s.get("max_iter", 200000)),
-        lambdas=_floats(cp["schedule"]["lambdas"]) if cp.has_section("schedule") else (),
-        tmax=float(cp["barrier"].get("tmax", 24.0)) if cp.has_section("barrier") else 24.0,
-        seed=int(exp.get("seed", 20240601)),
-        thresholds=thresholds,
-        extras=extras,
-        raw=raw,
+        **{fld: parse(cp.get(sec, key)) for (sec, key), (fld, parse) in _CONFIG_KEYS.items()
+           if cp.has_option(sec, key)},
+        model_params={key: parse_potential(model[key]) for key in _POTENTIAL_KEYS
+                      if key in model},
+        thresholds={key: float(val) for key, val in section("thresholds").items()},
+        extras=dict(section("extras")),
+        raw={sec: dict(cp[sec]) for sec in cp.sections()},
     )
+    if "alpha" in model:
+        cfg.model_params["alpha"] = _alpha(model["alpha"], cfg.d, "[model] alpha")
     cfg.validate()
     return cfg
 
@@ -232,7 +227,6 @@ def parse_config(path: str) -> ExperimentConfig:
 @dataclass
 class ConvergenceReport:
     rows: list                    # (lambda, sup_error, iterations, residual)
-    provenance: str               # formula | extrapolation | analytic
     monotone_within_factor: bool
     factor: float = 2.0
 
@@ -241,7 +235,7 @@ class ConvergenceReport:
         return self.rows[-1][1]
 
 
-def convergence_report(sweep_entries, reference: GridField, provenance: str,
+def convergence_report(sweep_entries, reference: GridField,
                        factor: float = 2.0) -> ConvergenceReport:
     """Sup-norm errors of a lambda sweep against a reference field.
 
@@ -257,8 +251,7 @@ def convergence_report(sweep_entries, reference: GridField, provenance: str,
         err = float(np.max(np.abs(e.field.values - reference.values)))
         rows.append((e.lam, err, e.report.iterations, e.report.final_residual))
     mono = all(b[1] <= factor * a[1] + 1e-15 for a, b in zip(rows, rows[1:]))
-    return ConvergenceReport(rows=rows, provenance=provenance,
-                             monotone_within_factor=mono, factor=factor)
+    return ConvergenceReport(rows=rows, monotone_within_factor=mono, factor=factor)
 
 
 def export_all(results: dict, outdir: str) -> list:
@@ -356,26 +349,30 @@ def _face_details(sel: SelectionResult) -> dict:
     return {"critical_arcs": sel.critical_arcs, "classes": sel.classes}
 
 
+def _critical_problem(cfg: ExperimentConfig, dt: Optional[float] = None, model=None):
+    """The critical polytope of `model` (the config's by default) on the
+    config's grid and velocities, at `dt` (None: the lattice dt), and the
+    model with c0 = c.  The polytope owns c and the Peierls barrier."""
+    model = cfg.model() if model is None else model
+    poly = build_polytope(model, cfg.grid(), cfg.vset(), dt)
+    return poly, model.with_c0(poly.c)
+
+
 # ---------------------------------------------------------------------------
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
+def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Diophantine-rotation reproduction: the selected limit is the mean of
     the target potential; the sweep error against that constant must close
     below the threshold and decay monotonically (within a factor)."""
-    stages = []
-    grid, vs = cfg.grid(), cfg.vset()
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, vs)
     target = cfg.model_params.get("target") or parse_potential("sin:freq=1,offset=0.3")
     params = {k: v for k, v in cfg.model_params.items() if k != "target"}
     # The limit selected by inserting -target as the discount-scale potential
     # is +mean(target); see the limit-solution formula.
     params["potential"] = lambda x, _t=target: -_t(x)
-    model = builtin_model(cfg.model_name, d=cfg.d, **params)
-
-    poly = build_polytope(model, grid, vs, dt)
-    model = model.with_c0(poly.c)
+    poly, model = _critical_problem(cfg, cfg.dt, builtin_model(cfg.model_name, d=cfg.d, **params))
+    grid = poly.grid
     alpha = model.params.get("alpha", np.array([0.0]))
     stages.append(StageRecord("critical_value", True, {
         "c": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
@@ -396,13 +393,11 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
         "target_mean": target_mean, "sup_error_vs_mean": formula_err,
         **_face_details(sel)}))
 
-    uhat = GridField.constant(grid, 0.0)
-    bracket = compute_bracket(model, uhat)
-    entries = lambda_sweep(model, cfg.lambdas, grid, vs, dt=dt, tol=cfg.tol,
+    bracket = compute_bracket(model, GridField.constant(grid, 0.0))
+    entries = lambda_sweep(model, cfg.lambdas, grid, poly.vset, dt=poly.dt, tol=cfg.tol,
                            max_iter=cfg.max_iter, bracket=bracket)
     reference = GridField.constant(grid, target_mean)
-    rep = convergence_report(entries, reference, "formula",
-                             factor=_threshold(cfg, "monotone_factor", 2.0))
+    rep = convergence_report(entries, reference, _threshold(cfg, "monotone_factor", 2.0))
     artifacts["convergence"] = rep
     artifacts["final_field"] = entries[-1].field
     thr = _threshold(cfg, "final_sup_error", 0.05)
@@ -410,22 +405,16 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("lambda_sweep", ok, {
         "rows": rep.rows, "final_error": rep.final_error,
         "threshold": thr, "monotone": rep.monotone_within_factor}))
-    return stages
 
 
-def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
+def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Classical discounted limit against the limit-solution formula, plus
     its closed form when every static class is one node z_S: the Mather
     measures are then mixtures of Diracs at the critical arcs (z_S, v), so
     u0 = min over those arcs of h(z_S, .) - V0(z_S) / sigma(z_S, v), with
     sigma = -dL/du(z_S, v, 0).  Larger classes raise ConfigurationError."""
-    stages = []
-    grid, vs = cfg.grid(), cfg.vset()
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, vs)
-    model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-
-    poly = build_polytope(model, grid, vs, dt)
-    model = model.with_c0(poly.c)
+    poly, model = _critical_problem(cfg, cfg.dt)
+    grid, vs = poly.grid, poly.vset
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
     h = poly.barrier
@@ -453,10 +442,9 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
         **_face_details(sel)}))
 
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
-    entries = lambda_sweep(model, cfg.lambdas, grid, vs, dt=dt, tol=cfg.tol,
+    entries = lambda_sweep(model, cfg.lambdas, grid, vs, dt=poly.dt, tol=cfg.tol,
                            max_iter=cfg.max_iter, bracket=bracket)
-    rep = convergence_report(entries, sel.field, "formula",
-                             factor=_threshold(cfg, "monotone_factor", 2.0))
+    rep = convergence_report(entries, sel.field, _threshold(cfg, "monotone_factor", 2.0))
     artifacts["convergence"] = rep
     artifacts["final_field"] = entries[-1].field
     final_vs_closed = float(np.max(np.abs(entries[-1].field.values - closed_form.values)))
@@ -465,18 +453,13 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("lambda_sweep", ok, {
         "rows": rep.rows, "final_error_vs_formula": rep.final_error,
         "final_error_vs_closed_form": final_vs_closed, "threshold": thr}))
-    return stages
 
 
-def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict):
+def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Nonexistence certificate across discounts, plus solver behavior on
     both sides of the existence threshold."""
-    stages = []
-    grid, vs = cfg.grid(), cfg.vset()
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, vs)
-    model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    poly = build_polytope(model, grid, vs, dt)
-    model = model.with_c0(poly.c)
+    poly, model = _critical_problem(cfg, cfg.dt)
+    grid = poly.grid
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
     cert_true = _floats(cfg.extras.get("certificate_true", "1.5 2 4"))
@@ -496,7 +479,7 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict):
     outcomes = {}
     ok2 = True
     for lam in solve_lams:
-        fld, rep = solve_perturbed(model, lam, grid, vs, dt=dt, tol=cfg.tol,
+        fld, rep = solve_perturbed(model, lam, grid, poly.vset, dt=poly.dt, tol=cfg.tol,
                                    max_iter=cfg.max_iter, bracket=bracket)
         certified_gone = certs.get(str(lam), nonexistence_certificate(model, lam, grid))
         outcomes[str(lam)] = {
@@ -510,18 +493,13 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict):
         else:
             ok2 &= rep.converged and rep.final_residual <= cfg.tol
     stages.append(StageRecord("solves", ok2, {"outcomes": outcomes}))
-    return stages
 
 
-def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
+def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Nonexpansiveness, image-solves, fixed-point, and idempotence checks of
     the selection operator at scale."""
-    stages = []
-    grid, vs = cfg.grid(), cfg.vset()
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, vs)
-    model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    poly = build_polytope(model, grid, vs, dt)
-    model = model.with_c0(poly.c)
+    poly, model = _critical_problem(cfg, cfg.dt)
+    grid = poly.grid
     h = poly.barrier
     artifacts["barrier_peierls"] = h
     sigma1 = GridField.constant(grid, 1.0)
@@ -540,12 +518,12 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
                               {"pairs": pairs, "slack": slack,
                                "rows": [(i, float(a), float(b), bool(p)) for i, a, b, p in lip_rows]}))
 
-    image_C = _threshold(cfg, "image_residual_C", 25.0)
+    image_C = _threshold(cfg, "image_residual_c", 25.0)
     img_ok = True
     img_residuals = []
     for f in _smooth_random_fields(grid, rng, 3):
         img = apply_selection_operator(sigma1, f, poly).field
-        r = residual(model, 0.0, img, vs, dt)
+        r = residual(model, 0.0, img, poly.vset, poly.dt)
         img_residuals.append(r)
         img_ok &= r <= image_C * grid.h
     stages.append(StageRecord("image_solves", img_ok, {
@@ -572,19 +550,16 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("idempotence", idiff <= idem_tol,
                               {"diff": idiff, "tol": idem_tol}))
     artifacts["operator_image"] = p1
-    return stages
 
 
-def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
+def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Occupation-measure identities along a discount sweep: mass identity
     and its dt-order, closedness-defect scaling, and TV approach to the
-    minimizing measure."""
-    stages = []
-    grid, vs = cfg.grid(), cfg.vset()
+    minimizing measure.  The critical polytope is at the lattice dt; the
+    solves and traces are at cfg.dt, else 1e-3."""
+    poly, model = _critical_problem(cfg)
+    grid, vs = poly.grid, poly.vset
     dt = cfg.dt if cfg.dt is not None else 1e-3
-    model = builtin_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    poly = build_polytope(model, grid, vs, default_dt(grid, vs))
-    model = model.with_c0(poly.c)
     h = poly.barrier
     xstar = int(aubry_set(h)[0])
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
@@ -638,18 +613,15 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("mass_identity", mi_ok, {
         "lambda": lam_mi, "rel_error_dt": err1, "rel_error_half_dt": err2,
         "ratio": ratio}))
-    return stages
 
 
-def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
+def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Three-route critical values on the standard models plus barrier
     structure diagnostics (triangle inequality, column residuals)."""
-    stages = []
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
 
-    mech = builtin_model("mechanical", d=cfg.d,
-                         U=parse_potential("cos:amp=1,freq=1"))
+    mech = builtin_model("mechanical", d=cfg.d, U=parse_potential("cos:amp=1,freq=1"))
     vs_c = velocity_set(cfg.vmax, int(cfg.extras.get("m_critical", 33)), cfg.d)
     cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vs_c, Tmax=cfg.tmax)
     tol_mech = _threshold(cfg, "critical_tol_mechanical", 0.05)
@@ -668,9 +640,8 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
     stages.append(StageRecord("critical_shifted_quadratic", ok2, {
         "per_method": cd2.per_method, "spread": cd2.spread, "analytic": half_a2}))
 
-    mech = mech.with_c0(cd.per_method["lp"])
-    poly49 = build_polytope(mech, grid, cfg.vset())
-    h = poly49.barrier
+    poly, mech = _critical_problem(cfg, model=mech)
+    h = poly.barrier
     artifacts["barrier_mechanical"] = h
     tol_tri = _threshold(cfg, "tol_tri", 5e-3)
     x, y, z = rng.integers(0, grid.size, size=(1000, 3)).T
@@ -678,24 +649,24 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict):
     viol = max(0.0, float(np.max(H[x, z] - H[x, y] - H[y, z])))
     ok3 = viol <= 3 * tol_tri
     col = solution_from_barrier(h, int(aubry_set(h)[0]))
-    col_res = residual(mech, 0.0, col, poly49.vset, poly49.dt)
-    Ccol = _threshold(cfg, "column_residual_C", 25.0)
+    col_res = residual(mech, 0.0, col, poly.vset, poly.dt)
+    Ccol = _threshold(cfg, "column_residual_c", 25.0)
     ok4 = col_res <= Ccol * grid.h
     stages.append(StageRecord("barrier_structure", ok3 and ok4, {
         "max_triangle_violation": float(viol), "triangle_bound": 3 * tol_tri,
         "column_residual": col_res, "column_bound": Ccol * grid.h,
         "aubry_nodes": int(aubry_set(h).size)}))
-    return stages
 
 
 _RUNNERS = {
-    "example_6_1": _run_example_6_1,
     "vanishing_discount": _run_vanishing_discount,
+    "example_6_1": _run_example_6_1,
     "nonexistence_3_4": _run_nonexistence,
     "operator_suite": _run_operator_suite,
     "occupation_suite": _run_occupation_suite,
     "barrier_suite": _run_barrier_suite,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config, output: Optional[str] = None,
@@ -714,20 +685,16 @@ def run_experiment(config, output: Optional[str] = None,
     os.makedirs(outdir, exist_ok=True)
 
     artifacts: dict = {}
+    stages: list = []
     t0 = time.time()
-    failing_stage = None
     try:
-        stages = _RUNNERS[cfg.kind](cfg, artifacts)
+        _RUNNERS[cfg.kind](cfg, artifacts, stages)
     except Exception as exc:  # noqa: BLE001 - partial artifacts are kept on purpose
-        stages = [StageRecord("fatal", False, error=f"{type(exc).__name__}: {exc}")]
-        failing_stage = stages[-1].name
+        stages.append(StageRecord("fatal", False, error=f"{type(exc).__name__}: {exc}"))
     wall = time.time() - t0
 
     files = export_all(artifacts, outdir)
-    passed = all(s.ok for s in stages)
-    warnings_all = [w for s in stages for w in s.warnings]
-    if strict and warnings_all:
-        passed = False
+    passed = all(s.ok for s in stages) and not (strict and any(s.warnings for s in stages))
 
     manifest = {
         "config": cfg.raw or _config_echo(cfg),
@@ -741,7 +708,7 @@ def run_experiment(config, output: Optional[str] = None,
             "name": s.name, "ok": s.ok, "details": s.details,
             "warnings": s.warnings, "error": s.error,
         } for s in stages],
-        "failing_stage": failing_stage or next((s.name for s in stages if not s.ok), None),
+        "failing_stage": next((s.name for s in stages if not s.ok), None),
         "passed": passed,
         "strict": strict,
         "artifacts": files,
@@ -753,10 +720,6 @@ def run_experiment(config, output: Optional[str] = None,
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "kind": cfg.kind, "name": cfg.name, "model": cfg.model_name,
-        "d": cfg.d, "n": cfg.n, "vmax": cfg.vmax, "m": cfg.m,
-        "dt": cfg.dt, "tol": cfg.tol, "max_iter": cfg.max_iter,
-        "lambdas": list(cfg.lambdas), "tmax": cfg.tmax, "seed": cfg.seed,
-        "thresholds": cfg.thresholds, "extras": cfg.extras,
-    }
+    """Every config field but the model's callables and the INI text."""
+    return {"model" if f.name == "model_name" else f.name: getattr(cfg, f.name)
+            for f in dc_fields(cfg) if f.name not in ("model_params", "raw")}

@@ -6,11 +6,11 @@ A ControlModel bundles the evaluators every solver consumes:
     L(x, v, u)      conjugate Lagrangian, strictly decreasing in u
     dLdu0(x, v)     the partial derivative dL/du at u = 0 (negative everywhere)
     dHdu0(x, p)     the partial derivative dH/du at u = 0 (positive everywhere)
-    sigma(x)        positive weight of the sigma-discounted family
     V(x, lam)       discount-scale potential and its lam -> 0 limit V0(x)
 
 All evaluators broadcast numpy-style: x, p, v have shape (..., d) and u is a
-scalar or (...) array; results have shape (...).
+scalar or (...) array; results have shape (...).  The discount weight
+sigma = -dL/du(x, v, 0) of the sigma-discounted family is read through dLdu0.
 
 Built-in models carry analytic Lagrangians; the numeric Fenchel transform
 below exists for user-supplied Hamiltonians and as a cross-check.  It is not
@@ -44,8 +44,9 @@ BUILTIN_MODEL_NAMES = ("mechanical", "shifted_quadratic", "arctan_discount", "si
 class ControlModel:
     """Evaluator bundle for one control system.
 
-    c0 holds the critical value of H(.,.,0); it is filled by
-    barrier.critical_value (or set analytically in tests) before any
+    c0 holds the critical value of H(.,.,0) and is the solvers' only source
+    of it; the pipelines set it from the critical polytope
+    (`model.with_c0(poly.c)`, see matherlp.build_polytope) before any
     discounted solve runs.  L_u_part, when present, gives the v-independent
     split L(x,v,u) = L(x,v,0) + L_u_part(x,u) that the solver exploits;
     H_inf_u, when present, evaluates inf_u H(x, 0, u) for the nonexistence
@@ -58,7 +59,6 @@ class ControlModel:
     L: Callable
     dLdu0: Callable
     dHdu0: Callable
-    sigma: Callable
     V: Callable
     V0: Callable
     c0: Optional[float] = None
@@ -69,9 +69,6 @@ class ControlModel:
 
     def with_c0(self, c0: float) -> "ControlModel":
         return replace(self, c0=float(c0))
-
-    def L0(self, x, v):
-        return self.L(x, v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,6 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
             name=name, d=d, H=H, L=L,
             dLdu0=lambda x, v: -_arc_ones(x, v),
             dHdu0=lambda x, p: _arc_ones(x, p),
-            sigma=lambda x: np.ones(np.asarray(x).shape[:-1]),
             V=lambda x, lam: Vfun(x),
             V0=Vfun,
             c0=None,
@@ -228,7 +224,6 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
             name=name, d=d, H=H, L=L,
             dLdu0=lambda x, v: -_arc_ones(x, v),
             dHdu0=lambda x, p: _arc_ones(x, p),
-            sigma=lambda x: np.ones(np.asarray(x).shape[:-1]),
             V=lambda x, lam: np.full(np.asarray(x).shape[:-1], np.pi / 2),
             V0=lambda x: np.full(np.asarray(x).shape[:-1], np.pi / 2),
             c0=None,
@@ -256,7 +251,6 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
         name=name, d=d, H=H, L=L,
         dLdu0=lambda x, v: -sigfun(x) * _arc_ones(x, v),
         dHdu0=lambda x, p: sigfun(x) * _arc_ones(x, p),
-        sigma=sigfun,
         V=lambda x, lam: Vfun(x),
         V0=Vfun,
         c0=None,
@@ -280,7 +274,6 @@ def discounted_wrapper(model: ControlModel) -> ControlModel:
         L=lambda x, v, u, _L=base_L: _L(x, v, 0.0) - np.asarray(u),
         dLdu0=lambda x, v: -_arc_ones(x, v),
         dHdu0=lambda x, p: _arc_ones(x, p),
-        sigma=lambda x: np.ones(np.asarray(x).shape[:-1]),
         V=lambda x, lam: np.zeros(np.asarray(x).shape[:-1]),
         V0=lambda x: np.zeros(np.asarray(x).shape[:-1]),
         c0=0.0,

@@ -100,9 +100,6 @@ class Bracket:
     T: float
     C2: float = 0.0
 
-    def midpoint(self) -> GridField:
-        return GridField(self.lower.grid, 0.5 * (self.lower.values + self.upper.values))
-
 
 class Transition:
     """The one transition kernel of a (grid, velocity set, dt) triple.
@@ -221,10 +218,8 @@ class _Kernel:
     """Per-solve precomputation: base costs plus the u-coupling hook."""
 
     def __init__(self, model: ControlModel, lam: float, grid: PeriodicGrid,
-                 vset: VelocitySet, dt: float, c0: Optional[float] = None):
-        if c0 is None:
-            c0 = model.c0
-        if c0 is None:
+                 vset: VelocitySet, dt: float):
+        if model.c0 is None:
             raise ConfigurationError(
                 "model.c0 is unset; fill it via barrier.critical_value first"
             )
@@ -235,7 +230,7 @@ class _Kernel:
         self.X = grid.node_coords()
         L0 = on_arcs(grid, vset, model.L, 0.0)
         Vlam = np.asarray(model.V(self.X, lam), dtype=float) if lam != 0.0 else 0.0
-        self.base = dt * (L0 - lam * Vlam + c0)      # (K, N)
+        self.base = dt * (L0 - lam * Vlam + model.c0)      # (K, N)
         self._L0 = L0 if model.L_u_part is None else None
 
     def candidates(self, values: np.ndarray) -> np.ndarray:
@@ -253,26 +248,25 @@ class _Kernel:
 
 
 def bellman_apply(model: ControlModel, lam: float, u: GridField,
-                  vset: VelocitySet, dt: float, c0: Optional[float] = None) -> GridField:
+                  vset: VelocitySet, dt: float) -> GridField:
     """One application of the discounted Bellman update (lam = 0 gives the
     critical operator)."""
-    k = _Kernel(model, lam, u.grid, vset, dt, c0=c0)
+    k = _Kernel(model, lam, u.grid, vset, dt)
     return GridField(u.grid, k.apply(u.values))
 
 
 def residual(model: ControlModel, lam: float, u: GridField,
-             vset: VelocitySet, dt: float, c0: Optional[float] = None) -> float:
+             vset: VelocitySet, dt: float) -> float:
     """Sup-norm fixed-point defect per unit time, ||u - T[u]||_inf / dt."""
-    k = _Kernel(model, lam, u.grid, vset, dt, c0=c0)
+    k = _Kernel(model, lam, u.grid, vset, dt)
     return float(np.max(np.abs(u.values - k.apply(u.values))) / dt)
 
 
 def one_sided_subsolution_defect(model: ControlModel, w: GridField,
-                                 vset: VelocitySet, dt: float,
-                                 c0: Optional[float] = None) -> float:
+                                 vset: VelocitySet, dt: float) -> float:
     """max(w - T0[w])/dt; nonpositive (up to tolerance) iff w is a discrete
     subsolution of the critical equation."""
-    k = _Kernel(model, 0.0, w.grid, vset, dt, c0=c0)
+    k = _Kernel(model, 0.0, w.grid, vset, dt)
     return float(np.max(w.values - k.apply(w.values)) / dt)
 
 

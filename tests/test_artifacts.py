@@ -15,11 +15,11 @@ from torushj.artifacts import (
     write_measure_csv,
     write_trace_csv,
 )
-from torushj.barrier import BarrierMatrix, peierls_barrier
+from torushj.barrier import BarrierMatrix
 from torushj.curves import CurveTrace
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import DiscreteMeasure
-from torushj.models import builtin_model, velocity_set
+from torushj.models import velocity_set
 
 
 def test_field_csv_roundtrip_and_header(tmp_path):
@@ -95,7 +95,7 @@ def test_measure_csv_lists_support_only(tmp_path):
 
 
 def test_determinism_and_diff(tmp_path):
-    from torushj.experiments import parse_config, run_experiment
+    from torushj.experiments import run_experiment
 
     cfg_text = """
 [experiment]

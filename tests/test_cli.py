@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 
 from torushj.cli import main
@@ -45,6 +44,13 @@ def test_validate_rejects_bad_schedule(tmp_path, capsys):
     bad.write_text(TINY_CFG + "\n[schedule]\nlambdas = 0.1, 0.5\n")
     assert main(["validate", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().out
+
+
+def test_validate_refuses_a_zero_vmax(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG.replace("vmax = 2.0", "vmax = 0"))
+    assert main(["validate", str(bad)]) == 1
+    assert "invalid: vmax must be positive" in capsys.readouterr().out
 
 
 def test_list_models(capsys):

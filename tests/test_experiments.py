@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,24 +42,24 @@ def test_convergence_report_rows_and_monotonicity():
     entries = [_entry(grid, 0.1, np.full(8, 0.08)),
                _entry(grid, 0.03, np.full(8, 0.03)),
                _entry(grid, 0.01, np.full(8, 0.012))]
-    rep = convergence_report(entries, ref, "formula")
+    rep = convergence_report(entries, ref)
     assert len(rep.rows) == 3
     assert rep.final_error == pytest.approx(0.012)
     assert rep.monotone_within_factor
 
     # identical fields vs themselves: all-zero errors
     same = [_entry(grid, lam, np.zeros(8)) for lam in (0.1, 0.05)]
-    rep0 = convergence_report(same, ref, "analytic")
+    rep0 = convergence_report(same, ref)
     assert all(r[1] == 0.0 for r in rep0.rows)
 
     # reference = last iterate: final row error 0 by construction
     entries2 = [_entry(grid, 0.1, np.full(8, 0.3)), _entry(grid, 0.05, np.full(8, 0.1))]
-    rep2 = convergence_report(entries2, entries2[-1].field, "extrapolation")
+    rep2 = convergence_report(entries2, entries2[-1].field)
     assert rep2.rows[-1][1] == 0.0
 
     # an error jump beyond the factor clears the flag
     bad = [_entry(grid, 0.1, np.full(8, 0.01)), _entry(grid, 0.05, np.full(8, 0.05))]
-    assert not convergence_report(bad, ref, "formula").monotone_within_factor
+    assert not convergence_report(bad, ref).monotone_within_factor
 
 
 def test_export_all_dispatch(tmp_path):
@@ -66,11 +68,90 @@ def test_export_all_dispatch(tmp_path):
     files = export_all({
         "field": GridField.constant(grid, 1.0),
         "report": convergence_report(
-            [_entry(grid, 0.1, np.zeros(8))], GridField.constant(grid, 0.0), "analytic"),
+            [_entry(grid, 0.1, np.zeros(8))], GridField.constant(grid, 0.0)),
     }, str(tmp_path))
     assert files == ["field.csv", "report.csv"]
     with pytest.raises(ConfigurationError):
         export_all({"weird": object()}, str(tmp_path))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+COS = "cos:amp=1,freq=1"
+# Every field of a bundled config that is not its default; potentials as
+# their specs.  Threshold keys are lower case, as configparser folds them.
+BUNDLED = {
+    "barrier_suite": dict(
+        model_params={"U": COS},
+        thresholds={"critical_tol_mechanical": 0.05, "critical_tol_shifted": 0.02,
+                    "tol_tri": 5e-3, "column_residual_c": 25.0},
+        extras={"m_critical": "33", "alpha": "0.6180339887498949"}),
+    "example_6_1": dict(
+        model_name="shifted_quadratic",
+        model_params={"alpha": [0.6180339887498949], "target": "sin:freq=1,offset=0.3"},
+        max_iter=400000, lambdas=(0.1, 0.03, 0.01, 0.003, 0.001),
+        thresholds={"final_sup_error": 0.05, "monotone_factor": 2.0}),
+    "nonexistence_3_4": dict(
+        model_name="arctan_discount", n=64, m=33, max_iter=100000,
+        extras={"certificate_true": "1.5 2 4", "certificate_false": "0.1 0.5",
+                "solve_lambdas": "0.5 2.0"}),
+    "occupation_suite": dict(
+        model_params={"U": COS}, dt=1e-3, lambdas=(0.2, 0.1, 0.05),
+        thresholds={"mass_identity_rel": 0.05, "tv_factor": 2.0},
+        extras={"mass_identity_lambda": "0.05", "start_node": "42"}),
+    "operator_suite": dict(
+        model_params={"U": COS},
+        thresholds={"lipschitz_slack": 1e-7, "image_residual_c": 25.0},
+        extras={"lipschitz_pairs": "20"}),
+    "vanishing_discount": dict(
+        model_params={"U": COS, "potential": "zero"}, max_iter=400000,
+        lambdas=(0.1, 0.03, 0.01, 0.003, 0.001), thresholds={"final_sup_error": 0.05}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundled_configs_parse_to_pinned_fields(name):
+    cfg = parse_config(str(CONFIG_DIR / f"{name}.cfg"))
+    pinned = dict(BUNDLED[name])
+    params = pinned.pop("model_params", {})
+    assert cfg == ExperimentConfig(kind=name, **pinned, model_params=cfg.model_params,
+                                   raw=cfg.raw)
+    assert sorted(cfg.model_params) == sorted(params)
+    X = build_grid(1, 16).node_coords()
+    for key, spec in params.items():
+        if key == "alpha":
+            np.testing.assert_array_equal(cfg.model_params[key], spec)
+        else:
+            np.testing.assert_array_equal(cfg.model_params[key](X), parse_potential(spec)(X))
+
+
+def test_config_of_a_kind_alone_takes_every_default(tmp_path):
+    path = tmp_path / "kind.cfg"
+    path.write_text("[experiment]\nkind = operator_suite\n")
+    assert parse_config(str(path)) == ExperimentConfig(
+        kind="operator_suite", raw={"experiment": {"kind": "operator_suite"}})
+
+
+def test_config_without_a_kind_is_refused(tmp_path):
+    path = tmp_path / "nokind.cfg"
+    path.write_text("[grid]\nn = 16\n")
+    with pytest.raises(ConfigurationError, match="kind"):
+        parse_config(str(path))
+
+
+def test_validate_applies_the_model_rules():
+    cfg = ExperimentConfig(kind="example_6_1", name="e61", model_name="shifted_quadratic",
+                           model_params={"alpha": np.array([0.3, 0.5])})
+    with pytest.raises(ConfigurationError, match="alpha must have 1 components"):
+        cfg.validate()
+
+
+def test_threshold_keys_are_case_blind(tmp_path):
+    path = tmp_path / "barrier.cfg"
+    path.write_text("[experiment]\nkind = barrier_suite\n[grid]\nn = 16\n"
+                    "[velocities]\nvmax = 2.0\nm = 9\n[barrier]\ntmax = 8.0\n"
+                    "[thresholds]\ncolumn_residual_C = 7.0\n[extras]\nm_critical = 9\n")
+    res = run_experiment(str(path), output=str(tmp_path / "out"))
+    assert res.stages[-1].details["column_bound"] == 7.0 / 16
 
 
 @pytest.mark.parametrize("tmax", [0.0, -5.0, float("nan")])
@@ -252,7 +333,9 @@ def test_vanishing_discount_refuses_a_class_of_several_nodes(tmp_path):
                            n=16, m=25, lambdas=(0.1,))
     res = run_experiment(cfg, output=str(tmp_path / "out"))
     assert not res.passed
-    assert res.stages[-1].name == "fatal"
+    # the stages before the fatal one keep their records
+    assert [s.name for s in res.stages] == ["critical_value", "peierls_barrier", "fatal"]
+    assert res.manifest["failing_stage"] == "fatal"
     assert res.stages[-1].error == (
         "ConfigurationError: the closed form needs one-node static classes "
         "(Dirac Mather measures); class sizes: [16]")

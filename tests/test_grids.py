@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from torushj.errors import ConfigurationError, DomainError
 from torushj.grids import (
     GridField,
-    PeriodicGrid,
     build_grid,
     interpolate,
     wrap_points,
