@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Time the two costly routes of the critical value in `barrier_suite`.
+"""Time the long-time route of the critical value in `barrier_suite`.
 
 Cases: the two kernels of the `barrier` benchmark workload at n = 128 (the
 mechanical cosine well at K = 33 and the shifted quadratic at K = 49; vmax 3,
 d = 1) and the same two kernels of a d = 2 `barrier_suite` at n = 16 and 24
 with m = 9 per axis (K = 81).  Per case it reports the best of --repeat
 timings of
-    longtime_old_s   the retired long-time route: h_dt as one column-gather
-                     step of the diagonal seed, right-to-left binary powering
-                     of it to the whole horizon, and its diagonal,
-    longtime_new_s   `_ActionKernel.closed_walks`: left-to-right powering to
-                     half the horizon and the diagonal of one more product,
-    lp_presolve_s    the critical LP of the "lp" route by HiGHS dual simplex
-                     with presolve,
-    lp_s             the same LP as `matherlp._run_lp` solves it, without,
-with the dense products each route takes, |c_old - c_new|, the objective gap
-of the two LPs and whether their supports agree.  Horizon: Tmax = 24.
+    karp_s       `barrier.karp_min_mean` on the action DP's arcs: the exact
+                 T -> infinity limit from N + 1 Bellman steps of a vector,
+    powering_s   the retired route: the cheapest closed walks of T/dt steps
+                 (Tmax = 24) by left-to-right min-plus powering of the
+                 one-step matrix to half the horizon, floor(log2(T/dt)) - 1
+                 dense N^3 products,
+with |c_Karp - c_Howard| (Howard: `build_polytope`'s c) and the gap
+c_Karp - c_T of the retired horizon.
 
 With --parent DIR it also runs `bench/run.py --workload barrier --seed 1
 --seconds 20 --trace 0` --pairs times in DIR (a checkout of the parent
@@ -38,16 +36,13 @@ from statistics import median
 
 import numpy as np
 import scipy
-from scipy import sparse
-from scipy.optimize import linprog
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from torushj.barrier import (BIG, _ActionKernel, _min_plus,   # noqa: E402
-                             initial_action_matrix)
+from torushj.barrier import BIG, _ActionKernel, karp_min_mean  # noqa: E402
 from torushj.experiments import parse_potential                # noqa: E402
 from torushj.grids import build_grid                           # noqa: E402
-from torushj.matherlp import _run_lp, build_polytope           # noqa: E402
+from torushj.matherlp import build_polytope                    # noqa: E402
 from torushj.models import builtin_model, velocity_set          # noqa: E402
 from torushj.solver import default_dt                           # noqa: E402
 
@@ -69,42 +64,31 @@ def cases():
     return out
 
 
-def column_gather_step(kern, A):
-    out = np.full_like(A, BIG)
-    for take, cost in zip(kern.take, kern.cost):
-        np.minimum(out, A[:, take] + cost[None, :], out=out)
-    return np.minimum(out, BIG)
+def min_plus(A, B):
+    """C[i, j] = min_k A[i, k] + B[k, j] in row blocks of about 1 MB,
+    clamped at BIG."""
+    N = A.shape[0]
+    C = np.empty_like(A)
+    rows = max(1, (1 << 17) // (N * N))
+    for i in range(0, N, rows):
+        np.min(A[i:i + rows, :, None] + B[None], axis=1, out=C[i:i + rows])
+    return np.minimum(C, BIG, out=C)
 
 
 def retired_longtime(kern, steps):
-    """diag h_{steps*dt} by the retired right-to-left powering."""
-    base = column_gather_step(kern, initial_action_matrix(kern.grid).values)
-    out = None
-    while True:
-        if steps & 1:
-            out = base if out is None else _min_plus(out, base)
-        steps >>= 1
-        if not steps:
-            return np.diag(out)
-        base = _min_plus(base, base)
-
-
-def dense_products(steps):
-    """(retired, new) count of N^3 min-plus products for a horizon of steps."""
-    squarings = steps.bit_length() - 1
-    return squarings + bin(steps).count("1") - 1, max(squarings - 1, 0)
-
-
-def critical_lp(poly):
-    N = poly.grid.size
-    A_eq = sparse.vstack([poly.C, sparse.csr_matrix(np.ones((1, poly.num_vars)))])
-    b_eq = np.zeros(N + 1)
-    b_eq[-1] = 1.0
-    return poly.action, A_eq, b_eq
-
-
-def presolved_lp(cvec, A_eq, b_eq):
-    return linprog(c=cvec, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    """diag h_{steps*dt} (steps >= 2): P = h_dt raised to steps // 2 left to
+    right, then min_j P[i, j] + Q[j, i] with Q = P, or one step of P for
+    odd steps."""
+    N = kern.take.shape[1]
+    P = np.full((N, N), BIG)
+    np.minimum.at(P, (kern.take, np.broadcast_to(np.arange(N), kern.take.shape)),
+                  kern.cost)
+    for bit in bin(steps // 2)[3:]:
+        P = min_plus(P, P)
+        if bit == "1":
+            P = kern.step(P)
+    Q = kern.step(P) if steps & 1 else P
+    return np.minimum(np.min(P + Q.T, axis=1), BIG)
 
 
 def best(fn, repeat):
@@ -153,30 +137,23 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
-    print(f"{'case':<34s} {'steps':>5s} {'old_s':>8s} {'new_s':>8s} {'prod':>5s} "
-          f"{'|dc|':>8s} {'lp_pre_s':>8s} {'lp_s':>8s} {'|dobj|':>8s}")
+    print(f"{'case':<34s} {'N':>4s} {'steps':>5s} {'karp_s':>8s} {'power_s':>8s} "
+          f"{'|c-c_H|':>8s} {'c-c_T':>8s}")
     for name, model, grid, vset in cases():
         dt = default_dt(grid, vset)
         steps = int(round(TMAX / dt))
         kern = _ActionKernel(model, grid, vset, dt)
-        old_s, old = best(lambda: retired_longtime(kern, steps), args.repeat)
-        new_s, new = best(lambda: kern.closed_walks(steps), args.repeat)
-        lp = critical_lp(build_polytope(model, grid, vset, dt, with_critical=False))
-        pre_s, pre = best(lambda: presolved_lp(*lp), args.repeat)
-        lp_s, res = best(lambda: _run_lp(*lp), args.repeat)
-        old_n, new_n = dense_products(steps)
+        karp_s, eta = best(lambda: karp_min_mean(kern.take, kern.cost), args.repeat)
+        power_s, diag = best(lambda: retired_longtime(kern, steps), args.repeat)
+        c, c_T = -eta / dt, -float(diag.min()) / (steps * dt)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
-               "steps": steps, "longtime_old_s": old_s, "longtime_new_s": new_s,
-               "dense_products_old": old_n, "dense_products_new": new_n,
-               "abs_c_old_minus_new": abs(float(old.min() - new.min())) / (steps * dt),
-               "lp_vars": lp[0].size, "lp_rows": lp[1].shape[0],
-               "lp_presolve_s": pre_s, "lp_s": lp_s,
-               "abs_objective_gap": abs(float(pre.fun - res.fun)),
-               "same_support": bool(np.array_equal(pre.x > 1e-12, res.x > 1e-12))}
+               "steps": steps, "karp_s": karp_s, "powering_s": power_s,
+               "dense_products": max(steps.bit_length() - 2, 0),
+               "abs_c_karp_minus_howard": abs(c - build_polytope(model, grid, vset, dt).c),
+               "c_karp_minus_c_T": c - c_T}
         rows.append(row)
-        print(f"{name:<34s} {steps:5d} {old_s:8.4f} {new_s:8.4f} {old_n:2d}>{new_n:2d} "
-              f"{row['abs_c_old_minus_new']:8.1e} {pre_s:8.4f} {lp_s:8.4f} "
-              f"{row['abs_objective_gap']:8.1e}")
+        print(f"{name:<34s} {grid.size:4d} {steps:5d} {karp_s:8.4f} {power_s:8.4f} "
+              f"{row['abs_c_karp_minus_howard']:8.1e} {row['c_karp_minus_c_T']:8.1e}")
     report = {"machine": machine(), "repeat": args.repeat, "tmax": TMAX, "cases": rows}
     if args.parent:
         walls = {"parent": [], "change": []}

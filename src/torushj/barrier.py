@@ -12,16 +12,16 @@ vanishing-discount limits of the solver rather than merely O(dt)-consistent
 ones.  Both the DP and the barrier need the integer hops that the default
 dt = h / velocity step gives.  `evolve_action` runs that step T/dt times.
 
-The step is a min-plus product with the one-step matrix h_dt, which has K
-finite entries per row, so it costs K N^2, and h_T is the s-th min-plus
-power of h_dt for s = T/dt.  Left-to-right square-and-multiply takes that
-power with one dense N^3 squaring per bit of s after the leading one and
-one step per set bit.  The long-time critical value -min_x h_T(x, x)/T
-needs only the diagonal, the cheapest closed walks: with P the power
-s // 2 and Q = P (even s) or one step of P (odd s), h_T(x, x) =
-min_y P(x, y) + Q(y, x), an N^2 reduction.  That leaves floor(log2 s) - 1
-dense products in place of T/dt steps (Baccelli, Cohen, Olsder and
-Quadrat, Synchronization and Linearity, 1992).
+The long-time critical value is the exact T -> infinity limit of
+-min_x h_T(x, x) / T, that is -eta / dt with eta the minimum mean weight
+dt * L0 of a cycle of the lattice graph.  Karp's theorem gives eta from
+N + 1 Bellman steps applied to u = 0, the discrete Lax-Oleinik semigroup
+(Fathi, Weak KAM Theorem in Lagrangian Dynamics): with D_k(y) the cheapest
+walk of exactly k arcs that ends at y, from anywhere,
+eta = min_y max_{0<=k<N} (D_N(y) - D_k(y)) / (N - k) (R. M. Karp, "A
+characterization of the minimum cycle mean in a digraph", Discrete Math.
+23 (1978) 309-311).  That is value iteration, not Howard's policy
+iteration, so the two routes check each other.
 
 The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
 lattice graph, whose arc (k, y) runs from its foot to y with weight
@@ -59,6 +59,7 @@ __all__ = [
     "initial_action_matrix",
     "min_action_step",
     "evolve_action",
+    "karp_min_mean",
     "critical_value",
     "peierls_barrier",
     "aubry_set",
@@ -121,18 +122,8 @@ class _ActionKernel:
             raise ConfigurationError(
                 f"dt = {dt:g} moves velocities off the node lattice; the action "
                 "DP and the barrier need whole-cell hops (dt = h / velocity step)")
-        self.grid = grid
         self.take = arcs.take                                          # (K, N)
         self.cost = dt * on_arcs(grid, vset, model.L, 0.0)             # (K, N)
-
-    def one_step(self) -> np.ndarray:
-        """h_dt: entry (foot, head) is the cheapest arc between the two, BIG
-        where no arc joins them."""
-        N = self.grid.size
-        h = np.full((N, N), BIG)
-        np.minimum.at(h, (self.take, np.broadcast_to(np.arange(N), self.take.shape)),
-                      self.cost)
-        return h
 
     def step(self, A: np.ndarray) -> np.ndarray:
         """h_t -> h_{t+dt}, the min-plus product A h_dt by its K arcs per node:
@@ -144,45 +135,6 @@ class _ActionKernel:
         for take, cost in zip(self.take, self.cost):
             np.minimum(out, AT[take] + cost[:, None], out=out)
         return np.ascontiguousarray(out.T)
-
-    def power(self, steps: int) -> np.ndarray:
-        """h_{steps*dt}, the steps-th min-plus power of h_dt (h_0 for 0 steps).
-
-        Left-to-right square-and-multiply: one dense squaring per bit after
-        the leading one, then one sparse `step` per set bit.
-        """
-        if steps == 0:
-            return initial_action_matrix(self.grid).values
-        out = self.one_step()
-        for bit in bin(steps)[3:]:
-            out = _min_plus(out, out)
-            if bit == "1":
-                out = self.step(out)
-        return out
-
-    def closed_walks(self, steps: int) -> np.ndarray:
-        """diag h_{steps*dt}, the cheapest closed walk of `steps` steps (>= 1)
-        through each node: min_j P[i, j] + Q[j, i] with P = h_{(steps//2)*dt}
-        and Q = P for even steps, one `step` of P for odd ones.  That takes
-        one dense squaring fewer than `power(steps)` and no product at the end.
-        """
-        P = self.power(steps // 2)
-        Q = self.step(P) if steps & 1 else P
-        return np.minimum(np.min(P + Q.T, axis=1), BIG)
-
-
-def _min_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """C[i, j] = min_k A[i, k] + B[k, j], clamped at BIG like the step.
-
-    Rows go in blocks whose (rows, N, N) temporary stays near 1 MB, and never
-    above one N x N matrix.
-    """
-    N = A.shape[0]
-    C = np.empty_like(A)
-    rows = max(1, (1 << 17) // (N * N))
-    for i in range(0, N, rows):
-        np.min(A[i:i + rows, :, None] + B[None], axis=1, out=C[i:i + rows])
-    return np.minimum(C, BIG, out=C)
 
 
 def min_action_step(model: ControlModel, A: BarrierMatrix, dt: float,
@@ -211,9 +163,21 @@ def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     return BarrierMatrix(grid, "h_t", steps * dt, A)
 
 
+def karp_min_mean(take: np.ndarray, W: np.ndarray) -> float:
+    """The minimum mean weight of a cycle of the graph whose arc (k, y) runs
+    from take[k, y] to y with weight W[k, y], by Karp's theorem: D_0 = 0,
+    D_{k+1}(y) = min_j D_k(take[j, y]) + W[j, y], and
+    eta = min_y max_{0<=k<N} (D_N(y) - D_k(y)) / (N - k).  Every node has K
+    incoming arcs, so every D_k is finite."""
+    N = take.shape[1]
+    D = np.zeros((N + 1, N))
+    for k in range(N):
+        D[k + 1] = np.min(D[k][take] + W, axis=0)
+    return float(np.min(np.max((D[N] - D[:N]) / (N - np.arange(N))[:, None], axis=0)))
+
+
 def critical_value(model: ControlModel, method, grid: PeriodicGrid,
-                   vset: VelocitySet, dt: Optional[float] = None,
-                   Tmax: float = 24.0) -> CriticalData:
+                   vset: VelocitySet, dt: Optional[float] = None) -> CriticalData:
     """Critical value of H(., ., 0) by one or several routes.
 
     method is "lp", "discount", "longtime", or a sequence of those; with two
@@ -222,12 +186,11 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     of the closed-measure LP: certified policy iteration with integer hops,
     HiGHS off the lattice; discount solves
     lam*w + H^0(x, dw) = 0 and reads off -mean(lam*w) at the smallest
-    lam of DISCOUNT_SCHEDULE, longtime uses -min_x h_T(x, x)/T with
-    T = round(Tmax/dt) * dt.  It takes diag h_T from the min-plus power of
-    the one-step matrix to half the horizon (`_ActionKernel.closed_walks`),
-    floor(log2(T/dt)) - 1 products of N^3 work, and equals the stepwise DP of
-    `evolve_action` up to roundoff.  A Tmax that rounds to no step raises
-    ConfigurationError.
+    lam of DISCOUNT_SCHEDULE; longtime is the T -> infinity limit of
+    -min_x h_T(x, x)/T, exactly, by Karp's theorem on the action DP's arcs
+    (`karp_min_mean`): N + 1 Bellman steps of a vector, N^2 K work.  The
+    longtime route needs whole-cell hops and raises ConfigurationError
+    without them.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if dt is None:
@@ -245,14 +208,8 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                 raise ConfigurationError(f"discount route failed: {last.error}")
             values["discount"] = -last.lam * float(np.mean(last.field.values))
         elif meth == "longtime":
-            steps = int(round(Tmax / dt))
-            if steps < 1:
-                raise ConfigurationError(f"Tmax = {Tmax:g} rounds to no step of "
-                                         f"dt = {dt:g}: the long-time route needs one")
-            diag = _ActionKernel(model, grid, vset, dt).closed_walks(steps)
-            if np.all(diag > BIG / 2):
-                raise ConfigurationError("no node returns to itself by Tmax")
-            values["longtime"] = -float(np.min(diag)) / (steps * dt)
+            kern = _ActionKernel(model, grid, vset, dt)
+            values["longtime"] = -karp_min_mean(kern.take, kern.cost) / dt
         else:
             raise ConfigurationError(f"unknown critical-value method {meth!r}")
     vals = list(values.values())

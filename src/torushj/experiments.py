@@ -135,7 +135,6 @@ class ExperimentConfig:
     tol: float = 1e-8
     max_iter: int = 200000
     lambdas: tuple = ()
-    tmax: float = 24.0
     seed: int = 20240601
     thresholds: dict = dc_field(default_factory=dict)
     extras: dict = dc_field(default_factory=dict)
@@ -147,8 +146,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
-        if not self.tmax > 0:
-            raise ConfigurationError("barrier tmax must be positive")
         lams = list(self.lambdas)
         if lams and any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigurationError("lambda schedule must be strictly descending")
@@ -191,7 +188,6 @@ _CONFIG_KEYS = {
     ("solver", "tol"): ("tol", float),
     ("solver", "max_iter"): ("max_iter", int),
     ("schedule", "lambdas"): ("lambdas", _floats),
-    ("barrier", "tmax"): ("tmax", float),
 }
 # [model] potentials, looked up through the section, which folds `U` too
 _POTENTIAL_KEYS = ("U", "potential", "phi", "sigma", "target")
@@ -616,24 +612,30 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
 
 
 def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
-    """Three-route critical values on the standard models plus barrier
+    """Three-route critical values of the config's mechanical model, whose c
+    is max U over the nodes, and of the shifted quadratic, plus barrier
     structure diagnostics (triangle inequality, column residuals)."""
+    if cfg.model_name != "mechanical":
+        raise ConfigurationError(f"barrier_suite checks a mechanical model, not "
+                                 f"{cfg.model_name!r}")
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
 
-    mech = builtin_model("mechanical", d=cfg.d, U=parse_potential("cos:amp=1,freq=1"))
+    mech = cfg.model()
+    nodes = grid.node_coords()
+    c_mech = float(np.max(mech.H(nodes, np.zeros_like(nodes), 0.0)))    # max U
     vs_c = velocity_set(cfg.vmax, int(cfg.extras.get("m_critical", 33)), cfg.d)
-    cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vs_c, Tmax=cfg.tmax)
+    cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vs_c)
     tol_mech = _threshold(cfg, "critical_tol_mechanical", 0.05)
-    ok1 = cd.spread <= tol_mech and abs(cd.c - 1.0) <= tol_mech
+    ok1 = cd.spread <= tol_mech and abs(cd.c - c_mech) <= tol_mech
     stages.append(StageRecord("critical_mechanical", ok1, {
-        "per_method": cd.per_method, "spread": cd.spread, "analytic": 1.0}))
+        "per_method": cd.per_method, "spread": cd.spread, "analytic": c_mech}))
 
     alpha = _alpha(cfg.extras.get("alpha") or str((np.sqrt(5.0) - 1.0) / 2.0), cfg.d,
                    "extras.alpha")
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
     vs = cfg.vset()
-    cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs, Tmax=cfg.tmax)
+    cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs)
     tol_sq = _threshold(cfg, "critical_tol_shifted", 0.02)
     half_a2 = float(0.5 * np.sum(alpha**2))
     ok2 = all(abs(v - half_a2) <= tol_sq for v in cd2.per_method.values())

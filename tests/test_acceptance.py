@@ -74,10 +74,10 @@ def test_criterion_2_critical_value_three_way(mech128):
     grid = build_grid(1, 128)
     mech = builtin_model("mechanical", U=COS)
     cd_mech = critical_value(mech, ("lp", "discount", "longtime"), grid,
-                             velocity_set(3.0, 33), Tmax=24.0)
+                             velocity_set(3.0, 33))
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
     cd_sq = critical_value(sq, ("lp", "discount", "longtime"), grid,
-                           velocity_set(3.0, 49), Tmax=24.0)
+                           velocity_set(3.0, 49))
     elapsed = time.time() - t0
     mech_vals = cd_mech.per_method
     sq_vals = cd_sq.per_method

@@ -1,28 +1,75 @@
-"""The min-plus powers of the one-step action matrix against the stepwise DP
-of `evolve_action`, their oracle: the same finite entries up to roundoff, the
-same unreachable (BIG) pairs, and the same long-time critical value.  The
-retired column-gather step and right-to-left powering are kept here as
-oracles of the row-gather step (bit for bit) and of the left-to-right
-powering and its diagonal (`closed_walks`, within 1e-12)."""
+"""The retired long-time route, min-plus powers of the one-step action
+matrix, kept here as oracles: against the stepwise DP of `evolve_action`,
+the same finite entries up to roundoff and the same unreachable (BIG)
+pairs; and the cheapest closed walks of T/dt steps within their gap of the
+exact T -> infinity limit, Howard's c.  The retired column-gather step and
+right-to-left powering are oracles of the row-gather step (bit for bit) and
+of the left-to-right powering and its diagonal (`closed_walks`, within
+1e-12)."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_critical_howard import KINDS, lattice_case, smooth_lagrangian, table_lagrangian
 from test_peierls_exact import magnetic_well, smooth_potential
-from torushj.barrier import (
-    BIG,
-    _ActionKernel,
-    _min_plus,
-    critical_value,
-    evolve_action,
-    initial_action_matrix,
-)
+from torushj.barrier import BIG, _ActionKernel, evolve_action, initial_action_matrix
 from torushj.grids import build_grid
+from torushj.matherlp import build_polytope
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import default_dt
 
 STEPS = st.one_of(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64]), st.integers(1, 80))
+
+
+def diagonal_seed(kern):
+    """h_0: zero on the diagonal, unreachable (BIG) elsewhere."""
+    N = kern.take.shape[1]
+    A = np.full((N, N), BIG)
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+def min_plus(A, B):
+    """C[i, j] = min_k A[i, k] + B[k, j], clamped at BIG like the step.
+    Rows go in blocks whose (rows, N, N) temporary stays near 1 MB."""
+    N = A.shape[0]
+    C = np.empty_like(A)
+    rows = max(1, (1 << 17) // (N * N))
+    for i in range(0, N, rows):
+        np.min(A[i:i + rows, :, None] + B[None], axis=1, out=C[i:i + rows])
+    return np.minimum(C, BIG, out=C)
+
+
+def one_step(kern):
+    """h_dt: entry (foot, head) is the cheapest arc between the two, BIG
+    where no arc joins them."""
+    N = kern.take.shape[1]
+    h = np.full((N, N), BIG)
+    np.minimum.at(h, (kern.take, np.broadcast_to(np.arange(N), kern.take.shape)),
+                  kern.cost)
+    return h
+
+
+def power(kern, steps):
+    """h_{steps*dt} by left-to-right square-and-multiply: one dense squaring
+    per bit of steps after the leading one, then one `step` per set bit."""
+    if steps == 0:
+        return diagonal_seed(kern)
+    out = one_step(kern)
+    for bit in bin(steps)[3:]:
+        out = min_plus(out, out)
+        if bit == "1":
+            out = kern.step(out)
+    return out
+
+
+def closed_walks(kern, steps):
+    """diag h_{steps*dt} (steps >= 1): min_j P[i, j] + Q[j, i] with P the
+    power steps // 2 and Q = P for even steps, one `step` of P for odd."""
+    P = power(kern, steps // 2)
+    Q = kern.step(P) if steps & 1 else P
+    return np.minimum(np.min(P + Q.T, axis=1), BIG)
 
 
 def column_gather_step(kern, A):
@@ -34,17 +81,17 @@ def column_gather_step(kern, A):
 
 
 def right_to_left_power(kern, steps):
-    """The retired `_ActionKernel.power`: right-to-left binary powering of
-    h_dt, itself one step of the diagonal seed (steps >= 1)."""
-    base = column_gather_step(kern, initial_action_matrix(kern.grid).values)
+    """The retired right-to-left binary powering of h_dt, itself one step of
+    the diagonal seed (steps >= 1)."""
+    base = column_gather_step(kern, diagonal_seed(kern))
     out = None
     while True:
         if steps & 1:
-            out = base if out is None else _min_plus(out, base)
+            out = base if out is None else min_plus(out, base)
         steps >>= 1
         if not steps:
             return out
-        base = _min_plus(base, base)
+        base = min_plus(base, base)
 
 
 def assert_same_action(got, want):
@@ -59,11 +106,9 @@ def assert_same_action(got, want):
 def assert_power_matches_dp(model, grid, vset, dt, steps):
     kern = _ActionKernel(model, grid, vset, dt)
     want = evolve_action(model, grid, vset, T=steps * dt, dt=dt).values
-    unreachable = assert_same_action(kern.power(steps), want)
+    unreachable = assert_same_action(power(kern, steps), want)
     assert_same_action(right_to_left_power(kern, steps), want)
-    assert_same_action(kern.closed_walks(steps), np.diag(want))
-    c = critical_value(model, "longtime", grid, vset, dt=dt, Tmax=steps * dt).c
-    assert c == pytest.approx(-np.min(np.diag(want)) / (steps * dt), rel=0, abs=1e-12)
+    assert_same_action(closed_walks(kern, steps), np.diag(want))
     return unreachable
 
 
@@ -115,7 +160,7 @@ def test_closed_walks_match_every_horizon_of_the_dp(d, n, m, doubled):
     A = initial_action_matrix(grid).values
     for s in range(1, 81):
         A = kern.step(A)
-        assert_same_action(kern.closed_walks(s), np.diag(A))
+        assert_same_action(closed_walks(kern, s), np.diag(A))
 
 
 @settings(max_examples=15, deadline=None)
@@ -131,7 +176,7 @@ def test_row_gather_step_is_the_column_gather_step(seed, d, m, doubled, fortran,
     kern = _ActionKernel(model_1d(seed, True) if d == 1 else model_2d(seed, True),
                          grid, vset, dt)
     rng = np.random.default_rng(seed)
-    A = kern.power(steps) + rng.normal(scale=0.1, size=(grid.size,) * 2)
+    A = power(kern, steps) + rng.normal(scale=0.1, size=(grid.size,) * 2)
     A[rng.random(A.shape) < 0.2] = BIG
     A = np.minimum(A, BIG)
     if fortran:
@@ -147,8 +192,8 @@ def test_one_step_matrix_is_one_step_of_the_seed(doubled):
     dt = default_dt(grid, vset) * (2 if doubled else 1)
     kern = _ActionKernel(model_1d(9, True), grid, vset, dt)
     np.testing.assert_array_equal(
-        kern.one_step(), column_gather_step(kern, initial_action_matrix(grid).values))
-    np.testing.assert_array_equal(kern.power(0), initial_action_matrix(grid).values)
+        one_step(kern), column_gather_step(kern, initial_action_matrix(grid).values))
+    np.testing.assert_array_equal(power(kern, 0), initial_action_matrix(grid).values)
 
 
 @pytest.mark.parametrize("steps", [1, 33, 64, 80])
@@ -164,3 +209,26 @@ def test_doubled_dt_keeps_odd_offsets_unreachable(steps):
                                           2 * default_dt(grid, vset), steps)
     odd = np.add.outer(np.arange(16), np.arange(16)) % 2 == 1
     assert np.all(unreachable[odd])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from([1, 2]),
+       kind=st.sampled_from(KINDS + ["table"]), doubled=st.booleans(),
+       Tmax=st.sampled_from([6.0, 12.0]))
+def test_longtime_powering_within_its_gap(seed, d, kind, doubled, Tmax):
+    # closed walks of s arcs cost >= s * eta (the reduced weights are >= 0),
+    # and s arcs around a min-mean cycle of length l plus (s mod l) rest
+    # arcs cost <= s * eta + (l - 1) * dt * (max L0 + c): so
+    # 0 <= c - c_T <= (N - 1) * dt * (max L0 + c) / T
+    grid, vset, dt = lattice_case(d, 16 if d == 1 else 5, 9 if d == 1 else 3, doubled)
+    if kind == "table":
+        rng = np.random.default_rng(seed)
+        model = table_lagrangian(grid, vset, rng.uniform(-1, 1, (grid.size, vset.count)))
+    else:
+        model = smooth_lagrangian(seed, d, kind)
+    poly = build_polytope(model, grid, vset, dt)
+    steps = round(Tmax / dt)
+    T = steps * dt
+    c_T = -float(np.min(closed_walks(_ActionKernel(model, grid, vset, dt), steps))) / T
+    gap = (grid.size - 1) * dt * (float(np.max(poly.action)) + poly.c) / T
+    assert -1e-12 <= poly.c - c_T <= gap + 1e-12

@@ -166,7 +166,7 @@ solve_lambdas = 0.5
     cfg_path.write_text(cfg_text)
     res = run_experiment(str(cfg_path), output=str(tmp_path / "out"))
     man = json.load(open(os.path.join(res.outdir, "manifest.json")))
-    for key in ("tol", "max_iter", "n", "vmax", "m", "lambdas", "dt", "tmax", "seed"):
+    for key in ("tol", "max_iter", "n", "vmax", "m", "lambdas", "dt", "seed"):
         assert key in man["parameters"]
     assert man["passed"] is True
     assert {s["name"] for s in man["stages"]} == {"critical_value", "certificates", "solves"}

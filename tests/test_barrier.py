@@ -238,14 +238,6 @@ def test_offlattice_dt_warns_unreachable(mech_cos):
         critical_value(mech_cos, "longtime", grid, vset, dt=0.03)
 
 
-@pytest.mark.parametrize("Tmax", [0.01, -5.0])
-def test_longtime_needs_one_step(mech_cos, Tmax):
-    # round(Tmax / dt) = 0 would divide h_0's zero diagonal and report c = 0
-    grid = build_grid(1, 16)
-    with pytest.raises(ConfigurationError, match="no step"):
-        critical_value(mech_cos, "longtime", grid, velocity_set(2.0, 9), Tmax=Tmax)
-
-
 def test_evolve_action_refuses_a_negative_horizon(mech_cos):
     # round(T / dt) < 0 would return h_0 labelled with the negative time
     grid, vset = build_grid(1, 16), velocity_set(2.0, 9)

@@ -148,18 +148,10 @@ def test_validate_applies_the_model_rules():
 def test_threshold_keys_are_case_blind(tmp_path):
     path = tmp_path / "barrier.cfg"
     path.write_text("[experiment]\nkind = barrier_suite\n[grid]\nn = 16\n"
-                    "[velocities]\nvmax = 2.0\nm = 9\n[barrier]\ntmax = 8.0\n"
+                    "[velocities]\nvmax = 2.0\nm = 9\n"
                     "[thresholds]\ncolumn_residual_C = 7.0\n[extras]\nm_critical = 9\n")
     res = run_experiment(str(path), output=str(tmp_path / "out"))
     assert res.stages[-1].details["column_bound"] == 7.0 / 16
-
-
-@pytest.mark.parametrize("tmax", [0.0, -5.0, float("nan")])
-def test_config_rejects_nonpositive_tmax(tmax):
-    cfg = ExperimentConfig(kind="barrier_suite", name="b", model_name="mechanical",
-                           model_params={}, tmax=tmax)
-    with pytest.raises(ConfigurationError, match="tmax"):
-        cfg.validate()
 
 
 def test_small_example_pipeline(tmp_path):
@@ -169,7 +161,7 @@ def test_small_example_pipeline(tmp_path):
         model_params={"alpha": (np.sqrt(5) - 1) / 2,
                       "target": parse_potential("sin:freq=1,offset=0.3")},
         n=32, vmax=2.0, m=17, tol=1e-8, max_iter=100000,
-        lambdas=(0.1, 0.03), tmax=12.0,
+        lambdas=(0.1, 0.03),
         thresholds={"final_sup_error": 0.2},
     )
     res = run_experiment(cfg, output=str(tmp_path / "out"))
@@ -187,7 +179,7 @@ def test_small_example_pipeline(tmp_path):
 def test_barrier_suite_runs_in_two_dimensions(tmp_path):
     cfg = ExperimentConfig(
         kind="barrier_suite", name="barrier_2d", model_name="mechanical",
-        model_params={}, d=2, n=8, vmax=2.0, m=7, tmax=8.0,
+        model_params={}, d=2, n=8, vmax=2.0, m=7,
         extras={"m_critical": "7", "alpha": "0.3, 0.5"},
     )
     res = run_experiment(cfg, output=str(tmp_path / "out"))
@@ -197,6 +189,47 @@ def test_barrier_suite_runs_in_two_dimensions(tmp_path):
     shifted = res.stages[1].details
     assert shifted["analytic"] == pytest.approx(0.5 * (0.3**2 + 0.5**2))
     assert set(shifted["per_method"]) == {"lp", "discount", "longtime"}
+
+
+BARRIER_SUITE = """
+[experiment]
+kind = barrier_suite
+
+[model]
+name = {model}
+U = cos:amp=2,freq=1
+
+[grid]
+n = 16
+
+[velocities]
+vmax = 2.0
+m = 9
+
+[extras]
+m_critical = 9
+"""
+
+
+def test_barrier_suite_checks_the_model_it_names(tmp_path):
+    # c = max U over the nodes: 2 for this amplitude, which every route finds
+    path = tmp_path / "barrier.cfg"
+    path.write_text(BARRIER_SUITE.format(model="mechanical"))
+    res = run_experiment(str(path), output=str(tmp_path / "out"))
+    assert res.passed
+    mech = res.stages[0].details
+    assert mech["analytic"] == 2.0
+    assert all(abs(c - 2.0) <= 0.05 for c in mech["per_method"].values())
+
+
+def test_barrier_suite_refuses_a_model_other_than_mechanical(tmp_path):
+    path = tmp_path / "barrier.cfg"
+    path.write_text(BARRIER_SUITE.format(model="shifted_quadratic"))
+    res = run_experiment(str(path), output=str(tmp_path / "out"))
+    assert not res.passed
+    assert [s.name for s in res.stages] == ["fatal"]
+    assert res.stages[0].error.startswith("ConfigurationError: barrier_suite checks "
+                                          "a mechanical model")
 
 
 EXAMPLE_6_1_2D = """
@@ -252,7 +285,7 @@ def test_failing_stage_recorded(tmp_path):
         kind="example_6_1", name="e61_fail",
         model_name="shifted_quadratic",
         model_params={"alpha": 0.3},
-        n=16, vmax=1.0, m=5, lambdas=(0.1,), tmax=8.0,
+        n=16, vmax=1.0, m=5, lambdas=(0.1,),
         thresholds={"final_sup_error": 1e-12},   # unreachable on purpose
     )
     res = run_experiment(cfg, output=str(tmp_path / "out"))

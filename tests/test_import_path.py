@@ -25,10 +25,10 @@ from torushj.models import builtin_model, velocity_set
 seen = [loaded()]
 mech = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1"))
 grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
-cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vset, Tmax=4.0)
+cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vset)
 seen.append(loaded())
 cfg = ExperimentConfig(kind="barrier_suite", name="b", model_name="mechanical",
-                       model_params={}, n=16, vmax=2.0, m=9, tmax=4.0,
+                       model_params={}, n=16, vmax=2.0, m=9,
                        extras={"m_critical": "9"})
 run_experiment(cfg, output=sys.argv[1])
 seen.append(loaded())

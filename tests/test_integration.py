@@ -105,5 +105,5 @@ def test_2d_barrier_column(setup_2d):
     assert abs(h.values[0, 0]) <= 0.05
     col = h.values[0, :]
     assert int(np.argmin(col)) == 0
-    cd = critical_value(model, "longtime", grid, vset, Tmax=12.0)
+    cd = critical_value(model, "longtime", grid, vset)
     assert cd.c == pytest.approx(2.0, abs=0.05)
