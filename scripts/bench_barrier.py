@@ -28,17 +28,17 @@ Usage:  python scripts/bench_barrier.py [--repeat 5] [--parent DIR --pairs 10]
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
-import time
 from statistics import median
 
 import numpy as np
-import scipy
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
+from bench_critical import best, machine                       # noqa: E402
 from torushj.barrier import BIG, _ActionKernel, karp_min_mean  # noqa: E402
 from torushj.experiments import parse_potential                # noqa: E402
 from torushj.grids import build_grid                           # noqa: E402
@@ -46,7 +46,6 @@ from torushj.matherlp import build_polytope                    # noqa: E402
 from torushj.models import builtin_model, velocity_set          # noqa: E402
 from torushj.solver import default_dt                           # noqa: E402
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHA = 0.6180339887498949
 TMAX = 24.0
 
@@ -89,33 +88,6 @@ def retired_longtime(kern, steps):
             P = kern.step(P)
     Q = kern.step(P) if steps & 1 else P
     return np.minimum(np.min(P + Q.T, axis=1), BIG)
-
-
-def best(fn, repeat):
-    times, out = [], None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), out
-
-
-def machine():
-    cpu = "unknown"
-    try:
-        with open("/proc/cpuinfo") as f:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in f
-                        if ln.startswith("model name")), cpu)
-    except OSError:
-        pass
-    try:
-        commit = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty"],
-                                capture_output=True, text=True).stdout.strip() or "unknown"
-    except OSError:
-        commit = "unknown"
-    return {"nproc": os.cpu_count(), "cpu_model": cpu,
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "commit": commit}
 
 
 def workload_wall(checkout):

@@ -46,11 +46,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid
 from .matherlp import MatherPolytope, build_polytope
 from .models import ControlModel, VelocitySet, discounted_wrapper
-from .solver import Transition, default_dt, lambda_sweep, on_arcs
+from .solver import Transition, default_dt, on_arcs, solve_perturbed
 
 __all__ = [
     "BIG",
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 BIG = 1e18
-DISCOUNT_SCHEDULE = (0.1, 0.05, 0.02, 0.01)     # critical_value's "discount" route
+DISCOUNT_LAMBDA = 0.01          # critical_value's "discount" route
 
 
 @dataclass
@@ -184,13 +184,14 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     or more methods the spread records their maximum disagreement and c is
     taken from the first.  The lp route is `build_polytope`'s c, the optimum
     of the closed-measure LP: certified policy iteration with integer hops,
-    HiGHS off the lattice; discount solves
-    lam*w + H^0(x, dw) = 0 and reads off -mean(lam*w) at the smallest
-    lam of DISCOUNT_SCHEDULE; longtime is the T -> infinity limit of
-    -min_x h_T(x, x)/T, exactly, by Karp's theorem on the action DP's arcs
-    (`karp_min_mean`): N + 1 Bellman steps of a vector, N^2 K work.  The
-    longtime route needs whole-cell hops and raises ConfigurationError
-    without them.
+    HiGHS off the lattice; discount solves lam*w + H^0(x, dw) = 0 once, at
+    lam = DISCOUNT_LAMBDA, by Howard's policy iteration (`solve_perturbed`
+    on `discounted_wrapper(model)`), reads off -mean(lam*w) and raises
+    SolveError if that solve does not converge; longtime is the
+    T -> infinity limit of -min_x h_T(x, x)/T, exactly, by Karp's theorem
+    on the action DP's arcs (`karp_min_mean`): N + 1 Bellman steps of a
+    vector, N^2 K work.  The longtime route needs whole-cell hops and
+    raises ConfigurationError without them.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if dt is None:
@@ -200,13 +201,12 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
         if meth == "lp":
             values["lp"] = build_polytope(model, grid, vset, dt).c
         elif meth == "discount":
-            disc = discounted_wrapper(model)
-            entries = lambda_sweep(disc, DISCOUNT_SCHEDULE,
-                                   grid, vset, dt=dt, tol=1e-9)
-            last = entries[-1]
-            if last.field is None:
-                raise ConfigurationError(f"discount route failed: {last.error}")
-            values["discount"] = -last.lam * float(np.mean(last.field.values))
+            w, rep = solve_perturbed(discounted_wrapper(model), DISCOUNT_LAMBDA,
+                                     grid, vset, dt=dt, tol=1e-9)
+            if not rep.converged:
+                raise SolveError(f"discount route: the solve at lam = {DISCOUNT_LAMBDA:g} "
+                                 f"stopped at residual {rep.final_residual:.3g}")
+            values["discount"] = -DISCOUNT_LAMBDA * float(np.mean(w.values))
         elif meth == "longtime":
             kern = _ActionKernel(model, grid, vset, dt)
             values["longtime"] = -karp_min_mean(kern.take, kern.cost) / dt

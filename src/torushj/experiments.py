@@ -236,14 +236,15 @@ def convergence_report(sweep_entries, reference: GridField,
     """Sup-norm errors of a lambda sweep against a reference field.
 
     The monotone flag records whether each error stays within `factor` of its
-    predecessor (nonincreasing up to that slack).
+    predecessor (nonincreasing up to that slack).  A failed entry re-raises
+    its own exception type, naming its lam.
     """
     if not sweep_entries:
         raise ConfigurationError("empty sweep")
     rows = []
     for e in sweep_entries:
         if e.field is None:
-            raise ConfigurationError(f"sweep entry lam={e.lam} failed: {e.error}")
+            raise type(e.error)(f"sweep entry lam={e.lam} failed: {e.error}") from e.error
         err = float(np.max(np.abs(e.field.values - reference.values)))
         rows.append((e.lam, err, e.report.iterations, e.report.final_residual))
     mono = all(b[1] <= factor * a[1] + 1e-15 for a, b in zip(rows, rows[1:]))

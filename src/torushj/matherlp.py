@@ -145,7 +145,6 @@ class MatherPolytope:
     """
 
     arcs: Transition             # the one transition kernel of (grid, vset, dt)
-    C: sparse.csr_matrix
     action: np.ndarray           # L0 per (node, velocity), flat
     c: Optional[float] = None    # critical value; -c is the LP optimum
     tol_min: float = 1e-9
@@ -198,6 +197,12 @@ class MatherPolytope:
         return aubry, label, aubry[np.unique(label, return_index=True)[1]]
 
     @cached_property
+    def C(self) -> sparse.csr_matrix:
+        """`closedness_operator(self.arcs)`, built on first use: the lattice
+        routes never read it, only the LPs and closedness checks do."""
+        return closedness_operator(self.arcs)
+
+    @cached_property
     def barrier(self):
         """`barrier.peierls_barrier(self)`, computed once; read-only values."""
         from .barrier import peierls_barrier      # barrier imports this module
@@ -240,7 +245,7 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     else:
         head, w = arcs.heads
         action = np.sum(L0[kk[..., None], head] * w, axis=-1).T.ravel()
-    poly = MatherPolytope(arcs=arcs, C=closedness_operator(arcs), action=action)
+    poly = MatherPolytope(arcs=arcs, action=action)
     if not with_critical:
         return poly
     if not arcs.integer_hops:

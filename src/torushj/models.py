@@ -12,9 +12,9 @@ All evaluators broadcast numpy-style: x, p, v have shape (..., d) and u is a
 scalar or (...) array; results have shape (...).  The discount weight
 sigma = -dL/du(x, v, 0) of the sigma-discounted family is read through dLdu0.
 
-Built-in models carry analytic Lagrangians; the numeric Fenchel transform
-below exists for user-supplied Hamiltonians and as a cross-check.  It is not
-on any hot path.
+Every built-in model is u-separable, H = phi(x, u) + H0(x, p), and carries
+the analytic Lagrangian L = L0(x, v) - phi(x, u); the numeric Fenchel
+transform below serves user-supplied Hamiltonians and cross-checks only.
 """
 
 from __future__ import annotations
@@ -172,112 +172,72 @@ def _sq_norm(a) -> np.ndarray:
     return (a * a).sum(axis=-1)
 
 
+def _separable(name: str, d: int, H0: Callable, L0: Callable, phi: Callable,
+               sigma: Callable, V0: Callable, **fields) -> ControlModel:
+    """The u-separable model H = phi(x, u) + H0(x, p), L = L0(x, v) - phi(x, u),
+    with L0 the conjugate of H0, phi(x, 0) = 0 and sigma = dphi/du(x, 0) > 0;
+    V(x, lam) = V0(x).  `fields` sets H_inf_u, c0, p_box and params."""
+    return ControlModel(
+        name=name, d=d,
+        H=lambda x, p, u: phi(x, u) + H0(x, p),
+        L=lambda x, v, u: L0(x, v) - phi(x, u),
+        dLdu0=lambda x, v: -sigma(x) * _arc_ones(x, v),
+        dHdu0=lambda x, p: sigma(x) * _arc_ones(x, p),
+        V=lambda x, lam: V0(x),
+        V0=V0,
+        L_u_part=lambda x, u: -phi(x, u),
+        **fields,
+    )
+
+
 def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
-    """Construct one of the named built-in models.
+    """One of the named built-in models.  Each is u-separable (`_separable`),
+    with the analytic conjugate L0 of H0, so no numeric conjugation enters
+    the solvers:
 
-    mechanical        H = sigma(x) u + |p|^2/2 + U(x)
-    shifted_quadratic H = u + |p + alpha|^2/2        (alpha a d-vector)
-    arctan_discount   H = arctan(u) + |p|^2,  V = pi/2
-    sigma_discounted  H = sigma(x) u + |p|^2/2 + U(x),  V = -sigma(x) phi(x)
+    mechanical        phi = sigma(x) u,  H0 = |p|^2/2 + U(x)
+    shifted_quadratic phi = u,           H0 = |p + alpha|^2/2   (alpha a d-vector)
+    arctan_discount   phi = arctan(u),   H0 = |p|^2,  V = pi/2
+    sigma_discounted  phi = sigma(x) u,  H0 = |p|^2/2 + U(x),  V = -sigma(x) phi(x)
 
-    Every built-in carries an analytic Lagrangian and its u-derivative, so no
-    numeric conjugation enters the solvers.  `potential` (a callable or
-    constant) populates V(x, lam) = potential(x) for the mechanical and
-    shifted_quadratic families.
+    `potential` (a callable or constant) populates V(x, lam) = potential(x)
+    for the mechanical and shifted_quadratic families.
     """
     if name not in BUILTIN_MODEL_NAMES:
         raise ConfigurationError(f"unknown model {name!r}; choose from {BUILTIN_MODEL_NAMES}")
-
+    # phi = u does not broadcast over x, so that an x-free H0 keeps H free of x
+    phi, sigma = (lambda x, u: np.asarray(u)), _as_potential(1.0)
+    V0 = _as_potential(params.get("potential"))
+    fields = {"params": dict(params)}
     if name == "shifted_quadratic":
         alpha = np.atleast_1d(np.asarray(params.get("alpha", (np.sqrt(5.0) - 1.0) / 2.0), dtype=float))
         if alpha.size != d:
             raise ConfigurationError(f"alpha must have {d} components")
-        Vfun = _as_potential(params.get("potential"))
-
-        def H(x, p, u):
-            return u + 0.5 * _sq_norm(np.asarray(p) + alpha)
-
-        def L(x, v, u):
-            v = np.asarray(v, dtype=float)
-            return 0.5 * _sq_norm(v) - v @ alpha - np.asarray(u)
-
-        return ControlModel(
-            name=name, d=d, H=H, L=L,
-            dLdu0=lambda x, v: -_arc_ones(x, v),
-            dHdu0=lambda x, p: _arc_ones(x, p),
-            V=lambda x, lam: Vfun(x),
-            V0=Vfun,
-            c0=None,
-            L_u_part=lambda x, u: -np.asarray(u) * np.ones(np.asarray(x).shape[:-1]),
-            params={"alpha": alpha.copy(), **{k: v for k, v in params.items() if k != "alpha"}},
-        )
-
-    if name == "arctan_discount":
-        def H(x, p, u):
-            return np.arctan(u) + _sq_norm(p)
-
-        def L(x, v, u):
-            # sup_p <p,v> - |p|^2 - arctan(u) = |v|^2/4 - arctan(u)
-            return 0.25 * _sq_norm(v) - np.arctan(u) * np.ones(np.asarray(x).shape[:-1])
-
-        return ControlModel(
-            name=name, d=d, H=H, L=L,
-            dLdu0=lambda x, v: -_arc_ones(x, v),
-            dHdu0=lambda x, p: _arc_ones(x, p),
-            V=lambda x, lam: np.full(np.asarray(x).shape[:-1], np.pi / 2),
-            V0=lambda x: np.full(np.asarray(x).shape[:-1], np.pi / 2),
-            c0=None,
-            L_u_part=lambda x, u: -np.arctan(u) * np.ones(np.asarray(x).shape[:-1]),
-            H_inf_u=lambda x: np.full(np.asarray(x).shape[:-1], -np.pi / 2),
-            params=dict(params),
-        )
-
-    # mechanical and sigma_discounted share the dissipative mechanical form.
-    Ufun = _as_potential(params.get("U"))
-    sigfun = _as_potential(params.get("sigma", 1.0))
-    if name == "sigma_discounted":
-        phifun = _as_potential(params.get("phi"))
-        Vfun = lambda x: -sigfun(x) * phifun(x)
-    else:
-        Vfun = _as_potential(params.get("potential"))
-
-    def H(x, p, u):
-        return sigfun(x) * np.asarray(u) + 0.5 * _sq_norm(p) + Ufun(x)
-
-    def L(x, v, u):
-        return 0.5 * _sq_norm(v) - Ufun(x) - sigfun(x) * np.asarray(u)
-
-    return ControlModel(
-        name=name, d=d, H=H, L=L,
-        dLdu0=lambda x, v: -sigfun(x) * _arc_ones(x, v),
-        dHdu0=lambda x, p: sigfun(x) * _arc_ones(x, p),
-        V=lambda x, lam: Vfun(x),
-        V0=Vfun,
-        c0=None,
-        L_u_part=lambda x, u: -sigfun(x) * np.asarray(u),
-        params=dict(params),
-    )
+        H0 = lambda x, p: 0.5 * _sq_norm(np.asarray(p) + alpha)
+        L0 = lambda x, v: 0.5 * _sq_norm(v) - np.asarray(v, dtype=float) @ alpha
+        fields["params"] = {"alpha": alpha.copy(),
+                            **{k: v for k, v in params.items() if k != "alpha"}}
+    elif name == "arctan_discount":
+        # sup_p <p,v> - |p|^2 = |v|^2/4
+        H0, L0 = (lambda x, p: _sq_norm(p)), (lambda x, v: 0.25 * _sq_norm(v))
+        phi, V0 = (lambda x, u: np.arctan(u)), _as_potential(np.pi / 2)
+        fields["H_inf_u"] = _as_potential(-np.pi / 2)
+    else:       # mechanical and sigma_discounted: the dissipative mechanical form
+        U, sigma = _as_potential(params.get("U")), _as_potential(params.get("sigma", 1.0))
+        H0 = lambda x, p: 0.5 * _sq_norm(p) + U(x)
+        L0 = lambda x, v: 0.5 * _sq_norm(v) - U(x)
+        phi = lambda x, u: sigma(x) * np.asarray(u)
+        if name == "sigma_discounted":
+            phifun = _as_potential(params.get("phi"))
+            V0 = lambda x: -sigma(x) * phifun(x)
+    return _separable(name, d, H0, L0, phi, sigma, V0, **fields)
 
 
 def discounted_wrapper(model: ControlModel) -> ControlModel:
-    """The plainly discounted family  lam*w + H(x, dw, 0) = 0  for a model's H^0.
-
-    Used by the `discount` route to the critical value: lam*w_lam converges to
-    -c(H^0).  The wrapper's own critical value is 0 by construction.
-    """
-    base_L = model.L
-    base_H = model.H
-
-    return ControlModel(
-        name=f"discounted({model.name})", d=model.d,
-        H=lambda x, p, u, _H=base_H: np.asarray(u) + _H(x, p, 0.0),
-        L=lambda x, v, u, _L=base_L: _L(x, v, 0.0) - np.asarray(u),
-        dLdu0=lambda x, v: -_arc_ones(x, v),
-        dHdu0=lambda x, p: _arc_ones(x, p),
-        V=lambda x, lam: np.zeros(np.asarray(x).shape[:-1]),
-        V0=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        c0=0.0,
-        L_u_part=lambda x, u: -np.asarray(u) * np.ones(np.asarray(x).shape[:-1]),
-        p_box=model.p_box,
-        params={"base": model.name},
-    )
+    """The plainly discounted family  lam*w + H(x, dw, 0) = 0  of a model's
+    H^0, whose own critical value is 0: the `discount` route to the critical
+    value reads -c(H^0) off lam*w_lam."""
+    return _separable(f"discounted({model.name})", model.d,
+                      lambda x, p: model.H(x, p, 0.0), lambda x, v: model.L(x, v, 0.0),
+                      lambda x, u: np.asarray(u), _as_potential(1.0), _as_potential(None),
+                      c0=0.0, p_box=model.p_box, params={"base": model.name})

@@ -430,7 +430,7 @@ class SweepEntry:
     lam: float
     field: Optional[GridField]
     report: Optional[SolveReport]
-    error: Optional[str] = None
+    error: Optional[Exception] = None       # the failed solve's own exception
 
 
 def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
@@ -438,8 +438,9 @@ def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
     """Solve a strictly descending discount schedule with warm starts.
 
     The typed failures of one solve (SolveError, ConfigurationError, and
-    DomainError from a non-finite field) are recorded in its entry and do not
-    abort the sweep; any other exception propagates.
+    DomainError from a non-finite field) are recorded, as the exception
+    itself, in its entry and do not abort the sweep; any other exception
+    propagates.
     """
     lams = [float(x) for x in lambdas]
     if any(b >= a for a, b in zip(lams, lams[1:])):
@@ -452,5 +453,5 @@ def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
             out.append(SweepEntry(lam, fld, rep))
             warm = fld
         except (SolveError, ConfigurationError, DomainError) as exc:
-            out.append(SweepEntry(lam, None, None, error=str(exc)))
+            out.append(SweepEntry(lam, None, None, error=exc))
     return out

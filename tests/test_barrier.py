@@ -12,11 +12,12 @@ from torushj.barrier import (
     peierls_barrier,
     solution_from_barrier,
 )
-from torushj.errors import ConfigurationError
+import torushj.barrier as barrier
+from torushj.errors import ConfigurationError, SolveError
 from torushj.grids import build_grid
 from torushj.matherlp import build_polytope
-from torushj.models import builtin_model, velocity_set
-from torushj.solver import default_dt, residual
+from torushj.models import builtin_model, discounted_wrapper, velocity_set
+from torushj.solver import default_dt, lambda_sweep, residual, solve_perturbed
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
@@ -97,6 +98,46 @@ def test_critical_value_three_routes(mech_cos):
     assert cd.spread <= 0.05
     for v in cd.per_method.values():
         assert v == pytest.approx(1.0, abs=0.05)   # analytic c = max U
+
+
+def retired_discount_route(model, grid, vset):
+    """The retired "discount" route: a warm-started sweep of the discounted
+    family down to lam = 0.01, read off at its last entry."""
+    last = lambda_sweep(discounted_wrapper(model), (0.1, 0.05, 0.02, 0.01), grid, vset,
+                        dt=default_dt(grid, vset), tol=1e-9)[-1]
+    return -last.lam * float(np.mean(last.field.values))
+
+
+def _seeded_discount_case(seed, d):
+    rng = np.random.default_rng(seed)
+    k, phase, amp = int(rng.integers(1, 3)), rng.uniform(0, 1), rng.uniform(0.3, 1.5)
+    U = lambda x: amp * np.cos(2 * np.pi * (k * x.sum(axis=-1) + phase))
+    if seed % 3 == 0:
+        model = builtin_model("shifted_quadratic", d=d, alpha=rng.uniform(-0.8, 0.8, size=d),
+                              potential=U)
+    elif seed % 3 == 1:
+        model = builtin_model("mechanical", d=d, U=U)
+    else:
+        model = builtin_model("mechanical", d=d,
+                              U=lambda x: U(x) + 0.4 * np.sin(2 * np.pi * x[..., 0]))
+    if d == 1:
+        return model, build_grid(1, int(rng.choice([32, 64, 128]))), velocity_set(3.0, 33)
+    return model, build_grid(2, int(rng.choice([12, 16]))), velocity_set(2.0, 9, d=2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_discount_route_is_the_retired_sweep(seed, d):
+    model, grid, vset = _seeded_discount_case(seed, d)
+    new = critical_value(model, "discount", grid, vset).c
+    assert abs(new - retired_discount_route(model, grid, vset)) <= 1e-12
+
+
+def test_discount_route_refuses_an_unconverged_solve(mech_cos, monkeypatch):
+    monkeypatch.setattr(barrier, "solve_perturbed",
+                        lambda *args, **kw: solve_perturbed(*args, max_iter=0, **kw))
+    with pytest.raises(SolveError, match="discount route"):
+        critical_value(mech_cos, "discount", build_grid(1, 32), velocity_set(3.0, 33))
 
 
 def test_critical_value_free_lp_exact():

@@ -1,10 +1,11 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import torushj.barrier as barrier
-from torushj.errors import ConfigurationError
+from torushj.errors import ConfigurationError, DomainError
 from torushj.experiments import (
     ExperimentConfig,
     convergence_report,
@@ -14,8 +15,8 @@ from torushj.experiments import (
     run_experiment,
 )
 from torushj.grids import GridField, build_grid
-from torushj.models import velocity_set
-from torushj.solver import SweepEntry, SolveReport
+from torushj.models import builtin_model, velocity_set
+from torushj.solver import SweepEntry, SolveReport, lambda_sweep
 
 
 def test_parse_potential_grammar():
@@ -60,6 +61,18 @@ def test_convergence_report_rows_and_monotonicity():
     # an error jump beyond the factor clears the flag
     bad = [_entry(grid, 0.1, np.full(8, 0.01)), _entry(grid, 0.05, np.full(8, 0.05))]
     assert not convergence_report(bad, ref).monotone_within_factor
+
+
+def test_convergence_report_keeps_the_failure_type():
+    # a sweep entry whose solve left the field non-finite is a DomainError,
+    # and the report re-raises that type, naming the entry's lam
+    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1")).with_c0(1.0)
+    nan_V = dataclasses.replace(model, V=lambda x, lam: np.full(x.shape[:-1], np.nan))
+    entries = lambda_sweep(nan_V, [0.5], grid, vset, max_iter=3)
+    with pytest.raises(DomainError, match="lam=0.5 failed: .*finite") as info:
+        convergence_report(entries, GridField.constant(grid, 0.0))
+    assert info.value.__cause__ is entries[0].error
 
 
 def test_export_all_dispatch(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torushj.errors import ConfigurationError
+from torushj.errors import ConfigurationError, DomainError
 from torushj.grids import GridField, build_grid
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import (
@@ -209,12 +209,14 @@ def test_sweep_records_typed_failures_and_raises_others(small_setup):
     model = builtin_model("mechanical", U=COS).with_c0(1.0)
     # dt*lam*sigma >= 1 at lam = 10 is a ConfigurationError of that entry only
     entries = lambda_sweep(model, [10.0, 0.5], grid, vset, dt=dt, tol=1e-6)
-    assert entries[0].field is None and "monotonicity" in entries[0].error
+    assert entries[0].field is None and isinstance(entries[0].error, ConfigurationError)
+    assert "monotonicity" in str(entries[0].error)
     assert entries[1].field is not None and entries[1].report.converged
     # a non-finite field is a DomainError of that entry
     nan_V = dataclasses.replace(model, V=lambda x, lam: np.full(x.shape[:-1], np.nan))
     entries = lambda_sweep(nan_V, [0.5], grid, vset, dt=dt, max_iter=3)
-    assert entries[0].field is None and "finite" in entries[0].error
+    assert entries[0].field is None and isinstance(entries[0].error, DomainError)
+    assert "finite" in str(entries[0].error)
 
     def broken_L(x, v, u):
         raise TypeError("programming error")
