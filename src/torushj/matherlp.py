@@ -45,6 +45,13 @@ from a second LP that maximizes the mass movable off the support of the
 returned vertex while staying on the optimal face; reduced-cost inspection
 alone cannot tell a degenerate vertex from a genuine alternative optimum
 since those optima are typically sparse and thus heavily degenerate.
+
+Only the linear programs need scipy: the closedness operator
+(`closedness_operator`, `MatherPolytope.C`) and the LP helpers import
+`scipy.sparse` inside the function, and `_run_lp` imports HiGHS on the
+first LP.  Howard's policy iteration and `cycle_arcs` (Tarjan's strongly
+connected components) are plain numpy and Python, so a lattice run loads
+neither.
 """
 
 from __future__ import annotations
@@ -54,8 +61,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, DomainError, MatherLPError
 from .grids import PeriodicGrid
@@ -107,13 +112,16 @@ class DiscreteMeasure:
         return self.weights.sum(axis=1)
 
 
-def closedness_operator(arcs: Transition) -> sparse.csr_matrix:
-    """Sparse (N x N*K) operator whose rows vanish exactly on closed measures.
+def closedness_operator(arcs: Transition):
+    """Sparse (N x N*K) CSR operator whose rows vanish exactly on closed
+    measures.
 
     Row y evaluates sum_{(x,v)} w(x,v) * [binning weight of x + v*dt at y]
     minus sum_v w(y, v), with the heads of the kernel `arcs`.  Rows and
-    columns each sum to zero.
+    columns each sum to zero.  Only the LPs read it, so scipy.sparse is
+    imported here.
     """
+    from scipy import sparse
     N, K = arcs.grid.size, arcs.vset.count
     cols = np.arange(N * K)
     idx, w = arcs.heads
@@ -197,9 +205,9 @@ class MatherPolytope:
         return aubry, label, aubry[np.unique(label, return_index=True)[1]]
 
     @cached_property
-    def C(self) -> sparse.csr_matrix:
+    def C(self):
         """`closedness_operator(self.arcs)`, built on first use: the lattice
-        routes never read it, only the LPs and closedness checks do."""
+        routes never read it, only the LPs do."""
         return closedness_operator(self.arcs)
 
     @cached_property
@@ -212,9 +220,44 @@ class MatherPolytope:
 def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int):
     """Mask of the arcs foot -> head that lie on a cycle of the graph they
     form on N nodes, those whose ends share a strongly connected component,
-    and the component label of each node."""
-    G = sparse.csr_matrix((np.ones(foot.size), (foot, head)), shape=(N, N))
-    label = csgraph.connected_components(G, connection="strong")[1]
+    and the component label of each node.  The components come from
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972), iterative, in plain
+    Python: it runs on the critical or tight arcs, about N of them."""
+    succ = [[] for _ in range(N)]
+    for x, y in zip(foot.tolist(), head.tolist()):
+        succ[x].append(y)
+    index, low, label = [-1] * N, [0] * N, [-1] * N
+    stack, count, comps = [], 0, 0
+    for root in range(N):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, arcs = work[-1]
+            for y in arcs:
+                if index[y] < 0:          # descend to a new node
+                    index[y] = low[y] = count
+                    count += 1
+                    stack.append(y)
+                    work.append((y, iter(succ[y])))
+                    break
+                if label[y] < 0:          # y is on the stack
+                    low[x] = min(low[x], index[y])
+            else:                         # x is finished
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[x])
+                if low[x] == index[x]:    # x roots a component
+                    while True:
+                        y = stack.pop()
+                        label[y] = comps
+                        if y == x:
+                            break
+                    comps += 1
+    label = np.array(label)
     return label[foot] == label[head], label
 
 
@@ -408,6 +451,7 @@ def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
     Unboundedness cannot occur (mass constraint) and is surfaced as an
     internal error.
     """
+    from scipy import sparse
     N, K = polytope.grid.size, polytope.vset.count
     A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(np.ones((1, N * K)))])
     b_eq = np.zeros(N + 1)
@@ -419,6 +463,7 @@ def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
 
 
 def _mather_constraints(polytope: MatherPolytope):
+    from scipy import sparse
     if polytope.c is None:
         raise ConfigurationError("polytope.c unset; build with with_critical=True "
                                  "or fill it from critical_value")
@@ -435,6 +480,7 @@ def _movable_mass_off_support(polytope: MatherPolytope, cost: np.ndarray,
                               primal: np.ndarray, opt: float,
                               face_tol: float) -> float:
     """Max mass placeable outside the returned support while staying optimal."""
+    from scipy import sparse
     A_eq, b_eq, A_ub, b_ub = _mather_constraints(polytope)
     off = (primal <= 1e-9).astype(float)
     A_ub2 = sparse.vstack([A_ub, sparse.csr_matrix(cost[None, :])])
@@ -478,6 +524,7 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
     constraint becomes  nu.(L0 + c - tol_min) <= 0, and nu.|b| = 1 replaces
     the mass constraint; the probability measure is recovered as nu/sum(nu).
     """
+    from scipy import sparse
     a = np.asarray(numerator, dtype=float).ravel()
     b = np.asarray(denominator, dtype=float).ravel()
     if a.size != polytope.num_vars or b.size != polytope.num_vars:

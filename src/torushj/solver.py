@@ -27,7 +27,11 @@ chosen arcs.  For couplings affine in u this is exactly Howard's policy
 iteration (Bokanowski-Maroso-Zidani, SIAM J. Numer. Anal. 47, 2009), which
 ends in finitely many evaluations; otherwise it is a chord iteration that
 is exact on the constant mode.  A step that the bracket clamp leaves
-unchanged ends the solve as stalled.
+unchanged ends the solve as stalled.  The evaluation needs no sparse
+algebra (`Transition.evaluate_policy`): with integer hops P_pi maps each
+node to one foot, and a walk over the cycles and trees of that functional
+graph solves it exactly; off the lattice it is a dense numpy solve.  So the
+solver, like every lattice run, loads no `scipy.sparse`.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from operator import getitem, mul
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid, interpolation_stencil, product_lattice
@@ -62,6 +64,7 @@ __all__ = [
 
 LAMBDA_PROBES = (0.1, 0.01, 0.001)    # compute_bracket bounds |V(., lam)| at these
 CERTIFICATE_MARGIN = 1e-9             # nonexistence_certificate's margin above c0
+BRACKET_BLOCK = 1 << 16               # entries of one (momenta x nodes) block
 
 
 @dataclass
@@ -189,15 +192,62 @@ class Transition:
 
         return feet_at
 
-    def policy_matrix(self, pol: np.ndarray) -> sparse.csr_matrix:
-        """P_pi as an (N, N) CSR matrix: row x is the foot stencil of arc
+    def policy_matrix(self, pol: np.ndarray) -> np.ndarray:
+        """P_pi as a dense (N, N) array: row x is the foot stencil of arc
         (pol[x], x), so P_pi @ v == foot_values(v)[pol, arange(N)]."""
-        rows = np.arange(self.grid.size)
-        cols = self.take[pol, rows].reshape(rows.size, -1)
+        N = self.grid.size
+        rows = np.arange(N)
+        cols = self.take[pol, rows].reshape(N, -1)
         vals = np.ones(cols.shape) if self.w is None else self.w[pol, rows]
-        return sparse.csr_matrix((vals.ravel(), cols.ravel(),
-                                  np.arange(0, cols.size + 1, cols.shape[1])),
-                                 shape=(rows.size, rows.size))
+        P = np.zeros((N, N))
+        np.add.at(P, (np.repeat(rows, cols.shape[1]), cols.ravel()), vals.ravel())
+        return P
+
+    def evaluate_policy(self, pol: np.ndarray, decay: np.ndarray,
+                        rhs: np.ndarray) -> np.ndarray:
+        """The solution z of (I - diag(decay) P_pi) z = rhs, 0 < decay < 1.
+        With integer hops P_pi maps each node to one foot, so z solves
+        z(x) = rhs(x) + decay(x) z(foot(x)) on the policy's functional graph
+        (`_discounted_walk`); otherwise a dense solve of `policy_matrix`."""
+        if self.w is None:
+            return _discounted_walk(self.take[pol, np.arange(pol.size)], decay, rhs)
+        return np.linalg.solve(np.eye(pol.size) - decay[:, None] * self.policy_matrix(pol),
+                               rhs)
+
+
+def _discounted_walk(pred: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The solution z of z(y) = r(y) + a(y) z(pred(y)), 0 < a < 1, by a walk
+    over the cycles and the trees of the functional graph y -> pred(y), the
+    discounted analogue of `matherlp._policy_values`.  A cycle y_0, ...,
+    y_{L-1} with pred(y_t) = y_{t+1} closes at y_0:
+    z(y_0) = sum_t (prod_{s<t} a(y_s)) r(y_t) / (1 - prod_t a(y_t)); every
+    other node takes one step of the recursion from its predecessor."""
+    N = pred.size
+    pred, a, r = pred.tolist(), a.tolist(), r.tolist()
+    z = [0.0] * N
+    state = [0] * N                   # 0 new, 1 on this walk, 2 done
+    for start in range(N):
+        path, y = [], start
+        while state[y] == 0:
+            state[y] = 1
+            path.append(y)
+            y = pred[y]
+        closed = state[y] == 1        # the walk closed a new cycle at y
+        for x in path:
+            state[x] = 2
+        if closed:
+            i = path.index(y)
+            acc, gain = 0.0, 1.0
+            for x in path[i:]:
+                acc += gain * r[x]
+                gain *= a[x]
+            # a cycle that does not discount leaves z undetermined: nan,
+            # which the solver reports as a DomainError
+            z[y] = acc / (1.0 - gain) if gain != 1.0 else math.nan
+            del path[i]               # the rest of the cycle hangs from y
+        for x in reversed(path):
+            z[x] = r[x] + a[x] * z[pred[x]]
+    return np.array(z)
 
 
 def on_arcs(grid: PeriodicGrid, vset: VelocitySet, fn, *args) -> np.ndarray:
@@ -270,6 +320,20 @@ def one_sided_subsolution_defect(model: ControlModel, w: GridField,
     return float(np.max(w.values - k.apply(w.values)) / dt)
 
 
+def _min_over_nodes(fn, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """min over the nodes X of fn(x, p), per momentum p of P: shape (len(P),).
+    The (momenta x nodes) product is evaluated in blocks of nodes, each of
+    at most BRACKET_BLOCK entries, so that memory stays O(N + P)."""
+    step = max(1, BRACKET_BLOCK // len(P))
+    out = np.full(len(P), np.inf)
+    for i in range(0, len(X), step):
+        block = X[None, i:i + step, :]
+        vals = np.asarray(fn(block, P[:, None, :]), dtype=float)
+        np.minimum(out, np.broadcast_to(vals, (len(P), block.shape[1])).min(axis=1),
+                   out=out)
+    return out
+
+
 def compute_bracket(model: ControlModel, critical_solution: GridField) -> Bracket:
     """Sub/supersolution bracket around a solution of the critical equation.
 
@@ -289,8 +353,7 @@ def compute_bracket(model: ControlModel, critical_solution: GridField) -> Bracke
     # K0 = sup{|p| : H(x,p,0) <= c0} sampled on a momentum lattice.
     paxis = np.linspace(-model.p_box, model.p_box, 513 if d == 1 else 65)
     P = product_lattice(paxis, d)
-    Hv = model.H(X[None, :, :], P[:, None, :], 0.0)   # (P, N)
-    sub = np.any(Hv <= model.c0 + 1e-9, axis=1)
+    sub = _min_over_nodes(lambda x, p: model.H(x, p, 0.0), X, P) <= model.c0 + 1e-9
     pnorm = np.sqrt(np.sum(P**2, axis=1))
     K0 = float(pnorm[sub].max()) if np.any(sub) else 0.0
     K0 += paxis[1] - paxis[0]                         # one lattice step of slack
@@ -298,8 +361,7 @@ def compute_bracket(model: ControlModel, critical_solution: GridField) -> Bracke
     # delta = min dH/du(x,p,0) over the sampled compact set S0.
     keep = pnorm <= K0 + 1e-12
     Psub = P[keep] if np.any(keep) else P[:1]
-    dH = np.asarray(model.dHdu0(X[None, :, :], Psub[:, None, :]), dtype=float)
-    delta = float(dH.min())
+    delta = float(_min_over_nodes(model.dHdu0, X, Psub).min())
     if delta <= 0.0:
         raise ConfigurationError(
             "sampled dH/du(x,p,0) is not positive; the monotonicity/derivative "
@@ -356,7 +418,6 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
             "dt*lam*max(sigma) >= 1 breaks monotonicity of the update; shrink dt"
         )
     decay = 1.0 - lam * dt * sigma_nodes
-    eye = sparse.identity(grid.size, format="csr")
 
     lo = hi = None
     if bracket is not None:
@@ -378,9 +439,7 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
         if res <= tol or stalled or it == max_iter:
             break
         it += 1
-        A = kernel.arcs.policy_matrix(pol)
-        A.data *= np.repeat(-decay, np.diff(A.indptr))      # -diag(decay) P_pi
-        new = u + spsolve(A + eye, Tu - u)
+        new = u + kernel.arcs.evaluate_policy(pol, decay, Tu - u)
         if not np.all(np.isfinite(new)):
             raise DomainError("policy evaluation left the field values non-finite")
         if lo is not None:

@@ -11,7 +11,7 @@ from torushj.curves import (
 )
 from torushj.errors import CalibrationError, ConfigurationError, TailMassError
 from torushj.grids import GridField, build_grid
-from torushj.matherlp import build_polytope, closedness_operator, solve_mather_lp
+from torushj.matherlp import build_polytope, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, compute_bracket, default_dt, solve_perturbed
 
@@ -198,14 +198,14 @@ def test_mass_identity_dt_halving():
 def test_closedness_defect_examples():
     lam = 0.1
     model, grid, vset, dt, poly, fld = solved("mechanical", U=COS, lam=lam)
-    C = closedness_operator(Transition(grid, vset, dt))
+    arcs = Transition(grid, vset, dt)
     mu_lp, _, _ = solve_mather_lp(model, poly)
-    assert closedness_defect(mu_lp, poly.C) <= 1e-9
+    assert closedness_defect(mu_lp, poly.arcs) <= 1e-9
     # moving Dirac: defect equals its mass
     from torushj.matherlp import DiscreteMeasure
     W = np.zeros((grid.size, vset.count))
     W[3, vset.count - 1] = 1.0
-    assert closedness_defect(DiscreteMeasure(grid, vset, W), C) == pytest.approx(1.0)
+    assert closedness_defect(DiscreteMeasure(grid, vset, W), arcs) == pytest.approx(1.0)
     # occupation defect scales like lam
     defs = []
     for lam_k in (0.4, 0.2, 0.1):
@@ -213,7 +213,7 @@ def test_closedness_defect_examples():
         tr = backward_calibrated_curve(model, lam_k, fldk, grid.node_coords()[11],
                                        Tmax=12.0 / lam_k, dt=dt, vset=vset,
                                        solver_tol=1e-10)
-        defs.append(closedness_defect(occupation_measure(tr, lam_k, grid, vset), C))
+        defs.append(closedness_defect(occupation_measure(tr, lam_k, grid, vset), arcs))
     lams = np.array([0.4, 0.2, 0.1])
     fit = float(np.sum(np.array(defs) * lams) / np.sum(lams**2))
     assert np.all(np.array(defs) <= 2 * fit * lams)

@@ -1,11 +1,13 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import torushj.barrier as barrier
-from torushj.errors import ConfigurationError, DomainError
+import torushj.experiments as experiments
+from torushj.errors import ConfigurationError, DomainError, SolveError
 from torushj.experiments import (
     ExperimentConfig,
     convergence_report,
@@ -245,6 +247,32 @@ def test_barrier_suite_refuses_a_model_other_than_mechanical(tmp_path):
                                           "a mechanical model")
 
 
+def test_fatal_record_keeps_the_exception_type_in_the_manifest(tmp_path):
+    path = tmp_path / "barrier.cfg"
+    path.write_text(BARRIER_SUITE.format(model="shifted_quadratic"))
+    res = run_experiment(str(path), output=str(tmp_path / "out"))
+    assert res.stages[-1].error_type == "ConfigurationError"
+    with open(tmp_path / "out" / "manifest.json") as f:
+        (stage,) = json.load(f)["stages"]
+    assert stage["name"] == "fatal" and stage["error_type"] == "ConfigurationError"
+    assert stage["error"].startswith("ConfigurationError: ")
+
+
+def test_fatal_record_types_a_solve_error(tmp_path, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise SolveError("discount route: the solve stopped")
+
+    monkeypatch.setattr(experiments, "critical_value", stalled)
+    path = tmp_path / "barrier.cfg"
+    path.write_text(BARRIER_SUITE.format(model="mechanical"))
+    res = run_experiment(str(path), output=str(tmp_path / "out"))
+    assert not res.passed
+    with open(tmp_path / "out" / "manifest.json") as f:
+        (stage,) = json.load(f)["stages"]
+    assert stage["error_type"] == "SolveError"
+    assert stage["error"] == "SolveError: discount route: the solve stopped"
+
+
 EXAMPLE_6_1_2D = """
 [experiment]
 kind = example_6_1
@@ -385,3 +413,4 @@ def test_vanishing_discount_refuses_a_class_of_several_nodes(tmp_path):
     assert res.stages[-1].error == (
         "ConfigurationError: the closed form needs one-node static classes "
         "(Dirac Mather measures); class sizes: [16]")
+    assert [s.error_type for s in res.stages] == [None, None, "ConfigurationError"]

@@ -1,8 +1,11 @@
-"""Which runs load HiGHS.  On the node lattice the critical problem is
-solved by policy iteration, so importing the package, the three
-critical-value routes and a barrier suite must not load `scipy.optimize`;
-the first off-lattice "lp" solve must.  Other tests import linprog into this
-process, so the check runs in a fresh interpreter."""
+"""Which runs load scipy's heavy modules.  On the node lattice the critical
+problem is solved by policy iteration, the discounted solve by a walk over
+the policy's functional graph, the barrier by a numpy Dijkstra and the
+closedness defect by a bincount.  So importing the package, the three
+critical-value routes, a barrier suite and an occupation suite load neither
+`scipy.optimize` nor `scipy.sparse`; the first off-lattice "lp" solve loads
+both.  Other tests import them into this process, so the check runs in a
+fresh interpreter."""
 
 import os
 import subprocess
@@ -14,7 +17,7 @@ SCRIPT = """
 import sys
 
 def loaded():
-    return "scipy.optimize" in sys.modules
+    return [name in sys.modules for name in ("scipy.optimize", "scipy.sparse")]
 
 import torushj.experiments
 from torushj.barrier import critical_value
@@ -30,7 +33,13 @@ seen.append(loaded())
 cfg = ExperimentConfig(kind="barrier_suite", name="b", model_name="mechanical",
                        model_params={}, n=16, vmax=2.0, m=9,
                        extras={"m_critical": "9"})
-run_experiment(cfg, output=sys.argv[1])
+assert run_experiment(cfg, output=sys.argv[1] + "/b").passed
+seen.append(loaded())
+cfg = ExperimentConfig(kind="occupation_suite", name="o", model_name="mechanical",
+                       model_params={"U": parse_potential("cos:amp=1,freq=1")},
+                       n=16, vmax=2.0, m=9, dt=1e-2, lambdas=(12.8, 6.4, 3.2),
+                       extras={"mass_identity_lambda": "6.4", "start_node": "10"})
+assert run_experiment(cfg, output=sys.argv[1] + "/o").passed
 seen.append(loaded())
 critical_value(mech, "lp", grid, vset, dt=0.0101)
 seen.append(loaded())
@@ -42,8 +51,9 @@ def test_lattice_runs_do_not_load_highs(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(torushj.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "out")],
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
-    # after the import, the three lattice routes and the barrier suite: not
-    # loaded; after the off-lattice "lp" route: loaded
-    assert out.stdout.splitlines()[-1] == "[False, False, False, True]"
+    # [scipy.optimize, scipy.sparse] after the import, the three lattice
+    # routes, the barrier suite and the occupation suite: neither loaded;
+    # after the off-lattice "lp" route: both
+    assert out.stdout.splitlines()[-1] == str([[False, False]] * 4 + [[True, True]])

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from torushj.errors import ConfigurationError, DomainError
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, build_grid, product_lattice
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import (
+    BRACKET_BLOCK,
+    LAMBDA_PROBES,
     bellman_apply,
     compute_bracket,
     default_dt,
@@ -275,3 +279,57 @@ def test_arctan_converges_below_threshold():
     assert rep.converged
     # constant solution u = tan(-lam*pi/2)/lam = -2 at lam = 1/2
     np.testing.assert_allclose(fld.values, -2.0, atol=1e-6)
+
+
+def full_product_bracket(model, critical_solution):
+    """compute_bracket as it was, on the whole (momenta x nodes) product."""
+    grid = critical_solution.grid
+    X, d = grid.node_coords(), grid.d
+    paxis = np.linspace(-model.p_box, model.p_box, 513 if d == 1 else 65)
+    P = product_lattice(paxis, d)
+    Hv = model.H(X[None, :, :], P[:, None, :], 0.0)
+    sub = np.any(Hv <= model.c0 + 1e-9, axis=1)
+    pnorm = np.sqrt(np.sum(P**2, axis=1))
+    K0 = float(pnorm[sub].max()) if np.any(sub) else 0.0
+    K0 += paxis[1] - paxis[0]
+    keep = pnorm <= K0 + 1e-12
+    Psub = P[keep] if np.any(keep) else P[:1]
+    delta = float(np.asarray(model.dHdu0(X[None, :, :], Psub[:, None, :]), dtype=float).min())
+    kappa = 1.0
+    for lam in LAMBDA_PROBES:
+        kappa = max(kappa, 1.0 + float(np.max(np.abs(model.V(X, lam)))))
+    uhat = critical_solution.values
+    return {"K0": K0, "delta": delta, "kappa": kappa,
+            "T": K0 * 0.5 * np.sqrt(d) + kappa / delta,
+            "lower": uhat - uhat.max() - kappa / delta,
+            "upper": uhat - uhat.min() + kappa / delta}
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 16)])
+def test_bracket_in_blocks_matches_the_full_product(d, n):
+    # a mechanical model whose H depends on x, with an x-dependent sigma
+    U = lambda x: np.cos(2 * np.pi * x[..., 0]) + 0.5 * np.sin(2 * np.pi * x[..., -1])
+    model = builtin_model("mechanical", d, U=U, potential=U,
+                          sigma=lambda x: 1.5 + 0.5 * np.cos(2 * np.pi * x[..., -1]))
+    model = model.with_c0(1.5)
+    grid = build_grid(d, n)
+    u = GridField(grid, np.sin(2 * np.pi * grid.node_coords()).sum(axis=1))
+    sizes = []
+
+    def counted(fn):
+        def wrapped(x, p, *rest):
+            sizes.append(np.broadcast_shapes(np.shape(x)[:-1], np.shape(p)[:-1]))
+            return fn(x, p, *rest)
+        return wrapped
+
+    blocked = dataclasses.replace(model, H=counted(model.H), dHdu0=counted(model.dHdu0))
+    new = compute_bracket(blocked, u)
+    ref = full_product_bracket(model, u)
+    for name in ("K0", "delta", "kappa", "T"):
+        assert getattr(new, name) == ref[name], name
+    np.testing.assert_array_equal(new.lower.values, ref["lower"])
+    np.testing.assert_array_equal(new.upper.values, ref["upper"])
+    # no evaluation formed the (momenta x nodes) product: every block holds
+    # at most BRACKET_BLOCK entries, and more than one block was needed
+    products = [int(np.prod(s)) for s in sizes if len(s) == 2]
+    assert max(products) <= BRACKET_BLOCK and len(products) > 2
