@@ -7,7 +7,7 @@ Cases: the critical polytopes of the three benchmark workloads
 polytope at n = 128; vmax 3, m = 49, d = 1) and the d = 2 `cos_sum` well at
 n = 40 (vmax 2, m = 9 per axis, K = 81).  Per case it reports the best of
 --repeat timings of
-    lp_s        `solve_mather_lp` on the assembled polytope (the "lp" route),
+    lp_s        `solve_mather_lp` on the polytope (HiGHS, the oracle of c),
     howard_s    `matherlp._howard` alone, with its iteration count,
     build_s     `build_polytope` end to end (assembly, Howard, critical
                 arcs, static classes),
@@ -93,18 +93,18 @@ def main() -> int:
     print(f"{'case':<22s} {'LP vars':>8s} {'lp_s':>9s} {'howard_s':>9s} {'iters':>5s} "
           f"{'build_s':>9s} {'|dc|':>8s} {'min rc':>9s}")
     for name, model, grid, vset in cases():
-        lp = build_polytope(model, grid, vset, with_critical=False)
-        lp_s, (_, opt, _) = best(lambda: solve_mather_lp(model, lp), args.repeat)
-        W = lp.dt * on_arcs(grid, vset, model.L, 0.0)
-        howard_s, (_, _, _, iters) = best(lambda: _howard(lp.arcs.take, W, np.ones_like(W)), args.repeat)
         build_s, poly = best(lambda: build_polytope(model, grid, vset), args.repeat)
+        lp_s, (_, opt, _) = best(lambda: solve_mather_lp(model, poly), args.repeat)
+        W = poly.dt * on_arcs(grid, vset, model.L, 0.0)
+        howard_s, (_, _, _, iters) = best(lambda: _howard(poly.arcs.take, W, np.ones_like(W)),
+                                          args.repeat)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
-               "lp_vars": lp.num_vars, "lp_s": lp_s, "howard_s": howard_s,
+               "lp_vars": poly.num_vars, "lp_s": lp_s, "howard_s": howard_s,
                "howard_iterations": iters, "build_polytope_s": build_s,
                "c": poly.c, "abs_c_minus_lp": abs(poly.c + opt),
                "min_reduced_cost": float(poly.reduced_cost.min())}
         rows.append(row)
-        print(f"{name:<22s} {lp.num_vars:8d} {lp_s:9.4f} {howard_s:9.5f} {iters:5d} "
+        print(f"{name:<22s} {poly.num_vars:8d} {lp_s:9.4f} {howard_s:9.5f} {iters:5d} "
               f"{build_s:9.5f} {row['abs_c_minus_lp']:8.1e} {row['min_reduced_cost']:9.1e}")
     with open(args.out, "w") as f:
         json.dump({"machine": machine(), "repeat": args.repeat, "cases": rows},

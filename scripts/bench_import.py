@@ -109,15 +109,11 @@ def route_table(repeat):
     rows = []
     for name, model, vset in (("mechanical K=33", mech, velocity_set(3.0, 33)),
                               ("shifted_quadratic K=49", sq, velocity_set(3.0, 49))):
-        howard_s, c = best(lambda: build_polytope(model, grid, vset).c, repeat)
-
-        def highs():
-            return -solve_mather_lp(model, build_polytope(model, grid, vset,
-                                                          with_critical=False))[1]
-        highs_s, c_lp = best(highs, repeat)
+        howard_s, poly = best(lambda: build_polytope(model, grid, vset), repeat)
+        highs_s, c_lp = best(lambda: -solve_mather_lp(model, poly)[1], repeat)
         rows.append({"case": f"{name} n=128", "nodes": grid.size,
                      "velocities": vset.count, "howard_s": howard_s,
-                     "highs_s": highs_s, "c": c, "abs_c_minus_lp": abs(c - c_lp)})
+                     "highs_s": highs_s, "c": poly.c, "abs_c_minus_lp": abs(poly.c - c_lp)})
     return rows
 
 

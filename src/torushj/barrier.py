@@ -184,15 +184,14 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     method is "lp", "discount", "longtime", or a sequence of those; with two
     or more methods the spread records their maximum disagreement and c is
     taken from the first.  The lp route is `build_polytope`'s c, the optimum
-    of the closed-measure LP: certified policy iteration with integer hops,
-    HiGHS off the lattice; discount solves lam*w + H^0(x, dw) = 0 once, at
-    lam = DISCOUNT_LAMBDA, by Howard's policy iteration (`solve_perturbed`
-    on `discounted_wrapper(model)`), reads off -mean(lam*w) and raises
-    SolveError if that solve does not converge; longtime is the
-    T -> infinity limit of -min_x h_T(x, x)/T, exactly, by Karp's theorem
-    on the action DP's arcs (`karp_min_mean`): N + 1 Bellman steps of a
-    vector, N^2 K work.  The longtime route needs whole-cell hops and
-    raises ConfigurationError without them.
+    of the closed-measure LP by certified policy iteration; discount solves
+    lam*w + H^0(x, dw) = 0 once, at lam = DISCOUNT_LAMBDA, by Howard's
+    policy iteration (`solve_perturbed` on `discounted_wrapper(model)`),
+    reads off -mean(lam*w) and raises SolveError if that solve does not
+    converge; longtime is the T -> infinity limit of -min_x h_T(x, x)/T,
+    exactly, by Karp's theorem on the action DP's arcs (`karp_min_mean`):
+    N + 1 Bellman steps of a vector, N^2 K work.  The lp and longtime routes
+    need whole-cell hops and raise ConfigurationError without them.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if dt is None:
@@ -223,10 +222,9 @@ def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
     """The discrete Peierls barrier at the polytope's critical value, exactly.
 
     The polytope gives dt, the arcs and their L0, c, the potential and the
-    static classes.  Raises ConfigurationError for a polytope without
-    classes (built without its critical solution, or with off-lattice hops)
-    and for a reweighted arc below -dt * zero_tol: that check certifies the
-    potential, and only roundoff that passes it is clamped.  Pairs the
+    static classes.  Raises ConfigurationError for a reweighted arc below
+    -dt * zero_tol: that check certifies the potential, and only roundoff
+    that passes it is clamped.  Pairs the
     lattice graph cannot join keep the BIG sentinel and a warning.  The
     values are read-only: `MatherPolytope.barrier` shares them.
     """

@@ -2,7 +2,9 @@
 
 Configs are flat INI files (section headers plus key = value lines; see
 README for the grammar).  One table maps each (section, key) to its
-ExperimentConfig field; an absent key keeps the field's default.
+ExperimentConfig field; an absent key keeps the field's default.  Each kind
+declares the [thresholds] keys, with their defaults, and the [extras] keys
+that its runner reads (`_KINDS`); `validate` refuses any other.
 
 Each experiment kind wires the solver, barrier, measure and selection
 modules into one reproducible pipeline that starts from the critical problem
@@ -154,6 +156,13 @@ class ExperimentConfig:
         lams = list(self.lambdas)
         if lams and any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigurationError("lambda schedule must be strictly descending")
+        kind = _KINDS[self.kind]
+        for section, given, known in (("thresholds", self.thresholds, kind.thresholds),
+                                      ("extras", self.extras, kind.extras)):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ConfigurationError(f"{self.kind} reads no [{section}] key "
+                                         f"{unknown[0]!r}")
         self.grid(), self.vset(), self.model()      # each applies its own rules
 
     def grid(self) -> PeriodicGrid:
@@ -281,26 +290,15 @@ def export_all(results: dict, outdir: str) -> list:
         elif isinstance(obj, np.ndarray):      # projected / per-node weight vectors
             fn = f"{key}.csv"
             write_node_csv(obj, os.path.join(outdir, fn))
-        elif isinstance(obj, SelectionResult):
+        elif isinstance(obj, SelectionResult):     # a full evaluation
             fn = f"{key}.csv"
-            if obj.field is not None:
-                write_field_csv(obj.field, os.path.join(outdir, fn))
-            else:
-                with open(os.path.join(outdir, fn), "w", newline="\n") as f:
-                    f.write("# partial evaluation; see the value file\n")
+            write_field_csv(obj.field, os.path.join(outdir, fn))
             write_node_csv(obj.per_x_value, os.path.join(outdir, f"{key}_values.csv"),
                            "value")
             written.append(f"{key}_values.csv")
-            for node, witness in sorted((obj.per_x_optimizer or {}).items()):
-                wfn = f"{key}_witness_{node}.csv"
-                write_measure_csv(witness, os.path.join(outdir, wfn))
-                written.append(wfn)
         elif isinstance(obj, ConvergenceReport):
             fn = f"{key}.csv"
             write_convergence_csv(obj.rows, os.path.join(outdir, fn))
-        elif isinstance(obj, dict):
-            fn = f"{key}.json"
-            write_manifest(obj, os.path.join(outdir, fn))
         elif isinstance(obj, CurveTrace):
             fn = f"{key}.csv"
             write_trace_csv(obj, os.path.join(outdir, fn))
@@ -343,8 +341,8 @@ def _smooth_random_fields(grid: PeriodicGrid, rng, count: int, scale: float = 0.
     return fields
 
 
-def _threshold(cfg: ExperimentConfig, key: str, default: float) -> float:
-    return float(cfg.thresholds.get(key, default))
+def _threshold(cfg: ExperimentConfig, key: str) -> float:
+    return float(cfg.thresholds.get(key, _KINDS[cfg.kind].thresholds[key]))
 
 
 def _face_details(sel: SelectionResult) -> dict:
@@ -400,10 +398,10 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, stages: list):
     entries = lambda_sweep(model, cfg.lambdas, grid, poly.vset, dt=poly.dt, tol=cfg.tol,
                            max_iter=cfg.max_iter, bracket=bracket)
     reference = GridField.constant(grid, target_mean)
-    rep = convergence_report(entries, reference, _threshold(cfg, "monotone_factor", 2.0))
+    rep = convergence_report(entries, reference, _threshold(cfg, "monotone_factor"))
     artifacts["convergence"] = rep
     artifacts["final_field"] = entries[-1].field
-    thr = _threshold(cfg, "final_sup_error", 0.05)
+    thr = _threshold(cfg, "final_sup_error")
     ok = rep.final_error <= thr and rep.monotone_within_factor
     stages.append(StageRecord("lambda_sweep", ok, {
         "rows": rep.rows, "final_error": rep.final_error,
@@ -447,11 +445,11 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, stages: list
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     entries = lambda_sweep(model, cfg.lambdas, grid, vs, dt=poly.dt, tol=cfg.tol,
                            max_iter=cfg.max_iter, bracket=bracket)
-    rep = convergence_report(entries, sel.field, _threshold(cfg, "monotone_factor", 2.0))
+    rep = convergence_report(entries, sel.field, _threshold(cfg, "monotone_factor"))
     artifacts["convergence"] = rep
     artifacts["final_field"] = entries[-1].field
     final_vs_closed = float(np.max(np.abs(entries[-1].field.values - closed_form.values)))
-    thr = _threshold(cfg, "final_sup_error", 0.05)
+    thr = _threshold(cfg, "final_sup_error")
     ok = rep.final_error <= thr and final_vs_closed <= thr
     stages.append(StageRecord("lambda_sweep", ok, {
         "rows": rep.rows, "final_error_vs_formula": rep.final_error,
@@ -509,7 +507,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     rng = np.random.default_rng(cfg.seed)
 
     pairs = int(cfg.extras.get("lipschitz_pairs", 20))
-    slack = _threshold(cfg, "lipschitz_slack", 1e-7)
+    slack = _threshold(cfg, "lipschitz_slack")
     lip_ok = True
     lip_rows = []
     for i in range(pairs):
@@ -521,7 +519,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
                               {"pairs": pairs, "slack": slack,
                                "rows": [(i, float(a), float(b), bool(p)) for i, a, b, p in lip_rows]}))
 
-    image_C = _threshold(cfg, "image_residual_c", 25.0)
+    image_C = _threshold(cfg, "image_residual_c")
     img_ok = True
     img_residuals = []
     for f in _smooth_random_fields(grid, rng, 3):
@@ -592,7 +590,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     dfct_arr = np.asarray(defect_seq)
     Cfit = float(np.sum(dfct_arr * lam_arr) / np.sum(lam_arr**2))
     defect_ok = bool(np.all(dfct_arr <= 2.0 * Cfit * lam_arr + 1e-12))
-    tv_ok = all(b <= _threshold(cfg, "tv_factor", 2.0) * a + 1e-12
+    tv_ok = all(b <= _threshold(cfg, "tv_factor") * a + 1e-12
                 for a, b in zip(tv_seq, tv_seq[1:])) and tv_seq[-1] <= tv_seq[0]
     stages.append(StageRecord("sweep_diagnostics", defect_ok and tv_ok, {
         "lambdas": list(lams), "tv": tv_seq, "closedness_defect": defect_seq,
@@ -611,7 +609,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
                                     vset=vs, solver_tol=cfg.tol)
     err2 = check_mass_identity(tr2, lam_mi)
     ratio = err1 / max(err2, 1e-300)
-    mi_ok = err1 <= _threshold(cfg, "mass_identity_rel", 0.05) and 1.5 <= ratio <= 2.5
+    mi_ok = err1 <= _threshold(cfg, "mass_identity_rel") and 1.5 <= ratio <= 2.5
     artifacts["trace_mass_identity"] = tr1
     stages.append(StageRecord("mass_identity", mi_ok, {
         "lambda": lam_mi, "rel_error_dt": err1, "rel_error_half_dt": err2,
@@ -633,7 +631,7 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     c_mech = float(np.max(mech.H(nodes, np.zeros_like(nodes), 0.0)))    # max U
     vs_c = velocity_set(cfg.vmax, int(cfg.extras.get("m_critical", 33)), cfg.d)
     cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vs_c)
-    tol_mech = _threshold(cfg, "critical_tol_mechanical", 0.05)
+    tol_mech = _threshold(cfg, "critical_tol_mechanical")
     ok1 = cd.spread <= tol_mech and abs(cd.c - c_mech) <= tol_mech
     stages.append(StageRecord("critical_mechanical", ok1, {
         "per_method": cd.per_method, "spread": cd.spread, "analytic": c_mech}))
@@ -643,7 +641,7 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
     vs = cfg.vset()
     cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs)
-    tol_sq = _threshold(cfg, "critical_tol_shifted", 0.02)
+    tol_sq = _threshold(cfg, "critical_tol_shifted")
     half_a2 = float(0.5 * np.sum(alpha**2))
     ok2 = all(abs(v - half_a2) <= tol_sq for v in cd2.per_method.values())
     stages.append(StageRecord("critical_shifted_quadratic", ok2, {
@@ -652,14 +650,14 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     poly, mech = _critical_problem(cfg, model=mech)
     h = poly.barrier
     artifacts["barrier_mechanical"] = h
-    tol_tri = _threshold(cfg, "tol_tri", 5e-3)
+    tol_tri = _threshold(cfg, "tol_tri")
     x, y, z = rng.integers(0, grid.size, size=(1000, 3)).T
     H = h.values
     viol = max(0.0, float(np.max(H[x, z] - H[x, y] - H[y, z])))
     ok3 = viol <= 3 * tol_tri
     col = solution_from_barrier(h, int(aubry_set(h)[0]))
     col_res = residual(mech, 0.0, col, poly.vset, poly.dt)
-    Ccol = _threshold(cfg, "column_residual_c", 25.0)
+    Ccol = _threshold(cfg, "column_residual_c")
     ok4 = col_res <= Ccol * grid.h
     stages.append(StageRecord("barrier_structure", ok3 and ok4, {
         "max_triangle_violation": float(viol), "triangle_bound": 3 * tol_tri,
@@ -667,15 +665,35 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
         "aubry_nodes": int(aubry_set(h).size)}))
 
 
-_RUNNERS = {
-    "vanishing_discount": _run_vanishing_discount,
-    "example_6_1": _run_example_6_1,
-    "nonexistence_3_4": _run_nonexistence,
-    "operator_suite": _run_operator_suite,
-    "occupation_suite": _run_occupation_suite,
-    "barrier_suite": _run_barrier_suite,
+@dataclass(frozen=True)
+class _Kind:
+    """An experiment kind: its runner, the [thresholds] keys it reads with
+    their defaults, and the [extras] keys it reads.  `validate` refuses any
+    other threshold or extra, so a misspelt one cannot be ignored."""
+
+    run: Callable
+    thresholds: dict
+    extras: tuple = ()
+
+
+_SWEEP_THRESHOLDS = {"monotone_factor": 2.0, "final_sup_error": 0.05}
+_KINDS = {
+    "vanishing_discount": _Kind(_run_vanishing_discount, _SWEEP_THRESHOLDS),
+    "example_6_1": _Kind(_run_example_6_1, _SWEEP_THRESHOLDS),
+    "nonexistence_3_4": _Kind(_run_nonexistence, {},
+                              ("certificate_true", "certificate_false", "solve_lambdas")),
+    "operator_suite": _Kind(_run_operator_suite,
+                            {"lipschitz_slack": 1e-7, "image_residual_c": 25.0},
+                            ("lipschitz_pairs",)),
+    "occupation_suite": _Kind(_run_occupation_suite,
+                              {"tv_factor": 2.0, "mass_identity_rel": 0.05},
+                              ("start_node", "mass_identity_lambda")),
+    "barrier_suite": _Kind(_run_barrier_suite,
+                           {"critical_tol_mechanical": 0.05, "critical_tol_shifted": 0.02,
+                            "tol_tri": 5e-3, "column_residual_c": 25.0},
+                           ("m_critical", "alpha")),
 }
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(config, output: Optional[str] = None,
@@ -697,7 +715,7 @@ def run_experiment(config, output: Optional[str] = None,
     stages: list = []
     t0 = time.time()
     try:
-        _RUNNERS[cfg.kind](cfg, artifacts, stages)
+        _KINDS[cfg.kind].run(cfg, artifacts, stages)
     except Exception as exc:  # noqa: BLE001 - partial artifacts are kept on purpose
         stages.append(StageRecord("fatal", False, error=f"{type(exc).__name__}: {exc}",
                                   error_type=type(exc).__name__))

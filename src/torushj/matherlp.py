@@ -5,16 +5,15 @@ closed-measure polytope.
 A measure is a nonnegative weight per (node, velocity) pair, an "arc" of
 the transition kernel the solver uses (`solver.Transition`).  Closedness is
 imposed through that kernel: the pushforward of (x, v) is the arc's head,
-the multilinear binning of x + v*dt, and a closed measure is one whose
-per-node inflow equals its outflow.  The arc's action is L0 charged at its
-head, through the same stencil (with integer hops L0(x + v*dt, v)), as the
-solver, the action DP and the barrier charge it.  Minimizing that action
-over the polytope yields the discrete critical value and its minimizing
-measures.
+the node x + v*dt, and a closed measure is one whose per-node inflow equals
+its outflow.  The arc's action is L0(x + v*dt, v), charged at its head as
+the solver, the action DP and the barrier charge it.  Minimizing that
+action over the polytope yields the discrete critical value and its
+minimizing measures.
 
-With integer hops the critical value is the min-plus eigenvalue of the
-one-step operator: eta + u(y) = min_k dt*L0(y, v_k) + u(y - v_k*dt), with
-c = -eta/dt and eta the minimal cycle mean of the lattice graph.
+The critical value is the min-plus eigenvalue of the one-step operator:
+eta + u(y) = min_k dt*L0(y, v_k) + u(y - v_k*dt), with c = -eta/dt and eta
+the minimal cycle mean of the lattice graph.
 `build_polytope` computes eta, the bias u and the critical arcs by Howard's
 policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat,
 "Numerical computation of spectral elements in max-plus algebra", IFAC
@@ -32,15 +31,15 @@ layer reads h_G and M(L_G) off one critical problem; it minimizes its
 linear-fractional objectives class by class with the ratio form of the
 same policy iteration (`_howard` with per-arc denominators).
 
-Off the node lattice the polytope takes c, the reduced costs and the
-critical measure from the critical LP (`solve_mather_lp`), which HiGHS
-solves with its dual, and has no classes; so does the "lp" route of
-`barrier.critical_value`, which with integer hops returns the certified
-policy-iteration c.  The full-polytope programs, which
-impose minimality as an action row with slack tol_min, remain as
-`minimize_linear_over_mather` and `fractional_minimize`; they serve the
-tests as an oracle.  Linear programs are solved with HiGHS dual simplex
-(deterministic pivoting, vertex solutions).  Their multiplicity flag comes
+Off the node lattice there is no lattice graph, so `build_polytope`, and
+with it the "lp" route of `barrier.critical_value`, raises
+ConfigurationError: every polytope is a solved critical problem.  The
+closedness operator keeps its stencil branch for any kernel.  The
+closed-measure LP (`solve_mather_lp`) and the full-polytope programs, which
+impose minimality as an action row with slack tol_min
+(`minimize_linear_over_mather`, `fractional_minimize`), serve criterion 7
+and the tests as oracles.  Linear programs are solved with HiGHS dual
+simplex (deterministic pivoting, vertex solutions).  Their multiplicity flag comes
 from a second LP that maximizes the mass movable off the support of the
 returned vertex while staying on the optimal face; reduced-cost inspection
 alone cannot tell a degenerate vertex from a genuine alternative optimum
@@ -144,23 +143,23 @@ def closedness_operator(arcs: Transition):
 
 @dataclass
 class MatherPolytope:
-    """Closedness operator, action row, and the critical problem's solution.
+    """The critical problem of the lattice graph, solved: the kernel, the
+    action row, and Howard's solution (`build_polytope`).
 
-    `potential` and `reduced_cost` are per unit time, like `action`: with
-    integer hops they are Howard's bias u / dt and the reduced arc weights
-    (dt*L0 - eta + u[foot] - u[head]) / dt; off the lattice, the critical
-    LP's node dual and reduced costs.
+    `potential` and `reduced_cost` are per unit time, like `action`: Howard's
+    bias u / dt and the reduced arc weights
+    (dt*L0 - eta + u[foot] - u[head]) / dt.
     """
 
     arcs: Transition             # the one transition kernel of (grid, vset, dt)
     action: np.ndarray           # L0 per (node, velocity), flat
-    c: Optional[float] = None    # critical value; -c is the LP optimum
+    c: float                     # critical value; -c is the LP optimum
+    critical_measure: DiscreteMeasure    # one minimizing measure
+    reduced_cost: np.ndarray     # >= -zero_tol, flat
+    potential: np.ndarray        # certified by reduced_cost
+    critical: np.ndarray         # `critical_arcs()`
+    classes: np.ndarray          # static class per node, -1 off A
     tol_min: float = 1e-9
-    critical_measure: Optional[DiscreteMeasure] = None   # one minimizing measure
-    reduced_cost: Optional[np.ndarray] = None            # >= -zero_tol, flat
-    potential: Optional[np.ndarray] = None               # certified by reduced_cost
-    critical: Optional[np.ndarray] = None                # `critical_arcs()`
-    classes: Optional[np.ndarray] = None                 # static class per node, -1 off A
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -181,25 +180,18 @@ class MatherPolytope:
     @property
     def zero_tol(self) -> float:
         """Reduced costs at or below this scale-relative 1e-9 count as zero."""
-        return 1e-9 * max(1.0, float(np.max(np.abs(self.action))))
+        return _zero_tol(self.action)
 
     def critical_arcs(self) -> np.ndarray:
         """Flat indices of the arcs whose reduced cost is zero (up to
-        `zero_tol`) and, with integer hops, that lie on a cycle of such
-        arcs: the support of every Mather measure."""
-        if self.critical is None:
-            raise ConfigurationError("polytope has no critical solution; build "
-                                     "it with with_critical=True")
+        `zero_tol`) and that lie on a cycle of such arcs: the support of
+        every Mather measure."""
         return self.critical
 
     def static_classes(self):
         """The Aubry set A (ascending), the class of each node of A, and one
         representative per class, its smallest node; classes are numbered
         in the order of their representatives."""
-        if self.classes is None:
-            raise ConfigurationError("the polytope has no static classes: they need "
-                                     "its critical solution (with_critical=True), and "
-                                     "off the node lattice there are none")
         aubry = np.flatnonzero(self.classes >= 0)
         label = self.classes[aubry]
         return aubry, label, aubry[np.unique(label, return_index=True)[1]]
@@ -261,72 +253,60 @@ def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int):
     return label[foot] == label[head], label
 
 
-def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
-                   dt: Optional[float] = None,
-                   with_critical: bool = True) -> MatherPolytope:
-    """Assemble the polytope; by default also solve its critical problem once
-    and keep the critical value, one minimizing measure, a potential with its
-    reduced costs, the critical arcs and, with integer hops, their static
-    classes.
+def _zero_tol(action: np.ndarray) -> float:
+    return 1e-9 * max(1.0, float(np.max(np.abs(action))))
 
-    With integer hops that is Howard's policy iteration (`_howard`), whose
-    potential must pass the certificate reduced_cost >= -zero_tol
-    (MatherLPError otherwise); off the lattice it is the critical LP."""
+
+def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
+                   dt: Optional[float] = None) -> MatherPolytope:
+    """Assemble the polytope and solve its critical problem once, by Howard's
+    policy iteration (`_howard`): the critical value, one minimizing
+    measure, a potential with its reduced costs, the critical arcs and
+    their static classes.  The potential must pass the certificate
+    reduced_cost >= -zero_tol (MatherLPError otherwise).  A dt whose hops
+    leave the node lattice raises ConfigurationError."""
     if dt is None:
         dt = default_dt(grid, vset)
     arcs = Transition(grid, vset, dt)
+    if not arcs.integer_hops:
+        raise ConfigurationError(
+            f"dt = {dt:g} moves velocities off the node lattice; the critical "
+            "problem needs whole-cell hops (dt = h / velocity step)")
     L0 = on_arcs(grid, vset, model.L, 0.0)                     # (K, N), at the nodes
     N, K = grid.size, vset.count
-    kk = np.arange(K)[:, None]
-    # L0 is charged at the arc's head, binned like the mass closedness pushes
-    # there.  With integer hops, arc (k, y) runs from its foot take[k, y] to
-    # y; in the flat (x, k) order of the polytope it is x * K + k, x the foot.
-    if arcs.integer_hops:
-        flat = arcs.take * K + kk                              # (K, N)
-        action = np.empty(N * K)
-        action[flat] = L0
-    else:
-        head, w = arcs.heads
-        action = np.sum(L0[kk[..., None], head] * w, axis=-1).T.ravel()
-    poly = MatherPolytope(arcs=arcs, action=action)
-    if not with_critical:
-        return poly
-    if not arcs.integer_hops:
-        mu, opt, info = solve_mather_lp(model, poly)
-        poly.c = -opt
-        poly.critical_measure = mu
-        # A_eq = [C; 1], so A_eq^T y = C^T y[:N] + y[N]
-        poly.potential = info.duals[:-1]
-        poly.reduced_cost = action - poly.C.T @ poly.potential - info.duals[-1]
-        poly.critical = np.flatnonzero(poly.reduced_cost <= poly.zero_tol)
-        return poly
+    # L0 is charged at the arc's head.  Arc (k, y) runs from its foot
+    # take[k, y] to y; in the flat (x, k) order of the polytope it is
+    # x * K + k, x the foot.
     foot = arcs.take
+    flat = foot * K + np.arange(K)[:, None]                    # (K, N)
+    action = np.empty(N * K)
+    action[flat] = L0
     W = dt * L0
     eta, u, pol, _ = _howard(foot, W, np.ones_like(W))
     star = float(eta.min())
-    poly.c = -star / dt
-    poly.potential = u / dt
     reduced = (W - star + u[foot] - u[None, :]) / dt              # (K, N)
-    poly.reduced_cost = np.empty(N * K)
-    poly.reduced_cost[flat] = reduced
-    if poly.reduced_cost.min() < -poly.zero_tol:
-        raise MatherLPError(f"reduced cost {poly.reduced_cost.min():.3g} < 0: the "
+    reduced_cost = np.empty(N * K)
+    reduced_cost[flat] = reduced
+    zero_tol = _zero_tol(action)
+    if reduced_cost.min() < -zero_tol:
+        raise MatherLPError(f"reduced cost {reduced_cost.min():.3g} < 0: the "
                             "policy-iteration potential does not certify c")
-    k, y = np.nonzero(reduced <= poly.zero_tol)
+    k, y = np.nonzero(reduced <= zero_tol)
     on, label = cycle_arcs(foot[k, y], y, N)
-    poly.critical = np.sort(flat[k[on], y[on]])
     # the static classes, numbered in the order of their smallest node
     aubry = np.unique(y[on])
     _, first, cls = np.unique(label[aubry], return_index=True, return_inverse=True)
-    poly.classes = np.full(N, -1)
-    poly.classes[aubry] = np.argsort(np.argsort(first))[cls]
+    classes = np.full(N, -1)
+    classes[aubry] = np.argsort(np.argsort(first))[cls]
     # the policy's cycle through a node of minimal mean: N steps back along
     # the policy from any node land on its cycle
     cycle = _policy_cycle(foot[pol, np.arange(N)], int(np.argmin(eta)), N)
     weights = np.zeros(N * K)
     weights[flat[pol[cycle], cycle]] = 1.0 / len(cycle)
-    poly.critical_measure = DiscreteMeasure(grid, vset, weights)
-    return poly
+    return MatherPolytope(arcs=arcs, action=action, c=-star / dt,
+                          critical_measure=DiscreteMeasure(grid, vset, weights),
+                          reduced_cost=reduced_cost, potential=u / dt,
+                          critical=np.sort(flat[k[on], y[on]]), classes=classes)
 
 
 def _policy_cycle(pred: np.ndarray, start: int, steps: int) -> list:
@@ -424,7 +404,6 @@ class LPInfo:
     message: str
     multiplicity: Optional[bool] = None
     movable_mass: float = 0.0
-    duals: Optional[np.ndarray] = None     # equality-row marginals
 
 
 def _run_lp(cvec, A_eq, b_eq, A_ub=None, b_ub=None):
@@ -447,9 +426,8 @@ def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
     """Minimize the u = 0 action over closed probability measures.
 
     Returns (measure, optimal value, info); the critical value is minus the
-    optimum and info.duals holds the optimal dual of the equality rows.
-    Unboundedness cannot occur (mass constraint) and is surfaced as an
-    internal error.
+    optimum.  Unboundedness cannot occur (mass constraint) and is surfaced
+    as an internal error.
     """
     from scipy import sparse
     N, K = polytope.grid.size, polytope.vset.count
@@ -458,15 +436,11 @@ def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
     b_eq[-1] = 1.0
     res = _run_lp(polytope.action, A_eq, b_eq)
     mu = DiscreteMeasure(polytope.grid, polytope.vset, res.x)
-    return mu, float(res.fun), LPInfo(status=res.status, message=res.message,
-                                      duals=np.asarray(res.eqlin.marginals))
+    return mu, float(res.fun), LPInfo(status=res.status, message=res.message)
 
 
 def _mather_constraints(polytope: MatherPolytope):
     from scipy import sparse
-    if polytope.c is None:
-        raise ConfigurationError("polytope.c unset; build with with_critical=True "
-                                 "or fill it from critical_value")
     N, K = polytope.grid.size, polytope.vset.count
     A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(np.ones((1, N * K)))])
     b_eq = np.zeros(N + 1)
@@ -539,8 +513,6 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
         obj, beq_row = -a, -b
     else:
         raise ConfigurationError("sign must be 'positive' or 'negative'")
-    if polytope.c is None:
-        raise ConfigurationError("polytope.c unset")
     N = polytope.grid.size
     homog = polytope.action + (polytope.c - polytope.tol_min)
     A_ub = sparse.csr_matrix(homog[None, :])

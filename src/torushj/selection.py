@@ -19,7 +19,7 @@ targets) minimum of rho_S + h(z_S, x).  A target has several equilibrium
 measures when two or more cycles attain it: a tie across classes, or a
 class with more than one optimal cycle.  Both h_G and M(L_G) are read off
 the polytope (`MatherPolytope.barrier`), so every evaluation takes it
-alone; off-lattice polytopes, which have no classes, raise ConfigurationError.
+alone; every polytope is a solved lattice problem with its classes.
 
 Its fixed points are the discrete solutions of the critical equation; the
 checks below exercise the Lipschitz-1 bound, idempotence, the

@@ -267,12 +267,15 @@ def test_subsolution_domination(peierls_cos):
 
 def test_offlattice_dt_warns_unreachable(mech_cos):
     # generic dt moves the hops off the node lattice, where the BIG sentinel
-    # of the action DP would never leave the diagonal: both routes refuse it
+    # of the action DP would never leave the diagonal and there is no lattice
+    # graph for the critical problem: the polytope, and with it the barrier
+    # and the lp route, the action DP and the longtime route all refuse it
     grid = build_grid(1, 16)
     vset = velocity_set(2.0, 9)
-    poly = build_polytope(mech_cos, grid, vset, dt=0.0101)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
-        peierls_barrier(poly)
+        build_polytope(mech_cos, grid, vset, dt=0.0101)
+    with pytest.raises(ConfigurationError, match="off the node lattice"):
+        critical_value(mech_cos, "lp", grid, vset, dt=0.0101)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
         evolve_action(mech_cos, grid, vset, T=1.0, dt=0.0101)
     with pytest.raises(ConfigurationError, match="off the node lattice"):

@@ -146,6 +146,21 @@ def test_config_of_a_kind_alone_takes_every_default(tmp_path):
         kind="operator_suite", raw={"experiment": {"kind": "operator_suite"}})
 
 
+def test_unknown_thresholds_and_extras_are_refused(tmp_path):
+    # a key the kind's runner does not read would be silently ignored
+    text = (CONFIG_DIR / "example_6_1.cfg").read_text()
+    path = tmp_path / "typo.cfg"
+    path.write_text(text.replace("[thresholds]", "[thresholds]\nfinal_sup_eror = 1e-12"))
+    with pytest.raises(ConfigurationError, match="final_sup_eror"):
+        parse_config(str(path))
+    cfg = ExperimentConfig(kind="barrier_suite", extras={"start_node": "3"})
+    with pytest.raises(ConfigurationError, match=r"\[extras\] key 'start_node'"):
+        cfg.validate()
+    # other sections keep keys that no runner reads
+    path.write_text(text + "\n[barrier]\ntmax = 24.0\n")
+    assert parse_config(str(path)).raw["barrier"] == {"tmax": "24.0"}
+
+
 def test_config_without_a_kind_is_refused(tmp_path):
     path = tmp_path / "nokind.cfg"
     path.write_text("[grid]\nn = 16\n")
@@ -334,14 +349,15 @@ def test_failing_stage_recorded(tmp_path):
     assert res.manifest["failing_stage"] == "lambda_sweep"
 
 
-@pytest.mark.parametrize("kind, params, extras", [
+@pytest.mark.parametrize("kind, params, extras, thresholds", [
     ("operator_suite", {"U": parse_potential("cos:amp=1,freq=1")},
-     {"lipschitz_pairs": "3"}),
+     {"lipschitz_pairs": "3"}, {}),
     ("example_6_1", {"alpha": (np.sqrt(5) - 1) / 2,
-                     "target": parse_potential("sin:freq=1,offset=0.3")}, {}),
+                     "target": parse_potential("sin:freq=1,offset=0.3")}, {},
+     {"final_sup_error": 0.5}),
 ])
 def test_pipelines_build_the_barrier_once_per_polytope(tmp_path, monkeypatch,
-                                                       kind, params, extras):
+                                                       kind, params, extras, thresholds):
     # the operator suite evaluates fifteen selections on its one polytope
     seen = []
     compute = barrier.peierls_barrier
@@ -354,7 +370,7 @@ def test_pipelines_build_the_barrier_once_per_polytope(tmp_path, monkeypatch,
     model = "mechanical" if kind == "operator_suite" else "shifted_quadratic"
     cfg = ExperimentConfig(kind=kind, name=kind, model_name=model, model_params=params,
                            n=24, vmax=2.0, m=17, lambdas=(0.1, 0.03), extras=extras,
-                           thresholds={"final_sup_error": 0.5})
+                           thresholds=thresholds)
     res = run_experiment(cfg, output=str(tmp_path / "out"))
     assert res.passed
     assert len(seen) == 1

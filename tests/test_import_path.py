@@ -3,8 +3,9 @@ problem is solved by policy iteration, the discounted solve by a walk over
 the policy's functional graph, the barrier by a numpy Dijkstra and the
 closedness defect by a bincount.  So importing the package, the three
 critical-value routes, a barrier suite and an occupation suite load neither
-`scipy.optimize` nor `scipy.sparse`; the first off-lattice "lp" solve loads
-both.  Other tests import them into this process, so the check runs in a
+`scipy.optimize` nor `scipy.sparse`; only the linear programs, criterion 7
+and the test oracles, need them, and the first `solve_mather_lp` loads both.
+Other tests import them into this process, so the check runs in a
 fresh interpreter."""
 
 import os
@@ -23,6 +24,7 @@ import torushj.experiments
 from torushj.barrier import critical_value
 from torushj.experiments import ExperimentConfig, parse_potential, run_experiment
 from torushj.grids import build_grid
+from torushj.matherlp import build_polytope, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
 
 seen = [loaded()]
@@ -41,7 +43,7 @@ cfg = ExperimentConfig(kind="occupation_suite", name="o", model_name="mechanical
                        extras={"mass_identity_lambda": "6.4", "start_node": "10"})
 assert run_experiment(cfg, output=sys.argv[1] + "/o").passed
 seen.append(loaded())
-critical_value(mech, "lp", grid, vset, dt=0.0101)
+solve_mather_lp(mech, build_polytope(mech, grid, vset))
 seen.append(loaded())
 print(seen)
 """
@@ -55,5 +57,5 @@ def test_lattice_runs_do_not_load_highs(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     # [scipy.optimize, scipy.sparse] after the import, the three lattice
     # routes, the barrier suite and the occupation suite: neither loaded;
-    # after the off-lattice "lp" route: both
+    # after the first LP, on a lattice polytope: both
     assert out.stdout.splitlines()[-1] == str([[False, False]] * 4 + [[True, True]])

@@ -61,18 +61,17 @@ ORACLE_TOL = 1e-6
 
 
 @lru_cache(maxsize=None)
-def setup(name, n, dt=None):
+def setup(name, n):
     model = MODELS[name]()
     grid = build_grid(model.d, n)
     vset = velocity_set(3.0, 25) if model.d == 1 else velocity_set(2.0, 5, d=2)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, grid, vset)
     model = model.with_c0(poly.c)
     # the oracle programs' minimality row admits action slack tol_min, which
     # lets them move ~tol_min/(reduced cost gap) of mass off the face; keep
     # it small so that they agree with the exact face to ORACLE_TOL
     poly = dataclasses.replace(poly, tol_min=1e-12)
-    # off-lattice hops give no static classes, hence no barrier
-    return model, grid, poly, poly.barrier if dt is None else None
+    return model, grid, poly, poly.barrier
 
 
 def mather_vertices(poly):
@@ -164,8 +163,8 @@ def test_reduced_costs_certify_the_critical_measure():
 def test_stored_critical_solution_is_the_lp_solution():
     # the polytope's critical value comes from policy iteration; the
     # arrival-charged LP must give the same number, and its optimizer must
-    # live on the polytope's critical arcs.  On the lattice the "lp" route is
-    # that certified policy-iteration optimum; off it, the route is HiGHS
+    # live on the polytope's critical arcs.  The "lp" route is that certified
+    # policy-iteration optimum
     for name, n in CASES:
         model, grid, poly, _ = setup(name, n)
         mu, opt, _ = solve_mather_lp(model, poly)
@@ -173,12 +172,6 @@ def test_stored_critical_solution_is_the_lp_solution():
         support = np.flatnonzero(mu.flat() > 1e-12)
         assert np.isin(support, poly.critical_arcs()).all()
         assert critical_value(model, "lp", grid, poly.vset).c == poly.c
-    for name in ("cosine_well", "rotation"):
-        model, grid, vset = MODELS[name](), build_grid(1, 16), velocity_set(3.0, 25)
-        off = build_polytope(model, grid, vset, dt=0.0101, with_critical=False)
-        assert not off.arcs.integer_hops
-        cd = critical_value(model, "lp", grid, vset, dt=0.0101)
-        assert cd.c == -solve_mather_lp(model, off)[1]
 
 
 def class_nodes(poly):
@@ -208,10 +201,6 @@ def test_static_classes_known_models():
         cycles = mather_vertices(poly)
         if cycles is not None:
             assert sorted(sorted(c // poly.vset.count) for c in cycles) == class_nodes(poly)
-    off = setup("cosine_well", 16, dt=0.0101)[2]
-    assert off.classes is None
-    with pytest.raises(ConfigurationError, match="static classes"):
-        off.static_classes()
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -365,18 +354,14 @@ def test_equilibrium_measures_match_linear_oracle(name, n, seed):
 
 
 def test_offlattice_polytope_is_refused():
-    # off the lattice the polytope has no static classes; no pipeline builds
-    # one, and every evaluation on the face refuses it
-    model, grid, poly, h = setup("cosine_well", 16, dt=0.0101)
-    one, zero = GridField.constant(grid, 1.0), GridField.constant(grid, 0.0)
-    with pytest.raises(ConfigurationError, match="static classes"):
-        apply_selection_operator(one, zero, poly)
-    with pytest.raises(ConfigurationError, match="static classes"):
-        limit_solution_formula(model, zero, poly)
-    with pytest.raises(ConfigurationError, match="static classes"):
-        measure_comparison(zero, one, one, poly)
-    with pytest.raises(ConfigurationError, match="static classes"):
-        check_largest_subsolution(zero, zero, poly, [zero], model)
+    # off the lattice there is no lattice graph, so no polytope, hence no
+    # evaluation on the face; the "lp" route refuses the dt the same way
+    for name in ("cosine_well", "rotation"):
+        model, grid, vset = MODELS[name](), build_grid(1, 16), velocity_set(3.0, 25)
+        with pytest.raises(ConfigurationError, match="off the node lattice"):
+            build_polytope(model, grid, vset, dt=0.0101)
+        with pytest.raises(ConfigurationError, match="off the node lattice"):
+            critical_value(model, "lp", grid, vset, dt=0.0101)
 
 
 def test_comparison_checks_decide_on_the_exact_face():

@@ -221,10 +221,3 @@ def test_unreachable_pairs_keep_the_sentinel():
     even = np.arange(grid.size) % 2 == 0
     assert np.all(h.values[np.ix_(even, even)] < BIG / 2)
     assert np.all(h.values[~even, :] == BIG) and np.all(h.values[:, ~even] == BIG)
-
-
-def test_needs_the_critical_dual():
-    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
-    model = builtin_model("mechanical")
-    with pytest.raises(ConfigurationError):
-        peierls_barrier(build_polytope(model, grid, vset, with_critical=False))

@@ -164,8 +164,6 @@ def reference_classes(poly):
     """The static classes as sets of nodes: strongly connected components
     of the critical arcs, walked with a kernel of its own."""
     arcs = Transition(poly.grid, poly.vset, poly.dt)
-    if not arcs.integer_hops:
-        return None
     N, K = poly.grid.size, poly.vset.count
     head = np.empty_like(arcs.take)
     head[np.arange(K)[:, None], arcs.take] = np.arange(N)
@@ -197,9 +195,18 @@ def reference_classes(poly):
 def test_build_polytope_uses_one_transition(monkeypatch, case):
     """One kernel per polytope; its closedness operator has the CSR arrays
     of the independent reference and its static classes those of a walk
-    with a kernel of its own."""
+    with a kernel of its own.  Off the node lattice no polytope is built,
+    and the operator's stencil branch still meets the reference."""
     grid, vset, dt = make(*case[:5])
     model = builtin_model("mechanical", d=grid.d, U=parse_potential(case[5]))
+    ref = reference_closedness(grid, vset, dt)
+    if case[4] == 0.0101:
+        with pytest.raises(ConfigurationError, match="off the node lattice"):
+            build_polytope(model, grid, vset, dt)
+        C = closedness_operator(Transition(grid, vset, dt))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(C, attr), getattr(ref, attr))
+        return
     built = []
 
     class Counted(Transition):
@@ -211,12 +218,9 @@ def test_build_polytope_uses_one_transition(monkeypatch, case):
     poly = build_polytope(model, grid, vset, dt)
     monkeypatch.undo()
     assert len(built) == 1 and poly.arcs.dt == dt
-    ref = reference_closedness(grid, vset, dt)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(poly.C, attr), getattr(ref, attr))
     want = reference_classes(poly)
-    assert (poly.classes is None) == (want is None) == (case[4] == 0.0101)
-    if want is not None:
-        aubry, label, reps = poly.static_classes()
-        assert len(want) == reps.size >= 1
-        assert [list(aubry[label == c]) for c in range(reps.size)] == want
+    aubry, label, reps = poly.static_classes()
+    assert len(want) == reps.size >= 1
+    assert [list(aubry[label == c]) for c in range(reps.size)] == want
