@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
-"""Time the import of torushj and the "lp" critical-value route.
+"""Time the set-up of a torushj run and the "lp" critical-value route.
 
-Import: each run is a fresh interpreter that times `import
-torushj.experiments` with perf_counter and reports ru_maxrss after it and
-whether `scipy.optimize` and `scipy.sparse` got loaded.  The reference
-chains `numpy`, `numpy + scipy` (the manifest's version string),
-`numpy + scipy.sparse.csgraph` and `numpy + scipy.sparse.csgraph +
-scipy.optimize` are timed the same way.  Each of --runs rounds starts
-one process per target, in an order that alternates from round to round;
-with --parent SRC the torushj import of a second source tree (the parent
-commit's `src/`) is one more target, timed side by side, so the two trees
-share the host's load.  Per target it
-records the minimum and median seconds and the median ru_maxrss.
+Set-up: each run is a fresh interpreter that executes one target's
+statements and reports
+    min_s / median_s   the statements alone, timed with perf_counter,
+    median_setup_s     child start until the statements finished, as
+                       `bench/run.py` defines setup_s,
+    median_maxrss_mib  ru_maxrss after them,
+    loads              which of scipy, scipy.optimize, scipy.sparse,
+                       numpy.ma and numpy.random they loaded.
+The targets are `import torushj.experiments`, and set-up proper (that import
+plus `parse_config`) of the unseeded `configs/example_6_1.cfg` and the
+seeded `configs/barrier_suite.cfg`, whose validation builds the generator;
+plus the reference chains `numpy`, `numpy + numpy.ma`, `numpy +
+numpy.random`, `numpy + scipy`, `numpy + scipy.sparse.csgraph` and `numpy +
+scipy.sparse.csgraph + scipy.optimize`.  As in the benchmark, children run
+with PYTHONDONTWRITEBYTECODE=1 and without PYTHONPATH, and each torushj
+tree's `__pycache__` is removed first, so every child compiles torushj from
+source.  Each of --runs rounds starts one process per target, in an order
+that alternates from round to round; with --parent SRC each torushj target
+is also run on a second source tree (the parent commit's `src/`), side by
+side, so the two trees share the host's load.
 
 Route: best of --repeat timings of the "lp" route of
 `barrier.critical_value` both ways on the lattice graph at n = 128, the
@@ -28,29 +37,38 @@ Usage:  python scripts/bench_import.py [--runs 15] [--repeat 5] [--parent SRC]
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 from statistics import median
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "scripts"))
 ALPHA = 0.6180339887498949
+MODULES = ("scipy", "scipy.optimize", "scipy.sparse", "numpy.ma", "numpy.random")
 
-# A child prints: import seconds, ru_maxrss in KiB, scipy.optimize loaded,
-# scipy.sparse loaded.
+# A child prints one JSON record: the statements' seconds, the monotonic
+# clock when they finished, ru_maxrss in KiB and the MODULES loaded.
 CHILD = """
-import resource, sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 t0 = time.perf_counter()
-{imports}
+{statements}
 t = time.perf_counter() - t0
-print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-      "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
+ready = time.monotonic()
+print(json.dumps({{"s": t, "ready": ready,
+                  "rss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "loads": [m for m in {modules!r} if m in sys.modules]}}))
 """
 
+IMPORT = "import torushj.experiments"
+SETUP = "import torushj.experiments\ntorushj.experiments.parse_config({path!r})"
 CHAINS = {
     "numpy": "import numpy",
+    "numpy + numpy.ma": "import numpy, numpy.ma",
+    "numpy + numpy.random": "import numpy, numpy.random",
     "numpy + scipy": "import numpy, scipy",
     "numpy + scipy.sparse.csgraph": "import numpy, scipy.sparse.csgraph",
     "numpy + scipy.sparse.csgraph + scipy.optimize":
@@ -58,11 +76,19 @@ CHAINS = {
 }
 
 
-def import_once(imports, src):
-    out = subprocess.run([sys.executable, "-c", CHILD.format(imports=imports), src],
+def child_env() -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    return env
+
+
+def run_once(statements, src):
+    code = CHILD.format(statements=statements, modules=MODULES)
+    spawned = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", code, src], env=child_env(),
                          capture_output=True, text=True, check=True)
-    t, rss, optimize, sparse = out.stdout.split()
-    return float(t), int(rss) / 1024.0, optimize == "True", sparse == "True"
+    record = json.loads(out.stdout.splitlines()[-1])
+    return record["s"], record["ready"] - spawned, record["rss"] / 1024.0, record["loads"]
 
 
 def commit_of(src):
@@ -72,23 +98,25 @@ def commit_of(src):
 
 
 def import_table(runs, parent):
-    src = os.path.join(ROOT, "src")
-    targets = [("torushj.experiments", "import torushj.experiments", src)]
-    if parent:
-        targets.append(("torushj.experiments (parent)", "import torushj.experiments",
-                        parent))
-    targets += [(name, imp, src) for name, imp in CHAINS.items()]
+    trees = [("", os.path.join(ROOT, "src"))] + ([(" (parent)", parent)] if parent else [])
+    for _, src in trees:
+        shutil.rmtree(os.path.join(src, "torushj", "__pycache__"), ignore_errors=True)
+    torushj = [("torushj.experiments", IMPORT)] + [
+        (f"set-up {name}", SETUP.format(path=os.path.join(ROOT, "configs", f"{name}.cfg")))
+        for name in ("example_6_1", "barrier_suite")]
+    targets = [(name + tag, stmts, src) for name, stmts in torushj for tag, src in trees]
+    targets += [(name, stmts, trees[0][1]) for name, stmts in CHAINS.items()]
     samples = {name: [] for name, _, _ in targets}
     for r in range(runs):
-        for name, imp, where in (targets if r % 2 == 0 else targets[::-1]):
-            samples[name].append(import_once(imp, where))
+        for name, stmts, where in (targets if r % 2 == 0 else targets[::-1]):
+            samples[name].append(run_once(stmts, where))
     rows = []
-    for name, _, where in targets:
-        t, rss, optimize, sparse = zip(*samples[name])
+    for name, stmts, where in targets:
+        t, setup, rss, loads = zip(*samples[name])
         row = {"target": name, "runs": runs, "min_s": min(t), "median_s": median(t),
-               "median_maxrss_mib": median(rss), "loads_scipy_optimize": any(optimize),
-               "loads_scipy_sparse": any(sparse)}
-        if name.startswith("torushj"):
+               "median_setup_s": median(setup), "median_maxrss_mib": median(rss),
+               "loads": sorted(set().union(*loads))}
+        if "torushj" in stmts:
             row["commit"] = commit_of(where)
         rows.append(row)
     return rows
@@ -121,17 +149,17 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--runs", type=int, default=15)
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--parent", help="src/ directory of a second checkout to "
-                    "time the import of, alternating with this one")
+    ap.add_argument("--parent", help="src/ directory of a second checkout whose "
+                    "set-up to time, alternating with this one")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_import.json"))
     args = ap.parse_args()
 
     imports = import_table(args.runs, args.parent)
-    print(f"{'import':<48s} {'min_s':>7s} {'median_s':>8s} {'MiB':>6s} optimize sparse")
+    print(f"{'set-up':<48s} {'min_s':>7s} {'median_s':>8s} {'setup_s':>7s} {'MiB':>6s} loads")
     for row in imports:
         print(f"{row['target']:<48s} {row['min_s']:7.3f} {row['median_s']:8.3f} "
-              f"{row['median_maxrss_mib']:6.1f} {row['loads_scipy_optimize']!s:8s} "
-              f"{row['loads_scipy_sparse']}")
+              f"{row['median_setup_s']:7.3f} {row['median_maxrss_mib']:6.1f} "
+              f"{' '.join(row['loads']) or '-'}")
     routes = route_table(args.repeat)
     print(f"{'lp route':<28s} {'howard_s':>9s} {'highs_s':>9s} {'|dc|':>8s}")
     for row in routes:

@@ -15,6 +15,13 @@ which writes CSV or binary artifacts plus a JSON manifest.  A stage that
 raises adds a `fatal` record after the ones before it; the partial artifacts
 are kept.
 
+Set-up (import, parse, validate) loads only what the run executes.  The
+manifest's scipy version is read from scipy's `version.py` at import
+(`_SCIPY_VERSION`), so the `scipy` package never loads on a lattice run.
+The kinds that draw random fields are declared `seeded`; `validate` builds
+their generator (`ExperimentConfig.rng`), so `numpy.random` loads at parse
+time for them and never for the others.
+
 Potential specs use a tiny grammar:  zero | const:value=V |
 cos:amp=A,freq=K,offset=B | sin:amp=A,freq=K,offset=B | cos_sum:amp=A,freq=K
 (cos/sin act on the first coordinate, cos_sum sums over axes).
@@ -23,14 +30,13 @@ cos:amp=A,freq=K,offset=B | sin:amp=A,freq=K,offset=B | cos_sum:amp=A,freq=K
 from __future__ import annotations
 
 import configparser
-import importlib
+import importlib.util
 import os
 import time
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .artifacts import (
@@ -82,10 +88,21 @@ from .solver import (
     solve_perturbed,
 )
 
-# np.unique and np.random load these lazily; loading them at import keeps
-# that cost out of a run's wall time
-for _module in ("numpy.ma", "numpy.random"):
-    importlib.import_module(_module)
+
+def _scipy_version() -> str:
+    """`scipy.__version__`, from scipy's `version.py` loaded on its own:
+    `import scipy` would run the package's `__init__` for one string."""
+    package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location("scipy_version",
+                                                  os.path.join(package, "version.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
+# read at import, so that set-up, not a run, pays for it
+_SCIPY_VERSION = _scipy_version()
+
 
 __all__ = [
     "ExperimentConfig",
@@ -127,8 +144,9 @@ def parse_potential(spec: str) -> Callable:
 @dataclass
 class ExperimentConfig:
     """One experiment.  Each default is also that of an absent INI key; an
-    empty name is the kind's.  `validate` builds the grid, velocity set and
-    model, so their own rules refuse a config at parse time."""
+    empty name is the kind's.  `validate` builds the grid, velocity set,
+    model and a seeded kind's generator, so their own rules refuse a config
+    at parse time."""
 
     kind: str
     name: str = ""
@@ -164,6 +182,15 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{self.kind} reads no [{section}] key "
                                          f"{unknown[0]!r}")
         self.grid(), self.vset(), self.model()      # each applies its own rules
+        if kind.seeded:
+            self.rng()
+
+    def rng(self) -> np.random.Generator:
+        """The generator of a seeded kind.  `numpy.random` loads on the first
+        call, so kinds that draw nothing never load it."""
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        return np.random.default_rng(self.seed)
 
     def grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.d, self.n)
@@ -504,7 +531,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     h = poly.barrier
     artifacts["barrier_peierls"] = h
     sigma1 = GridField.constant(grid, 1.0)
-    rng = np.random.default_rng(cfg.seed)
+    rng = cfg.rng()
 
     pairs = int(cfg.extras.get("lipschitz_pairs", 20))
     slack = _threshold(cfg, "lipschitz_slack")
@@ -624,7 +651,7 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
         raise ConfigurationError(f"barrier_suite checks a mechanical model, not "
                                  f"{cfg.model_name!r}")
     grid = cfg.grid()
-    rng = np.random.default_rng(cfg.seed)
+    rng = cfg.rng()
 
     mech = cfg.model()
     nodes = grid.node_coords()
@@ -668,12 +695,14 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
 @dataclass(frozen=True)
 class _Kind:
     """An experiment kind: its runner, the [thresholds] keys it reads with
-    their defaults, and the [extras] keys it reads.  `validate` refuses any
-    other threshold or extra, so a misspelt one cannot be ignored."""
+    their defaults, the [extras] keys it reads, and whether it draws from
+    `cfg.rng()`.  `validate` refuses any other threshold or extra, so a
+    misspelt one cannot be ignored, and builds a seeded kind's generator."""
 
     run: Callable
     thresholds: dict
     extras: tuple = ()
+    seeded: bool = False
 
 
 _SWEEP_THRESHOLDS = {"monotone_factor": 2.0, "final_sup_error": 0.05}
@@ -684,14 +713,14 @@ _KINDS = {
                               ("certificate_true", "certificate_false", "solve_lambdas")),
     "operator_suite": _Kind(_run_operator_suite,
                             {"lipschitz_slack": 1e-7, "image_residual_c": 25.0},
-                            ("lipschitz_pairs",)),
+                            ("lipschitz_pairs",), seeded=True),
     "occupation_suite": _Kind(_run_occupation_suite,
                               {"tv_factor": 2.0, "mass_identity_rel": 0.05},
                               ("start_node", "mass_identity_lambda")),
     "barrier_suite": _Kind(_run_barrier_suite,
                            {"critical_tol_mechanical": 0.05, "critical_tol_shifted": 0.02,
                             "tol_tri": 5e-3, "column_residual_c": 25.0},
-                           ("m_critical", "alpha")),
+                           ("m_critical", "alpha"), seeded=True),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -729,7 +758,7 @@ def run_experiment(config, output: Optional[str] = None,
         "kind": cfg.kind,
         "name": cfg.name,
         "versions": {"torushj": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": _SCIPY_VERSION},
         "seed": cfg.seed,
         "parameters": _config_echo(cfg),
         "stages": [{

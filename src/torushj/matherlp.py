@@ -50,7 +50,8 @@ Only the linear programs need scipy: the closedness operator
 `scipy.sparse` inside the function, and `_run_lp` imports HiGHS on the
 first LP.  Howard's policy iteration and `cycle_arcs` (Tarjan's strongly
 connected components) are plain numpy and Python, so a lattice run loads
-neither.
+neither; nor does it load `numpy.ma`, which a plain `np.unique` imports
+(`_distinct` gives the same sorted nodes by a bincount).
 """
 
 from __future__ import annotations
@@ -253,6 +254,12 @@ def cycle_arcs(foot: np.ndarray, head: np.ndarray, N: int):
     return label[foot] == label[head], label
 
 
+def _distinct(a: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of an array of non-negative intp, sorted, as
+    `np.unique(a)` gives them; plain `np.unique` loads `numpy.ma`."""
+    return np.flatnonzero(np.bincount(a, minlength=size))
+
+
 def _zero_tol(action: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(action))))
 
@@ -294,7 +301,7 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     k, y = np.nonzero(reduced <= zero_tol)
     on, label = cycle_arcs(foot[k, y], y, N)
     # the static classes, numbered in the order of their smallest node
-    aubry = np.unique(y[on])
+    aubry = _distinct(y[on], N)
     _, first, cls = np.unique(label[aubry], return_index=True, return_inverse=True)
     classes = np.full(N, -1)
     classes[aubry] = np.argsort(np.argsort(first))[cls]

@@ -48,7 +48,8 @@ import numpy as np
 from .barrier import BIG
 from .errors import ConfigurationError, DomainError
 from .grids import GridField
-from .matherlp import DiscreteMeasure, MatherPolytope, _howard, _policy_cycle, cycle_arcs
+from .matherlp import (DiscreteMeasure, MatherPolytope, _distinct, _howard, _policy_cycle,
+                       cycle_arcs)
 from .models import ControlModel
 from .solver import on_arcs, one_sided_subsolution_defect
 
@@ -143,7 +144,7 @@ def _minimize_on_face(polytope: MatherPolytope, barrier: bool,
     cycles = {}                 # the policy's cycle in each winning class
     if keep_measures or check_multiplicity:
         pred = take[pol, np.arange(A)]
-        for c in np.unique(best):
+        for c in _distinct(best, S):
             # |S| steps back along the policy from z_S land on its cycle
             cycles[c] = _policy_cycle(pred, local[reps[c]], np.count_nonzero(label == c))
     measures = mult = None

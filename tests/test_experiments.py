@@ -161,6 +161,18 @@ def test_unknown_thresholds_and_extras_are_refused(tmp_path):
     assert parse_config(str(path)).raw["barrier"] == {"tmax": "24.0"}
 
 
+def test_negative_seed_of_a_seeded_kind_is_refused(tmp_path):
+    # default_rng's own ValueError would surface only as a fatal stage
+    text = (CONFIG_DIR / "barrier_suite.cfg").read_text()
+    path = tmp_path / "seed.cfg"
+    assert "seed = 20240601" in text
+    path.write_text(text.replace("seed = 20240601", "seed = -1"))
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+        parse_config(str(path))
+    with pytest.raises(ConfigurationError, match="seed"):
+        ExperimentConfig(kind="operator_suite", seed=-1).rng()
+
+
 def test_config_without_a_kind_is_refused(tmp_path):
     path = tmp_path / "nokind.cfg"
     path.write_text("[grid]\nn = 16\n")
