@@ -39,12 +39,12 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
 from bench_critical import best, machine                       # noqa: E402
-from torushj.barrier import BIG, _ActionKernel, karp_min_mean  # noqa: E402
+from torushj.barrier import BIG, karp_min_mean                 # noqa: E402
 from torushj.experiments import parse_potential                # noqa: E402
 from torushj.grids import build_grid                           # noqa: E402
 from torushj.matherlp import build_polytope                    # noqa: E402
 from torushj.models import builtin_model, velocity_set          # noqa: E402
-from torushj.solver import default_dt                           # noqa: E402
+from torushj.solver import default_dt, lattice_graph            # noqa: E402
 
 ALPHA = 0.6180339887498949
 TMAX = 24.0
@@ -74,19 +74,28 @@ def min_plus(A, B):
     return np.minimum(C, BIG, out=C)
 
 
-def retired_longtime(kern, steps):
-    """diag h_{steps*dt} (steps >= 2): P = h_dt raised to steps // 2 left to
-    right, then min_j P[i, j] + Q[j, i] with Q = P, or one step of P for
-    odd steps."""
-    N = kern.take.shape[1]
+def retired_longtime(take, cost, steps):
+    """diag h_{steps*dt} (steps >= 2) on the lattice graph whose arc (k, y)
+    runs from take[k, y] to y at cost[k, y]: P = h_dt raised to steps // 2
+    left to right, then min_j P[i, j] + Q[j, i] with Q = P, or one step of P
+    for odd steps."""
+    N = take.shape[1]
+
+    def step(A):
+        """A h_dt by its K arcs per node, as the action DP steps."""
+        AT = np.ascontiguousarray(A.T)
+        out = np.full_like(AT, BIG)
+        for tk, ck in zip(take, cost):
+            np.minimum(out, AT[tk] + ck[:, None], out=out)
+        return np.ascontiguousarray(out.T)
+
     P = np.full((N, N), BIG)
-    np.minimum.at(P, (kern.take, np.broadcast_to(np.arange(N), kern.take.shape)),
-                  kern.cost)
+    np.minimum.at(P, (take, np.broadcast_to(np.arange(N), take.shape)), cost)
     for bit in bin(steps // 2)[3:]:
         P = min_plus(P, P)
         if bit == "1":
-            P = kern.step(P)
-    Q = kern.step(P) if steps & 1 else P
+            P = step(P)
+    Q = step(P) if steps & 1 else P
     return np.minimum(np.min(P + Q.T, axis=1), BIG)
 
 
@@ -114,9 +123,10 @@ def main() -> int:
     for name, model, grid, vset in cases():
         dt = default_dt(grid, vset)
         steps = int(round(TMAX / dt))
-        kern = _ActionKernel(model, grid, vset, dt)
-        karp_s, eta = best(lambda: karp_min_mean(kern.take, kern.cost), args.repeat)
-        power_s, diag = best(lambda: retired_longtime(kern, steps), args.repeat)
+        arcs, L0 = lattice_graph(model, grid, vset, dt)
+        cost = dt * L0
+        karp_s, eta = best(lambda: karp_min_mean(arcs.take, cost), args.repeat)
+        power_s, diag = best(lambda: retired_longtime(arcs.take, cost, steps), args.repeat)
         c, c_T = -eta / dt, -float(diag.min()) / (steps * dt)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
                "steps": steps, "karp_s": karp_s, "powering_s": power_s,

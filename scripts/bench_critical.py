@@ -34,7 +34,7 @@ from torushj.experiments import parse_potential                # noqa: E402
 from torushj.grids import build_grid                           # noqa: E402
 from torushj.matherlp import _howard, build_polytope, solve_mather_lp  # noqa: E402
 from torushj.models import builtin_model, velocity_set          # noqa: E402
-from torushj.solver import on_arcs                              # noqa: E402
+from torushj.solver import lattice_graph                        # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHA = 0.6180339887498949
@@ -95,8 +95,9 @@ def main() -> int:
     for name, model, grid, vset in cases():
         build_s, poly = best(lambda: build_polytope(model, grid, vset), args.repeat)
         lp_s, (_, opt, _) = best(lambda: solve_mather_lp(model, poly), args.repeat)
-        W = poly.dt * on_arcs(grid, vset, model.L, 0.0)
-        howard_s, (_, _, _, iters) = best(lambda: _howard(poly.arcs.take, W, np.ones_like(W)),
+        arcs, L0 = lattice_graph(model, grid, vset)
+        W = arcs.dt * L0
+        howard_s, (_, _, _, iters) = best(lambda: _howard(arcs.take, W, np.ones_like(W)),
                                           args.repeat)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
                "lp_vars": poly.num_vars, "lp_s": lp_s, "howard_s": howard_s,

@@ -10,7 +10,8 @@ the same update family the discounted solver iterates, over the arcs of the
 same kernel (`solver.Transition`); barrier columns are then exact
 vanishing-discount limits of the solver rather than merely O(dt)-consistent
 ones.  Both the DP and the barrier need the integer hops that the default
-dt = h / velocity step gives.  `evolve_action` runs that step T/dt times.
+dt = h / velocity step gives (`solver.lattice_graph`, which also gives
+the arcs' L0).  `evolve_action` runs that step T/dt times.
 
 The long-time critical value is the exact T -> infinity limit of
 -min_x h_T(x, x) / T, that is -eta / dt with eta the minimum mean weight
@@ -20,8 +21,8 @@ N + 1 Bellman steps applied to u = 0, the discrete Lax-Oleinik semigroup
 walk of exactly k arcs that ends at y, from anywhere,
 eta = min_y max_{0<=k<N} (D_N(y) - D_k(y)) / (N - k) (R. M. Karp, "A
 characterization of the minimum cycle mean in a digraph", Discrete Math.
-23 (1978) 309-311).  That is value iteration, not Howard's policy
-iteration, so the two routes check each other.
+23 (1978) 309-311), on the arcs of `lattice_graph`.  That is value
+iteration, not Howard's policy iteration, so the two routes check each other.
 
 The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
 lattice graph, whose arc (k, y) runs from its foot to y with weight
@@ -51,7 +52,7 @@ from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid
 from .matherlp import MatherPolytope, build_polytope
 from .models import ControlModel, VelocitySet, discounted_wrapper
-from .solver import Transition, default_dt, on_arcs, solve_perturbed
+from .solver import default_dt, lattice_graph, solve_perturbed
 
 __all__ = [
     "BIG",
@@ -118,13 +119,8 @@ class _ActionKernel:
 
     def __init__(self, model: ControlModel, grid: PeriodicGrid,
                  vset: VelocitySet, dt: float):
-        arcs = Transition(grid, vset, dt)
-        if not arcs.integer_hops:
-            raise ConfigurationError(
-                f"dt = {dt:g} moves velocities off the node lattice; the action "
-                "DP and the barrier need whole-cell hops (dt = h / velocity step)")
-        self.take = arcs.take                                          # (K, N)
-        self.cost = dt * on_arcs(grid, vset, model.L, 0.0)             # (K, N)
+        arcs, L0 = lattice_graph(model, grid, vset, dt)
+        self.take, self.cost = arcs.take, dt * L0                      # (K, N)
 
     def step(self, A: np.ndarray) -> np.ndarray:
         """h_t -> h_{t+dt}, the min-plus product A h_dt by its K arcs per node:
@@ -189,9 +185,10 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     policy iteration (`solve_perturbed` on `discounted_wrapper(model)`),
     reads off -mean(lam*w) and raises SolveError if that solve does not
     converge; longtime is the T -> infinity limit of -min_x h_T(x, x)/T,
-    exactly, by Karp's theorem on the action DP's arcs (`karp_min_mean`):
-    N + 1 Bellman steps of a vector, N^2 K work.  The lp and longtime routes
-    need whole-cell hops and raise ConfigurationError without them.
+    exactly, by Karp's theorem on the arcs of `lattice_graph`
+    (`karp_min_mean`): N + 1 Bellman steps of a vector, N^2 K work.  The lp
+    and longtime routes need whole-cell hops and raise ConfigurationError
+    without them.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if dt is None:
@@ -208,8 +205,8 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
                                  f"stopped at residual {rep.final_residual:.3g}")
             values["discount"] = -DISCOUNT_LAMBDA * float(np.mean(w.values))
         elif meth == "longtime":
-            kern = _ActionKernel(model, grid, vset, dt)
-            values["longtime"] = -karp_min_mean(kern.take, kern.cost) / dt
+            arcs, L0 = lattice_graph(model, grid, vset, dt)
+            values["longtime"] = -karp_min_mean(arcs.take, dt * L0) / dt
         else:
             raise ConfigurationError(f"unknown critical-value method {meth!r}")
     vals = list(values.values())

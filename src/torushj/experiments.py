@@ -460,7 +460,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, stages: list
     if sizes.max() > 1:
         raise ConfigurationError("the closed form needs one-node static classes "
                                  f"(Dirac Mather measures); class sizes: {sizes.tolist()}")
-    crit = poly.critical_arcs()                 # one Dirac per arc (z_S, v)
+    crit = poly.critical                        # one Dirac per arc (z_S, v)
     foot, sigma = crit // vs.count, -_dl_flat(model, poly)[crit]
     closed_form = GridField(grid, np.min(h.values[foot] - (V0.values[foot] / sigma)[:, None],
                                          axis=0))
@@ -509,7 +509,8 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
     for lam in solve_lams:
         fld, rep = solve_perturbed(model, lam, grid, poly.vset, dt=poly.dt, tol=cfg.tol,
                                    max_iter=cfg.max_iter, bracket=bracket)
-        certified_gone = certs.get(str(lam), nonexistence_certificate(model, lam, grid))
+        certified_gone = (certs[str(lam)] if str(lam) in certs
+                          else nonexistence_certificate(model, lam, grid))
         outcomes[str(lam)] = {
             "converged": rep.converged, "residual": rep.final_residual,
             "iterations": rep.iterations, "certificate": bool(certified_gone),

@@ -13,11 +13,12 @@ minimizing measures.
 
 The critical value is the min-plus eigenvalue of the one-step operator:
 eta + u(y) = min_k dt*L0(y, v_k) + u(y - v_k*dt), with c = -eta/dt and eta
-the minimal cycle mean of the lattice graph.
+the minimal cycle mean of the lattice graph (`solver.lattice_graph`).
 `build_polytope` computes eta, the bias u and the critical arcs by Howard's
 policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat,
 "Numerical computation of spectral elements in max-plus algebra", IFAC
-1998), with no linear program.  Its reduced costs certify u: they are
+1998), with no linear program; its value determination walks each policy
+graph with `solver.policy_walk`.  Its reduced costs certify u: they are
 nonnegative up to roundoff, and zero on every arc of a min-mean cycle.
 The critical arcs are the zero-cost arcs inside strongly connected
 components of the zero-cost graph (`cycle_arcs`); the closed probability
@@ -31,8 +32,8 @@ layer reads h_G and M(L_G) off one critical problem; it minimizes its
 linear-fractional objectives class by class with the ratio form of the
 same policy iteration (`_howard` with per-arc denominators).
 
-Off the node lattice there is no lattice graph, so `build_polytope`, and
-with it the "lp" route of `barrier.critical_value`, raises
+Off the node lattice there is no lattice graph, so `lattice_graph`, hence
+`build_polytope` and the "lp" route of `barrier.critical_value`, raises
 ConfigurationError: every polytope is a solved critical problem.  The
 closedness operator keeps its stencil branch for any kernel.  The
 closed-measure LP (`solve_mather_lp`) and the full-polytope programs, which
@@ -65,7 +66,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, MatherLPError
 from .grids import PeriodicGrid
 from .models import ControlModel, VelocitySet
-from .solver import Transition, default_dt, on_arcs
+from .solver import Transition, lattice_graph, policy_walk
 
 __all__ = [
     "DiscreteMeasure",
@@ -158,7 +159,8 @@ class MatherPolytope:
     critical_measure: DiscreteMeasure    # one minimizing measure
     reduced_cost: np.ndarray     # >= -zero_tol, flat
     potential: np.ndarray        # certified by reduced_cost
-    critical: np.ndarray         # `critical_arcs()`
+    critical: np.ndarray         # ascending flat arcs of zero reduced cost on
+                                 # cycles of such arcs: the Mather support
     classes: np.ndarray          # static class per node, -1 off A
     tol_min: float = 1e-9
 
@@ -182,12 +184,6 @@ class MatherPolytope:
     def zero_tol(self) -> float:
         """Reduced costs at or below this scale-relative 1e-9 count as zero."""
         return _zero_tol(self.action)
-
-    def critical_arcs(self) -> np.ndarray:
-        """Flat indices of the arcs whose reduced cost is zero (up to
-        `zero_tol`) and that lie on a cycle of such arcs: the support of
-        every Mather measure."""
-        return self.critical
 
     def static_classes(self):
         """The Aubry set A (ascending), the class of each node of A, and one
@@ -272,15 +268,8 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     their static classes.  The potential must pass the certificate
     reduced_cost >= -zero_tol (MatherLPError otherwise).  A dt whose hops
     leave the node lattice raises ConfigurationError."""
-    if dt is None:
-        dt = default_dt(grid, vset)
-    arcs = Transition(grid, vset, dt)
-    if not arcs.integer_hops:
-        raise ConfigurationError(
-            f"dt = {dt:g} moves velocities off the node lattice; the critical "
-            "problem needs whole-cell hops (dt = h / velocity step)")
-    L0 = on_arcs(grid, vset, model.L, 0.0)                     # (K, N), at the nodes
-    N, K = grid.size, vset.count
+    arcs, L0 = lattice_graph(model, grid, vset, dt)
+    dt, N, K = arcs.dt, grid.size, vset.count
     # L0 is charged at the arc's head.  Arc (k, y) runs from its foot
     # take[k, y] to y; in the flat (x, k) order of the polytope it is
     # x * K + k, x the foot.
@@ -305,28 +294,14 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     _, first, cls = np.unique(label[aubry], return_index=True, return_inverse=True)
     classes = np.full(N, -1)
     classes[aubry] = np.argsort(np.argsort(first))[cls]
-    # the policy's cycle through a node of minimal mean: N steps back along
-    # the policy from any node land on its cycle
-    cycle = _policy_cycle(foot[pol, np.arange(N)], int(np.argmin(eta)), N)
+    # the policy's cycle upstream of a node of minimal mean
+    cycle = next(policy_walk(foot[pol, np.arange(N)], (int(np.argmin(eta)),)))[0]
     weights = np.zeros(N * K)
     weights[flat[pol[cycle], cycle]] = 1.0 / len(cycle)
     return MatherPolytope(arcs=arcs, action=action, c=-star / dt,
                           critical_measure=DiscreteMeasure(grid, vset, weights),
                           reduced_cost=reduced_cost, potential=u / dt,
                           critical=np.sort(flat[k[on], y[on]]), classes=classes)
-
-
-def _policy_cycle(pred: np.ndarray, start: int, steps: int) -> list:
-    """The cycle that walking steps back from start along the policy
-    y -> pred[y] lands on, listed from the node it lands on, in the walk's
-    direction.  steps must be at least the walk's length to the cycle."""
-    y = start
-    for _ in range(steps):
-        y = pred[y]
-    cycle = [y]
-    while pred[cycle[-1]] != y:
-        cycle.append(pred[cycle[-1]])
-    return cycle
 
 
 def _howard(take: np.ndarray, W: np.ndarray, D: np.ndarray):
@@ -376,30 +351,16 @@ def _policy_values(pred: np.ndarray, w: np.ndarray, d: np.ndarray,
     with eta constant on each basin.  Each cycle keeps u_old at its smallest
     node, so that a cycle the improvement left alone keeps its values bit
     for bit."""
-    N = pred.size
     pred, w, d, old = pred.tolist(), w.tolist(), d.tolist(), u_old.tolist()
-    eta, u = [0.0] * N, [0.0] * N
-    state = [0] * N                   # 0 new, 1 on this walk, 2 done
-    for start in range(N):
-        path, y = [], start
-        while state[y] == 0:
-            state[y] = 1
-            path.append(y)
-            y = pred[y]
-        closed = state[y] == 1        # the walk closed a new cycle at y
-        for z in path:
-            state[z] = 2
-        if closed:
-            i = path.index(y)
-            cyc = path[i:]
-            j = cyc.index(min(cyc))
-            cyc = cyc[j:] + cyc[:j]   # pred(cyc[t]) = cyc[t + 1], pred(cyc[-1]) = cyc[0]
-            ratio = sum(w[z] for z in cyc) / sum(d[z] for z in cyc)
-            eta[cyc[0]], u[cyc[0]] = ratio, old[cyc[0]]
-            for z in reversed(cyc[1:]):
-                eta[z], u[z] = ratio, (w[z] - ratio * d[z]) + u[pred[z]]
-            del path[i:]
-        for z in reversed(path):
+    eta, u = [0.0] * len(pred), [0.0] * len(pred)
+    for cycle, tree in policy_walk(pred):
+        if cycle:
+            j = cycle.index(min(cycle))
+            cycle = cycle[j:] + cycle[:j]
+            ratio = sum(w[z] for z in cycle) / sum(d[z] for z in cycle)
+            eta[cycle[0]], u[cycle[0]] = ratio, old[cycle[0]]
+            tree = cycle[:0:-1] + tree    # the rest of the cycle hangs from cycle[0]
+        for z in tree:
             p = pred[z]
             eta[z], u[z] = eta[p], (w[z] - eta[p] * d[z]) + u[p]
     return np.array(eta), np.array(u)

@@ -48,10 +48,9 @@ import numpy as np
 from .barrier import BIG
 from .errors import ConfigurationError, DomainError
 from .grids import GridField
-from .matherlp import (DiscreteMeasure, MatherPolytope, _distinct, _howard, _policy_cycle,
-                       cycle_arcs)
+from .matherlp import DiscreteMeasure, MatherPolytope, _distinct, _howard, cycle_arcs
 from .models import ControlModel
-from .solver import on_arcs, one_sided_subsolution_defect
+from .solver import on_arcs, one_sided_subsolution_defect, policy_walk
 
 __all__ = [
     "SelectionResult",
@@ -114,7 +113,7 @@ def _minimize_on_face(polytope: MatherPolytope, barrier: bool,
     """
     N, K = polytope.grid.size, polytope.vset.count
     aubry, label, reps = polytope.static_classes()
-    crit = polytope.critical_arcs()
+    crit = polytope.critical
     h = polytope.barrier.values if barrier else None
     A, S = aubry.size, reps.size
     local = np.full(N, -1)
@@ -144,9 +143,10 @@ def _minimize_on_face(polytope: MatherPolytope, barrier: bool,
     cycles = {}                 # the policy's cycle in each winning class
     if keep_measures or check_multiplicity:
         pred = take[pol, np.arange(A)]
-        for c in _distinct(best, S):
-            # |S| steps back along the policy from z_S land on its cycle
-            cycles[c] = _policy_cycle(pred, local[reps[c]], np.count_nonzero(label == c))
+        won = _distinct(best, S)
+        # classes share no node, so one walk from their representatives
+        # yields each class's cycle in turn
+        cycles = {c: cyc for c, (cyc, _) in zip(won, policy_walk(pred, local[reps[won]]))}
     measures = mult = None
     if keep_measures:
         witness = {}
@@ -195,8 +195,8 @@ def apply_selection_operator(sigma: GridField, phi: GridField,
     return res
 
 
-def limit_solution_formula(model: ControlModel, V0: GridField, polytope: MatherPolytope,
-                           keep_measures: bool = False) -> SelectionResult:
+def limit_solution_formula(model: ControlModel, V0: GridField,
+                           polytope: MatherPolytope) -> SelectionResult:
     """The vanishing-discount limit selected by the potential V0.
 
     Per node x the numerator weights are h(y, x)*dL/du(y,v,0) + V0(y) and the
@@ -212,7 +212,7 @@ def limit_solution_formula(model: ControlModel, V0: GridField, polytope: MatherP
         )
     res = _minimize_on_face(polytope, True, dl,
                             _lift(V0.values, polytope.vset.count), None,
-                            keep_measures, False)
+                            False, False)
     res.field = GridField(polytope.grid, res.per_x_value)
     return res
 

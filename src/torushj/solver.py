@@ -18,7 +18,9 @@ curves is exact.  Any other dt (including much smaller ones) is supported
 through interpolation.  `Transition` holds these arcs once for the whole
 package: the action DP (barrier), the closedness operator (matherlp) and
 backward curves use the same kernel, and `on_arcs` evaluates a function of
-(x, v) on all of its arcs.
+(x, v) on all of its arcs.  `lattice_graph` builds the kernel with
+whole-cell hops and L0 on its arcs for the critical problem, the action DP
+and the long-time route, and refuses any other dt.
 
 Each solver step is one Howard policy evaluation.  The argmin arcs of T[u]
 form a policy pi, and u <- u + (I - diag(a) P_pi)^-1 (T[u] - u) with
@@ -31,7 +33,8 @@ unchanged ends the solve as stalled.  The evaluation needs no sparse
 algebra (`Transition.evaluate_policy`): with integer hops P_pi maps each
 node to one foot, and a walk over the cycles and trees of that functional
 graph solves it exactly; off the lattice it is a dense numpy solve.  So the
-solver, like every lattice run, loads no `scipy.sparse`.
+solver, like every lattice run, loads no `scipy.sparse`.  That walk is
+`policy_walk`, which `matherlp`'s value determination and cycles read too.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ __all__ = [
     "Transition",
     "on_arcs",
     "default_dt",
+    "lattice_graph",
+    "policy_walk",
     "bellman_apply",
     "compute_bracket",
     "solve_perturbed",
@@ -216,38 +221,52 @@ class Transition:
 
 
 def _discounted_walk(pred: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The solution z of z(y) = r(y) + a(y) z(pred(y)), 0 < a < 1, by a walk
-    over the cycles and the trees of the functional graph y -> pred(y), the
-    discounted analogue of `matherlp._policy_values`.  A cycle y_0, ...,
-    y_{L-1} with pred(y_t) = y_{t+1} closes at y_0:
+    """The solution z of z(y) = r(y) + a(y) z(pred(y)), 0 < a < 1, on the
+    functional graph y -> pred(y) (`policy_walk`), the discounted analogue of
+    `matherlp._policy_values`.  A cycle y_0, ..., y_{L-1} with
+    pred(y_t) = y_{t+1} closes at its entry node y_0:
     z(y_0) = sum_t (prod_{s<t} a(y_s)) r(y_t) / (1 - prod_t a(y_t)); every
     other node takes one step of the recursion from its predecessor."""
-    N = pred.size
     pred, a, r = pred.tolist(), a.tolist(), r.tolist()
-    z = [0.0] * N
-    state = [0] * N                   # 0 new, 1 on this walk, 2 done
-    for start in range(N):
-        path, y = [], start
-        while state[y] == 0:
-            state[y] = 1
-            path.append(y)
-            y = pred[y]
-        closed = state[y] == 1        # the walk closed a new cycle at y
-        for x in path:
-            state[x] = 2
-        if closed:
-            i = path.index(y)
+    z = [0.0] * len(pred)
+    for cycle, tree in policy_walk(pred):
+        if cycle:
             acc, gain = 0.0, 1.0
-            for x in path[i:]:
+            for x in cycle:
                 acc += gain * r[x]
                 gain *= a[x]
             # a cycle that does not discount leaves z undetermined: nan,
             # which the solver reports as a DomainError
-            z[y] = acc / (1.0 - gain) if gain != 1.0 else math.nan
-            del path[i]               # the rest of the cycle hangs from y
-        for x in reversed(path):
+            z[cycle[0]] = acc / (1.0 - gain) if gain != 1.0 else math.nan
+            tree = cycle[:0:-1] + tree    # the rest of the cycle hangs from y_0
+        for x in tree:
             z[x] = r[x] + a[x] * z[pred[x]]
     return np.array(z)
+
+
+def policy_walk(pred, starts=None):
+    """Walk the functional graph y -> pred[y] from each start (every node
+    when starts is None) that no earlier walk visited, and yield per walk
+    (cycle, tree): the cycle it closed, in walk order (pred(cycle[t]) =
+    cycle[t + 1], wrapping), or [] if it ran into an earlier walk; and its
+    other new nodes, each after its predecessor.  Over all starts every node
+    is yielded once.  A list pred indexes faster than an array."""
+    walk = [-1] * len(pred)           # the start whose walk visited the node
+    for start in range(len(pred)) if starts is None else starts:
+        if walk[start] >= 0:
+            continue
+        path, y = [], start
+        while walk[y] < 0:
+            walk[y] = start
+            path.append(y)
+            y = pred[y]
+        cycle = []
+        if walk[y] == start:          # the walk closed a new cycle at y
+            i = path.index(y)
+            cycle = path[i:]
+            del path[i:]
+        path.reverse()
+        yield cycle, path
 
 
 def on_arcs(grid: PeriodicGrid, vset: VelocitySet, fn, *args) -> np.ndarray:
@@ -262,6 +281,23 @@ def on_arcs(grid: PeriodicGrid, vset: VelocitySet, fn, *args) -> np.ndarray:
 def default_dt(grid: PeriodicGrid, vset: VelocitySet) -> float:
     """Time step aligning every velocity hop with the node lattice."""
     return grid.h / vset.spacing
+
+
+def lattice_graph(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
+                  dt: Optional[float] = None):
+    """The lattice graph of (grid, vset, dt), dt = h / (velocity step) by
+    default: its kernel, whose arc (k, y) runs from take[k, y] to y, and the
+    arcs' L0(y, v_k), charged at the head, shape (K, N).  The critical
+    problem, the action DP and the barrier live on it; a dt whose hops leave
+    the node lattice has no such graph and raises ConfigurationError."""
+    if dt is None:
+        dt = default_dt(grid, vset)
+    arcs = Transition(grid, vset, dt)
+    if not arcs.integer_hops:
+        raise ConfigurationError(
+            f"dt = {dt:g} moves velocities off the node lattice; the lattice "
+            "graph needs whole-cell hops (dt = h / velocity step)")
+    return arcs, on_arcs(grid, vset, model.L, 0.0)
 
 
 class _Kernel:

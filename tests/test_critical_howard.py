@@ -81,7 +81,7 @@ def check_against_lp(model, grid, vset, dt):
     poly = build_polytope(model, grid, vset, dt)
     mu, opt, _ = solve_mather_lp(model, poly)
     assert poly.c == pytest.approx(-opt, abs=1e-12)
-    crit = poly.critical_arcs()
+    crit = poly.critical
     assert np.isin(np.flatnonzero(mu.flat() > 1e-9), crit).all()
     # the potential certifies c: reduced costs >= -zero_tol, zero on the face
     assert poly.reduced_cost.min() >= -poly.zero_tol
@@ -134,7 +134,7 @@ def test_random_tables_against_lp_and_karp(seed, d, doubled, data):
     # a random table has one min-mean cycle: the face is one vertex, one
     # class whose critical arcs are a simple cycle (one arc per node)
     aubry, _, reps = poly.static_classes()
-    assert reps.size == 1 and len(poly.critical_arcs()) == aubry.size
+    assert reps.size == 1 and len(poly.critical) == aubry.size
 
 
 @settings(max_examples=16, deadline=None)
@@ -175,10 +175,10 @@ def test_rest_ties_and_branches_settle():
     # branched face (alpha at half a velocity step) ties two arcs per node
     grid, vset = build_grid(1, 16), velocity_set(3.0, 25)
     free = build_polytope(builtin_model("mechanical", U=None), grid, vset)
-    assert free.c == 0.0 and len(free.critical_arcs()) == grid.size
+    assert free.c == 0.0 and len(free.critical) == grid.size
     half = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)
     poly = check_against_lp(half, grid, vset, default_dt(grid, vset))
-    assert len(poly.critical_arcs()) == 2 * grid.size
+    assert len(poly.critical) == 2 * grid.size
 
 
 def brute_min_ratio(take, W, D):

@@ -17,7 +17,6 @@ from torushj.grids import (
     product_lattice,
     wrap_points,
 )
-from torushj.matherlp import _policy_cycle
 from torushj.models import builtin_model, fenchel_lagrangian, velocity_set
 
 
@@ -224,10 +223,10 @@ def test_random_fields_keep_the_1d_draws_and_vary_along_every_axis_in_2d():
         assert np.ptp(a, axis=0).max() > 1e-3 and np.ptp(a, axis=1).max() > 1e-3
 
 
-def test_policy_cycle_walks_the_tail_then_lists_the_cycle():
+def test_policy_walk_walks_the_tail_then_lists_the_cycle():
     # 0 -> 1 -> 2 -> 3 -> 4 -> 2 along pred; node 5 feeds node 0
     pred = np.array([1, 2, 3, 4, 2, 0])
-    assert _policy_cycle(pred, 5, 5) == [4, 2, 3]
-    assert _policy_cycle(pred, 5, 6) == [2, 3, 4]
-    assert _policy_cycle(pred, 2, 0) == [2, 3, 4]
-    assert _policy_cycle(np.array([0]), 0, 1) == [0]
+    assert list(solver.policy_walk(pred, (5,))) == [([2, 3, 4], [1, 0, 5])]
+    assert list(solver.policy_walk(pred, (2, 5))) == [([2, 3, 4], []), ([], [1, 0, 5])]
+    assert list(solver.policy_walk(pred)) == [([2, 3, 4], [1, 0]), ([], [5])]
+    assert list(solver.policy_walk(np.array([0]), (0, 0))) == [([0], [])]

@@ -81,7 +81,7 @@ def mather_vertices(poly):
     indices; None when a node has two or more critical arcs."""
     N, K = poly.grid.size, poly.vset.count
     head = poly.arcs.heads[0]
-    crit = poly.critical_arcs()
+    crit = poly.critical
     src = crit // K
     if np.any(np.bincount(src, minlength=N) > 1):
         return None
@@ -124,7 +124,7 @@ def restricted_lp(poly, numerator, denominator, check_multiplicity=False):
     the Mather measures), for a denominator > 0.  Returns the value and,
     when asked, whether over 1% of the mass moves off the returned support
     at optimal cost."""
-    cols = poly.critical_arcs()
+    cols = poly.critical
     obj = numerator[cols]
     A_eq = sparse.vstack([poly.C[:, cols], sparse.csr_matrix(denominator[None, cols])])
     b_eq = np.zeros(poly.grid.size + 1)
@@ -156,7 +156,7 @@ def test_reduced_costs_certify_the_critical_measure():
         scale = max(1.0, float(np.max(np.abs(poly.action))))
         assert poly.reduced_cost.min() >= -1e-9 * scale
         support = np.flatnonzero(poly.critical_measure.flat() > 0)
-        assert np.isin(support, poly.critical_arcs()).all()
+        assert np.isin(support, poly.critical).all()
         assert float(poly.action @ poly.critical_measure.flat()) == pytest.approx(-poly.c, abs=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_stored_critical_solution_is_the_lp_solution():
         mu, opt, _ = solve_mather_lp(model, poly)
         assert poly.c == pytest.approx(-opt, abs=1e-12)
         support = np.flatnonzero(mu.flat() > 1e-12)
-        assert np.isin(support, poly.critical_arcs()).all()
+        assert np.isin(support, poly.critical).all()
         assert critical_value(model, "lp", grid, poly.vset).c == poly.c
 
 
@@ -240,7 +240,7 @@ def test_limit_formula_vertex_path_matches_full_polytope(name, n, seed):
           else random_field(grid, seed))
     res = limit_solution_formula(model, V0, poly)
     assert res.classes == poly.static_classes()[2].size
-    assert res.critical_arcs == len(poly.critical_arcs())
+    assert res.critical_arcs == len(poly.critical)
     K = poly.vset.count
     dl = selection._dl_flat(model, poly)
     offset = np.repeat(V0.values, K)
@@ -340,7 +340,7 @@ def test_equilibrium_measures_match_linear_oracle(name, n, seed):
     # the witness is a Mather measure: a uniform measure on a closed cycle
     # of critical arcs, attaining the value
     support = np.flatnonzero(mu.flat() > 0)
-    assert np.isin(support, poly.critical_arcs()).all()
+    assert np.isin(support, poly.critical).all()
     np.testing.assert_allclose(poly.C @ mu.flat(), 0.0, atol=1e-12)
     np.testing.assert_allclose(mu.flat()[support], 1.0 / support.size, rtol=1e-14)
     assert float(cost @ mu.flat()) == pytest.approx(value, abs=1e-12)
@@ -410,7 +410,7 @@ def test_comparison_checks_on_a_branched_critical_graph(seed):
     poly = build_polytope(model, grid, vset)
     model = model.with_c0(poly.c)
     assert mather_vertices(poly) is None
-    assert len(poly.critical_arcs()) == 2 * grid.size
+    assert len(poly.critical) == 2 * grid.size
     oracle = dataclasses.replace(poly, tol_min=1e-12)
     K = vset.count
     rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ from scipy import sparse
 
 from torushj.errors import ConfigurationError
 from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
-import torushj.matherlp as matherlp
+import torushj.solver as solver
 from torushj.experiments import parse_potential
 from torushj.matherlp import build_polytope, closedness_operator
 from torushj.models import builtin_model, velocity_set
@@ -167,7 +167,7 @@ def reference_classes(poly):
     N, K = poly.grid.size, poly.vset.count
     head = np.empty_like(arcs.take)
     head[np.arange(K)[:, None], arcs.take] = np.arange(N)
-    crit = poly.critical_arcs()
+    crit = poly.critical
     succ = {x: set() for x in range(N)}
     for a in crit:
         succ[a // K].add(int(head[a % K, a // K]))
@@ -214,7 +214,7 @@ def test_build_polytope_uses_one_transition(monkeypatch, case):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(matherlp, "Transition", Counted)
+    monkeypatch.setattr(solver, "Transition", Counted)
     poly = build_polytope(model, grid, vset, dt)
     monkeypatch.undo()
     assert len(built) == 1 and poly.arcs.dt == dt
