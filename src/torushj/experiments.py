@@ -527,6 +527,9 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
 def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Nonexpansiveness, image-solves, fixed-point, and idempotence checks of
     the selection operator at scale."""
+    pairs = int(cfg.extras.get("lipschitz_pairs", 20))
+    if pairs < 1:
+        raise ConfigurationError(f"lipschitz_pairs must be at least 1, got {pairs}")
     poly, model = _critical_problem(cfg, cfg.dt)
     grid = poly.grid
     h = poly.barrier
@@ -534,7 +537,6 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     sigma1 = GridField.constant(grid, 1.0)
     rng = cfg.rng()
 
-    pairs = int(cfg.extras.get("lipschitz_pairs", 20))
     slack = _threshold(cfg, "lipschitz_slack")
     lip_ok = True
     lip_rows = []
@@ -586,6 +588,10 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     and its dt-order, closedness-defect scaling, and TV approach to the
     minimizing measure.  The critical polytope is at the lattice dt; the
     solves and traces are at cfg.dt, else 1e-3."""
+    N = cfg.grid().size
+    start_node = int(cfg.extras.get("start_node", N // 3))
+    if not 0 <= start_node < N:
+        raise ConfigurationError(f"start_node must lie in [0, {N}), got {start_node}")
     poly, model = _critical_problem(cfg)
     grid, vs = poly.grid, poly.vset
     dt = cfg.dt if cfg.dt is not None else 1e-3
@@ -594,7 +600,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     lp_mu = poly.critical_measure
 
-    start = grid.node_coords()[int(cfg.extras.get("start_node", grid.size // 3))]
+    start = grid.node_coords()[start_node]
     lams = cfg.lambdas or (0.2, 0.1, 0.05)
     # the defect diagnostic needs the transition kernel at the *trace* dt:
     # occupation bins telescope only under the kernel the curve stepped with

@@ -35,16 +35,15 @@ same policy iteration (`_howard` with per-arc denominators).
 Off the node lattice there is no lattice graph, so `lattice_graph`, hence
 `build_polytope` and the "lp" route of `barrier.critical_value`, raises
 ConfigurationError: every polytope is a solved critical problem.  The
-closedness operator keeps its stencil branch for any kernel.  The
-closed-measure LP (`solve_mather_lp`) and the full-polytope programs, which
-impose minimality as an action row with slack tol_min
-(`minimize_linear_over_mather`, `fractional_minimize`), serve criterion 7
-and the tests as oracles.  Linear programs are solved with HiGHS dual
-simplex (deterministic pivoting, vertex solutions).  Their multiplicity flag comes
-from a second LP that maximizes the mass movable off the support of the
-returned vertex while staying on the optimal face; reduced-cost inspection
-alone cannot tell a degenerate vertex from a genuine alternative optimum
-since those optima are typically sparse and thus heavily degenerate.
+closedness operator keeps its stencil branch for any kernel.  Two linear
+programs remain, both solved with HiGHS dual simplex (deterministic
+pivoting, vertex solutions) and sharing the rows C w = 0, row . w = 1
+(`_closed_rows`): the closed-measure LP (`solve_mather_lp`, row = 1), which
+serves criterion 7 and the tests as the oracle of c, and one Charnes-Cooper
+program over the Mather face (`fractional_minimize`, row = the
+denominator), which imposes minimality as an action row with slack tol_min
+and serves the tests as the oracle of the selection layer.  A linear
+objective is its denominator-one case (`minimize_linear_over_mather`).
 
 Only the linear programs need scipy: the closedness operator
 (`closedness_operator`, `MatherPolytope.C`) and the LP helpers import
@@ -63,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, MatherLPError
+from .errors import DomainError, MatherLPError
 from .grids import PeriodicGrid
 from .models import ControlModel, VelocitySet
 from .solver import Transition, lattice_graph, policy_walk
@@ -133,14 +132,12 @@ def closedness_operator(arcs: Transition):
         rows = idx.transpose(1, 0, 2).ravel()
         vals = w.transpose(1, 0, 2).ravel()
         cols = np.repeat(cols, S)
-    C = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate([vals, -np.ones(N * K)]),
          (np.concatenate([rows, np.repeat(np.arange(N), K)]),
           np.concatenate([cols, np.arange(N * K)]))),
         shape=(N, N * K),
     ).tocsr()
-    C.sum_duplicates()
-    return C
 
 
 @dataclass
@@ -366,20 +363,15 @@ def _policy_values(pred: np.ndarray, w: np.ndarray, d: np.ndarray,
     return np.array(eta), np.array(u)
 
 
-@dataclass
-class LPInfo:
-    status: int
-    message: str
-    multiplicity: Optional[bool] = None
-    movable_mass: float = 0.0
-
-
 def _run_lp(cvec, A_eq, b_eq, A_ub=None, b_ub=None):
     from scipy.optimize import linprog   # HiGHS loads on the first LP only
     # dual simplex without presolve: on these closedness programs HiGHS's
-    # presolve took more than half of the solve and removed little
+    # presolve took more than half of the solve and removed little.  At the
+    # default feasibility tolerance, 1e-7, vertex weights fell below -1e-9;
+    # at 1e-10 HiGHS gave up (status Unknown) on a 2-d face program
     res = linprog(c=cvec, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-                  bounds=(0, None), method="highs-ds", options={"presolve": False})
+                  bounds=(0, None), method="highs-ds",
+                  options={"presolve": False, "primal_feasibility_tolerance": 3e-10})
     if res.status == 2:
         raise MatherLPError(
             "LP infeasible: closedness operator rank defect or minimality slack "
@@ -390,120 +382,77 @@ def _run_lp(cvec, A_eq, b_eq, A_ub=None, b_ub=None):
     return res
 
 
+def _closed_rows(polytope: MatherPolytope, row: np.ndarray):
+    """The equality rows C w = 0, row . w = 1 of a closed-measure program."""
+    from scipy import sparse
+    return (sparse.vstack([polytope.C, sparse.csr_matrix(row[None, :])]),
+            np.append(np.zeros(polytope.grid.size), 1.0))
+
+
 def solve_mather_lp(model: ControlModel, polytope: MatherPolytope):
     """Minimize the u = 0 action over closed probability measures.
 
-    Returns (measure, optimal value, info); the critical value is minus the
-    optimum.  Unboundedness cannot occur (mass constraint) and is surfaced
-    as an internal error.
+    Returns (measure, optimal value, None), the None standing for the
+    multiplicity flag this program does not compute; the critical value is
+    minus the optimum.  Unboundedness cannot occur (mass constraint) and is
+    surfaced as an internal error.
     """
-    from scipy import sparse
-    N, K = polytope.grid.size, polytope.vset.count
-    A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(np.ones((1, N * K)))])
-    b_eq = np.zeros(N + 1)
-    b_eq[-1] = 1.0
-    res = _run_lp(polytope.action, A_eq, b_eq)
-    mu = DiscreteMeasure(polytope.grid, polytope.vset, res.x)
-    return mu, float(res.fun), LPInfo(status=res.status, message=res.message)
-
-
-def _mather_constraints(polytope: MatherPolytope):
-    from scipy import sparse
-    N, K = polytope.grid.size, polytope.vset.count
-    A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(np.ones((1, N * K)))])
-    b_eq = np.zeros(N + 1)
-    b_eq[-1] = 1.0
-    A_ub = sparse.csr_matrix(polytope.action[None, :])
-    b_ub = np.array([-polytope.c + polytope.tol_min])
-    return A_eq, b_eq, A_ub, b_ub
-
-
-def _movable_mass_off_support(polytope: MatherPolytope, cost: np.ndarray,
-                              primal: np.ndarray, opt: float,
-                              face_tol: float) -> float:
-    """Max mass placeable outside the returned support while staying optimal."""
-    from scipy import sparse
-    A_eq, b_eq, A_ub, b_ub = _mather_constraints(polytope)
-    off = (primal <= 1e-9).astype(float)
-    A_ub2 = sparse.vstack([A_ub, sparse.csr_matrix(cost[None, :])])
-    b_ub2 = np.concatenate([b_ub, [opt + face_tol]])
-    res = _run_lp(-off, A_eq, b_eq, A_ub2, b_ub2)
-    return float(-res.fun)
+    res = _run_lp(polytope.action, *_closed_rows(polytope, np.ones(polytope.num_vars)))
+    return DiscreteMeasure(polytope.grid, polytope.vset, res.x), float(res.fun), None
 
 
 def minimize_linear_over_mather(polytope: MatherPolytope, cost: np.ndarray,
                                 check_multiplicity: bool = False):
-    """Minimize a linear functional over the Mather subpolytope.
-
-    Returns (measure, value, info).  With check_multiplicity the info flag
-    reports whether the argmin face has dimension >= 1 (mass > 1% movable off
-    the returned vertex's support at optimal cost).
-    """
-    cost = np.asarray(cost, dtype=float).ravel()
-    if cost.size != polytope.num_vars:
-        raise DomainError("cost vector length mismatch")
-    A_eq, b_eq, A_ub, b_ub = _mather_constraints(polytope)
-    res = _run_lp(cost, A_eq, b_eq, A_ub, b_ub)
-    mu = DiscreteMeasure(polytope.grid, polytope.vset, res.x)
-    info = LPInfo(status=res.status, message=res.message)
-    if check_multiplicity:
-        scale = max(1.0, float(np.max(np.abs(cost))))
-        movable = _movable_mass_off_support(polytope, cost, res.x, float(res.fun),
-                                            face_tol=1e-9 * scale)
-        info.movable_mass = movable
-        info.multiplicity = movable > 0.01
-    return mu, float(res.fun), info
+    """Minimize a linear functional over the Mather subpolytope: the
+    denominator-one case of `fractional_minimize`, with the same returns."""
+    return fractional_minimize(polytope, cost, np.ones(polytope.num_vars),
+                               check_multiplicity)
 
 
 def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
-                        denominator: np.ndarray, sign: str,
-                        check_multiplicity: bool = False):
+                        denominator: np.ndarray, check_multiplicity: bool = False):
     """Minimize (sum w*a)/(sum w*b) over the Mather subpolytope.
 
-    The denominator must be strictly one-signed on the variables (sign is
-    "positive" or "negative").  Charnes-Cooper substitution nu = w/|sum w*b|
-    homogenizes the feasible set: closedness rows stay zero, the minimality
-    constraint becomes  nu.(L0 + c - tol_min) <= 0, and nu.|b| = 1 replaces
-    the mass constraint; the probability measure is recovered as nu/sum(nu).
+    The denominator b must be strictly one-signed (DomainError otherwise);
+    its sign s is read from b.  Charnes-Cooper substitution nu = w/(s sum
+    w*b) homogenizes the feasible set: closedness rows stay zero, the
+    minimality constraint becomes nu.(L0 + c - tol_min) <= 0, and s b.nu = 1
+    replaces the mass constraint; the optimum is min s a.nu, and the
+    probability measure is recovered as nu/sum(nu).
+
+    Returns (measure, value, multiplicity).  The multiplicity flag is None
+    unless check_multiplicity is set; then a second LP maximizes the share
+    of nu movable off the support of the returned vertex while staying on
+    the optimal face, and the flag is that share > 1%.  Reduced-cost
+    inspection alone cannot tell a degenerate vertex from a genuine
+    alternative optimum, since these optima are sparse and thus heavily
+    degenerate.
     """
     from scipy import sparse
     a = np.asarray(numerator, dtype=float).ravel()
     b = np.asarray(denominator, dtype=float).ravel()
     if a.size != polytope.num_vars or b.size != polytope.num_vars:
         raise DomainError("numerator/denominator length mismatch")
-    if sign == "positive":
-        if b.min() <= 0:
-            raise DomainError("denominator not strictly positive as declared")
-        obj, beq_row = a, b
-    elif sign == "negative":
-        if b.max() >= 0:
-            raise DomainError("denominator not strictly negative as declared")
-        obj, beq_row = -a, -b
-    else:
-        raise ConfigurationError("sign must be 'positive' or 'negative'")
-    N = polytope.grid.size
-    homog = polytope.action + (polytope.c - polytope.tol_min)
-    A_ub = sparse.csr_matrix(homog[None, :])
-    A_eq = sparse.vstack([polytope.C, sparse.csr_matrix(beq_row[None, :])])
-    b_eq = np.zeros(N + 1)
-    b_eq[-1] = 1.0
+    sign = np.sign(b[0])
+    if not np.all(sign * b > 0):
+        raise DomainError("denominator not strictly one-signed")
+    obj = sign * a
+    A_ub = sparse.csr_matrix(polytope.action[None, :] + (polytope.c - polytope.tol_min))
+    A_eq, b_eq = _closed_rows(polytope, sign * b)
     res = _run_lp(obj, A_eq, b_eq, A_ub, np.zeros(1))
-    nu = res.x
-    total = nu.sum()
+    total = res.x.sum()
     if total <= 0:
         raise MatherLPError("degenerate Charnes-Cooper solution with zero mass")
-    mu = DiscreteMeasure(polytope.grid, polytope.vset, nu / total)
-    value = float(res.fun)
-    info = LPInfo(status=res.status, message=res.message)
+    mu = DiscreteMeasure(polytope.grid, polytope.vset, res.x / total)
+    multiplicity = None
     if check_multiplicity:
         scale = max(1.0, float(np.max(np.abs(obj))))
         off = (res.x <= 1e-9 * max(total, 1.0)).astype(float)
         A_ub2 = sparse.vstack([A_ub, sparse.csr_matrix(obj[None, :])])
         b_ub2 = np.array([0.0, res.fun + 1e-9 * scale])
         res2 = _run_lp(-off, A_eq, b_eq, A_ub2, b_ub2)
-        info.movable_mass = float(-res2.fun / max(res2.x.sum(), 1e-300))
-        info.multiplicity = info.movable_mass > 0.01
-    return mu, value, info
+        multiplicity = bool(-res2.fun / max(res2.x.sum(), 1e-300) > 0.01)
+    return mu, float(res.fun), multiplicity
 
 
 def projected_measure(mu: DiscreteMeasure) -> np.ndarray:

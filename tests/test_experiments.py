@@ -388,6 +388,31 @@ def test_pipelines_build_the_barrier_once_per_polytope(tmp_path, monkeypatch,
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("kind, extras, error", [
+    ("operator_suite", {"lipschitz_pairs": "0"},
+     "ConfigurationError: lipschitz_pairs must be at least 1, got 0"),
+    ("operator_suite", {"lipschitz_pairs": "1"}, None),
+    ("occupation_suite", {"start_node": "-1"},
+     "ConfigurationError: start_node must lie in [0, 16), got -1"),
+    ("occupation_suite", {"start_node": "0"}, None),
+    ("occupation_suite", {"start_node": "15"}, None),
+    ("occupation_suite", {"start_node": "16"},
+     "ConfigurationError: start_node must lie in [0, 16), got 16"),
+])
+def test_suite_extras_out_of_range_are_refused_before_the_solve(tmp_path, monkeypatch,
+                                                                kind, extras, error):
+    # zero Lipschitz pairs would pass a stage that checked nothing, and a
+    # negative start node would index from the end of the grid
+    def solve(*args, **kwargs):
+        raise SolveError("the critical problem was reached")
+
+    monkeypatch.setattr(experiments, "_critical_problem", solve)
+    cfg = ExperimentConfig(kind=kind, name=kind, n=16, extras=extras)
+    (stage,) = run_experiment(cfg, output=str(tmp_path / "out")).stages
+    assert stage.name == "fatal"
+    assert stage.error == (error or "SolveError: the critical problem was reached")
+
+
 VANISHING_DISCOUNT_2D = """
 [experiment]
 kind = vanishing_discount

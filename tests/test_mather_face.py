@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 import torushj.selection as selection
@@ -147,7 +147,7 @@ def oracle_operator(poly, h, sigma, phi, x):
     K = poly.vset.count
     b = np.repeat(sigma.values, K)
     a = np.repeat(sigma.values * (h.values[:, x] + phi.values), K)
-    return fractional_minimize(poly, a, b, "positive", check_multiplicity=True)
+    return fractional_minimize(poly, a, b, check_multiplicity=True)
 
 
 def test_reduced_costs_certify_the_critical_measure():
@@ -228,6 +228,7 @@ def test_operator_vertex_path_matches_full_polytope(name, n, seed):
 @pytest.mark.parametrize("name,n", CASES)
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
+@example(seed=2247)         # HiGHS gave up on rotation_2d at feasibility tolerance 1e-10
 def test_limit_formula_vertex_path_matches_full_polytope(name, n, seed):
     model, grid, poly, h = setup(name, n)
     rng = np.random.default_rng(seed)
@@ -249,7 +250,7 @@ def test_limit_formula_vertex_path_matches_full_polytope(name, n, seed):
         np.testing.assert_allclose(res.field.values, want, rtol=0, atol=1e-12)
     for x in rng.choice(grid.size, size=3, replace=False):
         num = np.repeat(h.values[:, x], K) * dl + offset
-        _, want, _ = fractional_minimize(poly, num, dl, "negative")
+        _, want, _ = fractional_minimize(poly, num, dl)
         assert res.field.values[x] == pytest.approx(want, abs=ORACLE_TOL)
         exact, _ = restricted_lp(poly, -num, -dl)
         assert res.field.values[x] == pytest.approx(exact, abs=1e-9)
@@ -262,7 +263,7 @@ def test_multiplicity_map_double_well_matches_oracle(n):
     for phi in (GridField.constant(grid, 0.0), random_field(grid, n)):
         res = apply_selection_operator(sigma, phi, poly,
                                        check_multiplicity=True)
-        want = {x: bool(oracle_operator(poly, h, sigma, phi, x)[2].multiplicity)
+        want = {x: oracle_operator(poly, h, sigma, phi, x)[2]
                 for x in range(grid.size)}
         assert res.multiplicity == want
     symmetric = apply_selection_operator(sigma, GridField.constant(grid, 0.0), poly,
@@ -320,8 +321,7 @@ def test_multiplicity_maps_match_the_oracles(name, n, seed, flat):
         want = vertex_minimize(poly, mather_vertices(poly), h.values, beta, offset)[2]
         assert [res.multiplicity[x] for x in range(grid.size)] == list(want)
     for x in rng.choice(grid.size, size=3, replace=False):
-        info = oracle_operator(poly, h, sigma, phi, int(x))[2]
-        assert res.multiplicity[int(x)] == info.multiplicity
+        assert res.multiplicity[int(x)] == oracle_operator(poly, h, sigma, phi, int(x))[2]
         num = beta * np.repeat(h.values[:, x], K) + offset
         assert res.multiplicity[int(x)] == restricted_lp(poly, num, beta, True)[1]
 
@@ -335,7 +335,7 @@ def test_equilibrium_measures_match_linear_oracle(name, n, seed):
     x = int(np.random.default_rng(seed).integers(grid.size))
     mu, value, mult = equilibrium_measures(phi, x, poly)
     cost = np.repeat(h.values[:, x] + phi.values, poly.vset.count)
-    _, want, info = minimize_linear_over_mather(poly, cost, check_multiplicity=True)
+    _, want, want_mult = minimize_linear_over_mather(poly, cost, check_multiplicity=True)
     assert value == pytest.approx(want, abs=ORACLE_TOL)
     # the witness is a Mather measure: a uniform measure on a closed cycle
     # of critical arcs, attaining the value
@@ -344,7 +344,7 @@ def test_equilibrium_measures_match_linear_oracle(name, n, seed):
     np.testing.assert_allclose(poly.C @ mu.flat(), 0.0, atol=1e-12)
     np.testing.assert_allclose(mu.flat()[support], 1.0 / support.size, rtol=1e-14)
     assert float(cost @ mu.flat()) == pytest.approx(value, abs=1e-12)
-    assert mult == info.multiplicity
+    assert mult == want_mult
     if mather_vertices(poly) is not None:
         offset = np.repeat(phi.values, poly.vset.count)
         _, cycles, _ = vertex_minimize(poly, mather_vertices(poly), h.values[:, [x]],

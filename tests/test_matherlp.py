@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
 from torushj.errors import DomainError, MatherLPError
+from torushj.experiments import parse_potential
 from torushj.grids import build_grid
 from torushj.matherlp import (
     DiscreteMeasure,
+    _run_lp,
     build_polytope,
     closedness_operator,
     fractional_minimize,
@@ -20,6 +24,7 @@ from torushj.solver import Transition, default_dt
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
+ORACLE_TOL = 1e-6
 
 
 def make_measure(grid, vset, pairs):
@@ -140,6 +145,66 @@ def test_minimize_linear_monotone_under_constraints(setup32):
     assert with_min >= res.fun - 1e-9
 
 
+def linear_oracle(poly, cost, check_multiplicity=False):
+    """The linear program over the Mather face in its own form, not as a
+    Charnes-Cooper program: mass row sum w = 1, action row
+    L0 . w <= -c + tol_min, and for the flag a second LP that maximizes the
+    mass movable off the returned support at optimal cost."""
+    n = poly.num_vars
+    A_eq = sparse.vstack([poly.C, sparse.csr_matrix(np.ones((1, n)))])
+    b_eq = np.concatenate([np.zeros(poly.grid.size), [1.0]])
+    A_ub = sparse.csr_matrix(poly.action[None, :])
+    b_ub = np.array([-poly.c + poly.tol_min])
+    res = _run_lp(cost, A_eq, b_eq, A_ub, b_ub)
+    if not check_multiplicity:
+        return float(res.fun), None
+    face_tol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
+    off = (res.x <= 1e-9).astype(float)
+    res2 = _run_lp(-off, A_eq, b_eq, sparse.vstack([A_ub, sparse.csr_matrix(cost[None, :])]),
+                   np.append(b_ub, res.fun + face_tol))
+    return float(res.fun), bool(-res2.fun > 0.01)
+
+
+@pytest.mark.parametrize("U, alpha, n", [
+    (COS, None, 32),
+    (lambda x: np.cos(4 * np.pi * x[..., 0]), None, 16),      # two static classes
+    (lambda x: -np.sin(2 * np.pi * x[..., 0]) - 0.3, ALPHA, 16),
+    (None, velocity_set(3.0, 25).spacing / 2, 16),           # a branched face
+])
+def test_minimize_linear_matches_the_linear_oracle(U, alpha, n):
+    grid = build_grid(1, n)
+    vset = velocity_set(3.0, 25)
+    model = (builtin_model("mechanical", U=U) if alpha is None else
+             builtin_model("shifted_quadratic", alpha=alpha, potential=U))
+    # the action row's slack tol_min lets a vertex of the full polytope
+    # undercut the face minimum by up to about 1e3 * tol_min (the rotation
+    # case at 1e-9: the oracle's form by 1.2e-6, while the Charnes-Cooper
+    # form keeps to the face); at 1e-12 both forms stay within 1e-9 of it
+    poly = dataclasses.replace(build_polytope(model, grid, vset), tol_min=1e-12)
+    rng = np.random.default_rng(n)
+    nodal = np.repeat(np.cos(4 * np.pi * grid.node_coords()[:, 0]), vset.count)
+    costs = [rng.normal(size=poly.num_vars) for _ in range(6)]
+    for cost in costs + [np.ones(poly.num_vars), nodal]:
+        _, val, mult = minimize_linear_over_mather(poly, cost, check_multiplicity=True)
+        want, want_mult = linear_oracle(poly, cost, check_multiplicity=True)
+        assert val == pytest.approx(want, abs=ORACLE_TOL)
+        assert mult == want_mult
+
+
+def test_minimize_linear_weights_stay_above_the_measure_floor():
+    # the linear program in `linear_oracle`'s form, at HiGHS's default
+    # feasibility tolerance, returned a vertex weight of -1.8e-9 here, which
+    # DiscreteMeasure refuses
+    model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=2"))
+    poly = build_polytope(model, build_grid(1, 16), velocity_set(3.0, 49))
+    cost = np.random.default_rng(14).normal(size=poly.num_vars)
+    mu, val, _ = minimize_linear_over_mather(poly, cost)
+    assert mu.mass == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(poly.C @ mu.flat())) <= 1e-9
+    assert float(cost @ mu.flat()) == pytest.approx(val, abs=1e-9)
+    assert val == pytest.approx(linear_oracle(poly, cost)[0], abs=ORACLE_TOL)
+
+
 def test_fractional_constant_ratio_random_polytopes():
     # numerator = k * denominator gives k on any polytope
     rng = np.random.default_rng(42)
@@ -153,7 +218,7 @@ def test_fractional_constant_ratio_random_polytopes():
         poly = build_polytope(model, grid, vset)
         b = np.repeat(1.0 + 0.5 * rng.uniform(size=grid.size), vset.count)
         k = rng.normal()
-        _, val, _ = fractional_minimize(poly, k * b, b, "positive")
+        _, val, _ = fractional_minimize(poly, k * b, b)
         assert val == pytest.approx(k, abs=1e-8)
 
 
@@ -166,7 +231,7 @@ def test_fractional_singleton_and_cc_roundtrip(setup32):
     b_node = 1.0 + 0.25 * np.cos(2 * np.pi * X)
     a = np.repeat(a_node, vset.count)
     b = np.repeat(b_node, vset.count)
-    mu, val, _ = fractional_minimize(poly, a, b, "positive")
+    mu, val, _ = fractional_minimize(poly, a, b)
     # singleton Mather polytope: ratio evaluated at the Dirac at node 0
     assert val == pytest.approx(a_node[0] / b_node[0], abs=1e-8)
     # de-homogenized optimizer is itself feasible for the subpolytope
@@ -181,12 +246,32 @@ def test_fractional_negative_denominator(setup32):
     poly = build_polytope(model, grid, vset, dt)
     b = -np.ones(poly.num_vars)
     a = np.repeat(np.cos(2 * np.pi * grid.node_coords()[:, 0]), vset.count)
-    _, val, _ = fractional_minimize(poly, a, b, "negative")
+    _, val, _ = fractional_minimize(poly, a, b)
     # ratio = (int a dmu)/(-1): minimized by MAXIMIZING int a dmu; the
     # singleton polytope pins it at a(0)/-1 = -1
     assert val == pytest.approx(-1.0, abs=1e-8)
-    with pytest.raises(DomainError):
-        fractional_minimize(poly, a, -b, "negative")
+
+
+def test_fractional_sign_is_read_from_the_denominator():
+    # (a, b) and (-a, -b) are one ratio, so one program: the same value and
+    # measure bit for bit; a denominator that is not strictly one-signed has
+    # no Charnes-Cooper program and is refused
+    grid = build_grid(1, 16)
+    vset = velocity_set(3.0, 25)
+    model = builtin_model("mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0]))
+    poly = build_polytope(model, grid, vset)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        a = rng.normal(size=poly.num_vars)
+        b = rng.uniform(0.2, 2.0, size=poly.num_vars)
+        mu, val, mult = fractional_minimize(poly, a, b, check_multiplicity=True)
+        mu_neg, val_neg, mult_neg = fractional_minimize(poly, -a, -b, check_multiplicity=True)
+        assert val_neg == val and mult_neg == mult
+        np.testing.assert_array_equal(mu_neg.weights, mu.weights)
+        assert val == pytest.approx(float(a @ mu.flat()) / float(b @ mu.flat()), abs=1e-9)
+        for bad in (np.where(np.arange(b.size) % 2, b, -b), np.append(0.0, b[1:])):
+            with pytest.raises(DomainError, match="one-signed"):
+                fractional_minimize(poly, a, bad)
 
 
 def test_fractional_infeasible_tol_min():
