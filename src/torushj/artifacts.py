@@ -72,30 +72,30 @@ def read_field_csv(path: str) -> GridField:
 
 
 def write_barrier_binary(bm: BarrierMatrix, path: str) -> None:
-    """16-byte header (magic, d, n, t) followed by row-major float64 values."""
-    t = _PEIERLS_T if bm.kind == "peierls" else float(bm.t or 0.0)
+    """16-byte header (magic, d, n, t = -1) then row-major float64 values."""
     with open(path, "wb") as f:
         f.write(_BARRIER_MAGIC)
-        f.write(struct.pack("<IIf", bm.grid.d, bm.grid.n, t))
+        f.write(struct.pack("<IIf", bm.grid.d, bm.grid.n, _PEIERLS_T))
         f.write(np.ascontiguousarray(bm.values, dtype="<f8").tobytes())
 
 
 def read_barrier_binary(path: str) -> BarrierMatrix:
+    """A barrier without its Aubry set; a header t other than -1 is refused."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _BARRIER_MAGIC:
             raise DomainError(f"{path}: bad magic {magic!r}")
         d, n, t = struct.unpack("<IIf", f.read(12))
+        if t != _PEIERLS_T:
+            raise DomainError(f"{path}: header t = {t:g} marks no Peierls barrier")
         grid = PeriodicGrid(int(d), int(n))
         vals = np.frombuffer(f.read(), dtype="<f8").reshape(grid.size, grid.size)
-    kind = "peierls" if t == _PEIERLS_T else "h_t"
-    return BarrierMatrix(grid, kind, None if kind == "peierls" else float(t), vals.copy())
+    return BarrierMatrix(grid, vals.copy())
 
 
 def write_barrier_csv(bm: BarrierMatrix, path: str) -> None:
     with open(path, "w", newline="\n") as f:
-        tname = "peierls" if bm.kind == "peierls" else fmt17(bm.t or 0.0)
-        f.write(f"# {bm.grid.d},{bm.grid.n},{tname}\n")
+        f.write(f"# {bm.grid.d},{bm.grid.n},peierls\n")
         N = bm.grid.size
         for i in range(N):
             f.write(",".join(fmt17(v) for v in bm.values[i]) + "\n")

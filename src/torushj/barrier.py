@@ -1,7 +1,7 @@
 """Minimal-action dynamic programming, exact Peierls barriers, critical values.
 
 The finite-time action matrix h_t(x, y) (cost of moving from node x to node
-y in time t) evolves by the Bellman step
+y in time t) is a plain (N, N) array that evolves by the Bellman step
 
     h_{t+dt}(x, y) = min_v [ h_t(x, y - v*dt) + dt * L0(y, v) ],
 
@@ -11,7 +11,8 @@ same kernel (`solver.Transition`); barrier columns are then exact
 vanishing-discount limits of the solver rather than merely O(dt)-consistent
 ones.  Both the DP and the barrier need the integer hops that the default
 dt = h / velocity step gives (`solver.lattice_graph`, which also gives
-the arcs' L0).  `evolve_action` runs that step T/dt times.
+the arcs' L0).  `evolve_action` runs that step T/dt times.  No pipeline
+calls the DP: the tests keep it as the oracle of the exact routes below.
 
 The long-time critical value is the exact T -> infinity limit of
 -min_x h_T(x, x) / T, that is -eta / dt with eta the minimum mean weight
@@ -24,11 +25,12 @@ characterization of the minimum cycle mean in a digraph", Discrete Math.
 23 (1978) 309-311), on the arcs of `lattice_graph`.  That is value
 iteration, not Howard's policy iteration, so the two routes check each other.
 
-The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t] is exact on that
-lattice graph, whose arc (k, y) runs from its foot to y with weight
-dt * (L0(y, v_k) + c): h(x, y) = min over z in A of [Phi(x, z) + Phi(z, y)],
-Phi the shortest-path (Mane) potential and A the Aubry set, the nodes on
-zero-weight cycles (Contreras-Iturriaga).  The polytope holds all of it:
+The Peierls barrier h(x, y) = liminf_t [h_t(x, y) + c t], the one matrix
+a `BarrierMatrix` holds, is exact on that lattice graph, whose arc (k, y)
+runs from its foot to y with weight dt * (L0(y, v_k) + c):
+h(x, y) = min over z in A of [Phi(x, z) + Phi(z, y)], Phi the shortest-path
+(Mane) potential and A the Aubry set, the nodes on zero-weight cycles
+(Contreras-Iturriaga).  The polytope holds all of it:
 its kernel, L0 on its arcs, and its Howard bias (`matherlp.build_polytope`),
 which charges L0 at the arrival point like this graph, so that Johnson's
 (1977) reweighting by psi = dt * potential makes every arc weight
@@ -74,14 +76,12 @@ DISCOUNT_LAMBDA = 0.01          # critical_value's "discount" route
 
 @dataclass
 class BarrierMatrix:
-    """Action costs over node pairs; entry (i, j) is the cost from i to j."""
+    """The Peierls barrier over node pairs; entry (i, j) is h(i, j)."""
 
     grid: PeriodicGrid
-    kind: str                       # "h_t" or "peierls"
-    t: Optional[float]              # accumulated time for h_t, None for peierls
     values: np.ndarray              # (N, N)
+    aubry: Optional[np.ndarray] = None   # ascending; a .pbar file stores none
     warnings: list = dc_field(default_factory=list)
-    aubry: Optional[np.ndarray] = None   # set by peierls_barrier, ascending
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -101,17 +101,16 @@ class CriticalData:
     """Critical value estimate(s); spread is the max pairwise disagreement."""
 
     c: float
-    method: str
     spread: float = 0.0
     per_method: dict = dc_field(default_factory=dict)
 
 
-def initial_action_matrix(grid: PeriodicGrid) -> BarrierMatrix:
+def initial_action_matrix(grid: PeriodicGrid) -> np.ndarray:
     """h_0: zero on the diagonal, unreachable (+BIG) elsewhere."""
     N = grid.size
     v = np.full((N, N), BIG)
     np.fill_diagonal(v, 0.0)
-    return BarrierMatrix(grid, "h_t", 0.0, v)
+    return v
 
 
 class _ActionKernel:
@@ -134,30 +133,26 @@ class _ActionKernel:
         return np.ascontiguousarray(out.T)
 
 
-def min_action_step(model: ControlModel, A: BarrierMatrix, dt: float,
-                    vset: VelocitySet) -> BarrierMatrix:
-    """One Bellman step h_t -> h_{t+dt} for the u = 0 Lagrangian."""
-    if A.kind != "h_t":
-        raise ConfigurationError("min_action_step advances h_t matrices only")
-    kern = _ActionKernel(model, A.grid, vset, dt)
-    return BarrierMatrix(A.grid, "h_t", (A.t or 0.0) + dt, kern.step(A.values),
-                         warnings=list(A.warnings))
+def min_action_step(model: ControlModel, A: np.ndarray, grid: PeriodicGrid,
+                    vset: VelocitySet, dt: float) -> np.ndarray:
+    """One Bellman step h_t -> h_{t+dt} of the (N, N) array A, for u = 0."""
+    return _ActionKernel(model, grid, vset, dt).step(A)
 
 
 def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
-                  T: float, dt: Optional[float] = None) -> BarrierMatrix:
-    """h_T from the diagonal seed by repeated Bellman steps; a T that rounds
-    to a negative step count raises ConfigurationError."""
+                  T: float, dt: Optional[float] = None) -> np.ndarray:
+    """The (N, N) array h_T from the diagonal seed by repeated Bellman steps;
+    a T that rounds to a negative step count raises ConfigurationError."""
     if dt is None:
         dt = default_dt(grid, vset)
     steps = int(round(T / dt))
     if steps < 0:
         raise ConfigurationError(f"T = {T:g} is a negative horizon")
     kern = _ActionKernel(model, grid, vset, dt)
-    A = initial_action_matrix(grid).values
+    A = initial_action_matrix(grid)
     for _ in range(steps):
         A = kern.step(A)
-    return BarrierMatrix(grid, "h_t", steps * dt, A)
+    return A
 
 
 def karp_min_mean(take: np.ndarray, W: np.ndarray) -> float:
@@ -211,8 +206,7 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
             raise ConfigurationError(f"unknown critical-value method {meth!r}")
     vals = list(values.values())
     spread = float(max(vals) - min(vals)) if len(vals) > 1 else 0.0
-    return CriticalData(c=values[methods[0]], method="+".join(methods),
-                        spread=spread, per_method=values)
+    return CriticalData(c=values[methods[0]], spread=spread, per_method=values)
 
 
 def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
@@ -249,7 +243,7 @@ def peierls_barrier(polytope: MatherPolytope) -> BarrierMatrix:
         h[~np.isfinite(h)] = BIG
         warns.append("some node pairs are unreachable on the lattice graph")
     h.flags.writeable = False           # the polytope shares it (`.barrier`)
-    return BarrierMatrix(polytope.grid, "peierls", None, h, warnings=warns, aubry=aubry)
+    return BarrierMatrix(polytope.grid, h, aubry=aubry, warnings=warns)
 
 
 def _dijkstra(G: np.ndarray, sources: np.ndarray):
@@ -282,16 +276,12 @@ def _dijkstra(G: np.ndarray, sources: np.ndarray):
 
 def aubry_set(h: BarrierMatrix) -> np.ndarray:
     """The Aubry set the barrier computed: node indices on zero-weight cycles."""
-    if h.kind != "peierls":
-        raise ConfigurationError("aubry_set needs a peierls matrix")
     if h.aubry is None:
-        raise ConfigurationError("this peierls matrix carries no Aubry set; "
-                                 "recompute it with peierls_barrier")
+        raise ConfigurationError("this barrier carries no Aubry set (a .pbar file "
+                                 "stores none); recompute it with peierls_barrier")
     return h.aubry
 
 
 def solution_from_barrier(h: BarrierMatrix, y: int) -> GridField:
     """The column x -> h(y, x), a discrete solution of the critical equation."""
-    if h.kind != "peierls":
-        raise ConfigurationError("solution_from_barrier needs a peierls matrix")
     return GridField(h.grid, h.values[int(y), :].copy())

@@ -23,8 +23,11 @@ their generator (`ExperimentConfig.rng`), so `numpy.random` loads at parse
 time for them and never for the others.
 
 Potential specs use a tiny grammar:  zero | const:value=V |
-cos:amp=A,freq=K,offset=B | sin:amp=A,freq=K,offset=B | cos_sum:amp=A,freq=K
-(cos/sin act on the first coordinate, cos_sum sums over axes).
+cos:amp=A,freq=K,offset=B | sin:amp=A,freq=K,offset=B |
+cos_sum:amp=A,freq=K,offset=B (cos/sin act on the first coordinate, cos_sum
+sums over axes).  Each key is optional (amp and freq default to 1, offset
+and value to 0); zero reads none.  Any other key, or an item that is not
+key=number, is refused (`_POTENTIAL_KINDS`).
 """
 
 from __future__ import annotations
@@ -115,15 +118,30 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
+# potential kind -> the keys it reads; `parse_potential` refuses any other
+_WAVE_KEYS = ("amp", "freq", "offset")
+_POTENTIAL_KINDS = {"zero": (), "const": ("value",), "cos": _WAVE_KEYS,
+                    "sin": _WAVE_KEYS, "cos_sum": _WAVE_KEYS}
+
+
 def parse_potential(spec: str) -> Callable:
-    """Parse the potential grammar into a callable on (..., d) coordinates."""
+    """Parse the potential grammar into a callable on (..., d) coordinates.
+    An unknown kind, a key the kind does not read, or an item that is not
+    key=number raises ConfigurationError."""
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
+    if kind not in _POTENTIAL_KINDS:
+        raise ConfigurationError(f"unknown potential spec {spec!r}")
     kw = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            kw[key.strip()] = float(val)
+    for item in rest.split(",") if rest else ():
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if eq and key not in _POTENTIAL_KINDS[kind]:
+            raise ConfigurationError(f"potential {spec!r}: {kind} reads no key {key!r}")
+        try:
+            kw[key] = float(val)
+        except ValueError:
+            raise ConfigurationError(f"potential {spec!r}: item {item.strip()!r} "
+                                     "is not key=number") from None
     amp = kw.get("amp", 1.0)
     freq = kw.get("freq", 1.0)
     off = kw.get("offset", 0.0)
@@ -136,9 +154,7 @@ def parse_potential(spec: str) -> Callable:
         return lambda x: amp * np.cos(2 * np.pi * freq * np.asarray(x)[..., 0]) + off
     if kind == "sin":
         return lambda x: amp * np.sin(2 * np.pi * freq * np.asarray(x)[..., 0]) + off
-    if kind == "cos_sum":
-        return lambda x: amp * np.sum(np.cos(2 * np.pi * freq * np.asarray(x)), axis=-1) + off
-    raise ConfigurationError(f"unknown potential spec {spec!r}")
+    return lambda x: amp * np.sum(np.cos(2 * np.pi * freq * np.asarray(x)), axis=-1) + off
 
 
 @dataclass
@@ -174,6 +190,8 @@ class ExperimentConfig:
         lams = list(self.lambdas)
         if lams and any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigurationError("lambda schedule must be strictly descending")
+        if any(not lam > 0 for lam in lams):
+            raise ConfigurationError(f"every discount lambda must be positive, got {lams}")
         kind = _KINDS[self.kind]
         for section, given, known in (("thresholds", self.thresholds, kind.thresholds),
                                       ("extras", self.extras, kind.extras)):
@@ -592,6 +610,10 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     start_node = int(cfg.extras.get("start_node", N // 3))
     if not 0 <= start_node < N:
         raise ConfigurationError(f"start_node must lie in [0, {N}), got {start_node}")
+    lams = cfg.lambdas or (0.2, 0.1, 0.05)
+    lam_mi = float(cfg.extras.get("mass_identity_lambda", lams[-1]))
+    if not lam_mi > 0:
+        raise ConfigurationError(f"mass_identity_lambda must be positive, got {lam_mi:g}")
     poly, model = _critical_problem(cfg)
     grid, vs = poly.grid, poly.vset
     dt = cfg.dt if cfg.dt is not None else 1e-3
@@ -601,7 +623,6 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     lp_mu = poly.critical_measure
 
     start = grid.node_coords()[start_node]
-    lams = cfg.lambdas or (0.2, 0.1, 0.05)
     # the defect diagnostic needs the transition kernel at the *trace* dt:
     # occupation bins telescope only under the kernel the curve stepped with
     trace_arcs = Transition(grid, vs, dt)
@@ -630,7 +651,6 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
         "lambdas": list(lams), "tv": tv_seq, "closedness_defect": defect_seq,
         "defect_fit_C": Cfit}))
 
-    lam_mi = float(cfg.extras.get("mass_identity_lambda", lams[-1]))
     Tmi = 14.0 / lam_mi
     fld, _ = solve_perturbed(model, lam_mi, grid, vs, dt=dt, tol=cfg.tol,
                              max_iter=cfg.max_iter, bracket=bracket, init=warm)

@@ -40,7 +40,7 @@ solver, like every lattice run, loads no `scipy.sparse`.  That walk is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem, mul
 from typing import Optional
@@ -81,12 +81,6 @@ class SolveReport:
     converged: bool
     lambda_above_lambda0: bool = False
     stalled: bool = False
-
-    def __post_init__(self):
-        if self.converged and self.final_residual > self._tol_used:
-            raise SolveError("converged report with residual above tolerance")
-
-    _tol_used: float = field(default=np.inf, repr=False)
 
 
 @dataclass
@@ -494,7 +488,7 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
         lam=lam, iterations=it, final_residual=res,
         bracket_violations=violations, converged=converged,
         lambda_above_lambda0=bool(bracket is not None and lam > bracket.lambda0),
-        stalled=stalled, _tol_used=tol,
+        stalled=stalled,
     )
     return GridField(grid, u), report
 

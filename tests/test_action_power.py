@@ -105,7 +105,7 @@ def assert_same_action(got, want):
 
 def assert_power_matches_dp(model, grid, vset, dt, steps):
     kern = _ActionKernel(model, grid, vset, dt)
-    want = evolve_action(model, grid, vset, T=steps * dt, dt=dt).values
+    want = evolve_action(model, grid, vset, T=steps * dt, dt=dt)
     unreachable = assert_same_action(power(kern, steps), want)
     assert_same_action(right_to_left_power(kern, steps), want)
     assert_same_action(closed_walks(kern, steps), np.diag(want))
@@ -157,7 +157,7 @@ def test_closed_walks_match_every_horizon_of_the_dp(d, n, m, doubled):
     dt = default_dt(grid, vset) * (2 if doubled else 1)
     model = model_1d(7, True) if d == 1 else model_2d(7, True)
     kern = _ActionKernel(model, grid, vset, dt)
-    A = initial_action_matrix(grid).values
+    A = initial_action_matrix(grid)
     for s in range(1, 81):
         A = kern.step(A)
         assert_same_action(closed_walks(kern, s), np.diag(A))
@@ -192,8 +192,8 @@ def test_one_step_matrix_is_one_step_of_the_seed(doubled):
     dt = default_dt(grid, vset) * (2 if doubled else 1)
     kern = _ActionKernel(model_1d(9, True), grid, vset, dt)
     np.testing.assert_array_equal(
-        one_step(kern), column_gather_step(kern, initial_action_matrix(grid).values))
-    np.testing.assert_array_equal(power(kern, 0), initial_action_matrix(grid).values)
+        one_step(kern), column_gather_step(kern, initial_action_matrix(grid)))
+    np.testing.assert_array_equal(power(kern, 0), initial_action_matrix(grid))
 
 
 @pytest.mark.parametrize("steps", [1, 33, 64, 80])

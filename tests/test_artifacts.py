@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from torushj.artifacts import (
     read_barrier_binary,
     read_field_csv,
     write_barrier_binary,
+    write_barrier_csv,
     write_field_csv,
     write_measure_csv,
     write_trace_csv,
 )
 from torushj.barrier import BarrierMatrix
 from torushj.curves import CurveTrace
+from torushj.errors import DomainError
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import DiscreteMeasure
 from torushj.models import velocity_set
@@ -67,18 +70,28 @@ def test_trace_csv_bytes_match_the_row_writer(tmp_path, d, steps):
 def test_barrier_binary_roundtrip(tmp_path):
     g = build_grid(1, 8)
     rng = np.random.default_rng(1)
-    bm = BarrierMatrix(g, "h_t", 2.5, rng.normal(size=(8, 8)))
+    bm = BarrierMatrix(g, rng.normal(size=(8, 8)))
     path = tmp_path / "bar.pbar"
     write_barrier_binary(bm, str(path))
-    assert path.read_bytes()[:4] == b"PBAR"
+    raw = path.read_bytes()
+    assert raw[:4] == b"PBAR" and struct.unpack("<IIf", raw[4:16]) == (1, 8, -1.0)
     assert os.path.getsize(path) == 16 + 8 * 8 * 8
     back = read_barrier_binary(str(path))
-    assert back.kind == "h_t" and back.t == pytest.approx(2.5)
+    assert back.aubry is None
     np.testing.assert_array_equal(back.values, bm.values)
 
-    pb = BarrierMatrix(g, "peierls", None, rng.normal(size=(8, 8)))
-    write_barrier_binary(pb, str(path))
-    assert read_barrier_binary(str(path)).kind == "peierls"
+    write_barrier_csv(bm, str(tmp_path / "bar.csv"))
+    assert (tmp_path / "bar.csv").read_text().splitlines()[0] == "# 1,8,peierls"
+
+
+@pytest.mark.parametrize("t", [0.0, 2.5, -0.5])
+def test_barrier_binary_refuses_a_header_t_other_than_minus_one(tmp_path, t):
+    """-1 marks the Peierls barrier, the one matrix a .pbar file holds; a
+    file with any other t is refused."""
+    path = tmp_path / "bar.pbar"
+    path.write_bytes(b"PBAR" + struct.pack("<IIf", 1, 4, t) + np.zeros(16, "<f8").tobytes())
+    with pytest.raises(DomainError, match="marks no Peierls barrier"):
+        read_barrier_binary(str(path))
 
 
 def test_measure_csv_lists_support_only(tmp_path):

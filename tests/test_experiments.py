@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,36 @@ def test_parse_potential_grammar():
                                np.sin(2 * np.pi * X[:, 0]) + 0.3)
     np.testing.assert_allclose(parse_potential("cos:amp=2,freq=2")(X),
                                2 * np.cos(4 * np.pi * X[:, 0]))
+    Y = np.array([[0.25, 0.5]])
+    np.testing.assert_allclose(parse_potential("cos_sum:amp=2,freq=1,offset=0.5")(Y),
+                               2 * (np.cos(np.pi / 2) + np.cos(np.pi)) + 0.5)
     with pytest.raises(ConfigurationError):
         parse_potential("polynomial:deg=3")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("cos:ampp=2,freq=1", "cos reads no key 'ampp'"),
+    ("zero:amp=3", "zero reads no key 'amp'"),
+    ("const:amp=3", "const reads no key 'amp'"),
+    ("cos:amp", "item 'amp' is not key=number"),
+    ("sin:amp=1,", "item '' is not key=number"),
+    ("cos_sum:freq=two", "item 'freq=two' is not key=number"),
+])
+def test_parse_potential_refuses_unread_keys_and_malformed_items(tmp_path, spec, message):
+    # a misspelt key would leave its default in force without a word
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_potential(spec)
+    text = (CONFIG_DIR / "barrier_suite.cfg").read_text()
+    assert "U = cos:amp=1,freq=1" in text
+    path = tmp_path / "potential.cfg"
+    path.write_text(text.replace("U = cos:amp=1,freq=1", f"U = {spec}"))
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_config(str(path))
+
+
 def _entry(grid, lam, values, iters=10, resid=1e-9):
     rep = SolveReport(lam=lam, iterations=iters, final_residual=resid,
-                      bracket_violations=0, converged=True, _tol_used=1.0)
+                      bracket_violations=0, converged=True)
     return SweepEntry(lam, GridField(grid, values), rep)
 
 
@@ -159,6 +183,21 @@ def test_unknown_thresholds_and_extras_are_refused(tmp_path):
     # other sections keep keys that no runner reads
     path.write_text(text + "\n[barrier]\ntmax = 24.0\n")
     assert parse_config(str(path)).raw["barrier"] == {"tmax": "24.0"}
+
+
+@pytest.mark.parametrize("lambdas", ["0.1, 0", "0.1, -0.1", "0"])
+def test_nonpositive_discounts_are_refused_by_validate(tmp_path, lambdas):
+    # without this, example_6_1 builds the polytope, the barrier and the
+    # limit formula before the sweep fails
+    text = (CONFIG_DIR / "example_6_1.cfg").read_text()
+    schedule = "lambdas = 0.1, 0.03, 0.01, 0.003, 0.001"
+    assert schedule in text
+    path = tmp_path / "lambdas.cfg"
+    path.write_text(text.replace(schedule, f"lambdas = {lambdas}"))
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        parse_config(str(path))
+    path.write_text(text.replace(schedule, "lambdas = 0.1, 1e-6"))
+    assert parse_config(str(path)).lambdas == (0.1, 1e-6)
 
 
 def test_negative_seed_of_a_seeded_kind_is_refused(tmp_path):
@@ -398,11 +437,17 @@ def test_pipelines_build_the_barrier_once_per_polytope(tmp_path, monkeypatch,
     ("occupation_suite", {"start_node": "15"}, None),
     ("occupation_suite", {"start_node": "16"},
      "ConfigurationError: start_node must lie in [0, 16), got 16"),
+    ("occupation_suite", {"mass_identity_lambda": "0"},
+     "ConfigurationError: mass_identity_lambda must be positive, got 0"),
+    ("occupation_suite", {"mass_identity_lambda": "-0.05"},
+     "ConfigurationError: mass_identity_lambda must be positive, got -0.05"),
+    ("occupation_suite", {"mass_identity_lambda": "0.05"}, None),
 ])
 def test_suite_extras_out_of_range_are_refused_before_the_solve(tmp_path, monkeypatch,
                                                                 kind, extras, error):
-    # zero Lipschitz pairs would pass a stage that checked nothing, and a
-    # negative start node would index from the end of the grid
+    # zero Lipschitz pairs would pass a stage that checked nothing, a
+    # negative start node would index from the end of the grid, and a zero
+    # mass-identity lambda would end in a ZeroDivisionError
     def solve(*args, **kwargs):
         raise SolveError("the critical problem was reached")
 
@@ -411,6 +456,7 @@ def test_suite_extras_out_of_range_are_refused_before_the_solve(tmp_path, monkey
     (stage,) = run_experiment(cfg, output=str(tmp_path / "out")).stages
     assert stage.name == "fatal"
     assert stage.error == (error or "SolveError: the critical problem was reached")
+    assert stage.error_type == stage.error.split(":")[0]
 
 
 VANISHING_DISCOUNT_2D = """

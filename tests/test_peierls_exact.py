@@ -159,7 +159,7 @@ def window_dp_barrier(model, poly, Tmax=24.0):
     grid, vset, dt = poly.grid, poly.vset, poly.dt
     kern = _ActionKernel(model, grid, vset, dt)
     A = evolve_action(model, grid, vset, Tmax / 2, dt)
-    t, A = A.t, A.values
+    t = int(round(Tmax / 2 / dt)) * dt
     runmin = A + poly.c * t
     for _ in range(int(round(Tmax / 2 / dt))):
         A, t = kern.step(A), t + dt
