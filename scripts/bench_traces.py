@@ -8,17 +8,28 @@ three sweep traces at lam = 12.8, 6.4, 3.2 and the mass-identity pair at
 lam = 6.4, dt and dt/2) and the mass-identity trace of the bundled
 configs/occupation_suite.cfg (lam = 0.05, 280,000 steps).  Their inputs are
 recorded by running each pipeline once.  Per trace it reports the steps,
-the number of blocks (numpy passes), the best of --repeat timings of each
-loop with its microseconds per step, and whether every CurveTrace field is
-bit for bit the same, and writes all of it with the machine facts to
+the rest step (the first step back at its own point, after which the block
+loop fills the trace instead of checking it; null for a trace that never
+rests), the number of blocks (numpy passes), the best of --repeat timings of
+each loop with its microseconds per step, and whether every CurveTrace field
+is bit for bit the same, and writes all of it with the machine facts to
 BENCH_traces.json.
 
-Usage:  python scripts/bench_traces.py [--repeat 5] [--out BENCH_traces.json]
+With --src DIR, the `src/` directory of a second checkout (say, the parent
+commit's), a child process imports torushj from DIR, records the same six
+traces with that tree's pipelines and times that tree's block loop.  Each
+trace row then holds, under "src", that tree's blocks, rest step and times,
+and whether its trace is bit for bit this tree's.
+
+Usage:  python scripts/bench_traces.py [--repeat 5] [--src DIR]
+                                       [--out BENCH_traces.json]
 """
 
 import argparse
+import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -31,10 +42,23 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
 
 from bench_critical import best, machine                       # noqa: E402
 from run import WORKLOADS, write_config                        # noqa: E402
-from test_trace_oracle import ALL_FIELDS, lean_backward_calibrated_curve  # noqa: E402
+from test_trace_oracle import ALL_FIELDS, lean_backward_calibrated_curve, rest_step  # noqa: E402
 from torushj import experiments                                # noqa: E402
 from torushj.curves import BLOCK_CAP, backward_calibrated_curve  # noqa: E402
 from torushj.solver import Transition                          # noqa: E402
+
+# The child of --src imports torushj from the tree argv[1] before it imports
+# this script, so the src/ that this script puts on sys.path does not replace
+# it; it prints the block loop rows of that tree.
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import torushj
+sys.path.insert(0, sys.argv[2])
+import bench_traces
+print(json.dumps([bench_traces.block_loop_row(a, kw, int(sys.argv[3]))[0]
+                  for _, (a, kw) in bench_traces.cases()]))
+"""
 
 
 def recorded_traces(config):
@@ -87,33 +111,71 @@ def cases():
     return list(zip(names, workload)) + [("occupation_suite mass identity", suite[3])]
 
 
+def digest(trace):
+    """sha256 of every CurveTrace field, to compare traces across trees."""
+    h = hashlib.sha256()
+    for f in ALL_FIELDS:
+        h.update(np.asarray(getattr(trace, f)).tobytes())
+    return h.hexdigest()
+
+
+def block_loop_row(args, kwargs, repeat):
+    """The block loop on one trace: its row of blocks, rest step, best time
+    and digest, and the trace."""
+    block_s, trace = best(lambda: backward_calibrated_curve(*args, **kwargs), repeat)
+    return {"rest_step": rest_step(trace), "blocks": count_blocks(args, kwargs),
+            "block_s": block_s, "block_us_per_step": 1e6 * block_s / trace.steps,
+            "digest": digest(trace)}, trace
+
+
+def src_rows(src, repeat):
+    """block_loop_row of each case on the tree `src`, in a child process."""
+    out = subprocess.run([sys.executable, "-c", CHILD, src, HERE, str(repeat)],
+                         capture_output=True, text=True, check=True)
+    rows = json.loads(out.stdout.splitlines()[-1])
+    commit = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
+                            capture_output=True, text=True).stdout.strip() or "unknown"
+    return rows, commit
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--src", help="src/ directory of a second checkout whose block "
+                    "loop to time in a child process")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_traces.json"))
     args = ap.parse_args()
 
+    others, src_commit = src_rows(args.src, args.repeat) if args.src else (None, None)
     rows = []
-    print(f"{'trace':<32s} {'steps':>7s} {'blocks':>6s} {'block_s':>8s} {'us/step':>7s} "
-          f"{'lean_s':>8s} {'us/step':>7s} {'same':>5s}")
-    for name, (targs, tkw) in cases():
-        block_s, new = best(lambda: backward_calibrated_curve(*targs, **tkw), args.repeat)
+    print(f"{'trace':<32s} {'steps':>7s} {'rest':>6s} {'blocks':>6s} {'block_s':>8s} "
+          f"{'us/step':>7s} {'lean_s':>8s} {'us/step':>7s} {'same':>5s}"
+          + (f" {'src_blocks':>10s} {'src_s':>8s} {'same':>5s}" if others else ""))
+    for i, (name, (targs, tkw)) in enumerate(cases()):
+        row, new = block_loop_row(targs, tkw, args.repeat)
         lean_s, ref = best(lambda: lean_backward_calibrated_curve(*targs, **tkw), args.repeat)
         same = all(np.array_equal(getattr(new, f), getattr(ref, f)) for f in ALL_FIELDS)
-        row = {"trace": name, "lam": new.lam, "dt": new.dt, "steps": new.steps,
-               "blocks": count_blocks(targs, tkw), "block_s": block_s,
-               "block_us_per_step": 1e6 * block_s / new.steps, "lean_s": lean_s,
-               "lean_us_per_step": 1e6 * lean_s / new.steps, "bit_identical": same}
+        row = {"trace": name, "lam": new.lam, "dt": new.dt, "steps": new.steps, **row,
+               "lean_s": lean_s, "lean_us_per_step": 1e6 * lean_s / new.steps,
+               "bit_identical": same}
+        line = (f"{name:<32s} {new.steps:7d} {str(row['rest_step']):>6s} {row['blocks']:6d} "
+                f"{row['block_s']:8.4f} {row['block_us_per_step']:7.2f} {lean_s:8.4f} "
+                f"{row['lean_us_per_step']:7.2f} {str(same):>5s}")
+        if others:
+            row["src"] = dict(others[i], same_trace=others[i]["digest"] == row["digest"])
+            line += (f" {row['src']['blocks']:10d} {row['src']['block_s']:8.4f} "
+                     f"{str(row['src']['same_trace']):>5s}")
         rows.append(row)
-        print(f"{name:<32s} {new.steps:7d} {row['blocks']:6d} {block_s:8.4f} "
-              f"{row['block_us_per_step']:7.2f} {lean_s:8.4f} {row['lean_us_per_step']:7.2f} "
-              f"{str(same):>5s}")
+        print(line)
+    result = {"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP}
+    if others:
+        result["src_commit"] = src_commit
     with open(args.out, "w") as f:
-        json.dump({"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP,
-                   "traces": rows}, f, indent=2)
+        json.dump({**result, "traces": rows}, f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")
-    return 0 if all(r["bit_identical"] for r in rows) else 1
+    return 0 if all(r["bit_identical"] and r.get("src", {}).get("same_trace", True)
+                    for r in rows) else 1
 
 
 if __name__ == "__main__":

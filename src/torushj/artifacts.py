@@ -121,16 +121,29 @@ def write_node_csv(values, path: str, column: str = "weight") -> None:
 
 def write_trace_csv(trace, path: str) -> None:
     """One row per step: k, time -k*dt, point k, velocity k, weight k and
-    defect k, each number formatted like `fmt17`."""
+    defect k, each number formatted like `fmt17`.  The trailing rows whose
+    point, velocity and defect are bit for bit the last row's (a trace at
+    rest) format those fields once."""
     S, d = trace.steps, trace.points.shape[1]
     xs = ";".join(["{:.17g}"] * d)
     row = f"{{}},{{:.17g}},{xs},{xs},{{:.17g}},{{:.17g}}\n"
-    cols = [range(S), (-np.arange(S) * float(trace.dt)).tolist(),
-            *trace.points[:S].T.tolist(), *trace.velocities.T.tolist(),
-            trace.weights[:S].tolist(), trace.defects.tolist()]
+    fixed = np.column_stack((trace.points[:S], trace.velocities, trace.defects))
+    bits = fixed.view(np.int64)
+    moved = np.flatnonzero((bits != bits[-1:]).any(axis=1))
+    t = int(moved[-1]) + 1 if moved.size else 0     # the first row of the resting tail
+    times = (-np.arange(S) * float(trace.dt)).tolist()
+    cols = [range(t), times[:t], *trace.points[:t].T.tolist(),
+            *trace.velocities[:t].T.tolist(), trace.weights[:t].tolist(),
+            trace.defects[:t].tolist()]
     with open(path, "w", newline="\n") as f:
         f.write("# step,time,coords,velocity,weight,defect\n")
         f.write("".join(map(row.format, *cols)))
+        if t < S:
+            last = fixed[-1].tolist()
+            p, v = xs.format(*last[:d]), xs.format(*last[d:-1])
+            rest = f"{{}},{{:.17g}},{p},{v},{{:.17g}},{last[-1]:.17g}\n"
+            f.write("".join(map(rest.format, range(t, S), times[t:],
+                                trace.weights[t:S].tolist())))
 
 
 def write_convergence_csv(rows: Iterable, path: str) -> None:

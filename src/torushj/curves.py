@@ -20,11 +20,16 @@ argmin at all of them in one numpy pass.  A row is a true step when every
 row before it chose j and its foot under j is, bit for bit, the next
 guessed point; the first row that breaks the guess still is a true step,
 with its own argmin and foot, so a block advances at least one step.  S
-doubles after a block that held, up to BLOCK_CAP, drops to 1 after a switch
-of velocity and otherwise stays.  Every float is computed as a per-step
-loop would compute it, so the trace is the same bit for bit; the guess only
-decides how many rows a pass checks.  The loop keeps the chosen index, L
-there and u at the chosen foot, which is u at the next point of the trace.
+doubles after a block that held, up to BLOCK_CAP.  After a switch of
+velocity it starts at the length of the run that just ended, at least 1 and
+at most BLOCK_CAP; otherwise it stays.  A step depends on its point alone,
+since u, lam and dt are fixed.  So once a block ends with a step back at its
+own point, bit for bit, every later step repeats that step: the loop fills
+the rest of the trace by broadcasting and stops (the rest fill).  Every
+float is computed as a per-step loop would compute it, so the trace is the
+same bit for bit; the guess only decides how many rows a pass checks.  The
+loop keeps the chosen index, L there and u at the chosen foot, which is u at
+the next point of the trace.
 After the loop, one vectorized expression each gives the actions
 dt*(L - lam*V + c0), the defects |u(y_k) - (action_k + u(y_{k+1}))|,
 dL/du(y_k, v_k, 0) and the weights below.
@@ -153,7 +158,7 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     pts[0] = y
     feet_at = arcs.foot_sampler(u.values, snap=on_lattice)
     n, vdt = grid.n, vels * dt
-    k, j, size = 0, 0, 1                        # a block of one row checks no guess
+    k, j, size, start = 0, 0, 1, 0              # a block of one row checks no guess
     while k < steps:
         # Guess: velocity j holds for the whole block.  The accumulation
         # restarts at each wrap of the torus from the point wrapped as the
@@ -188,10 +193,18 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
         vidx[k:k + take], Lj[k:k + take], uj[k:k + take] = a, Lv[rows, a], fv[rows, a]
         pts[k + 1:k + take + 1] = feet[rows, a]
         if a[-1] != j:
-            size, j = 1, int(a[-1])
+            # start is the first step of the run of j that ends here.
+            switch = k + take - 1               # the first step of velocity a[-1]
+            size = min(max(switch - start, 1), BLOCK_CAP)
+            j, start = int(a[-1]), switch
         elif take == size:
             size = min(2 * size, BLOCK_CAP)
         k += take
+        # The rest fill: a step back at its own point repeats to the end.
+        if pts[k].tobytes() == pts[k - 1].tobytes():
+            vidx[k:], Lj[k:], uj[k:] = vidx[k - 1], Lj[k - 1], uj[k - 1]
+            pts[k + 1:] = pts[k]
+            break
 
     X, vel = pts[:-1], vels[vidx]
     Vx = np.asarray(model.V(X, lam), dtype=float) if lam != 0.0 else 0.0

@@ -52,19 +52,30 @@ def reference_write_trace_csv(trace, path):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("steps", [0, 1, 257])
 def test_trace_csv_bytes_match_the_row_writer(tmp_path, d, steps):
-    rng = np.random.default_rng(10 * d + steps)
-    dt = float(rng.uniform(1e-4, 0.1))
-    tr = CurveTrace(lam=0.5, dt=dt, horizon=steps * dt,
-                    points=rng.uniform(size=(steps + 1, d)),
-                    velocities=rng.integers(-6, 7, size=(steps, d)) * 0.375,
-                    vel_indices=rng.integers(0, 13, size=steps),
-                    weights=np.exp(-0.5 * dt * np.arange(steps + 1)),
-                    defects=rng.normal(size=steps) * 10.0 ** rng.integers(-17, 1, size=steps),
-                    actions=np.zeros(steps), dl0=-np.ones(steps),
-                    on_lattice=False, defect_tol=1e-9)
-    write_trace_csv(tr, str(tmp_path / "fast.csv"))
-    reference_write_trace_csv(tr, str(tmp_path / "ref.csv"))
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    """Moving traces, and traces that rest from step 0 and from halfway: from
+    there on the point, velocity and defect are the last row's.  The row
+    before the rest has the same point and velocity but the defect -0.0
+    against 0.0, which only a comparison of bits tells apart."""
+    for rest in (None, 0, steps // 2):
+        rng = np.random.default_rng(10 * d + steps)
+        dt = float(rng.uniform(1e-4, 0.1))
+        tr = CurveTrace(lam=0.5, dt=dt, horizon=steps * dt,
+                        points=rng.uniform(size=(steps + 1, d)),
+                        velocities=rng.integers(-6, 7, size=(steps, d)) * 0.375,
+                        vel_indices=rng.integers(0, 13, size=steps),
+                        weights=np.exp(-0.5 * dt * np.arange(steps + 1)),
+                        defects=rng.normal(size=steps) * 10.0 ** rng.integers(-17, 1, size=steps),
+                        actions=np.zeros(steps), dl0=-np.ones(steps),
+                        on_lattice=False, defect_tol=1e-9)
+        if rest is not None and steps:
+            tr.points[max(rest - 1, 0):] = tr.points[-1]
+            tr.velocities[max(rest - 1, 0):] = tr.velocities[-1]
+            tr.defects[rest:] = 0.0
+            if rest:
+                tr.defects[rest - 1] = -0.0
+        write_trace_csv(tr, str(tmp_path / "fast.csv"))
+        reference_write_trace_csv(tr, str(tmp_path / "ref.csv"))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_barrier_binary_roundtrip(tmp_path):

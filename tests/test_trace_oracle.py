@@ -8,19 +8,25 @@ weights, defects, actions and dL/du within 1e-12, and CalibrationError on the
 same inputs.  Against the lean loop (one foot stencil and one L call per
 step), which the speculative block loop replaced: every CurveTrace field bit
 for bit, on traces of up to 2,000 steps with velocity runs longer than the
-block cap, switches inside blocks and wraps of the torus inside blocks."""
+block cap, switches inside blocks and wraps of the torus inside blocks, and
+on solved fields whose traces move and then rest, where the loop fills the
+rest of the trace instead of checking it."""
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_peierls_exact import smooth_potential
+from torushj import experiments
 from torushj.curves import BLOCK_CAP, CurveTrace, _kink_scale, backward_calibrated_curve
 from torushj.errors import CalibrationError
 from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil, wrap_points
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, solve_perturbed
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELDS = ("points", "weights", "defects", "actions", "dl0")
 ALL_FIELDS = FIELDS + ("velocities", "vel_indices", "lam", "dt", "horizon",
                        "on_lattice", "defect_tol")
@@ -278,21 +284,50 @@ def test_solved_field_trace_matches_the_retired_loop(d):
 def test_block_loop_matches_the_lean_loop_bit_for_bit(d, name, seed, dt_mode, on_node,
                                                        amp, lam, steps, start):
     model, u, x, dt, vset = trace_case(d, name, seed, dt_mode, on_node, amp, start)
-    args = (model, lam, u, x, (steps + 0.5) * dt, dt, vset)
-    ref = lean_backward_calibrated_curve(*args, defect_tol=np.inf)
-    assert ref.steps == steps
-    assert_bit_identical(backward_calibrated_curve(*args, defect_tol=np.inf), ref)
+    trace = checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * dt, dt, vset)
+    assert trace.steps == steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]),
+       seed=st.integers(0, 10**6),
+       dt_mode=st.sampled_from(["default", "doubled", "off_lattice"]),
+       on_node=st.booleans(),
+       lam=st.floats(0.1, 4.0),
+       steps=st.integers(0, 300),
+       start=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
+def test_block_loop_matches_the_lean_loop_on_traces_that_come_to_rest(d, seed, dt_mode,
+                                                                      on_node, lam, steps,
+                                                                      start):
+    """A solved mechanical field: a trace started away from its well moves
+    there in a few steps, switches to v = 0 and rests, so the rest fill
+    takes over right after a switch of velocity."""
+    model, u, x, dt, vset = trace_case(d, "mechanical", seed, dt_mode, on_node, 0.0, start)
+    u, _ = solve_perturbed(model, lam, u.grid, vset, dt=dt, tol=1e-10)
+    checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * dt, dt, vset)
+
+
+def checked_against_the_lean_loop(*args):
+    """The trace with the tolerance off, every field bit for bit the lean
+    loop's; with the default tolerance, CalibrationError on the same inputs
+    and otherwise the same trace."""
+    trace = backward_calibrated_curve(*args, defect_tol=np.inf)
+    assert_bit_identical(trace, lean_backward_calibrated_curve(*args, defect_tol=np.inf))
     ref = trace_or_none(lean_backward_calibrated_curve, *args)
     new = trace_or_none(backward_calibrated_curve, *args)
     assert (new is None) == (ref is None)
     if ref is not None:
         assert_bit_identical(new, ref)
+    return trace
 
 
-def recorded_blocks(monkeypatch, *args):
+def recorded_blocks(monkeypatch, *args, **kwargs):
     """The trace and its blocks as (first step, rows guessed, rows taken).
     The guessed points of each block are recorded from the foot sampler; a
-    block takes the rows up to the first guessed point the trace leaves."""
+    block takes the rows up to the first guessed point the trace leaves.  The
+    steps after the last sampler call are the rest fill, one block of no
+    guessed rows; it follows a step back at its own point, and the trace
+    stays there."""
     calls = []
     sampler = Transition.foot_sampler
 
@@ -301,7 +336,7 @@ def recorded_blocks(monkeypatch, *args):
         return lambda Y: calls.append(Y.copy()) or feet_at(Y)
 
     monkeypatch.setattr(Transition, "foot_sampler", recording)
-    trace = backward_calibrated_curve(*args, defect_tol=np.inf)
+    trace = backward_calibrated_curve(*args, **kwargs, defect_tol=np.inf)
     monkeypatch.undo()
     k, blocks = 0, []
     for Y in calls:
@@ -311,20 +346,34 @@ def recorded_blocks(monkeypatch, *args):
             m += 1
         blocks.append((k, len(Y), m))
         k += m
-    assert k == trace.steps
+    if k < trace.steps:
+        r = rest_step(trace)
+        assert r is not None and r < k
+        blocks.append((k, 0, trace.steps - k))
     return trace, blocks
+
+
+def rest_step(trace):
+    """The first step back at its own point, bit for bit, or None."""
+    bits = trace.points.view(np.int64)
+    same = (bits[1:] == bits[:-1]).all(axis=1)
+    return int(same.argmax()) if same.any() else None
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_block_schedule_covers_long_runs_switches_and_wraps(monkeypatch, d):
-    """Nearly flat fields, on and off the lattice: velocity runs longer than
-    BLOCK_CAP, switches after the first row of a block, and wraps of the
-    torus with the block going on past them, all bit for bit equal to the
-    lean loop."""
+    """Nearly flat fields, on and off the lattice, under drifts that keep some
+    traces moving for all 2,000 steps and bring others to rest.  Traces that
+    keep moving show velocity runs longer than BLOCK_CAP, switches after the
+    first row of a block and wraps of the torus with the block going on past
+    them.  Some trace has a block after a switch that starts longer than one
+    row, and those that rest end in the rest fill.  All are bit for bit equal
+    to the lean loop."""
     seen = {"long run": False, "switch inside a block": False,
-            "wrap inside a block": False, "on lattice": False, "off lattice": False}
+            "wrap inside a block": False, "block after a switch longer than 1": False,
+            "rest fill": False, "on lattice": False, "off lattice": False}
     for dt_mode in ("default", "off_lattice", "small"):
-        for seed in range(6):
+        for seed in range(9):
             model, u, x, dt, vset = trace_case(d, "shifted_quadratic", seed, dt_mode,
                                                dt_mode != "small", 0.03, (0.31, 0.77))
             args = (model, 0.5, u, x, 2000.5 * dt, dt, vset)
@@ -332,15 +381,53 @@ def test_block_schedule_covers_long_runs_switches_and_wraps(monkeypatch, d):
             assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
                                                                        defect_tol=np.inf))
             seen["on lattice" if trace.on_lattice else "off lattice"] = True
+            moving = rest_step(trace) is None
             switch = np.flatnonzero(np.diff(trace.vel_indices)) + 1
             runs = np.diff(np.concatenate(([0], switch, [trace.steps])))
-            seen["long run"] |= bool(runs.max() > BLOCK_CAP
+            seen["long run"] |= bool(moving and runs.max() > BLOCK_CAP
                                      and max(b[1] for b in blocks) == BLOCK_CAP)
             wraps = np.flatnonzero(np.abs(np.diff(trace.points, axis=0)).max(axis=1) > 0.5)
             for k, size, take in blocks:
-                seen["switch inside a block"] |= 1 < take < size and (k + take - 1) in switch
-                seen["wrap inside a block"] |= bool(np.any((wraps >= k) & (wraps < k + take - 1)))
+                seen["switch inside a block"] |= (moving and 1 < take < size
+                                                  and (k + take - 1) in switch)
+                seen["wrap inside a block"] |= bool(
+                    moving and np.any((wraps >= k) & (wraps < k + take - 1)))
+                seen["block after a switch longer than 1"] |= size > 1 and (k - 1) in switch
+                seen["rest fill"] |= size == 0
     assert all(seen.values()), seen
+
+
+def test_occupation_workload_traces_stop_sampling_at_rest(monkeypatch, tmp_path):
+    """The five traces of the `occupation` benchmark workload (bench/run.py,
+    seed 1).  In each of the four that come to rest, no block after the one
+    that reaches the rest calls the foot sampler.  A block after a switch
+    starts at the length of the run that ended, so the five take at most 100
+    sampler passes for their 12,030 steps; with the rest fill alone they
+    took 254, with neither 312."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    from run import WORKLOADS, write_config
+    cfg = str(tmp_path / "occupation.cfg")
+    write_config(WORKLOADS["occupation"](1), cfg)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return backward_calibrated_curve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "backward_calibrated_curve", recording)
+    assert experiments.run_experiment(cfg, output=str(tmp_path / "out")).passed
+    monkeypatch.undo()
+    assert len(calls) == 5
+    steps = passes = rested = 0
+    for args, kwargs in calls:
+        trace, blocks = recorded_blocks(monkeypatch, *args, **kwargs)
+        r = rest_step(trace)
+        if r is not None:
+            rested += 1
+            assert all(k <= r + 1 for k, size, _ in blocks if size)
+        steps += trace.steps
+        passes += sum(1 for _, size, _ in blocks if size)
+    assert (rested, steps) == (4, 12030) and passes <= 100
 
 
 @pytest.mark.parametrize("d", [1, 2])
