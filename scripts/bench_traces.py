@@ -167,11 +167,9 @@ def main() -> int:
                      f"{str(row['src']['same_trace']):>5s}")
         rows.append(row)
         print(line)
-    result = {"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP}
-    if others:
-        result["src_commit"] = src_commit
     with open(args.out, "w") as f:
-        json.dump({**result, "traces": rows}, f, indent=2)
+        json.dump({"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP,
+                   "src_commit": src_commit, "traces": rows}, f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")
     return 0 if all(r["bit_identical"] and r.get("src", {}).get("same_trace", True)
