@@ -2,8 +2,10 @@
 
 Identical inputs must produce byte-identical files; everything volatile
 (wall-clock timings) goes to a separate timings file that artifact diffs
-ignore.  Floats are rendered with 17 significant digits so round-trips are
-exact.
+ignore.  Every CSV goes through one row writer, `_write_rows`: a header, then
+blocks of rows, one template per block formatted over columns and joined
+once.  Every float is the one format `_FLOAT`, 17 significant digits, so
+round-trips are exact.  The readers refuse a truncated file.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .grids import GridField, PeriodicGrid
 from .matherlp import DiscreteMeasure
 
 __all__ = [
-    "fmt17",
     "write_field_csv",
     "read_field_csv",
     "write_barrier_binary",
@@ -42,33 +43,42 @@ __all__ = [
 TIMINGS_FILE = "timings.json"
 _BARRIER_MAGIC = b"PBAR"
 _PEIERLS_T = -1.0
+_FLOAT = "{:.17g}"      # the one float format: 17 significant digits round-trip a float64
 
 
-def fmt17(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(path: str, header: str, *blocks) -> None:
+    """The one row writer: `header`, then for each block (row, columns) the
+    rows row.format(c0[i], c1[i], ...), joined once per block."""
+    with open(path, "w", newline="\n") as f:
+        f.write(header)
+        for row, columns in blocks:
+            f.write("".join(map(row.format, *columns)))
 
 
 def write_field_csv(field: GridField, path: str) -> None:
     g = field.grid
-    coords = g.node_coords()
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# {g.d},{g.n}\n")
-        for i in range(g.size):
-            cs = ",".join(fmt17(c) for c in coords[i])
-            f.write(f"{i},{cs},{fmt17(field.values[i])}\n")
+    _write_rows(path, f"# {g.d},{g.n}\n",
+                ("{}," + ",".join([_FLOAT] * (g.d + 1)) + "\n",
+                 [range(g.size), *g.node_coords().T.tolist(), field.values.tolist()]))
 
 
 def read_field_csv(path: str) -> GridField:
+    """A file that does not list each node once is refused."""
     with open(path) as f:
-        header = f.readline().strip()
-        if not header.startswith("# "):
-            raise DomainError(f"{path}: missing grid header")
+        header, rows = f.readline(), [line.split(",") for line in f]
+    if not header.startswith("# "):
+        raise DomainError(f"{path}: missing grid header")
+    try:
         d, n = (int(tok) for tok in header[2:].split(","))
-        vals = np.empty(n**d)
-        for line in f:
-            parts = line.strip().split(",")
-            vals[int(parts[0])] = float(parts[-1])
-    return GridField(PeriodicGrid(d, n), vals)
+        idx, vals = [int(r[0]) for r in rows], [float(r[-1]) for r in rows]
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    grid = PeriodicGrid(d, n)
+    if len(idx) != grid.size or sorted(idx) != list(range(grid.size)):
+        raise DomainError(f"{path}: {len(idx)} rows do not list the {grid.size} nodes once each")
+    values = np.empty(grid.size)
+    values[idx] = vals
+    return GridField(grid, values)
 
 
 def write_barrier_binary(bm: BarrierMatrix, path: str) -> None:
@@ -80,78 +90,70 @@ def write_barrier_binary(bm: BarrierMatrix, path: str) -> None:
 
 
 def read_barrier_binary(path: str) -> BarrierMatrix:
-    """A barrier without its Aubry set; a header t other than -1 is refused."""
+    """A barrier without its Aubry set; a header t other than -1, or a body
+    of other than N^2 float64, is refused."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _BARRIER_MAGIC:
-            raise DomainError(f"{path}: bad magic {magic!r}")
-        d, n, t = struct.unpack("<IIf", f.read(12))
-        if t != _PEIERLS_T:
-            raise DomainError(f"{path}: header t = {t:g} marks no Peierls barrier")
-        grid = PeriodicGrid(int(d), int(n))
-        vals = np.frombuffer(f.read(), dtype="<f8").reshape(grid.size, grid.size)
+        raw = f.read()
+    if raw[:4] != _BARRIER_MAGIC:
+        raise DomainError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise DomainError(f"{path}: {len(raw)} bytes hold no 16-byte header")
+    d, n, t = struct.unpack_from("<IIf", raw, 4)
+    if t != _PEIERLS_T:
+        raise DomainError(f"{path}: header t = {t:g} marks no Peierls barrier")
+    grid = PeriodicGrid(int(d), int(n))
+    if len(raw) != 16 + 8 * grid.size**2:
+        raise DomainError(f"{path}: {len(raw) - 16} body bytes for {grid.size}^2 float64")
+    vals = np.frombuffer(raw, dtype="<f8", offset=16).reshape(grid.size, grid.size)
     return BarrierMatrix(grid, vals.copy())
 
 
 def write_barrier_csv(bm: BarrierMatrix, path: str) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# {bm.grid.d},{bm.grid.n},peierls\n")
-        N = bm.grid.size
-        for i in range(N):
-            f.write(",".join(fmt17(v) for v in bm.values[i]) + "\n")
+    _write_rows(path, f"# {bm.grid.d},{bm.grid.n},peierls\n",
+                (",".join([_FLOAT] * bm.grid.size) + "\n", bm.values.T.tolist()))
 
 
 def write_measure_csv(mu: DiscreteMeasure, path: str) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("# node,velocity,weight\n")
-        W = mu.weights
-        for i in range(W.shape[0]):
-            for k in range(W.shape[1]):
-                if W[i, k] > 0.0:
-                    f.write(f"{i},{k},{fmt17(W[i, k])}\n")
+    """The support only, node-major: rows node,velocity,weight with weight > 0."""
+    i, k = np.nonzero(mu.weights > 0.0)
+    _write_rows(path, "# node,velocity,weight\n",
+                (f"{{}},{{}},{_FLOAT}\n",
+                 [i.tolist(), k.tolist(), mu.weights[i, k].tolist()]))
 
 
 def write_node_csv(values, path: str, column: str = "weight") -> None:
     """One value per node, e.g. a projected measure or per-node operator values."""
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# node,{column}\n")
-        for i, v in enumerate(values):
-            f.write(f"{i},{fmt17(v)}\n")
+    vals = np.asarray(values, dtype=float).tolist()
+    _write_rows(path, f"# node,{column}\n", (f"{{}},{_FLOAT}\n", [range(len(vals)), vals]))
 
 
 def write_trace_csv(trace, path: str) -> None:
-    """One row per step: k, time -k*dt, point k, velocity k, weight k and
-    defect k, each number formatted like `fmt17`.  The trailing rows whose
-    point, velocity and defect are bit for bit the last row's (a trace at
-    rest) format those fields once."""
+    """One row per step: k, time -k*dt, point, velocity, weight and defect k.
+    The trailing rows whose point, velocity and defect are bit for bit the
+    last row's (a trace at rest) are a second block, those fields formatted once."""
     S, d = trace.steps, trace.points.shape[1]
-    xs = ";".join(["{:.17g}"] * d)
-    row = f"{{}},{{:.17g}},{xs},{xs},{{:.17g}},{{:.17g}}\n"
+    xs = ";".join([_FLOAT] * d)
     fixed = np.column_stack((trace.points[:S], trace.velocities, trace.defects))
     bits = fixed.view(np.int64)
     moved = np.flatnonzero((bits != bits[-1:]).any(axis=1))
     t = int(moved[-1]) + 1 if moved.size else 0     # the first row of the resting tail
     times = (-np.arange(S) * float(trace.dt)).tolist()
-    cols = [range(t), times[:t], *trace.points[:t].T.tolist(),
-            *trace.velocities[:t].T.tolist(), trace.weights[:t].tolist(),
-            trace.defects[:t].tolist()]
-    with open(path, "w", newline="\n") as f:
-        f.write("# step,time,coords,velocity,weight,defect\n")
-        f.write("".join(map(row.format, *cols)))
-        if t < S:
-            last = fixed[-1].tolist()
-            p, v = xs.format(*last[:d]), xs.format(*last[d:-1])
-            rest = f"{{}},{{:.17g}},{p},{v},{{:.17g}},{last[-1]:.17g}\n"
-            f.write("".join(map(rest.format, range(t, S), times[t:],
-                                trace.weights[t:S].tolist())))
+    blocks = [(f"{{}},{_FLOAT},{xs},{xs},{_FLOAT},{_FLOAT}\n",
+               [range(t), times[:t], *trace.points[:t].T.tolist(),
+                *trace.velocities[:t].T.tolist(), trace.weights[:t].tolist(),
+                trace.defects[:t].tolist()])]
+    if S:
+        last = fixed[-1].tolist()
+        p, v = xs.format(*last[:d]), xs.format(*last[d:-1])
+        blocks.append((f"{{}},{_FLOAT},{p},{v},{_FLOAT},{_FLOAT.format(last[-1])}\n",
+                       [range(t, S), times[t:], trace.weights[t:S].tolist()]))
+    _write_rows(path, "# step,time,coords,velocity,weight,defect\n", *blocks)
 
 
 def write_convergence_csv(rows: Iterable, path: str) -> None:
     """Rows of (lambda, sup_error, iterations, residual)."""
-    with open(path, "w", newline="\n") as f:
-        f.write("# lambda,sup_error,iterations,residual\n")
-        for lam, err, iters, resid in rows:
-            f.write(f"{fmt17(lam)},{fmt17(err)},{iters},{fmt17(resid)}\n")
+    _write_rows(path, "# lambda,sup_error,iterations,residual\n",
+                (f"{_FLOAT},{_FLOAT},{{}},{_FLOAT}\n", list(zip(*rows)) or [()] * 4))
 
 
 def write_manifest(manifest: dict, path: str) -> None:

@@ -249,9 +249,9 @@ def check_calibration(trace: CurveTrace, u: GridField) -> CalibrationReport:
     )
 
 
-def occupation_measure(trace: CurveTrace, lam: float, grid: PeriodicGrid,
+def occupation_measure(trace: CurveTrace, grid: PeriodicGrid,
                        vset: VelocitySet) -> DiscreteMeasure:
-    """Discount-weighted occupation measure of a backward trace.
+    """Discount-weighted occupation measure of a backward trace at its lam.
 
     Step k deposits W_k*dt at (departure point, chosen velocity); positions
     bin by interpolation weights, velocities exactly.  Raises TailMassError
@@ -260,13 +260,13 @@ def occupation_measure(trace: CurveTrace, lam: float, grid: PeriodicGrid,
     """
     if trace.steps == 0:
         raise ConfigurationError("cannot bin an empty trace")
-    if not lam > 0:
-        raise ConfigurationError(f"discount lam must be positive, got {lam}")
+    if not trace.lam > 0:
+        raise ConfigurationError(f"discount lam must be positive, got {trace.lam}")
     dt = trace.dt
     Wd = trace.weights[:-1] * dt                 # (S,)
     total = float(Wd.sum())
     decay = max(-float(np.mean(trace.dl0[-max(10, trace.steps // 10):])), 1e-12)
-    tail = float(trace.weights[-1]) / (lam * decay)
+    tail = float(trace.weights[-1]) / (trace.lam * decay)
     if tail / (total + tail) > TAIL_TOL:
         raise TailMassError(
             f"discarded tail mass fraction {tail / (total + tail):.2e} exceeds "
@@ -280,21 +280,21 @@ def occupation_measure(trace: CurveTrace, lam: float, grid: PeriodicGrid,
     return DiscreteMeasure(grid, vset, flat / flat.sum())
 
 
-def check_mass_identity(trace: CurveTrace, lam: float) -> float:
+def check_mass_identity(trace: CurveTrace) -> float:
     """Relative defect of the occupation-measure identity
 
         int dL/du dmu  =  -1 / ( lam * int_0^inf W dt ),
 
-    evaluated with the trace's own quadrature; exact up to the tail cutoff
-    and one first-order quadrature term in dt.
+    at the trace's lam, evaluated with the trace's own quadrature; exact up
+    to the tail cutoff and one first-order quadrature term in dt.
     """
     if trace.steps == 0:
         raise ConfigurationError("empty trace")
-    if not lam > 0:
-        raise ConfigurationError(f"discount lam must be positive, got {lam}")
+    if not trace.lam > 0:
+        raise ConfigurationError(f"discount lam must be positive, got {trace.lam}")
     Wd = trace.weights[:-1] * trace.dt
     lhs = float((trace.dl0 * Wd).sum() / Wd.sum())
-    rhs = -1.0 / (lam * float(Wd.sum()))
+    rhs = -1.0 / (trace.lam * float(Wd.sum()))
     return abs(lhs - rhs) / abs(rhs)
 
 

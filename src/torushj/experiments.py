@@ -634,7 +634,7 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
         warm = fld
         tr = backward_calibrated_curve(model, lam, fld, start, Tmax=10.0 / lam,
                                        dt=dt, vset=vs, solver_tol=cfg.tol)
-        mu = occupation_measure(tr, lam, grid, vs)
+        mu = occupation_measure(tr, grid, vs)
         tv = 0.5 * float(np.abs(mu.projected() - lp_mu.projected()).sum())
         dfct = closedness_defect(mu, trace_arcs)
         tv_seq.append(tv)
@@ -656,12 +656,12 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
                              max_iter=cfg.max_iter, bracket=bracket, init=warm)
     tr1 = backward_calibrated_curve(model, lam_mi, fld, start, Tmax=Tmi, dt=dt,
                                     vset=vs, solver_tol=cfg.tol)
-    err1 = check_mass_identity(tr1, lam_mi)
+    err1 = check_mass_identity(tr1)
     fld2, _ = solve_perturbed(model, lam_mi, grid, vs, dt=dt / 2, tol=cfg.tol,
                               max_iter=cfg.max_iter, bracket=bracket, init=fld)
     tr2 = backward_calibrated_curve(model, lam_mi, fld2, start, Tmax=Tmi, dt=dt / 2,
                                     vset=vs, solver_tol=cfg.tol)
-    err2 = check_mass_identity(tr2, lam_mi)
+    err2 = check_mass_identity(tr2)
     ratio = err1 / max(err2, 1e-300)
     mi_ok = err1 <= _threshold(cfg, "mass_identity_rel") and 1.5 <= ratio <= 2.5
     artifacts["trace_mass_identity"] = tr1

@@ -124,9 +124,6 @@ class GridField:
     def as_array(self) -> np.ndarray:
         return self.values.reshape((self.grid.n,) * self.grid.d)
 
-    def shifted(self, delta: float) -> "GridField":
-        return GridField(self.grid, self.values + delta)
-
     def lipschitz_constant(self) -> float:
         """Max forward difference quotient over adjacent nodes (periodic)."""
         a = self.as_array()

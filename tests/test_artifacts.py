@@ -1,28 +1,35 @@
 import json
 import os
+import re
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
 
 from torushj.artifacts import (
     diff_artifacts,
-    fmt17,
     hash_directory,
     read_barrier_binary,
     read_field_csv,
     write_barrier_binary,
     write_barrier_csv,
+    write_convergence_csv,
     write_field_csv,
     write_measure_csv,
+    write_node_csv,
     write_trace_csv,
 )
-from torushj.barrier import BarrierMatrix
+from torushj.barrier import BIG, BarrierMatrix
 from torushj.curves import CurveTrace
 from torushj.errors import DomainError
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import DiscreteMeasure
 from torushj.models import velocity_set
+
+
+def fmt17(x):
+    return format(float(x), ".17g")
 
 
 def test_field_csv_roundtrip_and_header(tmp_path):
@@ -36,6 +43,142 @@ def test_field_csv_roundtrip_and_header(tmp_path):
     assert lines[1].startswith("0,0,0,")
     back = read_field_csv(str(path))
     np.testing.assert_array_equal(back.values, f.values)   # 17 digits: exact
+
+
+@pytest.mark.parametrize("keep", [
+    lambda rows: rows[: len(rows) // 2],
+    lambda rows: rows[:-1],
+    lambda rows: rows[:-1] + rows[:1],
+    lambda rows: rows + rows[-1:],
+    lambda rows: rows[:-1] + [f"{len(rows)}" + rows[-1][rows[-1].index(","):]],
+    lambda rows: rows[:-1] + ["-1" + rows[-1][rows[-1].index(","):]],
+    lambda rows: rows[:-1] + ["x,0,0.5\n"],
+], ids=["truncated", "one_short", "duplicate", "one_twice", "index_n", "index_minus_1",
+        "no_index"])
+def test_field_csv_reader_refuses_rows_that_do_not_list_each_node_once(tmp_path, keep):
+    g = build_grid(1, 8)
+    path = tmp_path / "field.csv"
+    write_field_csv(GridField(g, np.arange(8) / 8), str(path))
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(keep(rows)))
+    with pytest.raises(DomainError, match=re.escape(str(path))):
+        read_field_csv(str(path))
+
+
+@pytest.mark.parametrize("cut", [lambda raw: raw[:10], lambda raw: raw[:16],
+                                 lambda raw: raw[:-8], lambda raw: raw + bytes(8)],
+                         ids=["short_header", "no_body", "short_body", "long_body"])
+def test_barrier_binary_reader_refuses_a_short_or_long_file(tmp_path, cut):
+    path = tmp_path / "bar.pbar"
+    write_barrier_binary(BarrierMatrix(build_grid(1, 4), np.ones((4, 4))), str(path))
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(DomainError, match=re.escape(str(path))):
+        read_barrier_binary(str(path))
+
+
+# The row-at-a-time writers that the one row writer replaced: byte oracles.
+
+def reference_write_field_csv(field, path):
+    with open(path, "w", newline="\n") as f:
+        g = field.grid
+        coords = g.node_coords()
+        f.write(f"# {g.d},{g.n}\n")
+        for i in range(g.size):
+            cs = ",".join(fmt17(c) for c in coords[i])
+            f.write(f"{i},{cs},{fmt17(field.values[i])}\n")
+
+
+def reference_write_barrier_csv(bm, path):
+    with open(path, "w", newline="\n") as f:
+        f.write(f"# {bm.grid.d},{bm.grid.n},peierls\n")
+        for i in range(bm.grid.size):
+            f.write(",".join(fmt17(v) for v in bm.values[i]) + "\n")
+
+
+def reference_write_measure_csv(mu, path):
+    with open(path, "w", newline="\n") as f:
+        f.write("# node,velocity,weight\n")
+        W = mu.weights
+        for i in range(W.shape[0]):
+            for k in range(W.shape[1]):
+                if W[i, k] > 0.0:
+                    f.write(f"{i},{k},{fmt17(W[i, k])}\n")
+
+
+def reference_write_node_csv(values, path, column="weight"):
+    with open(path, "w", newline="\n") as f:
+        f.write(f"# node,{column}\n")
+        for i, v in enumerate(values):
+            f.write(f"{i},{fmt17(v)}\n")
+
+
+def reference_write_convergence_csv(rows, path):
+    with open(path, "w", newline="\n") as f:
+        f.write("# lambda,sup_error,iterations,residual\n")
+        for lam, err, iters, resid in rows:
+            f.write(f"{fmt17(lam)},{fmt17(err)},{iters},{fmt17(resid)}\n")
+
+
+def spread(rng, size):
+    """Floats over many magnitudes, with -0.0 and 0.0 among them."""
+    x = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    x[rng.random(size) < 0.1] = -0.0
+    x[rng.random(size) < 0.1] = 0.0
+    return x
+
+
+def random_field(rng, d):
+    g = build_grid(d, int(rng.integers(4, 9)))
+    return GridField(g, spread(rng, g.size))
+
+
+def random_barrier(rng):
+    g = build_grid(int(rng.integers(1, 3)), 4)
+    v = spread(rng, (g.size, g.size))
+    v[rng.random(v.shape) < 0.2] = BIG
+    return BarrierMatrix(g, v)
+
+
+def random_measure(rng):
+    g, vs = build_grid(1, int(rng.integers(4, 9))), velocity_set(1.0, 5)
+    W = rng.random((g.size, 5)) * 10.0 ** rng.integers(-320, 1, size=(g.size, 5))
+    W[rng.random(W.shape) < 0.3] = 0.0
+    W[rng.integers(g.size)] = 0.0                           # an all-zero row
+    W[rng.integers(g.size), rng.integers(5)] = 5e-324       # the least subnormal
+    W[rng.integers(g.size), rng.integers(5)] = -0.0
+    return DiscreteMeasure(g, vs, W)
+
+
+def random_convergence_rows(rng):
+    return [(float(lam), float(err), int(it), float(res))
+            for lam, err, it, res in zip(spread(rng, 4), spread(rng, 4),
+                                         rng.integers(0, 10**6, size=4), spread(rng, 4))]
+
+
+CSV_CASES = {
+    "field_d1": (write_field_csv, reference_write_field_csv, partial(random_field, d=1)),
+    "field_d2": (write_field_csv, reference_write_field_csv, partial(random_field, d=2)),
+    "barrier": (write_barrier_csv, reference_write_barrier_csv, random_barrier),
+    "measure": (write_measure_csv, reference_write_measure_csv, random_measure),
+    "node_array": (write_node_csv, reference_write_node_csv, lambda rng: spread(rng, 9)),
+    "node_list": (partial(write_node_csv, column="value"),
+                  partial(reference_write_node_csv, column="value"),
+                  lambda rng: [*spread(rng, 5).tolist(), 3, np.float64(-0.0)]),
+    "convergence": (write_convergence_csv, reference_write_convergence_csv,
+                    random_convergence_rows),
+    "convergence_empty": (write_convergence_csv, reference_write_convergence_csv,
+                          lambda rng: []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_writers_match_the_row_writers(tmp_path, case):
+    write, reference, make = CSV_CASES[case]
+    for seed in range(5):
+        obj = make(np.random.default_rng(seed))
+        write(obj, str(tmp_path / "fast.csv"))
+        reference(obj, str(tmp_path / "ref.csv"))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def reference_write_trace_csv(trace, path):

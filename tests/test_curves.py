@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,10 +132,11 @@ def test_occupation_and_mass_identity_refuse_a_nonpositive_discount():
     tr = backward_calibrated_curve(model, 0.2, fld, grid.node_coords()[6],
                                    Tmax=80.0, dt=dt, vset=vset)
     for lam in (0.0, -0.2):
+        bad = dataclasses.replace(tr, lam=lam)
         with pytest.raises(ConfigurationError):
-            occupation_measure(tr, lam, grid, vset)
+            occupation_measure(bad, grid, vset)
         with pytest.raises(ConfigurationError):
-            check_mass_identity(tr, lam)
+            check_mass_identity(bad)
 
 
 def test_weights_monotone_and_envelope():
@@ -154,7 +157,7 @@ def test_occupation_stationary_trace_is_rest_dirac():
     model, grid, vset, dt, _, fld = solved("mechanical", U=None, lam=0.2)
     x0 = grid.node_coords()[6]
     tr = backward_calibrated_curve(model, 0.2, fld, x0, Tmax=80.0, dt=dt, vset=vset)
-    mu = occupation_measure(tr, 0.2, grid, vset)
+    mu = occupation_measure(tr, grid, vset)
     assert mu.weights[6, vset.zero_index] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -163,7 +166,7 @@ def test_occupation_tail_guard():
     tr = backward_calibrated_curve(model, 0.2, fld, grid.node_coords()[6],
                                    Tmax=5.0, dt=dt, vset=vset)
     with pytest.raises(TailMassError):
-        occupation_measure(tr, 0.2, grid, vset)
+        occupation_measure(tr, grid, vset)
 
 
 def test_mass_identity_geometric_sum():
@@ -172,7 +175,7 @@ def test_mass_identity_geometric_sum():
     model, grid, vset, dt, _, fld = solved("mechanical", U=COS, lam=lam)
     tr = backward_calibrated_curve(model, lam, fld, grid.node_coords()[4],
                                    Tmax=140.0, dt=dt, vset=vset)
-    err = check_mass_identity(tr, lam)
+    err = check_mass_identity(tr)
     predicted = lam * dt / 2
     assert err == pytest.approx(predicted, rel=0.2)
 
@@ -191,7 +194,7 @@ def test_mass_identity_dt_halving():
         assert rep.converged
         tr = backward_calibrated_curve(model, lam, fld, grid.node_coords()[4],
                                        Tmax=140.0, dt=dt, vset=vset, solver_tol=1e-10)
-        errs.append(check_mass_identity(tr, lam))
+        errs.append(check_mass_identity(tr))
     assert 1.5 <= errs[0] / errs[1] <= 2.5
 
 
@@ -213,7 +216,7 @@ def test_closedness_defect_examples():
         tr = backward_calibrated_curve(model, lam_k, fldk, grid.node_coords()[11],
                                        Tmax=12.0 / lam_k, dt=dt, vset=vset,
                                        solver_tol=1e-10)
-        defs.append(closedness_defect(occupation_measure(tr, lam_k, grid, vset), arcs))
+        defs.append(closedness_defect(occupation_measure(tr, grid, vset), arcs))
     lams = np.array([0.4, 0.2, 0.1])
     fit = float(np.sum(np.array(defs) * lams) / np.sum(lams**2))
     assert np.all(np.array(defs) <= 2 * fit * lams)

@@ -95,7 +95,7 @@ def test_2d_solve_and_trace(setup_2d):
     end = tr.points[-1]
     dist = np.sqrt(np.sum(np.minimum(end, 1 - end) ** 2))
     assert dist <= 2 * grid.h
-    mu = occupation_measure(tr, lam, grid, vset)
+    mu = occupation_measure(tr, grid, vset)
     assert projected_measure(mu)[0] >= 0.5
 
 

@@ -66,7 +66,7 @@ def test_operator_constant_equivariance_exact(cos_setup):
     model, grid, vset, poly, h = cos_setup
     phi = GridField.from_function(grid, lambda X: 0.2 * np.cos(2 * np.pi * X[..., 0]))
     r0 = apply_selection_operator(ones(grid), phi, poly)
-    r1 = apply_selection_operator(ones(grid), phi.shifted(1.7), poly)
+    r1 = apply_selection_operator(ones(grid), GridField(grid, phi.values + 1.7), poly)
     np.testing.assert_allclose(r1.field.values, r0.field.values + 1.7, atol=1e-9)
 
 
@@ -83,7 +83,7 @@ def test_operator_monotone(cos_setup):
 def test_operator_lipschitz_cases(cos_setup):
     model, grid, vset, poly, h = cos_setup
     phi = GridField.from_function(grid, lambda X: 0.3 * np.sin(2 * np.pi * X[..., 0]))
-    lhs, rhs, ok = check_operator_lipschitz(ones(grid), phi, phi.shifted(0.4), poly)
+    lhs, rhs, ok = check_operator_lipschitz(ones(grid), phi, GridField(grid, phi.values + 0.4), poly)
     assert ok and lhs == pytest.approx(0.4, abs=1e-9) and rhs == pytest.approx(0.4)
     lhs2, rhs2, ok2 = check_operator_lipschitz(ones(grid), phi, phi, poly)
     assert ok2 and lhs2 == 0.0 and rhs2 == 0.0
@@ -198,9 +198,9 @@ def test_measure_comparison_cases(cos_setup):
     col = solution_from_barrier(h, 0)
     v_same = measure_comparison(col, col, ones(grid), poly)
     assert v_same.hypothesis and v_same.conclusion and v_same.implication_holds
-    v_ord = measure_comparison(col, col.shifted(1.0), ones(grid), poly)
+    v_ord = measure_comparison(col, GridField(grid, col.values + 1.0), ones(grid), poly)
     assert v_ord.hypothesis and v_ord.conclusion
-    v_flip = measure_comparison(col.shifted(0.3), col, ones(grid), poly)
+    v_flip = measure_comparison(GridField(grid, col.values + 0.3), col, ones(grid), poly)
     assert not v_flip.hypothesis           # integral at the Dirac now larger
     assert v_flip.implication_holds        # vacuous
 
@@ -225,7 +225,7 @@ def test_largest_subsolution_report(cos_setup):
     dt = default_dt(grid, vset)
     V0 = GridField.from_function(grid, lambda X: 0.25 * np.cos(2 * np.pi * X[..., 0]) + 0.1)
     u0 = limit_solution_formula(model, V0, poly).field
-    candidates = [u0, u0.shifted(-0.3), u0.shifted(0.3)]
+    candidates = [u0, GridField(grid, u0.values - 0.3), GridField(grid, u0.values + 0.3)]
     rep = check_largest_subsolution(u0, V0, poly, candidates, model,
                                     sub_tol=1e-4, member_tol=1e-6, dom_tol=1e-6)
     assert rep.entries[0].is_subsolution and rep.entries[0].member
