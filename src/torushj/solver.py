@@ -48,7 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SolveError
-from .grids import GridField, PeriodicGrid, interpolation_stencil, product_lattice
+from .grids import (GridField, PeriodicGrid, interpolation_stencil, product_lattice,
+                    wrap_unit)
 from .models import ControlModel, VelocitySet
 
 __all__ = [
@@ -111,7 +112,10 @@ class Transition:
     foot x - v*dt; the closedness operator pushes mass to its head x + v*dt.
     With integer hops (v*dt/h whole for every velocity) both ends are nodes;
     otherwise they are periodic multilinear stencils.  `take` and `w` hold
-    the foot stencil in (K, N) C order, `heads` the head stencil.
+    the foot stencil in (K, N) C order, `heads` the head stencil.  Each
+    stencil is built the first time it is read, so a kernel that only
+    samples feet (`foot_sampler`) or only pushes mass to heads builds no
+    foot stencil.
     """
 
     def __init__(self, grid: PeriodicGrid, vset: VelocitySet, dt: float):
@@ -120,7 +124,20 @@ class Transition:
         self.grid, self.vset, self.dt = grid, vset, float(dt)
         hops = vset.velocities * (self.dt / grid.h)     # (K, d), in cells
         self.integer_hops = bool(np.max(np.abs(hops - np.rint(hops))) < 1e-9)
-        self.take, self.w = self.stencil(-1)
+
+    @cached_property
+    def _foot(self):
+        return self.stencil(-1)
+
+    @property
+    def take(self) -> np.ndarray:
+        """Foot node indices: (K, N) with integer hops, else (K, N, S)."""
+        return self._foot[0]
+
+    @property
+    def w(self) -> Optional[np.ndarray]:
+        """Foot stencil weights (K, N, S), or None with integer hops."""
+        return self._foot[1]
 
     def stencil(self, sign: int):
         """Arc ends x + sign*v*dt: (K, N) node indices and None with integer
@@ -136,7 +153,7 @@ class Transition:
         """Arc heads x + v*dt, computed once: with integer hops the (K, N)
         node indices that invert each foot map `take`, and None; else
         `stencil(+1)`."""
-        if self.w is not None:
+        if not self.integer_hops:
             return self.stencil(+1)
         K, N = self.take.shape
         head = np.empty_like(self.take)
@@ -145,7 +162,7 @@ class Transition:
 
     def foot_values(self, values: np.ndarray) -> np.ndarray:
         """Field values at all foot points, shape (K, N)."""
-        if self.w is None:
+        if self.integer_hops:
             return values[self.take]
         return np.sum(values[self.take] * self.w, axis=-1)
 
@@ -156,7 +173,9 @@ class Transition:
         foot is first rounded to its nearest node.  The arithmetic is that of
         `wrap_points` and `interpolation_stencil`, done per axis on a copy of
         the field padded by two nodes per axis, so that no stencil index
-        wraps; every entry is the same float whatever S is."""
+        wraps; every entry is the same float whatever S is.  The feet are
+        wrapped in place by `wrap_unit`, and the sampler reads neither `take`
+        nor `w`."""
         n, d = self.grid.n, self.grid.d
         vdt = self.vset.velocities * self.dt
         pad = np.pad(values.reshape((n,) * d), (0, 2), mode="wrap").ravel()
@@ -167,8 +186,8 @@ class Transition:
         stencil = [(c, pad[off:]) for c, off in zip(corners.tolist(), offsets)]
 
         def feet_at(Y):
-            feet = np.mod(Y[:, None, :] - vdt, 1.0)      # (S, K, d)
-            feet[feet >= 1.0] = 0.0
+            feet = Y[:, None, :] - vdt                   # (S, K, d)
+            wrap_unit(feet, out=feet)
             if snap:
                 feet = np.rint(feet * n) / n
                 feet[feet >= 1.0] = 0.0
@@ -208,7 +227,7 @@ class Transition:
         With integer hops P_pi maps each node to one foot, so z solves
         z(x) = rhs(x) + decay(x) z(foot(x)) on the policy's functional graph
         (`_discounted_walk`); otherwise a dense solve of `policy_matrix`."""
-        if self.w is None:
+        if self.integer_hops:
             return _discounted_walk(self.take[pol, np.arange(pol.size)], decay, rhs)
         return np.linalg.solve(np.eye(pol.size) - decay[:, None] * self.policy_matrix(pol),
                                rhs)

@@ -3,16 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_trace_oracle import mod_wrap, point_sampler
 from torushj.errors import ConfigurationError, DomainError
 from torushj.grids import (
     GridField,
     build_grid,
     interpolate,
     wrap_points,
+    wrap_unit,
 )
+from torushj.models import velocity_set
+from torushj.solver import Transition
 
 finite_coords = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
+# the whole finite range, subnormals and -0.0 included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+# where x - floor(x) and np.mod(x, 1.0) are likeliest to part: signed zeros,
+# subnormals, the tiny negatives whose x + 1 rounds to 1.0, the floats next
+# to 1 and -1, halves, and whole numbers past 2**53
+WRAP_EDGES = ([0.0, -0.0, 5e-324, -5e-324, -2.0**-60, 1.0 - 2.0**-53,
+               -1.0 - 2.0**-52, 3.5, -3.5]
+              + [sign * (1e16 + k) for sign in (1.0, -1.0) for k in range(4)])
+
+
+def bits(x):
+    """The float64 bit patterns of x, so that -0.0 and +0.0 differ."""
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
 
 
 def test_wrap_basic_examples():
@@ -34,6 +51,44 @@ def test_wrap_idempotent(coords):
     twice = wrap_points(once)
     np.testing.assert_array_equal(once, twice)
     assert np.all((once >= 0) & (once < 1))
+
+
+def test_wrap_edges_are_np_mod_bit_for_bit():
+    x = np.array(WRAP_EDGES)
+    want = bits(mod_wrap(x.copy()))
+    assert bits(wrap_points(x)) == want
+    assert bits(wrap_unit(x)) == want
+    assert bits(x) == bits(WRAP_EDGES)           # neither writes into x
+    assert bits(wrap_unit(x, out=x)) == want and bits(x) == want
+
+
+@given(st.lists(any_finite, min_size=2, max_size=64))
+def test_wrap_points_is_np_mod_bit_for_bit(coords):
+    for d in (1, 2):
+        x = np.array(coords[:len(coords) // d * d]).reshape(-1, d)
+        before = bits(x)
+        assert bits(wrap_points(x, d)) == bits(mod_wrap(x.copy()))
+        assert bits(x) == before
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("snap", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(coords=st.lists(any_finite, min_size=2, max_size=24))
+def test_foot_sampler_wraps_as_np_mod(d, snap, coords):
+    """`Transition.foot_sampler`'s feet and values, row by row, against the
+    lean loop's point sampler, which wraps with np.mod."""
+    coords = coords + WRAP_EDGES
+    Y = np.array(coords[:len(coords) // d * d]).reshape(-1, d)
+    grid = build_grid(d, 8)
+    arcs = Transition(grid, velocity_set(1.0, 5, d), 0.0123)
+    values = np.random.default_rng(d).normal(size=grid.size)
+    feet, fv = arcs.foot_sampler(values, snap)(Y)
+    one = point_sampler(arcs, values, snap)
+    for y, row_feet, row_fv in zip(Y, feet, fv):
+        want_feet, want_fv = one(y)
+        assert bits(row_feet) == bits(want_feet)
+        assert bits(row_fv) == bits(want_fv)
 
 
 def test_build_grid_examples():

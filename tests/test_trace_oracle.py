@@ -22,7 +22,7 @@ from test_peierls_exact import smooth_potential
 from torushj import experiments
 from torushj.curves import BLOCK_CAP, CurveTrace, _kink_scale, backward_calibrated_curve
 from torushj.errors import CalibrationError
-from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil, wrap_points
+from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, solve_perturbed
 
@@ -30,6 +30,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELDS = ("points", "weights", "defects", "actions", "dl0")
 ALL_FIELDS = FIELDS + ("velocities", "vel_indices", "lam", "dt", "horizon",
                        "on_lattice", "defect_tol")
+
+
+def mod_wrap(x):
+    """The oracles' own torus wrap, np.mod(x, 1.0) with 1.0 folded to 0.0,
+    independent of the `grids.wrap_unit` that the traces use."""
+    x = np.mod(x, 1.0)
+    x[x >= 1.0] = 0.0
+    return x
 
 
 def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
@@ -43,7 +51,7 @@ def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
     vels = vset.velocities
     K = vset.count
     lattice_steps = Transition(grid, vset, dt).integer_hops
-    y = wrap_points(np.asarray(x, dtype=float), grid.d)
+    y = mod_wrap(np.asarray(x, dtype=float))
     start_on_node = bool(np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
     on_lattice = lattice_steps and start_on_node
     if on_lattice:
@@ -63,7 +71,7 @@ def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
     yk = np.empty((K, grid.d))
     for k in range(steps):
         yk[:] = y
-        feet = wrap_points(y[None, :] - vels * dt, grid.d)
+        feet = mod_wrap(y[None, :] - vels * dt)
         idx, w = interpolation_stencil(grid, feet)
         fv = np.sum(u.values[idx] * w, axis=-1)
         Lv = np.asarray(model.L(yk, vels, lam * fv), dtype=float)
@@ -101,8 +109,7 @@ def point_sampler(arcs, values, snap):
     row = n + 2
 
     def feet_at(y):
-        feet = np.mod(y - vdt, 1.0)
-        feet[feet >= 1.0] = 0.0
+        feet = mod_wrap(y - vdt)
         if snap:
             feet = np.rint(feet * n) / n
             feet[feet >= 1.0] = 0.0
@@ -128,7 +135,7 @@ def lean_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
     steps = int(np.floor(Tmax / dt + 1e-12))
     vels = vset.velocities
     arcs = Transition(grid, vset, dt)
-    y = wrap_points(np.asarray(x, dtype=float), grid.d)
+    y = mod_wrap(np.asarray(x, dtype=float))
     start_on_node = bool(np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
     on_lattice = arcs.integer_hops and start_on_node
     if on_lattice:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from torushj.curves import backward_calibrated_curve, closedness_defect, occupation_measure
 from torushj.errors import ConfigurationError
 from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
 import torushj.solver as solver
@@ -82,6 +83,53 @@ def test_heads_bin_the_forward_points(case, seed):
         heads = np.sum(u.values[idx] * w, axis=-1)
     np.testing.assert_allclose(heads, interpolate(u, arc_points(grid, vset, dt, +1)),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_lazy_foot_stencil_is_the_eager_one(case):
+    """`take`, `w` and `heads`, built on first read, are bit for bit the
+    stencils built at once: the foot stencil, and with integer hops the
+    inverse of each foot map, else the head stencil."""
+    grid, vset, dt = make(*case)
+    arcs = Transition(grid, vset, dt)
+    heads_idx, heads_w = arcs.heads
+    take, w = arcs.stencil(-1)
+    if w is None:
+        K, N = take.shape
+        eager_heads = np.empty_like(take)
+        eager_heads[np.arange(K)[:, None], take] = np.arange(N)
+    else:
+        eager_heads = arcs.stencil(+1)[0]
+    for got, want in ((arcs.take, take), (arcs.w, w), (heads_idx, eager_heads)):
+        assert (got is None) == (want is None)
+        assert got is None or (got.dtype == want.dtype and got.shape == want.shape
+                               and got.tobytes() == want.tobytes())
+    assert heads_w is None or heads_w.tobytes() == arcs.stencil(+1)[1].tobytes()
+
+
+def test_off_lattice_trace_and_defect_build_no_foot_stencil(monkeypatch):
+    """An off-lattice backward trace samples feet with `foot_sampler` and the
+    closedness defect pushes mass to `heads`, so neither builds the foot
+    stencil, `stencil(-1)`."""
+    grid, vset = build_grid(1, 32), velocity_set(2.0, 17)
+    model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1"))
+    model = model.with_c0(build_polytope(model, grid, vset).c)
+    fld, rep = solver.solve_perturbed(model, 0.5, grid, vset, dt=0.02, tol=1e-10)
+    assert rep.converged
+    stencil, signs = Transition.stencil, []
+
+    def counted(self, sign):
+        signs.append(sign)
+        return stencil(self, sign)
+
+    monkeypatch.setattr(Transition, "stencil", counted)
+    tr = backward_calibrated_curve(model, 0.5, fld, grid.node_coords()[4], Tmax=30.0,
+                                   dt=0.02, vset=vset, solver_tol=1e-10)
+    assert not tr.on_lattice and signs == []
+    arcs = Transition(grid, vset, 0.02)
+    assert not arcs.integer_hops
+    closedness_defect(occupation_measure(tr, grid, vset), arcs)
+    assert signs == [+1]
 
 
 @pytest.mark.parametrize("case", KERNELS + [(2, 8, 1.0, 5, "double")])
