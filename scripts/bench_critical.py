@@ -18,6 +18,8 @@ Usage:  python scripts/bench_critical.py [--repeat 5] [--out BENCH_critical.json
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -65,6 +67,23 @@ def best(fn, repeat):
     return min(times), out
 
 
+def tree_id(src=os.path.join(ROOT, "src")):
+    """The source tree a run timed: the HEAD commit of the checkout that
+    holds the `src/` directory `src`, and a sha256 over its
+    src/torushj/*.py, which tells an uncommitted tree from that commit."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(src, "torushj", "*.py"))):
+        with open(path, "rb") as f:
+            data = f.read()
+        h.update(f"{os.path.basename(path)}\0{len(data)}\0".encode() + data)
+    try:
+        commit = subprocess.run(["git", "-C", src, "rev-parse", "HEAD"],
+                                capture_output=True, text=True).stdout.strip() or "unknown"
+    except OSError:
+        commit = "unknown"
+    return {"commit": commit, "src_sha256": h.hexdigest()}
+
+
 def machine():
     cpu = "unknown"
     try:
@@ -73,14 +92,9 @@ def machine():
                         if ln.startswith("model name")), cpu)
     except OSError:
         pass
-    try:
-        commit = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty"],
-                                capture_output=True, text=True).stdout.strip() or "unknown"
-    except OSError:
-        commit = "unknown"
     return {"nproc": os.cpu_count(), "cpu_model": cpu,
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "commit": commit}
+            "scipy": scipy.__version__, **tree_id()}
 
 
 def main() -> int:

@@ -91,12 +91,6 @@ def run_once(statements, src):
     return record["s"], record["ready"] - spawned, record["rss"] / 1024.0, record["loads"]
 
 
-def commit_of(src):
-    out = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or "unknown"
-
-
 def import_table(runs, parent):
     trees = [("", os.path.join(ROOT, "src"))] + ([(" (parent)", parent)] if parent else [])
     for _, src in trees:
@@ -110,6 +104,7 @@ def import_table(runs, parent):
     for r in range(runs):
         for name, stmts, where in (targets if r % 2 == 0 else targets[::-1]):
             samples[name].append(run_once(stmts, where))
+    from bench_critical import tree_id     # after the children: see route_table
     rows = []
     for name, stmts, where in targets:
         t, setup, rss, loads = zip(*samples[name])
@@ -117,7 +112,7 @@ def import_table(runs, parent):
                "median_setup_s": median(setup), "median_maxrss_mib": median(rss),
                "loads": sorted(set().union(*loads))}
         if "torushj" in stmts:
-            row["commit"] = commit_of(where)
+            row["tree"] = tree_id(where)
         rows.append(row)
     return rows
 

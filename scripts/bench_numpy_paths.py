@@ -105,8 +105,7 @@ def main() -> int:
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_numpy_paths.json"))
     args = ap.parse_args()
 
-    from bench_critical import machine
-    from bench_import import commit_of
+    from bench_critical import machine, tree_id
     trees = {"parent": args.parent, "this": os.path.join(ROOT, "src")}
     rows = []
     print(f"{'layer':<8s} {'case':<42s} {'classes':>7s} {'parent_s':>9s} {'this_s':>9s} agree")
@@ -133,7 +132,7 @@ def main() -> int:
               f"{row['parent_s']:9.4f} {row['this_s']:9.4f} {agree}")
     with open(args.out, "w") as f:
         json.dump({"machine": machine(), "repeat": args.repeat, "rounds": args.rounds,
-                   "commits": {name: commit_of(src) for name, src in trees.items()},
+                   "trees": {name: tree_id(src) for name, src in trees.items()},
                    "cases": rows}, f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")

@@ -43,7 +43,7 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
                 os.path.join(ROOT, "bench")]
 
-from bench_critical import best, machine                       # noqa: E402
+from bench_critical import best, machine, tree_id              # noqa: E402
 from run import WORKLOADS, write_config                        # noqa: E402
 from test_trace_oracle import ALL_FIELDS, lean_backward_calibrated_curve, rest_step  # noqa: E402
 from torushj import experiments                                # noqa: E402
@@ -155,9 +155,7 @@ def src_rows(src, repeat):
     out = subprocess.run([sys.executable, "-c", CHILD, src, HERE, str(repeat)],
                          capture_output=True, text=True, check=True)
     child = json.loads(out.stdout.splitlines()[-1])
-    commit = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
-                            capture_output=True, text=True).stdout.strip() or "unknown"
-    return child["traces"], child["sampler"], commit
+    return child["traces"], child["sampler"], tree_id(src)
 
 
 def main() -> int:
@@ -168,7 +166,7 @@ def main() -> int:
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_traces.json"))
     args = ap.parse_args()
 
-    others, src_sampler, src_commit = (src_rows(args.src, args.repeat) if args.src
+    others, src_sampler, src_tree = (src_rows(args.src, args.repeat) if args.src
                                        else (None, None, None))
     rows, traces = [], cases()
     print(f"{'trace':<32s} {'steps':>7s} {'rest':>6s} {'blocks':>6s} {'block_s':>8s} "
@@ -200,7 +198,7 @@ def main() -> int:
               f"{S}: {t:.3f}" for S, t in src_sampler.items())))
     with open(args.out, "w") as f:
         json.dump({"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP,
-                   "src_commit": src_commit, "traces": rows, "sampler": sampler},
+                   "src_tree": src_tree, "traces": rows, "sampler": sampler},
                   f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")

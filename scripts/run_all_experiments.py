@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run every bundled experiment config and print a pass/fail summary.
+"""Run every bundled experiment config and print a pass/fail summary: per
+config its verdict, wall time, and the number and bytes of the artifact
+files its manifest hashes (every file but manifest.json and timings.json).
 
 Usage:  python scripts/run_all_experiments.py [--output-root DIR] [--strict]
 """
@@ -37,7 +39,10 @@ def main() -> int:
         result = run_experiment(cfg, output=os.path.join(args.output_root, name),
                                 strict=args.strict)
         status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {name:<22s} {time.time() - t0:7.1f}s  -> {result.outdir}")
+        files = result.manifest["hashes"]
+        size = sum(os.path.getsize(os.path.join(result.outdir, rel)) for rel in files)
+        print(f"[{status}] {name:<22s} {time.time() - t0:7.1f}s  {len(files):2d} files "
+              f"{size:>10,d} B  -> {result.outdir}")
         for stage in result.stages:
             if not stage.ok:
                 print(f"        failing stage: {stage.name} {stage.error or ''}")

@@ -28,7 +28,6 @@ __all__ = [
     "read_field_csv",
     "write_barrier_binary",
     "read_barrier_binary",
-    "write_barrier_csv",
     "write_measure_csv",
     "write_node_csv",
     "write_trace_csv",
@@ -108,11 +107,6 @@ def read_barrier_binary(path: str) -> BarrierMatrix:
     return BarrierMatrix(grid, vals.copy())
 
 
-def write_barrier_csv(bm: BarrierMatrix, path: str) -> None:
-    _write_rows(path, f"# {bm.grid.d},{bm.grid.n},peierls\n",
-                (",".join([_FLOAT] * bm.grid.size) + "\n", bm.values.T.tolist()))
-
-
 def write_measure_csv(mu: DiscreteMeasure, path: str) -> None:
     """The support only, node-major: rows node,velocity,weight with weight > 0."""
     i, k = np.nonzero(mu.weights > 0.0)
@@ -121,32 +115,33 @@ def write_measure_csv(mu: DiscreteMeasure, path: str) -> None:
                  [i.tolist(), k.tolist(), mu.weights[i, k].tolist()]))
 
 
-def write_node_csv(values, path: str, column: str = "weight") -> None:
-    """One value per node, e.g. a projected measure or per-node operator values."""
+def write_node_csv(values, path: str) -> None:
+    """One weight per node, e.g. a projected measure."""
     vals = np.asarray(values, dtype=float).tolist()
-    _write_rows(path, f"# node,{column}\n", (f"{{}},{_FLOAT}\n", [range(len(vals)), vals]))
+    _write_rows(path, "# node,weight\n", (f"{{}},{_FLOAT}\n", [range(len(vals)), vals]))
 
 
 def write_trace_csv(trace, path: str) -> None:
     """One row per step: k, time -k*dt, point, velocity, weight and defect k.
-    The trailing rows whose point, velocity and defect are bit for bit the
-    last row's (a trace at rest) are a second block, those fields formatted once."""
+    A trace at rest from row t on (the trailing rows whose point, velocity
+    and defect are bit for bit the last row's) stops after row t with the
+    line `# rest,<r>,<q>`: the r = S-1-t steps after it repeat row t's point,
+    velocity and defect at time -k*dt, each weight the one before times
+    q = exp(lam * dl0[t] * dt), the factor of the weights' cumprod."""
     S, d = trace.steps, trace.points.shape[1]
     xs = ";".join([_FLOAT] * d)
     fixed = np.column_stack((trace.points[:S], trace.velocities, trace.defects))
     bits = fixed.view(np.int64)
     moved = np.flatnonzero((bits != bits[-1:]).any(axis=1))
     t = int(moved[-1]) + 1 if moved.size else 0     # the first row of the resting tail
-    times = (-np.arange(S) * float(trace.dt)).tolist()
+    rows = min(t + 1, S)
     blocks = [(f"{{}},{_FLOAT},{xs},{xs},{_FLOAT},{_FLOAT}\n",
-               [range(t), times[:t], *trace.points[:t].T.tolist(),
-                *trace.velocities[:t].T.tolist(), trace.weights[:t].tolist(),
-                trace.defects[:t].tolist()])]
-    if S:
-        last = fixed[-1].tolist()
-        p, v = xs.format(*last[:d]), xs.format(*last[d:-1])
-        blocks.append((f"{{}},{_FLOAT},{p},{v},{_FLOAT},{_FLOAT.format(last[-1])}\n",
-                       [range(t, S), times[t:], trace.weights[t:S].tolist()]))
+               [range(rows), (-np.arange(rows) * float(trace.dt)).tolist(),
+                *trace.points[:rows].T.tolist(), *trace.velocities[:rows].T.tolist(),
+                trace.weights[:rows].tolist(), trace.defects[:rows].tolist()])]
+    if rows < S:
+        q = np.exp(trace.lam * trace.dl0[t] * trace.dt)
+        blocks.append((f"# rest,{S - rows},{_FLOAT}\n", [[float(q)]]))
     _write_rows(path, "# step,time,coords,velocity,weight,defect\n", *blocks)
 
 

@@ -46,7 +46,6 @@ from .artifacts import (
     TIMINGS_FILE,
     hash_directory,
     write_barrier_binary,
-    write_barrier_csv,
     write_convergence_csv,
     write_field_csv,
     write_manifest,
@@ -310,8 +309,20 @@ def convergence_report(sweep_entries, reference: GridField,
     return ConvergenceReport(rows=rows, monotone_within_factor=mono, factor=factor)
 
 
+# The writer of each artifact type; a barrier goes to <key>.pbar, the rest to <key>.csv.
+_EXPORTERS = (
+    (GridField, write_field_csv),
+    (BarrierMatrix, write_barrier_binary),
+    (DiscreteMeasure, write_measure_csv),
+    (np.ndarray, write_node_csv),                   # projected / per-node weight vectors
+    (SelectionResult, lambda sel, path: write_field_csv(sel.field, path)),  # a full evaluation
+    (ConvergenceReport, lambda rep, path: write_convergence_csv(rep.rows, path)),
+    (CurveTrace, write_trace_csv),
+)
+
+
 def export_all(results: dict, outdir: str) -> list:
-    """Write named artifacts with type-dispatched, deterministic formats.
+    """Write each named artifact once, in its type's deterministic format.
 
     Returns the sorted list of file names written.  An empty result set
     yields nothing here (the caller still writes the manifest).
@@ -320,35 +331,11 @@ def export_all(results: dict, outdir: str) -> list:
     written = []
     for key in sorted(results):
         obj = results[key]
-        if isinstance(obj, GridField):
-            fn = f"{key}.csv"
-            write_field_csv(obj, os.path.join(outdir, fn))
-        elif isinstance(obj, BarrierMatrix):
-            fn = f"{key}.pbar"
-            write_barrier_binary(obj, os.path.join(outdir, fn))
-            if obj.grid.size <= 32:
-                write_barrier_csv(obj, os.path.join(outdir, f"{key}.csv"))
-                written.append(f"{key}.csv")
-        elif isinstance(obj, DiscreteMeasure):
-            fn = f"{key}.csv"
-            write_measure_csv(obj, os.path.join(outdir, fn))
-        elif isinstance(obj, np.ndarray):      # projected / per-node weight vectors
-            fn = f"{key}.csv"
-            write_node_csv(obj, os.path.join(outdir, fn))
-        elif isinstance(obj, SelectionResult):     # a full evaluation
-            fn = f"{key}.csv"
-            write_field_csv(obj.field, os.path.join(outdir, fn))
-            write_node_csv(obj.per_x_value, os.path.join(outdir, f"{key}_values.csv"),
-                           "value")
-            written.append(f"{key}_values.csv")
-        elif isinstance(obj, ConvergenceReport):
-            fn = f"{key}.csv"
-            write_convergence_csv(obj.rows, os.path.join(outdir, fn))
-        elif isinstance(obj, CurveTrace):
-            fn = f"{key}.csv"
-            write_trace_csv(obj, os.path.join(outdir, fn))
-        else:
+        write = next((w for cls, w in _EXPORTERS if isinstance(obj, cls)), None)
+        if write is None:
             raise ConfigurationError(f"no exporter for artifact {key!r} of type {type(obj)}")
+        fn = key + (".pbar" if isinstance(obj, BarrierMatrix) else ".csv")
+        write(obj, os.path.join(outdir, fn))
         written.append(fn)
     return sorted(written)
 

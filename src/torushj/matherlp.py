@@ -76,7 +76,6 @@ __all__ = [
     "solve_mather_lp",
     "minimize_linear_over_mather",
     "fractional_minimize",
-    "projected_measure",
     "graph_check",
     "GraphReport",
 ]
@@ -453,11 +452,6 @@ def fractional_minimize(polytope: MatherPolytope, numerator: np.ndarray,
         res2 = _run_lp(-off, A_eq, b_eq, A_ub2, b_ub2)
         multiplicity = bool(-res2.fun / max(res2.x.sum(), 1e-300) > 0.01)
     return mu, float(res.fun), multiplicity
-
-
-def projected_measure(mu: DiscreteMeasure) -> np.ndarray:
-    """Pushforward to the base torus: node weight = sum over velocities."""
-    return mu.projected()
 
 
 @dataclass

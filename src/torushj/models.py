@@ -49,8 +49,8 @@ class ControlModel:
     (`model.with_c0(poly.c)`, see matherlp.build_polytope) before any
     discounted solve runs.  L_u_part, when present, gives the v-independent
     split L(x,v,u) = L(x,v,0) + L_u_part(x,u) that the solver exploits;
-    H_inf_u, when present, evaluates inf_u H(x, 0, u) for the nonexistence
-    certificate.
+    H_inf_u evaluates inf_u H(x, 0, u) for the nonexistence certificate,
+    which refuses a model without it.
     """
 
     name: str
@@ -176,7 +176,8 @@ def _separable(name: str, d: int, H0: Callable, L0: Callable, phi: Callable,
                sigma: Callable, V0: Callable, **fields) -> ControlModel:
     """The u-separable model H = phi(x, u) + H0(x, p), L = L0(x, v) - phi(x, u),
     with L0 the conjugate of H0, phi(x, 0) = 0 and sigma = dphi/du(x, 0) > 0;
-    V(x, lam) = V0(x).  `fields` sets H_inf_u, c0, p_box and params."""
+    V(x, lam) = V0(x).  phi increases in u, so inf_u H(x, 0, u) is
+    H_inf_u(x) = phi(x, -inf) + H0(x, 0).  `fields` sets c0, p_box and params."""
     return ControlModel(
         name=name, d=d,
         H=lambda x, p, u: phi(x, u) + H0(x, p),
@@ -186,6 +187,7 @@ def _separable(name: str, d: int, H0: Callable, L0: Callable, phi: Callable,
         V=lambda x, lam: V0(x),
         V0=V0,
         L_u_part=lambda x, u: -phi(x, u),
+        H_inf_u=lambda x: phi(x, -np.inf) + H0(x, np.zeros_like(x, dtype=float)),
         **fields,
     )
 
@@ -221,7 +223,6 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
         # sup_p <p,v> - |p|^2 = |v|^2/4
         H0, L0 = (lambda x, p: _sq_norm(p)), (lambda x, v: 0.25 * _sq_norm(v))
         phi, V0 = (lambda x, u: np.arctan(u)), _as_potential(np.pi / 2)
-        fields["H_inf_u"] = _as_potential(-np.pi / 2)
     else:       # mechanical and sigma_discounted: the dissipative mechanical form
         U, sigma = _as_potential(params.get("U")), _as_potential(params.get("sigma", 1.0))
         H0 = lambda x, p: 0.5 * _sq_norm(p) + U(x)

@@ -521,14 +521,10 @@ def nonexistence_certificate(model: ControlModel, lam: float, grid: PeriodicGrid
     """
     if model.c0 is None:
         raise ConfigurationError("model.c0 must be set")
+    if model.H_inf_u is None:
+        raise ConfigurationError("model.H_inf_u must be set")
     X = grid.node_coords()
-    if model.H_inf_u is not None:
-        infH = np.asarray(model.H_inf_u(X), dtype=float)
-    else:
-        P0 = np.zeros_like(X)
-        infH = np.full(X.shape[0], np.inf)
-        for uu in np.concatenate([[-1e8, -1e4, 1e4, 1e8], np.linspace(-50, 50, 201)]):
-            infH = np.minimum(infH, np.asarray(model.H(X, P0, uu), dtype=float))
+    infH = np.asarray(model.H_inf_u(X), dtype=float)
     crit = float(np.min(infH + lam * np.asarray(model.V(X, lam), dtype=float)))
     return crit > model.c0 + CERTIFICATE_MARGIN
 

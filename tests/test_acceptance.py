@@ -19,7 +19,6 @@ from torushj.grids import GridField, build_grid
 from torushj.matherlp import (
     build_polytope,
     graph_check,
-    projected_measure,
     solve_mather_lp,
 )
 from torushj.models import builtin_model, velocity_set
@@ -221,7 +220,7 @@ def test_criterion_7_lp_structural(mech128):
         float(np.max(np.abs(poly_sq.C @ mu_s.flat()))) <= 1e-9
 
     graph_ok = graph_check(mu_m).passed and graph_check(mu_s).passed
-    tv_uniform = 0.5 * float(np.abs(projected_measure(mu_s) - 1.0 / grid.size).sum())
+    tv_uniform = 0.5 * float(np.abs(mu_s.projected() - 1.0 / grid.size).sum())
     ok = feas_m and feas_s and graph_ok and tv_uniform <= 0.1
     verdict(7, ok, f"optimizer feasibility (mass, closedness <= 1e-9): "
                    f"{feas_m and feas_s}; graph checks: {graph_ok}; shifted projected "
@@ -272,7 +271,7 @@ def test_criterion_9_equilibrium_multiplicity():
     bump = np.zeros(grid.size)
     bump[0] = -0.1
     mu, _, mult_bumped = equilibrium_measures(GridField(grid, bump), x_sym, poly)
-    proj = projected_measure(mu)
+    proj = mu.projected()
     near0 = np.minimum(np.arange(grid.size), grid.size - np.arange(grid.size)) <= 2
     conc = float(proj[near0].sum())
     ok = mult_sym and (not mult_bumped) and conc >= 0.9

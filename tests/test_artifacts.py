@@ -13,7 +13,6 @@ from torushj.artifacts import (
     read_barrier_binary,
     read_field_csv,
     write_barrier_binary,
-    write_barrier_csv,
     write_convergence_csv,
     write_field_csv,
     write_measure_csv,
@@ -21,11 +20,16 @@ from torushj.artifacts import (
     write_trace_csv,
 )
 from torushj.barrier import BIG, BarrierMatrix
+from torushj import experiments
 from torushj.curves import CurveTrace
 from torushj.errors import DomainError
+from torushj.experiments import export_all
 from torushj.grids import GridField, build_grid
 from torushj.matherlp import DiscreteMeasure
 from torushj.models import velocity_set
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fmt17(x):
@@ -88,13 +92,6 @@ def reference_write_field_csv(field, path):
             f.write(f"{i},{cs},{fmt17(field.values[i])}\n")
 
 
-def reference_write_barrier_csv(bm, path):
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# {bm.grid.d},{bm.grid.n},peierls\n")
-        for i in range(bm.grid.size):
-            f.write(",".join(fmt17(v) for v in bm.values[i]) + "\n")
-
-
 def reference_write_measure_csv(mu, path):
     with open(path, "w", newline="\n") as f:
         f.write("# node,velocity,weight\n")
@@ -105,9 +102,9 @@ def reference_write_measure_csv(mu, path):
                     f.write(f"{i},{k},{fmt17(W[i, k])}\n")
 
 
-def reference_write_node_csv(values, path, column="weight"):
+def reference_write_node_csv(values, path):
     with open(path, "w", newline="\n") as f:
-        f.write(f"# node,{column}\n")
+        f.write("# node,weight\n")
         for i, v in enumerate(values):
             f.write(f"{i},{fmt17(v)}\n")
 
@@ -132,13 +129,6 @@ def random_field(rng, d):
     return GridField(g, spread(rng, g.size))
 
 
-def random_barrier(rng):
-    g = build_grid(int(rng.integers(1, 3)), 4)
-    v = spread(rng, (g.size, g.size))
-    v[rng.random(v.shape) < 0.2] = BIG
-    return BarrierMatrix(g, v)
-
-
 def random_measure(rng):
     g, vs = build_grid(1, int(rng.integers(4, 9))), velocity_set(1.0, 5)
     W = rng.random((g.size, 5)) * 10.0 ** rng.integers(-320, 1, size=(g.size, 5))
@@ -158,11 +148,9 @@ def random_convergence_rows(rng):
 CSV_CASES = {
     "field_d1": (write_field_csv, reference_write_field_csv, partial(random_field, d=1)),
     "field_d2": (write_field_csv, reference_write_field_csv, partial(random_field, d=2)),
-    "barrier": (write_barrier_csv, reference_write_barrier_csv, random_barrier),
     "measure": (write_measure_csv, reference_write_measure_csv, random_measure),
     "node_array": (write_node_csv, reference_write_node_csv, lambda rng: spread(rng, 9)),
-    "node_list": (partial(write_node_csv, column="value"),
-                  partial(reference_write_node_csv, column="value"),
+    "node_list": (write_node_csv, reference_write_node_csv,
                   lambda rng: [*spread(rng, 5).tolist(), 3, np.float64(-0.0)]),
     "convergence": (write_convergence_csv, reference_write_convergence_csv,
                     random_convergence_rows),
@@ -182,7 +170,7 @@ def test_csv_writers_match_the_row_writers(tmp_path, case):
 
 
 def reference_write_trace_csv(trace, path):
-    """The row-at-a-time trace writer that `write_trace_csv` replaced."""
+    """The row-at-a-time trace writer: one row per step, the resting tail too."""
     with open(path, "w", newline="\n") as f:
         f.write("# step,time,coords,velocity,weight,defect\n")
         for k in range(trace.steps):
@@ -192,39 +180,95 @@ def reference_write_trace_csv(trace, path):
                     f"{fmt17(trace.weights[k])},{fmt17(trace.defects[k])}\n")
 
 
+def expand_trace_csv(path, dt):
+    """The text of a trace CSV with its rest line `# rest,r,q` replaced by the
+    r rows it stands for: the last row's point, velocity and defect at time
+    -k*dt, each weight the one before times q, from the last row's weight as
+    read back."""
+    with open(path) as f:
+        header, *rows = f.read().splitlines(keepends=True)
+    if rows and rows[-1].startswith("# rest,"):
+        _, r, q = rows.pop().split(",")
+        k0, _, point, velocity, w, defect = rows[-1].split(",")
+        w, q = float(w), float(q)
+        for k in range(int(k0) + 1, int(k0) + 1 + int(r)):
+            w *= q
+            rows.append(f"{k},{fmt17(-k * dt)},{point},{velocity},{fmt17(w)},{defect}")
+    return header + "".join(rows)
+
+
+def assert_trace_csv_expands_to_the_row_writer(trace, tmp_path, rest):
+    """The file stops after row `rest` (the last row when None) and expands
+    to the row writer's bytes."""
+    write_trace_csv(trace, str(tmp_path / "fast.csv"))
+    reference_write_trace_csv(trace, str(tmp_path / "ref.csv"))
+    lines = (tmp_path / "fast.csv").read_text().splitlines()
+    rows = min((trace.steps - 1 if rest is None else rest) + 1, trace.steps)
+    assert len(lines) == 1 + rows + (rows < trace.steps)
+    assert (expand_trace_csv(str(tmp_path / "fast.csv"), trace.dt).encode()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("steps", [0, 1, 257])
 def test_trace_csv_bytes_match_the_row_writer(tmp_path, d, steps):
     """Moving traces, and traces that rest from step 0 and from halfway: from
     there on the point, velocity and defect are the last row's.  The row
     before the rest has the same point and velocity but the defect -0.0
-    against 0.0, which only a comparison of bits tells apart."""
+    against 0.0, which only a comparison of bits tells apart.  The weights
+    are built as the curve builds them, the cumprod of exp(lam*dL/du*dt)."""
     for rest in (None, 0, steps // 2):
         rng = np.random.default_rng(10 * d + steps)
         dt = float(rng.uniform(1e-4, 0.1))
+        dl0 = -rng.uniform(0.5, 2.0, size=steps)
         tr = CurveTrace(lam=0.5, dt=dt, horizon=steps * dt,
                         points=rng.uniform(size=(steps + 1, d)),
                         velocities=rng.integers(-6, 7, size=(steps, d)) * 0.375,
                         vel_indices=rng.integers(0, 13, size=steps),
-                        weights=np.exp(-0.5 * dt * np.arange(steps + 1)),
+                        weights=np.ones(steps + 1),
                         defects=rng.normal(size=steps) * 10.0 ** rng.integers(-17, 1, size=steps),
-                        actions=np.zeros(steps), dl0=-np.ones(steps),
+                        actions=np.zeros(steps), dl0=dl0,
                         on_lattice=False, defect_tol=1e-9)
         if rest is not None and steps:
             tr.points[max(rest - 1, 0):] = tr.points[-1]
             tr.velocities[max(rest - 1, 0):] = tr.velocities[-1]
+            tr.dl0[max(rest - 1, 0):] = tr.dl0[-1]
             tr.defects[rest:] = 0.0
             if rest:
                 tr.defects[rest - 1] = -0.0
-        write_trace_csv(tr, str(tmp_path / "fast.csv"))
-        reference_write_trace_csv(tr, str(tmp_path / "ref.csv"))
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        np.cumprod(np.exp(tr.lam * tr.dl0 * dt), out=tr.weights[1:])
+        assert_trace_csv_expands_to_the_row_writer(tr, tmp_path, rest)
+
+
+def test_occupation_workload_trace_csv_expands_to_the_row_writer(monkeypatch, tmp_path):
+    """The mass-identity trace of the `occupation` benchmark workload
+    (bench/run.py, seed 1), as the pipeline exports it: 2,187 steps at rest
+    from step 804 on."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    from run import WORKLOADS, write_config
+    cfg = str(tmp_path / "occupation.cfg")
+    write_config(WORKLOADS["occupation"](1), cfg)
+    exported = {}
+
+    def recording(results, outdir):
+        exported.update(results)
+        return export_all(results, outdir)
+
+    monkeypatch.setattr(experiments, "export_all", recording)
+    assert experiments.run_experiment(cfg, output=str(tmp_path / "out")).passed
+    trace = exported["trace_mass_identity"]
+    assert trace.steps == 2187
+    written = tmp_path / "out" / "trace_mass_identity.csv"
+    reference_write_trace_csv(trace, str(tmp_path / "ref.csv"))
+    assert written.read_text().splitlines()[-1].startswith("# rest,1382,")
+    assert expand_trace_csv(str(written), trace.dt).encode() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_barrier_binary_roundtrip(tmp_path):
     g = build_grid(1, 8)
     rng = np.random.default_rng(1)
     bm = BarrierMatrix(g, rng.normal(size=(8, 8)))
+    bm.values[rng.random((8, 8)) < 0.2] = BIG
     path = tmp_path / "bar.pbar"
     write_barrier_binary(bm, str(path))
     raw = path.read_bytes()
@@ -233,9 +277,6 @@ def test_barrier_binary_roundtrip(tmp_path):
     back = read_barrier_binary(str(path))
     assert back.aubry is None
     np.testing.assert_array_equal(back.values, bm.values)
-
-    write_barrier_csv(bm, str(tmp_path / "bar.csv"))
-    assert (tmp_path / "bar.csv").read_text().splitlines()[0] == "# 1,8,peierls"
 
 
 @pytest.mark.parametrize("t", [0.0, 2.5, -0.5])

@@ -19,6 +19,7 @@ from torushj.experiments import (
 )
 from torushj.grids import GridField, build_grid
 from torushj.models import builtin_model, velocity_set
+from torushj.selection import SelectionResult
 from torushj.solver import SweepEntry, SolveReport, lambda_sweep
 
 
@@ -112,6 +113,18 @@ def test_export_all_dispatch(tmp_path):
     assert files == ["field.csv", "report.csv"]
     with pytest.raises(ConfigurationError):
         export_all({"weird": object()}, str(tmp_path))
+
+
+def test_export_all_writes_each_artifact_once(tmp_path):
+    """At N <= 32 nodes a barrier is its .pbar alone, with no CSV twin, and a
+    selected limit its field CSV alone, with no <key>_values.csv."""
+    grid = build_grid(1, 8)
+    values = np.linspace(0.0, 1.0, 8)
+    files = export_all({"barrier_peierls": barrier.BarrierMatrix(grid, np.zeros((8, 8))),
+                        "limit_solution": SelectionResult(GridField(grid, values), values)},
+                       str(tmp_path))
+    assert files == ["barrier_peierls.pbar", "limit_solution.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -249,9 +262,9 @@ def test_small_example_pipeline(tmp_path):
     assert res.passed
     names = {s.name for s in res.stages}
     assert names == {"critical_value", "peierls_barrier", "limit_formula", "lambda_sweep"}
-    assert (tmp_path / "out" / "convergence.csv").exists()
-    assert (tmp_path / "out" / "limit_solution.csv").exists()
-    assert (tmp_path / "out" / "limit_solution_values.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "barrier_peierls.pbar", "convergence.csv", "final_field.csv", "limit_solution.csv",
+        "manifest.json", "timings.json"]
     face = next(s for s in res.stages if s.name == "limit_formula").details
     assert set(face) == {"target_mean", "sup_error_vs_mean", "critical_arcs", "classes"}
     assert face["classes"] >= 1 and face["critical_arcs"] >= face["classes"]
@@ -370,10 +383,8 @@ def test_example_6_1_config_in_two_dimensions(tmp_path):
     assert res.passed
     sweep = next(s for s in res.stages if s.name == "lambda_sweep").details
     assert sweep["final_error"] <= 0.05
-    # the barrier's CSV twin is kept for N <= 32 nodes only; N = 256 here
     out = tmp_path / "out"
     assert (out / "barrier_peierls.pbar").exists()
-    assert not (out / "barrier_peierls.csv").exists()
 
 
 @pytest.mark.parametrize("alpha, want", [("0.3", [0.3, 0.3]), ("0.1 0.2 0.3", None)])

@@ -8,7 +8,7 @@ import pytest
 from torushj.barrier import critical_value, peierls_barrier
 from torushj.curves import backward_calibrated_curve, occupation_measure
 from torushj.grids import GridField, build_grid
-from torushj.matherlp import build_polytope, projected_measure, solve_mather_lp
+from torushj.matherlp import build_polytope, solve_mather_lp
 from torushj.models import builtin_model, fenchel_lagrangian, velocity_set
 from torushj.selection import apply_selection_operator
 from torushj.solver import compute_bracket, default_dt, lambda_sweep, solve_perturbed
@@ -77,7 +77,7 @@ def test_2d_critical_value_and_measure(setup_2d):
     assert model.c0 == pytest.approx(2.0, abs=1e-9)   # c = max U at the origin
     mu, val, _ = solve_mather_lp(model, poly)
     assert val == pytest.approx(-2.0, abs=1e-9)
-    assert projected_measure(mu)[0] >= 0.99
+    assert mu.projected()[0] >= 0.99
 
 
 def test_2d_solve_and_trace(setup_2d):
@@ -96,7 +96,7 @@ def test_2d_solve_and_trace(setup_2d):
     dist = np.sqrt(np.sum(np.minimum(end, 1 - end) ** 2))
     assert dist <= 2 * grid.h
     mu = occupation_measure(tr, grid, vset)
-    assert projected_measure(mu)[0] >= 0.5
+    assert mu.projected()[0] >= 0.5
 
 
 def test_2d_barrier_column(setup_2d):

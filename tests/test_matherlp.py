@@ -16,7 +16,6 @@ from torushj.matherlp import (
     fractional_minimize,
     graph_check,
     minimize_linear_over_mather,
-    projected_measure,
     solve_mather_lp,
 )
 from torushj.models import builtin_model, velocity_set
@@ -84,7 +83,7 @@ def test_mather_lp_mechanical_cos(setup32):
     # L0 >= -1 pointwise
     assert val == pytest.approx(-1.0, abs=1e-9)
     assert mu.mass == pytest.approx(1.0, abs=1e-9)
-    proj = projected_measure(mu)
+    proj = mu.projected()
     assert proj[0] >= 0.99
 
 
@@ -103,7 +102,7 @@ def test_mather_lp_shifted_quadratic_uniform():
     poly = build_polytope(model, grid, vset)
     mu, val, _ = solve_mather_lp(model, poly)
     assert val == pytest.approx(-0.5 * ALPHA**2, abs=0.02)
-    tv = 0.5 * np.abs(projected_measure(mu) - 1.0 / grid.size).sum()
+    tv = 0.5 * np.abs(mu.projected() - 1.0 / grid.size).sum()
     assert tv <= 0.1
 
 
@@ -287,11 +286,11 @@ def test_fractional_infeasible_tol_min():
 def test_projected_measure_examples(setup32):
     grid, vset, _, _ = setup32
     mu = make_measure(grid, vset, {(7, 3): 1.0})
-    proj = projected_measure(mu)
+    proj = mu.projected()
     assert proj[7] == 1.0 and proj.sum() == 1.0
     W = np.full((grid.size, vset.count), 1.0 / (grid.size * vset.count))
     uni = DiscreteMeasure(grid, vset, W)
-    np.testing.assert_allclose(projected_measure(uni), 1.0 / grid.size)
+    np.testing.assert_allclose(uni.projected(), 1.0 / grid.size)
 
 
 def test_projected_concentration_mechanical():
@@ -300,7 +299,7 @@ def test_projected_concentration_mechanical():
     model = builtin_model("mechanical", U=COS)
     poly = build_polytope(model, grid, vset)
     mu, _, _ = solve_mather_lp(model, poly)
-    proj = projected_measure(mu)
+    proj = mu.projected()
     near = np.minimum(np.arange(grid.size), grid.size - np.arange(grid.size)) <= 2
     assert proj[near].sum() >= 0.9
 

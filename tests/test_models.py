@@ -278,9 +278,10 @@ def test_separable_form_matches_the_retired_constructors(d):
         ]
         for i, (a, b) in enumerate(pairs):
             assert _bits(a, b), (label, i)
-        assert (new.H_inf_u is None) == (old.H_inf_u is None), label
-        if old.H_inf_u is not None:
-            assert _bits(new.H_inf_u(x), old.H_inf_u(x)), label
+        # every built-in phi increases in u: a model that left the infimum
+        # to sampling now has inf_u H(x, 0, u) = -inf
+        want = old.H_inf_u(x) if old.H_inf_u is not None else np.full(len(x), -np.inf)
+        assert _bits(new.H_inf_u(x), want), label
         # elsewhere H may differ in the last bit: phi + (H0) against (phi + a) + b
         scale = (np.abs(new.L_u_part(x, u)) + np.abs(new.H(x, p, 0.0))
                  + np.abs(old.H(x, zero_p, 0.0)))

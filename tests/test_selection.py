@@ -3,7 +3,7 @@ import pytest
 
 from torushj.barrier import solution_from_barrier
 from torushj.grids import GridField, build_grid
-from torushj.matherlp import build_polytope, projected_measure
+from torushj.matherlp import build_polytope
 from torushj.models import builtin_model, velocity_set
 from torushj.selection import (
     apply_selection_operator,
@@ -253,7 +253,7 @@ def test_equilibrium_measures_unique_and_double_well():
     phi = GridField.constant(grid, 0.0)
     mu, val, mult = equilibrium_measures(phi, 8, poly)
     assert not mult
-    assert projected_measure(mu)[0] >= 0.99
+    assert mu.projected()[0] >= 0.99
     sel = apply_selection_operator(GridField.constant(grid, 1.0), phi, poly, nodes=[8])
     assert val == pytest.approx(sel.per_x_value[0], abs=1e-8)
 
@@ -275,7 +275,7 @@ def test_equilibrium_measures_unique_and_double_well():
     bump[0] = -0.1
     mu3, _, mult3 = equilibrium_measures(GridField(grid2, bump), x_mid, poly2)
     assert not mult3
-    proj = projected_measure(mu3)
+    proj = mu3.projected()
     near0 = np.minimum(np.arange(grid2.size), grid2.size - np.arange(grid2.size)) <= 2
     assert proj[near0].sum() >= 0.9
 

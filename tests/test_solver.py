@@ -254,6 +254,8 @@ def test_nonexistence_certificate_examples():
     assert nonexistence_certificate(arctan, 0.5, grid) is False
     mech = builtin_model("mechanical", U=None).with_c0(0.0)
     assert nonexistence_certificate(mech, 3.0, grid) is False
+    with pytest.raises(ConfigurationError, match="H_inf_u"):
+        nonexistence_certificate(dataclasses.replace(arctan, H_inf_u=None), 2.0, grid)
 
 
 def test_nonconvergence_reported_not_raised():
