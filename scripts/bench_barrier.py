@@ -15,38 +15,35 @@ timings of
 with |c_Karp - c_Howard| (Howard: `build_polytope`'s c) and the gap
 c_Karp - c_T of the retired horizon.
 
-With --parent DIR it also runs `bench/run.py --workload barrier --seed 1
---seconds 20 --trace 0` --pairs times in DIR (a checkout of the parent
-commit) and in this checkout, alternating which side runs first, and
-records every `wall_s`, both medians and the pairs the change won.  All
-of it goes with the machine facts to BENCH_barrier.json.
+With --parent SRC (the `src/` directory of a checkout of the parent commit)
+it also runs `bench/run.py --workload barrier --seed 1 --seconds 20 --trace
+0` --pairs times in that checkout and in this one, alternating which side
+runs first, and records every `wall_s`, both medians and the pairs the
+change won.  All of it goes with the machine facts to BENCH_barrier.json.
 
-Usage:  python scripts/bench_barrier.py [--repeat 5] [--parent DIR --pairs 10]
+Usage:  python scripts/bench_barrier.py [--repeat 5] [--parent SRC --pairs 10]
                                         [--out BENCH_barrier.json]
 """
 
 import argparse
-import json
 import os
-import subprocess
 import sys
+from functools import partial
 from statistics import median
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
+sys.path.insert(0, HERE)
 
-from bench_critical import best, machine                       # noqa: E402
-from torushj.barrier import BIG, karp_min_mean                 # noqa: E402
-from torushj.experiments import parse_potential                # noqa: E402
+from bench_critical import (ROOT, alternating, best, child_json, rotation,  # noqa: E402
+                            well, write_record)
+from torushj.barrier import BIG, _ActionKernel, karp_min_mean  # noqa: E402
 from torushj.grids import build_grid                           # noqa: E402
 from torushj.matherlp import build_polytope                    # noqa: E402
-from torushj.models import builtin_model, velocity_set          # noqa: E402
-from torushj.solver import default_dt, lattice_graph            # noqa: E402
+from torushj.models import velocity_set                        # noqa: E402
+from torushj.solver import default_dt                          # noqa: E402
 
-ALPHA = 0.6180339887498949
 TMAX = 24.0
 
 
@@ -54,11 +51,9 @@ def cases():
     out = []
     for d, n, m_crit, m in ((1, 128, 33, 49), (2, 16, 9, 9), (2, 24, 9, 9)):
         grid = build_grid(d, n)
-        mech = builtin_model("mechanical", d=d, U=parse_potential("cos:amp=1,freq=1"))
-        sq = builtin_model("shifted_quadratic", d=d, alpha=np.full(d, ALPHA))
-        out.append((f"mechanical d={d} n={n} m={m_crit}", mech, grid,
+        out.append((f"mechanical d={d} n={n} m={m_crit}", well(d), grid,
                     velocity_set(3.0, m_crit, d)))
-        out.append((f"shifted_quadratic d={d} n={n} m={m}", sq, grid,
+        out.append((f"shifted_quadratic d={d} n={n} m={m}", rotation(d), grid,
                     velocity_set(3.0, m, d)))
     return out
 
@@ -74,45 +69,34 @@ def min_plus(A, B):
     return np.minimum(C, BIG, out=C)
 
 
-def retired_longtime(take, cost, steps):
-    """diag h_{steps*dt} (steps >= 2) on the lattice graph whose arc (k, y)
-    runs from take[k, y] to y at cost[k, y]: P = h_dt raised to steps // 2
-    left to right, then min_j P[i, j] + Q[j, i] with Q = P, or one step of P
-    for odd steps."""
-    N = take.shape[1]
-
-    def step(A):
-        """A h_dt by its K arcs per node, as the action DP steps."""
-        AT = np.ascontiguousarray(A.T)
-        out = np.full_like(AT, BIG)
-        for tk, ck in zip(take, cost):
-            np.minimum(out, AT[tk] + ck[:, None], out=out)
-        return np.ascontiguousarray(out.T)
-
+def retired_longtime(kern, steps):
+    """diag h_{steps*dt} (steps >= 2) on the action DP's lattice graph
+    `kern`: P = h_dt raised to steps // 2 left to right, then
+    min_j P[i, j] + Q[j, i] with Q = P, or one step of P for odd steps."""
+    N = kern.take.shape[1]
     P = np.full((N, N), BIG)
-    np.minimum.at(P, (take, np.broadcast_to(np.arange(N), take.shape)), cost)
+    np.minimum.at(P, (kern.take, np.broadcast_to(np.arange(N), kern.take.shape)), kern.cost)
     for bit in bin(steps // 2)[3:]:
         P = min_plus(P, P)
         if bit == "1":
-            P = step(P)
-    Q = step(P) if steps & 1 else P
+            P = kern.step(P)
+    Q = kern.step(P) if steps & 1 else P
     return np.minimum(np.min(P + Q.T, axis=1), BIG)
 
 
 def workload_wall(checkout):
-    res = subprocess.run([sys.executable, "bench/run.py", "--workload", "barrier",
-                          "--seed", "1", "--seconds", "20", "--trace", "0"],
-                         cwd=checkout, capture_output=True, text=True)
-    result = json.loads(res.stdout.strip().splitlines()[-1])
+    result = child_json(["bench/run.py", "--workload", "barrier", "--seed", "1",
+                         "--seconds", "20", "--trace", "0"], cwd=checkout)
     if not result["correct"]:
-        raise RuntimeError(f"barrier workload failed in {checkout}: {res.stderr}")
+        raise RuntimeError(f"barrier workload failed in {checkout}")
     return result["metrics"]["wall_s"]["value"]
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--parent", help="checkout of the parent commit, for wall_s pairs")
+    ap.add_argument("--parent", help="src/ directory of a checkout of the parent commit, "
+                    "for wall_s pairs")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_barrier.json"))
     args = ap.parse_args()
@@ -123,10 +107,9 @@ def main() -> int:
     for name, model, grid, vset in cases():
         dt = default_dt(grid, vset)
         steps = int(round(TMAX / dt))
-        arcs, L0 = lattice_graph(model, grid, vset, dt)
-        cost = dt * L0
-        karp_s, eta = best(lambda: karp_min_mean(arcs.take, cost), args.repeat)
-        power_s, diag = best(lambda: retired_longtime(arcs.take, cost, steps), args.repeat)
+        kern = _ActionKernel(model, grid, vset, dt)
+        karp_s, eta = best(lambda: karp_min_mean(kern.take, kern.cost), args.repeat)
+        power_s, diag = best(lambda: retired_longtime(kern, steps), args.repeat)
         c, c_T = -eta / dt, -float(diag.min()) / (steps * dt)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
                "steps": steps, "karp_s": karp_s, "powering_s": power_s,
@@ -136,13 +119,11 @@ def main() -> int:
         rows.append(row)
         print(f"{name:<34s} {grid.size:4d} {steps:5d} {karp_s:8.4f} {power_s:8.4f} "
               f"{row['abs_c_karp_minus_howard']:8.1e} {row['c_karp_minus_c_T']:8.1e}")
-    report = {"machine": machine(), "repeat": args.repeat, "tmax": TMAX, "cases": rows}
+    report = {"repeat": args.repeat, "tmax": TMAX, "cases": rows}
     if args.parent:
-        walls = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            sides = [("parent", args.parent), ("change", ROOT)]
-            for side, checkout in sides[::1 if i % 2 == 0 else -1]:
-                walls[side].append(workload_wall(checkout))
+        parent = os.path.dirname(os.path.abspath(args.parent))
+        walls = alternating(args.pairs, {"parent": partial(workload_wall, parent),
+                                         "change": partial(workload_wall, ROOT)})
         report["barrier_wall_s"] = {
             "command": "bench/run.py --workload barrier --seed 1 --seconds 20 --trace 0",
             "samples": walls, "median_parent": median(walls["parent"]),
@@ -150,10 +131,7 @@ def main() -> int:
             "pairs_won": sum(c < p for p, c in zip(walls["parent"], walls["change"]))}
         print(f"barrier wall_s median {report['barrier_wall_s']['median_parent']:.4f} -> "
               f"{report['barrier_wall_s']['median_change']:.4f} s")
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, **report)
     return 0
 
 

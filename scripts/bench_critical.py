@@ -3,8 +3,9 @@
 iteration on the same lattice graph.
 
 Cases: the critical polytopes of the three benchmark workloads
-(`rotation_sweep` n = 32, `occupation` n = 64, and `barrier`'s K = 49
-polytope at n = 128; vmax 3, m = 49, d = 1) and the d = 2 `cos_sum` well at
+(`rotation_sweep` n = 32, `occupation` n = 64, and `barrier`'s two calls at
+n = 128: the mechanical cosine well at K = 33 and 49 and the golden-ratio
+shifted quadratic at K = 49; vmax 3, d = 1) and the d = 2 `cos_sum` well at
 n = 40 (vmax 2, m = 9 per axis, K = 81).  Per case it reports the best of
 --repeat timings of
     lp_s        `solve_mather_lp` on the polytope (HiGHS, the oracle of c),
@@ -14,6 +15,12 @@ n = 40 (vmax 2, m = 9 per axis, K = 81).  Per case it reports the best of
 plus |c_lp - c_howard| and the smallest reduced cost, and writes all of it
 with the machine facts to BENCH_critical.json.
 
+This module is also the harness of the other bench scripts: the shared
+models, `best`, `alternating`, the child launchers `child_json` and
+`in_tree`, and the record writer `write_record` with `machine` and
+`tree_id`.  It imports numpy, scipy and torushj only inside functions, so
+that a script can import it before it starts the children it measures.
+
 Usage:  python scripts/bench_critical.py [--repeat 5] [--out BENCH_critical.json]
 """
 
@@ -22,39 +29,69 @@ import glob
 import hashlib
 import json
 import os
-import platform
 import subprocess
 import sys
 import time
 
-import numpy as np
-import scipy
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+SRC = os.path.join(ROOT, "src")
+sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+from run import child_env, machine_facts                       # noqa: E402
 
-from torushj.experiments import parse_potential                # noqa: E402
-from torushj.grids import build_grid                           # noqa: E402
-from torushj.matherlp import _howard, build_polytope, solve_mather_lp  # noqa: E402
-from torushj.models import builtin_model, velocity_set          # noqa: E402
-from torushj.solver import lattice_graph                        # noqa: E402
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHA = 0.6180339887498949
+
+# The child of `in_tree`, argv SRC, scripts/, module, function, JSON arguments:
+# torushj comes from SRC before the module's own sys.path entries count.
+IN_TREE = """
+import importlib, json, os, sys
+src = os.path.abspath(sys.argv[1])
+sys.path[:0] = [src, sys.argv[2]]
+import torushj
+if not os.path.abspath(torushj.__file__).startswith(src + os.sep):
+    sys.exit(f"torushj imported from {torushj.__file__}, not from {src}")
+func = getattr(importlib.import_module(sys.argv[3]), sys.argv[4])
+print(json.dumps(func(*json.loads(sys.argv[5]))))
+"""
+
+
+def well(d=1, U="cos:amp=1,freq=1"):
+    """The mechanical model with the potential spec `U` (the cosine well)."""
+    from torushj.experiments import parse_potential
+    from torushj.models import builtin_model
+    return builtin_model("mechanical", d=d, U=parse_potential(U))
+
+
+def rotation(d=1, alpha=ALPHA, **potential):
+    """The shifted quadratic with rotation vector `alpha` (one value for
+    every axis, or d of them)."""
+    import numpy as np
+    from torushj.models import builtin_model
+    return builtin_model("shifted_quadratic", d=d, alpha=np.broadcast_to(alpha, (d,)),
+                         **potential)
+
+
+def rotation_sweep():
+    """The `rotation_sweep` workload's model: the rotation with V0 = -target."""
+    from torushj.experiments import parse_potential
+    target = parse_potential("sin:freq=1,offset=0.3")
+    return rotation(potential=lambda x: -target(x))
 
 
 def cases():
-    cos = parse_potential("cos:amp=1,freq=1")
-    target = parse_potential("sin:freq=1,offset=0.3")
-    rotation = builtin_model("shifted_quadratic", alpha=ALPHA,
-                             potential=lambda x: -target(x))
-    mech = builtin_model("mechanical", U=cos)
-    well2d = builtin_model("mechanical", d=2, U=parse_potential("cos_sum:amp=1,freq=1"))
-    vs = velocity_set(3.0, 49)
+    from torushj.grids import build_grid
+    from torushj.models import velocity_set
+
+    vs, mech, grid128 = velocity_set(3.0, 49), well(), build_grid(1, 128)
     return [
-        ("rotation_sweep n=32", rotation, build_grid(1, 32), vs),
+        ("rotation_sweep n=32", rotation_sweep(), build_grid(1, 32), vs),
         ("occupation n=64", mech, build_grid(1, 64), vs),
-        ("barrier poly49 n=128", mech, build_grid(1, 128), vs),
-        ("cos_sum d=2 n=40", well2d, build_grid(2, 40), velocity_set(2.0, 9, d=2)),
+        ("barrier poly49 n=128", mech, grid128, vs),
+        ("mechanical K=33 n=128", mech, grid128, velocity_set(3.0, 33)),
+        ("shifted_quadratic K=49 n=128", rotation(), grid128, vs),
+        ("cos_sum d=2 n=40", well(2, "cos_sum:amp=1,freq=1"), build_grid(2, 40),
+         velocity_set(2.0, 9, d=2)),
     ]
 
 
@@ -67,7 +104,35 @@ def best(fn, repeat):
     return min(times), out
 
 
-def tree_id(src=os.path.join(ROOT, "src")):
+def alternating(rounds, sides):
+    """Call each of `sides` (name -> function) once a round, in their order
+    in even rounds and in reverse in odd ones, so that the sides share the
+    host's load; each side's results in round order."""
+    results = {name: [] for name in sides}
+    for r in range(rounds):
+        for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+            results[name].append(sides[name]())
+    return results
+
+
+def child_json(args, cwd=None):
+    """Run `python *args` in the benchmark's child environment (no
+    PYTHONPATH, BLAS on one thread) without writing bytecode; the last line
+    it prints, read as JSON.  A child that exits non-zero raises."""
+    out = subprocess.run([sys.executable, *args], cwd=cwd, check=True, text=True,
+                         env=dict(child_env(), PYTHONDONTWRITEBYTECODE="1"),
+                         stdout=subprocess.PIPE)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def in_tree(src, module, func, *args):
+    """`module.func(*args)` (module from scripts/) in a child that imports
+    torushj from the `src/` directory `src`, and refuses to run if torushj
+    comes from anywhere else; its JSON result."""
+    return child_json(["-c", IN_TREE, src, HERE, module, func, json.dumps(args)])
+
+
+def tree_id(src=SRC):
     """The source tree a run timed: the HEAD commit of the checkout that
     holds the `src/` directory `src`, and a sha256 over its
     src/torushj/*.py, which tells an uncommitted tree from that commit."""
@@ -85,26 +150,35 @@ def tree_id(src=os.path.join(ROOT, "src")):
 
 
 def machine():
-    cpu = "unknown"
-    try:
-        with open("/proc/cpuinfo") as f:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in f
-                        if ln.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"nproc": os.cpu_count(), "cpu_model": cpu,
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, **tree_id()}
+    """The benchmark's machine facts, with this tree's `tree_id`."""
+    import numpy as np
+    import scipy
+
+    facts = machine_facts(None, {"numpy": np.__version__, "scipy": scipy.__version__})
+    return {**{k: facts[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy")},
+            **tree_id()}
+
+
+def write_record(path, **fields):
+    """Write the machine facts and `fields` to `path` as indented JSON."""
+    with open(path, "w") as f:
+        json.dump({"machine": machine(), **fields}, f, indent=2)
+        f.write("\n")
+    print(f"wrote {path}")
 
 
 def main() -> int:
+    import numpy as np
+    from torushj.matherlp import _howard, build_polytope, solve_mather_lp
+    from torushj.solver import lattice_graph
+
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_critical.json"))
     args = ap.parse_args()
 
     rows = []
-    print(f"{'case':<22s} {'LP vars':>8s} {'lp_s':>9s} {'howard_s':>9s} {'iters':>5s} "
+    print(f"{'case':<28s} {'LP vars':>8s} {'lp_s':>9s} {'howard_s':>9s} {'iters':>5s} "
           f"{'build_s':>9s} {'|dc|':>8s} {'min rc':>9s}")
     for name, model, grid, vset in cases():
         build_s, poly = best(lambda: build_polytope(model, grid, vset), args.repeat)
@@ -119,13 +193,9 @@ def main() -> int:
                "c": poly.c, "abs_c_minus_lp": abs(poly.c + opt),
                "min_reduced_cost": float(poly.reduced_cost.min())}
         rows.append(row)
-        print(f"{name:<22s} {poly.num_vars:8d} {lp_s:9.4f} {howard_s:9.5f} {iters:5d} "
+        print(f"{name:<28s} {poly.num_vars:8d} {lp_s:9.4f} {howard_s:9.5f} {iters:5d} "
               f"{build_s:9.5f} {row['abs_c_minus_lp']:8.1e} {row['min_reduced_cost']:9.1e}")
-    with open(args.out, "w") as f:
-        json.dump({"machine": machine(), "repeat": args.repeat, "cases": rows},
-                  f, indent=2)
-        f.write("\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, repeat=args.repeat, cases=rows)
     return 0
 
 

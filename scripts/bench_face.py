@@ -32,33 +32,27 @@ Usage:  python scripts/bench_face.py [--repeat 5] [--out BENCH_face.json]
 """
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"), HERE]
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "tests")]
 
-from bench_critical import best, machine                       # noqa: E402
+from bench_critical import ALPHA, ROOT, best, rotation, rotation_sweep, write_record  # noqa: E402
 from test_mather_face import mather_vertices, restricted_lp, vertex_minimize  # noqa: E402
 from test_peierls_exact import all_sources_barrier             # noqa: E402
 from torushj.barrier import peierls_barrier                    # noqa: E402
-from torushj.experiments import parse_potential                # noqa: E402
 from torushj.grids import GridField, build_grid                # noqa: E402
 from torushj.matherlp import build_polytope                    # noqa: E402
-from torushj.models import builtin_model, velocity_set         # noqa: E402
+from torushj.models import velocity_set                        # noqa: E402
 from torushj.selection import _dl_flat, _minimize_on_face      # noqa: E402
-
-ALPHA = 0.6180339887498949
 
 
 def barrier_cases():
     vs = velocity_set(3.0, 49)
-    rot = builtin_model("shifted_quadratic", alpha=ALPHA)
-    rot2 = builtin_model("shifted_quadratic", d=2, alpha=[ALPHA, np.sqrt(2.0) - 1.0])
+    rot, rot2 = rotation(), rotation(2, [ALPHA, np.sqrt(2.0) - 1.0])
     return [("rotation d=1 n=32", rot, build_grid(1, 32), vs),
             ("rotation d=1 n=128", rot, build_grid(1, 128), vs),
             ("rotation d=2 n=24", rot2, build_grid(2, 24), velocity_set(2.0, 5, d=2))]
@@ -69,17 +63,14 @@ def selection_cases():
     barrier here fills the polytope's cache, so timings leave it out."""
     out = []
     vs = velocity_set(3.0, 49)
-    half = builtin_model("shifted_quadratic", alpha=vs.spacing / 2)
+    half = rotation(alpha=vs.spacing / 2)
     for n in (16, 32, 64, 128):
         grid = build_grid(1, n)
         poly = build_polytope(half, grid, vs)
         phi = np.random.default_rng(n).normal(size=n)
         out.append((f"branched operator n={n}", poly, poly.barrier.values,
                     np.ones(poly.num_vars), np.repeat(phi, vs.count)))
-    # the rotation_sweep workload's limit formula: V0 = -target
-    target = parse_potential("sin:freq=1,offset=0.3")
-    rot = builtin_model("shifted_quadratic", alpha=ALPHA, potential=lambda x: -target(x))
-    grid = build_grid(1, 32)
+    rot, grid = rotation_sweep(), build_grid(1, 32)
     poly = build_polytope(rot, grid, vs)
     V0 = GridField.from_function(grid, rot.V0)
     out.append(("rotation_sweep limit formula n=32", poly, poly.barrier.values,
@@ -138,11 +129,8 @@ def main() -> int:
         vtxt = f"{vertex_s:9.5f}" if vertex_s is not None else f"{'-':>9s}"
         print(f"{name:<34s} {class_s:9.5f} {fallback_s:10.5f} {vtxt} {diff:8.1e}")
 
-    with open(args.out, "w") as f:
-        json.dump({"machine": machine(), "repeat": args.repeat,
-                   "barrier": barrier_rows, "selection": selection_rows}, f, indent=2)
-        f.write("\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, repeat=args.repeat, barrier=barrier_rows,
+                 selection=selection_rows)
     return 0
 
 

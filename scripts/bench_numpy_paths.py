@@ -14,26 +14,27 @@ Cases:
              (dt = h / velocity step) and at dt = 1e-2
 
 Each (tree, case) runs in a fresh interpreter that imports torushj from that
-tree's `src/` and reports the best of --repeat timings; the trees alternate
-from round to round over --rounds rounds, and the table keeps each tree's
-best.  The children also report the barrier's sha256 and the solved field,
-so the table says whether the trees agree (barrier bit for bit, field to
-the largest absolute difference).
+tree's `src/` (`bench_critical.in_tree`) and reports the best of --repeat
+timings; the trees alternate from round to round over --rounds rounds, and
+the table keeps each tree's best.  The children also report the barrier's
+sha256 and the solved field, so the table says whether the trees agree
+(barrier bit for bit, field to the largest absolute difference).
 
 Usage:  python scripts/bench_numpy_paths.py --parent SRC [--repeat 5]
                                             [--rounds 2] [--out BENCH_numpy_paths.json]
 """
 
 import argparse
-import json
+import hashlib
 import os
-import subprocess
 import sys
+from functools import partial
 
-import numpy as np
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "scripts"))
+from bench_critical import (ROOT, SRC, alternating, best, in_tree, rotation,  # noqa: E402
+                            tree_id, well, write_record)
 
 CASES = [
     {"layer": "barrier", "case": "mechanical cos d=1 n=128 m=49", "model": "well1",
@@ -46,55 +47,38 @@ CASES = [
 CASES += [dict(c, layer="solve", dt=dt, case=f"{c['case']} dt={dt or 'lattice'}")
           for dt in (None, 1e-2) for c in CASES[:3]]
 
-# A child prints one JSON line: best seconds, classes, and the result
-# (the barrier's sha256, or the solved field with its evaluation count).
-CHILD = """
-import hashlib, json, sys, time
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from torushj.barrier import peierls_barrier
-from torushj.experiments import parse_potential
-from torushj.grids import build_grid
-from torushj.matherlp import build_polytope
-from torushj.models import builtin_model, velocity_set
-from torushj.solver import solve_perturbed
 
-case, repeat = json.loads(sys.argv[2]), int(sys.argv[3])
-d = case["d"]
-model = {
-    "well1": lambda: builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1")),
-    "well2": lambda: builtin_model("mechanical", d=2,
-                                   U=parse_potential("cos_sum:amp=1,freq=1")),
-    "rotation2": lambda: builtin_model("shifted_quadratic", d=2,
-                                       alpha=(0.618034, 0.414214),
-                                       potential=parse_potential("sin:freq=1,offset=0.3")),
-}[case["model"]]()
-grid, vset = build_grid(d, case["n"]), velocity_set(case["vmax"], case["m"], d)
-poly = build_polytope(model, grid, vset)
-if case["layer"] == "barrier":
-    run = lambda: peierls_barrier(poly)
-else:
-    model = model.with_c0(poly.c)
-    run = lambda: solve_perturbed(model, 0.1, grid, vset, dt=case["dt"], tol=1e-10)
-times = []
-for _ in range(repeat):
-    t0 = time.perf_counter()
-    out = run()
-    times.append(time.perf_counter() - t0)
-rec = {"seconds": min(times), "classes": int(len(poly.static_classes()[2]))}
-if case["layer"] == "barrier":
-    rec["sha256"] = hashlib.sha256(np.ascontiguousarray(out.values).tobytes()).hexdigest()
-else:
-    rec["field"] = out[0].values.tolist()
-    rec["evaluations"] = out[1].iterations
-print(json.dumps(rec))
-"""
+def run_case(case, repeat):
+    """One case in the tree this process imported torushj from: best
+    seconds, classes, and the result (the barrier's sha256, or the solved
+    field with its evaluation count)."""
+    import numpy as np
+    from torushj.barrier import peierls_barrier
+    from torushj.experiments import parse_potential
+    from torushj.grids import build_grid
+    from torushj.matherlp import build_polytope
+    from torushj.models import velocity_set
+    from torushj.solver import solve_perturbed
 
-
-def child(src, case, repeat):
-    out = subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(case), str(repeat)],
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    d = case["d"]
+    model = {
+        "well1": well,
+        "well2": lambda: well(2, "cos_sum:amp=1,freq=1"),
+        "rotation2": lambda: rotation(2, (0.618034, 0.414214),
+                                      potential=parse_potential("sin:freq=1,offset=0.3")),
+    }[case["model"]]()
+    grid, vset = build_grid(d, case["n"]), velocity_set(case["vmax"], case["m"], d)
+    poly = build_polytope(model, grid, vset)
+    classes = int(len(poly.static_classes()[2]))
+    if case["layer"] == "barrier":
+        seconds, h = best(lambda: peierls_barrier(poly), repeat)
+        return {"seconds": seconds, "classes": classes,
+                "sha256": hashlib.sha256(np.ascontiguousarray(h.values).tobytes()).hexdigest()}
+    shifted = model.with_c0(poly.c)
+    seconds, (u, report) = best(lambda: solve_perturbed(shifted, 0.1, grid, vset,
+                                                        dt=case["dt"], tol=1e-10), repeat)
+    return {"seconds": seconds, "classes": classes, "field": u.values.tolist(),
+            "evaluations": report.iterations}
 
 
 def main() -> int:
@@ -105,15 +89,13 @@ def main() -> int:
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_numpy_paths.json"))
     args = ap.parse_args()
 
-    from bench_critical import machine, tree_id
-    trees = {"parent": args.parent, "this": os.path.join(ROOT, "src")}
+    trees = {"parent": args.parent, "this": SRC}
     rows = []
     print(f"{'layer':<8s} {'case':<42s} {'classes':>7s} {'parent_s':>9s} {'this_s':>9s} agree")
     for case in CASES:
-        recs = {name: [] for name in trees}
-        for r in range(args.rounds):
-            for name in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-                recs[name].append(child(trees[name], case, args.repeat))
+        recs = alternating(args.rounds, {
+            name: partial(in_tree, src, "bench_numpy_paths", "run_case", case, args.repeat)
+            for name, src in trees.items()})
         parent, this = recs["parent"][0], recs["this"][0]
         row = {"layer": case["layer"], "case": case["case"], "nodes": case["n"] ** case["d"],
                "classes": this["classes"],
@@ -123,19 +105,15 @@ def main() -> int:
             row["bit_identical"] = parent["sha256"] == this["sha256"]
             agree = str(row["bit_identical"])
         else:
-            row["max_abs_field_diff"] = float(np.max(np.abs(np.subtract(parent["field"],
-                                                                        this["field"]))))
+            row["max_abs_field_diff"] = max(abs(a - b) for a, b in zip(parent["field"],
+                                                                      this["field"]))
             row["evaluations"] = [parent["evaluations"], this["evaluations"]]
             agree = f"{row['max_abs_field_diff']:.1e}"
         rows.append(row)
         print(f"{row['layer']:<8s} {row['case']:<42s} {row['classes']:7d} "
               f"{row['parent_s']:9.4f} {row['this_s']:9.4f} {agree}")
-    with open(args.out, "w") as f:
-        json.dump({"machine": machine(), "repeat": args.repeat, "rounds": args.rounds,
-                   "trees": {name: tree_id(src) for name, src in trees.items()},
-                   "cases": rows}, f, indent=2)
-        f.write("\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, repeat=args.repeat, rounds=args.rounds,
+                 trees={name: tree_id(src) for name, src in trees.items()}, cases=rows)
     return 0
 
 

@@ -17,53 +17,37 @@ BENCH_traces.json.  Apart from the block schedule, it times the foot
 sampler alone (`Transition.foot_sampler` on the first trace's kernel and
 field, K = 49): microseconds per row at S = 1, 64 and 256 random points.
 
-With --src DIR, the `src/` directory of a second checkout (say, the parent
-commit's), a child process imports torushj from DIR, records the same six
-traces with that tree's pipelines and times that tree's block loop and
-sampler.  Each trace row then holds, under "src", that tree's blocks, rest
-step and times, and whether its trace is bit for bit this tree's; the
-sampler record holds that tree's times under "src_us_per_row".
+With --parent SRC, the `src/` directory of a second checkout (say, the
+parent commit's), a child process imports torushj from SRC
+(`bench_critical.in_tree`), records the same six traces with that tree's
+pipelines and times that tree's block loop and sampler.  Each trace row
+then holds, under "src", that tree's blocks, rest step and times, and
+whether its trace is bit for bit this tree's; the sampler record holds that
+tree's times under "src_us_per_row".
 
-Usage:  python scripts/bench_traces.py [--repeat 5] [--src DIR]
+Usage:  python scripts/bench_traces.py [--repeat 5] [--parent SRC]
                                        [--out BENCH_traces.json]
 """
 
 import argparse
 import hashlib
-import json
 import os
-import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
-                os.path.join(ROOT, "bench")]
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "tests")]
 
-from bench_critical import best, machine, tree_id              # noqa: E402
+from bench_critical import ROOT, best, in_tree, tree_id, write_record  # noqa: E402
 from run import WORKLOADS, write_config                        # noqa: E402
 from test_trace_oracle import ALL_FIELDS, lean_backward_calibrated_curve, rest_step  # noqa: E402
 from torushj import experiments                                # noqa: E402
 from torushj.curves import BLOCK_CAP, backward_calibrated_curve  # noqa: E402
 from torushj.solver import Transition                          # noqa: E402
 
-# The child of --src imports torushj from the tree argv[1] before it imports
-# this script, so the src/ that this script puts on sys.path does not replace
-# it; it prints the block loop rows and the sampler times of that tree.
-CHILD = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-import torushj
-sys.path.insert(0, sys.argv[2])
-import bench_traces
-cases, repeat = bench_traces.cases(), int(sys.argv[3])
-print(json.dumps({"traces": [bench_traces.block_loop_row(a, kw, repeat)[0]
-                             for _, (a, kw) in cases],
-                  "sampler": bench_traces.sampler_us_per_row(*cases[0][1], repeat)}))
-"""
 SAMPLER_ROWS = (1, 64, 256)     # the block sizes at which the sampler is timed
 
 
@@ -75,12 +59,9 @@ def recorded_traces(config):
         calls.append((args, kwargs))
         return backward_calibrated_curve(*args, **kwargs)
 
-    experiments.backward_calibrated_curve = recording
-    try:
-        with tempfile.TemporaryDirectory() as out:
-            result = experiments.run_experiment(config, output=out)
-    finally:
-        experiments.backward_calibrated_curve = backward_calibrated_curve
+    with (mock.patch.object(experiments, "backward_calibrated_curve", recording),
+          tempfile.TemporaryDirectory() as out):
+        result = experiments.run_experiment(config, output=out)
     if not result.passed:
         raise SystemExit(f"{config}: the pipeline failed its verdict")
     return calls
@@ -98,11 +79,8 @@ def count_blocks(args, kwargs):
             return feet_at(Y)
         return counted
 
-    Transition.foot_sampler = counting
-    try:
+    with mock.patch.object(Transition, "foot_sampler", counting):
         backward_calibrated_curve(*args, **kwargs)
-    finally:
-        Transition.foot_sampler = sampler
     return calls[0]
 
 
@@ -149,25 +127,25 @@ def sampler_us_per_row(args, kwargs, repeat):
     return times
 
 
-def src_rows(src, repeat):
-    """block_loop_row of each case and the sampler times on the tree `src`,
-    in a child process."""
-    out = subprocess.run([sys.executable, "-c", CHILD, src, HERE, str(repeat)],
-                         capture_output=True, text=True, check=True)
-    child = json.loads(out.stdout.splitlines()[-1])
-    return child["traces"], child["sampler"], tree_id(src)
+def tree_record(repeat):
+    """block_loop_row of each case and the sampler times, in the tree this
+    process imported torushj from; what --parent reads from its child."""
+    traces = cases()
+    return {"traces": [block_loop_row(a, kw, repeat)[0] for _, (a, kw) in traces],
+            "sampler": sampler_us_per_row(*traces[0][1], repeat)}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--src", help="src/ directory of a second checkout whose block "
+    ap.add_argument("--parent", help="src/ directory of a second checkout whose block "
                     "loop to time in a child process")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_traces.json"))
     args = ap.parse_args()
 
-    others, src_sampler, src_tree = (src_rows(args.src, args.repeat) if args.src
-                                       else (None, None, None))
+    parent = (in_tree(args.parent, "bench_traces", "tree_record", args.repeat)
+              if args.parent else {})
+    others, src_sampler = parent.get("traces"), parent.get("sampler")
     rows, traces = [], cases()
     print(f"{'trace':<32s} {'steps':>7s} {'rest':>6s} {'blocks':>6s} {'block_s':>8s} "
           f"{'us/step':>7s} {'lean_s':>8s} {'us/step':>7s} {'same':>5s}"
@@ -196,12 +174,9 @@ def main() -> int:
           + ", ".join(f"{S}: {t:.3f}" for S, t in sampler["us_per_row"].items())
           + ("" if src_sampler is None else "; src: " + ", ".join(
               f"{S}: {t:.3f}" for S, t in src_sampler.items())))
-    with open(args.out, "w") as f:
-        json.dump({"machine": machine(), "repeat": args.repeat, "block_cap": BLOCK_CAP,
-                   "src_tree": src_tree, "traces": rows, "sampler": sampler},
-                  f, indent=2)
-        f.write("\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, repeat=args.repeat, block_cap=BLOCK_CAP,
+                 src_tree=tree_id(args.parent) if args.parent else None,
+                 traces=rows, sampler=sampler)
     return 0 if all(r["bit_identical"] and r.get("src", {}).get("same_trace", True)
                     for r in rows) else 1
 

@@ -15,14 +15,13 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from bench_critical import rotation_sweep                       # noqa: E402
 from torushj.grids import GridField, build_grid                 # noqa: E402
 from torushj.matherlp import build_polytope                     # noqa: E402
-from torushj.models import builtin_model, velocity_set          # noqa: E402
+from torushj.models import velocity_set                         # noqa: E402
 from torushj.solver import compute_bracket, default_dt, lambda_sweep  # noqa: E402
-
-ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def main() -> int:
@@ -33,7 +32,7 @@ def main() -> int:
     args = ap.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",")]
 
-    target = lambda x: np.sin(2 * np.pi * x[..., 0]) + 0.3
+    model = rotation_sweep()
     lams = [lam for lam in (0.1, 0.03, 0.01, 0.003, 0.001) if lam >= args.lam_min]
 
     print(f"{'n':>5s} {'dt':>10s} {'c':>12s} {'sup|u-0.3|':>12s} {'secs':>7s}")
@@ -41,13 +40,11 @@ def main() -> int:
         grid = build_grid(1, n)
         vset = velocity_set(3.0, args.m)
         dt = default_dt(grid, vset)
-        model = builtin_model("shifted_quadratic", alpha=ALPHA,
-                              potential=lambda x: -target(x))
         poly = build_polytope(model, grid, vset, dt)
-        model = model.with_c0(poly.c)
-        bracket = compute_bracket(model, GridField.constant(grid, 0.0))
+        shifted = model.with_c0(poly.c)
+        bracket = compute_bracket(shifted, GridField.constant(grid, 0.0))
         t0 = time.time()
-        entries = lambda_sweep(model, lams, grid, vset, dt=dt, tol=1e-8,
+        entries = lambda_sweep(shifted, lams, grid, vset, dt=dt, tol=1e-8,
                                max_iter=400000, bracket=bracket)
         err = float(np.max(np.abs(entries[-1].field.values - 0.3)))
         print(f"{n:5d} {dt:10.5f} {poly.c:12.8f} {err:12.2e} {time.time() - t0:7.1f}")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and print a pass/fail summary: per
-config its verdict, wall time, and the number and bytes of the artifact
-files its manifest hashes (every file but manifest.json and timings.json).
+config its verdict, wall time in milliseconds, and the number and bytes of
+the artifact files its manifest hashes (every file but manifest.json and
+timings.json).
 
 Usage:  python scripts/run_all_experiments.py [--output-root DIR] [--strict]
 """
@@ -35,13 +36,14 @@ def main() -> int:
     failures = 0
     for name in ORDER:
         cfg = os.path.join(CONFIG_DIR, f"{name}.cfg")
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run_experiment(cfg, output=os.path.join(args.output_root, name),
                                 strict=args.strict)
         status = "PASS" if result.passed else "FAIL"
         files = result.manifest["hashes"]
         size = sum(os.path.getsize(os.path.join(result.outdir, rel)) for rel in files)
-        print(f"[{status}] {name:<22s} {time.time() - t0:7.1f}s  {len(files):2d} files "
+        ms = 1e3 * (time.perf_counter() - t0)
+        print(f"[{status}] {name:<22s} {ms:8.1f} ms  {len(files):2d} files "
               f"{size:>10,d} B  -> {result.outdir}")
         for stage in result.stages:
             if not stage.ok:

@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             cfg = parse_config(args.config)
-        except (ConfigurationError, KeyError, ValueError) as exc:
+        except ConfigurationError as exc:
             print(f"invalid: {exc}")
             return 1
         print(f"ok: kind={cfg.kind} model={cfg.model_name} grid=({cfg.d},{cfg.n}) "

@@ -223,11 +223,20 @@ def _floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _alpha(text: str, d: int, key: str) -> np.ndarray:
+def _parsed(parse: Callable, text: str, where: str):
+    """parse(text); a ValueError it raises becomes a ConfigurationError that
+    names `where`, the key the text was read from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
+def _alpha(text: str, d: int) -> np.ndarray:
     """A rotation vector given by 1 (shared by every axis) or d components."""
     alpha = np.array(_floats(text))
     if alpha.size not in (1, d):
-        raise ConfigurationError(f"{key} needs 1 or {d} components")
+        raise ConfigurationError(f"needs 1 or {d} components")
     return np.broadcast_to(alpha, (d,)).copy()
 
 
@@ -252,28 +261,38 @@ _POTENTIAL_KEYS = ("U", "potential", "phi", "sigma", "target")
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read an INI config; an absent key keeps its ExperimentConfig default."""
+    """Read an INI config; an absent key keeps its ExperimentConfig default.
+    A file that is not INI, and a value that its key's parser refuses, raise
+    ConfigurationError naming the file (and the `[section] key`)."""
     cp = configparser.ConfigParser()
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+        raw = {sec: dict(cp[sec]) for sec in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigurationError(f"config {path}: {exc}") from None
+    if not found:
         raise ConfigurationError(f"cannot read config {path}")
     if not cp.has_option("experiment", "kind"):
         raise ConfigurationError(f"config {path} names no [experiment] kind")
+
+    def value(sec, key, parse):
+        return _parsed(parse, cp.get(sec, key), f"config {path}: [{sec}] {key}")
 
     def section(name):
         return cp[name] if cp.has_section(name) else {}
 
     model = section("model")
     cfg = ExperimentConfig(
-        **{fld: parse(cp.get(sec, key)) for (sec, key), (fld, parse) in _CONFIG_KEYS.items()
+        **{fld: value(sec, key, parse) for (sec, key), (fld, parse) in _CONFIG_KEYS.items()
            if cp.has_option(sec, key)},
-        model_params={key: parse_potential(model[key]) for key in _POTENTIAL_KEYS
+        model_params={key: value("model", key, parse_potential) for key in _POTENTIAL_KEYS
                       if key in model},
-        thresholds={key: float(val) for key, val in section("thresholds").items()},
+        thresholds={key: value("thresholds", key, float) for key in section("thresholds")},
         extras=dict(section("extras")),
-        raw={sec: dict(cp[sec]) for sec in cp.sections()},
+        raw=raw,
     )
     if "alpha" in model:
-        cfg.model_params["alpha"] = _alpha(model["alpha"], cfg.d, "[model] alpha")
+        cfg.model_params["alpha"] = value("model", "alpha", lambda text: _alpha(text, cfg.d))
     cfg.validate()
     return cfg
 
@@ -677,8 +696,8 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     stages.append(StageRecord("critical_mechanical", ok1, {
         "per_method": cd.per_method, "spread": cd.spread, "analytic": c_mech}))
 
-    alpha = _alpha(cfg.extras.get("alpha") or str((np.sqrt(5.0) - 1.0) / 2.0), cfg.d,
-                   "extras.alpha")
+    alpha = _parsed(lambda text: _alpha(text, cfg.d),
+                    cfg.extras.get("alpha") or str((np.sqrt(5.0) - 1.0) / 2.0), "[extras] alpha")
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
     vs = cfg.vset()
     cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs)

@@ -1,8 +1,11 @@
 import os
+import re
 
 import pytest
 
 from torushj.cli import main
+from torushj.errors import ConfigurationError
+from torushj.experiments import parse_config
 
 TINY_CFG = """
 [experiment]
@@ -44,6 +47,23 @@ def test_validate_rejects_bad_schedule(tmp_path, capsys):
     bad.write_text(TINY_CFG + "\n[schedule]\nlambdas = 0.1, 0.5\n")
     assert main(["validate", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, where", [
+    (TINY_CFG.replace("n = 16", "n = abc"), "[grid] n: invalid literal"),
+    (TINY_CFG + "\n[thresholds]\nfinal_sup_error = big\n", "[thresholds] final_sup_error"),
+    (TINY_CFG + "\n[grid]\nn = 32\n", "section 'grid' already exists"),
+    ("kind = nonexistence_3_4\n", "no section headers"),
+], ids=["bad_int", "bad_float", "duplicate_section", "no_section_header"])
+def test_malformed_config_is_a_configuration_error(tmp_path, capsys, text, where):
+    # each escaped as a bare ValueError or a configparser traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    with pytest.raises(ConfigurationError, match=re.escape(f"config {bad}: ")) as err:
+        parse_config(str(bad))
+    assert where in str(err.value)
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out.startswith(f"invalid: config {bad}: ")
 
 
 def test_validate_refuses_a_zero_vmax(tmp_path, capsys):
