@@ -3,7 +3,8 @@
 
 For each grid size the discounted solutions are swept to the smallest
 discount and compared against the mean of the selection target; the table
-shows how the plateau error shrinks with the velocity-lattice resolution.
+shows how the plateau error shrinks with the velocity-lattice resolution,
+and the sweep's wall time in milliseconds.
 
 Usage:  python scripts/grid_refinement_study.py [--sizes 32,64,128] [--lam-min 0.003]
 """
@@ -21,7 +22,7 @@ from bench_critical import rotation_sweep                       # noqa: E402
 from torushj.grids import GridField, build_grid                 # noqa: E402
 from torushj.matherlp import build_polytope                     # noqa: E402
 from torushj.models import velocity_set                         # noqa: E402
-from torushj.solver import compute_bracket, default_dt, lambda_sweep  # noqa: E402
+from torushj.solver import compute_bracket, lambda_sweep      # noqa: E402
 
 
 def main() -> int:
@@ -35,19 +36,19 @@ def main() -> int:
     model = rotation_sweep()
     lams = [lam for lam in (0.1, 0.03, 0.01, 0.003, 0.001) if lam >= args.lam_min]
 
-    print(f"{'n':>5s} {'dt':>10s} {'c':>12s} {'sup|u-0.3|':>12s} {'secs':>7s}")
+    print(f"{'n':>5s} {'dt':>10s} {'c':>12s} {'sup|u-0.3|':>12s} {'ms':>9s}")
     for n in sizes:
         grid = build_grid(1, n)
         vset = velocity_set(3.0, args.m)
-        dt = default_dt(grid, vset)
-        poly = build_polytope(model, grid, vset, dt)
+        poly = build_polytope(model, grid, vset)
         shifted = model.with_c0(poly.c)
         bracket = compute_bracket(shifted, GridField.constant(grid, 0.0))
-        t0 = time.time()
-        entries = lambda_sweep(shifted, lams, grid, vset, dt=dt, tol=1e-8,
+        t0 = time.perf_counter()
+        entries = lambda_sweep(shifted, lams, grid, vset, dt=poly.dt, tol=1e-8,
                                max_iter=400000, bracket=bracket)
+        ms = 1e3 * (time.perf_counter() - t0)
         err = float(np.max(np.abs(entries[-1].field.values - 0.3)))
-        print(f"{n:5d} {dt:10.5f} {poly.c:12.8f} {err:12.2e} {time.time() - t0:7.1f}")
+        print(f"{n:5d} {poly.dt:10.5f} {poly.c:12.8f} {err:12.2e} {ms:9.1f}")
     return 0
 
 

@@ -173,16 +173,14 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def hash_directory(dirpath: str, ignore=(TIMINGS_FILE,)) -> dict:
-    out = {}
-    for root, _dirs, files in os.walk(dirpath):
-        for name in sorted(files):
-            if name in ignore:
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, dirpath)
-            out[rel] = sha256_file(full)
-    return out
+def hash_directory(dirpath: str, names=None) -> dict:
+    """SHA-256 of each file in `names`, paths relative to dirpath; None
+    names every file under dirpath but the timings file."""
+    if names is None:
+        names = [os.path.relpath(os.path.join(root, name), dirpath)
+                 for root, _dirs, files in os.walk(dirpath) for name in files
+                 if name != TIMINGS_FILE]
+    return {rel: sha256_file(os.path.join(dirpath, rel)) for rel in sorted(names)}
 
 
 def diff_artifacts(dir_a: str, dir_b: str) -> list:

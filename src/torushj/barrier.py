@@ -54,7 +54,7 @@ from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid
 from .matherlp import MatherPolytope, build_polytope
 from .models import ControlModel, VelocitySet, discounted_wrapper
-from .solver import default_dt, lattice_graph, solve_perturbed
+from .solver import lattice_graph, solve_perturbed
 
 __all__ = [
     "BIG",
@@ -119,7 +119,7 @@ class _ActionKernel:
     def __init__(self, model: ControlModel, grid: PeriodicGrid,
                  vset: VelocitySet, dt: float):
         arcs, L0 = lattice_graph(model, grid, vset, dt)
-        self.take, self.cost = arcs.take, dt * L0                      # (K, N)
+        self.dt, self.take, self.cost = arcs.dt, arcs.take, arcs.dt * L0     # (K, N)
 
     def step(self, A: np.ndarray) -> np.ndarray:
         """h_t -> h_{t+dt}, the min-plus product A h_dt by its K arcs per node:
@@ -143,12 +143,10 @@ def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
                   T: float, dt: Optional[float] = None) -> np.ndarray:
     """The (N, N) array h_T from the diagonal seed by repeated Bellman steps;
     a T that rounds to a negative step count raises ConfigurationError."""
-    if dt is None:
-        dt = default_dt(grid, vset)
-    steps = int(round(T / dt))
+    kern = _ActionKernel(model, grid, vset, dt)
+    steps = int(round(T / kern.dt))
     if steps < 0:
         raise ConfigurationError(f"T = {T:g} is a negative horizon")
-    kern = _ActionKernel(model, grid, vset, dt)
     A = initial_action_matrix(grid)
     for _ in range(steps):
         A = kern.step(A)
@@ -186,8 +184,6 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     without them.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
-    if dt is None:
-        dt = default_dt(grid, vset)
     values: dict[str, float] = {}
     for meth in methods:
         if meth == "lp":
@@ -201,7 +197,7 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
             values["discount"] = -DISCOUNT_LAMBDA * float(np.mean(w.values))
         elif meth == "longtime":
             arcs, L0 = lattice_graph(model, grid, vset, dt)
-            values["longtime"] = -karp_min_mean(arcs.take, dt * L0) / dt
+            values["longtime"] = -karp_min_mean(arcs.take, arcs.dt * L0) / arcs.dt
         else:
             raise ConfigurationError(f"unknown critical-value method {meth!r}")
     vals = list(values.values())

@@ -2,12 +2,12 @@
 
 A backward discrete characteristic from x repeatedly takes the argmin branch
 of the same Bellman update the solver iterates, over the arcs of the same
-transition kernel (`solver.Transition`, which also decides whether the hops
-are whole cells), so on a converged field each step realizes the
-dynamic-programming equality up to the solver defect (when foot points are
-grid nodes) plus the one-cell interpolation kink scale (when they are not;
-the threshold self-calibrates from the field's second differences since
-off-lattice steps cannot do better than that).
+transition kernel (`solver.Transition`, which also refuses a bad dt and
+decides whether the hops are whole cells), so on a converged field each step
+realizes the dynamic-programming equality up to the solver defect (when
+foot points are grid nodes) plus the one-cell interpolation kink scale
+(when they are not; the threshold self-calibrates from the field's second
+differences since off-lattice steps cannot do better than that).
 
 A step of the trace needs only its argmin: the K feet y - v*dt and u there
 (`Transition.foot_sampler`), L at the point with all K velocities and foot
@@ -131,15 +131,13 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     """
     if model.c0 is None:
         raise ConfigurationError("model.c0 must be set")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"trace time step must be positive, got dt={dt}")
     if not (np.isfinite(Tmax) and Tmax >= 0):
         raise ConfigurationError(f"trace horizon must be nonnegative, got Tmax={Tmax}")
     grid = u.grid
-    lam, dt, c0 = float(lam), float(dt), model.c0
+    arcs = Transition(grid, vset, dt)
+    lam, dt, c0 = float(lam), arcs.dt, model.c0
     steps = int(np.floor(Tmax / dt + 1e-12))
     vels = vset.velocities                      # (K, d)
-    arcs = Transition(grid, vset, dt)
     y = wrap_points(np.asarray(x, dtype=float), grid.d)
     start_on_node = bool(
         np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)

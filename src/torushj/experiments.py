@@ -4,7 +4,8 @@ Configs are flat INI files (section headers plus key = value lines; see
 README for the grammar).  One table maps each (section, key) to its
 ExperimentConfig field; an absent key keeps the field's default.  Each kind
 declares the [thresholds] keys, with their defaults, and the [extras] keys
-that its runner reads (`_KINDS`); `validate` refuses any other.
+that its runner reads, with their parsers (`_KINDS`); `validate` refuses any
+other key, and any extra that its parser refuses.
 
 Each experiment kind wires the solver, barrier, measure and selection
 modules into one reproducible pipeline that starts from the critical problem
@@ -160,8 +161,8 @@ def parse_potential(spec: str) -> Callable:
 class ExperimentConfig:
     """One experiment.  Each default is also that of an absent INI key; an
     empty name is the kind's.  `validate` builds the grid, velocity set,
-    model and a seeded kind's generator, so their own rules refuse a config
-    at parse time."""
+    transition kernel, model and a seeded kind's generator, and reads every
+    [extras] value, so their own rules refuse a config at parse time."""
 
     kind: str
     name: str = ""
@@ -198,7 +199,12 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigurationError(f"{self.kind} reads no [{section}] key "
                                          f"{unknown[0]!r}")
-        self.grid(), self.vset(), self.model()      # each applies its own rules
+        for key in self.extras:
+            self.extra(key, None)
+        # each applies its own rules; the kernel refuses a dt not positive and finite
+        Transition(self.grid(), self.vset(), self.dt)
+        if self.kind != "barrier_suite" or self.model_name == "mechanical":
+            self.model()        # barrier_suite's run refuses any other model itself
         if kind.seeded:
             self.rng()
 
@@ -216,7 +222,33 @@ class ExperimentConfig:
         return velocity_set(self.vmax, self.m, self.d)
 
     def model(self):
-        return builtin_model(self.model_name, d=self.d, **self.model_params)
+        """The named model with the [model] keys but `target`, which only
+        example_6_1 reads: its model takes -target as the discount-scale
+        potential, so that the limit it selects is +mean(target) (see the
+        limit-solution formula), and it reads no `potential` of its own."""
+        params = {k: v for k, v in self.model_params.items() if k != "target"}
+        if self.kind == "example_6_1":
+            if "potential" in params:
+                raise ConfigurationError("example_6_1 reads no [model] key 'potential': "
+                                         "its potential is -target")
+            target = self.target()
+            params["potential"] = lambda x: -target(x)
+        elif "target" in self.model_params:
+            raise ConfigurationError(f"{self.kind} reads no [model] key 'target'")
+        return builtin_model(self.model_name, d=self.d, **params)
+
+    def target(self) -> Callable:
+        """example_6_1's selection target, sin(2 pi x_1) + 0.3 by default."""
+        return self.model_params.get("target") or parse_potential("sin:freq=1,offset=0.3")
+
+    def extra(self, key: str, default):
+        """The [extras] value of `key` read by its kind's parser, or `default`
+        when the config gives none.  A value the parser refuses raises
+        ConfigurationError naming `[extras] key`."""
+        if key not in self.extras:
+            return default
+        parse = _KINDS[self.kind].extras[key]
+        return _parsed(lambda text: parse(text, self.d), self.extras[key], f"[extras] {key}")
 
 
 def _floats(text: str) -> tuple:
@@ -236,8 +268,13 @@ def _alpha(text: str, d: int) -> np.ndarray:
     """A rotation vector given by 1 (shared by every axis) or d components."""
     alpha = np.array(_floats(text))
     if alpha.size not in (1, d):
-        raise ConfigurationError(f"needs 1 or {d} components")
+        raise ValueError(f"needs 1 or {d} components")
     return np.broadcast_to(alpha, (d,)).copy()
+
+
+def _text_only(parse: Callable) -> Callable:
+    """An [extras] parser of (text, d) from a parser of the text alone."""
+    return lambda text, d: parse(text)
 
 
 # INI (section, key) -> (ExperimentConfig field, parser).  Keys are read
@@ -418,13 +455,8 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Diophantine-rotation reproduction: the selected limit is the mean of
     the target potential; the sweep error against that constant must close
     below the threshold and decay monotonically (within a factor)."""
-    target = cfg.model_params.get("target") or parse_potential("sin:freq=1,offset=0.3")
-    params = {k: v for k, v in cfg.model_params.items() if k != "target"}
-    # The limit selected by inserting -target as the discount-scale potential
-    # is +mean(target); see the limit-solution formula.
-    params["potential"] = lambda x, _t=target: -_t(x)
-    poly, model = _critical_problem(cfg, cfg.dt, builtin_model(cfg.model_name, d=cfg.d, **params))
-    grid = poly.grid
+    poly, model = _critical_problem(cfg, cfg.dt)     # its potential is -target
+    target, grid = cfg.target(), poly.grid
     alpha = model.params.get("alpha", np.array([0.0]))
     stages.append(StageRecord("critical_value", True, {
         "c": poly.c, "half_alpha_sq": float(0.5 * np.sum(alpha**2))}))
@@ -514,8 +546,8 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
     grid = poly.grid
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
-    cert_true = _floats(cfg.extras.get("certificate_true", "1.5 2 4"))
-    cert_false = _floats(cfg.extras.get("certificate_false", "0.1 0.5"))
+    cert_true = cfg.extra("certificate_true", (1.5, 2.0, 4.0))
+    cert_false = cfg.extra("certificate_false", (0.1, 0.5))
     certs = {}
     ok = True
     for lam in cert_true:
@@ -527,7 +559,7 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
     stages.append(StageRecord("certificates", ok, {"certificate": certs}))
 
     bracket = compute_bracket(model, GridField.constant(grid, 0.0))
-    solve_lams = _floats(cfg.extras.get("solve_lambdas", "0.5 2.0"))
+    solve_lams = cfg.extra("solve_lambdas", (0.5, 2.0))
     outcomes = {}
     ok2 = True
     for lam in solve_lams:
@@ -551,7 +583,7 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
 def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Nonexpansiveness, image-solves, fixed-point, and idempotence checks of
     the selection operator at scale."""
-    pairs = int(cfg.extras.get("lipschitz_pairs", 20))
+    pairs = cfg.extra("lipschitz_pairs", 20)
     if pairs < 1:
         raise ConfigurationError(f"lipschitz_pairs must be at least 1, got {pairs}")
     poly, model = _critical_problem(cfg, cfg.dt)
@@ -613,11 +645,11 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     minimizing measure.  The critical polytope is at the lattice dt; the
     solves and traces are at cfg.dt, else 1e-3."""
     N = cfg.grid().size
-    start_node = int(cfg.extras.get("start_node", N // 3))
+    start_node = cfg.extra("start_node", N // 3)
     if not 0 <= start_node < N:
         raise ConfigurationError(f"start_node must lie in [0, {N}), got {start_node}")
     lams = cfg.lambdas or (0.2, 0.1, 0.05)
-    lam_mi = float(cfg.extras.get("mass_identity_lambda", lams[-1]))
+    lam_mi = float(cfg.extra("mass_identity_lambda", lams[-1]))
     if not lam_mi > 0:
         raise ConfigurationError(f"mass_identity_lambda must be positive, got {lam_mi:g}")
     poly, model = _critical_problem(cfg)
@@ -689,15 +721,14 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     mech = cfg.model()
     nodes = grid.node_coords()
     c_mech = float(np.max(mech.H(nodes, np.zeros_like(nodes), 0.0)))    # max U
-    vs_c = velocity_set(cfg.vmax, int(cfg.extras.get("m_critical", 33)), cfg.d)
+    vs_c = velocity_set(cfg.vmax, cfg.extra("m_critical", 33), cfg.d)
     cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vs_c)
     tol_mech = _threshold(cfg, "critical_tol_mechanical")
     ok1 = cd.spread <= tol_mech and abs(cd.c - c_mech) <= tol_mech
     stages.append(StageRecord("critical_mechanical", ok1, {
         "per_method": cd.per_method, "spread": cd.spread, "analytic": c_mech}))
 
-    alpha = _parsed(lambda text: _alpha(text, cfg.d),
-                    cfg.extras.get("alpha") or str((np.sqrt(5.0) - 1.0) / 2.0), "[extras] alpha")
+    alpha = cfg.extra("alpha", np.full(cfg.d, (np.sqrt(5.0) - 1.0) / 2.0))
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
     vs = cfg.vset()
     cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs)
@@ -728,13 +759,15 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
 @dataclass(frozen=True)
 class _Kind:
     """An experiment kind: its runner, the [thresholds] keys it reads with
-    their defaults, the [extras] keys it reads, and whether it draws from
+    their defaults, the [extras] keys it reads with the parser of (text, d)
+    that reads each (`ExperimentConfig.extra`), and whether it draws from
     `cfg.rng()`.  `validate` refuses any other threshold or extra, so a
-    misspelt one cannot be ignored, and builds a seeded kind's generator."""
+    misspelt one cannot be ignored, parses every extra given, and builds a
+    seeded kind's generator."""
 
     run: Callable
     thresholds: dict
-    extras: tuple = ()
+    extras: dict = dc_field(default_factory=dict)
     seeded: bool = False
 
 
@@ -743,17 +776,19 @@ _KINDS = {
     "vanishing_discount": _Kind(_run_vanishing_discount, _SWEEP_THRESHOLDS),
     "example_6_1": _Kind(_run_example_6_1, _SWEEP_THRESHOLDS),
     "nonexistence_3_4": _Kind(_run_nonexistence, {},
-                              ("certificate_true", "certificate_false", "solve_lambdas")),
+                              dict.fromkeys(("certificate_true", "certificate_false",
+                                             "solve_lambdas"), _text_only(_floats))),
     "operator_suite": _Kind(_run_operator_suite,
                             {"lipschitz_slack": 1e-7, "image_residual_c": 25.0},
-                            ("lipschitz_pairs",), seeded=True),
+                            {"lipschitz_pairs": _text_only(int)}, seeded=True),
     "occupation_suite": _Kind(_run_occupation_suite,
                               {"tv_factor": 2.0, "mass_identity_rel": 0.05},
-                              ("start_node", "mass_identity_lambda")),
+                              {"start_node": _text_only(int),
+                               "mass_identity_lambda": _text_only(float)}),
     "barrier_suite": _Kind(_run_barrier_suite,
                            {"critical_tol_mechanical": 0.05, "critical_tol_shifted": 0.02,
                             "tol_tri": 5e-3, "column_residual_c": 25.0},
-                           ("m_critical", "alpha"), seeded=True),
+                           {"m_critical": _text_only(int), "alpha": _alpha}, seeded=True),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -802,7 +837,7 @@ def run_experiment(config, output: Optional[str] = None,
         "passed": passed,
         "strict": strict,
         "artifacts": files,
-        "hashes": hash_directory(outdir, ignore=(TIMINGS_FILE, "manifest.json")),
+        "hashes": hash_directory(outdir, files),
     }
     write_manifest(manifest, os.path.join(outdir, "manifest.json"))
     write_manifest({"wall_time_seconds": wall}, os.path.join(outdir, TIMINGS_FILE))

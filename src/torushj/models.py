@@ -37,7 +37,12 @@ __all__ = [
     "BUILTIN_MODEL_NAMES",
 ]
 
-BUILTIN_MODEL_NAMES = ("mechanical", "shifted_quadratic", "arctan_discount", "sigma_discounted")
+# built-in model -> the keyword parameters it reads; `builtin_model` refuses any other
+_MODEL_KEYS = {"mechanical": ("U", "sigma", "potential"),
+               "shifted_quadratic": ("alpha", "potential"),
+               "arctan_discount": (),
+               "sigma_discounted": ("U", "sigma", "phi")}
+BUILTIN_MODEL_NAMES = tuple(_MODEL_KEYS)
 
 
 @dataclass
@@ -115,8 +120,8 @@ def velocity_set(vmax: float, m_per_axis: int, d: int = 1) -> VelocitySet:
     m_per_axis must be odd (so the zero velocity is a lattice point) and at
     least 3.
     """
-    if vmax <= 0:
-        raise ConfigurationError("vmax must be positive")
+    if not (np.isfinite(vmax) and vmax > 0):
+        raise ConfigurationError(f"vmax must be positive and finite, got {vmax:g}")
     if m_per_axis % 2 == 0:
         raise ConfigurationError(f"velocity count per axis must be odd, got {m_per_axis}")
     if m_per_axis < 3:
@@ -203,10 +208,14 @@ def builtin_model(name: str, d: int = 1, **params) -> ControlModel:
     sigma_discounted  phi = sigma(x) u,  H0 = |p|^2/2 + U(x),  V = -sigma(x) phi(x)
 
     `potential` (a callable or constant) populates V(x, lam) = potential(x)
-    for the mechanical and shifted_quadratic families.
+    for the mechanical and shifted_quadratic families.  A parameter that the
+    named model does not read (`_MODEL_KEYS`) raises ConfigurationError.
     """
     if name not in BUILTIN_MODEL_NAMES:
         raise ConfigurationError(f"unknown model {name!r}; choose from {BUILTIN_MODEL_NAMES}")
+    unread = sorted(set(params) - set(_MODEL_KEYS[name]))
+    if unread:
+        raise ConfigurationError(f"model {name!r} reads no parameter {unread[0]!r}")
     # phi = u does not broadcast over x, so that an x-free H0 keeps H free of x
     phi, sigma = (lambda x, u: np.asarray(u)), _as_potential(1.0)
     V0 = _as_potential(params.get("potential"))

@@ -14,13 +14,14 @@ sub/supersolution bracket and are clamped to it.
 By default dt = h / (velocity lattice step), which makes every foot point a
 grid node: characteristics then live on the lattice exactly, the scheme has
 no interpolation bias, and the dynamic-programming branch along backward
-curves is exact.  Any other dt (including much smaller ones) is supported
-through interpolation.  `Transition` holds these arcs once for the whole
-package: the action DP (barrier), the closedness operator (matherlp) and
-backward curves use the same kernel, and `on_arcs` evaluates a function of
-(x, v) on all of its arcs.  `lattice_graph` builds the kernel with
-whole-cell hops and L0 on its arcs for the critical problem, the action DP
-and the long-time route, and refuses any other dt.
+curves is exact.  Any other positive dt is supported through interpolation.
+`Transition`, the one kernel of the package, alone resolves a missing dt
+and refuses a bad one, and builds whole-cell arcs by index arithmetic: the
+action DP (barrier), the closedness operator (matherlp) and backward curves
+use it, and `on_arcs` evaluates a function of (x, v) on all of its arcs.
+`lattice_graph` builds it with whole-cell hops and L0 on its arcs for the
+critical problem, the action DP and the long-time route, and refuses any
+other dt.
 
 Each solver step is one Howard policy evaluation.  The argmin arcs of T[u]
 form a policy pi, and u <- u + (I - diag(a) P_pi)^-1 (T[u] - u) with
@@ -111,18 +112,22 @@ class Transition:
     Bellman update, the action DP and backward curves read values at its
     foot x - v*dt; the closedness operator pushes mass to its head x + v*dt.
     With integer hops (v*dt/h whole for every velocity) both ends are nodes;
-    otherwise they are periodic multilinear stencils.  `take` and `w` hold
-    the foot stencil in (K, N) C order, `heads` the head stencil.  Each
-    stencil is built the first time it is read, so a kernel that only
-    samples feet (`foot_sampler`) or only pushes mass to heads builds no
-    foot stencil.
+    otherwise they are periodic multilinear stencils.  dt defaults to
+    `default_dt`; one not positive and finite raises ConfigurationError.
+    `take` and `w` hold the foot stencil in (K, N) C order, `heads` the head
+    stencil.  Each stencil is built the first time it is read, so a kernel
+    that only samples feet (`foot_sampler`) or only pushes mass to heads
+    builds no foot stencil.
     """
 
-    def __init__(self, grid: PeriodicGrid, vset: VelocitySet, dt: float):
+    def __init__(self, grid: PeriodicGrid, vset: VelocitySet, dt: Optional[float] = None):
         if vset.d != grid.d:
             raise ConfigurationError("velocity set and grid dimensions differ")
-        self.grid, self.vset, self.dt = grid, vset, float(dt)
-        hops = vset.velocities * (self.dt / grid.h)     # (K, d), in cells
+        dt = default_dt(grid, vset) if dt is None else float(dt)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigurationError(f"time step dt must be positive and finite, got {dt:g}")
+        self.grid, self.vset, self.dt = grid, vset, dt
+        hops = vset.velocities * (dt / grid.h)          # (K, d), in cells
         self.integer_hops = bool(np.max(np.abs(hops - np.rint(hops))) < 1e-9)
 
     @cached_property
@@ -140,25 +145,21 @@ class Transition:
         return self._foot[1]
 
     def stencil(self, sign: int):
-        """Arc ends x + sign*v*dt: (K, N) node indices and None with integer
-        hops, else (K, N, S) stencil indices and convex weights."""
-        ends = (self.grid.node_coords()[None, :, :]
-                + sign * self.vset.velocities[:, None, :] * self.dt)
-        if self.integer_hops:
-            return self.grid.nearest_node(ends), None
-        return interpolation_stencil(self.grid, ends)
+        """Arc ends x + sign*v*dt: with integer hops (K, N) node indices, each
+        node's multi-index plus sign times the cells of v*dt, and None; else
+        (K, N, S) stencil indices and convex weights."""
+        grid = self.grid
+        if self.integer_hops:       # the whole cells of v*dt, mod n, and the nodes
+            cells = np.rint(np.mod(self.vset.velocities * (self.dt / grid.h), grid.n))
+            nodes = product_lattice(np.arange(grid.n), grid.d)                  # (N, d)
+            return grid.flat_index(nodes + sign * cells.astype(np.int64)[:, None, :]), None
+        ends = grid.node_coords()[None, :, :] + sign * self.vset.velocities[:, None, :] * self.dt
+        return interpolation_stencil(grid, ends)
 
     @cached_property
     def heads(self):
-        """Arc heads x + v*dt, computed once: with integer hops the (K, N)
-        node indices that invert each foot map `take`, and None; else
-        `stencil(+1)`."""
-        if not self.integer_hops:
-            return self.stencil(+1)
-        K, N = self.take.shape
-        head = np.empty_like(self.take)
-        head[np.arange(K)[:, None], self.take] = np.arange(N)
-        return head, None
+        """Arc heads x + v*dt, `stencil(+1)`, computed once."""
+        return self.stencil(+1)
 
     def foot_values(self, values: np.ndarray) -> np.ndarray:
         """Field values at all foot points, shape (K, N)."""
@@ -303,12 +304,10 @@ def lattice_graph(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     arcs' L0(y, v_k), charged at the head, shape (K, N).  The critical
     problem, the action DP and the barrier live on it; a dt whose hops leave
     the node lattice has no such graph and raises ConfigurationError."""
-    if dt is None:
-        dt = default_dt(grid, vset)
     arcs = Transition(grid, vset, dt)
     if not arcs.integer_hops:
         raise ConfigurationError(
-            f"dt = {dt:g} moves velocities off the node lattice; the lattice "
+            f"dt = {arcs.dt:g} moves velocities off the node lattice; the lattice "
             "graph needs whole-cell hops (dt = h / velocity step)")
     return arcs, on_arcs(grid, vset, model.L, 0.0)
 
@@ -324,12 +323,12 @@ class _Kernel:
             )
         self.model = model
         self.lam = float(lam)
-        self.dt = float(dt)
         self.arcs = Transition(grid, vset, dt)
+        self.dt = self.arcs.dt
         self.X = grid.node_coords()
         L0 = on_arcs(grid, vset, model.L, 0.0)
         Vlam = np.asarray(model.V(self.X, lam), dtype=float) if lam != 0.0 else 0.0
-        self.base = dt * (L0 - lam * Vlam + model.c0)      # (K, N)
+        self.base = self.dt * (L0 - lam * Vlam + model.c0)      # (K, N)
         self._L0 = L0 if model.L_u_part is None else None
 
     def candidates(self, values: np.ndarray) -> np.ndarray:
@@ -358,7 +357,7 @@ def residual(model: ControlModel, lam: float, u: GridField,
              vset: VelocitySet, dt: float) -> float:
     """Sup-norm fixed-point defect per unit time, ||u - T[u]||_inf / dt."""
     k = _Kernel(model, lam, u.grid, vset, dt)
-    return float(np.max(np.abs(u.values - k.apply(u.values))) / dt)
+    return float(np.max(np.abs(u.values - k.apply(u.values))) / k.dt)
 
 
 def one_sided_subsolution_defect(model: ControlModel, w: GridField,
@@ -366,7 +365,7 @@ def one_sided_subsolution_defect(model: ControlModel, w: GridField,
     """max(w - T0[w])/dt; nonpositive (up to tolerance) iff w is a discrete
     subsolution of the critical equation."""
     k = _Kernel(model, 0.0, w.grid, vset, dt)
-    return float(np.max(w.values - k.apply(w.values)) / dt)
+    return float(np.max(w.values - k.apply(w.values)) / k.dt)
 
 
 def _min_over_nodes(fn, X: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -457,10 +456,8 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
     """
     if lam <= 0:
         raise ConfigurationError("discount lam must be positive")
-    if dt is None:
-        dt = default_dt(grid, vset)
     kernel = _Kernel(model, lam, grid, vset, dt)
-    X, nodes = kernel.X, np.arange(grid.size)
+    X, nodes, dt = kernel.X, np.arange(grid.size), kernel.dt
     sigma_nodes = -np.asarray(model.dLdu0(X, np.zeros_like(X)), dtype=float)
     if lam * dt * float(sigma_nodes.max()) >= 1.0:
         raise ConfigurationError(

@@ -380,3 +380,18 @@ solve_lambdas = 0.5
     assert {s["name"] for s in man["stages"]} == {"critical_value", "certificates", "solves"}
     assert os.path.exists(os.path.join(res.outdir, "timings.json"))
     assert "timings.json" not in man["hashes"]
+
+
+def test_manifest_hashes_only_the_files_of_its_run(tmp_path):
+    """A file an earlier run left in the output directory is not one of this
+    run's artifacts, so its hash is not in the manifest."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old_values.csv").write_text("# left by an earlier run\n")
+    cfg = experiments.ExperimentConfig(
+        kind="nonexistence_3_4", name="nx", model_name="arctan_discount", n=16, vmax=2.0, m=9,
+        extras={"certificate_true": "2.0", "certificate_false": "0.5", "solve_lambdas": "0.5"})
+    manifest = experiments.run_experiment(cfg, output=str(out)).manifest
+    assert sorted(manifest["hashes"]) == manifest["artifacts"]
+    assert "old_values.csv" not in manifest["hashes"]
+    assert manifest["hashes"] == hash_directory(str(out), manifest["artifacts"])

@@ -106,3 +106,82 @@ def test_run_failure_exit_code(tmp_path):
                                     "certificate_true = 0.5"))
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
 
+
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+def test_validate_refuses_a_solver_dt_not_positive_and_finite(tmp_path, capsys, dt):
+    # dt = 0 ended a run as ZeroDivisionError, dt = -1 as a MatherLPError
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG + f"\n[solver]\ndt = {dt}\n")
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: ") and "dt must be positive and finite" in out
+
+
+@pytest.mark.parametrize("vmax", ["nan", "inf"])
+def test_validate_refuses_a_vmax_that_is_not_finite(tmp_path, capsys, vmax):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG.replace("vmax = 2.0", f"vmax = {vmax}"))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out == f"invalid: vmax must be positive and finite, got {vmax}\n"
+
+
+KIND_CFG = """
+[experiment]
+kind = {kind}
+
+[model]
+name = {model}
+{model_keys}
+
+[grid]
+n = 16
+
+[velocities]
+vmax = 2.0
+m = 9
+
+[extras]
+{extras}
+"""
+
+
+@pytest.mark.parametrize("kind, extras, key", [
+    ("operator_suite", "lipschitz_pairs = abc", "lipschitz_pairs"),
+    ("occupation_suite", "start_node = 1.5", "start_node"),
+    ("nonexistence_3_4", "certificate_true = x y", "certificate_true"),
+    ("barrier_suite", "alpha = 0.3, 0.5", "alpha"),
+])
+def test_an_extra_its_parser_refuses_is_refused_at_parse_time(tmp_path, capsys,
+                                                               kind, extras, key):
+    # each ended its run as a bare ValueError after the critical problem
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(KIND_CFG.format(kind=kind, model="mechanical", model_keys="",
+                                   extras=extras))
+    with pytest.raises(ConfigurationError, match=re.escape(f"[extras] {key}: ")):
+        parse_config(str(bad))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out.startswith(f"invalid: [extras] {key}: ")
+
+
+@pytest.mark.parametrize("kind, model, model_keys, unread", [
+    ("vanishing_discount", "shifted_quadratic",
+     "U = cos:amp=5\nsigma = const:value=3", "model 'shifted_quadratic' reads no parameter 'U'"),
+    ("example_6_1", "arctan_discount", "alpha = 0.3",
+     "model 'arctan_discount' reads no parameter 'alpha'"),
+    ("vanishing_discount", "arctan_discount", "potential = const:value=100",
+     "model 'arctan_discount' reads no parameter 'potential'"),
+    ("example_6_1", "shifted_quadratic", "potential = const:value=100",
+     "example_6_1 reads no [model] key 'potential'"),
+    ("vanishing_discount", "mechanical", "target = sin:freq=1",
+     "vanishing_discount reads no [model] key 'target'"),
+])
+def test_a_model_key_that_the_run_never_reads_is_refused(tmp_path, capsys, kind, model,
+                                                         model_keys, unread):
+    # each validated as ok and ran as if the key were absent
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(KIND_CFG.format(kind=kind, model=model, model_keys=model_keys, extras=""))
+    with pytest.raises(ConfigurationError, match=re.escape(unread)):
+        parse_config(str(bad))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out.startswith("invalid: ")

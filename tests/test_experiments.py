@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -524,3 +525,17 @@ def test_vanishing_discount_refuses_a_class_of_several_nodes(tmp_path):
         "ConfigurationError: the closed form needs one-node static classes "
         "(Dirac Mather measures); class sizes: [16]")
     assert [s.error_type for s in res.stages] == [None, None, "ConfigurationError"]
+
+
+def test_the_benchmark_workload_configs_validate(tmp_path, monkeypatch):
+    """The configs `bench/run.py` writes for its workloads pass the parse-time
+    refusals: every key they give is one their run reads."""
+    bench = CONFIG_DIR.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))             # run.py imports its tracer
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    for name, workload in sorted(bench_run.WORKLOADS.items()):
+        path = tmp_path / f"{name}.cfg"
+        bench_run.write_config(workload(1), str(path))
+        assert parse_config(str(path)).name == name

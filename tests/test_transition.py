@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from torushj.barrier import critical_value, evolve_action
 from torushj.curves import backward_calibrated_curve, closedness_defect, occupation_measure
 from torushj.errors import ConfigurationError
 from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
@@ -272,3 +273,69 @@ def test_build_polytope_uses_one_transition(monkeypatch, case):
     aubry, label, reps = poly.static_classes()
     assert len(want) == reps.size >= 1
     assert [list(aubry[label == c]) for c in range(reps.size)] == want
+
+
+@pytest.mark.parametrize("d, n, vmax, m", [(1, 16, 2.0, 9), (1, 50, 3.0, 25), (1, 128, 3.0, 49),
+                                           (2, 8, 1.0, 5), (2, 12, 2.0, 7)])
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_integer_arcs_match_the_float_round_trip(d, n, vmax, m, cells):
+    """On the lattice, `take` and `heads` come from index arithmetic; they
+    equal, dtype and bits included, the float path they replace:
+    `nearest_node` of x -+ v*dt, at 1, 2 and 3 lattice steps per velocity
+    step, on the nodes and on seeded sub-grids of nodes."""
+    grid, vset = build_grid(d, n), velocity_set(vmax, m, d)
+    arcs = Transition(grid, vset, cells * default_dt(grid, vset))
+    assert arcs.integer_hops
+    X = grid.node_coords()
+    take = grid.nearest_node(X[None, :, :] - vset.velocities[:, None, :] * arcs.dt)
+    heads = grid.nearest_node(X[None, :, :] + vset.velocities[:, None, :] * arcs.dt)
+    for got, want in ((arcs.take, take), (arcs.heads[0], heads)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert arcs.w is None and arcs.heads[1] is None
+    rng = np.random.default_rng(100 * n + cells)
+    nodes = rng.integers(0, grid.size, size=7)
+    np.testing.assert_array_equal(
+        arcs.take[:, nodes],
+        grid.nearest_node(X[None, nodes, :] - vset.velocities[:, None, :] * arcs.dt))
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_missing_dt_is_the_default_dt(case):
+    grid, vset, _ = make(*case)
+    given, resolved = Transition(grid, vset, default_dt(grid, vset)), Transition(grid, vset)
+    assert resolved.dt == given.dt and resolved.integer_hops == given.integer_hops
+    for got, want in ((resolved.take, given.take), (resolved.heads[0], given.heads[0])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+BAD_DT = [0.0, "-h", float("nan"), float("inf")]
+
+
+def _entries():
+    """Each public entry that takes a dt, as a function of (grid, vset, dt)."""
+    model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1"))
+    ready = model.with_c0(1.0)
+    u0 = lambda grid: GridField.constant(grid, 0.0)
+    return {
+        "Transition": lambda g, v, dt: Transition(g, v, dt),
+        "solve_perturbed": lambda g, v, dt: solver.solve_perturbed(ready, 0.5, g, v, dt=dt),
+        "build_polytope": lambda g, v, dt: build_polytope(model, g, v, dt),
+        "critical_value_lp": lambda g, v, dt: critical_value(model, "lp", g, v, dt),
+        "critical_value_discount": lambda g, v, dt: critical_value(model, "discount", g, v, dt),
+        "critical_value_longtime": lambda g, v, dt: critical_value(model, "longtime", g, v, dt),
+        "evolve_action": lambda g, v, dt: evolve_action(model, g, v, T=1.0, dt=dt),
+        "backward_calibrated_curve": lambda g, v, dt: backward_calibrated_curve(
+            ready, 0.5, u0(g), [0.25], Tmax=1.0, dt=dt, vset=v),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entries()))
+@pytest.mark.parametrize("dt", BAD_DT, ids=["zero", "minus_h", "nan", "inf"])
+def test_a_dt_not_positive_and_finite_is_refused_by_the_kernel(entry, dt):
+    """Every route to a kernel refuses the dt in `Transition`, before any
+    division by it (a zero dt ended as ZeroDivisionError)."""
+    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    dt = -grid.h if dt == "-h" else dt
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        _entries()[entry](grid, vset, dt)
