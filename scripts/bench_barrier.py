@@ -39,10 +39,10 @@ sys.path.insert(0, HERE)
 from bench_critical import (ROOT, alternating, best, child_json, rotation,  # noqa: E402
                             well, write_record)
 from torushj.barrier import BIG, _ActionKernel, karp_min_mean  # noqa: E402
-from torushj.grids import build_grid                           # noqa: E402
+from torushj.grids import PeriodicGrid                         # noqa: E402
 from torushj.matherlp import build_polytope                    # noqa: E402
 from torushj.models import velocity_set                        # noqa: E402
-from torushj.solver import default_dt                          # noqa: E402
+from torushj.solver import Transition                          # noqa: E402
 
 TMAX = 24.0
 
@@ -50,7 +50,7 @@ TMAX = 24.0
 def cases():
     out = []
     for d, n, m_crit, m in ((1, 128, 33, 49), (2, 16, 9, 9), (2, 24, 9, 9)):
-        grid = build_grid(d, n)
+        grid = PeriodicGrid(d, n)
         out.append((f"mechanical d={d} n={n} m={m_crit}", well(d), grid,
                     velocity_set(3.0, m_crit, d)))
         out.append((f"shifted_quadratic d={d} n={n} m={m}", rotation(d), grid,
@@ -105,16 +105,17 @@ def main() -> int:
     print(f"{'case':<34s} {'N':>4s} {'steps':>5s} {'karp_s':>8s} {'power_s':>8s} "
           f"{'|c-c_H|':>8s} {'c-c_T':>8s}")
     for name, model, grid, vset in cases():
-        dt = default_dt(grid, vset)
+        arcs = Transition(grid, vset)
+        dt = arcs.dt
         steps = int(round(TMAX / dt))
-        kern = _ActionKernel(model, grid, vset, dt)
+        kern = _ActionKernel(model, arcs)
         karp_s, eta = best(lambda: karp_min_mean(kern.take, kern.cost), args.repeat)
         power_s, diag = best(lambda: retired_longtime(kern, steps), args.repeat)
         c, c_T = -eta / dt, -float(diag.min()) / (steps * dt)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,
                "steps": steps, "karp_s": karp_s, "powering_s": power_s,
                "dense_products": max(steps.bit_length() - 2, 0),
-               "abs_c_karp_minus_howard": abs(c - build_polytope(model, grid, vset, dt).c),
+               "abs_c_karp_minus_howard": abs(c - build_polytope(model, arcs).c),
                "c_karp_minus_c_T": c - c_T}
         rows.append(row)
         print(f"{name:<34s} {grid.size:4d} {steps:5d} {karp_s:8.4f} {power_s:8.4f} "

@@ -80,17 +80,17 @@ def rotation_sweep():
 
 
 def cases():
-    from torushj.grids import build_grid
+    from torushj.grids import PeriodicGrid
     from torushj.models import velocity_set
 
-    vs, mech, grid128 = velocity_set(3.0, 49), well(), build_grid(1, 128)
+    vs, mech, grid128 = velocity_set(3.0, 49), well(), PeriodicGrid(1, 128)
     return [
-        ("rotation_sweep n=32", rotation_sweep(), build_grid(1, 32), vs),
-        ("occupation n=64", mech, build_grid(1, 64), vs),
+        ("rotation_sweep n=32", rotation_sweep(), PeriodicGrid(1, 32), vs),
+        ("occupation n=64", mech, PeriodicGrid(1, 64), vs),
         ("barrier poly49 n=128", mech, grid128, vs),
         ("mechanical K=33 n=128", mech, grid128, velocity_set(3.0, 33)),
         ("shifted_quadratic K=49 n=128", rotation(), grid128, vs),
-        ("cos_sum d=2 n=40", well(2, "cos_sum:amp=1,freq=1"), build_grid(2, 40),
+        ("cos_sum d=2 n=40", well(2, "cos_sum:amp=1,freq=1"), PeriodicGrid(2, 40),
          velocity_set(2.0, 9, d=2)),
     ]
 
@@ -170,7 +170,7 @@ def write_record(path, **fields):
 def main() -> int:
     import numpy as np
     from torushj.matherlp import _howard, build_polytope, solve_mather_lp
-    from torushj.solver import lattice_graph
+    from torushj.solver import Transition, lattice_graph
 
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
@@ -181,10 +181,10 @@ def main() -> int:
     print(f"{'case':<28s} {'LP vars':>8s} {'lp_s':>9s} {'howard_s':>9s} {'iters':>5s} "
           f"{'build_s':>9s} {'|dc|':>8s} {'min rc':>9s}")
     for name, model, grid, vset in cases():
-        build_s, poly = best(lambda: build_polytope(model, grid, vset), args.repeat)
+        arcs = Transition(grid, vset)
+        build_s, poly = best(lambda: build_polytope(model, arcs), args.repeat)
         lp_s, (_, opt, _) = best(lambda: solve_mather_lp(model, poly), args.repeat)
-        arcs, L0 = lattice_graph(model, grid, vset)
-        W = arcs.dt * L0
+        W = arcs.dt * lattice_graph(model, arcs)
         howard_s, (_, _, _, iters) = best(lambda: _howard(arcs.take, W, np.ones_like(W)),
                                           args.repeat)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,

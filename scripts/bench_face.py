@@ -44,18 +44,19 @@ from bench_critical import ALPHA, ROOT, best, rotation, rotation_sweep, write_re
 from test_mather_face import mather_vertices, restricted_lp, vertex_minimize  # noqa: E402
 from test_peierls_exact import all_sources_barrier             # noqa: E402
 from torushj.barrier import peierls_barrier                    # noqa: E402
-from torushj.grids import GridField, build_grid                # noqa: E402
+from torushj.grids import GridField, PeriodicGrid              # noqa: E402
 from torushj.matherlp import build_polytope                    # noqa: E402
 from torushj.models import velocity_set                        # noqa: E402
 from torushj.selection import _dl_flat, _minimize_on_face      # noqa: E402
+from torushj.solver import Transition                          # noqa: E402
 
 
 def barrier_cases():
     vs = velocity_set(3.0, 49)
     rot, rot2 = rotation(), rotation(2, [ALPHA, np.sqrt(2.0) - 1.0])
-    return [("rotation d=1 n=32", rot, build_grid(1, 32), vs),
-            ("rotation d=1 n=128", rot, build_grid(1, 128), vs),
-            ("rotation d=2 n=24", rot2, build_grid(2, 24), velocity_set(2.0, 5, d=2))]
+    return [("rotation d=1 n=32", rot, PeriodicGrid(1, 32), vs),
+            ("rotation d=1 n=128", rot, PeriodicGrid(1, 128), vs),
+            ("rotation d=2 n=24", rot2, PeriodicGrid(2, 24), velocity_set(2.0, 5, d=2))]
 
 
 def selection_cases():
@@ -65,13 +66,13 @@ def selection_cases():
     vs = velocity_set(3.0, 49)
     half = rotation(alpha=vs.spacing / 2)
     for n in (16, 32, 64, 128):
-        grid = build_grid(1, n)
-        poly = build_polytope(half, grid, vs)
+        grid = PeriodicGrid(1, n)
+        poly = build_polytope(half, Transition(grid, vs))
         phi = np.random.default_rng(n).normal(size=n)
         out.append((f"branched operator n={n}", poly, poly.barrier.values,
                     np.ones(poly.num_vars), np.repeat(phi, vs.count)))
-    rot, grid = rotation_sweep(), build_grid(1, 32)
-    poly = build_polytope(rot, grid, vs)
+    rot, grid = rotation_sweep(), PeriodicGrid(1, 32)
+    poly = build_polytope(rot, Transition(grid, vs))
     V0 = GridField.from_function(grid, rot.V0)
     out.append(("rotation_sweep limit formula n=32", poly, poly.barrier.values,
                 _dl_flat(rot, poly), np.repeat(V0.values, vs.count)))
@@ -95,7 +96,7 @@ def main() -> int:
     print(f"{'barrier case':<22s} {'classes':>7s} {'aubry':>6s} {'per_class_s':>11s} "
           f"{'all_sources_s':>13s} {'max|dh|':>8s}")
     for name, model, grid, vset in barrier_cases():
-        poly = build_polytope(model, grid, vset)
+        poly = build_polytope(model, Transition(grid, vset))
         new_s, h = best(lambda: peierls_barrier(poly), args.repeat)
         old_s, (want, aubry) = best(lambda: all_sources_barrier(model, poly), args.repeat)
         row = {"case": name, "nodes": grid.size, "velocities": vset.count,

@@ -55,10 +55,10 @@ def run_case(case, repeat):
     import numpy as np
     from torushj.barrier import peierls_barrier
     from torushj.experiments import parse_potential
-    from torushj.grids import build_grid
+    from torushj.grids import PeriodicGrid
     from torushj.matherlp import build_polytope
     from torushj.models import velocity_set
-    from torushj.solver import solve_perturbed
+    from torushj.solver import Transition, solve_perturbed
 
     d = case["d"]
     model = {
@@ -67,16 +67,16 @@ def run_case(case, repeat):
         "rotation2": lambda: rotation(2, (0.618034, 0.414214),
                                       potential=parse_potential("sin:freq=1,offset=0.3")),
     }[case["model"]]()
-    grid, vset = build_grid(d, case["n"]), velocity_set(case["vmax"], case["m"], d)
-    poly = build_polytope(model, grid, vset)
+    grid, vset = PeriodicGrid(d, case["n"]), velocity_set(case["vmax"], case["m"], d)
+    poly = build_polytope(model, Transition(grid, vset))
     classes = int(len(poly.static_classes()[2]))
     if case["layer"] == "barrier":
         seconds, h = best(lambda: peierls_barrier(poly), repeat)
         return {"seconds": seconds, "classes": classes,
                 "sha256": hashlib.sha256(np.ascontiguousarray(h.values).tobytes()).hexdigest()}
     shifted = model.with_c0(poly.c)
-    seconds, (u, report) = best(lambda: solve_perturbed(shifted, 0.1, grid, vset,
-                                                        dt=case["dt"], tol=1e-10), repeat)
+    arcs = Transition(grid, vset, case["dt"])
+    seconds, (u, report) = best(lambda: solve_perturbed(shifted, 0.1, arcs, tol=1e-10), repeat)
     return {"seconds": seconds, "classes": classes, "field": u.values.tolist(),
             "evaluations": report.iterations}
 

@@ -116,8 +116,8 @@ def sampler_us_per_row(args, kwargs, repeat):
     """The foot sampler of one trace's kernel and field, apart from the block
     loop: the best of `repeat` timings of enough calls on S random points,
     in microseconds per row, for each S of SAMPLER_ROWS."""
-    u, vset, dt = args[2], kwargs["vset"], kwargs["dt"]
-    feet_at = Transition(u.grid, vset, dt).foot_sampler(u.values)
+    u = args[2]
+    feet_at = kwargs["arcs"].foot_sampler(u.values)
     rng = np.random.default_rng(0)
     times = {}
     for S in SAMPLER_ROWS:
@@ -167,7 +167,7 @@ def main() -> int:
         rows.append(row)
         print(line)
     name, (targs, tkw) = traces[0]
-    sampler = {"trace": name, "K": tkw["vset"].count,
+    sampler = {"trace": name, "K": tkw["arcs"].vset.count,
                "us_per_row": sampler_us_per_row(targs, tkw, args.repeat),
                "src_us_per_row": src_sampler}
     print(f"foot sampler, {name}, K = {sampler['K']}, us per row at S = "

@@ -19,10 +19,10 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_critical import rotation_sweep                       # noqa: E402
-from torushj.grids import GridField, build_grid                 # noqa: E402
+from torushj.grids import GridField, PeriodicGrid               # noqa: E402
 from torushj.matherlp import build_polytope                     # noqa: E402
 from torushj.models import velocity_set                         # noqa: E402
-from torushj.solver import compute_bracket, lambda_sweep      # noqa: E402
+from torushj.solver import Transition, compute_bracket, lambda_sweep  # noqa: E402
 
 
 def main() -> int:
@@ -38,13 +38,13 @@ def main() -> int:
 
     print(f"{'n':>5s} {'dt':>10s} {'c':>12s} {'sup|u-0.3|':>12s} {'ms':>9s}")
     for n in sizes:
-        grid = build_grid(1, n)
+        grid = PeriodicGrid(1, n)
         vset = velocity_set(3.0, args.m)
-        poly = build_polytope(model, grid, vset)
+        poly = build_polytope(model, Transition(grid, vset))
         shifted = model.with_c0(poly.c)
         bracket = compute_bracket(shifted, GridField.constant(grid, 0.0))
         t0 = time.perf_counter()
-        entries = lambda_sweep(shifted, lams, grid, vset, dt=poly.dt, tol=1e-8,
+        entries = lambda_sweep(shifted, lams, Transition(grid, vset, poly.dt), tol=1e-8,
                                max_iter=400000, bracket=bracket)
         ms = 1e3 * (time.perf_counter() - t0)
         err = float(np.max(np.abs(entries[-1].field.values - 0.3)))

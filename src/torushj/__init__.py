@@ -8,7 +8,7 @@ evaluates the barrier/measure selection operator together with its
 fixed-point, comparison, and occupation-measure diagnostics.
 """
 
-from .grids import PeriodicGrid, GridField, build_grid, interpolate, wrap_points
+from .grids import PeriodicGrid, GridField, interpolate, wrap_points
 from .models import ControlModel, VelocitySet, builtin_model, velocity_set, fenchel_lagrangian
 from .solver import (
     Bracket,
@@ -22,7 +22,7 @@ from .solver import (
 )
 
 __all__ = [
-    "PeriodicGrid", "GridField", "build_grid", "interpolate", "wrap_points",
+    "PeriodicGrid", "GridField", "interpolate", "wrap_points",
     "ControlModel", "VelocitySet", "builtin_model", "velocity_set", "fenchel_lagrangian",
     "Bracket", "SolveReport", "bellman_apply", "compute_bracket", "lambda_sweep",
     "nonexistence_certificate", "residual", "solve_perturbed",

@@ -53,8 +53,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, SolveError
 from .grids import GridField, PeriodicGrid
 from .matherlp import MatherPolytope, build_polytope
-from .models import ControlModel, VelocitySet, discounted_wrapper
-from .solver import lattice_graph, solve_perturbed
+from .models import ControlModel, discounted_wrapper
+from .solver import Transition, lattice_graph, solve_perturbed
 
 __all__ = [
     "BIG",
@@ -116,9 +116,8 @@ def initial_action_matrix(grid: PeriodicGrid) -> np.ndarray:
 class _ActionKernel:
     """Reusable one-step Bellman kernel for the action DP."""
 
-    def __init__(self, model: ControlModel, grid: PeriodicGrid,
-                 vset: VelocitySet, dt: float):
-        arcs, L0 = lattice_graph(model, grid, vset, dt)
+    def __init__(self, model: ControlModel, arcs: Transition):
+        L0 = lattice_graph(model, arcs)
         self.dt, self.take, self.cost = arcs.dt, arcs.take, arcs.dt * L0     # (K, N)
 
     def step(self, A: np.ndarray) -> np.ndarray:
@@ -133,21 +132,19 @@ class _ActionKernel:
         return np.ascontiguousarray(out.T)
 
 
-def min_action_step(model: ControlModel, A: np.ndarray, grid: PeriodicGrid,
-                    vset: VelocitySet, dt: float) -> np.ndarray:
+def min_action_step(model: ControlModel, A: np.ndarray, arcs: Transition) -> np.ndarray:
     """One Bellman step h_t -> h_{t+dt} of the (N, N) array A, for u = 0."""
-    return _ActionKernel(model, grid, vset, dt).step(A)
+    return _ActionKernel(model, arcs).step(A)
 
 
-def evolve_action(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
-                  T: float, dt: Optional[float] = None) -> np.ndarray:
+def evolve_action(model: ControlModel, arcs: Transition, T: float) -> np.ndarray:
     """The (N, N) array h_T from the diagonal seed by repeated Bellman steps;
     a T that rounds to a negative step count raises ConfigurationError."""
-    kern = _ActionKernel(model, grid, vset, dt)
+    kern = _ActionKernel(model, arcs)
     steps = int(round(T / kern.dt))
     if steps < 0:
         raise ConfigurationError(f"T = {T:g} is a negative horizon")
-    A = initial_action_matrix(grid)
+    A = initial_action_matrix(arcs.grid)
     for _ in range(steps):
         A = kern.step(A)
     return A
@@ -166,9 +163,8 @@ def karp_min_mean(take: np.ndarray, W: np.ndarray) -> float:
     return float(np.min(np.max((D[N] - D[:N]) / (N - np.arange(N))[:, None], axis=0)))
 
 
-def critical_value(model: ControlModel, method, grid: PeriodicGrid,
-                   vset: VelocitySet, dt: Optional[float] = None) -> CriticalData:
-    """Critical value of H(., ., 0) by one or several routes.
+def critical_value(model: ControlModel, method, arcs: Transition) -> CriticalData:
+    """Critical value of H(., ., 0) on the kernel `arcs` by one or more routes.
 
     method is "lp", "discount", "longtime", or a sequence of those; with two
     or more methods the spread records their maximum disagreement and c is
@@ -187,17 +183,17 @@ def critical_value(model: ControlModel, method, grid: PeriodicGrid,
     values: dict[str, float] = {}
     for meth in methods:
         if meth == "lp":
-            values["lp"] = build_polytope(model, grid, vset, dt).c
+            values["lp"] = build_polytope(model, arcs).c
         elif meth == "discount":
-            w, rep = solve_perturbed(discounted_wrapper(model), DISCOUNT_LAMBDA,
-                                     grid, vset, dt=dt, tol=1e-9)
+            w, rep = solve_perturbed(discounted_wrapper(model), DISCOUNT_LAMBDA, arcs,
+                                     tol=1e-9)
             if not rep.converged:
                 raise SolveError(f"discount route: the solve at lam = {DISCOUNT_LAMBDA:g} "
                                  f"stopped at residual {rep.final_residual:.3g}")
             values["discount"] = -DISCOUNT_LAMBDA * float(np.mean(w.values))
         elif meth == "longtime":
-            arcs, L0 = lattice_graph(model, grid, vset, dt)
-            values["longtime"] = -karp_min_mean(arcs.take, arcs.dt * L0) / arcs.dt
+            W = arcs.dt * lattice_graph(model, arcs)
+            values["longtime"] = -karp_min_mean(arcs.take, W) / arcs.dt
         else:
             raise ConfigurationError(f"unknown critical-value method {meth!r}")
     vals = list(values.values())

@@ -1,7 +1,8 @@
 """Command line driver: run/validate experiment configs, diff artifacts.
 
 Exit code 0 from `run` means every stage threshold in the config passed
-(with --strict, warnings also count as failures).  The default output root
+(with --strict, warnings also count as failures); a config that does not
+parse prints `invalid: <reason>` and exits 1.  The default output root
 is ./runs, overridable by --output or the TORUSHJ_OUTPUT_ROOT environment
 variable.
 """
@@ -40,12 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
+    if args.command in ("validate", "run"):
         try:
             cfg = parse_config(args.config)
         except ConfigurationError as exc:
             print(f"invalid: {exc}")
             return 1
+
+    if args.command == "validate":
         print(f"ok: kind={cfg.kind} model={cfg.model_name} grid=({cfg.d},{cfg.n}) "
               f"vset=({cfg.vmax},{cfg.m}) lambdas={list(cfg.lambdas)}")
         return 0
@@ -69,7 +72,7 @@ def main(argv=None) -> int:
         return 0 if not diffs else 1
 
     if args.command == "run":
-        result = run_experiment(args.config, output=args.output, strict=args.strict)
+        result = run_experiment(cfg, output=args.output, strict=args.strict)
         for s in result.stages:
             mark = "PASS" if s.ok else "FAIL"
             extra = f"  ({s.error})" if s.error else ""

@@ -53,10 +53,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError, TailMassError
-from .grids import (GridField, PeriodicGrid, interpolate, interpolation_stencil,
-                    wrap_points, wrap_unit)
+from .grids import GridField, interpolate, interpolation_stencil, wrap_points, wrap_unit
 from .matherlp import DiscreteMeasure
-from .models import ControlModel, VelocitySet
+from .models import ControlModel
 from .solver import Bracket, Transition, on_arcs
 
 __all__ = [
@@ -93,7 +92,7 @@ class CurveTrace:
     """
 
     lam: float
-    dt: float
+    arcs: Transition            # the kernel it stepped with; dt is its dt
     horizon: float
     points: np.ndarray          # (S+1, d)
     velocities: np.ndarray      # (S, d)
@@ -104,6 +103,10 @@ class CurveTrace:
     dl0: np.ndarray             # (S,)
     on_lattice: bool
     defect_tol: float
+
+    @property
+    def dt(self) -> float:
+        return self.arcs.dt
 
     @property
     def steps(self) -> int:
@@ -119,10 +122,10 @@ def _kink_scale(u: GridField) -> float:
 
 
 def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
-                              x, Tmax: float, dt: float, vset: VelocitySet,
+                              x, Tmax: float, arcs: Transition,
                               solver_tol: float = 1e-8,
                               defect_tol: Optional[float] = None) -> CurveTrace:
-    """Follow the argmin branch of the Bellman update backward from x.
+    """Follow the argmin branch of the Bellman update of `arcs` backward from x.
 
     Raises CalibrationError ("field not converged") when more than
     DEFECT_FRACTION of the steps exceed the defect tolerance.  The tolerance
@@ -133,11 +136,11 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
         raise ConfigurationError("model.c0 must be set")
     if not (np.isfinite(Tmax) and Tmax >= 0):
         raise ConfigurationError(f"trace horizon must be nonnegative, got Tmax={Tmax}")
-    grid = u.grid
-    arcs = Transition(grid, vset, dt)
+    values = arcs.values_of(u)
+    grid = arcs.grid
     lam, dt, c0 = float(lam), arcs.dt, model.c0
     steps = int(np.floor(Tmax / dt + 1e-12))
-    vels = vset.velocities                      # (K, d)
+    vels = arcs.vset.velocities                 # (K, d)
     y = wrap_points(np.asarray(x, dtype=float), grid.d)
     start_on_node = bool(
         np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
@@ -155,7 +158,7 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     Lj = np.empty(steps)                        # L at the chosen arc
     uj = np.empty(steps)                        # u at the chosen foot = u(pts[k+1])
     pts[0] = y
-    feet_at = arcs.foot_sampler(u.values, snap=on_lattice)
+    feet_at = arcs.foot_sampler(values, snap=on_lattice)
     n, vdt = grid.n, vels * dt
     k, j, size, start = 0, 0, 1, 0              # a block of one row checks no guess
     while k < steps:
@@ -220,7 +223,7 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
                 f"field not converged: {frac:.1%} of steps exceed the "
                 f"calibration defect tolerance {defect_tol:.3e}"
             )
-    return CurveTrace(lam=lam, dt=dt, horizon=steps * dt, points=pts,
+    return CurveTrace(lam=lam, arcs=arcs, horizon=steps * dt, points=pts,
                       velocities=vel, vel_indices=vidx, weights=W,
                       defects=defects, actions=actions, dl0=dl0,
                       on_lattice=on_lattice, defect_tol=defect_tol)
@@ -247,8 +250,7 @@ def check_calibration(trace: CurveTrace, u: GridField) -> CalibrationReport:
     )
 
 
-def occupation_measure(trace: CurveTrace, grid: PeriodicGrid,
-                       vset: VelocitySet) -> DiscreteMeasure:
+def occupation_measure(trace: CurveTrace) -> DiscreteMeasure:
     """Discount-weighted occupation measure of a backward trace at its lam.
 
     Step k deposits W_k*dt at (departure point, chosen velocity); positions
@@ -270,6 +272,7 @@ def occupation_measure(trace: CurveTrace, grid: PeriodicGrid,
             f"discarded tail mass fraction {tail / (total + tail):.2e} exceeds "
             f"{TAIL_TOL:.0e}: extend Tmax"
         )
+    grid, vset = trace.arcs.grid, trace.arcs.vset
     idx, w = interpolation_stencil(grid, trace.points[1:])      # (S, 2^d)
     K = vset.count
     flat = np.zeros(grid.size * K)
@@ -319,8 +322,7 @@ class SpeedReport:
 
 
 def speed_bound_check(trace: CurveTrace, model: ControlModel,
-                      bracket: Bracket, grid: PeriodicGrid,
-                      vset: VelocitySet) -> SpeedReport:
+                      bracket: Bracket) -> SpeedReport:
     """Empirical speeds against the a-priori calibrated-curve bound.
 
     The bound is B = C0 + lambda0*(kappa - 1) - c0 with C0 the sampled
@@ -329,8 +331,8 @@ def speed_bound_check(trace: CurveTrace, model: ControlModel,
     saturates the velocity lattice: a truncated lattice invalidates the
     argmin itself.
     """
-    D0 = bracket.T
-    L = on_arcs(grid, vset, model.L, bracket.lambda0 * D0)          # (K, N)
+    D0, vset = bracket.T, trace.arcs.vset
+    L = on_arcs(trace.arcs, model.L, bracket.lambda0 * D0)          # (K, N)
     C0 = float(np.max((D0 + 1.0) * vset.speeds()[:, None] - L))
     bound = C0 + bracket.lambda0 * (bracket.kappa - 1.0) - (model.c0 or 0.0)
     if trace.steps == 0:

@@ -201,10 +201,16 @@ class ExperimentConfig:
                                          f"{unknown[0]!r}")
         for key in self.extras:
             self.extra(key, None)
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigurationError(f"[solver] tol must be positive and finite, got {self.tol:g}")
+        if self.max_iter < 1:
+            raise ConfigurationError(f"[solver] max_iter must be at least 1, got {self.max_iter}")
+        if self.kind == "barrier_suite" and self.model_name != "mechanical":
+            raise ConfigurationError(f"barrier_suite checks a mechanical model, not "
+                                     f"{self.model_name!r}")
         # each applies its own rules; the kernel refuses a dt not positive and finite
-        Transition(self.grid(), self.vset(), self.dt)
-        if self.kind != "barrier_suite" or self.model_name == "mechanical":
-            self.model()        # barrier_suite's run refuses any other model itself
+        self.arcs(self.dt)
+        self.model()
         if kind.seeded:
             self.rng()
 
@@ -220,6 +226,11 @@ class ExperimentConfig:
 
     def vset(self):
         return velocity_set(self.vmax, self.m, self.d)
+
+    def arcs(self, dt: Optional[float] = None) -> Transition:
+        """The transition kernel of the config's grid and velocity set at
+        `dt`; None gives the lattice dt h / (velocity step), not `self.dt`."""
+        return Transition(self.grid(), self.vset(), dt)
 
     def model(self):
         """The named model with the [model] keys but `target`, which only
@@ -438,12 +449,12 @@ def _face_details(sel: SelectionResult) -> dict:
     return {"critical_arcs": sel.critical_arcs, "classes": sel.classes}
 
 
-def _critical_problem(cfg: ExperimentConfig, dt: Optional[float] = None, model=None):
+def _critical_problem(cfg: ExperimentConfig, arcs: Transition, model=None):
     """The critical polytope of `model` (the config's by default) on the
-    config's grid and velocities, at `dt` (None: the lattice dt), and the
-    model with c0 = c.  The polytope owns c and the Peierls barrier."""
+    kernel `arcs`, and the model with c0 = c.  The polytope owns c, the
+    Peierls barrier and the kernel (`poly.arcs`) that the runner reuses."""
     model = cfg.model() if model is None else model
-    poly = build_polytope(model, cfg.grid(), cfg.vset(), dt)
+    poly = build_polytope(model, arcs)
     return poly, model.with_c0(poly.c)
 
 
@@ -455,7 +466,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Diophantine-rotation reproduction: the selected limit is the mean of
     the target potential; the sweep error against that constant must close
     below the threshold and decay monotonically (within a factor)."""
-    poly, model = _critical_problem(cfg, cfg.dt)     # its potential is -target
+    poly, model = _critical_problem(cfg, cfg.arcs(cfg.dt))     # its potential is -target
     target, grid = cfg.target(), poly.grid
     alpha = model.params.get("alpha", np.array([0.0]))
     stages.append(StageRecord("critical_value", True, {
@@ -478,7 +489,7 @@ def _run_example_6_1(cfg: ExperimentConfig, artifacts: dict, stages: list):
         **_face_details(sel)}))
 
     bracket = compute_bracket(model, GridField.constant(grid, 0.0))
-    entries = lambda_sweep(model, cfg.lambdas, grid, poly.vset, dt=poly.dt, tol=cfg.tol,
+    entries = lambda_sweep(model, cfg.lambdas, poly.arcs, tol=cfg.tol,
                            max_iter=cfg.max_iter, bracket=bracket)
     reference = GridField.constant(grid, target_mean)
     rep = convergence_report(entries, reference, _threshold(cfg, "monotone_factor"))
@@ -497,7 +508,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, stages: list
     measures are then mixtures of Diracs at the critical arcs (z_S, v), so
     u0 = min over those arcs of h(z_S, .) - V0(z_S) / sigma(z_S, v), with
     sigma = -dL/du(z_S, v, 0).  Larger classes raise ConfigurationError."""
-    poly, model = _critical_problem(cfg, cfg.dt)
+    poly, model = _critical_problem(cfg, cfg.arcs(cfg.dt))
     grid, vs = poly.grid, poly.vset
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
@@ -526,7 +537,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, stages: list
         **_face_details(sel)}))
 
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
-    entries = lambda_sweep(model, cfg.lambdas, grid, vs, dt=poly.dt, tol=cfg.tol,
+    entries = lambda_sweep(model, cfg.lambdas, poly.arcs, tol=cfg.tol,
                            max_iter=cfg.max_iter, bracket=bracket)
     rep = convergence_report(entries, sel.field, _threshold(cfg, "monotone_factor"))
     artifacts["convergence"] = rep
@@ -542,7 +553,7 @@ def _run_vanishing_discount(cfg: ExperimentConfig, artifacts: dict, stages: list
 def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Nonexistence certificate across discounts, plus solver behavior on
     both sides of the existence threshold."""
-    poly, model = _critical_problem(cfg, cfg.dt)
+    poly, model = _critical_problem(cfg, cfg.arcs(cfg.dt))
     grid = poly.grid
     stages.append(StageRecord("critical_value", True, {"c": poly.c}))
 
@@ -563,7 +574,7 @@ def _run_nonexistence(cfg: ExperimentConfig, artifacts: dict, stages: list):
     outcomes = {}
     ok2 = True
     for lam in solve_lams:
-        fld, rep = solve_perturbed(model, lam, grid, poly.vset, dt=poly.dt, tol=cfg.tol,
+        fld, rep = solve_perturbed(model, lam, poly.arcs, tol=cfg.tol,
                                    max_iter=cfg.max_iter, bracket=bracket)
         certified_gone = (certs[str(lam)] if str(lam) in certs
                           else nonexistence_certificate(model, lam, grid))
@@ -586,7 +597,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     pairs = cfg.extra("lipschitz_pairs", 20)
     if pairs < 1:
         raise ConfigurationError(f"lipschitz_pairs must be at least 1, got {pairs}")
-    poly, model = _critical_problem(cfg, cfg.dt)
+    poly, model = _critical_problem(cfg, cfg.arcs(cfg.dt))
     grid = poly.grid
     h = poly.barrier
     artifacts["barrier_peierls"] = h
@@ -610,7 +621,7 @@ def _run_operator_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     img_residuals = []
     for f in _smooth_random_fields(grid, rng, 3):
         img = apply_selection_operator(sigma1, f, poly).field
-        r = residual(model, 0.0, img, poly.vset, poly.dt)
+        r = residual(model, 0.0, img, poly.arcs)
         img_residuals.append(r)
         img_ok &= r <= image_C * grid.h
     stages.append(StageRecord("image_solves", img_ok, {
@@ -652,29 +663,27 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     lam_mi = float(cfg.extra("mass_identity_lambda", lams[-1]))
     if not lam_mi > 0:
         raise ConfigurationError(f"mass_identity_lambda must be positive, got {lam_mi:g}")
-    poly, model = _critical_problem(cfg)
-    grid, vs = poly.grid, poly.vset
+    poly, model = _critical_problem(cfg, cfg.arcs())
+    grid = poly.grid
     dt = cfg.dt if cfg.dt is not None else 1e-3
+    arcs = cfg.arcs(dt)     # the solves', traces' and closedness defects' kernel
     h = poly.barrier
     xstar = int(aubry_set(h)[0])
     bracket = compute_bracket(model, solution_from_barrier(h, xstar))
     lp_mu = poly.critical_measure
 
     start = grid.node_coords()[start_node]
-    # the defect diagnostic needs the transition kernel at the *trace* dt:
-    # occupation bins telescope only under the kernel the curve stepped with
-    trace_arcs = Transition(grid, vs, dt)
     tv_seq, defect_seq = [], []
     warm = None
     for lam in lams:
-        fld, rep = solve_perturbed(model, lam, grid, vs, dt=dt, tol=cfg.tol,
+        fld, rep = solve_perturbed(model, lam, arcs, tol=cfg.tol,
                                    max_iter=cfg.max_iter, bracket=bracket, init=warm)
         warm = fld
         tr = backward_calibrated_curve(model, lam, fld, start, Tmax=10.0 / lam,
-                                       dt=dt, vset=vs, solver_tol=cfg.tol)
-        mu = occupation_measure(tr, grid, vs)
+                                       arcs=arcs, solver_tol=cfg.tol)
+        mu = occupation_measure(tr)
         tv = 0.5 * float(np.abs(mu.projected() - lp_mu.projected()).sum())
-        dfct = closedness_defect(mu, trace_arcs)
+        dfct = closedness_defect(mu, tr.arcs)
         tv_seq.append(tv)
         defect_seq.append(dfct)
         artifacts[f"occupation_lam_{lam}"] = mu
@@ -690,15 +699,16 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
         "defect_fit_C": Cfit}))
 
     Tmi = 14.0 / lam_mi
-    fld, _ = solve_perturbed(model, lam_mi, grid, vs, dt=dt, tol=cfg.tol,
+    fld, _ = solve_perturbed(model, lam_mi, arcs, tol=cfg.tol,
                              max_iter=cfg.max_iter, bracket=bracket, init=warm)
-    tr1 = backward_calibrated_curve(model, lam_mi, fld, start, Tmax=Tmi, dt=dt,
-                                    vset=vs, solver_tol=cfg.tol)
+    tr1 = backward_calibrated_curve(model, lam_mi, fld, start, Tmax=Tmi, arcs=arcs,
+                                    solver_tol=cfg.tol)
     err1 = check_mass_identity(tr1)
-    fld2, _ = solve_perturbed(model, lam_mi, grid, vs, dt=dt / 2, tol=cfg.tol,
+    half = cfg.arcs(dt / 2)
+    fld2, _ = solve_perturbed(model, lam_mi, half, tol=cfg.tol,
                               max_iter=cfg.max_iter, bracket=bracket, init=fld)
-    tr2 = backward_calibrated_curve(model, lam_mi, fld2, start, Tmax=Tmi, dt=dt / 2,
-                                    vset=vs, solver_tol=cfg.tol)
+    tr2 = backward_calibrated_curve(model, lam_mi, fld2, start, Tmax=Tmi, arcs=half,
+                                    solver_tol=cfg.tol)
     err2 = check_mass_identity(tr2)
     ratio = err1 / max(err2, 1e-300)
     mi_ok = err1 <= _threshold(cfg, "mass_identity_rel") and 1.5 <= ratio <= 2.5
@@ -711,18 +721,17 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
 def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Three-route critical values of the config's mechanical model, whose c
     is max U over the nodes, and of the shifted quadratic, plus barrier
-    structure diagnostics (triangle inequality, column residuals)."""
-    if cfg.model_name != "mechanical":
-        raise ConfigurationError(f"barrier_suite checks a mechanical model, not "
-                                 f"{cfg.model_name!r}")
-    grid = cfg.grid()
+    structure diagnostics (triangle inequality, column residuals), all at
+    the lattice dt."""
+    arcs = cfg.arcs()
+    grid = arcs.grid
     rng = cfg.rng()
 
     mech = cfg.model()
     nodes = grid.node_coords()
     c_mech = float(np.max(mech.H(nodes, np.zeros_like(nodes), 0.0)))    # max U
     vs_c = velocity_set(cfg.vmax, cfg.extra("m_critical", 33), cfg.d)
-    cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vs_c)
+    cd = critical_value(mech, ("lp", "discount", "longtime"), Transition(grid, vs_c))
     tol_mech = _threshold(cfg, "critical_tol_mechanical")
     ok1 = cd.spread <= tol_mech and abs(cd.c - c_mech) <= tol_mech
     stages.append(StageRecord("critical_mechanical", ok1, {
@@ -730,15 +739,14 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
 
     alpha = cfg.extra("alpha", np.full(cfg.d, (np.sqrt(5.0) - 1.0) / 2.0))
     sq = builtin_model("shifted_quadratic", d=cfg.d, alpha=alpha)
-    vs = cfg.vset()
-    cd2 = critical_value(sq, ("lp", "discount", "longtime"), grid, vs)
+    cd2 = critical_value(sq, ("lp", "discount", "longtime"), arcs)
     tol_sq = _threshold(cfg, "critical_tol_shifted")
     half_a2 = float(0.5 * np.sum(alpha**2))
     ok2 = all(abs(v - half_a2) <= tol_sq for v in cd2.per_method.values())
     stages.append(StageRecord("critical_shifted_quadratic", ok2, {
         "per_method": cd2.per_method, "spread": cd2.spread, "analytic": half_a2}))
 
-    poly, mech = _critical_problem(cfg, model=mech)
+    poly, mech = _critical_problem(cfg, arcs, model=mech)
     h = poly.barrier
     artifacts["barrier_mechanical"] = h
     tol_tri = _threshold(cfg, "tol_tri")
@@ -747,7 +755,7 @@ def _run_barrier_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     viol = max(0.0, float(np.max(H[x, z] - H[x, y] - H[y, z])))
     ok3 = viol <= 3 * tol_tri
     col = solution_from_barrier(h, int(aubry_set(h)[0]))
-    col_res = residual(mech, 0.0, col, poly.vset, poly.dt)
+    col_res = residual(mech, 0.0, col, poly.arcs)
     Ccol = _threshold(cfg, "column_residual_c")
     ok4 = col_res <= Ccol * grid.h
     stages.append(StageRecord("barrier_structure", ok3 and ok4, {

@@ -23,7 +23,6 @@ __all__ = [
     "wrap_unit",
     "PeriodicGrid",
     "GridField",
-    "build_grid",
     "interpolate",
     "interpolation_stencil",
     "product_lattice",
@@ -142,11 +141,6 @@ class GridField:
         a = self.as_array()
         diffs = (np.abs(np.roll(a, -1, axis=i) - a).max() for i in range(a.ndim))
         return float(max(diffs) / self.grid.h)
-
-
-def build_grid(d: int, n: int) -> PeriodicGrid:
-    """Construct a periodic grid; raises ConfigurationError for bad inputs."""
-    return PeriodicGrid(d=d, n=n)
 
 
 def interpolation_stencil(grid: PeriodicGrid, points: np.ndarray):

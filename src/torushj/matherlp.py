@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -256,16 +255,15 @@ def _zero_tol(action: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(action))))
 
 
-def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
-                   dt: Optional[float] = None) -> MatherPolytope:
-    """Assemble the polytope and solve its critical problem once, by Howard's
-    policy iteration (`_howard`): the critical value, one minimizing
-    measure, a potential with its reduced costs, the critical arcs and
-    their static classes.  The potential must pass the certificate
-    reduced_cost >= -zero_tol (MatherLPError otherwise).  A dt whose hops
-    leave the node lattice raises ConfigurationError."""
-    arcs, L0 = lattice_graph(model, grid, vset, dt)
-    dt, N, K = arcs.dt, grid.size, vset.count
+def build_polytope(model: ControlModel, arcs: Transition) -> MatherPolytope:
+    """Assemble the polytope on the kernel `arcs` and solve its critical
+    problem once, by Howard's policy iteration (`_howard`): the critical
+    value, one minimizing measure, a potential with its reduced costs, the
+    critical arcs and their static classes.  The potential must pass the
+    certificate reduced_cost >= -zero_tol (MatherLPError otherwise).  A
+    kernel whose hops leave the node lattice raises ConfigurationError."""
+    L0 = lattice_graph(model, arcs)
+    dt, N, K = arcs.dt, arcs.grid.size, arcs.vset.count
     # L0 is charged at the arc's head.  Arc (k, y) runs from its foot
     # take[k, y] to y; in the flat (x, k) order of the polytope it is
     # x * K + k, x the foot.
@@ -295,7 +293,7 @@ def build_polytope(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
     weights = np.zeros(N * K)
     weights[flat[pol[cycle], cycle]] = 1.0 / len(cycle)
     return MatherPolytope(arcs=arcs, action=action, c=-star / dt,
-                          critical_measure=DiscreteMeasure(grid, vset, weights),
+                          critical_measure=DiscreteMeasure(arcs.grid, arcs.vset, weights),
                           reduced_cost=reduced_cost, potential=u / dt,
                           critical=np.sort(flat[k[on], y[on]]), classes=classes)
 

@@ -84,7 +84,7 @@ def _lift(node_values: np.ndarray, K: int) -> np.ndarray:
 
 
 def _dl_flat(model: ControlModel, polytope: MatherPolytope) -> np.ndarray:
-    return on_arcs(polytope.grid, polytope.vset, model.dLdu0).T.ravel()
+    return on_arcs(polytope.arcs, model.dLdu0).T.ravel()
 
 
 def _minimize_on_face(polytope: MatherPolytope, barrier: bool,
@@ -297,7 +297,7 @@ def check_largest_subsolution(u0: GridField, V0: GridField,
 
     Candidates failing the one-sided subsolution residual are rejected with
     diagnostics (not an error); members that exceed u0 beyond dom_tol are
-    recorded as violations.  The residual runs on the polytope's vset and dt.
+    recorded as violations.  The residual runs on the polytope's kernel.
     """
     K = polytope.vset.count
     dl = _dl_flat(model, polytope)
@@ -305,7 +305,7 @@ def check_largest_subsolution(u0: GridField, V0: GridField,
     entries = []
     violations = []
     for i, w in enumerate(candidates):
-        defect = one_sided_subsolution_defect(model, w, polytope.vset, polytope.dt)
+        defect = one_sided_subsolution_defect(model, w, polytope.arcs)
         entry = SubsolutionEntry(index=i, is_subsolution=defect <= sub_tol,
                                  subsolution_defect=defect)
         if entry.is_subsolution:

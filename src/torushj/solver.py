@@ -15,13 +15,11 @@ By default dt = h / (velocity lattice step), which makes every foot point a
 grid node: characteristics then live on the lattice exactly, the scheme has
 no interpolation bias, and the dynamic-programming branch along backward
 curves is exact.  Any other positive dt is supported through interpolation.
-`Transition`, the one kernel of the package, alone resolves a missing dt
-and refuses a bad one, and builds whole-cell arcs by index arithmetic: the
-action DP (barrier), the closedness operator (matherlp) and backward curves
-use it, and `on_arcs` evaluates a function of (x, v) on all of its arcs.
-`lattice_graph` builds it with whole-cell hops and L0 on its arcs for the
-critical problem, the action DP and the long-time route, and refuses any
-other dt.
+`Transition`, the one kernel of the package, alone takes the (grid, velocity
+set, dt) triple, resolves a missing dt, refuses a bad one and builds
+whole-cell arcs by index arithmetic; every other entry point takes a kernel,
+and a field on another grid is refused (`Transition.values_of`).  `on_arcs`
+evaluates a function of (x, v) on its arcs, and `lattice_graph` L0 there.
 
 Each solver step is one Howard policy evaluation.  The argmin arcs of T[u]
 form a policy pi, and u <- u + (I - diag(a) P_pi)^-1 (T[u] - u) with
@@ -129,6 +127,13 @@ class Transition:
         self.grid, self.vset, self.dt = grid, vset, dt
         hops = vset.velocities * (dt / grid.h)          # (K, d), in cells
         self.integer_hops = bool(np.max(np.abs(hops - np.rint(hops))) < 1e-9)
+
+    def values_of(self, field: GridField) -> np.ndarray:
+        """The field's values; one on another grid raises ConfigurationError."""
+        if field.grid != self.grid:
+            raise ConfigurationError(f"a field on {field.grid} given to a kernel "
+                                     f"on {self.grid}")
+        return field.values
 
     @cached_property
     def _foot(self):
@@ -283,12 +288,12 @@ def policy_walk(pred, starts=None):
         yield cycle, path
 
 
-def on_arcs(grid: PeriodicGrid, vset: VelocitySet, fn, *args) -> np.ndarray:
+def on_arcs(arcs: Transition, fn, *args) -> np.ndarray:
     """fn(x, v, *args) at every arc (velocity k, node x), shape (K, N)."""
-    X = grid.node_coords()
-    shape = (vset.count,) + X.shape
+    X, V = arcs.grid.node_coords(), arcs.vset.velocities
+    shape = (len(V),) + X.shape
     XK = np.broadcast_to(X[None, :, :], shape)
-    VK = np.broadcast_to(vset.velocities[:, None, :], shape)
+    VK = np.broadcast_to(V[:, None, :], shape)
     return np.asarray(fn(XK, VK, *args), dtype=float)
 
 
@@ -297,36 +302,30 @@ def default_dt(grid: PeriodicGrid, vset: VelocitySet) -> float:
     return grid.h / vset.spacing
 
 
-def lattice_graph(model: ControlModel, grid: PeriodicGrid, vset: VelocitySet,
-                  dt: Optional[float] = None):
-    """The lattice graph of (grid, vset, dt), dt = h / (velocity step) by
-    default: its kernel, whose arc (k, y) runs from take[k, y] to y, and the
-    arcs' L0(y, v_k), charged at the head, shape (K, N).  The critical
-    problem, the action DP and the barrier live on it; a dt whose hops leave
-    the node lattice has no such graph and raises ConfigurationError."""
-    arcs = Transition(grid, vset, dt)
+def lattice_graph(model: ControlModel, arcs: Transition) -> np.ndarray:
+    """L0(y, v_k), charged at the head, on the arcs (k, y) from take[k, y] to y
+    of the lattice graph, shape (K, N); hops off the node lattice raise
+    ConfigurationError."""
     if not arcs.integer_hops:
         raise ConfigurationError(
             f"dt = {arcs.dt:g} moves velocities off the node lattice; the lattice "
             "graph needs whole-cell hops (dt = h / velocity step)")
-    return arcs, on_arcs(grid, vset, model.L, 0.0)
+    return on_arcs(arcs, model.L, 0.0)
 
 
 class _Kernel:
     """Per-solve precomputation: base costs plus the u-coupling hook."""
 
-    def __init__(self, model: ControlModel, lam: float, grid: PeriodicGrid,
-                 vset: VelocitySet, dt: float):
+    def __init__(self, model: ControlModel, lam: float, arcs: Transition):
         if model.c0 is None:
             raise ConfigurationError(
                 "model.c0 is unset; fill it via barrier.critical_value first"
             )
         self.model = model
         self.lam = float(lam)
-        self.arcs = Transition(grid, vset, dt)
-        self.dt = self.arcs.dt
-        self.X = grid.node_coords()
-        L0 = on_arcs(grid, vset, model.L, 0.0)
+        self.arcs, self.dt = arcs, arcs.dt
+        self.X = arcs.grid.node_coords()
+        L0 = on_arcs(arcs, model.L, 0.0)
         Vlam = np.asarray(model.V(self.X, lam), dtype=float) if lam != 0.0 else 0.0
         self.base = self.dt * (L0 - lam * Vlam + model.c0)      # (K, N)
         self._L0 = L0 if model.L_u_part is None else None
@@ -338,7 +337,7 @@ class _Kernel:
             return self.base + fv
         if self.model.L_u_part is not None:
             return self.base + self.dt * self.model.L_u_part(self.X, self.lam * fv) + fv
-        Lfull = on_arcs(self.arcs.grid, self.arcs.vset, self.model.L, self.lam * fv)
+        Lfull = on_arcs(self.arcs, self.model.L, self.lam * fv)
         return self.base + self.dt * (Lfull - self._L0) + fv
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -346,26 +345,24 @@ class _Kernel:
 
 
 def bellman_apply(model: ControlModel, lam: float, u: GridField,
-                  vset: VelocitySet, dt: float) -> GridField:
+                  arcs: Transition) -> GridField:
     """One application of the discounted Bellman update (lam = 0 gives the
     critical operator)."""
-    k = _Kernel(model, lam, u.grid, vset, dt)
-    return GridField(u.grid, k.apply(u.values))
+    return GridField(u.grid, _Kernel(model, lam, arcs).apply(arcs.values_of(u)))
 
 
-def residual(model: ControlModel, lam: float, u: GridField,
-             vset: VelocitySet, dt: float) -> float:
+def residual(model: ControlModel, lam: float, u: GridField, arcs: Transition) -> float:
     """Sup-norm fixed-point defect per unit time, ||u - T[u]||_inf / dt."""
-    k = _Kernel(model, lam, u.grid, vset, dt)
-    return float(np.max(np.abs(u.values - k.apply(u.values))) / k.dt)
+    values = arcs.values_of(u)
+    return float(np.max(np.abs(values - _Kernel(model, lam, arcs).apply(values))) / arcs.dt)
 
 
 def one_sided_subsolution_defect(model: ControlModel, w: GridField,
-                                 vset: VelocitySet, dt: float) -> float:
+                                 arcs: Transition) -> float:
     """max(w - T0[w])/dt; nonpositive (up to tolerance) iff w is a discrete
     subsolution of the critical equation."""
-    k = _Kernel(model, 0.0, w.grid, vset, dt)
-    return float(np.max(w.values - k.apply(w.values)) / k.dt)
+    values = arcs.values_of(w)
+    return float(np.max(values - _Kernel(model, 0.0, arcs).apply(values)) / arcs.dt)
 
 
 def _min_over_nodes(fn, X: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -441,8 +438,7 @@ def compute_bracket(model: ControlModel, critical_solution: GridField) -> Bracke
                    K0=K0, delta=delta, kappa=kappa, T=T, C2=C2)
 
 
-def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
-                    vset: VelocitySet, dt: Optional[float] = None,
+def solve_perturbed(model: ControlModel, lam: float, arcs: Transition,
                     tol: float = 1e-8, max_iter: int = 200000,
                     bracket: Optional[Bracket] = None,
                     init: Optional[GridField] = None):
@@ -456,8 +452,8 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
     """
     if lam <= 0:
         raise ConfigurationError("discount lam must be positive")
-    kernel = _Kernel(model, lam, grid, vset, dt)
-    X, nodes, dt = kernel.X, np.arange(grid.size), kernel.dt
+    kernel = _Kernel(model, lam, arcs)
+    X, nodes, dt, grid = kernel.X, np.arange(arcs.grid.size), arcs.dt, arcs.grid
     sigma_nodes = -np.asarray(model.dLdu0(X, np.zeros_like(X)), dtype=float)
     if lam * dt * float(sigma_nodes.max()) >= 1.0:
         raise ConfigurationError(
@@ -467,9 +463,9 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
 
     lo = hi = None
     if bracket is not None:
-        lo, hi = bracket.lower.values, bracket.upper.values
+        lo, hi = arcs.values_of(bracket.lower), arcs.values_of(bracket.upper)
     if init is not None:
-        u = init.values.copy()
+        u = arcs.values_of(init).copy()
     elif bracket is not None:
         u = 0.5 * (lo + hi)
     else:
@@ -485,7 +481,7 @@ def solve_perturbed(model: ControlModel, lam: float, grid: PeriodicGrid,
         if res <= tol or stalled or it == max_iter:
             break
         it += 1
-        new = u + kernel.arcs.evaluate_policy(pol, decay, Tu - u)
+        new = u + arcs.evaluate_policy(pol, decay, Tu - u)
         if not np.all(np.isfinite(new)):
             raise DomainError("policy evaluation left the field values non-finite")
         if lo is not None:
@@ -534,8 +530,8 @@ class SweepEntry:
     error: Optional[Exception] = None       # the failed solve's own exception
 
 
-def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
-                 vset: VelocitySet, **solver_kwargs) -> list[SweepEntry]:
+def lambda_sweep(model: ControlModel, lambdas, arcs: Transition,
+                 **solver_kwargs) -> list[SweepEntry]:
     """Solve a strictly descending discount schedule with warm starts.
 
     The typed failures of one solve (SolveError, ConfigurationError, and
@@ -550,7 +546,7 @@ def lambda_sweep(model: ControlModel, lambdas, grid: PeriodicGrid,
     warm = solver_kwargs.pop("init", None)
     for lam in lams:
         try:
-            fld, rep = solve_perturbed(model, lam, grid, vset, init=warm, **solver_kwargs)
+            fld, rep = solve_perturbed(model, lam, arcs, init=warm, **solver_kwargs)
             out.append(SweepEntry(lam, fld, rep))
             warm = fld
         except (SolveError, ConfigurationError, DomainError) as exc:

@@ -15,7 +15,7 @@ import pytest
 
 from torushj.barrier import critical_value, solution_from_barrier
 from torushj.experiments import parse_config, run_experiment
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.matherlp import (
     build_polytope,
     graph_check,
@@ -29,7 +29,7 @@ from torushj.selection import (
     equilibrium_measures,
     measure_comparison,
 )
-from torushj.solver import compute_bracket, default_dt, lambda_sweep, residual
+from torushj.solver import Transition, compute_bracket, default_dt, lambda_sweep, residual
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
@@ -43,11 +43,11 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def mech128():
-    grid = build_grid(1, 128)
+    grid = PeriodicGrid(1, 128)
     vset = velocity_set(3.0, 49)
     dt = default_dt(grid, vset)
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     model = model.with_c0(poly.c)
     return model, grid, vset, dt, poly, poly.barrier
 
@@ -70,13 +70,13 @@ def test_criterion_1_example_6_1_reproduction(tmp_path):
 
 def test_criterion_2_critical_value_three_way(mech128):
     t0 = time.time()
-    grid = build_grid(1, 128)
+    grid = PeriodicGrid(1, 128)
     mech = builtin_model("mechanical", U=COS)
-    cd_mech = critical_value(mech, ("lp", "discount", "longtime"), grid,
-                             velocity_set(3.0, 33))
+    cd_mech = critical_value(mech, ("lp", "discount", "longtime"),
+                             Transition(grid, velocity_set(3.0, 33)))
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
-    cd_sq = critical_value(sq, ("lp", "discount", "longtime"), grid,
-                           velocity_set(3.0, 49))
+    cd_sq = critical_value(sq, ("lp", "discount", "longtime"),
+                           Transition(grid, velocity_set(3.0, 49)))
     elapsed = time.time() - t0
     mech_vals = cd_mech.per_method
     sq_vals = cd_sq.per_method
@@ -99,14 +99,14 @@ def test_criterion_3_vanishing_discount_limits(mech128):
     col = solution_from_barrier(h, xstar)
     bracket = compute_bracket(model, col)
 
-    entries = lambda_sweep(model, lams, grid, vset, dt=dt, tol=1e-8,
+    entries = lambda_sweep(model, lams, Transition(grid, vset, dt), tol=1e-8,
                            max_iter=400000, bracket=bracket)
     err_v0 = float(np.max(np.abs(entries[-1].field.values - col.values)))
 
     Vfun = lambda x: 0.25 * np.cos(2 * np.pi * x[..., 0]) + 0.1
     model_v = builtin_model("mechanical", U=COS, potential=Vfun).with_c0(model.c0)
     bracket_v = compute_bracket(model_v, col)
-    entries_v = lambda_sweep(model_v, lams, grid, vset, dt=dt, tol=1e-8,
+    entries_v = lambda_sweep(model_v, lams, Transition(grid, vset, dt), tol=1e-8,
                              max_iter=400000, bracket=bracket_v)
     V0 = GridField.from_function(grid, Vfun)
     ref_v = GridField(grid, col.values - V0.values[xstar])
@@ -145,7 +145,7 @@ def test_criterion_4_operator_suite(mech128):
     for _ in range(3):
         img = apply_selection_operator(sigma1, smooth(), poly).field
         images.append(img)
-        r = residual(model, 0.0, img, vset, dt)
+        r = residual(model, 0.0, img, Transition(grid, vset, dt))
         max_img_res = max(max_img_res, r)
         image_ok &= r <= FROZEN_RESIDUAL_C * grid.h
 
@@ -214,7 +214,7 @@ def test_criterion_7_lp_structural(mech128):
         float(np.max(np.abs(poly.C @ mu_m.flat()))) <= 1e-9
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
-    poly_sq = build_polytope(sq, grid, vset, dt)
+    poly_sq = build_polytope(sq, Transition(grid, vset, dt))
     mu_s, _, _ = solve_mather_lp(sq, poly_sq)
     feas_s = abs(mu_s.mass - 1.0) <= 1e-9 and \
         float(np.max(np.abs(poly_sq.C @ mu_s.flat()))) <= 1e-9
@@ -259,11 +259,11 @@ def test_criterion_8_comparison_principle(mech128):
 
 
 def test_criterion_9_equilibrium_multiplicity():
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 33)
     dt = default_dt(grid, vset)
     model = builtin_model("mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0]))
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     x_sym = grid.n // 4                         # x = 0.25, equidistant
 
     _, _, mult_sym = equilibrium_measures(GridField.constant(grid, 0.0), x_sym, poly)

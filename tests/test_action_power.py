@@ -14,10 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from test_critical_howard import KINDS, lattice_case, smooth_lagrangian, table_lagrangian
 from test_peierls_exact import magnetic_well, smooth_potential
 from torushj.barrier import BIG, _ActionKernel, evolve_action, initial_action_matrix
-from torushj.grids import build_grid
 from torushj.matherlp import build_polytope
-from torushj.models import builtin_model, velocity_set
-from torushj.solver import default_dt
+from torushj.models import builtin_model
 
 STEPS = st.one_of(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64]), st.integers(1, 80))
 
@@ -103,9 +101,9 @@ def assert_same_action(got, want):
     return unreachable
 
 
-def assert_power_matches_dp(model, grid, vset, dt, steps):
-    kern = _ActionKernel(model, grid, vset, dt)
-    want = evolve_action(model, grid, vset, T=steps * dt, dt=dt)
+def assert_power_matches_dp(model, arcs, steps):
+    kern = _ActionKernel(model, arcs)
+    want = evolve_action(model, arcs, T=steps * arcs.dt)
     unreachable = assert_same_action(power(kern, steps), want)
     assert_same_action(right_to_left_power(kern, steps), want)
     assert_same_action(closed_walks(kern, steps), np.diag(want))
@@ -132,9 +130,7 @@ def model_2d(seed, magnetic):
 @example(seed=2, n=12, m=17, magnetic=True, doubled=True, steps=64)
 @example(seed=3, n=31, m=25, magnetic=True, doubled=False, steps=79)
 def test_power_matches_stepwise_dp_1d(seed, n, m, magnetic, doubled, steps):
-    grid, vset = build_grid(1, n), velocity_set(3.0, m)
-    dt = default_dt(grid, vset) * (2 if doubled else 1)
-    assert_power_matches_dp(model_1d(seed, magnetic), grid, vset, dt, steps)
+    assert_power_matches_dp(model_1d(seed, magnetic), lattice_case(1, n, m, doubled), steps)
 
 
 @settings(max_examples=6, deadline=None)
@@ -143,21 +139,17 @@ def test_power_matches_stepwise_dp_1d(seed, n, m, magnetic, doubled, steps):
        doubled=st.booleans(), steps=STEPS)
 @example(seed=5, n=6, m=5, magnetic=True, doubled=True, steps=2)
 def test_power_matches_stepwise_dp_2d(seed, n, m, magnetic, doubled, steps):
-    grid, vset = build_grid(2, n), velocity_set(2.0, m, d=2)
-    dt = default_dt(grid, vset) * (2 if doubled else 1)
-    assert_power_matches_dp(model_2d(seed, magnetic), grid, vset, dt, steps)
+    assert_power_matches_dp(model_2d(seed, magnetic), lattice_case(2, n, m, doubled), steps)
 
 
 @pytest.mark.parametrize("d,n,m,doubled", [(1, 16, 9, False), (1, 16, 17, True),
                                            (1, 15, 9, True), (2, 6, 5, True)])
 def test_closed_walks_match_every_horizon_of_the_dp(d, n, m, doubled):
     # one stepwise run gives diag h_s for every s up to 80, odd and even
-    grid = build_grid(d, n)
-    vset = velocity_set(3.0, m) if d == 1 else velocity_set(2.0, m, d=2)
-    dt = default_dt(grid, vset) * (2 if doubled else 1)
+    arcs = lattice_case(d, n, m, doubled)
     model = model_1d(7, True) if d == 1 else model_2d(7, True)
-    kern = _ActionKernel(model, grid, vset, dt)
-    A = initial_action_matrix(grid)
+    kern = _ActionKernel(model, arcs)
+    A = initial_action_matrix(arcs.grid)
     for s in range(1, 81):
         A = kern.step(A)
         assert_same_action(closed_walks(kern, s), np.diag(A))
@@ -170,13 +162,10 @@ def test_closed_walks_match_every_horizon_of_the_dp(d, n, m, doubled):
 def test_row_gather_step_is_the_column_gather_step(seed, d, m, doubled, fortran, steps):
     # bit for bit on a perturbed power of h_dt with scattered BIG entries,
     # whatever the memory order of the input; the output is C-contiguous
-    grid = build_grid(d, 8 if d == 1 else 5)
-    vset = velocity_set(3.0, m) if d == 1 else velocity_set(2.0, m, d=2)
-    dt = default_dt(grid, vset) * (2 if doubled else 1)
-    kern = _ActionKernel(model_1d(seed, True) if d == 1 else model_2d(seed, True),
-                         grid, vset, dt)
+    arcs = lattice_case(d, 8 if d == 1 else 5, m, doubled)
+    kern = _ActionKernel(model_1d(seed, True) if d == 1 else model_2d(seed, True), arcs)
     rng = np.random.default_rng(seed)
-    A = power(kern, steps) + rng.normal(scale=0.1, size=(grid.size,) * 2)
+    A = power(kern, steps) + rng.normal(scale=0.1, size=(arcs.grid.size,) * 2)
     A[rng.random(A.shape) < 0.2] = BIG
     A = np.minimum(A, BIG)
     if fortran:
@@ -188,12 +177,11 @@ def test_row_gather_step_is_the_column_gather_step(seed, d, m, doubled, fortran,
 
 @pytest.mark.parametrize("doubled", [False, True])
 def test_one_step_matrix_is_one_step_of_the_seed(doubled):
-    grid, vset = build_grid(1, 16), velocity_set(3.0, 17)
-    dt = default_dt(grid, vset) * (2 if doubled else 1)
-    kern = _ActionKernel(model_1d(9, True), grid, vset, dt)
+    arcs = lattice_case(1, 16, 17, doubled)
+    kern = _ActionKernel(model_1d(9, True), arcs)
     np.testing.assert_array_equal(
-        one_step(kern), column_gather_step(kern, initial_action_matrix(grid)))
-    np.testing.assert_array_equal(power(kern, 0), initial_action_matrix(grid))
+        one_step(kern), column_gather_step(kern, initial_action_matrix(arcs.grid)))
+    np.testing.assert_array_equal(power(kern, 0), initial_action_matrix(arcs.grid))
 
 
 @pytest.mark.parametrize("steps", [1, 33, 64, 80])
@@ -202,11 +190,9 @@ def test_doubled_dt_keeps_odd_offsets_unreachable(steps):
     # only the nodes an even offset away, however long the horizon.  L0 >= 6
     # lifts the 64-step power (dt = 1/3) above 64, half the spacing of doubles
     # near BIG, so that BIG + h_T rounds above BIG unless the product clamps it
-    grid, vset = build_grid(1, 16), velocity_set(3.0, 17)
     U = smooth_potential(5, 1)
     model = magnetic_well(lambda x: U(x) - 8.0, [0.3])
-    unreachable = assert_power_matches_dp(model, grid, vset,
-                                          2 * default_dt(grid, vset), steps)
+    unreachable = assert_power_matches_dp(model, lattice_case(1, 16, 17, True), steps)
     odd = np.add.outer(np.arange(16), np.arange(16)) % 2 == 1
     assert np.all(unreachable[odd])
 
@@ -220,15 +206,16 @@ def test_longtime_powering_within_its_gap(seed, d, kind, doubled, Tmax):
     # and s arcs around a min-mean cycle of length l plus (s mod l) rest
     # arcs cost <= s * eta + (l - 1) * dt * (max L0 + c): so
     # 0 <= c - c_T <= (N - 1) * dt * (max L0 + c) / T
-    grid, vset, dt = lattice_case(d, 16 if d == 1 else 5, 9 if d == 1 else 3, doubled)
+    arcs = lattice_case(d, 16 if d == 1 else 5, 9 if d == 1 else 3, doubled)
+    grid, vset, dt = arcs.grid, arcs.vset, arcs.dt
     if kind == "table":
         rng = np.random.default_rng(seed)
         model = table_lagrangian(grid, vset, rng.uniform(-1, 1, (grid.size, vset.count)))
     else:
         model = smooth_lagrangian(seed, d, kind)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, arcs)
     steps = round(Tmax / dt)
     T = steps * dt
-    c_T = -float(np.min(closed_walks(_ActionKernel(model, grid, vset, dt), steps))) / T
+    c_T = -float(np.min(closed_walks(_ActionKernel(model, arcs), steps))) / T
     gap = (grid.size - 1) * dt * (float(np.max(poly.action)) + poly.c) / T
     assert -1e-12 <= poly.c - c_T <= gap + 1e-12

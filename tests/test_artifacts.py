@@ -24,9 +24,10 @@ from torushj import experiments
 from torushj.curves import CurveTrace
 from torushj.errors import DomainError
 from torushj.experiments import export_all
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.matherlp import DiscreteMeasure
 from torushj.models import velocity_set
+from torushj.solver import Transition
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,7 +38,7 @@ def fmt17(x):
 
 
 def test_field_csv_roundtrip_and_header(tmp_path):
-    g = build_grid(2, 4)
+    g = PeriodicGrid(2, 4)
     rng = np.random.default_rng(0)
     f = GridField(g, rng.normal(size=g.size) * np.pi)
     path = tmp_path / "field.csv"
@@ -60,7 +61,7 @@ def test_field_csv_roundtrip_and_header(tmp_path):
 ], ids=["truncated", "one_short", "duplicate", "one_twice", "index_n", "index_minus_1",
         "no_index"])
 def test_field_csv_reader_refuses_rows_that_do_not_list_each_node_once(tmp_path, keep):
-    g = build_grid(1, 8)
+    g = PeriodicGrid(1, 8)
     path = tmp_path / "field.csv"
     write_field_csv(GridField(g, np.arange(8) / 8), str(path))
     header, *rows = path.read_text().splitlines(keepends=True)
@@ -74,7 +75,7 @@ def test_field_csv_reader_refuses_rows_that_do_not_list_each_node_once(tmp_path,
                          ids=["short_header", "no_body", "short_body", "long_body"])
 def test_barrier_binary_reader_refuses_a_short_or_long_file(tmp_path, cut):
     path = tmp_path / "bar.pbar"
-    write_barrier_binary(BarrierMatrix(build_grid(1, 4), np.ones((4, 4))), str(path))
+    write_barrier_binary(BarrierMatrix(PeriodicGrid(1, 4), np.ones((4, 4))), str(path))
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(DomainError, match=re.escape(str(path))):
         read_barrier_binary(str(path))
@@ -125,12 +126,12 @@ def spread(rng, size):
 
 
 def random_field(rng, d):
-    g = build_grid(d, int(rng.integers(4, 9)))
+    g = PeriodicGrid(d, int(rng.integers(4, 9)))
     return GridField(g, spread(rng, g.size))
 
 
 def random_measure(rng):
-    g, vs = build_grid(1, int(rng.integers(4, 9))), velocity_set(1.0, 5)
+    g, vs = PeriodicGrid(1, int(rng.integers(4, 9))), velocity_set(1.0, 5)
     W = rng.random((g.size, 5)) * 10.0 ** rng.integers(-320, 1, size=(g.size, 5))
     W[rng.random(W.shape) < 0.3] = 0.0
     W[rng.integers(g.size)] = 0.0                           # an all-zero row
@@ -221,7 +222,8 @@ def test_trace_csv_bytes_match_the_row_writer(tmp_path, d, steps):
         rng = np.random.default_rng(10 * d + steps)
         dt = float(rng.uniform(1e-4, 0.1))
         dl0 = -rng.uniform(0.5, 2.0, size=steps)
-        tr = CurveTrace(lam=0.5, dt=dt, horizon=steps * dt,
+        arcs = Transition(PeriodicGrid(d, 4), velocity_set(2.25, 13, d), dt)
+        tr = CurveTrace(lam=0.5, arcs=arcs, horizon=steps * dt,
                         points=rng.uniform(size=(steps + 1, d)),
                         velocities=rng.integers(-6, 7, size=(steps, d)) * 0.375,
                         vel_indices=rng.integers(0, 13, size=steps),
@@ -265,7 +267,7 @@ def test_occupation_workload_trace_csv_expands_to_the_row_writer(monkeypatch, tm
 
 
 def test_barrier_binary_roundtrip(tmp_path):
-    g = build_grid(1, 8)
+    g = PeriodicGrid(1, 8)
     rng = np.random.default_rng(1)
     bm = BarrierMatrix(g, rng.normal(size=(8, 8)))
     bm.values[rng.random((8, 8)) < 0.2] = BIG
@@ -290,7 +292,7 @@ def test_barrier_binary_refuses_a_header_t_other_than_minus_one(tmp_path, t):
 
 
 def test_measure_csv_lists_support_only(tmp_path):
-    g = build_grid(1, 4)
+    g = PeriodicGrid(1, 4)
     vs = velocity_set(1.0, 3)
     W = np.zeros((4, 3))
     W[2, 1] = 0.75

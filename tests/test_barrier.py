@@ -14,10 +14,10 @@ from torushj.barrier import (
 )
 import torushj.barrier as barrier
 from torushj.errors import ConfigurationError, SolveError
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.matherlp import build_polytope
 from torushj.models import builtin_model, discounted_wrapper, velocity_set
-from torushj.solver import default_dt, lambda_sweep, residual, solve_perturbed
+from torushj.solver import Transition, default_dt, lambda_sweep, residual, solve_perturbed
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
@@ -29,11 +29,11 @@ def mech_cos():
 
 
 def test_one_step_reachability(mech_cos):
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     dt = default_dt(grid, vset)
     h0 = initial_action_matrix(grid)
-    h1 = min_action_step(mech_cos, h0, grid, vset, dt)
+    h1 = min_action_step(mech_cos, h0, Transition(grid, vset, dt))
     reach = np.rint(vset.velocities[:, 0] * dt / grid.h).astype(int)
     finite = h1[0] < BIG / 2
     expected = np.zeros(grid.size, dtype=bool)
@@ -44,11 +44,11 @@ def test_one_step_reachability(mech_cos):
 def test_free_particle_action_derived():
     # Oracle: the minimal action of the free particle on the torus is
     # dist(x,y)^2 / (2t); the lattice adds a chord excess <= t*dv^2/8.
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(1.5, 97)
     model = builtin_model("mechanical", U=None)
     t = 4.0
-    h = evolve_action(model, grid, vset, T=t)
+    h = evolve_action(model, Transition(grid, vset), T=t)
     y = grid.axis_coords()
     dist = np.minimum(y, 1 - y)
     expected = dist**2 / (2 * t)
@@ -60,40 +60,40 @@ def test_free_particle_action_derived():
 
 def test_lower_bound_by_constant_lagrangian():
     # L0 = |v|^2/2 + 1 >= 1 pointwise forces h_t >= t
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     model = builtin_model("mechanical", U=-1.0)
-    h = evolve_action(model, grid, vset, T=2.0)
+    h = evolve_action(model, Transition(grid, vset), T=2.0)
     finite = h < BIG / 2
     assert np.all(h[finite] >= 2.0 - 1e-9)
 
 
 def test_semigroup_consistency(mech_cos):
     # min-plus associativity on the lattice: h_{t1+t2} = h_t1 (x) h_t2
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     dt = default_dt(grid, vset)
-    h_a = evolve_action(mech_cos, grid, vset, T=8 * dt, dt=dt)
-    h_b = evolve_action(mech_cos, grid, vset, T=16 * dt, dt=dt)
+    h_a = evolve_action(mech_cos, Transition(grid, vset, dt), T=8 * dt)
+    h_b = evolve_action(mech_cos, Transition(grid, vset, dt), T=16 * dt)
     comp = np.min(h_a[:, :, None] + h_a[None, :, :], axis=1)
     np.testing.assert_allclose(comp, h_b, atol=1e-9)
 
 
 def test_stepwise_equals_evolve(mech_cos):
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     dt = default_dt(grid, vset)
     A = initial_action_matrix(grid)
     for _ in range(12):
-        A = min_action_step(mech_cos, A, grid, vset, dt)
-    B = evolve_action(mech_cos, grid, vset, T=12 * dt, dt=dt)
+        A = min_action_step(mech_cos, A, Transition(grid, vset, dt))
+    B = evolve_action(mech_cos, Transition(grid, vset, dt), T=12 * dt)
     np.testing.assert_array_equal(A, B)
 
 
 def test_critical_value_three_routes(mech_cos):
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 33)
-    cd = critical_value(mech_cos, ("lp", "discount", "longtime"), grid, vset)
+    cd = critical_value(mech_cos, ("lp", "discount", "longtime"), Transition(grid, vset))
     assert cd.spread <= 0.05
     for v in cd.per_method.values():
         assert v == pytest.approx(1.0, abs=0.05)   # analytic c = max U
@@ -102,8 +102,8 @@ def test_critical_value_three_routes(mech_cos):
 def retired_discount_route(model, grid, vset):
     """The retired "discount" route: a warm-started sweep of the discounted
     family down to lam = 0.01, read off at its last entry."""
-    last = lambda_sweep(discounted_wrapper(model), (0.1, 0.05, 0.02, 0.01), grid, vset,
-                        dt=default_dt(grid, vset), tol=1e-9)[-1]
+    last = lambda_sweep(discounted_wrapper(model), (0.1, 0.05, 0.02, 0.01),
+                        Transition(grid, vset), tol=1e-9)[-1]
     return -last.lam * float(np.mean(last.field.values))
 
 
@@ -120,15 +120,15 @@ def _seeded_discount_case(seed, d):
         model = builtin_model("mechanical", d=d,
                               U=lambda x: U(x) + 0.4 * np.sin(2 * np.pi * x[..., 0]))
     if d == 1:
-        return model, build_grid(1, int(rng.choice([32, 64, 128]))), velocity_set(3.0, 33)
-    return model, build_grid(2, int(rng.choice([12, 16]))), velocity_set(2.0, 9, d=2)
+        return model, PeriodicGrid(1, int(rng.choice([32, 64, 128]))), velocity_set(3.0, 33)
+    return model, PeriodicGrid(2, int(rng.choice([12, 16]))), velocity_set(2.0, 9, d=2)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("seed", range(6))
 def test_discount_route_is_the_retired_sweep(seed, d):
     model, grid, vset = _seeded_discount_case(seed, d)
-    new = critical_value(model, "discount", grid, vset).c
+    new = critical_value(model, "discount", Transition(grid, vset)).c
     assert abs(new - retired_discount_route(model, grid, vset)) <= 1e-12
 
 
@@ -136,39 +136,40 @@ def test_discount_route_refuses_an_unconverged_solve(mech_cos, monkeypatch):
     monkeypatch.setattr(barrier, "solve_perturbed",
                         lambda *args, **kw: solve_perturbed(*args, max_iter=0, **kw))
     with pytest.raises(SolveError, match="discount route"):
-        critical_value(mech_cos, "discount", build_grid(1, 32), velocity_set(3.0, 33))
+        critical_value(mech_cos, "discount",
+                       Transition(PeriodicGrid(1, 32), velocity_set(3.0, 33)))
 
 
 def test_critical_value_free_lp_exact():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(2.0, 17)
     model = builtin_model("mechanical", U=None)
-    cd = critical_value(model, "lp", grid, vset)
+    cd = critical_value(model, "lp", Transition(grid, vset))
     assert cd.c == pytest.approx(0.0, abs=1e-6)
     assert cd.spread == 0.0
 
 
 def test_critical_value_shifted_quadratic():
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 49)
     model = builtin_model("shifted_quadratic", alpha=ALPHA)
-    cd = critical_value(model, ("lp", "longtime"), grid, vset)
+    cd = critical_value(model, ("lp", "longtime"), Transition(grid, vset))
     for v in cd.per_method.values():
         assert v == pytest.approx(0.5 * ALPHA**2, abs=0.02)
 
 
 def test_unknown_method_rejected(mech_cos):
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     with pytest.raises(ConfigurationError):
-        critical_value(mech_cos, "galerkin", grid, velocity_set(2.0, 9))
+        critical_value(mech_cos, "galerkin", Transition(grid, velocity_set(2.0, 9)))
 
 
 @pytest.fixture(scope="module")
 def peierls_cos(mech_cos):
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 49)
-    model = mech_cos.with_c0(critical_value(mech_cos, "lp", grid, vset).c)
-    h = peierls_barrier(build_polytope(model, grid, vset))
+    model = mech_cos.with_c0(critical_value(mech_cos, "lp", Transition(grid, vset)).c)
+    h = peierls_barrier(build_polytope(model, Transition(grid, vset)))
     return model, grid, vset, h
 
 
@@ -178,12 +179,12 @@ def test_peierls_examples(peierls_cos):
     assert not h.warnings
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(build_polytope(free, grid, velocity_set(1.5, 49)))
+    hfree = peierls_barrier(build_polytope(free, Transition(grid, velocity_set(1.5, 49))))
     assert np.max(np.abs(hfree.values)) <= 0.02
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
-    sq = sq.with_c0(critical_value(sq, "lp", grid, vset).c)
-    hsq = peierls_barrier(build_polytope(sq, grid, vset))
+    sq = sq.with_c0(critical_value(sq, "lp", Transition(grid, vset)).c)
+    hsq = peierls_barrier(build_polytope(sq, Transition(grid, vset)))
     assert np.max(np.abs(hsq.values)) <= 0.05
 
 
@@ -193,7 +194,7 @@ def test_polytope_barrier_is_the_peierls_barrier_computed_once(mech_cos):
     with an empty cache."""
     import dataclasses
     for model, m in ((mech_cos, 49), (builtin_model("shifted_quadratic", alpha=ALPHA), 25)):
-        poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, m))
+        poly = build_polytope(model, Transition(PeriodicGrid(1, 32), velocity_set(3.0, m)))
         h, want = poly.barrier, peierls_barrier(poly)
         assert poly.barrier is h
         assert np.array_equal(h.values, want.values)
@@ -221,12 +222,12 @@ def test_aubry_sets(peierls_cos, tmp_path):
     np.testing.assert_array_equal(aubry_set(h), [0])      # the max of U
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(build_polytope(free, grid, velocity_set(1.5, 49)))
+    hfree = peierls_barrier(build_polytope(free, Transition(grid, velocity_set(1.5, 49))))
     np.testing.assert_array_equal(aubry_set(hfree), np.arange(grid.size))
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
-    sq = sq.with_c0(critical_value(sq, "lp", grid, vset).c)
-    hsq = peierls_barrier(build_polytope(sq, grid, vset))
+    sq = sq.with_c0(critical_value(sq, "lp", Transition(grid, vset)).c)
+    hsq = peierls_barrier(build_polytope(sq, Transition(grid, vset)))
     np.testing.assert_array_equal(aubry_set(hsq), np.arange(grid.size))
 
     # h(z, z) is exactly 0 on the set and positive off it
@@ -246,10 +247,10 @@ def test_solution_from_barrier(peierls_cos):
     assert col.values[0] == pytest.approx(0.0, abs=0.02)
     # discrete critical residual bounded by a grid-spacing multiple
     dt = default_dt(grid, vset)
-    assert residual(model, 0.0, col, vset, dt) <= 25.0 * grid.h
+    assert residual(model, 0.0, col, Transition(grid, vset, dt)) <= 25.0 * grid.h
 
     free = builtin_model("mechanical", U=None).with_c0(0.0)
-    hfree = peierls_barrier(build_polytope(free, grid, velocity_set(1.5, 49)))
+    hfree = peierls_barrier(build_polytope(free, Transition(grid, velocity_set(1.5, 49))))
     colf = solution_from_barrier(hfree, 5)
     np.testing.assert_allclose(colf.values, 0.0, atol=0.02)
 
@@ -269,22 +270,22 @@ def test_offlattice_dt_warns_unreachable(mech_cos):
     # of the action DP would never leave the diagonal and there is no lattice
     # graph for the critical problem: the polytope, and with it the barrier
     # and the lp route, the action DP and the longtime route all refuse it
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
-        build_polytope(mech_cos, grid, vset, dt=0.0101)
+        build_polytope(mech_cos, Transition(grid, vset, 0.0101))
     with pytest.raises(ConfigurationError, match="off the node lattice"):
-        critical_value(mech_cos, "lp", grid, vset, dt=0.0101)
+        critical_value(mech_cos, "lp", Transition(grid, vset, 0.0101))
     with pytest.raises(ConfigurationError, match="off the node lattice"):
-        evolve_action(mech_cos, grid, vset, T=1.0, dt=0.0101)
+        evolve_action(mech_cos, Transition(grid, vset, 0.0101), T=1.0)
     with pytest.raises(ConfigurationError, match="off the node lattice"):
-        critical_value(mech_cos, "longtime", grid, vset, dt=0.03)
+        critical_value(mech_cos, "longtime", Transition(grid, vset, 0.03))
 
 
 def test_evolve_action_refuses_a_negative_horizon(mech_cos):
     # round(T / dt) < 0 would return h_0 as if it were h_T
-    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    grid, vset = PeriodicGrid(1, 16), velocity_set(2.0, 9)
     with pytest.raises(ConfigurationError, match="negative horizon"):
-        evolve_action(mech_cos, grid, vset, T=-5.0)
-    np.testing.assert_array_equal(evolve_action(mech_cos, grid, vset, T=0.0),
+        evolve_action(mech_cos, Transition(grid, vset), T=-5.0)
+    np.testing.assert_array_equal(evolve_action(mech_cos, Transition(grid, vset), T=0.0),
                                   initial_action_matrix(grid))

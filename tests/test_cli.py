@@ -118,6 +118,23 @@ def test_validate_refuses_a_solver_dt_not_positive_and_finite(tmp_path, capsys, 
     assert out.startswith("invalid: ") and "dt must be positive and finite" in out
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("tol", "nan", "tol must be positive and finite, got nan"),
+    ("tol", "-1", "tol must be positive and finite, got -1"),
+    ("tol", "0", "tol must be positive and finite, got 0"),
+    ("tol", "inf", "tol must be positive and finite, got inf"),
+    ("max_iter", "0", "max_iter must be at least 1, got 0"),
+])
+def test_validate_refuses_solver_settings_no_solve_can_meet(tmp_path, capsys, key, value,
+                                                            reason):
+    # tol = nan or -1 validated as ok, and the run then failed its solves
+    # stage, as no residual is ever <= tol
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG + f"\n[solver]\n{key} = {value}\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out == f"invalid: [solver] {reason}\n"
+
+
 @pytest.mark.parametrize("vmax", ["nan", "inf"])
 def test_validate_refuses_a_vmax_that_is_not_finite(tmp_path, capsys, vmax):
     bad = tmp_path / "bad.cfg"
@@ -185,3 +202,19 @@ def test_a_model_key_that_the_run_never_reads_is_refused(tmp_path, capsys, kind,
         parse_config(str(bad))
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().out.startswith("invalid: ")
+
+
+@pytest.mark.parametrize("text, reason", [
+    (TINY_CFG + "\n[grid]\nn = 32\n", "section 'grid' already exists"),
+    (KIND_CFG.format(kind="barrier_suite", model="shifted_quadratic", model_keys="",
+                     extras=""),
+     "barrier_suite checks a mechanical model, not 'shifted_quadratic'"),
+], ids=["duplicate_section", "barrier_suite_model"])
+def test_run_reports_a_config_that_does_not_parse(tmp_path, capsys, text, reason):
+    # run ended in a traceback where validate printed one line
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--output", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: ") and reason in out and out.count("\n") == 1
+    assert not (tmp_path / "out").exists()

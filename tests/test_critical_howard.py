@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torushj.barrier import critical_value, karp_min_mean
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.matherlp import _howard, build_polytope, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, on_arcs
@@ -69,16 +69,16 @@ def table_lagrangian(grid, vset, table):
 
 
 def lattice_case(d, n, m, doubled):
-    grid = build_grid(d, n)
+    """The kernel at the lattice dt, or at twice it."""
+    grid = PeriodicGrid(d, n)
     vset = velocity_set(2.0 if d == 2 else 3.0, m, d)
-    dt = default_dt(grid, vset) * (2 if doubled else 1)
-    return grid, vset, dt
+    return Transition(grid, vset, default_dt(grid, vset) * (2 if doubled else 1))
 
 
-def check_against_lp(model, grid, vset, dt):
+def check_against_lp(model, arcs):
     """Howard's polytope against the arrival-charged LP and its own
     certificate; returns the polytope."""
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, arcs)
     mu, opt, _ = solve_mather_lp(model, poly)
     assert poly.c == pytest.approx(-opt, abs=1e-12)
     crit = poly.critical
@@ -104,8 +104,7 @@ KINDS = ["mechanical", "magnetic", "cos_drift", "mass"]
        m=st.sampled_from([5, 9, 17]), kind=st.sampled_from(KINDS),
        doubled=st.booleans())
 def test_smooth_lagrangians_1d(seed, n, m, kind, doubled):
-    grid, vset, dt = lattice_case(1, n, m, doubled)
-    check_against_lp(smooth_lagrangian(seed, 1, kind), grid, vset, dt)
+    check_against_lp(smooth_lagrangian(seed, 1, kind), lattice_case(1, n, m, doubled))
 
 
 @settings(max_examples=8, deadline=None)
@@ -113,8 +112,7 @@ def test_smooth_lagrangians_1d(seed, n, m, kind, doubled):
        m=st.sampled_from([3, 5]), kind=st.sampled_from(KINDS),
        doubled=st.booleans())
 def test_smooth_lagrangians_2d(seed, n, m, kind, doubled):
-    grid, vset, dt = lattice_case(2, n, m, doubled)
-    check_against_lp(smooth_lagrangian(seed, 2, kind), grid, vset, dt)
+    check_against_lp(smooth_lagrangian(seed, 2, kind), lattice_case(2, n, m, doubled))
 
 
 @settings(max_examples=16, deadline=None)
@@ -123,13 +121,14 @@ def test_smooth_lagrangians_2d(seed, n, m, kind, doubled):
 def test_random_tables_against_lp_and_karp(seed, d, doubled, data):
     n = data.draw(st.integers(4, 24) if d == 1 else st.integers(4, 6), label="n")
     m = data.draw(st.sampled_from([3, 5, 9] if d == 1 else [3, 5]), label="m")
-    grid, vset, dt = lattice_case(d, n, m, doubled)
+    arcs = lattice_case(d, n, m, doubled)
+    grid, vset, dt = arcs.grid, arcs.vset, arcs.dt
     table = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(grid.size, vset.count))
     model = table_lagrangian(grid, vset, table)
-    L0 = on_arcs(grid, vset, model.L, 0.0)
+    L0 = on_arcs(arcs, model.L, 0.0)
     np.testing.assert_array_equal(L0, table.T)
-    poly = check_against_lp(model, grid, vset, dt)
-    eta = karp_min_mean(Transition(grid, vset, dt).take, dt * L0)
+    poly = check_against_lp(model, arcs)
+    eta = karp_min_mean(arcs.take, dt * L0)
     assert poly.c == pytest.approx(-eta / dt, abs=1e-12)
     # a random table has one min-mean cycle: the face is one vertex, one
     # class whose critical arcs are a simple cycle (one arc per node)
@@ -146,14 +145,15 @@ def test_longtime_route_is_howards_c(seed, d, kind, doubled, data):
     # eps N max|dt L0| / dt, and the bound is 4 of it
     n = data.draw(st.integers(4, 32) if d == 1 else st.integers(4, 8), label="n")
     m = data.draw(st.sampled_from([5, 9, 17] if d == 1 else [3, 5]), label="m")
-    grid, vset, dt = lattice_case(d, n, m, doubled)
+    arcs = lattice_case(d, n, m, doubled)
+    grid, vset, dt = arcs.grid, arcs.vset, arcs.dt
     if kind == "table":
         rng = np.random.default_rng(seed)
         model = table_lagrangian(grid, vset, rng.uniform(-1, 1, (grid.size, vset.count)))
     else:
         model = smooth_lagrangian(seed, d, kind)
-    poly = build_polytope(model, grid, vset, dt)
-    cd = critical_value(model, "longtime", grid, vset, dt=dt)
+    poly = build_polytope(model, arcs)
+    cd = critical_value(model, "longtime", arcs)
     bound = 4 * np.finfo(float).eps * grid.size * np.max(np.abs(dt * poly.action)) / dt
     assert abs(cd.c - poly.c) <= bound
 
@@ -162,23 +162,23 @@ def test_longtime_route_reads_every_walk_length():
     # the k = N - 1 term of Karp's max decides eta only where the cheapest
     # N-arc walk holds a single cycle, one rest arc after a Hamiltonian
     # path; random tables on a ring of four nodes give that now and then
-    grid, vset, dt = lattice_case(1, 4, 3, False)
+    arcs = lattice_case(1, 4, 3, False)
     for seed in range(64):
         table = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, 3))
-        model = table_lagrangian(grid, vset, table)
-        cd = critical_value(model, "longtime", grid, vset, dt=dt)
-        assert cd.c == pytest.approx(build_polytope(model, grid, vset, dt).c, abs=1e-14)
+        model = table_lagrangian(arcs.grid, arcs.vset, table)
+        cd = critical_value(model, "longtime", arcs)
+        assert cd.c == pytest.approx(build_polytope(model, arcs).c, abs=1e-14)
 
 
 def test_rest_ties_and_branches_settle():
     # every node's rest arc is a min-mean cycle (free particle), and a
     # branched face (alpha at half a velocity step) ties two arcs per node
-    grid, vset = build_grid(1, 16), velocity_set(3.0, 25)
-    free = build_polytope(builtin_model("mechanical", U=None), grid, vset)
-    assert free.c == 0.0 and len(free.critical) == grid.size
-    half = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)
-    poly = check_against_lp(half, grid, vset, default_dt(grid, vset))
-    assert len(poly.critical) == 2 * grid.size
+    arcs = Transition(PeriodicGrid(1, 16), velocity_set(3.0, 25))
+    free = build_polytope(builtin_model("mechanical", U=None), arcs)
+    assert free.c == 0.0 and len(free.critical) == arcs.grid.size
+    half = builtin_model("shifted_quadratic", alpha=arcs.vset.spacing / 2)
+    poly = check_against_lp(half, arcs)
+    assert len(poly.critical) == 2 * arcs.grid.size
 
 
 def brute_min_ratio(take, W, D):

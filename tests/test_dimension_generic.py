@@ -12,7 +12,7 @@ from torushj.curves import _kink_scale
 from torushj.experiments import _smooth_random_fields
 from torushj.grids import (
     GridField,
-    build_grid,
+    PeriodicGrid,
     interpolation_stencil,
     product_lattice,
     wrap_points,
@@ -111,7 +111,7 @@ def assert_same_bits(a, b):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [4, 5, 16])
 def test_node_coords_and_lattices_match_the_retired_builders(d, n):
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     assert_same_bits(grid.node_coords(), retired_lattice(grid.axis_coords(), d))
     for axis in (np.linspace(-3.0, 3.0, 13), np.linspace(-6.0, 6.0, 65)):
         assert_same_bits(product_lattice(axis, d), retired_lattice(axis, d))
@@ -135,7 +135,7 @@ coord = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(d=st.sampled_from([1, 2]), n=st.sampled_from([4, 5, 16]), data=st.data())
 def test_stencil_matches_the_retired_branches(d, n, data):
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     rows = data.draw(st.integers(0, 6))
     shape = (d,) if rows == 0 else (rows, d)
     pts = np.array(data.draw(st.lists(coord, min_size=int(np.prod(shape)),
@@ -150,7 +150,7 @@ def test_stencil_matches_the_retired_branches(d, n, data):
 @given(d=st.sampled_from([1, 2]), n=st.sampled_from([4, 5, 16]),
        multi=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=12))
 def test_flat_index_matches_the_retired_branches(d, n, multi):
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     m = np.array(multi[: len(multi) // d * d]).reshape(-1, d)
     assert_same_bits(grid.flat_index(m), retired_flat_index(grid, m))
     assert_same_bits(grid.flat_index(m[0]), retired_flat_index(grid, m[0]))
@@ -160,7 +160,7 @@ def test_flat_index_matches_the_retired_branches(d, n, multi):
 @given(d=st.sampled_from([1, 2]), n=st.sampled_from([4, 5, 16]),
        seed=st.integers(0, 2**31), scale=st.sampled_from([1e-6, 1.0, 1e6]))
 def test_field_constants_match_the_retired_branches(d, n, seed, scale):
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     u = GridField(grid, scale * np.random.default_rng(seed).standard_normal(grid.size))
     assert u.as_array().shape == (n,) * d
     assert u.lipschitz_constant() == retired_lipschitz(u)
@@ -183,7 +183,7 @@ def builtin_models(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_compute_bracket_matches_the_retired_lattices(d, monkeypatch):
-    grid = build_grid(d, 8)
+    grid = PeriodicGrid(d, 8)
     u = GridField(grid, np.cos(2 * np.pi * grid.node_coords()).sum(axis=1))
     for model in builtin_models(d):
         model = model.with_c0(1.0)
@@ -213,12 +213,12 @@ def test_fenchel_lagrangian_matches_the_retired_lattice(d, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_random_fields_keep_the_1d_draws_and_vary_along_every_axis_in_2d():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     new = _smooth_random_fields(grid, np.random.default_rng(5), 3)
     ref = retired_smooth_random_fields_1d(grid, np.random.default_rng(5), 3)
     for a, b in zip(new, ref):
         assert_same_bits(a.values, b.values)
-    for f in _smooth_random_fields(build_grid(2, 16), np.random.default_rng(5), 3):
+    for f in _smooth_random_fields(PeriodicGrid(2, 16), np.random.default_rng(5), 3):
         a = f.as_array()
         assert np.ptp(a, axis=0).max() > 1e-3 and np.ptp(a, axis=1).max() > 1e-3
 

@@ -18,10 +18,10 @@ from torushj.experiments import (
     parse_potential,
     run_experiment,
 )
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.models import builtin_model, velocity_set
 from torushj.selection import SelectionResult
-from torushj.solver import SweepEntry, SolveReport, lambda_sweep
+from torushj.solver import SweepEntry, SolveReport, Transition, lambda_sweep
 
 
 def test_parse_potential_grammar():
@@ -66,7 +66,7 @@ def _entry(grid, lam, values, iters=10, resid=1e-9):
 
 
 def test_convergence_report_rows_and_monotonicity():
-    grid = build_grid(1, 8)
+    grid = PeriodicGrid(1, 8)
     ref = GridField.constant(grid, 0.0)
     entries = [_entry(grid, 0.1, np.full(8, 0.08)),
                _entry(grid, 0.03, np.full(8, 0.03)),
@@ -94,17 +94,17 @@ def test_convergence_report_rows_and_monotonicity():
 def test_convergence_report_keeps_the_failure_type():
     # a sweep entry whose solve left the field non-finite is a DomainError,
     # and the report re-raises that type, naming the entry's lam
-    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    grid, vset = PeriodicGrid(1, 16), velocity_set(2.0, 9)
     model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1")).with_c0(1.0)
     nan_V = dataclasses.replace(model, V=lambda x, lam: np.full(x.shape[:-1], np.nan))
-    entries = lambda_sweep(nan_V, [0.5], grid, vset, max_iter=3)
+    entries = lambda_sweep(nan_V, [0.5], Transition(grid, vset), max_iter=3)
     with pytest.raises(DomainError, match="lam=0.5 failed: .*finite") as info:
         convergence_report(entries, GridField.constant(grid, 0.0))
     assert info.value.__cause__ is entries[0].error
 
 
 def test_export_all_dispatch(tmp_path):
-    grid = build_grid(1, 8)
+    grid = PeriodicGrid(1, 8)
     assert export_all({}, str(tmp_path)) == []
     files = export_all({
         "field": GridField.constant(grid, 1.0),
@@ -119,7 +119,7 @@ def test_export_all_dispatch(tmp_path):
 def test_export_all_writes_each_artifact_once(tmp_path):
     """At N <= 32 nodes a barrier is its .pbar alone, with no CSV twin, and a
     selected limit its field CSV alone, with no <key>_values.csv."""
-    grid = build_grid(1, 8)
+    grid = PeriodicGrid(1, 8)
     values = np.linspace(0.0, 1.0, 8)
     files = export_all({"barrier_peierls": barrier.BarrierMatrix(grid, np.zeros((8, 8))),
                         "limit_solution": SelectionResult(GridField(grid, values), values)},
@@ -169,7 +169,7 @@ def test_bundled_configs_parse_to_pinned_fields(name):
     assert cfg == ExperimentConfig(kind=name, **pinned, model_params=cfg.model_params,
                                    raw=cfg.raw)
     assert sorted(cfg.model_params) == sorted(params)
-    X = build_grid(1, 16).node_coords()
+    X = PeriodicGrid(1, 16).node_coords()
     for key, spec in params.items():
         if key == "alpha":
             np.testing.assert_array_equal(cfg.model_params[key], spec)
@@ -318,18 +318,19 @@ def test_barrier_suite_checks_the_model_it_names(tmp_path):
 
 
 def test_barrier_suite_refuses_a_model_other_than_mechanical(tmp_path):
+    # at parse time: the run used to be its first refusal
     path = tmp_path / "barrier.cfg"
     path.write_text(BARRIER_SUITE.format(model="shifted_quadratic"))
-    res = run_experiment(str(path), output=str(tmp_path / "out"))
-    assert not res.passed
-    assert [s.name for s in res.stages] == ["fatal"]
-    assert res.stages[0].error.startswith("ConfigurationError: barrier_suite checks "
-                                          "a mechanical model")
+    with pytest.raises(ConfigurationError, match="barrier_suite checks a mechanical "
+                                                 "model, not 'shifted_quadratic'"):
+        parse_config(str(path))
 
 
 def test_fatal_record_keeps_the_exception_type_in_the_manifest(tmp_path):
-    path = tmp_path / "barrier.cfg"
-    path.write_text(BARRIER_SUITE.format(model="shifted_quadratic"))
+    # zero Lipschitz pairs parse, and the run refuses them
+    path = tmp_path / "operator.cfg"
+    path.write_text("[experiment]\nkind = operator_suite\n\n[grid]\nn = 16\n\n"
+                    "[extras]\nlipschitz_pairs = 0\n")
     res = run_experiment(str(path), output=str(tmp_path / "out"))
     assert res.stages[-1].error_type == "ConfigurationError"
     with open(tmp_path / "out" / "manifest.json") as f:

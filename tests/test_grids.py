@@ -7,7 +7,7 @@ from test_trace_oracle import mod_wrap, point_sampler
 from torushj.errors import ConfigurationError, DomainError
 from torushj.grids import (
     GridField,
-    build_grid,
+    PeriodicGrid,
     interpolate,
     wrap_points,
     wrap_unit,
@@ -80,7 +80,7 @@ def test_foot_sampler_wraps_as_np_mod(d, snap, coords):
     lean loop's point sampler, which wraps with np.mod."""
     coords = coords + WRAP_EDGES
     Y = np.array(coords[:len(coords) // d * d]).reshape(-1, d)
-    grid = build_grid(d, 8)
+    grid = PeriodicGrid(d, 8)
     arcs = Transition(grid, velocity_set(1.0, 5, d), 0.0123)
     values = np.random.default_rng(d).normal(size=grid.size)
     feet, fv = arcs.foot_sampler(values, snap)(Y)
@@ -91,18 +91,18 @@ def test_foot_sampler_wraps_as_np_mod(d, snap, coords):
         assert bits(row_fv) == bits(want_fv)
 
 
-def test_build_grid_examples():
-    g = build_grid(1, 8)
+def test_periodic_grid_examples():
+    g = PeriodicGrid(1, 8)
     np.testing.assert_allclose(g.axis_coords(), np.arange(8) / 8)
-    assert build_grid(2, 4).size == 16
+    assert PeriodicGrid(2, 4).size == 16
     with pytest.raises(ConfigurationError):
-        build_grid(3, 8)
+        PeriodicGrid(3, 8)
     with pytest.raises(ConfigurationError):
-        build_grid(1, 3)
+        PeriodicGrid(1, 3)
 
 
 def test_lexicographic_indexing_2d():
-    g = build_grid(2, 4)
+    g = PeriodicGrid(2, 4)
     coords = g.node_coords()
     # row-major: index i*n + j -> (i*h, j*h)
     np.testing.assert_allclose(coords[1], [0.0, 0.25])
@@ -111,7 +111,7 @@ def test_lexicographic_indexing_2d():
 
 
 def test_interpolate_constant_and_midpoint():
-    g = build_grid(1, 4)
+    g = PeriodicGrid(1, 4)
     const = GridField.constant(g, 3.7)
     for x in (0.0, 0.1, 0.49, 0.9999):
         assert interpolate(const, [x]) == pytest.approx(3.7)
@@ -120,7 +120,7 @@ def test_interpolate_constant_and_midpoint():
 
 
 def test_interpolate_exact_at_nodes():
-    g = build_grid(2, 5)
+    g = PeriodicGrid(2, 5)
     rng = np.random.default_rng(0)
     f = GridField(g, rng.normal(size=g.size))
     vals = interpolate(f, g.node_coords())
@@ -129,14 +129,14 @@ def test_interpolate_exact_at_nodes():
 
 def test_interpolate_sine_derived():
     # Independent oracle: analytic sin(2 pi x) at x = 0.3.
-    g = build_grid(1, 256)
+    g = PeriodicGrid(1, 256)
     f = GridField.from_function(g, lambda X: np.sin(2 * np.pi * X[..., 0]))
     expected = np.sin(0.6 * np.pi)  # = 0.95105651629515353
     assert interpolate(f, [0.3]) == pytest.approx(expected, abs=1e-3)
 
 
 def test_interpolate_affine_in_cell_exact():
-    g = build_grid(1, 8)
+    g = PeriodicGrid(1, 8)
     f = GridField.from_function(g, lambda X: 2.0 * X[..., 0])
     # affine within a single cell is reproduced exactly
     assert interpolate(f, [0.1 + 1e-3]) == pytest.approx(2 * (0.1 + 1e-3), abs=1e-14)
@@ -145,7 +145,7 @@ def test_interpolate_affine_in_cell_exact():
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=10**6), st.floats(min_value=0, max_value=1e-3))
 def test_interpolate_sup_lipschitz(seed, eps):
-    g = build_grid(1, 8)
+    g = PeriodicGrid(1, 8)
     rng = np.random.default_rng(seed)
     base = rng.normal(size=g.size)
     bump = rng.uniform(-eps, eps, size=g.size)
@@ -156,7 +156,7 @@ def test_interpolate_sup_lipschitz(seed, eps):
 
 
 def test_bilinear_2d_matches_separable_product():
-    g = build_grid(2, 8)
+    g = PeriodicGrid(2, 8)
     f = GridField.from_function(
         g, lambda X: np.sin(2 * np.pi * X[..., 0]) * np.cos(2 * np.pi * X[..., 1]))
     val = interpolate(f, [0.31, 0.77])
@@ -165,7 +165,7 @@ def test_bilinear_2d_matches_separable_product():
 
 
 def test_field_validation():
-    g = build_grid(1, 4)
+    g = PeriodicGrid(1, 4)
     with pytest.raises(DomainError):
         GridField(g, [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):

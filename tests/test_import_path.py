@@ -45,15 +45,16 @@ configs, out = sys.argv[1], sys.argv[2]
 import torushj.experiments
 from torushj.barrier import critical_value
 from torushj.experiments import parse_config, parse_potential, run_experiment
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.matherlp import build_polytope, solve_mather_lp
 from torushj.models import builtin_model, velocity_set
+from torushj.solver import Transition
 
 parse_config(os.path.join(configs, "example_6_1.cfg"))
 seen = [loaded()]
 mech = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1"))
-grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
-cd = critical_value(mech, ("lp", "discount", "longtime"), grid, vset)
+arcs = Transition(PeriodicGrid(1, 16), velocity_set(2.0, 9))
+cd = critical_value(mech, ("lp", "discount", "longtime"), arcs)
 seen.append(loaded())
 parse_config(os.path.join(configs, "barrier_suite.cfg"))
 seen.append(loaded())
@@ -62,7 +63,7 @@ assert len(paths) == 6
 for path in paths:
     assert run_experiment(path, output=os.path.join(out, os.path.basename(path))).passed
 seen.append(loaded())
-solve_mather_lp(mech, build_polytope(mech, grid, vset))
+solve_mather_lp(mech, build_polytope(mech, arcs))
 seen.append(loaded())
 print(json.dumps(seen))
 """

@@ -7,11 +7,11 @@ import pytest
 
 from torushj.barrier import critical_value, peierls_barrier
 from torushj.curves import backward_calibrated_curve, occupation_measure
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.matherlp import build_polytope, solve_mather_lp
 from torushj.models import builtin_model, fenchel_lagrangian, velocity_set
 from torushj.selection import apply_selection_operator
-from torushj.solver import compute_bracket, default_dt, lambda_sweep, solve_perturbed
+from torushj.solver import Transition, compute_bracket, default_dt, lambda_sweep, solve_perturbed
 
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
 
@@ -38,20 +38,20 @@ def test_sigma_discounted_family_converges_to_operator_value():
     # Theorem-C wiring: solutions of sigma(x)*lam*u + G(x,du) - lam*sigma*phi
     # = c(G) approach (P^sigma phi); with a single minimizing measure the
     # value is h(x*, .) + phi(x*).
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 33)
     dt = default_dt(grid, vset)
     sig = lambda x: 1.5 + 0.5 * np.sin(2 * np.pi * x[..., 0])
     phi = lambda x: 0.4 * np.cos(2 * np.pi * x[..., 0]) + 0.2
     model = builtin_model("sigma_discounted", U=COS, sigma=sig, phi=phi)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     model = model.with_c0(poly.c)
     h = poly.barrier
     sel = apply_selection_operator(GridField.from_function(grid, sig),
                                    GridField.from_function(grid, phi), poly)
 
     bracket = compute_bracket(model, GridField(grid, h.values[0, :].copy()))
-    entries = lambda_sweep(model, (0.1, 0.03, 0.01, 0.003), grid, vset, dt=dt,
+    entries = lambda_sweep(model, (0.1, 0.03, 0.01, 0.003), Transition(grid, vset, dt),
                            tol=1e-8, bracket=bracket)
     assert all(e.report.converged for e in entries)
     final = entries[-1].field
@@ -62,12 +62,12 @@ def test_sigma_discounted_family_converges_to_operator_value():
 
 @pytest.fixture(scope="module")
 def setup_2d():
-    grid = build_grid(2, 12)
+    grid = PeriodicGrid(2, 12)
     vset = velocity_set(2.0, 9, d=2)
     dt = default_dt(grid, vset)
     U = lambda x: np.cos(2 * np.pi * x[..., 0]) + np.cos(2 * np.pi * x[..., 1])
     model = builtin_model("mechanical", d=2, U=U)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     model = model.with_c0(poly.c)
     return model, grid, vset, dt, poly
 
@@ -85,17 +85,17 @@ def test_2d_solve_and_trace(setup_2d):
     h = peierls_barrier(poly)
     bracket = compute_bracket(model, GridField(grid, h.values[0, :].copy()))
     lam = 0.05
-    fld, rep = solve_perturbed(model, lam, grid, vset, dt=dt, tol=1e-9,
+    fld, rep = solve_perturbed(model, lam, Transition(grid, vset, dt), tol=1e-9,
                                bracket=bracket)
     assert rep.converged and rep.bracket_violations == 0
     x0 = grid.node_coords()[grid.flat_index(np.array([5, 8]))]
-    tr = backward_calibrated_curve(model, lam, fld, x0, Tmax=10.0 / lam, dt=dt,
-                                   vset=vset, solver_tol=1e-9)
+    tr = backward_calibrated_curve(model, lam, fld, x0, Tmax=10.0 / lam,
+                                   arcs=Transition(grid, vset, dt), solver_tol=1e-9)
     assert tr.on_lattice
     end = tr.points[-1]
     dist = np.sqrt(np.sum(np.minimum(end, 1 - end) ** 2))
     assert dist <= 2 * grid.h
-    mu = occupation_measure(tr, grid, vset)
+    mu = occupation_measure(tr)
     assert mu.projected()[0] >= 0.5
 
 
@@ -105,5 +105,5 @@ def test_2d_barrier_column(setup_2d):
     assert abs(h.values[0, 0]) <= 0.05
     col = h.values[0, :]
     assert int(np.argmin(col)) == 0
-    cd = critical_value(model, "longtime", grid, vset)
+    cd = critical_value(model, "longtime", Transition(grid, vset))
     assert cd.c == pytest.approx(2.0, abs=0.05)

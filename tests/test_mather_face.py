@@ -16,7 +16,7 @@ import torushj.selection as selection
 from torushj.barrier import critical_value
 from torushj.errors import ConfigurationError, DomainError
 from torushj.experiments import parse_potential
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.matherlp import (
     _run_lp,
     build_polytope,
@@ -32,7 +32,7 @@ from torushj.selection import (
     limit_solution_formula,
     measure_comparison,
 )
-from torushj.solver import default_dt
+from torushj.solver import Transition, default_dt
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 HALF_STEP = velocity_set(3.0, 25).spacing / 2
@@ -63,9 +63,9 @@ ORACLE_TOL = 1e-6
 @lru_cache(maxsize=None)
 def setup(name, n):
     model = MODELS[name]()
-    grid = build_grid(model.d, n)
+    grid = PeriodicGrid(model.d, n)
     vset = velocity_set(3.0, 25) if model.d == 1 else velocity_set(2.0, 5, d=2)
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     model = model.with_c0(poly.c)
     # the oracle programs' minimality row admits action slack tol_min, which
     # lets them move ~tol_min/(reduced cost gap) of mass off the face; keep
@@ -171,7 +171,7 @@ def test_stored_critical_solution_is_the_lp_solution():
         assert poly.c == pytest.approx(-opt, abs=1e-12)
         support = np.flatnonzero(mu.flat() > 1e-12)
         assert np.isin(support, poly.critical).all()
-        assert critical_value(model, "lp", grid, poly.vset).c == poly.c
+        assert critical_value(model, "lp", Transition(grid, poly.vset)).c == poly.c
 
 
 def class_nodes(poly):
@@ -188,8 +188,8 @@ def test_static_classes_known_models():
         assert class_nodes(setup("half_step", n)[2]) == [list(range(n))]
     rot2 = class_nodes(setup("rotation_2d", 16)[2])
     assert len(rot2) == 16 and sorted(sum(rot2, [])) == list(range(256))
-    free = build_polytope(builtin_model("mechanical", U=None), build_grid(1, 12),
-                          velocity_set(1.5, 7))
+    free = build_polytope(builtin_model("mechanical", U=None),
+                          Transition(PeriodicGrid(1, 12), velocity_set(1.5, 7)))
     assert class_nodes(free) == [[x] for x in range(12)]   # every rest measure
     for name, n in CASES:
         poly = setup(name, n)[2]
@@ -279,8 +279,8 @@ def test_unreached_targets_are_refused():
     refused, while the even targets keep the vertex evaluation's values and
     multiplicity."""
     model = MODELS["double_well"]()
-    grid, vset = build_grid(1, 16), velocity_set(3.0, 25)
-    poly = build_polytope(model, grid, vset, 2 * default_dt(grid, vset))
+    grid, vset = PeriodicGrid(1, 16), velocity_set(3.0, 25)
+    poly = build_polytope(model, Transition(grid, vset, 2 * default_dt(grid, vset)))
     h = poly.barrier
     assert h.aubry.tolist() == [0, 8] and h.warnings
     sigma, phi = GridField.constant(grid, 1.0), random_field(grid, 3)
@@ -357,21 +357,21 @@ def test_offlattice_polytope_is_refused():
     # off the lattice there is no lattice graph, so no polytope, hence no
     # evaluation on the face; the "lp" route refuses the dt the same way
     for name in ("cosine_well", "rotation"):
-        model, grid, vset = MODELS[name](), build_grid(1, 16), velocity_set(3.0, 25)
+        model, grid, vset = MODELS[name](), PeriodicGrid(1, 16), velocity_set(3.0, 25)
         with pytest.raises(ConfigurationError, match="off the node lattice"):
-            build_polytope(model, grid, vset, dt=0.0101)
+            build_polytope(model, Transition(grid, vset, 0.0101))
         with pytest.raises(ConfigurationError, match="off the node lattice"):
-            critical_value(model, "lp", grid, vset, dt=0.0101)
+            critical_value(model, "lp", Transition(grid, vset, 0.0101))
 
 
 def test_comparison_checks_decide_on_the_exact_face():
     """Rotation n = 32 with seeded random costs: the full-polytope LP, with
     its tol_min = 1e-9 action slack, undercuts the exact face minimum (the
     best cycle mean) by ~1e-6, above both checks' tolerances."""
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(3.0, 25)
     model = MODELS["rotation"]()
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     model = model.with_c0(poly.c)
     oracle = dataclasses.replace(poly, tol_min=1e-12)
     cycles = mather_vertices(poly)
@@ -404,10 +404,10 @@ def test_comparison_checks_on_a_branched_critical_graph(seed):
     """alpha = half a velocity step ties v = 0 and v = one step, so every node
     has two critical arcs: one class, whose optimal cycle the ratio policy
     iteration finds among n + 1 simple cycles."""
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(3.0, 25)
     model = builtin_model("shifted_quadratic", alpha=vset.spacing / 2)
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     model = model.with_c0(poly.c)
     assert mather_vertices(poly) is None
     assert len(poly.critical) == 2 * grid.size

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from torushj.errors import DomainError, MatherLPError
 from torushj.experiments import parse_potential
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.matherlp import (
     DiscreteMeasure,
     _run_lp,
@@ -35,7 +35,7 @@ def make_measure(grid, vset, pairs):
 
 @pytest.fixture(scope="module")
 def setup32():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(2.0, 17)
     dt = default_dt(grid, vset)
     return grid, vset, dt, closedness_operator(Transition(grid, vset, dt))
@@ -76,7 +76,7 @@ def test_moving_dirac_not_closed(setup32):
 def test_mather_lp_mechanical_cos(setup32):
     grid, vset, dt, _ = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     mu, val, _ = solve_mather_lp(model, poly)
     # brute-force oracle: among rest measures the best is the Dirac at the
     # maximum of U, value -max(U) = -1; no closed measure does better since
@@ -90,16 +90,16 @@ def test_mather_lp_mechanical_cos(setup32):
 def test_mather_lp_free_trivial(setup32):
     grid, vset, dt, _ = setup32
     model = builtin_model("mechanical", U=None)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     _, val, _ = solve_mather_lp(model, poly)
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mather_lp_shifted_quadratic_uniform():
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 49)
     model = builtin_model("shifted_quadratic", alpha=ALPHA)
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     mu, val, _ = solve_mather_lp(model, poly)
     assert val == pytest.approx(-0.5 * ALPHA**2, abs=0.02)
     tv = 0.5 * np.abs(mu.projected() - 1.0 / grid.size).sum()
@@ -109,7 +109,7 @@ def test_mather_lp_shifted_quadratic_uniform():
 def test_lp_optimizer_feasibility(setup32):
     grid, vset, dt, C = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     mu, _, _ = solve_mather_lp(model, poly)
     assert abs(mu.mass - 1.0) <= 1e-9
     assert np.max(np.abs(C @ mu.flat())) <= 1e-9
@@ -118,7 +118,7 @@ def test_lp_optimizer_feasibility(setup32):
 def test_minimize_linear_examples(setup32):
     grid, vset, dt, _ = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     _, v_action, _ = minimize_linear_over_mather(poly, poly.action)
     assert v_action == pytest.approx(-1.0, abs=1e-8)
     _, v_one, _ = minimize_linear_over_mather(poly, np.ones(poly.num_vars))
@@ -133,7 +133,7 @@ def test_minimize_linear_examples(setup32):
 def test_minimize_linear_monotone_under_constraints(setup32):
     grid, vset, dt, C = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     rng = np.random.default_rng(5)
     cost = rng.normal(size=poly.num_vars)
     _, with_min, _ = minimize_linear_over_mather(poly, cost)
@@ -171,7 +171,7 @@ def linear_oracle(poly, cost, check_multiplicity=False):
     (None, velocity_set(3.0, 25).spacing / 2, 16),           # a branched face
 ])
 def test_minimize_linear_matches_the_linear_oracle(U, alpha, n):
-    grid = build_grid(1, n)
+    grid = PeriodicGrid(1, n)
     vset = velocity_set(3.0, 25)
     model = (builtin_model("mechanical", U=U) if alpha is None else
              builtin_model("shifted_quadratic", alpha=alpha, potential=U))
@@ -179,7 +179,7 @@ def test_minimize_linear_matches_the_linear_oracle(U, alpha, n):
     # undercut the face minimum by up to about 1e3 * tol_min (the rotation
     # case at 1e-9: the oracle's form by 1.2e-6, while the Charnes-Cooper
     # form keeps to the face); at 1e-12 both forms stay within 1e-9 of it
-    poly = dataclasses.replace(build_polytope(model, grid, vset), tol_min=1e-12)
+    poly = dataclasses.replace(build_polytope(model, Transition(grid, vset)), tol_min=1e-12)
     rng = np.random.default_rng(n)
     nodal = np.repeat(np.cos(4 * np.pi * grid.node_coords()[:, 0]), vset.count)
     costs = [rng.normal(size=poly.num_vars) for _ in range(6)]
@@ -195,7 +195,7 @@ def test_minimize_linear_weights_stay_above_the_measure_floor():
     # feasibility tolerance, returned a vertex weight of -1.8e-9 here, which
     # DiscreteMeasure refuses
     model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=2"))
-    poly = build_polytope(model, build_grid(1, 16), velocity_set(3.0, 49))
+    poly = build_polytope(model, Transition(PeriodicGrid(1, 16), velocity_set(3.0, 49)))
     cost = np.random.default_rng(14).normal(size=poly.num_vars)
     mu, val, _ = minimize_linear_over_mather(poly, cost)
     assert mu.mass == pytest.approx(1.0, abs=1e-12)
@@ -207,14 +207,14 @@ def test_minimize_linear_weights_stay_above_the_measure_floor():
 def test_fractional_constant_ratio_random_polytopes():
     # numerator = k * denominator gives k on any polytope
     rng = np.random.default_rng(42)
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     for trial in range(10):
         U = lambda x, a=rng.normal(size=3): (
             a[0] * np.cos(2 * np.pi * x[..., 0])
             + a[1] * np.sin(2 * np.pi * x[..., 0]) + a[2])
         model = builtin_model("mechanical", U=U)
-        poly = build_polytope(model, grid, vset)
+        poly = build_polytope(model, Transition(grid, vset))
         b = np.repeat(1.0 + 0.5 * rng.uniform(size=grid.size), vset.count)
         k = rng.normal()
         _, val, _ = fractional_minimize(poly, k * b, b)
@@ -224,7 +224,7 @@ def test_fractional_constant_ratio_random_polytopes():
 def test_fractional_singleton_and_cc_roundtrip(setup32):
     grid, vset, dt, C = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     X = grid.node_coords()[:, 0]
     a_node = np.sin(2 * np.pi * X) + 2.0
     b_node = 1.0 + 0.25 * np.cos(2 * np.pi * X)
@@ -242,7 +242,7 @@ def test_fractional_singleton_and_cc_roundtrip(setup32):
 def test_fractional_negative_denominator(setup32):
     grid, vset, dt, _ = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     b = -np.ones(poly.num_vars)
     a = np.repeat(np.cos(2 * np.pi * grid.node_coords()[:, 0]), vset.count)
     _, val, _ = fractional_minimize(poly, a, b)
@@ -255,10 +255,10 @@ def test_fractional_sign_is_read_from_the_denominator():
     # (a, b) and (-a, -b) are one ratio, so one program: the same value and
     # measure bit for bit; a denominator that is not strictly one-signed has
     # no Charnes-Cooper program and is refused
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(3.0, 25)
     model = builtin_model("mechanical", U=lambda x: np.cos(4 * np.pi * x[..., 0]))
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     rng = np.random.default_rng(3)
     for _ in range(3):
         a = rng.normal(size=poly.num_vars)
@@ -274,10 +274,10 @@ def test_fractional_sign_is_read_from_the_denominator():
 
 
 def test_fractional_infeasible_tol_min():
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     vset = velocity_set(2.0, 9)
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     poly.c = poly.c + 1.0          # impossible minimality level
     with pytest.raises(MatherLPError):
         minimize_linear_over_mather(poly, poly.action)
@@ -294,10 +294,10 @@ def test_projected_measure_examples(setup32):
 
 
 def test_projected_concentration_mechanical():
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 33)
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     mu, _, _ = solve_mather_lp(model, poly)
     proj = mu.projected()
     near = np.minimum(np.arange(grid.size), grid.size - np.arange(grid.size)) <= 2
@@ -306,7 +306,7 @@ def test_projected_concentration_mechanical():
 
 def test_lp_agrees_with_discount_route_all_builtins():
     from torushj.barrier import critical_value
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 33)
     sig = lambda x: 1.25 + 0.25 * np.cos(2 * np.pi * x[..., 0])
     cases = [
@@ -317,21 +317,21 @@ def test_lp_agrees_with_discount_route_all_builtins():
                       phi=lambda x: np.sin(2 * np.pi * x[..., 0])),
     ]
     for model in cases:
-        cd = critical_value(model, ("lp", "discount"), grid, vset)
+        cd = critical_value(model, ("lp", "discount"), Transition(grid, vset))
         assert cd.spread <= 0.05, model.name
 
 
 def test_graph_check(setup32):
     grid, vset, dt, _ = setup32
     model = builtin_model("mechanical", U=COS)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     mu, _, _ = solve_mather_lp(model, poly)
     assert graph_check(mu).passed
 
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
-    grid64 = build_grid(1, 64)
+    grid64 = PeriodicGrid(1, 64)
     vs = velocity_set(3.0, 49)
-    poly2 = build_polytope(sq, grid64, vs)
+    poly2 = build_polytope(sq, Transition(grid64, vs))
     mu2, _, _ = solve_mather_lp(sq, poly2)
     assert graph_check(mu2).passed
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torushj.errors import ConfigurationError, FenchelBoxError
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.models import (
     ControlModel,
     _arc_ones,
@@ -76,7 +76,7 @@ def test_fenchel_young_inequality_sampled():
 
 
 def test_monotonicity_transfer_and_derivative_sign():
-    grid = build_grid(1, 16)
+    grid = PeriodicGrid(1, 16)
     X = grid.node_coords()
     V = np.full_like(X, 0.7)
     for name, params in (("mechanical", {"U": lambda x: np.cos(2 * np.pi * x[..., 0])}),
@@ -307,7 +307,7 @@ def test_separable_u_part_and_slope_agree_with_L(d):
 def test_separable_form_on_the_solver_shapes():
     """The arc-shaped calls of the solver and the bracket: x (N, d) against
     velocities or momenta (P, 1, d) and foot values (K, N)."""
-    grid, vs = build_grid(2, 6), velocity_set(2.0, 3, d=2)
+    grid, vs = PeriodicGrid(2, 6), velocity_set(2.0, 3, d=2)
     X = grid.node_coords()
     P = np.linspace(-2, 2, 5)[:, None, None] * np.ones(2)
     fv = np.random.default_rng(5).normal(size=(vs.count, grid.size))

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import spsolve
 from torushj.barrier import BIG, _dijkstra, peierls_barrier
 from torushj.curves import closedness_defect
 from torushj.experiments import parse_potential
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.matherlp import DiscreteMeasure, build_polytope, closedness_operator, cycle_arcs
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, _discounted_walk, default_dt, solve_perturbed
@@ -38,7 +38,7 @@ SEEDS = [0, 1, 2]
 
 
 def make(d, n, vmax, m, dt):
-    grid, vset = build_grid(d, n), velocity_set(vmax, m, d)
+    grid, vset = PeriodicGrid(d, n), velocity_set(vmax, m, d)
     base = default_dt(grid, vset)
     return Transition(grid, vset, base if dt is None else 2.0 * base
                       if dt == "double" else dt)
@@ -100,10 +100,10 @@ def test_solve_matches_the_spsolve_solve(case, lam, monkeypatch):
     grid, vset = arcs.grid, arcs.vset
     U = parse_potential("cos_sum:amp=1,freq=1" if grid.d == 2 else "cos:amp=1,freq=1")
     model = builtin_model("mechanical", d=grid.d, U=U)
-    model = model.with_c0(build_polytope(model, grid, vset).c)
-    fld, rep = solve_perturbed(model, lam, grid, vset, dt=arcs.dt, tol=1e-10)
+    model = model.with_c0(build_polytope(model, Transition(grid, vset)).c)
+    fld, rep = solve_perturbed(model, lam, Transition(grid, vset, arcs.dt), tol=1e-10)
     monkeypatch.setattr(Transition, "evaluate_policy", spsolve_evaluation)
-    ref, ref_rep = solve_perturbed(model, lam, grid, vset, dt=arcs.dt, tol=1e-10)
+    ref, ref_rep = solve_perturbed(model, lam, Transition(grid, vset, arcs.dt), tol=1e-10)
     assert rep.converged and ref_rep.converged
     assert rep.iterations == ref_rep.iterations
     assert np.max(np.abs(fld.values - ref.values)) <= 1e-12
@@ -175,7 +175,7 @@ BARRIER_CASES = [
 @pytest.mark.parametrize("name, d, n, m, params", BARRIER_CASES)
 def test_peierls_barrier_matches_the_csgraph_barrier(name, d, n, m, params):
     model = builtin_model(name, d=d, **params)
-    poly = build_polytope(model, build_grid(d, n), velocity_set(2.0, m, d))
+    poly = build_polytope(model, Transition(PeriodicGrid(d, n), velocity_set(2.0, m, d)))
     assert np.array_equal(peierls_barrier(poly).values, csgraph_barrier(poly))
 
 

@@ -19,7 +19,7 @@ from torushj.barrier import (
     peierls_barrier,
 )
 from torushj.errors import ConfigurationError
-from torushj.grids import build_grid
+from torushj.grids import PeriodicGrid
 from torushj.matherlp import build_polytope, cycle_arcs
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, on_arcs
@@ -59,12 +59,12 @@ def floyd_warshall_barrier(model, poly):
     """Peierls barrier from all-pairs shortest walks on the raw weights
     dt * (L0(y, v) + c) of the arcs foot -> y; no dual, no Dijkstra.  A node
     z is an Aubry node when its cheapest nonempty closed walk costs 0."""
-    grid, vset, dt = poly.grid, poly.vset, poly.dt
-    N = grid.size
-    cost = dt * (on_arcs(grid, vset, model.L, 0.0) + poly.c)
+    arcs = Transition(poly.grid, poly.vset, poly.dt)      # its own kernel
+    N, dt = arcs.grid.size, arcs.dt
+    cost = dt * (on_arcs(arcs, model.L, 0.0) + poly.c)
     W = np.full((N, N), np.inf)
-    np.minimum.at(W, (Transition(grid, vset, dt).take.ravel(),
-                      np.tile(np.arange(N), vset.count)), cost.ravel())
+    np.minimum.at(W, (arcs.take.ravel(), np.tile(np.arange(N), arcs.vset.count)),
+                  cost.ravel())
     D = np.minimum(W, np.where(np.eye(N, dtype=bool), 0.0, np.inf))
     for k in range(N):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
@@ -78,11 +78,12 @@ def all_sources_barrier(model, poly):
     """The retired barrier loop: its own kernel and L0, the Aubry set from
     the zero-weight cycles of the reweighted graph, and Dijkstra forward and
     backward from every Aubry node."""
-    grid, vset, dt, N = poly.grid, poly.vset, poly.dt, poly.grid.size
-    foot = Transition(grid, vset, dt).take.ravel()
-    head = np.tile(np.arange(N), vset.count)
+    arcs = Transition(poly.grid, poly.vset, poly.dt)
+    N, dt = arcs.grid.size, arcs.dt
+    foot = arcs.take.ravel()
+    head = np.tile(np.arange(N), arcs.vset.count)
     psi = dt * poly.potential
-    reduced = np.maximum(dt * on_arcs(grid, vset, model.L, 0.0).ravel()
+    reduced = np.maximum(dt * on_arcs(arcs, model.L, 0.0).ravel()
                          + dt * poly.c + psi[foot] - psi[head], 0.0)
     key = foot * N + head
     order = np.lexsort((reduced, key))
@@ -115,8 +116,8 @@ def assert_matches_oracle(model, poly):
 def test_matches_floyd_warshall_1d(seed, n, m, magnetic):
     U = smooth_potential(seed, 1)
     model = magnetic_well(U, [0.3]) if magnetic else builtin_model("mechanical", U=U)
-    grid, vset = build_grid(1, n), velocity_set(3.0, m)
-    assert_matches_oracle(model, build_polytope(model, grid, vset))
+    grid, vset = PeriodicGrid(1, n), velocity_set(3.0, m)
+    assert_matches_oracle(model, build_polytope(model, Transition(grid, vset)))
 
 
 @settings(max_examples=6, deadline=None)
@@ -126,8 +127,8 @@ def test_matches_floyd_warshall_2d(seed, n, m, magnetic):
     U = smooth_potential(seed, 2)
     model = (magnetic_well(U, [0.3, -0.2]) if magnetic
              else builtin_model("mechanical", d=2, U=U))
-    grid, vset = build_grid(2, n), velocity_set(2.0, m, d=2)
-    assert_matches_oracle(model, build_polytope(model, grid, vset))
+    grid, vset = PeriodicGrid(2, n), velocity_set(2.0, m, d=2)
+    assert_matches_oracle(model, build_polytope(model, Transition(grid, vset)))
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 16)])
@@ -137,7 +138,7 @@ def test_rotation_classes_match_the_oracles(d, n):
     alpha = [ALPHA, np.sqrt(2.0) - 1.0][:d]
     model = builtin_model("shifted_quadratic", d=d, alpha=alpha)
     vset = velocity_set(3.0, 25) if d == 1 else velocity_set(2.0, 5, d=2)
-    poly = build_polytope(model, build_grid(d, n), vset)
+    poly = build_polytope(model, Transition(PeriodicGrid(d, n), vset))
     assert poly.static_classes()[2].size == (2 if d == 1 else n)
     assert not assert_matches_oracle(model, poly).warnings
 
@@ -145,10 +146,10 @@ def test_rotation_classes_match_the_oracles(d, n):
 def test_duplicate_arcs_keep_the_cheaper():
     # n = 32, m = 49: hops reach 24 cells, and +24 cells is -8 cells, so
     # distinct velocities join the same node pairs with different costs
-    grid, vset = build_grid(1, 32), velocity_set(3.0, 49)
+    grid, vset = PeriodicGrid(1, 32), velocity_set(3.0, 49)
     model = magnetic_well(lambda x: 0.5 * np.cos(2 * np.pi * x[..., 0]), [0.3])
-    poly = build_polytope(model, grid, vset)
-    foot = Transition(grid, vset, poly.dt).take
+    poly = build_polytope(model, Transition(grid, vset))
+    foot = poly.arcs.take
     pairs = foot.ravel() * grid.size + np.tile(np.arange(grid.size), vset.count)
     assert np.unique(pairs).size < pairs.size
     assert_matches_oracle(model, poly)
@@ -156,9 +157,9 @@ def test_duplicate_arcs_keep_the_cheaper():
 
 def window_dp_barrier(model, poly, Tmax=24.0):
     """min over t in [Tmax/2, Tmax] of h_t + c t, by the action DP."""
-    grid, vset, dt = poly.grid, poly.vset, poly.dt
-    kern = _ActionKernel(model, grid, vset, dt)
-    A = evolve_action(model, grid, vset, Tmax / 2, dt)
+    dt = poly.dt
+    kern = _ActionKernel(model, poly.arcs)
+    A = evolve_action(model, poly.arcs, Tmax / 2)
     t = int(round(Tmax / 2 / dt)) * dt
     runmin = A + poly.c * t
     for _ in range(int(round(Tmax / 2 / dt))):
@@ -174,7 +175,7 @@ def window_dp_barrier(model, poly, Tmax=24.0):
                   potential=lambda x: -np.sin(2 * np.pi * x[..., 0]) - 0.3),
 ], ids=["cosine_well", "double_well", "rotation"])
 def test_matches_window_dp(model):
-    poly = build_polytope(model, build_grid(1, 32), velocity_set(3.0, 25))
+    poly = build_polytope(model, Transition(PeriodicGrid(1, 32), velocity_set(3.0, 25)))
     h = peierls_barrier(poly)
     np.testing.assert_allclose(h.values, window_dp_barrier(model, poly),
                                rtol=0, atol=1e-12)
@@ -185,14 +186,14 @@ def test_stored_potential_certifies_the_magnetic_well():
     # the lattice graph: psi = dt * potential reweights every arc of the
     # magnetic well to >= 0 with no shift, and the check in the barrier has
     # teeth (psi without the dt factor is refused)
-    grid, vset = build_grid(1, 128), velocity_set(3.0, 49)
+    arcs = Transition(PeriodicGrid(1, 128), velocity_set(3.0, 49))
     model = magnetic_well(lambda x: 0.5 * np.cos(2 * np.pi * x[..., 0]), [0.3])
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, arcs)
     assert not assert_matches_oracle(model, poly).warnings
-    dt = poly.dt
+    dt = arcs.dt
     psi = dt * poly.potential
-    weight = dt * (on_arcs(grid, vset, model.L, 0.0) + poly.c)
-    foot = Transition(grid, vset, dt).take
+    weight = dt * (on_arcs(arcs, model.L, 0.0) + poly.c)
+    foot = arcs.take
     reduced = weight + psi[foot] - psi[None, :]
     assert reduced.min() >= -dt * poly.zero_tol
     wrong = dataclasses.replace(poly, potential=poly.potential / dt)
@@ -205,17 +206,17 @@ def test_lagrangian_outside_the_separable_form_matches_the_oracle(m):
     # L0 = |v|^2/2 - 0.3 cos(2 pi x) v is not K(v) + W(x)
     model = with_lagrangian(lambda x, v: 0.5 * v[..., 0] ** 2
                             - 0.3 * np.cos(2 * np.pi * x[..., 0]) * v[..., 0])
-    h = assert_matches_oracle(model, build_polytope(model, build_grid(1, 32),
-                                                    velocity_set(3.0, m)))
+    arcs = Transition(PeriodicGrid(1, 32), velocity_set(3.0, m))
+    h = assert_matches_oracle(model, build_polytope(model, arcs))
     assert not h.warnings
 
 
 def test_unreachable_pairs_keep_the_sentinel():
     # doubled dt on even n: every hop is an even number of cells, so the
     # odd nodes never meet the Aubry set at node 0
-    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    grid, vset = PeriodicGrid(1, 16), velocity_set(2.0, 9)
     model = builtin_model("mechanical", U=lambda x: np.cos(2 * np.pi * x[..., 0]))
-    poly = build_polytope(model, grid, vset, dt=2 * grid.h / vset.spacing)
+    poly = build_polytope(model, Transition(grid, vset, 2 * grid.h / vset.spacing))
     h = peierls_barrier(poly)
     assert any("unreachable" in w for w in h.warnings)
     even = np.arange(grid.size) % 2 == 0

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_peierls_exact import smooth_potential
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.models import builtin_model, velocity_set
-from torushj.solver import _Kernel, compute_bracket, default_dt, lambda_sweep, residual, solve_perturbed
+from torushj.solver import (Transition, _Kernel, compute_bracket, default_dt, lambda_sweep,
+                            residual, solve_perturbed)
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 AFFINE = ("mechanical", "shifted_quadratic", "sigma_discounted")
@@ -22,7 +23,7 @@ def accelerated_value_iteration(model, lam, grid, vset, dt, tol, max_iter=200000
     extrapolation u <- T[u] + g/(1-g) * mid(T[u] - u), g = 1 - lam*dt*min(sigma),
     capped by the bracket headroom, and a stall window.  Returns the field
     values and the final residual."""
-    kernel = _Kernel(model, lam, grid, vset, dt)
+    kernel = _Kernel(model, lam, Transition(grid, vset, dt))
     lo = hi = None
     if bracket is not None:
         lo, hi = bracket.lower.values, bracket.upper.values
@@ -79,7 +80,7 @@ def random_model(name, d, seed):
 
 
 def setting(d, n, dt_kind):
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     vset = velocity_set(2.0, 9 if d == 1 else 5, d)
     dt = default_dt(grid, vset)
     return grid, vset, {"default": dt, "double": 2.0 * dt, "off": 0.77 * dt}[dt_kind]
@@ -105,7 +106,7 @@ def test_policy_iteration_matches_value_iteration(d, dt_kind, name, seed, lam, n
     model = random_model(name, d, seed)
     tol = 1e-9
     affine = name in AFFINE
-    fld, rep = solve_perturbed(model, lam, grid, vset, dt=dt,
+    fld, rep = solve_perturbed(model, lam, Transition(grid, vset, dt),
                                tol=1e-12 if affine else tol, max_iter=5000)
     assert rep.converged and not rep.stalled
     if affine:
@@ -113,7 +114,7 @@ def test_policy_iteration_matches_value_iteration(d, dt_kind, name, seed, lam, n
         # grids); a step with the wrong decay only contracts geometrically.
         assert rep.iterations <= 12
         assert rep.final_residual <= 1e-12
-        assert residual(model, lam, fld, vset, dt) <= 1e-12
+        assert residual(model, lam, fld, Transition(grid, vset, dt)) <= 1e-12
     want, res = accelerated_value_iteration(model, lam, grid, vset, dt, tol)
     assert res <= tol
     sig = effective_sigma_min(model, lam, want, grid.node_coords())
@@ -124,7 +125,7 @@ def test_policy_iteration_matches_value_iteration(d, dt_kind, name, seed, lam, n
 def test_bracketed_warm_sweep_matches_value_iteration():
     # The example_6_1 rotation with its bracket and warm starts, down to
     # lam = 0.01, where value iteration needs thousands of sweeps.
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(3.0, 25)
     dt = default_dt(grid, vset)
     target = lambda x: np.sin(2 * np.pi * x[..., 0]) + 0.3
@@ -132,7 +133,7 @@ def test_bracketed_warm_sweep_matches_value_iteration():
     model = model.with_c0(-float(np.min(model.L(np.zeros((vset.count, 1)), vset.velocities, 0.0))))
     bracket = compute_bracket(model, GridField.constant(grid, 0.0))
     tol = 1e-8
-    entries = lambda_sweep(model, [0.1, 0.03, 0.01], grid, vset, dt=dt, tol=tol,
+    entries = lambda_sweep(model, [0.1, 0.03, 0.01], Transition(grid, vset, dt), tol=tol,
                            bracket=bracket)
     warm = None
     for e in entries:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torushj.barrier import solution_from_barrier
-from torushj.grids import GridField, build_grid
+from torushj.grids import GridField, PeriodicGrid
 from torushj.matherlp import build_polytope
 from torushj.models import builtin_model, velocity_set
 from torushj.selection import (
@@ -14,17 +14,17 @@ from torushj.selection import (
     limit_solution_formula,
     measure_comparison,
 )
-from torushj.solver import default_dt, residual
+from torushj.solver import Transition, default_dt, residual
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 COS = lambda x: np.cos(2 * np.pi * x[..., 0])
 
 
 def make_setup(U, n=48, vmax=3.0, m=33):
-    grid = build_grid(1, n)
+    grid = PeriodicGrid(1, n)
     vset = velocity_set(vmax, m)
     model = builtin_model("mechanical", U=U)
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     model = model.with_c0(poly.c)
     return model, grid, vset, poly, poly.barrier
 
@@ -126,12 +126,12 @@ def test_limit_formula_unique_measure(cos_setup):
 
 
 def test_limit_formula_rotation_selects_mean():
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 49)
     target = lambda x: np.sin(2 * np.pi * x[..., 0]) + 0.3
     model = builtin_model("shifted_quadratic", alpha=ALPHA,
                           potential=lambda x: -target(x))
-    poly = build_polytope(model, grid, vset)
+    poly = build_polytope(model, Transition(grid, vset))
     model = model.with_c0(poly.c)
     V0 = GridField.from_function(grid, model.V0)
     res = limit_solution_formula(model, V0, poly)
@@ -144,7 +144,7 @@ def test_limit_formula_zero_potential_is_discount_limit(cos_setup):
     V0 = GridField.constant(grid, 0.0)
     res = limit_solution_formula(model, V0, poly)
     br = compute_bracket(model, solution_from_barrier(h, 0))
-    fld, rep = solve_perturbed(model, 1e-3, grid, vset, tol=1e-9, bracket=br)
+    fld, rep = solve_perturbed(model, 1e-3, Transition(grid, vset), tol=1e-9, bracket=br)
     assert rep.converged
     assert np.max(np.abs(fld.values - res.field.values)) <= 0.05
 
@@ -190,7 +190,7 @@ def test_idempotence_and_image_residual(cos_setup):
         p1 = apply_selection_operator(ones(grid), phi, poly).field
         p2 = apply_selection_operator(ones(grid), p1, poly).field
         assert np.max(np.abs(p2.values - p1.values)) <= 2 * 3 * grid_err
-        assert residual(model, 0.0, p1, vset, dt) <= 25.0 * grid.h
+        assert residual(model, 0.0, p1, Transition(grid, vset, dt)) <= 25.0 * grid.h
 
 
 def test_measure_comparison_cases(cos_setup):

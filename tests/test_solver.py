@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from torushj.errors import ConfigurationError, DomainError
-from torushj.grids import GridField, build_grid, product_lattice
+from torushj.grids import GridField, PeriodicGrid, product_lattice
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import (
     BRACKET_BLOCK,
     LAMBDA_PROBES,
+    Transition,
     bellman_apply,
     compute_bracket,
     default_dt,
@@ -30,7 +31,7 @@ def lattice_c0(model, vset, grid):
 
 @pytest.fixture(scope="module")
 def small_setup():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(2.0, 17)
     return grid, vset, default_dt(grid, vset)
 
@@ -43,8 +44,8 @@ def test_update_monotone_exactly(small_setup):
     for _ in range(20):
         f = rng.normal(size=grid.size)
         g = f + rng.uniform(0, 1, size=grid.size)
-        Tf = bellman_apply(model, lam, GridField(grid, f), vset, dt)
-        Tg = bellman_apply(model, lam, GridField(grid, g), vset, dt)
+        Tf = bellman_apply(model, lam, GridField(grid, f), Transition(grid, vset, dt))
+        Tg = bellman_apply(model, lam, GridField(grid, g), Transition(grid, vset, dt))
         assert np.all(Tf.values <= Tg.values + 1e-12)
 
 
@@ -55,13 +56,13 @@ def test_update_monotone_nonlinear_u(small_setup):
     for _ in range(10):
         f = rng.normal(size=grid.size)
         g = f + rng.uniform(0, 2, size=grid.size)
-        Tf = bellman_apply(model, 0.8, GridField(grid, f), vset, dt)
-        Tg = bellman_apply(model, 0.8, GridField(grid, g), vset, dt)
+        Tf = bellman_apply(model, 0.8, GridField(grid, f), Transition(grid, vset, dt))
+        Tg = bellman_apply(model, 0.8, GridField(grid, g), Transition(grid, vset, dt))
         assert np.all(Tf.values <= Tg.values + 1e-12)
 
 
 def test_bracket_mechanical_cos():
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     model = builtin_model("mechanical", U=COS).with_c0(1.0)
     # critical solution: any barrier column; a coarse stand-in is fine for the
     # bracket arithmetic being checked here (delta, kappa, shift size)
@@ -76,7 +77,7 @@ def test_bracket_mechanical_cos():
 
 
 def test_bracket_shifted_quadratic_kappa():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     model = builtin_model(
         "shifted_quadratic", alpha=ALPHA,
         potential=lambda x: np.sin(2 * np.pi * x[..., 0]) + 0.3,
@@ -88,7 +89,7 @@ def test_bracket_shifted_quadratic_kappa():
 
 
 def test_bracket_zero_potential_kappa_one():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     model = builtin_model("arctan_discount").with_c0(0.0)
     br = compute_bracket(model, GridField.constant(grid, 0.0))
     assert br.kappa == pytest.approx(1.0 + np.pi / 2)
@@ -101,12 +102,12 @@ def test_solve_constant_fixed_points(small_setup):
     grid, vset, dt = small_setup
     sq = builtin_model("shifted_quadratic", alpha=ALPHA)
     sq = sq.with_c0(lattice_c0(sq, vset, grid))
-    fld, rep = solve_perturbed(sq, 0.05, grid, vset, dt=dt, tol=1e-10)
+    fld, rep = solve_perturbed(sq, 0.05, Transition(grid, vset, dt), tol=1e-10)
     assert rep.converged
     np.testing.assert_allclose(fld.values, 0.0, atol=1e-9)
 
     mech = builtin_model("mechanical", U=None).with_c0(0.0)
-    fld2, rep2 = solve_perturbed(mech, 0.1, grid, vset, dt=dt, tol=1e-10)
+    fld2, rep2 = solve_perturbed(mech, 0.1, Transition(grid, vset, dt), tol=1e-10)
     assert rep2.converged
     np.testing.assert_allclose(fld2.values, 0.0, atol=1e-9)
 
@@ -114,7 +115,7 @@ def test_solve_constant_fixed_points(small_setup):
 def test_solve_selected_constant_target_mean():
     # Rotation model with the selection target sin(2 pi x) + 0.3 inserted with
     # a negative sign: the discounted solutions approach +0.3.
-    grid = build_grid(1, 64)
+    grid = PeriodicGrid(1, 64)
     vset = velocity_set(3.0, 49)
     dt = default_dt(grid, vset)
     target = lambda x: np.sin(2 * np.pi * x[..., 0]) + 0.3
@@ -122,7 +123,7 @@ def test_solve_selected_constant_target_mean():
                           potential=lambda x: -target(x))
     model = model.with_c0(lattice_c0(model, vset, grid))
     br = compute_bracket(model, GridField.constant(grid, 0.0))
-    fld, rep = solve_perturbed(model, 0.01, grid, vset, dt=dt, tol=1e-8, bracket=br)
+    fld, rep = solve_perturbed(model, 0.01, Transition(grid, vset, dt), tol=1e-8, bracket=br)
     assert rep.converged
     assert np.max(np.abs(fld.values - 0.3)) <= 0.05
 
@@ -131,31 +132,32 @@ def test_residual_examples(small_setup):
     grid, vset, dt = small_setup
     model = builtin_model("mechanical", U=COS)
     from torushj.matherlp import build_polytope
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, Transition(grid, vset, dt))
     model = model.with_c0(poly.c)
     br = compute_bracket(model, GridField.constant(grid, 0.0))
     lam = 0.2
-    fld, rep = solve_perturbed(model, lam, grid, vset, dt=dt, tol=1e-10, bracket=br)
-    assert residual(model, lam, fld, vset, dt) <= 1e-10
+    fld, rep = solve_perturbed(model, lam, Transition(grid, vset, dt), tol=1e-10, bracket=br)
+    assert residual(model, lam, fld, Transition(grid, vset, dt)) <= 1e-10
     # constant shift of a solved field: defect per unit time ~ lam * eps
     eps = 0.25
     shifted = GridField(grid, fld.values + eps)
-    assert residual(model, lam, shifted, vset, dt) == pytest.approx(lam * eps, rel=1e-6)
+    assert (residual(model, lam, shifted, Transition(grid, vset, dt))
+            == pytest.approx(lam * eps, rel=1e-6))
     # random bounded field: residual bounded by 2/dt plus the running-cost scale
     rng = np.random.default_rng(0)
     noisy = GridField(grid, rng.uniform(-1, 1, size=grid.size))
     bound = 2.0 / dt + float(np.max(np.abs(poly.action))) + abs(model.c0) + lam
-    assert residual(model, lam, noisy, vset, dt) <= bound
+    assert residual(model, lam, noisy, Transition(grid, vset, dt)) <= bound
 
 
 def test_bracketing_and_clamp_inactive(small_setup):
     grid, vset, dt = small_setup
     model = builtin_model("mechanical", U=COS)
     from torushj.matherlp import build_polytope
-    model = model.with_c0(build_polytope(model, grid, vset, dt).c)
+    model = model.with_c0(build_polytope(model, Transition(grid, vset, dt)).c)
     uhat = GridField.from_function(grid, lambda X: (2 / np.pi) * (1 - np.cos(np.pi * X[..., 0])))
     br = compute_bracket(model, uhat)
-    fld, rep = solve_perturbed(model, 0.05, grid, vset, dt=dt, tol=1e-9, bracket=br)
+    fld, rep = solve_perturbed(model, 0.05, Transition(grid, vset, dt), tol=1e-9, bracket=br)
     assert rep.converged
     assert rep.bracket_violations == 0
     assert np.all(fld.values >= br.lower.values - 1e-9)
@@ -166,11 +168,11 @@ def test_equi_lipschitz_over_sweep(small_setup):
     grid, vset, dt = small_setup
     model = builtin_model("mechanical", U=COS)
     from torushj.matherlp import build_polytope
-    model = model.with_c0(build_polytope(model, grid, vset, dt).c)
+    model = model.with_c0(build_polytope(model, Transition(grid, vset, dt)).c)
     uhat = GridField.from_function(grid, lambda X: (2 / np.pi) * (1 - np.cos(np.pi * X[..., 0])))
     br = compute_bracket(model, uhat)
-    entries = lambda_sweep(model, [0.1, 0.05, 0.02, 0.01], grid, vset,
-                           dt=dt, tol=1e-9, bracket=br)
+    entries = lambda_sweep(model, [0.1, 0.05, 0.02, 0.01], Transition(grid, vset, dt),
+                           tol=1e-9, bracket=br)
     lips = [e.field.lipschitz_constant() for e in entries]
     assert max(lips) <= 2.0 * lips[0]
 
@@ -181,7 +183,7 @@ def test_clamped_nonexistence_stalls_within_ten_steps(small_setup):
     grid, vset, dt = small_setup
     model = builtin_model("arctan_discount").with_c0(0.0)
     br = compute_bracket(model, GridField.constant(grid, 0.0))
-    fld, rep = solve_perturbed(model, 2.0, grid, vset, dt=dt, tol=1e-8, bracket=br)
+    fld, rep = solve_perturbed(model, 2.0, Transition(grid, vset, dt), tol=1e-8, bracket=br)
     assert rep.stalled and not rep.converged
     assert rep.iterations <= 10
     assert rep.bracket_violations > 0
@@ -192,19 +194,19 @@ def test_sweep_warm_start_and_edge_cases(small_setup):
     grid, vset, dt = small_setup
     model = builtin_model("mechanical", U=COS)
     from torushj.matherlp import build_polytope
-    model = model.with_c0(build_polytope(model, grid, vset, dt).c)
+    model = model.with_c0(build_polytope(model, Transition(grid, vset, dt)).c)
     br = compute_bracket(model, GridField.constant(grid, 0.0))
-    entries = lambda_sweep(model, [0.1, 0.05], grid, vset, dt=dt, tol=1e-9, bracket=br)
-    cold, _ = solve_perturbed(model, 0.05, grid, vset, dt=dt, tol=1e-9, bracket=br)
-    _, cold_rep = solve_perturbed(model, 0.05, grid, vset, dt=dt, tol=1e-9, bracket=br)
+    entries = lambda_sweep(model, [0.1, 0.05], Transition(grid, vset, dt), tol=1e-9, bracket=br)
+    cold, _ = solve_perturbed(model, 0.05, Transition(grid, vset, dt), tol=1e-9, bracket=br)
+    _, cold_rep = solve_perturbed(model, 0.05, Transition(grid, vset, dt), tol=1e-9, bracket=br)
     assert entries[1].report.iterations <= cold_rep.iterations
     np.testing.assert_allclose(entries[1].field.values, cold.values, atol=1e-7)
 
-    single = lambda_sweep(model, [0.05], grid, vset, dt=dt, tol=1e-9, bracket=br)
+    single = lambda_sweep(model, [0.05], Transition(grid, vset, dt), tol=1e-9, bracket=br)
     np.testing.assert_allclose(single[0].field.values, cold.values, atol=1e-7)
-    assert lambda_sweep(model, [], grid, vset) == []
+    assert lambda_sweep(model, [], Transition(grid, vset)) == []
     with pytest.raises(ConfigurationError):
-        lambda_sweep(model, [0.05, 0.1], grid, vset)
+        lambda_sweep(model, [0.05, 0.1], Transition(grid, vset))
 
 
 def test_sweep_records_typed_failures_and_raises_others(small_setup):
@@ -212,13 +214,13 @@ def test_sweep_records_typed_failures_and_raises_others(small_setup):
     grid, vset, dt = small_setup
     model = builtin_model("mechanical", U=COS).with_c0(1.0)
     # dt*lam*sigma >= 1 at lam = 10 is a ConfigurationError of that entry only
-    entries = lambda_sweep(model, [10.0, 0.5], grid, vset, dt=dt, tol=1e-6)
+    entries = lambda_sweep(model, [10.0, 0.5], Transition(grid, vset, dt), tol=1e-6)
     assert entries[0].field is None and isinstance(entries[0].error, ConfigurationError)
     assert "monotonicity" in str(entries[0].error)
     assert entries[1].field is not None and entries[1].report.converged
     # a non-finite field is a DomainError of that entry
     nan_V = dataclasses.replace(model, V=lambda x, lam: np.full(x.shape[:-1], np.nan))
-    entries = lambda_sweep(nan_V, [0.5], grid, vset, dt=dt, max_iter=3)
+    entries = lambda_sweep(nan_V, [0.5], Transition(grid, vset, dt), max_iter=3)
     assert entries[0].field is None and isinstance(entries[0].error, DomainError)
     assert "finite" in str(entries[0].error)
 
@@ -226,7 +228,7 @@ def test_sweep_records_typed_failures_and_raises_others(small_setup):
         raise TypeError("programming error")
 
     with pytest.raises(TypeError, match="programming error"):
-        lambda_sweep(dataclasses.replace(model, L=broken_L), [0.5], grid, vset, dt=dt)
+        lambda_sweep(dataclasses.replace(model, L=broken_L), [0.5], Transition(grid, vset, dt))
 
 
 def test_generic_model_without_separable_coupling(small_setup):
@@ -235,18 +237,18 @@ def test_generic_model_without_separable_coupling(small_setup):
     grid, vset, dt = small_setup
     fast = builtin_model("mechanical", U=COS)
     from torushj.matherlp import build_polytope
-    fast = fast.with_c0(build_polytope(fast, grid, vset, dt).c)
+    fast = fast.with_c0(build_polytope(fast, Transition(grid, vset, dt)).c)
     slow = dataclasses.replace(fast, L_u_part=None)
     br = compute_bracket(fast, GridField.constant(grid, 0.0))
     lam = 0.3
-    f_fast, r_fast = solve_perturbed(fast, lam, grid, vset, dt=dt, tol=1e-10, bracket=br)
-    f_slow, r_slow = solve_perturbed(slow, lam, grid, vset, dt=dt, tol=1e-10, bracket=br)
+    f_fast, r_fast = solve_perturbed(fast, lam, Transition(grid, vset, dt), tol=1e-10, bracket=br)
+    f_slow, r_slow = solve_perturbed(slow, lam, Transition(grid, vset, dt), tol=1e-10, bracket=br)
     assert r_fast.converged and r_slow.converged
     np.testing.assert_allclose(f_slow.values, f_fast.values, atol=1e-9)
 
 
 def test_nonexistence_certificate_examples():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     arctan = builtin_model("arctan_discount").with_c0(0.0)
     assert nonexistence_certificate(arctan, 2.0, grid) is True
     assert nonexistence_certificate(arctan, 1.5, grid) is True
@@ -259,12 +261,12 @@ def test_nonexistence_certificate_examples():
 
 
 def test_nonconvergence_reported_not_raised():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(2.0, 17)
     dt = default_dt(grid, vset)
     model = builtin_model("arctan_discount").with_c0(0.0)
     br = compute_bracket(model, GridField.constant(grid, 0.0))
-    fld, rep = solve_perturbed(model, 2.0, grid, vset, dt=dt, tol=1e-8,
+    fld, rep = solve_perturbed(model, 2.0, Transition(grid, vset, dt), tol=1e-8,
                                bracket=br, max_iter=20000)
     assert rep.lambda_above_lambda0
     assert not rep.converged
@@ -272,12 +274,12 @@ def test_nonconvergence_reported_not_raised():
 
 
 def test_arctan_converges_below_threshold():
-    grid = build_grid(1, 32)
+    grid = PeriodicGrid(1, 32)
     vset = velocity_set(2.0, 17)
     dt = default_dt(grid, vset)
     model = builtin_model("arctan_discount").with_c0(0.0)
     br = compute_bracket(model, GridField.constant(grid, 0.0))
-    fld, rep = solve_perturbed(model, 0.5, grid, vset, dt=dt, tol=1e-9, bracket=br)
+    fld, rep = solve_perturbed(model, 0.5, Transition(grid, vset, dt), tol=1e-9, bracket=br)
     assert rep.converged
     # constant solution u = tan(-lam*pi/2)/lam = -2 at lam = 1/2
     np.testing.assert_allclose(fld.values, -2.0, atol=1e-6)
@@ -314,7 +316,7 @@ def test_bracket_in_blocks_matches_the_full_product(d, n):
     model = builtin_model("mechanical", d, U=U, potential=U,
                           sigma=lambda x: 1.5 + 0.5 * np.cos(2 * np.pi * x[..., -1]))
     model = model.with_c0(1.5)
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     u = GridField(grid, np.sin(2 * np.pi * grid.node_coords()).sum(axis=1))
     sizes = []
 

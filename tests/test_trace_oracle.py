@@ -22,7 +22,7 @@ from test_peierls_exact import smooth_potential
 from torushj import experiments
 from torushj.curves import BLOCK_CAP, CurveTrace, _kink_scale, backward_calibrated_curve
 from torushj.errors import CalibrationError
-from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
+from torushj.grids import GridField, PeriodicGrid, interpolate, interpolation_stencil
 from torushj.models import builtin_model, velocity_set
 from torushj.solver import Transition, default_dt, solve_perturbed
 
@@ -40,20 +40,19 @@ def mod_wrap(x):
     return x
 
 
-def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
+def reference_backward_calibrated_curve(model, lam, u, x, Tmax, arcs,
                                         solver_tol=1e-8, defect_tol=None):
     """The retired trace loop: per step it wraps and interpolates all K feet,
     evaluates L on K copies of the point, V at the point and dL/du at the
     chosen arc, interpolates u at the point again, and grows the weight."""
-    grid = u.grid
+    grid, dt = u.grid, arcs.dt
     lam = float(lam)
     steps = int(np.floor(Tmax / dt + 1e-12))
-    vels = vset.velocities
-    K = vset.count
-    lattice_steps = Transition(grid, vset, dt).integer_hops
+    vels = arcs.vset.velocities
+    K = arcs.vset.count
     y = mod_wrap(np.asarray(x, dtype=float))
     start_on_node = bool(np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
-    on_lattice = lattice_steps and start_on_node
+    on_lattice = arcs.integer_hops and start_on_node
     if on_lattice:
         y = np.rint(y * grid.n) / grid.n
     if defect_tol is None:
@@ -92,7 +91,7 @@ def reference_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
         pts[k + 1] = y
     if steps > 0 and float(np.mean(defects > defect_tol)) > 0.05:
         raise CalibrationError("field not converged")
-    return CurveTrace(lam=lam, dt=dt, horizon=steps * dt, points=pts,
+    return CurveTrace(lam=lam, arcs=arcs, horizon=steps * dt, points=pts,
                       velocities=vel, vel_indices=vidx, weights=W,
                       defects=defects, actions=actions, dl0=dl0,
                       on_lattice=on_lattice, defect_tol=defect_tol)
@@ -126,15 +125,14 @@ def point_sampler(arcs, values, snap):
     return feet_at
 
 
-def lean_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
+def lean_backward_calibrated_curve(model, lam, u, x, Tmax, arcs,
                                    solver_tol=1e-8, defect_tol=None):
     """The retired lean loop: per step one foot stencil, one call of L with
     all K velocities and an argmin; everything else after the loop."""
     grid = u.grid
-    lam, dt, c0 = float(lam), float(dt), model.c0
+    lam, dt, c0 = float(lam), arcs.dt, model.c0
     steps = int(np.floor(Tmax / dt + 1e-12))
-    vels = vset.velocities
-    arcs = Transition(grid, vset, dt)
+    vels = arcs.vset.velocities
     y = mod_wrap(np.asarray(x, dtype=float))
     start_on_node = bool(np.max(np.abs(y * grid.n - np.rint(y * grid.n))) < 1e-9)
     on_lattice = arcs.integer_hops and start_on_node
@@ -167,7 +165,7 @@ def lean_backward_calibrated_curve(model, lam, u, x, Tmax, dt, vset,
     np.cumprod(np.exp(lam * dl0 * dt), out=W[1:])
     if steps > 0 and float(np.mean(defects > defect_tol)) > 0.05:
         raise CalibrationError("field not converged")
-    return CurveTrace(lam=lam, dt=dt, horizon=steps * dt, points=pts,
+    return CurveTrace(lam=lam, arcs=arcs, horizon=steps * dt, points=pts,
                       velocities=vel, vel_indices=vidx, weights=W,
                       defects=defects, actions=actions, dl0=dl0,
                       on_lattice=on_lattice, defect_tol=defect_tol)
@@ -206,18 +204,18 @@ def trace_or_none(fn, *args, **kwargs):
 
 
 def trace_case(d, name, seed, dt_mode, on_node, amp, start):
-    """Model, field, start and time step of one random trace.  The field is
+    """Model, field, start and kernel of one random trace.  The field is
     amp times a smooth random function; amp = 0 makes the argmin the same at
     every point, so velocity runs last the whole trace."""
     n, m = (24, 9) if d == 1 else (10, 5)
-    grid, vset = build_grid(d, n), velocity_set(2.0, m, d)
+    grid, vset = PeriodicGrid(d, n), velocity_set(2.0, m, d)
     dt = default_dt(grid, vset) * {"default": 1.0, "doubled": 2.0, "off_lattice": 0.77,
                                    "small": 0.013}[dt_mode]
     model = random_model(name, d, seed)
     u = GridField.from_function(grid, lambda X: amp * smooth_potential(seed + 3, d)(X))
     cell, frac = np.divmod(np.asarray(start[:d]) * n, 1.0)
     x = (cell if on_node else cell + 0.05 + 0.9 * frac) / n
-    return model, u, x, dt, vset
+    return model, u, x, Transition(grid, vset, dt)
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,8 +231,8 @@ def trace_case(d, name, seed, dt_mode, on_node, amp, start):
        cut=st.floats(0.0, 1.0))
 def test_trace_matches_the_retired_loop(d, name, seed, dt_mode, on_node, lam, steps,
                                         start, cut):
-    model, u, x, dt, vset = trace_case(d, name, seed, dt_mode, on_node, 0.3, start)
-    args = (model, lam, u, x, (steps + 0.5) * dt, dt, vset)
+    model, u, x, arcs = trace_case(d, name, seed, dt_mode, on_node, 0.3, start)
+    args = (model, lam, u, x, (steps + 0.5) * arcs.dt, arcs)
 
     ref = reference_backward_calibrated_curve(*args, defect_tol=np.inf)
     new = backward_calibrated_curve(*args, defect_tol=np.inf)
@@ -264,12 +262,13 @@ def test_solved_field_trace_matches_the_retired_loop(d):
     """A converged field, where the defects sit at the solver tolerance and
     the default defect tolerance passes."""
     n, m = (32, 17) if d == 1 else (12, 7)
-    grid, vset = build_grid(d, n), velocity_set(2.0, m, d)
+    grid, vset = PeriodicGrid(d, n), velocity_set(2.0, m, d)
     model = random_model("mechanical", d, 7)
     for dt in (default_dt(grid, vset), 0.77 * default_dt(grid, vset)):
-        fld, rep = solve_perturbed(model, 0.5, grid, vset, dt=dt, tol=1e-10)
+        arcs = Transition(grid, vset, dt)
+        fld, rep = solve_perturbed(model, 0.5, arcs, tol=1e-10)
         assert rep.converged
-        args = (model, 0.5, fld, grid.node_coords()[5], 60 * dt, dt, vset)
+        args = (model, 0.5, fld, grid.node_coords()[5], 60 * dt, arcs)
         ref = reference_backward_calibrated_curve(*args, solver_tol=1e-10)
         new = backward_calibrated_curve(*args, solver_tol=1e-10)
         assert np.array_equal(new.vel_indices, ref.vel_indices)
@@ -290,8 +289,8 @@ def test_solved_field_trace_matches_the_retired_loop(d):
        start=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
 def test_block_loop_matches_the_lean_loop_bit_for_bit(d, name, seed, dt_mode, on_node,
                                                        amp, lam, steps, start):
-    model, u, x, dt, vset = trace_case(d, name, seed, dt_mode, on_node, amp, start)
-    trace = checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * dt, dt, vset)
+    model, u, x, arcs = trace_case(d, name, seed, dt_mode, on_node, amp, start)
+    trace = checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * arcs.dt, arcs)
     assert trace.steps == steps
 
 
@@ -309,9 +308,9 @@ def test_block_loop_matches_the_lean_loop_on_traces_that_come_to_rest(d, seed, d
     """A solved mechanical field: a trace started away from its well moves
     there in a few steps, switches to v = 0 and rests, so the rest fill
     takes over right after a switch of velocity."""
-    model, u, x, dt, vset = trace_case(d, "mechanical", seed, dt_mode, on_node, 0.0, start)
-    u, _ = solve_perturbed(model, lam, u.grid, vset, dt=dt, tol=1e-10)
-    checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * dt, dt, vset)
+    model, u, x, arcs = trace_case(d, "mechanical", seed, dt_mode, on_node, 0.0, start)
+    u, _ = solve_perturbed(model, lam, arcs, tol=1e-10)
+    checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * arcs.dt, arcs)
 
 
 def checked_against_the_lean_loop(*args):
@@ -381,9 +380,9 @@ def test_block_schedule_covers_long_runs_switches_and_wraps(monkeypatch, d):
             "rest fill": False, "on lattice": False, "off lattice": False}
     for dt_mode in ("default", "off_lattice", "small"):
         for seed in range(9):
-            model, u, x, dt, vset = trace_case(d, "shifted_quadratic", seed, dt_mode,
-                                               dt_mode != "small", 0.03, (0.31, 0.77))
-            args = (model, 0.5, u, x, 2000.5 * dt, dt, vset)
+            model, u, x, arcs = trace_case(d, "shifted_quadratic", seed, dt_mode,
+                                           dt_mode != "small", 0.03, (0.31, 0.77))
+            args = (model, 0.5, u, x, 2000.5 * arcs.dt, arcs)
             trace, blocks = recorded_blocks(monkeypatch, *args)
             assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
                                                                        defect_tol=np.inf))
@@ -441,9 +440,9 @@ def test_occupation_workload_traces_stop_sampling_at_rest(monkeypatch, tmp_path)
 @pytest.mark.parametrize("steps", [0, 1])
 def test_zero_and_one_step_traces_match_the_lean_loop(d, steps):
     for dt_mode, on_node in (("default", True), ("off_lattice", False)):
-        model, u, x, dt, vset = trace_case(d, "mechanical", 3, dt_mode, on_node, 0.3,
-                                           (0.4, 0.6))
-        args = (model, 0.7, u, x, (steps + 0.5) * dt, dt, vset)
+        model, u, x, arcs = trace_case(d, "mechanical", 3, dt_mode, on_node, 0.3,
+                                       (0.4, 0.6))
+        args = (model, 0.7, u, x, (steps + 0.5) * arcs.dt, arcs)
         new = backward_calibrated_curve(*args, defect_tol=np.inf)
         assert new.steps == steps
         assert_bit_identical(new, lean_backward_calibrated_curve(*args, defect_tol=np.inf))
@@ -456,11 +455,11 @@ def test_wraps_off_the_lattice_do_not_stop_a_block(monkeypatch, alpha):
     """A velocity that holds for 2,000 steps takes the same 16 blocks on and
     off the lattice: the guessed points after each wrap of the torus are the
     feet bit for bit, so every block after the first takes all its rows."""
-    grid, vset = build_grid(1, 24), velocity_set(3.0, 13)
+    grid, vset = PeriodicGrid(1, 24), velocity_set(3.0, 13)
     model = builtin_model("shifted_quadratic", alpha=alpha).with_c0(0.0)
     u = GridField.from_function(grid, lambda X: 1e-3 * np.cos(2 * np.pi * X[..., 0]))
     for dt, x in ((default_dt(grid, vset), [0.5]), (0.064, [0.5]), (0.064, [0.123])):
-        args = (model, 0.01, u, x, 2000.5 * dt, dt, vset)
+        args = (model, 0.01, u, x, 2000.5 * dt, Transition(grid, vset, dt))
         trace, blocks = recorded_blocks(monkeypatch, *args)
         assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
                                                                    defect_tol=np.inf))

@@ -8,7 +8,7 @@ from scipy import sparse
 from torushj.barrier import critical_value, evolve_action
 from torushj.curves import backward_calibrated_curve, closedness_defect, occupation_measure
 from torushj.errors import ConfigurationError
-from torushj.grids import GridField, build_grid, interpolate, interpolation_stencil
+from torushj.grids import GridField, PeriodicGrid, interpolate, interpolation_stencil
 import torushj.solver as solver
 from torushj.experiments import parse_potential
 from torushj.matherlp import build_polytope, closedness_operator
@@ -31,7 +31,7 @@ KERNELS = GRIDS + [
 
 
 def make(d, n, vmax, m, dt):
-    grid = build_grid(d, n)
+    grid = PeriodicGrid(d, n)
     vset = velocity_set(vmax, m, d)
     base = default_dt(grid, vset)
     dt = base if dt is None else 2.0 * base if dt == "double" else dt
@@ -112,11 +112,12 @@ def test_off_lattice_trace_and_defect_build_no_foot_stencil(monkeypatch):
     """An off-lattice backward trace samples feet with `foot_sampler` and the
     closedness defect pushes mass to `heads`, so neither builds the foot
     stencil, `stencil(-1)`."""
-    grid, vset = build_grid(1, 32), velocity_set(2.0, 17)
+    grid, vset = PeriodicGrid(1, 32), velocity_set(2.0, 17)
     model = builtin_model("mechanical", U=parse_potential("cos:amp=1,freq=1"))
-    model = model.with_c0(build_polytope(model, grid, vset).c)
-    fld, rep = solver.solve_perturbed(model, 0.5, grid, vset, dt=0.02, tol=1e-10)
+    model = model.with_c0(build_polytope(model, Transition(grid, vset)).c)
+    fld, rep = solver.solve_perturbed(model, 0.5, Transition(grid, vset, 0.02), tol=1e-10)
     assert rep.converged
+    arcs = Transition(grid, vset, 0.02)     # the solve's kernel has its foot stencil
     stencil, signs = Transition.stencil, []
 
     def counted(self, sign):
@@ -125,11 +126,10 @@ def test_off_lattice_trace_and_defect_build_no_foot_stencil(monkeypatch):
 
     monkeypatch.setattr(Transition, "stencil", counted)
     tr = backward_calibrated_curve(model, 0.5, fld, grid.node_coords()[4], Tmax=30.0,
-                                   dt=0.02, vset=vset, solver_tol=1e-10)
+                                   arcs=arcs, solver_tol=1e-10)
     assert not tr.on_lattice and signs == []
-    arcs = Transition(grid, vset, 0.02)
     assert not arcs.integer_hops
-    closedness_defect(occupation_measure(tr, grid, vset), arcs)
+    closedness_defect(occupation_measure(tr), tr.arcs)
     assert signs == [+1]
 
 
@@ -150,7 +150,7 @@ def test_policy_matrix_is_the_chosen_foot_stencil(case, seed):
 
 def test_dimension_mismatch_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
-        Transition(build_grid(2, 8), velocity_set(1.0, 5, 1), 0.1)
+        Transition(PeriodicGrid(2, 8), velocity_set(1.0, 5, 1), 0.1)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -161,7 +161,7 @@ def test_on_arcs_evaluates_every_arc(d):
     def fn(x, v, scale):
         return scale * (np.sum(x * v, axis=-1) + np.sum(v**2, axis=-1))
 
-    got = on_arcs(grid, vset, fn, 3.0)
+    got = on_arcs(Transition(grid, vset), fn, 3.0)
     want = np.array([[fn(X[i], vset.velocities[k], 3.0) for i in range(grid.size)]
                      for k in range(vset.count)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -242,17 +242,19 @@ def reference_classes(poly):
                                   (1, 16, 2.0, 9, 0.0101, "cos:amp=1,freq=1"),
                                   (2, 8, 1.0, 5, None, "cos_sum:amp=1,freq=1")])
 def test_build_polytope_uses_one_transition(monkeypatch, case):
-    """One kernel per polytope; its closedness operator has the CSR arrays
-    of the independent reference and its static classes those of a walk
-    with a kernel of its own.  Off the node lattice no polytope is built,
-    and the operator's stencil branch still meets the reference."""
+    """One kernel per polytope, the one it is given: it builds none.  Its
+    closedness operator has the CSR arrays of the independent reference and
+    its static classes those of a walk with a kernel of its own.  Off the
+    node lattice no polytope is built, and the operator's stencil branch
+    still meets the reference."""
     grid, vset, dt = make(*case[:5])
     model = builtin_model("mechanical", d=grid.d, U=parse_potential(case[5]))
     ref = reference_closedness(grid, vset, dt)
+    arcs = Transition(grid, vset, dt)
     if case[4] == 0.0101:
         with pytest.raises(ConfigurationError, match="off the node lattice"):
-            build_polytope(model, grid, vset, dt)
-        C = closedness_operator(Transition(grid, vset, dt))
+            build_polytope(model, arcs)
+        C = closedness_operator(arcs)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(C, attr), getattr(ref, attr))
         return
@@ -264,9 +266,9 @@ def test_build_polytope_uses_one_transition(monkeypatch, case):
             super().__init__(*args)
 
     monkeypatch.setattr(solver, "Transition", Counted)
-    poly = build_polytope(model, grid, vset, dt)
+    poly = build_polytope(model, arcs)
     monkeypatch.undo()
-    assert len(built) == 1 and poly.arcs.dt == dt
+    assert not built and poly.arcs is arcs
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(poly.C, attr), getattr(ref, attr))
     want = reference_classes(poly)
@@ -283,7 +285,7 @@ def test_integer_arcs_match_the_float_round_trip(d, n, vmax, m, cells):
     equal, dtype and bits included, the float path they replace:
     `nearest_node` of x -+ v*dt, at 1, 2 and 3 lattice steps per velocity
     step, on the nodes and on seeded sub-grids of nodes."""
-    grid, vset = build_grid(d, n), velocity_set(vmax, m, d)
+    grid, vset = PeriodicGrid(d, n), velocity_set(vmax, m, d)
     arcs = Transition(grid, vset, cells * default_dt(grid, vset))
     assert arcs.integer_hops
     X = grid.node_coords()
@@ -319,14 +321,18 @@ def _entries():
     u0 = lambda grid: GridField.constant(grid, 0.0)
     return {
         "Transition": lambda g, v, dt: Transition(g, v, dt),
-        "solve_perturbed": lambda g, v, dt: solver.solve_perturbed(ready, 0.5, g, v, dt=dt),
-        "build_polytope": lambda g, v, dt: build_polytope(model, g, v, dt),
-        "critical_value_lp": lambda g, v, dt: critical_value(model, "lp", g, v, dt),
-        "critical_value_discount": lambda g, v, dt: critical_value(model, "discount", g, v, dt),
-        "critical_value_longtime": lambda g, v, dt: critical_value(model, "longtime", g, v, dt),
-        "evolve_action": lambda g, v, dt: evolve_action(model, g, v, T=1.0, dt=dt),
+        "solve_perturbed": lambda g, v, dt: solver.solve_perturbed(
+            ready, 0.5, Transition(g, v, dt)),
+        "build_polytope": lambda g, v, dt: build_polytope(model, Transition(g, v, dt)),
+        "critical_value_lp": lambda g, v, dt: critical_value(
+            model, "lp", Transition(g, v, dt)),
+        "critical_value_discount": lambda g, v, dt: critical_value(
+            model, "discount", Transition(g, v, dt)),
+        "critical_value_longtime": lambda g, v, dt: critical_value(
+            model, "longtime", Transition(g, v, dt)),
+        "evolve_action": lambda g, v, dt: evolve_action(model, Transition(g, v, dt), T=1.0),
         "backward_calibrated_curve": lambda g, v, dt: backward_calibrated_curve(
-            ready, 0.5, u0(g), [0.25], Tmax=1.0, dt=dt, vset=v),
+            ready, 0.5, u0(g), [0.25], Tmax=1.0, arcs=Transition(g, v, dt)),
     }
 
 
@@ -335,7 +341,7 @@ def _entries():
 def test_a_dt_not_positive_and_finite_is_refused_by_the_kernel(entry, dt):
     """Every route to a kernel refuses the dt in `Transition`, before any
     division by it (a zero dt ended as ZeroDivisionError)."""
-    grid, vset = build_grid(1, 16), velocity_set(2.0, 9)
+    grid, vset = PeriodicGrid(1, 16), velocity_set(2.0, 9)
     dt = -grid.h if dt == "-h" else dt
     with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
         _entries()[entry](grid, vset, dt)
