@@ -3,27 +3,32 @@
 `curves.backward_calibrated_curve` against the lean per-step loop it
 replaced (`lean_backward_calibrated_curve` in tests/test_trace_oracle.py).
 
-Cases: the five traces of the `occupation` benchmark workload (seed 1;
-three sweep traces at lam = 12.8, 6.4, 3.2 and the mass-identity pair at
-lam = 6.4, dt and dt/2) and the mass-identity trace of the bundled
-configs/occupation_suite.cfg (lam = 0.05, 280,000 steps).  Their inputs are
-recorded by running each pipeline once.  Per trace it reports the steps,
-the rest step (the first step back at its own point, after which the block
-loop fills the trace instead of checking it; null for a trace that never
-rests), the number of blocks (numpy passes), the best of --repeat timings of
-each loop with its microseconds per step, and whether every CurveTrace field
-is bit for bit the same, and writes all of it with the machine facts to
-BENCH_traces.json.  Apart from the block schedule, it times the foot
-sampler alone (`Transition.foot_sampler` on the first trace's kernel and
-field, K = 49): microseconds per row at S = 1, 64 and 256 random points.
+Cases: the four traces of the `occupation` benchmark workload (seed 1; the
+sweep's traces at lam = 12.8, 6.4, 3.2, the one at 6.4 being the mass
+identity's at dt, and the mass identity's at lam = 6.4 and dt/2) and the
+mass-identity trace of the bundled configs/occupation_suite.cfg (lam = 0.05,
+the sweep's last).  Their inputs are recorded by running each pipeline once,
+each case from the first trace the pipeline asks for at its (lam, dt).  A
+trace ends at its first rest step, the first step back at its own point;
+Tmax caps one that never rests.  Per trace it reports the steps, the rest
+step (null for a trace that never rests), the number of blocks (numpy
+passes), the best of --repeat timings of the block loop and of the lean loop
+over the same steps with their microseconds per step, and whether every
+CurveTrace field is bit for bit the lean loop's (it exits 1 if one is not).
+It also times whole runs, `run_experiment` of the workload's config and of
+the bundled config, and the foot sampler alone (`Transition.foot_sampler`
+on the first trace's kernel and field, K = 49): microseconds per row at
+S = 1, 64 and 256 random points.  All of it goes with the machine facts to
+BENCH_traces.json.
 
 With --parent SRC, the `src/` directory of a second checkout (say, the
 parent commit's), a child process imports torushj from SRC
-(`bench_critical.in_tree`), records the same six traces with that tree's
-pipelines and times that tree's block loop and sampler.  Each trace row
-then holds, under "src", that tree's blocks, rest step and times, and
-whether its trace is bit for bit this tree's; the sampler record holds that
-tree's times under "src_us_per_row".
+(`bench_critical.in_tree`), records the same cases with that tree's
+pipelines, and times that tree's block loop, runs and sampler.  Each trace
+row then holds, under "src", that tree's steps, blocks, rest step and times,
+and whether its trace, cut after its first rest step, is bit for bit this
+tree's; the run and sampler records hold that tree's times under "src_s"
+and "src_us_per_row".
 
 Usage:  python scripts/bench_traces.py [--repeat 5] [--parent SRC]
                                        [--out BENCH_traces.json]
@@ -49,14 +54,20 @@ from torushj.curves import BLOCK_CAP, backward_calibrated_curve  # noqa: E402
 from torushj.solver import Transition                          # noqa: E402
 
 SAMPLER_ROWS = (1, 64, 256)     # the block sizes at which the sampler is timed
+SUITE = os.path.join(ROOT, "configs", "occupation_suite.cfg")
+# the fields of a trace that every tree has, cut after the rest step
+PER_POINT, PER_STEP = ("points", "weights"), ("velocities", "vel_indices", "defects",
+                                               "actions", "dl0")
+SCALARS = ("lam", "dt", "on_lattice", "defect_tol")
 
 
 def recorded_traces(config):
-    """Run a pipeline once; the (args, kwargs) of each trace it asks for."""
-    calls = []
+    """Run a pipeline once; the (args, kwargs) of the first trace it asks
+    for at each (lam, dt)."""
+    calls = {}
 
     def recording(*args, **kwargs):
-        calls.append((args, kwargs))
+        calls.setdefault((args[1], kwargs["arcs"].dt), (args, kwargs))
         return backward_calibrated_curve(*args, **kwargs)
 
     with (mock.patch.object(experiments, "backward_calibrated_curve", recording),
@@ -84,32 +95,41 @@ def count_blocks(args, kwargs):
     return calls[0]
 
 
+def workload_config(tmp):
+    path = os.path.join(tmp, "occupation.cfg")
+    write_config(WORKLOADS["occupation"](1), path)
+    return path
+
+
 def cases():
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "occupation.cfg")
-        write_config(WORKLOADS["occupation"](1), cfg)
-        workload = recorded_traces(cfg)
-    names = [f"occupation sweep lam={a[1]:g}" for a, _ in workload[:3]]
-    names += ["occupation mass identity dt", "occupation mass identity dt/2"]
-    suite = recorded_traces(os.path.join(ROOT, "configs", "occupation_suite.cfg"))
-    return list(zip(names, workload)) + [("occupation_suite mass identity", suite[3])]
+        workload = recorded_traces(workload_config(tmp))
+    suite = recorded_traces(SUITE)
+    return ([(f"occupation lam={lam:g} dt={dt:g}", call)
+             for (lam, dt), call in workload.items()]
+            + [("occupation_suite lam=0.05 dt=0.001", suite[(0.05, 0.001)])])
 
 
 def digest(trace):
-    """sha256 of every CurveTrace field, to compare traces across trees."""
+    """sha256 of the fields of the trace cut after its first rest step, to
+    compare traces across trees, whether or not a tree traces past it."""
+    r = rest_step(trace.points)
+    steps = trace.steps if r is None else r + 1
     h = hashlib.sha256()
-    for f in ALL_FIELDS:
-        h.update(np.asarray(getattr(trace, f)).tobytes())
+    for f in PER_POINT + PER_STEP + SCALARS:
+        a = np.asarray(getattr(trace, f))
+        h.update((a[:steps + 1] if f in PER_POINT else a[:steps] if f in PER_STEP
+                  else a).tobytes())
     return h.hexdigest()
 
 
 def block_loop_row(args, kwargs, repeat):
-    """The block loop on one trace: its row of blocks, rest step, best time
-    and digest, and the trace."""
+    """The block loop on one trace: its row of steps, blocks, rest step,
+    best time and digest, and the trace."""
     block_s, trace = best(lambda: backward_calibrated_curve(*args, **kwargs), repeat)
-    return {"rest_step": rest_step(trace), "blocks": count_blocks(args, kwargs),
-            "block_s": block_s, "block_us_per_step": 1e6 * block_s / trace.steps,
-            "digest": digest(trace)}, trace
+    return {"steps": trace.steps, "rest_step": rest_step(trace.points),
+            "blocks": count_blocks(args, kwargs), "block_s": block_s,
+            "block_us_per_step": 1e6 * block_s / trace.steps, "digest": digest(trace)}, trace
 
 
 def sampler_us_per_row(args, kwargs, repeat):
@@ -127,46 +147,68 @@ def sampler_us_per_row(args, kwargs, repeat):
     return times
 
 
+def runs_s(repeat):
+    """Best of `repeat` timings of `run_experiment` on the workload's config
+    and on the bundled one, each given by its path."""
+    times = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in (("occupation", workload_config(tmp)), ("occupation_suite", SUITE)):
+            out = os.path.join(tmp, name)
+            times[name], _ = best(lambda: experiments.run_experiment(config, output=out), repeat)
+    return times
+
+
 def tree_record(repeat):
-    """block_loop_row of each case and the sampler times, in the tree this
-    process imported torushj from; what --parent reads from its child."""
+    """block_loop_row of each case, the run times and the sampler times, in
+    the tree this process imported torushj from; what --parent reads from
+    its child."""
     traces = cases()
     return {"traces": [block_loop_row(a, kw, repeat)[0] for _, (a, kw) in traces],
-            "sampler": sampler_us_per_row(*traces[0][1], repeat)}
+            "runs_s": runs_s(repeat), "sampler": sampler_us_per_row(*traces[0][1], repeat)}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--parent", help="src/ directory of a second checkout whose block "
-                    "loop to time in a child process")
+                    "loop and runs to time in a child process")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_traces.json"))
     args = ap.parse_args()
 
     parent = (in_tree(args.parent, "bench_traces", "tree_record", args.repeat)
               if args.parent else {})
-    others, src_sampler = parent.get("traces"), parent.get("sampler")
+    others = parent.get("traces")
     rows, traces = [], cases()
-    print(f"{'trace':<32s} {'steps':>7s} {'rest':>6s} {'blocks':>6s} {'block_s':>8s} "
+    print(f"{'trace':<36s} {'steps':>7s} {'rest':>6s} {'blocks':>6s} {'block_s':>8s} "
           f"{'us/step':>7s} {'lean_s':>8s} {'us/step':>7s} {'same':>5s}"
-          + (f" {'src_blocks':>10s} {'src_s':>8s} {'same':>5s}" if others else ""))
+          + (f" {'src_steps':>9s} {'src_s':>8s} {'same':>5s}" if others else ""))
     for i, (name, (targs, tkw)) in enumerate(traces):
         row, new = block_loop_row(targs, tkw, args.repeat)
-        lean_s, ref = best(lambda: lean_backward_calibrated_curve(*targs, **tkw), args.repeat)
-        same = all(np.array_equal(getattr(new, f), getattr(ref, f)) for f in ALL_FIELDS)
-        row = {"trace": name, "lam": new.lam, "dt": new.dt, "steps": new.steps, **row,
+        # the lean loop over the same steps, the rest step the last
+        lean_kw = dict(tkw, Tmax=(new.steps + 0.5) * new.dt)
+        lean_s, ref = best(lambda: lean_backward_calibrated_curve(*targs, **lean_kw),
+                           args.repeat)
+        same = all(np.array_equal(getattr(new, f), getattr(ref, f))
+                   for f in ALL_FIELDS if f != "rests")
+        row = {"trace": name, "lam": new.lam, "dt": new.dt, **row,
                "lean_s": lean_s, "lean_us_per_step": 1e6 * lean_s / new.steps,
                "bit_identical": same}
-        line = (f"{name:<32s} {new.steps:7d} {str(row['rest_step']):>6s} {row['blocks']:6d} "
+        line = (f"{name:<36s} {new.steps:7d} {str(row['rest_step']):>6s} {row['blocks']:6d} "
                 f"{row['block_s']:8.4f} {row['block_us_per_step']:7.2f} {lean_s:8.4f} "
                 f"{row['lean_us_per_step']:7.2f} {str(same):>5s}")
         if others:
             row["src"] = dict(others[i], same_trace=others[i]["digest"] == row["digest"])
-            line += (f" {row['src']['blocks']:10d} {row['src']['block_s']:8.4f} "
+            line += (f" {row['src']['steps']:9d} {row['src']['block_s']:8.4f} "
                      f"{str(row['src']['same_trace']):>5s}")
         rows.append(row)
         print(line)
+    runs = {name: {"s": s, "src_s": parent.get("runs_s", {}).get(name)}
+            for name, s in runs_s(args.repeat).items()}
+    for name, r in runs.items():
+        print(f"run_experiment {name}: {r['s']:.4f} s"
+              + ("" if r["src_s"] is None else f"; src: {r['src_s']:.4f} s"))
     name, (targs, tkw) = traces[0]
+    src_sampler = parent.get("sampler")
     sampler = {"trace": name, "K": tkw["arcs"].vset.count,
                "us_per_row": sampler_us_per_row(targs, tkw, args.repeat),
                "src_us_per_row": src_sampler}
@@ -176,9 +218,8 @@ def main() -> int:
               f"{S}: {t:.3f}" for S, t in src_sampler.items())))
     write_record(args.out, repeat=args.repeat, block_cap=BLOCK_CAP,
                  src_tree=tree_id(args.parent) if args.parent else None,
-                 traces=rows, sampler=sampler)
-    return 0 if all(r["bit_identical"] and r.get("src", {}).get("same_trace", True)
-                    for r in rows) else 1
+                 traces=rows, runs=runs, sampler=sampler)
+    return 0 if all(r["bit_identical"] for r in rows) else 1
 
 
 if __name__ == "__main__":

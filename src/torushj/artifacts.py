@@ -123,25 +123,19 @@ def write_node_csv(values, path: str) -> None:
 
 def write_trace_csv(trace, path: str) -> None:
     """One row per step: k, time -k*dt, point, velocity, weight and defect k.
-    A trace at rest from row t on (the trailing rows whose point, velocity
-    and defect are bit for bit the last row's) stops after row t with the
-    line `# rest,<r>,<q>`: the r = S-1-t steps after it repeat row t's point,
+    A trace that rests ends with its rest step t, the last row, and then the
+    line `# rest,<q>`: every step after t would repeat row t's point,
     velocity and defect at time -k*dt, each weight the one before times
     q = exp(lam * dl0[t] * dt), the factor of the weights' cumprod."""
     S, d = trace.steps, trace.points.shape[1]
     xs = ";".join([_FLOAT] * d)
-    fixed = np.column_stack((trace.points[:S], trace.velocities, trace.defects))
-    bits = fixed.view(np.int64)
-    moved = np.flatnonzero((bits != bits[-1:]).any(axis=1))
-    t = int(moved[-1]) + 1 if moved.size else 0     # the first row of the resting tail
-    rows = min(t + 1, S)
     blocks = [(f"{{}},{_FLOAT},{xs},{xs},{_FLOAT},{_FLOAT}\n",
-               [range(rows), (-np.arange(rows) * float(trace.dt)).tolist(),
-                *trace.points[:rows].T.tolist(), *trace.velocities[:rows].T.tolist(),
-                trace.weights[:rows].tolist(), trace.defects[:rows].tolist()])]
-    if rows < S:
-        q = np.exp(trace.lam * trace.dl0[t] * trace.dt)
-        blocks.append((f"# rest,{S - rows},{_FLOAT}\n", [[float(q)]]))
+               [range(S), (-np.arange(S) * float(trace.dt)).tolist(),
+                *trace.points[:S].T.tolist(), *trace.velocities.T.tolist(),
+                trace.weights[:S].tolist(), trace.defects.tolist()])]
+    if trace.rests:
+        q = np.exp(trace.lam * trace.dl0[-1] * trace.dt)
+        blocks.append((f"# rest,{_FLOAT}\n", [[float(q)]]))
     _write_rows(path, "# step,time,coords,velocity,weight,defect\n", *blocks)
 
 

@@ -23,13 +23,13 @@ with its own argmin and foot, so a block advances at least one step.  S
 doubles after a block that held, up to BLOCK_CAP.  After a switch of
 velocity it starts at the length of the run that just ended, at least 1 and
 at most BLOCK_CAP; otherwise it stays.  A step depends on its point alone,
-since u, lam and dt are fixed.  So once a block ends with a step back at its
-own point, bit for bit, every later step repeats that step: the loop fills
-the rest of the trace by broadcasting and stops (the rest fill).  Every
+since u, lam and dt are fixed.  So the first step back at its own point, bit
+for bit, repeats forever: the trace ends with it (its rest step, and
+`CurveTrace.rests`), and Tmax only caps a trace that never rests.  Every
 float is computed as a per-step loop would compute it, so the trace is the
-same bit for bit; the guess only decides how many rows a pass checks.  The
-loop keeps the chosen index, L there and u at the chosen foot, which is u at
-the next point of the trace.
+same bit for bit as that loop's up to the rest step; the guess only decides
+how many rows a pass checks.  The loop keeps the chosen index, L there and u
+at the chosen foot, which is u at the next point of the trace.
 After the loop, one vectorized expression each gives the actions
 dt*(L - lam*V + c0), the defects |u(y_k) - (action_k + u(y_{k+1}))|,
 dL/du(y_k, v_k, 0) and the weights below.
@@ -40,6 +40,9 @@ The discounted occupation measure weights step k by
 
 bins the step's departure point by interpolation weights and its velocity
 exactly (velocities are lattice members), and normalizes to mass one.  The
+rest step of a trace that rests carries the steps after it too, an exact
+geometric sum W_t*dt / (1 - exp(lam * dl0_t * dt)); only a trace that never
+rests cuts a tail, which TAIL_TOL bounds.  The
 departure-point binning makes the pushforward of one step's bin land on the
 next step's bin, so the closedness defect telescopes to the O(lam) boundary
 term the continuum identity predicts.
@@ -89,11 +92,12 @@ class CurveTrace:
     the discount factor W_k (strictly decreasing, W_0 = 1), defects[k] the
     dynamic-programming defect of step k, actions[k] its accumulated
     Lagrangian increment, and dl0[k] = dL/du(points[k], velocities[k], 0).
+    A trace that rests ends with its rest step, points[-1] == points[-2]
+    bit for bit, which every later step would repeat.
     """
 
     lam: float
     arcs: Transition            # the kernel it stepped with; dt is its dt
-    horizon: float
     points: np.ndarray          # (S+1, d)
     velocities: np.ndarray      # (S, d)
     vel_indices: np.ndarray     # (S,)
@@ -103,6 +107,7 @@ class CurveTrace:
     dl0: np.ndarray             # (S,)
     on_lattice: bool
     defect_tol: float
+    rests: bool                 # its last step is back at its own point
 
     @property
     def dt(self) -> float:
@@ -111,6 +116,24 @@ class CurveTrace:
     @property
     def steps(self) -> int:
         return len(self.vel_indices)
+
+    @property
+    def horizon(self) -> float:
+        return self.steps * self.dt
+
+    def masses(self) -> np.ndarray:
+        """The discounted mass W_k*dt of each step (S,).  The rest step of a
+        trace that rests stands for itself and every step after it, so it
+        carries the whole geometric tail W_t*dt / (1 - q), q = exp(lam *
+        dl0_t * dt); TailMassError when q >= 1, whose tail has no sum."""
+        Wd = self.weights[:-1] * self.dt
+        if self.rests:
+            shrink = -np.expm1(self.lam * self.dl0[-1] * self.dt)
+            if not shrink > 0:
+                raise TailMassError(f"a trace resting at dL/du = {self.dl0[-1]:.3e} "
+                                    f"has no finite discounted tail")
+            Wd[-1] /= shrink
+        return Wd
 
 
 def _kink_scale(u: GridField) -> float:
@@ -125,7 +148,8 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
                               x, Tmax: float, arcs: Transition,
                               solver_tol: float = 1e-8,
                               defect_tol: Optional[float] = None) -> CurveTrace:
-    """Follow the argmin branch of the Bellman update of `arcs` backward from x.
+    """Follow the argmin branch of the Bellman update of `arcs` backward from x,
+    up to its first rest step, or for floor(Tmax/dt) steps if none comes.
 
     Raises CalibrationError ("field not converged") when more than
     DEFECT_FRACTION of the steps exceed the defect tolerance.  The tolerance
@@ -158,9 +182,11 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
     Lj = np.empty(steps)                        # L at the chosen arc
     uj = np.empty(steps)                        # u at the chosen foot = u(pts[k+1])
     pts[0] = y
+    bits = pts.view(np.int64)
     feet_at = arcs.foot_sampler(values, snap=on_lattice)
     n, vdt = grid.n, vels * dt
     k, j, size, start = 0, 0, 1, 0              # a block of one row checks no guess
+    rests = False
     while k < steps:
         # Guess: velocity j holds for the whole block.  The accumulation
         # restarts at each wrap of the torus from the point wrapped as the
@@ -200,11 +226,13 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
             j, start = int(a[-1]), switch
         elif take == size:
             size = min(2 * size, BLOCK_CAP)
+        # A step back at its own point, bit for bit, repeats forever: the
+        # first such step is the last of the trace.
+        same = (bits[k + 1:k + take + 1] == bits[k:k + take]).all(axis=1)
         k += take
-        # The rest fill: a step back at its own point repeats to the end.
-        if pts[k].tobytes() == pts[k - 1].tobytes():
-            vidx[k:], Lj[k:], uj[k:] = vidx[k - 1], Lj[k - 1], uj[k - 1]
-            pts[k + 1:] = pts[k]
+        if same.any():
+            rests, steps = True, k - take + int(same.argmax()) + 1
+            pts, vidx, Lj, uj = pts[:steps + 1], vidx[:steps], Lj[:steps], uj[:steps]
             break
 
     X, vel = pts[:-1], vels[vidx]
@@ -223,10 +251,10 @@ def backward_calibrated_curve(model: ControlModel, lam: float, u: GridField,
                 f"field not converged: {frac:.1%} of steps exceed the "
                 f"calibration defect tolerance {defect_tol:.3e}"
             )
-    return CurveTrace(lam=lam, arcs=arcs, horizon=steps * dt, points=pts,
-                      velocities=vel, vel_indices=vidx, weights=W,
-                      defects=defects, actions=actions, dl0=dl0,
-                      on_lattice=on_lattice, defect_tol=defect_tol)
+    return CurveTrace(lam=lam, arcs=arcs, points=pts, velocities=vel,
+                      vel_indices=vidx, weights=W, defects=defects,
+                      actions=actions, dl0=dl0, on_lattice=on_lattice,
+                      defect_tol=defect_tol, rests=rests)
 
 
 @dataclass
@@ -253,25 +281,27 @@ def check_calibration(trace: CurveTrace, u: GridField) -> CalibrationReport:
 def occupation_measure(trace: CurveTrace) -> DiscreteMeasure:
     """Discount-weighted occupation measure of a backward trace at its lam.
 
-    Step k deposits W_k*dt at (departure point, chosen velocity); positions
-    bin by interpolation weights, velocities exactly.  Raises TailMassError
-    when the discarded tail beyond the horizon would carry more than
-    TAIL_TOL of the total mass (estimated from the weight decay rate).
+    Step k deposits its mass (`CurveTrace.masses`, the exact tail on the
+    rest step of a trace that rests) at (departure point, chosen velocity);
+    positions bin by interpolation weights, velocities exactly.  For a trace
+    that does not rest, raises TailMassError when the discarded tail beyond
+    its horizon would carry more than TAIL_TOL of the total mass (estimated
+    from the weight decay rate).
     """
     if trace.steps == 0:
         raise ConfigurationError("cannot bin an empty trace")
     if not trace.lam > 0:
         raise ConfigurationError(f"discount lam must be positive, got {trace.lam}")
-    dt = trace.dt
-    Wd = trace.weights[:-1] * dt                 # (S,)
-    total = float(Wd.sum())
-    decay = max(-float(np.mean(trace.dl0[-max(10, trace.steps // 10):])), 1e-12)
-    tail = float(trace.weights[-1]) / (trace.lam * decay)
-    if tail / (total + tail) > TAIL_TOL:
-        raise TailMassError(
-            f"discarded tail mass fraction {tail / (total + tail):.2e} exceeds "
-            f"{TAIL_TOL:.0e}: extend Tmax"
-        )
+    Wd = trace.masses()                          # (S,)
+    if not trace.rests:
+        total = float(Wd.sum())
+        decay = max(-float(np.mean(trace.dl0[-max(10, trace.steps // 10):])), 1e-12)
+        tail = float(trace.weights[-1]) / (trace.lam * decay)
+        if tail / (total + tail) > TAIL_TOL:
+            raise TailMassError(
+                f"discarded tail mass fraction {tail / (total + tail):.2e} exceeds "
+                f"{TAIL_TOL:.0e}: extend Tmax"
+            )
     grid, vset = trace.arcs.grid, trace.arcs.vset
     idx, w = interpolation_stencil(grid, trace.points[1:])      # (S, 2^d)
     K = vset.count
@@ -286,14 +316,15 @@ def check_mass_identity(trace: CurveTrace) -> float:
 
         int dL/du dmu  =  -1 / ( lam * int_0^inf W dt ),
 
-    at the trace's lam, evaluated with the trace's own quadrature; exact up
-    to the tail cutoff and one first-order quadrature term in dt.
+    at the trace's lam, evaluated with the trace's own quadrature
+    (`CurveTrace.masses`); exact up to one first-order quadrature term in dt
+    and, for a trace that does not rest, the tail beyond its horizon.
     """
     if trace.steps == 0:
         raise ConfigurationError("empty trace")
     if not trace.lam > 0:
         raise ConfigurationError(f"discount lam must be positive, got {trace.lam}")
-    Wd = trace.weights[:-1] * trace.dt
+    Wd = trace.masses()
     lhs = float((trace.dl0 * Wd).sum() / Wd.sum())
     rhs = -1.0 / (trace.lam * float(Wd.sum()))
     return abs(lhs - rhs) / abs(rhs)

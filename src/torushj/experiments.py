@@ -654,7 +654,11 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     """Occupation-measure identities along a discount sweep: mass identity
     and its dt-order, closedness-defect scaling, and TV approach to the
     minimizing measure.  The critical polytope is at the lattice dt; the
-    solves and traces are at cfg.dt, else 1e-3."""
+    solves and traces are at cfg.dt, else 1e-3.  A trace that rests ends
+    there; its horizon, 10/lam in the sweep and 14/lam at the mass
+    identity's lambda, only caps one that does not.  When that lambda is one
+    of the sweep's, the mass identity reads the sweep's field and trace, and
+    the dt/2 solve starts from that field."""
     N = cfg.grid().size
     start_node = cfg.extra("start_node", N // 3)
     if not 0 <= start_node < N:
@@ -673,14 +677,20 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
     lp_mu = poly.critical_measure
 
     start = grid.node_coords()[start_node]
+
+    def solve_and_trace(lam, kernel, warm):
+        fld, _ = solve_perturbed(model, lam, kernel, tol=cfg.tol,
+                                 max_iter=cfg.max_iter, bracket=bracket, init=warm)
+        Tmax = (14.0 if lam == lam_mi else 10.0) / lam
+        return fld, backward_calibrated_curve(model, lam, fld, start, Tmax=Tmax,
+                                              arcs=kernel, solver_tol=cfg.tol)
+
     tv_seq, defect_seq = [], []
-    warm = None
+    fld, at_mi = None, None
     for lam in lams:
-        fld, rep = solve_perturbed(model, lam, arcs, tol=cfg.tol,
-                                   max_iter=cfg.max_iter, bracket=bracket, init=warm)
-        warm = fld
-        tr = backward_calibrated_curve(model, lam, fld, start, Tmax=10.0 / lam,
-                                       arcs=arcs, solver_tol=cfg.tol)
+        fld, tr = solve_and_trace(lam, arcs, fld)
+        if lam == lam_mi:
+            at_mi = fld, tr
         mu = occupation_measure(tr)
         tv = 0.5 * float(np.abs(mu.projected() - lp_mu.projected()).sum())
         dfct = closedness_defect(mu, tr.arcs)
@@ -698,17 +708,9 @@ def _run_occupation_suite(cfg: ExperimentConfig, artifacts: dict, stages: list):
         "lambdas": list(lams), "tv": tv_seq, "closedness_defect": defect_seq,
         "defect_fit_C": Cfit}))
 
-    Tmi = 14.0 / lam_mi
-    fld, _ = solve_perturbed(model, lam_mi, arcs, tol=cfg.tol,
-                             max_iter=cfg.max_iter, bracket=bracket, init=warm)
-    tr1 = backward_calibrated_curve(model, lam_mi, fld, start, Tmax=Tmi, arcs=arcs,
-                                    solver_tol=cfg.tol)
+    fld, tr1 = at_mi or solve_and_trace(lam_mi, arcs, fld)
     err1 = check_mass_identity(tr1)
-    half = cfg.arcs(dt / 2)
-    fld2, _ = solve_perturbed(model, lam_mi, half, tol=cfg.tol,
-                              max_iter=cfg.max_iter, bracket=bracket, init=fld)
-    tr2 = backward_calibrated_curve(model, lam_mi, fld2, start, Tmax=Tmi, arcs=half,
-                                    solver_tol=cfg.tol)
+    _, tr2 = solve_and_trace(lam_mi, cfg.arcs(dt / 2), fld)
     err2 = check_mass_identity(tr2)
     ratio = err1 / max(err2, 1e-300)
     mi_ok = err1 <= _threshold(cfg, "mass_identity_rel") and 1.5 <= ratio <= 2.5
@@ -810,8 +812,11 @@ def run_experiment(config, output: Optional[str] = None,
     the run used, the stage records, and the artifact hashes; wall time goes
     to a separate timings file so artifacts stay byte-reproducible.
     """
-    cfg = parse_config(config) if isinstance(config, (str, os.PathLike)) else config
-    cfg.validate()
+    if isinstance(config, (str, os.PathLike)):
+        cfg = parse_config(config)      # which validates it
+    else:
+        cfg = config
+        cfg.validate()
     root = output or os.environ.get("TORUSHJ_OUTPUT_ROOT", "runs")
     outdir = root if output else os.path.join(root, cfg.name)
     os.makedirs(outdir, exist_ok=True)

@@ -21,7 +21,7 @@ from torushj.artifacts import (
 )
 from torushj.barrier import BIG, BarrierMatrix
 from torushj import experiments
-from torushj.curves import CurveTrace
+from torushj.curves import CurveTrace, backward_calibrated_curve
 from torushj.errors import DomainError
 from torushj.experiments import export_all
 from torushj.grids import GridField, PeriodicGrid
@@ -171,7 +171,8 @@ def test_csv_writers_match_the_row_writers(tmp_path, case):
 
 
 def reference_write_trace_csv(trace, path):
-    """The row-at-a-time trace writer: one row per step, the resting tail too."""
+    """The row-at-a-time trace writer: one row per step, then the line
+    `# rest,q` for a trace that rests."""
     with open(path, "w", newline="\n") as f:
         f.write("# step,time,coords,velocity,weight,defect\n")
         for k in range(trace.steps):
@@ -179,91 +180,89 @@ def reference_write_trace_csv(trace, path):
             vs = ";".join(fmt17(v) for v in trace.velocities[k])
             f.write(f"{k},{fmt17(-k * trace.dt)},{cs},{vs},"
                     f"{fmt17(trace.weights[k])},{fmt17(trace.defects[k])}\n")
+        if trace.rests:
+            f.write(f"# rest,{fmt17(np.exp(trace.lam * trace.dl0[-1] * trace.dt))}\n")
 
 
-def expand_trace_csv(path, dt):
-    """The text of a trace CSV with its rest line `# rest,r,q` replaced by the
-    r rows it stands for: the last row's point, velocity and defect at time
-    -k*dt, each weight the one before times q, from the last row's weight as
-    read back."""
+def expand_trace_csv(path, dt, r):
+    """The text of a trace CSV with its rest line `# rest,q` replaced by r
+    rows: the last row's point, velocity and defect at time -k*dt, each
+    weight the one before times q, from the last row's weight as read back."""
     with open(path) as f:
         header, *rows = f.read().splitlines(keepends=True)
-    if rows and rows[-1].startswith("# rest,"):
-        _, r, q = rows.pop().split(",")
-        k0, _, point, velocity, w, defect = rows[-1].split(",")
-        w, q = float(w), float(q)
-        for k in range(int(k0) + 1, int(k0) + 1 + int(r)):
-            w *= q
-            rows.append(f"{k},{fmt17(-k * dt)},{point},{velocity},{fmt17(w)},{defect}")
+    assert rows[-1].startswith("# rest,")
+    _, q = rows.pop().split(",")
+    k0, _, point, velocity, w, defect = rows[-1].split(",")
+    w, q = float(w), float(q)
+    for k in range(int(k0) + 1, int(k0) + 1 + r):
+        w *= q
+        rows.append(f"{k},{fmt17(-k * dt)},{point},{velocity},{fmt17(w)},{defect}")
     return header + "".join(rows)
-
-
-def assert_trace_csv_expands_to_the_row_writer(trace, tmp_path, rest):
-    """The file stops after row `rest` (the last row when None) and expands
-    to the row writer's bytes."""
-    write_trace_csv(trace, str(tmp_path / "fast.csv"))
-    reference_write_trace_csv(trace, str(tmp_path / "ref.csv"))
-    lines = (tmp_path / "fast.csv").read_text().splitlines()
-    rows = min((trace.steps - 1 if rest is None else rest) + 1, trace.steps)
-    assert len(lines) == 1 + rows + (rows < trace.steps)
-    assert (expand_trace_csv(str(tmp_path / "fast.csv"), trace.dt).encode()
-            == (tmp_path / "ref.csv").read_bytes())
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("steps", [0, 1, 257])
 def test_trace_csv_bytes_match_the_row_writer(tmp_path, d, steps):
-    """Moving traces, and traces that rest from step 0 and from halfway: from
-    there on the point, velocity and defect are the last row's.  The row
-    before the rest has the same point and velocity but the defect -0.0
-    against 0.0, which only a comparison of bits tells apart.  The weights
-    are built as the curve builds them, the cumprod of exp(lam*dL/du*dt)."""
-    for rest in (None, 0, steps // 2):
+    """Moving traces, and traces whose last step is a rest step: one row per
+    step, and the rest line after the last row of a trace that rests.  The
+    weights are built as the curve builds them, the cumprod of
+    exp(lam*dL/du*dt)."""
+    for rests in (False, True) if steps else (False,):
         rng = np.random.default_rng(10 * d + steps)
         dt = float(rng.uniform(1e-4, 0.1))
-        dl0 = -rng.uniform(0.5, 2.0, size=steps)
         arcs = Transition(PeriodicGrid(d, 4), velocity_set(2.25, 13, d), dt)
-        tr = CurveTrace(lam=0.5, arcs=arcs, horizon=steps * dt,
+        tr = CurveTrace(lam=0.5, arcs=arcs,
                         points=rng.uniform(size=(steps + 1, d)),
                         velocities=rng.integers(-6, 7, size=(steps, d)) * 0.375,
                         vel_indices=rng.integers(0, 13, size=steps),
                         weights=np.ones(steps + 1),
                         defects=rng.normal(size=steps) * 10.0 ** rng.integers(-17, 1, size=steps),
-                        actions=np.zeros(steps), dl0=dl0,
-                        on_lattice=False, defect_tol=1e-9)
-        if rest is not None and steps:
-            tr.points[max(rest - 1, 0):] = tr.points[-1]
-            tr.velocities[max(rest - 1, 0):] = tr.velocities[-1]
-            tr.dl0[max(rest - 1, 0):] = tr.dl0[-1]
-            tr.defects[rest:] = 0.0
-            if rest:
-                tr.defects[rest - 1] = -0.0
+                        actions=np.zeros(steps), dl0=-rng.uniform(0.5, 2.0, size=steps),
+                        on_lattice=False, defect_tol=1e-9, rests=rests)
+        if rests:
+            tr.points[-1] = tr.points[-2]
+            tr.velocities[-1] = 0.0
         np.cumprod(np.exp(tr.lam * tr.dl0 * dt), out=tr.weights[1:])
-        assert_trace_csv_expands_to_the_row_writer(tr, tmp_path, rest)
+        write_trace_csv(tr, str(tmp_path / "fast.csv"))
+        reference_write_trace_csv(tr, str(tmp_path / "ref.csv"))
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "ref.csv").read_bytes()
+        assert text.count(b"\n") == 1 + steps + rests
 
 
 def test_occupation_workload_trace_csv_expands_to_the_row_writer(monkeypatch, tmp_path):
     """The mass-identity trace of the `occupation` benchmark workload
-    (bench/run.py, seed 1), as the pipeline exports it: 2,187 steps at rest
-    from step 804 on."""
+    (bench/run.py, seed 1), as the pipeline exports it: 805 steps, the last
+    its rest step.  Its rest line, expanded to the 1,382 rows up to the
+    horizon 14/lam, is byte for byte the row writer's file of the lean loop
+    run to that horizon."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     from run import WORKLOADS, write_config
+    from test_trace_oracle import lean_backward_calibrated_curve
     cfg = str(tmp_path / "occupation.cfg")
     write_config(WORKLOADS["occupation"](1), cfg)
-    exported = {}
+    exported, calls = {}, []
 
     def recording(results, outdir):
         exported.update(results)
         return export_all(results, outdir)
 
+    def traced(*args, **kwargs):
+        calls.append((args, kwargs))
+        return backward_calibrated_curve(*args, **kwargs)
+
     monkeypatch.setattr(experiments, "export_all", recording)
+    monkeypatch.setattr(experiments, "backward_calibrated_curve", traced)
     assert experiments.run_experiment(cfg, output=str(tmp_path / "out")).passed
     trace = exported["trace_mass_identity"]
-    assert trace.steps == 2187
+    assert trace.steps == 805 and trace.rests
+    args, kwargs = next(c for c in calls if c[0][1] == trace.lam and c[1]["arcs"] is trace.arcs)
+    lean = lean_backward_calibrated_curve(*args, **kwargs)
+    assert lean.steps == 2187
     written = tmp_path / "out" / "trace_mass_identity.csv"
-    reference_write_trace_csv(trace, str(tmp_path / "ref.csv"))
-    assert written.read_text().splitlines()[-1].startswith("# rest,1382,")
-    assert expand_trace_csv(str(written), trace.dt).encode() == (tmp_path / "ref.csv").read_bytes()
+    reference_write_trace_csv(lean, str(tmp_path / "ref.csv"))
+    assert (expand_trace_csv(str(written), trace.dt, lean.steps - trace.steps).encode()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_barrier_binary_roundtrip(tmp_path):

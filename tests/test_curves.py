@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_trace_oracle import lean_backward_calibrated_curve
 from torushj.curves import (
     backward_calibrated_curve,
     check_calibration,
@@ -174,12 +175,40 @@ def test_occupation_stationary_trace_is_rest_dirac():
 
 
 def test_occupation_tail_guard():
-    model, arcs, _, fld = solved("mechanical", U=None, lam=0.2)
-    grid = arcs.grid
-    tr = backward_calibrated_curve(model, 0.2, fld, grid.node_coords()[6],
+    # a drift that never rests: the horizon cuts a tail of share exp(-1)
+    model, arcs, _, fld = solved("shifted_quadratic", lam=0.2, alpha=ALPHA)
+    tr = backward_calibrated_curve(model, 0.2, fld, arcs.grid.node_coords()[6],
                                    Tmax=5.0, arcs=arcs)
+    assert not tr.rests
     with pytest.raises(TailMassError):
         occupation_measure(tr)
+
+
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_exact_tail_is_the_sum_over_a_horizon_past_the_rest(dt):
+    """A trace that rests carries its tail in closed form on the rest step.
+    Its occupation measure and mass identity are, to 1e-12 relative, the
+    plain sums over the lean loop's trace to a horizon whose leftover tail
+    is below 1e-16 of the mass, on and off the lattice."""
+    lam = 0.2
+    model, arcs, _, fld = solved("mechanical", U=COS, lam=lam)
+    if dt is not None:
+        arcs = Transition(arcs.grid, arcs.vset, dt)
+        fld, _ = solve_perturbed(model, lam, arcs, tol=1e-10)
+    x0 = arcs.grid.node_coords()[11]
+    tr = backward_calibrated_curve(model, lam, fld, x0, Tmax=200.0, arcs=arcs,
+                                   solver_tol=1e-10)
+    assert tr.rests and tr.horizon < 10.0
+    long = lean_backward_calibrated_curve(model, lam, fld, x0, 40.0 / lam, arcs,
+                                          solver_tol=1e-10)
+    total = long.masses().sum()
+    assert long.weights[-1] / (lam * -long.dl0[-1]) < 1e-16 * total
+    mu, ref = occupation_measure(tr).weights, occupation_measure(long).weights
+    assert np.max(np.abs(mu - ref)) <= 1e-12 * np.max(ref)
+    assert check_mass_identity(tr) == pytest.approx(check_mass_identity(long), rel=1e-12)
+    # a rest at dL/du >= 0 would carry a tail with no finite sum
+    with pytest.raises(TailMassError):
+        dataclasses.replace(tr, dl0=np.zeros(tr.steps)).masses()
 
 
 def test_mass_identity_geometric_sum():
@@ -241,7 +270,7 @@ def test_closedness_defect_examples():
 def test_action_convergence_along_sweep():
     # int (L0 + c0) dmu -> 0 as lam -> 0, monotone within a factor of 2
     model, arcs, poly, _ = solved("mechanical", U=COS, lam=0.1)
-    grid, dt = arcs.grid, arcs.dt
+    grid = arcs.grid
     vals = []
     for lam in (0.4, 0.2, 0.1):
         fld, _ = solve_perturbed(model, lam, arcs, tol=1e-10)
@@ -250,7 +279,7 @@ def test_action_convergence_along_sweep():
                                        solver_tol=1e-10)
         X = tr.points[:-1]
         L0 = np.asarray(model.L(X, tr.velocities, 0.0))
-        Wd = tr.weights[:-1] * dt
+        Wd = tr.masses()
         vals.append(abs(float((L0 + model.c0) @ Wd / Wd.sum())))
     assert vals[2] <= vals[0] + 1e-12
     assert all(b <= 2 * a + 1e-9 for a, b in zip(vals, vals[1:]))

@@ -540,3 +540,24 @@ def test_the_benchmark_workload_configs_validate(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.cfg"
         bench_run.write_config(workload(1), str(path))
         assert parse_config(str(path)).name == name
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_a_config_given_by_path_is_validated_once(tmp_path, monkeypatch, name):
+    """`parse_config` validates what it reads, so a run of a path builds no
+    more kernels than a run of the same config parsed beforehand."""
+    built = []
+    init = Transition.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    parsed = parse_config(path)
+    monkeypatch.setattr(Transition, "__init__", counting)
+    run_experiment(parsed, output=str(tmp_path / "parsed"))
+    of_parsed = len(built)
+    del built[:]
+    run_experiment(path, output=str(tmp_path / "path"))
+    assert len(built) == of_parsed > 0

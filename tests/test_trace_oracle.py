@@ -29,7 +29,7 @@ from torushj.solver import Transition, default_dt, solve_perturbed
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELDS = ("points", "weights", "defects", "actions", "dl0")
 ALL_FIELDS = FIELDS + ("velocities", "vel_indices", "lam", "dt", "horizon",
-                       "on_lattice", "defect_tol")
+                       "on_lattice", "defect_tol", "rests")
 
 
 def mod_wrap(x):
@@ -40,11 +40,42 @@ def mod_wrap(x):
     return x
 
 
+def bits_repeat(rows, row):
+    """Whether every entry of rows is `row`, bit for bit."""
+    rows, row = np.asarray(rows), np.asarray(row)
+    return rows.tobytes() == np.broadcast_to(row, rows.shape).tobytes()
+
+
+def cut_at_rest(pts, *per_step):
+    """The points (S+1, d) and per-step arrays (S, ...) of a trace run to its
+    horizon, cut after its first rest step r, the first step back at its own
+    point, bit for bit, and whether it has one.  Every step after r repeats
+    step r, bit for bit, and every point after it the rest point."""
+    r = rest_step(pts)
+    if r is None:
+        return (pts, *per_step, False)
+    assert bits_repeat(pts[r + 1:], pts[r + 1])
+    for a in per_step:
+        assert bits_repeat(a[r + 1:], a[r])
+    return (pts[:r + 2], *(a[:r + 1] for a in per_step), True)
+
+
+def rest_step(pts):
+    """The first step of the points (S+1, d) back at its own point, bit for
+    bit, or None."""
+    bits = pts.view(np.int64)
+    same = (bits[1:] == bits[:-1]).all(axis=1)
+    return int(same.argmax()) if same.any() else None
+
+
 def reference_backward_calibrated_curve(model, lam, u, x, Tmax, arcs,
                                         solver_tol=1e-8, defect_tol=None):
     """The retired trace loop: per step it wraps and interpolates all K feet,
     evaluates L on K copies of the point, V at the point and dL/du at the
-    chosen arc, interpolates u at the point again, and grows the weight."""
+    chosen arc, interpolates u at the point again, and grows the weight.
+    The trace and the calibration verdict are those of its steps up to the
+    first rest step (`cut_at_rest`), the loop run to the horizon all the
+    same."""
     grid, dt = u.grid, arcs.dt
     lam = float(lam)
     steps = int(np.floor(Tmax / dt + 1e-12))
@@ -89,12 +120,16 @@ def reference_backward_calibrated_curve(model, lam, u, x, Tmax, arcs,
             y = np.rint(y * grid.n) / grid.n
             y[y >= 1.0] = 0.0
         pts[k + 1] = y
+    pts, vel, vidx, defects, actions, dl0, rests = cut_at_rest(
+        pts, vel, vidx, defects, actions, dl0)
+    steps = len(vidx)
+    W = W[:steps + 1]
     if steps > 0 and float(np.mean(defects > defect_tol)) > 0.05:
         raise CalibrationError("field not converged")
-    return CurveTrace(lam=lam, arcs=arcs, horizon=steps * dt, points=pts,
-                      velocities=vel, vel_indices=vidx, weights=W,
-                      defects=defects, actions=actions, dl0=dl0,
-                      on_lattice=on_lattice, defect_tol=defect_tol)
+    return CurveTrace(lam=lam, arcs=arcs, points=pts, velocities=vel,
+                      vel_indices=vidx, weights=W, defects=defects,
+                      actions=actions, dl0=dl0, on_lattice=on_lattice,
+                      defect_tol=defect_tol, rests=rests)
 
 
 def point_sampler(arcs, values, snap):
@@ -126,9 +161,10 @@ def point_sampler(arcs, values, snap):
 
 
 def lean_backward_calibrated_curve(model, lam, u, x, Tmax, arcs,
-                                   solver_tol=1e-8, defect_tol=None):
+                                   solver_tol=1e-8, defect_tol=None, at_rest=False):
     """The retired lean loop: per step one foot stencil, one call of L with
-    all K velocities and an argmin; everything else after the loop."""
+    all K velocities and an argmin; everything else after the loop.  With
+    at_rest, cut at the first rest step as the reference loop is."""
     grid = u.grid
     lam, dt, c0 = float(lam), arcs.dt, model.c0
     steps = int(np.floor(Tmax / dt + 1e-12))
@@ -163,12 +199,18 @@ def lean_backward_calibrated_curve(model, lam, u, x, Tmax, arcs,
     dl0 = np.asarray(model.dLdu0(X, vel), dtype=float)
     W = np.ones(steps + 1)
     np.cumprod(np.exp(lam * dl0 * dt), out=W[1:])
+    rests = False
+    if at_rest:
+        pts, vel, vidx, defects, actions, dl0, rests = cut_at_rest(
+            pts, vel, vidx, defects, actions, dl0)
+        steps = len(vidx)
+        W = W[:steps + 1]
     if steps > 0 and float(np.mean(defects > defect_tol)) > 0.05:
         raise CalibrationError("field not converged")
-    return CurveTrace(lam=lam, arcs=arcs, horizon=steps * dt, points=pts,
-                      velocities=vel, vel_indices=vidx, weights=W,
-                      defects=defects, actions=actions, dl0=dl0,
-                      on_lattice=on_lattice, defect_tol=defect_tol)
+    return CurveTrace(lam=lam, arcs=arcs, points=pts, velocities=vel,
+                      vel_indices=vidx, weights=W, defects=defects,
+                      actions=actions, dl0=dl0, on_lattice=on_lattice,
+                      defect_tol=defect_tol, rests=rests)
 
 
 def assert_bit_identical(new, ref):
@@ -236,7 +278,8 @@ def test_trace_matches_the_retired_loop(d, name, seed, dt_mode, on_node, lam, st
 
     ref = reference_backward_calibrated_curve(*args, defect_tol=np.inf)
     new = backward_calibrated_curve(*args, defect_tol=np.inf)
-    assert new.steps == ref.steps == steps
+    assert new.steps == ref.steps <= steps and new.rests == ref.rests
+    assert new.rests or new.steps == steps
     assert new.on_lattice == ref.on_lattice == (on_node and dt_mode != "off_lattice")
     assert np.array_equal(new.vel_indices, ref.vel_indices)
     assert np.array_equal(new.velocities, ref.velocities)
@@ -271,6 +314,7 @@ def test_solved_field_trace_matches_the_retired_loop(d):
         args = (model, 0.5, fld, grid.node_coords()[5], 60 * dt, arcs)
         ref = reference_backward_calibrated_curve(*args, solver_tol=1e-10)
         new = backward_calibrated_curve(*args, solver_tol=1e-10)
+        assert new.rests == ref.rests
         assert np.array_equal(new.vel_indices, ref.vel_indices)
         for f in FIELDS:
             assert np.max(np.abs(getattr(new, f) - getattr(ref, f))) <= 1e-12, f
@@ -291,7 +335,7 @@ def test_block_loop_matches_the_lean_loop_bit_for_bit(d, name, seed, dt_mode, on
                                                        amp, lam, steps, start):
     model, u, x, arcs = trace_case(d, name, seed, dt_mode, on_node, amp, start)
     trace = checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * arcs.dt, arcs)
-    assert trace.steps == steps
+    assert trace.steps == steps or (trace.rests and trace.steps < steps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,20 +350,22 @@ def test_block_loop_matches_the_lean_loop_on_traces_that_come_to_rest(d, seed, d
                                                                       on_node, lam, steps,
                                                                       start):
     """A solved mechanical field: a trace started away from its well moves
-    there in a few steps, switches to v = 0 and rests, so the rest fill
-    takes over right after a switch of velocity."""
+    there in a few steps, switches to v = 0 and rests, so the trace ends
+    right after a switch of velocity, or inside a block of v = 0."""
     model, u, x, arcs = trace_case(d, "mechanical", seed, dt_mode, on_node, 0.0, start)
     u, _ = solve_perturbed(model, lam, arcs, tol=1e-10)
     checked_against_the_lean_loop(model, lam, u, x, (steps + 0.5) * arcs.dt, arcs)
 
 
 def checked_against_the_lean_loop(*args):
-    """The trace with the tolerance off, every field bit for bit the lean
-    loop's; with the default tolerance, CalibrationError on the same inputs
-    and otherwise the same trace."""
+    """The trace with the tolerance off, every field bit for bit that of the
+    lean loop run to the horizon and cut at its first rest step; with the
+    default tolerance, CalibrationError on the same inputs and otherwise the
+    same trace."""
     trace = backward_calibrated_curve(*args, defect_tol=np.inf)
-    assert_bit_identical(trace, lean_backward_calibrated_curve(*args, defect_tol=np.inf))
-    ref = trace_or_none(lean_backward_calibrated_curve, *args)
+    assert_bit_identical(trace, lean_backward_calibrated_curve(*args, defect_tol=np.inf,
+                                                               at_rest=True))
+    ref = trace_or_none(lean_backward_calibrated_curve, *args, at_rest=True)
     new = trace_or_none(backward_calibrated_curve, *args)
     assert (new is None) == (ref is None)
     if ref is not None:
@@ -330,10 +376,8 @@ def checked_against_the_lean_loop(*args):
 def recorded_blocks(monkeypatch, *args, **kwargs):
     """The trace and its blocks as (first step, rows guessed, rows taken).
     The guessed points of each block are recorded from the foot sampler; a
-    block takes the rows up to the first guessed point the trace leaves.  The
-    steps after the last sampler call are the rest fill, one block of no
-    guessed rows; it follows a step back at its own point, and the trace
-    stays there."""
+    block takes the rows up to the first guessed point the trace leaves, or
+    up to the trace's end, and the blocks take every step of the trace."""
     calls = []
     sampler = Transition.foot_sampler
 
@@ -348,22 +392,12 @@ def recorded_blocks(monkeypatch, *args, **kwargs):
     for Y in calls:
         assert np.array_equal(Y[0], trace.points[k])
         m = 1
-        while m < len(Y) and np.array_equal(Y[m], trace.points[k + m]):
+        while m < len(Y) and k + m < trace.steps and np.array_equal(Y[m], trace.points[k + m]):
             m += 1
         blocks.append((k, len(Y), m))
         k += m
-    if k < trace.steps:
-        r = rest_step(trace)
-        assert r is not None and r < k
-        blocks.append((k, 0, trace.steps - k))
+    assert k == trace.steps
     return trace, blocks
-
-
-def rest_step(trace):
-    """The first step back at its own point, bit for bit, or None."""
-    bits = trace.points.view(np.int64)
-    same = (bits[1:] == bits[:-1]).all(axis=1)
-    return int(same.argmax()) if same.any() else None
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -373,21 +407,22 @@ def test_block_schedule_covers_long_runs_switches_and_wraps(monkeypatch, d):
     keep moving show velocity runs longer than BLOCK_CAP, switches after the
     first row of a block and wraps of the torus with the block going on past
     them.  Some trace has a block after a switch that starts longer than one
-    row, and those that rest end in the rest fill.  All are bit for bit equal
-    to the lean loop."""
+    row, and those that rest end at their rest step.  All are bit for bit
+    equal to the lean loop, cut at the rest step."""
     seen = {"long run": False, "switch inside a block": False,
             "wrap inside a block": False, "block after a switch longer than 1": False,
-            "rest fill": False, "on lattice": False, "off lattice": False}
+            "rest": False, "on lattice": False, "off lattice": False}
     for dt_mode in ("default", "off_lattice", "small"):
         for seed in range(9):
             model, u, x, arcs = trace_case(d, "shifted_quadratic", seed, dt_mode,
                                            dt_mode != "small", 0.03, (0.31, 0.77))
             args = (model, 0.5, u, x, 2000.5 * arcs.dt, arcs)
             trace, blocks = recorded_blocks(monkeypatch, *args)
-            assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
-                                                                       defect_tol=np.inf))
+            assert_bit_identical(trace, lean_backward_calibrated_curve(
+                *args, defect_tol=np.inf, at_rest=True))
             seen["on lattice" if trace.on_lattice else "off lattice"] = True
-            moving = rest_step(trace) is None
+            seen["rest"] |= trace.rests
+            moving = not trace.rests
             switch = np.flatnonzero(np.diff(trace.vel_indices)) + 1
             runs = np.diff(np.concatenate(([0], switch, [trace.steps])))
             seen["long run"] |= bool(moving and runs.max() > BLOCK_CAP
@@ -399,17 +434,16 @@ def test_block_schedule_covers_long_runs_switches_and_wraps(monkeypatch, d):
                 seen["wrap inside a block"] |= bool(
                     moving and np.any((wraps >= k) & (wraps < k + take - 1)))
                 seen["block after a switch longer than 1"] |= size > 1 and (k - 1) in switch
-                seen["rest fill"] |= size == 0
     assert all(seen.values()), seen
 
 
 def test_occupation_workload_traces_stop_sampling_at_rest(monkeypatch, tmp_path):
-    """The five traces of the `occupation` benchmark workload (bench/run.py,
-    seed 1).  In each of the four that come to rest, no block after the one
-    that reaches the rest calls the foot sampler.  A block after a switch
-    starts at the length of the run that ended, so the five take at most 100
-    sampler passes for their 12,030 steps; with the rest fill alone they
-    took 254, with neither 312."""
+    """The four traces of the `occupation` benchmark workload (bench/run.py,
+    seed 1): the sweep's three and the mass identity's at dt/2, the one at
+    dt being the sweep's.  Each of the three that come to rest ends at its
+    rest step, and no block starts after it.  A block after a switch starts
+    at the length of the run that ended, so the four take at most 70
+    sampler passes for their 3,942 steps."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     from run import WORKLOADS, write_config
     cfg = str(tmp_path / "occupation.cfg")
@@ -423,17 +457,17 @@ def test_occupation_workload_traces_stop_sampling_at_rest(monkeypatch, tmp_path)
     monkeypatch.setattr(experiments, "backward_calibrated_curve", recording)
     assert experiments.run_experiment(cfg, output=str(tmp_path / "out")).passed
     monkeypatch.undo()
-    assert len(calls) == 5
+    assert len(calls) == 4
     steps = passes = rested = 0
     for args, kwargs in calls:
         trace, blocks = recorded_blocks(monkeypatch, *args, **kwargs)
-        r = rest_step(trace)
-        if r is not None:
+        if trace.rests:
             rested += 1
-            assert all(k <= r + 1 for k, size, _ in blocks if size)
+            assert rest_step(trace.points) == trace.steps - 1
+            assert all(k <= trace.steps - 1 for k, _, _ in blocks)
         steps += trace.steps
-        passes += sum(1 for _, size, _ in blocks if size)
-    assert (rested, steps) == (4, 12030) and passes <= 100
+        passes += len(blocks)
+    assert (rested, steps) == (3, 3942) and passes <= 70
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -445,9 +479,10 @@ def test_zero_and_one_step_traces_match_the_lean_loop(d, steps):
         args = (model, 0.7, u, x, (steps + 0.5) * arcs.dt, arcs)
         new = backward_calibrated_curve(*args, defect_tol=np.inf)
         assert new.steps == steps
-        assert_bit_identical(new, lean_backward_calibrated_curve(*args, defect_tol=np.inf))
+        assert_bit_identical(new, lean_backward_calibrated_curve(*args, defect_tol=np.inf,
+                                                                 at_rest=True))
         assert ((trace_or_none(backward_calibrated_curve, *args) is None)
-                == (trace_or_none(lean_backward_calibrated_curve, *args) is None))
+                == (trace_or_none(lean_backward_calibrated_curve, *args, at_rest=True) is None))
 
 
 @pytest.mark.parametrize("alpha", [1.0, -2.5])
@@ -461,8 +496,8 @@ def test_wraps_off_the_lattice_do_not_stop_a_block(monkeypatch, alpha):
     for dt, x in ((default_dt(grid, vset), [0.5]), (0.064, [0.5]), (0.064, [0.123])):
         args = (model, 0.01, u, x, 2000.5 * dt, Transition(grid, vset, dt))
         trace, blocks = recorded_blocks(monkeypatch, *args)
-        assert_bit_identical(trace, lean_backward_calibrated_curve(*args,
-                                                                   defect_tol=np.inf))
+        assert_bit_identical(trace, lean_backward_calibrated_curve(*args, defect_tol=np.inf,
+                                                                   at_rest=True))
         assert trace.steps == 2000 and np.unique(trace.vel_indices).size == 1
         assert trace.on_lattice == (dt != 0.064)
         assert all(take == size for _, size, take in blocks[1:])
